@@ -47,8 +47,6 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// backend is batch-size-invariant — same number of serial calls
 /// either way — so the sync × async ratios stay apples-to-apples).
 const ASYNC_BATCH: usize = 8;
-/// Queue depths of the engine sweep (1 caller thread each).
-const DEPTHS: [usize; 3] = [2, 8, 32];
 
 /// Wraps any backend with a fixed per-call service time, emulating a
 /// device whose latency concurrency can overlap. Counters and
@@ -223,7 +221,6 @@ fn main() {
         let store = BlockStore::new(layout.clone(), backend).unwrap();
         run_curve("mem", &store, &cfg, &mut samples);
         run_async_curve("mem", &store, &cfg, &mut samples);
-        run_depth_sweep("mem", &store, &cfg, &mut samples);
     }
     // Raw memcpy backend: honest CPU-bound numbers, host-dependent.
     {
@@ -372,50 +369,6 @@ fn run_async_curve<B: Backend + 'static>(
     store.verify_parity().unwrap_or_else(|e| panic!("{name}: parity after the async curve: {e}"));
 }
 
-/// Queue-depth sweep: `concurrent_read_async` at one caller thread
-/// across `target_depth` ∈ {2, 8, 32} — how much per-disk pile-on
-/// the scheduler needs before a single caller saturates the array.
-fn run_depth_sweep<B: Backend + 'static>(
-    name: &'static str,
-    store: &BlockStore<B>,
-    cfg: &Config,
-    samples: &mut Vec<Sample>,
-) {
-    for &depth in &DEPTHS {
-        let workload = match depth {
-            2 => "concurrent_read_async_depth2",
-            8 => "concurrent_read_async_depth8",
-            32 => "concurrent_read_async_depth32",
-            _ => unreachable!("DEPTHS is fixed"),
-        };
-        let stress_cfg = StressConfig {
-            threads: 1,
-            ops_per_thread: cfg.total_ops / ASYNC_BATCH,
-            seed: 0xdeb7 + depth as u64,
-            batch_max: ASYNC_BATCH,
-            batch_min: ASYNC_BATCH,
-            read_fraction: 1.0,
-            fail_disk: None,
-            rebuild: RebuildMode::None,
-            verify_reads: false,
-            cache: pdl_store::CachePolicy::WriteThrough,
-            engine: Some(EngineConfig { target_depth: depth, ..EngineConfig::default() }),
-        };
-        let report = stress::run(store, &stress_cfg).unwrap();
-        let blocks = report.blocks_read + report.blocks_written;
-        let seconds = report.elapsed.as_secs_f64();
-        samples.push(Sample {
-            backend: name,
-            workload,
-            threads: 1,
-            mb_per_s: (blocks * report.unit_size) as f64 / seconds.max(1e-9) / 1e6,
-            blocks,
-            seconds,
-        });
-    }
-    store.verify_parity().unwrap_or_else(|e| panic!("{name}: parity after the depth sweep: {e}"));
-}
-
 /// Raw throughput of one `(backend, workload, threads)` sample (NaN
 /// when the sample is missing, which fails any gate on the ratio).
 fn mb_per_s(samples: &[Sample], backend: &str, workload: &str, threads: usize) -> f64 {
@@ -433,9 +386,9 @@ fn scaling_ratio(samples: &[Sample], backend: &str, workload: &str, threads: usi
 
 /// The headline ratios: each thread count over 1, per backend, for
 /// the read curve (plus the mixed curve at 4 threads), then the
-/// async-engine comparisons — async over sync at every thread count,
-/// the single/dual-caller async figures against the 8-thread sync
-/// ceiling, and the queue-depth sweep.
+/// async-engine comparisons — async over sync at every thread count
+/// and the single/dual-caller async figures against the 8-thread sync
+/// ceiling.
 fn ratios(samples: &[Sample]) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     for backend in ["mem", "mem_raw", "file"] {
@@ -470,20 +423,6 @@ fn ratios(samples: &[Sample]) -> Vec<(String, f64)> {
         "mem_random_small_write_async_x4_over_x1".into(),
         scaling_ratio(samples, "mem", "random_small_write_async", 4),
     ));
-    for depth in [8usize, 32] {
-        out.push((
-            format!("mem_concurrent_read_async_depth{depth}_over_depth2"),
-            mb_per_s(
-                samples,
-                "mem",
-                match depth {
-                    8 => "concurrent_read_async_depth8",
-                    _ => "concurrent_read_async_depth32",
-                },
-                1,
-            ) / mb_per_s(samples, "mem", "concurrent_read_async_depth2", 1),
-        ));
-    }
     out
 }
 

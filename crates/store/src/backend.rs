@@ -798,153 +798,6 @@ impl Backend for FileBackend {
     }
 }
 
-/// [`FileBackend`] in **async-engine mode**: the same one-file-per-
-/// disk positional I/O, packaged for use behind the submit-and-
-/// complete [`crate::engine::Engine`] with one worker thread per
-/// disk, so N disks' `pread`/`pwrite` calls progress concurrently
-/// even when the caller is a single thread.
-///
-/// The wrapper delegates every [`Backend`] method to the inner
-/// [`FileBackend`] unchanged — the concurrency comes entirely from
-/// the engine's per-disk workers issuing the positional syscalls in
-/// parallel (each disk's `File` sits behind its own mutex, so
-/// per-disk workers never contend). Start the engine with
-/// [`AsyncFileBackend::engine_config`], which requests one worker
-/// per disk.
-#[derive(Debug)]
-pub struct AsyncFileBackend(FileBackend);
-
-impl AsyncFileBackend {
-    /// Creates a fresh array; see [`FileBackend::create`].
-    pub fn create(
-        dir: impl AsRef<Path>,
-        disks: usize,
-        units_per_disk: usize,
-        unit_size: usize,
-    ) -> Result<Self, StoreError> {
-        FileBackend::create(dir, disks, units_per_disk, unit_size).map(AsyncFileBackend)
-    }
-
-    /// Opens an existing array; see [`FileBackend::open`].
-    pub fn open(
-        dir: impl AsRef<Path>,
-        disks: usize,
-        units_per_disk: usize,
-        unit_size: usize,
-    ) -> Result<Self, StoreError> {
-        FileBackend::open(dir, disks, units_per_disk, unit_size).map(AsyncFileBackend)
-    }
-
-    /// Wraps an already-constructed [`FileBackend`].
-    pub fn from_file_backend(inner: FileBackend) -> Self {
-        AsyncFileBackend(inner)
-    }
-
-    /// The inner [`FileBackend`].
-    pub fn inner(&self) -> &FileBackend {
-        &self.0
-    }
-
-    /// The engine configuration this mode is designed for: one
-    /// worker per disk (`workers: 0`), so every disk has a dedicated
-    /// thread parked on its queue.
-    pub fn engine_config() -> crate::engine::EngineConfig {
-        crate::engine::EngineConfig { workers: 0, ..Default::default() }
-    }
-}
-
-impl Backend for AsyncFileBackend {
-    fn disks(&self) -> usize {
-        self.0.disks()
-    }
-
-    fn units_per_disk(&self) -> usize {
-        self.0.units_per_disk()
-    }
-
-    fn unit_size(&self) -> usize {
-        self.0.unit_size()
-    }
-
-    fn set_units_per_disk(&self, units: usize) -> Result<(), StoreError> {
-        self.0.set_units_per_disk(units)
-    }
-
-    fn read_unit(&self, disk: usize, offset: usize, buf: &mut [u8]) -> Result<(), StoreError> {
-        self.0.read_unit(disk, offset, buf)
-    }
-
-    fn write_unit(&self, disk: usize, offset: usize, buf: &[u8]) -> Result<(), StoreError> {
-        self.0.write_unit(disk, offset, buf)
-    }
-
-    fn read_units(&self, disk: usize, offset: usize, buf: &mut [u8]) -> Result<(), StoreError> {
-        self.0.read_units(disk, offset, buf)
-    }
-
-    fn write_units(&self, disk: usize, offset: usize, buf: &[u8]) -> Result<(), StoreError> {
-        self.0.write_units(disk, offset, buf)
-    }
-
-    fn read_units_scatter(
-        &self,
-        disk: usize,
-        offset: usize,
-        bufs: &mut [&mut [u8]],
-    ) -> Result<(), StoreError> {
-        self.0.read_units_scatter(disk, offset, bufs)
-    }
-
-    fn write_units_gather(
-        &self,
-        disk: usize,
-        offset: usize,
-        bufs: &[&[u8]],
-    ) -> Result<(), StoreError> {
-        self.0.write_units_gather(disk, offset, bufs)
-    }
-
-    fn flush(&self) -> Result<(), StoreError> {
-        self.0.flush()
-    }
-
-    fn prefers_gap_bridging(&self) -> bool {
-        self.0.prefers_gap_bridging()
-    }
-
-    fn read_count(&self, disk: usize) -> u64 {
-        self.0.read_count(disk)
-    }
-
-    fn write_count(&self, disk: usize) -> u64 {
-        self.0.write_count(disk)
-    }
-
-    fn read_calls(&self, disk: usize) -> u64 {
-        self.0.read_calls(disk)
-    }
-
-    fn write_calls(&self, disk: usize) -> u64 {
-        self.0.write_calls(disk)
-    }
-
-    fn reset_counters(&self) {
-        self.0.reset_counters()
-    }
-
-    fn wipe_disk(&self, disk: usize) -> Result<(), StoreError> {
-        self.0.wipe_disk(disk)
-    }
-
-    fn persist_mapping(&self, redirect: &[usize]) -> Result<(), StoreError> {
-        self.0.persist_mapping(redirect)
-    }
-
-    fn load_mapping(&self) -> Result<Option<Vec<usize>>, StoreError> {
-        self.0.load_mapping()
-    }
-}
-
 /// Fault-injection knobs for [`FaultyBackend`]. All rates are
 /// probabilities in `[0, 1]`, evaluated per backend call (or per unit
 /// for corruption) from the seeded generator, so a given seed replays

@@ -266,11 +266,16 @@ impl ChecksumTable {
     /// one table-lock acquisition — the scattered-run counterpart of
     /// [`ChecksumTable::check_span`]. Mismatching offsets are
     /// appended to `bad`; returns `true` when every unit passed.
-    pub fn check_many(&self, disk: usize, units: &[(usize, &[u8])], bad: &mut Vec<usize>) -> bool {
+    pub fn check_many<'a>(
+        &self,
+        disk: usize,
+        units: impl IntoIterator<Item = (usize, &'a [u8])>,
+        bad: &mut Vec<usize>,
+    ) -> bool {
         let t = self.disks.read().unwrap();
         let Some(d) = t.get(disk) else { return true };
         let before = bad.len();
-        for &(offset, unit) in units {
+        for (offset, unit) in units {
             if let Some(slot) = d.sums.get(offset) {
                 let stored = slot.load(Ordering::Relaxed);
                 if stored != Self::UNSET && stored != Self::encode(xxh64(Self::SEED, unit)) {
@@ -872,11 +877,11 @@ mod tests {
         // check_many over scattered offsets agrees too.
         let scattered: Vec<(usize, &[u8])> =
             vec![(1, &torn[..4]), (2, &torn[4..8]), (5, &torn[16..20])];
-        assert!(!t.check_many(0, &scattered, &mut bad));
+        assert!(!t.check_many(0, scattered.iter().copied(), &mut bad));
         assert_eq!(bad, vec![2, 5]);
         // Out-of-range disk is a pass, never a panic.
         bad.clear();
-        assert!(t.check_many(9, &scattered, &mut bad));
+        assert!(t.check_many(9, scattered.iter().copied(), &mut bad));
         assert!(t.check_span(9, 0, &span, 4, &mut bad));
     }
 

@@ -138,6 +138,7 @@ pub mod cache;
 pub mod engine;
 pub mod error;
 pub mod integrity;
+mod io;
 pub mod maintenance;
 pub mod meta;
 pub mod obs;
@@ -148,7 +149,7 @@ pub mod scrub;
 pub mod store;
 pub mod stress;
 
-pub use backend::{AsyncFileBackend, Backend, FaultConfig, FaultyBackend, FileBackend, MemBackend};
+pub use backend::{Backend, FaultConfig, FaultyBackend, FileBackend, MemBackend};
 pub use cache::CachePolicy;
 pub use engine::{
     Completion, DiskQueue, Engine, EngineConfig, EngineDiskSnapshot, EngineStatsSnapshot, Priority,

@@ -1333,10 +1333,9 @@ pub fn render_stats(s: &StatsSnapshot) -> String {
     if let Some(e) = &s.engine {
         let _ = writeln!(
             out,
-            "engine: {} worker(s), depth target {}; {} client + {} maintenance submitted, \
+            "engine: {} worker(s); {} client + {} maintenance submitted, \
              {} completed ({} error(s)), {} maintenance deferral(s)",
             e.workers,
-            e.target_depth,
             e.client_submitted,
             e.maintenance_submitted,
             e.completed,
@@ -1561,7 +1560,6 @@ mod tests {
             },
             engine: Some(crate::engine::EngineStatsSnapshot {
                 workers: 9,
-                target_depth: 8,
                 client_submitted: 40,
                 maintenance_submitted: 6,
                 completed: 46,

@@ -669,12 +669,7 @@ impl<B: Backend> BlockStore<B> {
                 ucache.push_want(st.redirect[u.disk as usize] as u32, u.offset + shift);
             }
         }
-        // Band read through the engine when it is running (the
-        // reshape is a background job: maintenance priority).
-        match self.engine_if_on() {
-            Some(eng) => ucache.fill_engine(&eng, us)?,
-            None => ucache.fill(&*self.backend, us, &self.integrity)?,
-        }
+        ucache.fill(&self.io(), us)?;
         // Assemble the batch's source bytes in address order:
         // healthy units from the band read, lost units decoded once
         // per stripe, addresses past the source capacity left zero.

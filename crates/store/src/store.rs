@@ -113,8 +113,10 @@
 
 use crate::backend::Backend;
 use crate::cache::{key_parts, stripe_key, CachePolicy, FlushSnapshot, StripeCache};
+use crate::engine::Priority;
 use crate::error::StoreError;
 use crate::integrity::{xxh64, ChecksumTable, Integrity, RetryPolicy};
+use crate::io::{Io, Run};
 use crate::maintenance::MaintState;
 use crate::meta::StoreMeta;
 use crate::obs::{
@@ -447,51 +449,15 @@ impl UnitCache {
         self.wants.push((disk, offset));
     }
 
-    /// Sorts the want-list and reads it in per-disk coalesced runs,
-    /// with transient-fault retry per run.
+    /// Sorts the want-list and reads it through `io` in per-disk
+    /// coalesced runs — one run per stretch of adjacent units, each
+    /// landing in its own span of the cache — at maintenance priority
+    /// (every prefetch band belongs to a background job).
     pub(crate) fn fill<B: Backend>(
         &mut self,
-        backend: &B,
-        unit_size: usize,
-        integrity: &crate::integrity::Integrity,
-    ) -> Result<(), StoreError> {
-        self.unit_size = unit_size;
-        self.wants.sort_unstable();
-        debug_assert!(
-            self.wants.windows(2).all(|w| w[0] != w[1]),
-            "stripes never share units, so the want-list has no duplicates"
-        );
-        self.data.resize(self.wants.len() * unit_size, 0);
-        let (wants, data) = (&self.wants, &mut self.data);
-        let mut i = 0;
-        while i < wants.len() {
-            let (disk, offset) = wants[i];
-            let mut j = i + 1;
-            while j < wants.len() && wants[j] == (disk, offset + (j - i) as u32) {
-                j += 1;
-            }
-            let span = &mut data[i * unit_size..j * unit_size];
-            integrity.retrying(disk as usize, || {
-                backend.read_units(disk as usize, offset as usize, &mut *span)
-            })?;
-            i = j;
-        }
-        Ok(())
-    }
-
-    /// [`UnitCache::fill`] through the async engine: submits every
-    /// per-disk coalesced run at [`crate::engine::Priority`]
-    /// `Maintenance` **before** waiting on any, so the whole
-    /// prefetch band progresses on all touched disks at once (the
-    /// rebuild/decode band-read pattern). Identical retry/health
-    /// semantics — the engine workers run each call under the same
-    /// integrity wrapper.
-    pub(crate) fn fill_engine<B: Backend>(
-        &mut self,
-        eng: &crate::engine::Engine<B>,
+        io: &Io<'_, B>,
         unit_size: usize,
     ) -> Result<(), StoreError> {
-        use crate::engine::Priority;
         self.unit_size = unit_size;
         self.wants.sort_unstable();
         debug_assert!(
@@ -500,7 +466,9 @@ impl UnitCache {
         );
         self.data.resize(self.wants.len() * unit_size, 0);
         let wants = &self.wants;
-        let mut runs: Vec<(usize, usize, crate::engine::Completion)> = Vec::new();
+        let mut rest = self.data.as_mut_slice();
+        let mut spans: Vec<&mut [u8]> = Vec::new();
+        let mut runs: Vec<Run> = Vec::new();
         let mut i = 0;
         while i < wants.len() {
             let (disk, offset) = wants[i];
@@ -508,20 +476,14 @@ impl UnitCache {
             while j < wants.len() && wants[j] == (disk, offset + (j - i) as u32) {
                 j += 1;
             }
-            let c = eng.submit_read_units(
-                disk as usize,
-                offset as usize,
-                j - i,
-                Priority::Maintenance,
-            )?;
-            runs.push((i, j, c));
+            let (span, tail) = std::mem::take(&mut rest).split_at_mut((j - i) * unit_size);
+            rest = tail;
+            let part = spans.len();
+            runs.push(Run { disk: disk as usize, first: offset as usize, parts: part..part + 1 });
+            spans.push(span);
             i = j;
         }
-        for (s, e, c) in runs {
-            let bytes = c.wait()?;
-            self.data[s * unit_size..e * unit_size].copy_from_slice(&bytes);
-        }
-        Ok(())
+        io.read_runs(&runs, &mut spans, Priority::Maintenance, |_, _| {})
     }
 
     /// The `i`-th cached unit's bytes (index-aligned with `wants`).
@@ -574,7 +536,7 @@ pub struct ReplayStats {
 pub struct BlockStore<B> {
     pub(crate) scheme: ParityScheme,
     /// The storage backend, shared with the optional async engine's
-    /// worker threads (plain `Arc` deref on every synchronous call).
+    /// worker threads (plain `Arc` deref on every inline call).
     pub(crate) backend: Arc<B>,
     pub(crate) unit_size: usize,
     /// Current world + redirect table + failure set + active rebuild
@@ -615,9 +577,9 @@ pub struct BlockStore<B> {
     pub(crate) integrity: Arc<Integrity>,
     /// The optional submit-and-complete I/O engine (see
     /// [`crate::engine`]): `None` until [`BlockStore::start_engine`].
-    /// Behind an `RwLock` so hot paths can clone the `Arc` under a
-    /// read lock; gated by the lock-free `engine_on` flag so the
-    /// engine-off cost is one relaxed load.
+    /// Behind an `RwLock` so the dispatcher can clone the `Arc` under
+    /// a read lock; gated by the lock-free `engine_on` flag so the
+    /// engine-off cost is one atomic load.
     pub(crate) engine: RwLock<Option<Arc<crate::engine::Engine<B>>>>,
     /// Lock-free fast-path gate for [`BlockStore::engine`].
     pub(crate) engine_on: AtomicBool,
@@ -847,56 +809,6 @@ impl<B: Backend> BlockStore<B> {
     /// The backend (e.g. to inspect IO counters).
     pub fn backend(&self) -> &B {
         &self.backend
-    }
-
-    /// Whether the async I/O engine is currently running.
-    pub fn engine_running(&self) -> bool {
-        self.engine_on.load(Ordering::Acquire)
-    }
-
-    /// The running engine, if any — the hot paths' dispatch gate.
-    /// One relaxed load when the engine is off; a read-lock +
-    /// `Arc` clone when on.
-    #[inline]
-    pub(crate) fn engine_if_on(&self) -> Option<Arc<crate::engine::Engine<B>>> {
-        if !self.engine_on.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.engine.read().unwrap().clone()
-    }
-
-    /// Starts the submit-and-complete async I/O engine (see
-    /// [`crate::engine`]): hot paths switch from issuing per-disk
-    /// backend calls serially to submitting every per-disk span at
-    /// once and overlapping completions with parity/decode compute.
-    /// Replaces a previously running engine (which is drained
-    /// first). The `'static` bound is what lets the engine's worker
-    /// threads share the backend beyond any caller's stack frame.
-    pub fn start_engine(&self, cfg: crate::engine::EngineConfig)
-    where
-        B: Send + Sync + 'static,
-    {
-        let eng = crate::engine::Engine::start(
-            Arc::clone(&self.backend),
-            Arc::clone(&self.integrity),
-            cfg,
-        );
-        let old = self.engine.write().unwrap().replace(eng);
-        self.engine_on.store(true, Ordering::Release);
-        if let Some(old) = old {
-            old.stop();
-        }
-    }
-
-    /// Stops the async engine (if running): drains its queues, joins
-    /// the workers, and returns the store to fully synchronous
-    /// backend calls. Idempotent.
-    pub fn stop_engine(&self) {
-        self.engine_on.store(false, Ordering::Release);
-        let eng = self.engine.write().unwrap().take();
-        if let Some(eng) = eng {
-            eng.stop();
-        }
     }
 
     /// Bytes per logical block.
@@ -1901,51 +1813,30 @@ impl<B: Backend> BlockStore<B> {
             let u = units[slot];
             (st.redirect[u.disk as usize], (u.offset + shift) as usize)
         };
-        // Read every live unit raw; classify each as verified,
-        // mismatched, or unset (no checksum recorded yet).
+        // Read every live unit raw — one single-unit run per disk, at
+        // maintenance priority so client ops outrank the burst — then
+        // classify each as verified, mismatched, or unset (no
+        // checksum recorded yet).
         let mut bytes = vec![0u8; units.len() * us];
+        let (mut live, mut runs, mut bufs) = (Vec::new(), Vec::new(), Vec::new());
+        for (slot, buf) in bytes.chunks_exact_mut(us).enumerate() {
+            if !st.failed.contains(units[slot].disk as usize) {
+                let (disk, first) = phys(slot);
+                runs.push(Run { disk, first, parts: bufs.len()..bufs.len() + 1 });
+                bufs.push(buf);
+                live.push(slot);
+            }
+        }
+        let nfailed = units.len() - live.len();
+        self.io().read_runs(&runs, &mut bufs, Priority::Maintenance, |_, _| {})?;
         let mut mismatched: Vec<usize> = Vec::new();
         let mut unset: Vec<usize> = Vec::new();
-        let mut nfailed = 0usize;
-        if let Some(eng) = self.engine_if_on() {
-            // Scrub burst: every live unit of the stripe is submitted
-            // to the per-disk queues at once (maintenance priority, so
-            // client ops still outrank it) and the reads complete in
-            // parallel across spindles.
-            let mut waits: Vec<(usize, crate::engine::Completion)> = Vec::new();
-            for (slot, u) in units.iter().enumerate() {
-                if st.failed.contains(u.disk as usize) {
-                    nfailed += 1;
-                    continue;
-                }
-                let (pd, off) = phys(slot);
-                let c = eng.submit_read_units(pd, off, 1, crate::engine::Priority::Maintenance)?;
-                waits.push((slot, c));
-            }
-            for (slot, c) in waits {
-                let data = c.wait()?;
-                bytes[slot * us..(slot + 1) * us].copy_from_slice(&data);
-                let (pd, off) = phys(slot);
-                if !self.integrity.sums.recorded(pd, off) {
-                    unset.push(slot);
-                } else if !self.integrity.sums.check(pd, off, &bytes[slot * us..(slot + 1) * us]) {
-                    mismatched.push(slot);
-                }
-            }
-        } else {
-            for (slot, u) in units.iter().enumerate() {
-                if st.failed.contains(u.disk as usize) {
-                    nfailed += 1;
-                    continue;
-                }
-                let (pd, off) = phys(slot);
-                let buf = &mut bytes[slot * us..(slot + 1) * us];
-                self.integrity.retrying(pd, || self.backend.read_unit(pd, off, &mut *buf))?;
-                if !self.integrity.sums.recorded(pd, off) {
-                    unset.push(slot);
-                } else if !self.integrity.sums.check(pd, off, buf) {
-                    mismatched.push(slot);
-                }
+        for &slot in &live {
+            let (pd, off) = phys(slot);
+            if !self.integrity.sums.recorded(pd, off) {
+                unset.push(slot);
+            } else if !self.integrity.sums.check(pd, off, &bytes[slot * us..(slot + 1) * us]) {
+                mismatched.push(slot);
             }
         }
         if nfailed + mismatched.len() > self.scheme.parity_per_stripe() {
@@ -2157,14 +2048,7 @@ impl<B: Backend> BlockStore<B> {
                 }
             }
             let t0 = Instant::now();
-            // Rebuild chunk prefetch: through the engine when it is
-            // running (maintenance priority — client ops outrank the
-            // band read at the queue tier), else the synchronous
-            // coalesced path.
-            match self.engine_if_on() {
-                Some(eng) => cache.fill_engine(&eng, self.unit_size)?,
-                None => cache.fill(&*self.backend, self.unit_size, &self.integrity)?,
-            }
+            cache.fill(&self.io(), self.unit_size)?;
             // The chunk's surviving-member prefetch *is* the rebuild
             // read load; timed unconditionally (chunks are large, the
             // two Instant reads vanish against the vectored I/O).
@@ -2258,10 +2142,10 @@ impl<B: Backend> BlockStore<B> {
     }
 
     /// [`BlockStore::decode_stripe_with`] reading straight from the
-    /// backend — the common, unbatched decode. With the I/O engine
-    /// running, the survivor band-read is submitted to the per-disk
-    /// queues in one burst instead (see
-    /// [`BlockStore::decode_stripe_engine`]).
+    /// backend — the common, unbatched decode: each survivor is
+    /// pulled through the dispatcher into the scratch's one transfer
+    /// buffer (client priority — a degraded read is still a client
+    /// op) and checksum-verified before it is folded in.
     fn decode_stripe(
         &self,
         st: &ArrayState,
@@ -2270,75 +2154,15 @@ impl<B: Backend> BlockStore<B> {
         extra_lost: &[usize],
         scratch: &mut Scratch,
     ) -> Result<Decoded, StoreError> {
-        if let Some(eng) = self.engine_if_on() {
-            return self.decode_stripe_engine(st, &eng, si, shift, extra_lost, scratch);
-        }
+        let io = self.io();
+        let verify = self.integrity.verifying();
         self.decode_stripe_with(st, si, shift, extra_lost, scratch, |u, buf| {
-            self.read_phys(st, u, buf)
-        })
-    }
-
-    /// Engine-backed degraded band-read: every surviving member of
-    /// the stripe is submitted to its disk queue at once (client
-    /// priority — a degraded read is still a client op), the
-    /// completions are drained, each buffer is checksum-verified, and
-    /// the decode then runs entirely from memory. The survivor reads
-    /// overlap across spindles instead of serialising one
-    /// `read_unit` at a time.
-    fn decode_stripe_engine(
-        &self,
-        st: &ArrayState,
-        eng: &crate::engine::Engine<B>,
-        si: usize,
-        shift: u32,
-        extra_lost: &[usize],
-        scratch: &mut Scratch,
-    ) -> Result<Decoded, StoreError> {
-        let stripe = &st.world.layout.stripes()[si];
-        let mut waits: Vec<(u32, u32, crate::engine::Completion)> = Vec::new();
-        for (slot, u) in stripe.units().iter().enumerate() {
-            if st.failed.contains(u.disk as usize) || extra_lost.contains(&slot) {
-                continue;
+            let (disk, first) = (st.redirect[u.disk as usize], u.offset as usize);
+            let run = [Run { disk, first, parts: 0..1 }];
+            io.read_runs(&run, &mut [&mut *buf], Priority::Client, |_, _| {})?;
+            if verify && !self.integrity.sums.check(disk, first, buf) {
+                return Err(StoreError::ChecksumMismatch { disk, offset: first });
             }
-            let pd = st.redirect[u.disk as usize];
-            let off = u.offset + shift;
-            let c = eng.submit_read_units(pd, off as usize, 1, crate::engine::Priority::Client)?;
-            waits.push((u.disk, off, c));
-        }
-        // Drain every completion before acting on an error — no
-        // token may be abandoned in flight.
-        let mut got: Vec<(u32, u32, Vec<u8>)> = Vec::with_capacity(waits.len());
-        let mut first_err: Option<StoreError> = None;
-        for (disk, off, c) in waits {
-            match c.wait() {
-                Ok(data) => got.push((disk, off, data)),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        if self.integrity.verifying() {
-            for (disk, off, data) in &got {
-                let pd = st.redirect[*disk as usize];
-                if !self.integrity.sums.check(pd, *off as usize, data) {
-                    return Err(StoreError::ChecksumMismatch { disk: pd, offset: *off as usize });
-                }
-            }
-        }
-        self.decode_stripe_with(st, si, shift, extra_lost, scratch, |u, buf| {
-            let (_, _, data) =
-                got.iter().find(|(d, o, _)| *d == u.disk && *o == u.offset).ok_or_else(|| {
-                    StoreError::Corrupt(format!(
-                        "engine band-read missing unit disk {} offset {}",
-                        u.disk, u.offset
-                    ))
-                })?;
-            buf.copy_from_slice(data);
             Ok(())
         })
     }
@@ -2859,110 +2683,113 @@ impl<B: Backend> BlockStore<B> {
         Ok(())
     }
 
-    /// The engine path of [`BlockStore::read_blocks`]: submits every
-    /// per-disk coalesced run to the async engine **up front**, so
-    /// all touched disks seek concurrently even from one caller
-    /// thread, then drains completions in order — copy-out and
-    /// batch checksum verification of run *i* overlap the backend
-    /// service of runs *i+1..*. Buckets, gap bridging, and the
-    /// repair-retry discipline match the synchronous path.
-    #[allow(clippy::too_many_arguments)]
-    fn read_runs_engine(
+    /// The healthy half of [`BlockStore::read_blocks`]: coalesces
+    /// each per-disk bucket of `(offset, block index)` into runs,
+    /// *bridging* the small parity-unit holes a data scan never wants
+    /// (the hole is read into a discard buffer so the run stays one
+    /// backend call), and reads them through the dispatcher — each
+    /// run one scatter read straight into the caller's chunks — with
+    /// checksum verification and one repair-and-reread on mismatch.
+    fn read_healthy_runs(
         &self,
         st: &ArrayState,
-        eng: &crate::engine::Engine<B>,
         start: usize,
-        bridge: usize,
-        verify: bool,
         by_disk: &mut [Vec<(u32, u32)>],
         unsorted: bool,
         chunks: &mut [Option<&mut [u8]>],
     ) -> Result<(), StoreError> {
-        use crate::engine::{Completion, Priority};
         let us = self.unit_size;
-        // Phase 1: submit every run on every disk.
-        struct Run {
-            disk: usize,
-            first: u32,
-            span: usize,
-            blocks: std::ops::Range<usize>,
-        }
-        let mut runs: Vec<(Run, Completion)> = Vec::new();
+        let bridge = if self.backend.prefers_gap_bridging() { READ_GAP_BRIDGE } else { 0 };
+        // Run formation. `spans[i]` is the bucket range `runs[i]`
+        // serves; a run owns one buffer per wanted unit plus one per
+        // bridged hole.
+        let mut runs: Vec<Run> = Vec::new();
+        let mut spans: Vec<std::ops::Range<usize>> = Vec::new();
+        let (mut nbufs, mut hole_units) = (0usize, 0usize);
         for (disk, bucket) in by_disk.iter_mut().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
             if unsorted {
                 bucket.sort_unstable();
             }
             let mut s = 0;
             while s < bucket.len() {
-                let mut e = s + 1;
-                while e < bucket.len() && (bucket[e].0 - bucket[e - 1].0 - 1) as usize <= bridge {
+                let (mut e, part) = (s + 1, nbufs);
+                nbufs += 1;
+                while e < bucket.len() {
+                    let gap = (bucket[e].0 - bucket[e - 1].0 - 1) as usize;
+                    if gap > bridge {
+                        break;
+                    }
+                    hole_units += gap;
+                    nbufs += 1 + usize::from(gap > 0);
                     e += 1;
                 }
-                let first = bucket[s].0;
-                let span = (bucket[e - 1].0 - first + 1) as usize;
-                let c = eng.submit_read_units(disk, first as usize, span, Priority::Client)?;
-                runs.push((Run { disk, first, span, blocks: s..e }, c));
+                runs.push(Run { disk, first: bucket[s].0 as usize, parts: part..nbufs });
+                spans.push(s..e);
                 s = e;
             }
         }
-        // Phase 2: drain completions; verify whole runs in one
-        // checksum-table pass and copy into the caller's chunks.
-        for (run, c) in runs {
-            let bucket = &by_disk[run.disk];
-            let mut data = c.wait()?;
-            if verify {
-                for pass in 0..2 {
-                    let mut bad: Vec<usize> = Vec::new();
-                    {
-                        let pairs: Vec<(usize, &[u8])> = bucket[run.blocks.clone()]
-                            .iter()
-                            .map(|&(off, _)| {
-                                let at = (off - run.first) as usize * us;
-                                (off as usize, &data[at..at + us])
-                            })
-                            .collect();
-                        self.integrity.sums.check_many(run.disk, &pairs, &mut bad);
-                    }
-                    if bad.is_empty() {
-                        break;
-                    }
-                    if pass == 1 {
-                        return Err(StoreError::ChecksumMismatch {
-                            disk: run.disk,
-                            offset: bad[0],
-                        });
-                    }
-                    // Latent corruption: repair the owning stripes in
-                    // place, then re-read the run and re-verify.
-                    for &off in &bad {
-                        let &(_, blk) = bucket[run.blocks.clone()]
-                            .iter()
-                            .find(|&&(o, _)| o as usize == off)
-                            .expect("bad offset belongs to this run");
-                        self.repair_addr(st, start + blk as usize)?;
-                    }
-                    data = eng
-                        .submit_read_units(
-                            run.disk,
-                            run.first as usize,
-                            run.span,
-                            Priority::Client,
-                        )?
-                        .wait()?;
+        // Destinations: the caller's chunks, with a slice of `holes`
+        // wherever a run bridges a gap.
+        let mut holes = vec![0u8; hole_units * us];
+        let mut hole_rest = holes.as_mut_slice();
+        let mut bufs: Vec<&mut [u8]> = Vec::with_capacity(nbufs);
+        for (run, span) in runs.iter().zip(&spans) {
+            let mut at = run.first as u32;
+            for &(off, blk) in &by_disk[run.disk][span.clone()] {
+                if off > at {
+                    let (hole, rest) =
+                        std::mem::take(&mut hole_rest).split_at_mut((off - at) as usize * us);
+                    hole_rest = rest;
+                    bufs.push(hole);
                 }
-            }
-            for &(off, blk) in &bucket[run.blocks.clone()] {
-                let at = (off - run.first) as usize * us;
-                chunks[blk as usize]
-                    .take()
-                    .expect("block read once")
-                    .copy_from_slice(&data[at..at + us]);
+                bufs.push(chunks[blk as usize].take().expect("block read once"));
+                at = off + 1;
             }
         }
-        Ok(())
+        // Each run is verified as it lands, in **one** checksum-table
+        // pass over its wanted units (a hole's discard slice is
+        // skipped, not checked); `bad` collects `(run, offset)`.
+        let verify = self.integrity.verifying();
+        let mut offs: Vec<usize> = Vec::new();
+        let mut check = |i: usize, bufs: &[&mut [u8]], bad: &mut Vec<(usize, usize)>| {
+            let run = &runs[i];
+            let (mut part, mut at) = (run.parts.start, run.first as u32);
+            let wanted = by_disk[run.disk][spans[i].clone()].iter().map(|&(off, _)| {
+                part += 1 + usize::from(off > at);
+                at = off + 1;
+                (off as usize, &*bufs[part - 1])
+            });
+            if verify && !self.integrity.sums.check_many(run.disk, wanted, &mut offs) {
+                bad.extend(offs.drain(..).map(|off| (i, off)));
+            }
+        };
+        let io = self.io();
+        let mut bad: Vec<(usize, usize)> = Vec::new();
+        io.read_runs(&runs, &mut bufs, Priority::Client, |i, bufs| check(i, bufs, &mut bad))?;
+        if bad.is_empty() {
+            return Ok(());
+        }
+        // Latent corruption: repair the owning stripes in place
+        // (exclusive lock — none held here), then read the affected
+        // runs into the same buffers and verify them once more.
+        for &(i, off) in &bad {
+            let &(_, blk) = by_disk[runs[i].disk][spans[i].clone()]
+                .iter()
+                .find(|&&(o, _)| o as usize == off)
+                .expect("bad offset belongs to this run");
+            self.repair_addr(st, start + blk as usize)?;
+        }
+        bad.dedup_by_key(|b| b.0);
+        let mut still: Vec<(usize, usize)> = Vec::new();
+        for &(i, _) in &bad {
+            let again = std::slice::from_ref(&runs[i]);
+            io.read_runs(again, &mut bufs, Priority::Client, |_, bufs| check(i, bufs, &mut still))?;
+        }
+        match still.first() {
+            // The repair could not restore the unit.
+            Some(&(i, offset)) => Err(StoreError::ChecksumMismatch { disk: runs[i].disk, offset }),
+            None => Ok(()),
+        }
     }
 
     /// Reads `buf.len() / unit_size` consecutive logical blocks
@@ -3048,138 +2875,7 @@ impl<B: Backend> BlockStore<B> {
             }
         }
 
-        // Coalesce each bucket into runs, *bridging* the small
-        // parity-unit holes a data scan never wants (the hole is read
-        // into a discard buffer so the run stays one backend call).
-        // Each run is one scatter read delivered straight into the
-        // caller's buffer — no staging copy.
-        let mut holes: Vec<u8> = Vec::new();
-        let bridge = if self.backend.prefers_gap_bridging() { READ_GAP_BRIDGE } else { 0 };
-        let verify = self.integrity.verifying();
-        if let Some(eng) = self.engine_if_on() {
-            // Submit-and-complete: all runs on all disks in flight at
-            // once, completions drained as they land.
-            self.read_runs_engine(
-                &st,
-                &eng,
-                start,
-                bridge,
-                verify,
-                &mut by_disk,
-                unsorted,
-                &mut chunks,
-            )?;
-        } else {
-            for (disk, bucket) in by_disk.iter_mut().enumerate() {
-                if bucket.is_empty() {
-                    continue;
-                }
-                if unsorted {
-                    bucket.sort_unstable();
-                }
-                let mut s = 0;
-                while s < bucket.len() {
-                    let mut e = s + 1;
-                    while e < bucket.len() && (bucket[e].0 - bucket[e - 1].0 - 1) as usize <= bridge
-                    {
-                        e += 1;
-                    }
-                    let first = bucket[s].0;
-                    if e - s == 1 {
-                        let bi = bucket[s].1 as usize;
-                        let chunk = chunks[bi].take().expect("block read once");
-                        self.integrity.retrying(disk, || {
-                            self.backend.read_unit(disk, first as usize, &mut *chunk)
-                        })?;
-                        if verify && !self.integrity.sums.check(disk, first as usize, chunk) {
-                            // Latent corruption: repair the stripe in
-                            // place (exclusive lock — none held here),
-                            // then re-read. A second mismatch means the
-                            // repair could not restore the unit.
-                            self.repair_addr(&st, start + bi)?;
-                            self.integrity.retrying(disk, || {
-                                self.backend.read_unit(disk, first as usize, &mut *chunk)
-                            })?;
-                            if !self.integrity.sums.check(disk, first as usize, chunk) {
-                                return Err(StoreError::ChecksumMismatch {
-                                    disk,
-                                    offset: first as usize,
-                                });
-                            }
-                        }
-                    } else {
-                        let span = (bucket[e - 1].0 - first + 1) as usize;
-                        holes.resize((span - (e - s)) * us, 0);
-                        let mut hole_rest = holes.as_mut_slice();
-                        // Per-run Vec by necessity: its elements borrow
-                        // `holes`, whose next-iteration resize forbids a
-                        // hoisted, reused vector. One small alloc per run
-                        // (not per block).
-                        let mut bufs: Vec<&mut [u8]> = Vec::with_capacity(2 * (e - s));
-                        let mut at = first;
-                        for entry in &bucket[s..e] {
-                            if entry.0 > at {
-                                let gap = (entry.0 - at) as usize * us;
-                                let (hole, rest) = std::mem::take(&mut hole_rest).split_at_mut(gap);
-                                hole_rest = rest;
-                                bufs.push(hole);
-                            }
-                            bufs.push(chunks[entry.1 as usize].take().expect("block read once"));
-                            at = entry.0 + 1;
-                        }
-                        self.integrity.retrying(disk, || {
-                            self.backend.read_units_scatter(disk, first as usize, &mut bufs)
-                        })?;
-                        if verify {
-                            // Verify while the run's slices are still in
-                            // scope (they were `take()`n from `chunks`);
-                            // the whole run checks in **one**
-                            // checksum-table pass (`check_many`), not a
-                            // lock acquisition per unit. On mismatch,
-                            // repair the owning stripes and re-read the
-                            // same run into the same buffers.
-                            for pass in 0..2 {
-                                let mut bad: Vec<usize> = Vec::new();
-                                {
-                                    let mut pairs: Vec<(usize, &[u8])> = Vec::with_capacity(e - s);
-                                    let mut vi = 0usize;
-                                    let mut vat = first;
-                                    for entry in &bucket[s..e] {
-                                        if entry.0 > vat {
-                                            vi += 1; // the gap's discard slice
-                                        }
-                                        pairs.push((entry.0 as usize, &*bufs[vi]));
-                                        vi += 1;
-                                        vat = entry.0 + 1;
-                                    }
-                                    self.integrity.sums.check_many(disk, &pairs, &mut bad);
-                                }
-                                if bad.is_empty() {
-                                    break;
-                                }
-                                if pass == 1 {
-                                    return Err(StoreError::ChecksumMismatch {
-                                        disk,
-                                        offset: bad[0],
-                                    });
-                                }
-                                for &off in &bad {
-                                    let &(_, blk) = bucket[s..e]
-                                        .iter()
-                                        .find(|&&(o, _)| o as usize == off)
-                                        .expect("bad offset belongs to this run");
-                                    self.repair_addr(&st, start + blk as usize)?;
-                                }
-                                self.integrity.retrying(disk, || {
-                                    self.backend.read_units_scatter(disk, first as usize, &mut bufs)
-                                })?;
-                            }
-                        }
-                    }
-                    s = e;
-                }
-            }
-        }
+        self.read_healthy_runs(&st, start, &mut by_disk, unsorted, &mut chunks)?;
 
         // Degraded blocks, grouped by (copy, stripe): consecutive lost
         // addresses of one stripe are adjacent in address order, so a
@@ -3572,10 +3268,11 @@ impl<B: Backend> BlockStore<B> {
     }
 
     /// Walks the deferred unit writes disk by disk, coalescing
-    /// contiguous offsets into one gather (vectored) backend call per
-    /// run straight from the source slices — no staging copy. Write
-    /// runs never bridge holes: writing a unit nobody asked for would
-    /// corrupt it.
+    /// contiguous offsets into one gather run each, and writes all of
+    /// them through the dispatcher straight from the source slices.
+    /// Write runs never bridge holes: writing a unit nobody asked for
+    /// would corrupt it. Checksums are recorded for exactly the runs
+    /// that landed, also when another run's failure fails the call.
     pub(crate) fn flush_write_plan(
         &self,
         plan: &mut WritePlan,
@@ -3584,7 +3281,6 @@ impl<B: Backend> BlockStore<B> {
         let us = self.unit_size;
         let WritePlan { by_disk, parity, unsorted } = plan;
         let parity: &[u8] = parity;
-        let unsorted = *unsorted;
         let src = |s: WriteSrc| {
             let i = (s.0 & !WriteSrc::PARITY) as usize;
             if s.0 & WriteSrc::PARITY != 0 {
@@ -3593,77 +3289,10 @@ impl<B: Backend> BlockStore<B> {
                 &data[i * us..(i + 1) * us]
             }
         };
-        let verify = self.integrity.verifying();
-        if let Some(eng) = self.engine_if_on() {
-            // Submit-and-complete: every per-disk run goes into the
-            // queues up front (owned copies of the staged bytes), so
-            // all touched disks write concurrently; checksums are
-            // recorded per run once its completion lands.
-            use crate::engine::Priority;
-            let mut waits: Vec<(usize, u32, usize, crate::engine::Completion)> = Vec::new();
-            for (disk, bucket) in by_disk.iter_mut().enumerate() {
-                if bucket.is_empty() {
-                    continue;
-                }
-                if unsorted {
-                    bucket.sort_unstable_by_key(|&(offset, _)| offset);
-                }
-                let mut i = 0;
-                while i < bucket.len() {
-                    let offset = bucket[i].0;
-                    let mut j = i + 1;
-                    while j < bucket.len() && bucket[j].0 == offset + (j - i) as u32 {
-                        j += 1;
-                    }
-                    let mut run = Vec::with_capacity((j - i) * us);
-                    for e in &bucket[i..j] {
-                        run.extend_from_slice(src(e.1));
-                    }
-                    let c =
-                        eng.submit_write_gather(disk, offset as usize, run, Priority::Client)?;
-                    waits.push((disk, offset, i, c));
-                    i = j;
-                }
-            }
-            let mut first_err: Option<StoreError> = None;
-            for (disk, offset, i, c) in waits {
-                match c.wait() {
-                    Ok(_) if verify => {
-                        // Re-derive the run's unit list from the plan
-                        // (still intact) to record its checksums.
-                        let bucket = &by_disk[disk];
-                        let mut t = 0usize;
-                        while i + t < bucket.len() && bucket[i + t].0 == offset + t as u32 {
-                            self.integrity.sums.record(
-                                disk,
-                                offset as usize + t,
-                                src(bucket[i + t].1),
-                            );
-                            t += 1;
-                        }
-                    }
-                    Ok(_) => {}
-                    Err(e) => {
-                        // Keep draining the rest of the batch — no
-                        // token is abandoned — and report the first
-                        // failure.
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                }
-            }
-            return match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
-        }
-        let mut srcs: Vec<&[u8]> = Vec::new();
+        let mut srcs: Vec<&[u8]> = Vec::with_capacity(by_disk.iter().map(Vec::len).sum());
+        let mut runs: Vec<Run> = Vec::new();
         for (disk, bucket) in by_disk.iter_mut().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            if unsorted {
+            if *unsorted {
                 bucket.sort_unstable_by_key(|&(offset, _)| offset);
             }
             let mut i = 0;
@@ -3673,29 +3302,21 @@ impl<B: Backend> BlockStore<B> {
                 while j < bucket.len() && bucket[j].0 == offset + (j - i) as u32 {
                     j += 1;
                 }
-                if j - i == 1 {
-                    let b = src(bucket[i].1);
-                    self.integrity
-                        .retrying(disk, || self.backend.write_unit(disk, offset as usize, b))?;
-                    if verify {
-                        self.integrity.sums.record(disk, offset as usize, b);
-                    }
-                } else {
-                    srcs.clear();
-                    srcs.extend(bucket[i..j].iter().map(|e| src(e.1)));
-                    self.integrity.retrying(disk, || {
-                        self.backend.write_units_gather(disk, offset as usize, &srcs)
-                    })?;
-                    if verify {
-                        for (t, b) in srcs.iter().enumerate() {
-                            self.integrity.sums.record(disk, offset as usize + t, b);
-                        }
-                    }
-                }
+                let part = srcs.len();
+                srcs.extend(bucket[i..j].iter().map(|e| src(e.1)));
+                runs.push(Run { disk, first: offset as usize, parts: part..srcs.len() });
                 i = j;
             }
         }
-        Ok(())
+        let verify = self.integrity.verifying();
+        self.io().write_runs(&runs, &srcs, Priority::Client, |i| {
+            let run = &runs[i];
+            if verify {
+                for (t, unit) in srcs[run.parts.clone()].iter().enumerate() {
+                    self.integrity.sums.record(run.disk, run.first + t, unit);
+                }
+            }
+        })
     }
 
     /// Replays a [`Trace`] (block-granular ops plus fail/restore/

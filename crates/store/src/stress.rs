@@ -120,9 +120,9 @@ pub struct StressConfig {
     /// stress run with this configuration (started before the
     /// traffic, stopped after the verification sweep) — every hot
     /// path then goes through the per-disk submission queues. The
-    /// `PDL_ENGINE` / `PDL_ENGINE_DEPTH` / `PDL_ENGINE_WORKERS`
-    /// environment variables override it, so the CI engine matrix
-    /// replays every schedule through the queues at several depths.
+    /// `PDL_ENGINE` / `PDL_ENGINE_WORKERS` environment variables
+    /// override it, so the CI engine matrix replays every schedule
+    /// through the queues.
     pub engine: Option<crate::engine::EngineConfig>,
 }
 
@@ -166,12 +166,6 @@ impl StressConfig {
         if let Ok(s) = std::env::var("PDL_ENGINE") {
             let on: u32 = s.parse().expect("PDL_ENGINE must be 0 or 1");
             self.engine = if on != 0 { Some(crate::engine::EngineConfig::default()) } else { None };
-        }
-        if let Ok(s) = std::env::var("PDL_ENGINE_DEPTH") {
-            let depth = s.parse().expect("PDL_ENGINE_DEPTH must be a usize");
-            let mut ecfg = self.engine.unwrap_or_default();
-            ecfg.target_depth = depth;
-            self.engine = Some(ecfg);
         }
         if let Ok(s) = std::env::var("PDL_ENGINE_WORKERS") {
             let workers = s.parse().expect("PDL_ENGINE_WORKERS must be a usize");

@@ -17,10 +17,12 @@
 
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
-    stress, BlockStore, EngineConfig, FaultConfig, FaultyBackend, FileBackend, MemBackend,
-    RebuildMode, ScrubConfig, StressConfig,
+    stress, Backend, BlockStore, EngineConfig, EngineStatsSnapshot, FaultConfig, FaultyBackend,
+    FileBackend, MemBackend, RebuildMode, Rebuilder, RetryPolicy, ScrubConfig, StressConfig,
 };
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 const UNIT: usize = 64;
 const COPIES: usize = 2;
@@ -189,10 +191,28 @@ fn engine_scrub_burst_repairs_planted_corruption() {
     }
 }
 
-/// A torn multi-unit write fails non-transiently inside a worker: the
-/// error must surface through the tokens (first request the original,
-/// coalesced peers a reconstruction), every token must still be
-/// fulfilled, and the store must heal once the schedule disarms.
+/// Backend write calls so far, over every physical disk.
+fn write_calls<B: Backend>(store: &BlockStore<B>) -> u64 {
+    (0..store.backend().disks()).map(|d| store.backend().write_calls(d)).sum()
+}
+
+/// The no-token-leaked invariant on a live engine's counters.
+fn assert_drained(eng: &EngineStatsSnapshot, what: &str) {
+    assert_eq!(
+        eng.completed,
+        eng.client_submitted + eng.maintenance_submitted,
+        "{what}: every token drained"
+    );
+}
+
+/// Hard backend errors inside the workers, one input per multi-run
+/// path: a torn multi-unit write under `write_blocks`, then a single
+/// failed read under a multi-run `read_blocks`, a scrub stripe and a
+/// rebuild prefetch chunk. Each time the first backend error must
+/// reach the caller, every token must still be drained before the
+/// call returns (`completed == submitted`, and for the write no
+/// backend call lands afterwards), and the store must heal once the
+/// schedule disarms.
 #[test]
 fn engine_torn_write_surfaces_error_without_leaking_tokens() {
     let seeds = seeds_under_test();
@@ -207,33 +227,63 @@ fn engine_torn_write_surfaces_error_without_leaking_tokens() {
         store.start_engine(EngineConfig::default());
         // Every multi-unit write now tears: the engine write path must
         // return an error (not hang, not panic) with all tokens
-        // drained.
+        // drained — nothing is still landing once the call is back.
         let err = store.write_blocks(0, &data);
+        let calls_at_return = write_calls(&store);
         assert!(err.is_err(), "[chaos seed {seed}] torn writes must surface");
         assert!(
             store.backend().injected_torn() > 0,
             "[chaos seed {seed}] the schedule must actually tear"
         );
         let eng = store.stats().engine.expect("engine running");
-        assert_eq!(
-            eng.completed,
-            eng.client_submitted + eng.maintenance_submitted,
-            "[chaos seed {seed}] no token leaked on error"
-        );
+        assert_drained(&eng, &format!("[chaos seed {seed}] torn write_blocks"));
         assert!(eng.errors > 0, "[chaos seed {seed}] failures counted");
-        // Disarm and heal: rewrite through the still-running engine,
-        // then prove the bytes and the parity invariants.
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(
+            write_calls(&store),
+            calls_at_return,
+            "[chaos seed {seed}] no backend write may land after write_blocks returned"
+        );
+        // Disarm and heal: rewrite through the still-running engine.
         store.backend().set_armed(false);
         store.write_blocks(0, &data).unwrap();
-        let mut got = vec![0u8; UNIT];
-        for addr in 0..blocks {
-            store.read_block(addr, &mut got).unwrap();
-            assert_eq!(
-                got,
-                &data[addr * UNIT..(addr + 1) * UNIT],
-                "[chaos seed {seed}] block {addr} corrupted after heal"
-            );
+
+        // The read-side inputs. With no retry budget one forced
+        // transient is one hard error: exactly one run of each batch
+        // fails while its siblings are in flight.
+        store.backend().set_armed(true);
+        store.set_retry_policy(RetryPolicy { max_retries: 0, backoff_us: 0 });
+        let fail_one = || store.backend().fail_next(1);
+        let inputs: [(&str, &dyn Fn() -> bool); 3] = [
+            ("multi-run read_blocks", &|| {
+                fail_one();
+                store.read_blocks(0, &mut vec![0u8; blocks * UNIT]).is_err()
+            }),
+            ("scrub stripe", &|| {
+                fail_one();
+                store.scrub(&ScrubConfig::default()).is_err()
+            }),
+            ("rebuild prefetch chunk", &|| {
+                store.fail_disk(2).unwrap();
+                fail_one();
+                let failed = Rebuilder::new(1).rebuild(&store, 7).is_err();
+                store.restore_disk(2).unwrap();
+                failed
+            }),
+        ];
+        for (what, input) in inputs {
+            let before = store.stats().engine.expect("engine running").errors;
+            assert!(input(), "[chaos seed {seed}] {what}: the backend error must surface");
+            let eng = store.stats().engine.expect("engine running");
+            assert_drained(&eng, &format!("[chaos seed {seed}] {what}"));
+            assert_eq!(eng.errors, before + 1, "[chaos seed {seed}] {what}: one run failed");
         }
+        store.backend().set_armed(false);
+
+        // Prove the bytes and the parity invariants.
+        let mut all = vec![0u8; blocks * UNIT];
+        store.read_blocks(0, &mut all).unwrap();
+        assert_eq!(all, data, "[chaos seed {seed}] contents corrupted after heal");
         store.stop_engine();
         store.verify_parity().unwrap();
     }
@@ -264,5 +314,126 @@ fn engine_stop_under_forced_transients_fulfils_everything() {
         // path — reads still work.
         store.read_block(0, &mut buf).unwrap();
         assert!(store.stats().engine.is_none(), "engine section absent once stopped");
+    }
+}
+
+/// `start_engine` / `stop_engine` under live traffic must be
+/// invisible: two clients issue 16-block `read_blocks` /
+/// `write_blocks` 2:1 on disjoint halves, each checked against its
+/// shadow copy, while the main thread cycles start → (start over the
+/// running engine) → stop. No client call may fail, no write may be
+/// half-applied (read-back equals the shadow, parity verifies), and
+/// every engine instance must end fully drained.
+fn toggle_case<B: Backend + 'static>(seed: u64, store: &BlockStore<B>) {
+    const BATCH: usize = 16;
+    const CYCLES: usize = 200;
+    let half = store.blocks() / 2;
+    let mut shadow: Vec<u8> = (0..2 * half * UNIT).map(|i| (i % 249) as u8).collect();
+    store.write_blocks(0, &shadow).unwrap();
+    let done = AtomicBool::new(false);
+    let (lo, hi) = shadow.split_at_mut(half * UNIT);
+    let (calls, errors, finals) = std::thread::scope(|s| {
+        let clients: Vec<_> = [lo, hi]
+            .into_iter()
+            .enumerate()
+            .map(|(t, mine)| {
+                let done = &done;
+                s.spawn(move || {
+                    let mut rng = seed ^ (t as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15);
+                    let mut buf = vec![0u8; BATCH * UNIT];
+                    let (mut calls, mut errors) = (0u64, Vec::new());
+                    while !done.load(Ordering::Acquire) && errors.is_empty() {
+                        rng =
+                            rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        let at = (rng >> 33) as usize % (half - BATCH + 1);
+                        let span = at * UNIT..(at + BATCH) * UNIT;
+                        let res = if (rng >> 20).is_multiple_of(3) {
+                            buf.fill((rng >> 8) as u8);
+                            let res = store.write_blocks(t * half + at, &buf);
+                            mine[span].copy_from_slice(&buf);
+                            res
+                        } else {
+                            let res = store.read_blocks(t * half + at, &mut buf);
+                            if res.is_ok() {
+                                assert_eq!(
+                                    buf, mine[span],
+                                    "[chaos seed {seed}] stale read at {at}"
+                                );
+                            }
+                            res
+                        };
+                        calls += 1;
+                        errors.extend(res.err().map(|e| e.to_string()));
+                    }
+                    (calls, errors)
+                })
+            })
+            .collect();
+        let mut finals: Vec<EngineStatsSnapshot> = Vec::new();
+        let pause = || std::thread::sleep(Duration::from_micros(300));
+        for cycle in 0..CYCLES {
+            finals.extend(store.start_engine(EngineConfig::default()));
+            pause();
+            if cycle % 4 == 0 {
+                finals.extend(store.start_engine(EngineConfig::default()));
+                pause();
+            }
+            finals.extend(store.stop_engine());
+            pause();
+        }
+        done.store(true, Ordering::Release);
+        let (mut calls, mut errors) = (0, Vec::new());
+        for c in clients {
+            let (n, errs) = c.join().expect("client thread");
+            calls += n;
+            errors.extend(errs);
+        }
+        (calls, errors, finals)
+    });
+    assert!(calls > 0, "[chaos seed {seed}] traffic ran");
+    assert!(
+        errors.is_empty(),
+        "[chaos seed {seed}] client calls failed under the toggle: {errors:?}"
+    );
+    assert_eq!(finals.len(), CYCLES + CYCLES.div_ceil(4), "one final snapshot per engine instance");
+    for eng in &finals {
+        assert_drained(eng, &format!("[chaos seed {seed}] stopped engine"));
+    }
+    assert!(
+        finals.iter().any(|e| e.client_submitted > 0),
+        "[chaos seed {seed}] some traffic went through the queues"
+    );
+    assert!(store.stats().engine.is_none(), "the last cycle left the engine off");
+    let mut got = vec![0u8; shadow.len()];
+    store.read_blocks(0, &mut got).unwrap();
+    assert!(got == shadow, "[chaos seed {seed}] read-back differs from the shadow copy");
+    store.verify_parity().unwrap();
+}
+
+/// Enough capacity for two clients to batch on disjoint halves.
+const TOGGLE_COPIES: usize = 8;
+
+#[test]
+fn engine_toggled_under_live_traffic_is_invisible_mem() {
+    let seeds = seeds_under_test();
+    record_seeds("toggle_mem", &seeds);
+    for seed in seeds {
+        let layout = RingLayout::for_v_k(9, 4).layout().clone();
+        let mem = MemBackend::new(9, TOGGLE_COPIES * layout.size(), UNIT);
+        toggle_case(seed, &BlockStore::new(layout, mem).unwrap());
+    }
+}
+
+#[test]
+fn engine_toggled_under_live_traffic_is_invisible_file() {
+    let seeds = seeds_under_test();
+    record_seeds("toggle_file", &seeds);
+    for seed in seeds {
+        let dir =
+            std::env::temp_dir().join(format!("pdl-engine-toggle-{}-{seed}", std::process::id()));
+        let layout = RingLayout::for_v_k(9, 4).layout().clone();
+        let fb = FileBackend::create(&dir, 9, TOGGLE_COPIES * layout.size(), UNIT).unwrap();
+        toggle_case(seed, &BlockStore::new(layout, fb).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -14,22 +14,34 @@
 
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
-    Backend, BlockStore, CachePolicy, IoTotals, MemBackend, RebuildProgress, Rebuilder,
-    StatsSnapshot,
+    Backend, BlockStore, CachePolicy, EngineConfig, IoTotals, MemBackend, RebuildProgress,
+    Rebuilder, StatsSnapshot,
 };
 
 const UNIT: usize = 128;
 
-fn ring_store(v: usize, k: usize, copies: usize) -> BlockStore<MemBackend> {
-    let layout = RingLayout::for_v_k(v, k).layout().clone();
-    let backend = MemBackend::new(v + 1, copies * layout.size(), UNIT);
-    BlockStore::new(layout, backend).unwrap()
+/// Every budget below is asserted with the async engine off and on:
+/// run formation lives above the store's I/O dispatcher, so both
+/// modes must issue exactly the same backend calls.
+const ENGINE_MODES: [bool; 2] = [false, true];
+
+fn with_engine(store: BlockStore<MemBackend>, engine: bool) -> BlockStore<MemBackend> {
+    if engine {
+        store.start_engine(EngineConfig::default());
+    }
+    store
 }
 
-fn pq_store(v: usize, k: usize, copies: usize) -> BlockStore<MemBackend> {
+fn ring_store(v: usize, k: usize, copies: usize, engine: bool) -> BlockStore<MemBackend> {
+    let layout = RingLayout::for_v_k(v, k).layout().clone();
+    let backend = MemBackend::new(v + 1, copies * layout.size(), UNIT);
+    with_engine(BlockStore::new(layout, backend).unwrap(), engine)
+}
+
+fn pq_store(v: usize, k: usize, copies: usize, engine: bool) -> BlockStore<MemBackend> {
     let dp = DoubleParityLayout::new(RingLayout::for_v_k(v, k).layout().clone()).unwrap();
     let backend = MemBackend::new(v + 2, copies * dp.layout().size(), UNIT);
-    BlockStore::new_pq(dp, backend).unwrap()
+    with_engine(BlockStore::new_pq(dp, backend).unwrap(), engine)
 }
 
 /// Aggregate physical IO so far, via the observability snapshot.
@@ -52,30 +64,34 @@ fn disk_read_calls(now: &StatsSnapshot, before: &StatsSnapshot, d: usize) -> u64
 /// zero reads — the paper's Condition-5 large-write optimization.
 #[test]
 fn full_stripe_write_is_k_writes_zero_reads() {
-    let store = ring_store(7, 4, 1);
-    let k_data = 3; // k - 1 data units per XOR stripe
-    let data = vec![0x5au8; k_data * UNIT];
-    let t0 = totals(&store);
-    store.write_blocks(0, &data).unwrap();
-    let (r, w, _, _) = diff(&store, &t0);
-    assert_eq!(r, 0, "full-stripe write must not read");
-    assert_eq!(w, 4, "full-stripe write is exactly k = 4 unit writes");
-    store.verify_parity().unwrap();
+    for engine in ENGINE_MODES {
+        let store = ring_store(7, 4, 1, engine);
+        let k_data = 3; // k - 1 data units per XOR stripe
+        let data = vec![0x5au8; k_data * UNIT];
+        let t0 = totals(&store);
+        store.write_blocks(0, &data).unwrap();
+        let (r, w, _, _) = diff(&store, &t0);
+        assert_eq!(r, 0, "full-stripe write must not read");
+        assert_eq!(w, 4, "full-stripe write is exactly k = 4 unit writes");
+        store.verify_parity().unwrap();
+    }
 }
 
 /// Under P+Q a full-stripe write is k−2 data units plus P plus Q —
 /// still exactly `k` unit writes and zero reads.
 #[test]
 fn pq_full_stripe_write_is_k_writes_zero_reads() {
-    let store = pq_store(9, 4, 1);
-    let k_data = 2; // k - 2 data units per P+Q stripe
-    let data = vec![0xa5u8; k_data * UNIT];
-    let t0 = totals(&store);
-    store.write_blocks(0, &data).unwrap();
-    let (r, w, _, _) = diff(&store, &t0);
-    assert_eq!(r, 0, "P+Q full-stripe write must not read");
-    assert_eq!(w, 4, "P+Q full-stripe write is exactly k = 4 unit writes");
-    store.verify_parity().unwrap();
+    for engine in ENGINE_MODES {
+        let store = pq_store(9, 4, 1, engine);
+        let k_data = 2; // k - 2 data units per P+Q stripe
+        let data = vec![0xa5u8; k_data * UNIT];
+        let t0 = totals(&store);
+        store.write_blocks(0, &data).unwrap();
+        let (r, w, _, _) = diff(&store, &t0);
+        assert_eq!(r, 0, "P+Q full-stripe write must not read");
+        assert_eq!(w, 4, "P+Q full-stripe write is exactly k = 4 unit writes");
+        store.verify_parity().unwrap();
+    }
 }
 
 /// A sequential multi-stripe read coalesces to **one** vectored
@@ -84,28 +100,30 @@ fn pq_full_stripe_write_is_k_writes_zero_reads() {
 /// occupy offsets 0.. on every disk they touch).
 #[test]
 fn sequential_stripe_read_is_one_call_per_disk() {
-    let store = ring_store(7, 4, 1);
-    let k_data = 3;
-    let stripes = 6;
-    let data: Vec<u8> = (0..stripes * k_data * UNIT).map(|i| (i % 251) as u8).collect();
-    store.write_blocks(0, &data).unwrap();
-    let before = store.stats();
-    let mut out = vec![0u8; data.len()];
-    store.read_blocks(0, &mut out).unwrap();
-    assert_eq!(out, data, "coalesced read returns the written bytes");
-    let now = store.stats();
-    let mut touched = 0u64;
-    for d in 0..store.v() {
-        let calls = disk_read_calls(&now, &before, d);
-        assert!(
-            calls <= 1,
-            "disk {d}: sequential stripe read must coalesce to 1 vectored call, got {calls}"
-        );
-        touched += calls;
+    for engine in ENGINE_MODES {
+        let store = ring_store(7, 4, 1, engine);
+        let k_data = 3;
+        let stripes = 6;
+        let data: Vec<u8> = (0..stripes * k_data * UNIT).map(|i| (i % 251) as u8).collect();
+        store.write_blocks(0, &data).unwrap();
+        let before = store.stats();
+        let mut out = vec![0u8; data.len()];
+        store.read_blocks(0, &mut out).unwrap();
+        assert_eq!(out, data, "coalesced read returns the written bytes");
+        let now = store.stats();
+        let mut touched = 0u64;
+        for d in 0..store.v() {
+            let calls = disk_read_calls(&now, &before, d);
+            assert!(
+                calls <= 1,
+                "disk {d}: sequential stripe read must coalesce to 1 vectored call, got {calls}"
+            );
+            touched += calls;
+        }
+        let r = now.io_totals().since(&before.io_totals()).read_units;
+        assert!(r >= (stripes * k_data) as u64, "every requested unit is transferred");
+        assert!(touched >= 2, "a multi-stripe read touches several disks");
     }
-    let r = now.io_totals().since(&before.io_totals()).read_units;
-    assert!(r >= (stripes * k_data) as u64, "every requested unit is transferred");
-    assert!(touched >= 2, "a multi-stripe read touches several disks");
 }
 
 /// A whole-copy sequential read stays within **two** vectored calls
@@ -115,78 +133,86 @@ fn sequential_stripe_read_is_one_call_per_disk() {
 /// hole costs more bytes than the saved call).
 #[test]
 fn sequential_copy_read_coalesces_per_disk() {
-    let store = ring_store(7, 4, 1);
-    let blocks = store.blocks();
-    let data: Vec<u8> = (0..blocks * UNIT).map(|i| (i % 251) as u8).collect();
-    store.write_blocks(0, &data).unwrap();
-    let before = store.stats();
-    let mut out = vec![0u8; blocks * UNIT];
-    store.read_blocks(0, &mut out).unwrap();
-    assert_eq!(out, data, "coalesced read returns the written bytes");
-    let now = store.stats();
-    for d in 0..store.v() {
-        let calls = disk_read_calls(&now, &before, d);
+    for engine in ENGINE_MODES {
+        let store = ring_store(7, 4, 1, engine);
+        let blocks = store.blocks();
+        let data: Vec<u8> = (0..blocks * UNIT).map(|i| (i % 251) as u8).collect();
+        store.write_blocks(0, &data).unwrap();
+        let before = store.stats();
+        let mut out = vec![0u8; blocks * UNIT];
+        store.read_blocks(0, &mut out).unwrap();
+        assert_eq!(out, data, "coalesced read returns the written bytes");
+        let now = store.stats();
+        for d in 0..store.v() {
+            let calls = disk_read_calls(&now, &before, d);
+            assert!(
+                calls <= 2,
+                "disk {d}: whole-copy scan must coalesce to ≤ 2 vectored reads \
+                 (data fragments around the parity cluster), got {calls}"
+            );
+        }
+        let t = now.io_totals().since(&before.io_totals());
+        assert_eq!(
+            t.read_units, blocks as u64,
+            "exactly the data units are transferred — no bridged waste"
+        );
         assert!(
-            calls <= 2,
-            "disk {d}: whole-copy scan must coalesce to ≤ 2 vectored reads \
-             (data fragments around the parity cluster), got {calls}"
+            t.read_calls <= 2 * store.v() as u64,
+            "at most two backend calls per touched disk, got {}",
+            t.read_calls
         );
     }
-    let t = now.io_totals().since(&before.io_totals());
-    assert_eq!(
-        t.read_units, blocks as u64,
-        "exactly the data units are transferred — no bridged waste"
-    );
-    assert!(
-        t.read_calls <= 2 * store.v() as u64,
-        "at most two backend calls per touched disk, got {}",
-        t.read_calls
-    );
 }
 
 /// A sequential whole-copy write (all full stripes) coalesces into one
 /// vectored backend call per touched disk, covering data and parity.
 #[test]
 fn sequential_write_is_one_call_per_disk() {
-    let store = ring_store(7, 4, 1);
-    let blocks = store.blocks();
-    let data: Vec<u8> = (0..blocks * UNIT).map(|i| (i % 241) as u8).collect();
-    let t0 = totals(&store);
-    store.write_blocks(0, &data).unwrap();
-    let layout_units = store.v() as u64 * store.layout().size() as u64;
-    let (r, w, _, wc) = diff(&store, &t0);
-    assert_eq!(r, 0, "whole-copy write is all full stripes: zero reads");
-    assert_eq!(w, layout_units, "every unit (data + parity) written once");
-    assert!(wc <= store.v() as u64, "at most one backend call per touched disk, got {wc}");
-    store.verify_parity().unwrap();
+    for engine in ENGINE_MODES {
+        let store = ring_store(7, 4, 1, engine);
+        let blocks = store.blocks();
+        let data: Vec<u8> = (0..blocks * UNIT).map(|i| (i % 241) as u8).collect();
+        let t0 = totals(&store);
+        store.write_blocks(0, &data).unwrap();
+        let layout_units = store.v() as u64 * store.layout().size() as u64;
+        let (r, w, _, wc) = diff(&store, &t0);
+        assert_eq!(r, 0, "whole-copy write is all full stripes: zero reads");
+        assert_eq!(w, layout_units, "every unit (data + parity) written once");
+        assert!(wc <= store.v() as u64, "at most one backend call per touched disk, got {wc}");
+        store.verify_parity().unwrap();
+    }
 }
 
 /// A small XOR write is read-modify-write: 2 unit reads (target,
 /// parity) + 2 unit writes, in 2 + 2 backend calls.
 #[test]
 fn small_xor_write_is_2_plus_2() {
-    let store = ring_store(7, 4, 2);
-    let data: Vec<u8> = (0..store.blocks() * UNIT).map(|i| (i % 239) as u8).collect();
-    store.write_blocks(0, &data).unwrap();
-    let t0 = totals(&store);
-    store.write_block(1, &[0x11u8; UNIT]).unwrap();
-    let (r, w, rc, wc) = diff(&store, &t0);
-    assert_eq!((r, w), (2, 2), "XOR RMW is 2 reads + 2 writes");
-    assert_eq!((rc, wc), (2, 2), "each a single-unit backend call");
-    store.verify_parity().unwrap();
+    for engine in ENGINE_MODES {
+        let store = ring_store(7, 4, 2, engine);
+        let data: Vec<u8> = (0..store.blocks() * UNIT).map(|i| (i % 239) as u8).collect();
+        store.write_blocks(0, &data).unwrap();
+        let t0 = totals(&store);
+        store.write_block(1, &[0x11u8; UNIT]).unwrap();
+        let (r, w, rc, wc) = diff(&store, &t0);
+        assert_eq!((r, w), (2, 2), "XOR RMW is 2 reads + 2 writes");
+        assert_eq!((rc, wc), (2, 2), "each a single-unit backend call");
+        store.verify_parity().unwrap();
+    }
 }
 
 /// A small P+Q write is 3 reads (target, P, Q) + 3 writes.
 #[test]
 fn small_pq_write_is_3_plus_3() {
-    let store = pq_store(9, 4, 2);
-    let data: Vec<u8> = (0..store.blocks() * UNIT).map(|i| (i % 233) as u8).collect();
-    store.write_blocks(0, &data).unwrap();
-    let t0 = totals(&store);
-    store.write_block(1, &[0x22u8; UNIT]).unwrap();
-    let (r, w, _, _) = diff(&store, &t0);
-    assert_eq!((r, w), (3, 3), "P+Q RMW is 3 reads + 3 writes");
-    store.verify_parity().unwrap();
+    for engine in ENGINE_MODES {
+        let store = pq_store(9, 4, 2, engine);
+        let data: Vec<u8> = (0..store.blocks() * UNIT).map(|i| (i % 233) as u8).collect();
+        store.write_blocks(0, &data).unwrap();
+        let t0 = totals(&store);
+        store.write_block(1, &[0x22u8; UNIT]).unwrap();
+        let (r, w, _, _) = diff(&store, &t0);
+        assert_eq!((r, w), (3, 3), "P+Q RMW is 3 reads + 3 writes");
+        store.verify_parity().unwrap();
+    }
 }
 
 /// K small writes to one stripe under write-back flush as **one**
@@ -199,42 +225,44 @@ fn small_pq_write_is_3_plus_3() {
 /// whole batch flushed as one stripe.
 #[test]
 fn write_back_combines_k_writes_into_one_flush() {
-    let store = ring_store(7, 4, 2);
-    store.set_cache_policy(CachePolicy::WriteBack { max_dirty: 64 }).unwrap();
-    let (lo, k_data) = store.stripe_map().stripe_data_range(0);
-    assert_eq!(k_data, 3, "k = 4 XOR stripes carry 3 data units");
-    let t0 = totals(&store);
-    // 50 + 30 writes, all into two data units of stripe 0.
-    for i in 0..50u8 {
-        store.write_block(lo, &[i; UNIT]).unwrap();
+    for engine in ENGINE_MODES {
+        let store = ring_store(7, 4, 2, engine);
+        store.set_cache_policy(CachePolicy::WriteBack { max_dirty: 64 }).unwrap();
+        let (lo, k_data) = store.stripe_map().stripe_data_range(0);
+        assert_eq!(k_data, 3, "k = 4 XOR stripes carry 3 data units");
+        let t0 = totals(&store);
+        // 50 + 30 writes, all into two data units of stripe 0.
+        for i in 0..50u8 {
+            store.write_block(lo, &[i; UNIT]).unwrap();
+        }
+        for i in 0..30u8 {
+            store.write_block(lo + 1, &[i; UNIT]).unwrap();
+        }
+        let (r, w, _, _) = diff(&store, &t0);
+        assert_eq!((r, w), (0, 0), "cached writes perform no backend I/O");
+        assert_eq!(store.dirty_cache_stripes(), 1);
+        store.flush().unwrap();
+        let (r, w, rc, wc) = diff(&store, &t0);
+        assert_eq!(
+            (r, w),
+            (1, 3),
+            "80 writes flush as one recompute: 1 clean-unit read + (2 data + P) writes"
+        );
+        assert!(rc <= 1 && wc <= 3, "at most one backend call per touched disk, got {rc}/{wc}");
+        assert_eq!(store.dirty_cache_stripes(), 0);
+        let cache = store.stats().cache;
+        assert_eq!(cache.insertions, 1, "one stripe entry created");
+        assert_eq!(cache.absorbed_writes, 78, "80 writes − 2 first-touches all absorbed");
+        assert_eq!((cache.flushed_stripes, cache.flushed_units), (1, 2));
+        assert_eq!(cache.dirty_stripes, 0);
+        store.verify_parity().unwrap();
+        // The cached values are the ones that landed.
+        let mut out = vec![0u8; UNIT];
+        store.read_block(lo, &mut out).unwrap();
+        assert_eq!(out, [49u8; UNIT]);
+        store.read_block(lo + 1, &mut out).unwrap();
+        assert_eq!(out, [29u8; UNIT]);
     }
-    for i in 0..30u8 {
-        store.write_block(lo + 1, &[i; UNIT]).unwrap();
-    }
-    let (r, w, _, _) = diff(&store, &t0);
-    assert_eq!((r, w), (0, 0), "cached writes perform no backend I/O");
-    assert_eq!(store.dirty_cache_stripes(), 1);
-    store.flush().unwrap();
-    let (r, w, rc, wc) = diff(&store, &t0);
-    assert_eq!(
-        (r, w),
-        (1, 3),
-        "80 writes flush as one recompute: 1 clean-unit read + (2 data + P) writes"
-    );
-    assert!(rc <= 1 && wc <= 3, "at most one backend call per touched disk, got {rc}/{wc}");
-    assert_eq!(store.dirty_cache_stripes(), 0);
-    let cache = store.stats().cache;
-    assert_eq!(cache.insertions, 1, "one stripe entry created");
-    assert_eq!(cache.absorbed_writes, 78, "80 writes − 2 first-touches all absorbed");
-    assert_eq!((cache.flushed_stripes, cache.flushed_units), (1, 2));
-    assert_eq!(cache.dirty_stripes, 0);
-    store.verify_parity().unwrap();
-    // The cached values are the ones that landed.
-    let mut out = vec![0u8; UNIT];
-    store.read_block(lo, &mut out).unwrap();
-    assert_eq!(out, [49u8; UNIT]);
-    store.read_block(lo + 1, &mut out).unwrap();
-    assert_eq!(out, [29u8; UNIT]);
 }
 
 /// A stripe whose every data unit goes dirty in the cache flushes on
@@ -243,21 +271,23 @@ fn write_back_combines_k_writes_into_one_flush() {
 /// block at a time.
 #[test]
 fn write_back_full_stripe_flush_is_zero_read() {
-    let store = pq_store(9, 4, 1);
-    store.set_cache_policy(CachePolicy::write_back()).unwrap();
-    let (lo, k_data) = store.stripe_map().stripe_data_range(0);
-    let t0 = totals(&store);
-    for round in 0..4u8 {
-        for j in 0..k_data {
-            store.write_block(lo + j, &[round ^ j as u8; UNIT]).unwrap();
+    for engine in ENGINE_MODES {
+        let store = pq_store(9, 4, 1, engine);
+        store.set_cache_policy(CachePolicy::write_back()).unwrap();
+        let (lo, k_data) = store.stripe_map().stripe_data_range(0);
+        let t0 = totals(&store);
+        for round in 0..4u8 {
+            for j in 0..k_data {
+                store.write_block(lo + j, &[round ^ j as u8; UNIT]).unwrap();
+            }
         }
+        store.flush().unwrap();
+        let (r, w, _, wc) = diff(&store, &t0);
+        assert_eq!(r, 0, "fully dirty stripe flushes with zero reads");
+        assert_eq!(w, 4, "k - 2 data + P + Q = k = 4 unit writes");
+        assert!(wc <= 4, "one call per touched disk");
+        store.verify_parity().unwrap();
     }
-    store.flush().unwrap();
-    let (r, w, _, wc) = diff(&store, &t0);
-    assert_eq!(r, 0, "fully dirty stripe flushes with zero reads");
-    assert_eq!(w, 4, "k - 2 data + P + Q = k = 4 unit writes");
-    assert!(wc <= 4, "one call per touched disk");
-    store.verify_parity().unwrap();
 }
 
 /// A full-cache drain batches *across* stripes: single-block writes
@@ -267,22 +297,27 @@ fn write_back_full_stripe_flush_is_zero_read() {
 /// per stripe.
 #[test]
 fn write_back_batch_flush_coalesces_across_stripes() {
-    let store = ring_store(7, 4, 1);
-    store.set_cache_policy(CachePolicy::WriteBack { max_dirty: 1024 }).unwrap();
-    let blocks = store.blocks();
-    let t0 = totals(&store);
-    for addr in 0..blocks {
-        store.write_block(addr, &[(addr % 251) as u8; UNIT]).unwrap();
+    for engine in ENGINE_MODES {
+        let store = ring_store(7, 4, 1, engine);
+        store.set_cache_policy(CachePolicy::WriteBack { max_dirty: 1024 }).unwrap();
+        let blocks = store.blocks();
+        let t0 = totals(&store);
+        for addr in 0..blocks {
+            store.write_block(addr, &[(addr % 251) as u8; UNIT]).unwrap();
+        }
+        let (r, w, _, _) = diff(&store, &t0);
+        assert_eq!((r, w), (0, 0), "all writes absorbed by the cache");
+        store.flush().unwrap();
+        let (r, w, _, wc) = diff(&store, &t0);
+        let layout_units = store.v() as u64 * store.layout().size() as u64;
+        assert_eq!(r, 0, "whole-copy drain is all full stripes: zero reads");
+        assert_eq!(w, layout_units, "every unit (data + parity) written once");
+        assert!(
+            wc <= 2 * store.v() as u64,
+            "batched flush coalesces to ≤ 2 calls per disk, got {wc}"
+        );
+        store.verify_parity().unwrap();
     }
-    let (r, w, _, _) = diff(&store, &t0);
-    assert_eq!((r, w), (0, 0), "all writes absorbed by the cache");
-    store.flush().unwrap();
-    let (r, w, _, wc) = diff(&store, &t0);
-    let layout_units = store.v() as u64 * store.layout().size() as u64;
-    assert_eq!(r, 0, "whole-copy drain is all full stripes: zero reads");
-    assert_eq!(w, layout_units, "every unit (data + parity) written once");
-    assert!(wc <= 2 * store.v() as u64, "batched flush coalesces to ≤ 2 calls per disk, got {wc}");
-    store.verify_parity().unwrap();
 }
 
 /// A degraded batched read decodes each lost stripe **once**: with two
@@ -290,35 +325,37 @@ fn write_back_batch_flush_coalesces_across_stripes() {
 /// reads its survivors one time, not once per lost block.
 #[test]
 fn degraded_batch_read_decodes_each_stripe_once() {
-    let store = pq_store(9, 4, 1);
-    let blocks = store.blocks();
-    let data: Vec<u8> = (0..blocks * UNIT).map(|i| (i % 229) as u8).collect();
-    store.write_blocks(0, &data).unwrap();
-    store.fail_disk(0).unwrap();
-    store.fail_disk(1).unwrap();
-    let t0 = totals(&store);
-    let mut out = vec![0u8; blocks * UNIT];
-    store.read_blocks(0, &mut out).unwrap();
-    assert_eq!(out, data, "doubly-degraded batched read returns the written bytes");
+    for engine in ENGINE_MODES {
+        let store = pq_store(9, 4, 1, engine);
+        let blocks = store.blocks();
+        let data: Vec<u8> = (0..blocks * UNIT).map(|i| (i % 229) as u8).collect();
+        store.write_blocks(0, &data).unwrap();
+        store.fail_disk(0).unwrap();
+        store.fail_disk(1).unwrap();
+        let t0 = totals(&store);
+        let mut out = vec![0u8; blocks * UNIT];
+        store.read_blocks(0, &mut out).unwrap();
+        assert_eq!(out, data, "doubly-degraded batched read returns the written bytes");
 
-    // Per-stripe read budget: a stripe with l requested lost data
-    // blocks is decoded at most once (k - l survivor reads, where
-    // k = 4 stripe units); its healthy requested blocks ride the
-    // coalesced plan. Summed over all stripes the total physical
-    // reads can never reach what per-block decoding would issue.
-    let per_block_decode_cost: u64 = {
-        // Worst-case old path: each lost block decoded separately.
-        let k = 4u64;
-        let b = store.layout().b() as u64;
-        // Upper bound is loose on purpose; the exact count below is
-        // the real assertion.
-        b * k
-    };
-    let (r, _, _, _) = diff(&store, &t0);
-    assert!(
-        r < per_block_decode_cost,
-        "batched degraded read ({r} unit reads) must beat per-block decoding"
-    );
+        // Per-stripe read budget: a stripe with l requested lost data
+        // blocks is decoded at most once (k - l survivor reads, where
+        // k = 4 stripe units); its healthy requested blocks ride the
+        // coalesced plan. Summed over all stripes the total physical
+        // reads can never reach what per-block decoding would issue.
+        let per_block_decode_cost: u64 = {
+            // Worst-case old path: each lost block decoded separately.
+            let k = 4u64;
+            let b = store.layout().b() as u64;
+            // Upper bound is loose on purpose; the exact count below is
+            // the real assertion.
+            b * k
+        };
+        let (r, _, _, _) = diff(&store, &t0);
+        assert!(
+            r < per_block_decode_cost,
+            "batched degraded read ({r} unit reads) must beat per-block decoding"
+        );
+    }
 }
 
 /// Rebuild batching changes how reads are *issued*, never which units
@@ -326,38 +363,40 @@ fn degraded_batch_read_decodes_each_stripe_once() {
 /// counts collapse by the chunking factor.
 #[test]
 fn rebuild_batches_reads_without_changing_unit_counts() {
-    let store = ring_store(9, 4, 4);
-    let blocks = store.blocks();
-    let data: Vec<u8> = (0..blocks * UNIT).map(|i| (i % 227) as u8).collect();
-    store.write_blocks(0, &data).unwrap();
-    store.fail_disk(2).unwrap();
-    let before = store.stats();
-    let report = Rebuilder::new(2).chunk_size(16).rebuild(&store, 9).unwrap();
-    let expected = 3.0 / 8.0; // (k-1)/(v-1) for v=9, k=4
-    assert!(
-        (report.mean_read_fraction() - expected).abs() < 1e-9,
-        "uniform decode reads (k-1)/(v-1) = {expected} of each survivor, got {}",
-        report.mean_read_fraction()
-    );
-    assert_eq!(report.read_imbalance(), 0.0, "per-disk unit counts perfectly balanced");
-    let now = store.stats();
-    let units_per_disk = store.backend().units_per_disk() as u64;
-    for d in 0..store.v() {
-        if d == 2 {
-            continue;
-        }
-        let units = now.disks[d].read_units.saturating_sub(before.disks[d].read_units);
-        let calls = disk_read_calls(&now, &before, d);
+    for engine in ENGINE_MODES {
+        let store = ring_store(9, 4, 4, engine);
+        let blocks = store.blocks();
+        let data: Vec<u8> = (0..blocks * UNIT).map(|i| (i % 227) as u8).collect();
+        store.write_blocks(0, &data).unwrap();
+        store.fail_disk(2).unwrap();
+        let before = store.stats();
+        let report = Rebuilder::new(2).chunk_size(16).rebuild(&store, 9).unwrap();
+        let expected = 3.0 / 8.0; // (k-1)/(v-1) for v=9, k=4
         assert!(
-            calls < units.max(1) || units <= 1,
-            "disk {d}: {units} units in {calls} calls — rebuild reads must coalesce"
+            (report.mean_read_fraction() - expected).abs() < 1e-9,
+            "uniform decode reads (k-1)/(v-1) = {expected} of each survivor, got {}",
+            report.mean_read_fraction()
         );
-        assert!(units <= units_per_disk, "never reads a survivor more than fully");
+        assert_eq!(report.read_imbalance(), 0.0, "per-disk unit counts perfectly balanced");
+        let now = store.stats();
+        let units_per_disk = store.backend().units_per_disk() as u64;
+        for d in 0..store.v() {
+            if d == 2 {
+                continue;
+            }
+            let units = now.disks[d].read_units.saturating_sub(before.disks[d].read_units);
+            let calls = disk_read_calls(&now, &before, d);
+            assert!(
+                calls < units.max(1) || units <= 1,
+                "disk {d}: {units} units in {calls} calls — rebuild reads must coalesce"
+            );
+            assert!(units <= units_per_disk, "never reads a survivor more than fully");
+        }
+        // Bit-identical recovery, the point of it all.
+        let mut out = vec![0u8; blocks * UNIT];
+        store.read_blocks(0, &mut out).unwrap();
+        assert_eq!(out, data, "rebuilt store returns the original bytes");
     }
-    // Bit-identical recovery, the point of it all.
-    let mut out = vec![0u8; blocks * UNIT];
-    store.read_blocks(0, &mut out).unwrap();
-    assert_eq!(out, data, "rebuilt store returns the original bytes");
 }
 
 /// The declustering claim, observed **live**: while a rebuild is
@@ -367,65 +406,72 @@ fn rebuild_batches_reads_without_changing_unit_counts() {
 /// property of the steady state, not just of the final report.
 #[test]
 fn racing_rebuild_live_read_distribution_matches_declustering() {
-    // On a starved single-core host the poller can miss the whole
-    // rebuild between two yields; a fresh store retries the race.
-    let mut store = ring_store(9, 4, 256);
-    let mut samples: Vec<RebuildProgress> = Vec::new();
-    for attempt in 0.. {
-        let blocks = store.blocks();
-        let data: Vec<u8> = (0..blocks * UNIT).map(|i| (i % 223) as u8).collect();
-        store.write_blocks(0, &data).unwrap();
-        store.fail_disk(2).unwrap();
-        assert!(store.rebuild_progress().is_none(), "no progress before a rebuild registers");
+    for engine in ENGINE_MODES {
+        // On a starved single-core host the poller can miss the whole
+        // rebuild between two yields; a fresh store retries the race.
+        let mut store = ring_store(9, 4, 256, engine);
+        let mut samples: Vec<RebuildProgress> = Vec::new();
+        for attempt in 0.. {
+            let blocks = store.blocks();
+            let data: Vec<u8> = (0..blocks * UNIT).map(|i| (i % 223) as u8).collect();
+            store.write_blocks(0, &data).unwrap();
+            store.fail_disk(2).unwrap();
+            assert!(store.rebuild_progress().is_none(), "no progress before a rebuild registers");
 
-        // Single worker + tiny chunks stretch the rebuild so the
-        // polling loop below lands samples strictly mid-flight.
-        samples.clear();
-        std::thread::scope(|s| {
-            let h = s.spawn(|| Rebuilder::new(1).chunk_size(4).rebuild(&store, 9));
-            while !h.is_finished() {
-                if let Some(p) = store.rebuild_progress() {
-                    samples.push(p);
+            // Single worker + tiny chunks stretch the rebuild so the
+            // polling loop below lands samples strictly mid-flight.
+            samples.clear();
+            std::thread::scope(|s| {
+                let h = s.spawn(|| Rebuilder::new(1).chunk_size(4).rebuild(&store, 9));
+                while !h.is_finished() {
+                    if let Some(p) = store.rebuild_progress() {
+                        samples.push(p);
+                    }
+                    std::thread::yield_now();
                 }
-                std::thread::yield_now();
+                h.join().expect("rebuild thread").unwrap();
+            });
+            assert!(
+                store.rebuild_progress().is_none(),
+                "progress clears once the rebuild completes"
+            );
+            let captured =
+                samples.iter().any(|p| p.units_done >= 64 && p.units_done < p.units_total);
+            if captured {
+                break;
             }
-            h.join().expect("rebuild thread").unwrap();
-        });
-        assert!(store.rebuild_progress().is_none(), "progress clears once the rebuild completes");
-        let captured = samples.iter().any(|p| p.units_done >= 64 && p.units_done < p.units_total);
-        if captured {
-            break;
+            assert!(attempt < 10, "no mid-flight snapshot captured in {attempt} races");
+            store = ring_store(9, 4, 256, engine);
         }
-        assert!(attempt < 10, "no mid-flight snapshot captured in {attempt} races");
-        store = ring_store(9, 4, 256);
-    }
 
-    let mid: Vec<&RebuildProgress> =
-        samples.iter().filter(|p| p.units_done >= 64 && p.units_done < p.units_total).collect();
-    let expected = 3.0 / 8.0; // (k-1)/(v-1) for v=9, k=4
-    for p in &mid {
-        assert_eq!((p.failed_disk, p.spare_disk), (2, 9));
-        assert_eq!(p.per_disk_reads.len(), 9, "one read counter per logical disk");
-        assert_eq!(p.per_disk_reads[2], 0, "the failed disk is never read");
-        // In-flight chunks may have prefetched reads whose units are
-        // not yet counted done, so allow a band around the claim.
+        let mid: Vec<&RebuildProgress> =
+            samples.iter().filter(|p| p.units_done >= 64 && p.units_done < p.units_total).collect();
+        let expected = 3.0 / 8.0; // (k-1)/(v-1) for v=9, k=4
+        for p in &mid {
+            assert_eq!((p.failed_disk, p.spare_disk), (2, 9));
+            assert_eq!(p.per_disk_reads.len(), 9, "one read counter per logical disk");
+            assert_eq!(p.per_disk_reads[2], 0, "the failed disk is never read");
+            // In-flight chunks may have prefetched reads whose units are
+            // not yet counted done, so allow a band around the claim.
+            assert!(
+                (expected - 0.075..=expected + 0.075).contains(&p.mean_read_fraction),
+                "live mean read fraction {} strays from (k-1)/(v-1) = {expected} \
+                 at {}/{} units",
+                p.mean_read_fraction,
+                p.units_done,
+                p.units_total
+            );
+        }
+        // The last mid-flight sample has decoded enough stripes that the
+        // per-survivor read counts themselves are near-uniform.
+        let last = mid.last().unwrap();
+        let survivors: Vec<u64> =
+            (0..9).filter(|&d| d != 2).map(|d| last.per_disk_reads[d]).collect();
+        let (min, max) = (survivors.iter().min().unwrap(), survivors.iter().max().unwrap());
         assert!(
-            (expected - 0.075..=expected + 0.075).contains(&p.mean_read_fraction),
-            "live mean read fraction {} strays from (k-1)/(v-1) = {expected} \
-             at {}/{} units",
-            p.mean_read_fraction,
-            p.units_done,
-            p.units_total
+            max - min <= 3 * 4 * 2,
+            "per-survivor reads stay within two chunks of each other, got {survivors:?}"
         );
+        store.verify_parity().unwrap();
     }
-    // The last mid-flight sample has decoded enough stripes that the
-    // per-survivor read counts themselves are near-uniform.
-    let last = mid.last().unwrap();
-    let survivors: Vec<u64> = (0..9).filter(|&d| d != 2).map(|d| last.per_disk_reads[d]).collect();
-    let (min, max) = (survivors.iter().min().unwrap(), survivors.iter().max().unwrap());
-    assert!(
-        max - min <= 3 * 4 * 2,
-        "per-survivor reads stay within two chunks of each other, got {survivors:?}"
-    );
-    store.verify_parity().unwrap();
 }
