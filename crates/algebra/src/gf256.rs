@@ -6,12 +6,28 @@
 //! fixed-size sibling tuned for the data path: compile-time exp/log
 //! tables over the standard RAID-6 polynomial `x^8+x^4+x^3+x^2+1`
 //! (0x11d, for which `x` = 2 is primitive), branch-free per-byte
-//! multiply, and word-wide slice kernels ([`xor_slice`],
-//! [`mul_slice`], [`mul_add_slice`]) that process eight bytes per
-//! step: XOR over `u64` lanes, multiplication via 4-bit split (nibble)
-//! product tables — 32 bytes of lookup state per coefficient, so the
-//! tables live in L1 for the whole slice walk. Every wide kernel keeps
-//! a byte-at-a-time `*_scalar` twin as the property-test oracle.
+//! multiply, and the slice kernels of the data path: [`xor_slice`]
+//! over `u64` lanes, and [`mul_slice`] / [`mul_add_slice`] (and through
+//! them [`solve_two_erasures`]) by the 4-bit split: `c·b = lo[b & 15] ^
+//! hi[b >> 4]` over two 16-entry product tables built once per call.
+//!
+//! ## The three multiply kernels
+//!
+//! The split is what makes the multiply vectorisable — each table fits
+//! one 128-bit register and a byte shuffle is sixteen table lookups:
+//!
+//! - **avx2** (x86_64): two `vpshufb` per 32-byte block;
+//! - **neon** (aarch64): two `vqtbl1q_u8` per 16-byte block;
+//! - **portable** (every target): the same tables indexed a byte at a
+//!   time, eight bytes per load/store — the fallback, and the tail of
+//!   the vector loops.
+//!
+//! Selection needs no build flag or setting: NEON is baseline on
+//! aarch64, AVX2 is detected at run time on first use and the choice
+//! cached ([`kernel_name`] reports it). Slices shorter than 32 bytes
+//! skip the tables and take the `*_scalar` form. The byte-at-a-time
+//! `*_scalar` twins (two exp/log lookups per byte, no tables) are the
+//! oracle every kernel is tested against, bit for bit.
 //!
 //! ## The P+Q equations
 //!
@@ -26,6 +42,11 @@
 //! Any two simultaneous erasures are solvable: with partial sums over
 //! the survivors, the two lost values satisfy a 2×2 linear system over
 //! `GF(2^8)` whose solution [`two_erasure_coeffs`] precomputes.
+
+mod kernel;
+
+#[doc(hidden)]
+pub use kernel::Kernel;
 
 /// The RAID-6 field polynomial `x^8 + x^4 + x^3 + x^2 + 1`.
 pub const GF256_POLY: u16 = 0x11d;
@@ -98,9 +119,9 @@ pub fn div(a: u8, b: u8) -> u8 {
 
 /// The two 16-entry nibble product tables of `c`: `lo[n] = c·n` and
 /// `hi[n] = c·(n << 4)`, so `c·b = lo[b & 0xf] ^ hi[b >> 4]` — the
-/// 4-bit split that keeps the whole lookup state in 32 bytes (two L1
-/// cache lines at worst) instead of a 256-byte row rebuilt per call.
-fn nibble_tables(c: u8) -> ([u8; 16], [u8; 16]) {
+/// 4-bit split that fits each table in one vector register instead of
+/// a 256-byte row rebuilt per call.
+fn nibble_tables(c: u8) -> kernel::Tables {
     let mut lo = [0u8; 16];
     let mut hi = [0u8; 16];
     for n in 1..16u8 {
@@ -114,11 +135,21 @@ fn nibble_tables(c: u8) -> ([u8; 16], [u8; 16]) {
 /// saves; fall back to the direct exp/log form (2 lookups per byte).
 const WIDE_THRESHOLD: usize = 32;
 
+/// Name of the multiply kernel [`mul_slice`], [`mul_add_slice`] and
+/// [`solve_two_erasures`] run on in this process: `"avx2"`, `"neon"`
+/// or `"portable"`.
+pub fn kernel_name() -> &'static str {
+    Kernel::active().name()
+}
+
 /// XORs `src` into `dst`, eight bytes per step over `u64` lanes — the
 /// P-parity and syndrome-accumulation kernel of every read, write,
 /// degraded and rebuild path.
+///
+/// # Panics
+/// Panics if the lengths differ.
 pub fn xor_slice(dst: &mut [u8], src: &[u8]) {
-    debug_assert_eq!(dst.len(), src.len());
+    assert_eq!(dst.len(), src.len());
     let split = dst.len() - dst.len() % 8;
     let (dc, dr) = dst.split_at_mut(split);
     let (sc, sr) = src.split_at(split);
@@ -177,65 +208,70 @@ pub fn mul_add_slice_scalar(dst: &mut [u8], src: &[u8], c: u8) {
     }
 }
 
-/// `dst[i] = c · dst[i]` for every byte: nibble-table lookups, eight
-/// bytes per load/store step.
+/// `dst[i] = c · dst[i]` for every byte, on the selected
+/// [kernel](self#the-three-multiply-kernels).
 pub fn mul_slice(dst: &mut [u8], c: u8) {
-    if c == 1 {
-        return;
-    }
-    if c == 0 {
-        dst.fill(0);
-        return;
-    }
-    if dst.len() < WIDE_THRESHOLD {
-        mul_slice_scalar(dst, c);
-        return;
-    }
-    let (lo, hi) = nibble_tables(c);
-    let split = dst.len() - dst.len() % 8;
-    let (dc, dr) = dst.split_at_mut(split);
-    for d8 in dc.chunks_exact_mut(8) {
-        let mut prod = [0u8; 8];
-        for (p, &b) in prod.iter_mut().zip(d8.iter()) {
-            *p = lo[(b & 0xf) as usize] ^ hi[(b >> 4) as usize];
-        }
-        d8.copy_from_slice(&prod);
-    }
-    for d in dr {
-        *d = lo[(*d & 0xf) as usize] ^ hi[(*d >> 4) as usize];
-    }
+    Kernel::active().mul_slice(dst, c)
 }
 
 /// `dst[i] ^= c · src[i]` — the fused kernel of Q-parity updates and
-/// syndrome accumulation: nibble-table lookups with the accumulate
-/// done as one `u64` XOR per eight bytes.
+/// syndrome accumulation, on the selected
+/// [kernel](self#the-three-multiply-kernels).
+///
+/// # Panics
+/// Panics if the lengths differ.
 pub fn mul_add_slice(dst: &mut [u8], src: &[u8], c: u8) {
-    debug_assert_eq!(dst.len(), src.len());
-    if c == 0 {
-        return;
-    }
-    if c == 1 {
-        xor_slice(dst, src);
-        return;
-    }
-    if dst.len() < WIDE_THRESHOLD {
-        mul_add_slice_scalar(dst, src, c);
-        return;
-    }
-    let (lo, hi) = nibble_tables(c);
-    let split = dst.len() - dst.len() % 8;
-    let (dc, dr) = dst.split_at_mut(split);
-    let (sc, sr) = src.split_at(split);
-    for (d8, s8) in dc.chunks_exact_mut(8).zip(sc.chunks_exact(8)) {
-        let mut prod = [0u8; 8];
-        for (p, &b) in prod.iter_mut().zip(s8.iter()) {
-            *p = lo[(b & 0xf) as usize] ^ hi[(b >> 4) as usize];
+    Kernel::active().mul_add_slice(dst, src, c)
+}
+
+/// The slice operations on one chosen kernel. The public functions
+/// above are these on [`Kernel::active`]; tests and benches call them
+/// on each of [`Kernel::available`] so the fallback stays exercised
+/// on hosts that never select it.
+#[doc(hidden)]
+impl Kernel {
+    /// [`mul_slice`](self::mul_slice) on this kernel.
+    pub fn mul_slice(self, dst: &mut [u8], c: u8) {
+        if c == 1 {
+            return;
         }
-        let d = u64::from_ne_bytes(d8.try_into().unwrap()) ^ u64::from_ne_bytes(prod);
-        d8.copy_from_slice(&d.to_ne_bytes());
+        if c == 0 {
+            dst.fill(0);
+            return;
+        }
+        if dst.len() < WIDE_THRESHOLD {
+            mul_slice_scalar(dst, c);
+            return;
+        }
+        self.apply::<false>(&nibble_tables(c), dst, &[]);
     }
-    for (d, s) in dr.iter_mut().zip(sr) {
-        *d ^= lo[(*s & 0xf) as usize] ^ hi[(*s >> 4) as usize];
+
+    /// [`mul_add_slice`](self::mul_add_slice) on this kernel.
+    pub fn mul_add_slice(self, dst: &mut [u8], src: &[u8], c: u8) {
+        assert_eq!(dst.len(), src.len());
+        if c == 0 {
+            return;
+        }
+        if c == 1 {
+            xor_slice(dst, src);
+            return;
+        }
+        if dst.len() < WIDE_THRESHOLD {
+            mul_add_slice_scalar(dst, src, c);
+            return;
+        }
+        self.apply::<true>(&nibble_tables(c), dst, src);
+    }
+
+    /// [`solve_two_erasures`](self::solve_two_erasures) on this kernel.
+    pub fn solve_two_erasures(self, sp: &mut [u8], sq: &mut [u8], gx: u8, gy: u8) {
+        assert_eq!(sp.len(), sq.len());
+        let (a, b) = two_erasure_coeffs(gx, gy);
+        // D_x = a·S_p ^ b·S_q, computed into sq's buffer first so S_p
+        // survives for D_y = S_p ^ D_x.
+        self.mul_slice(sq, b);
+        self.mul_add_slice(sq, sp, a);
+        xor_slice(sp, sq); // now: sp = S_p ^ D_x = D_y
     }
 }
 
@@ -262,16 +298,11 @@ pub fn two_erasure_coeffs(gx: u8, gy: u8) -> (u8, u8) {
 
 /// Applies [`two_erasure_coeffs`] to whole syndrome buffers: on return
 /// `sp` holds `D_x` and `sq` holds `D_y`.
+///
+/// # Panics
+/// Panics if the lengths differ, or if `gx == gy`.
 pub fn solve_two_erasures(sp: &mut [u8], sq: &mut [u8], gx: u8, gy: u8) {
-    debug_assert_eq!(sp.len(), sq.len());
-    let (a, b) = two_erasure_coeffs(gx, gy);
-    // D_x = a·S_p ^ b·S_q, computed into sq's buffer first so S_p
-    // survives for D_y = S_p ^ D_x.
-    mul_slice(sq, b);
-    mul_add_slice(sq, sp, a);
-    for (p, q) in sp.iter_mut().zip(sq.iter()) {
-        *p ^= q; // now: sp = S_p ^ D_x = D_y
-    }
+    Kernel::active().solve_two_erasures(sp, sq, gx, gy)
 }
 
 #[cfg(test)]
@@ -415,5 +446,35 @@ mod tests {
     #[should_panic(expected = "distinct Q coefficients")]
     fn equal_coefficients_rejected() {
         two_erasure_coeffs(5, 5);
+    }
+
+    #[test]
+    fn kernel_name_is_the_active_available_kernel() {
+        let name = kernel_name();
+        println!("gf256 kernel: {name}"); // CI shows this with --nocapture
+        assert!(Kernel::available().any(|k| k.name() == name));
+        assert_eq!(Kernel::available().next().map(Kernel::name), Some("portable"));
+    }
+
+    // The vector kernels load through raw pointers sized by `dst`, so
+    // a shorter `src` must be refused in release builds too (CI runs
+    // this crate's tests with `--release` for exactly these three).
+
+    #[test]
+    #[should_panic(expected = "left == right")]
+    fn xor_slice_rejects_length_mismatch() {
+        xor_slice(&mut [0u8; 64], &[0u8; 63]);
+    }
+
+    #[test]
+    #[should_panic(expected = "left == right")]
+    fn mul_add_slice_rejects_length_mismatch() {
+        mul_add_slice(&mut [0u8; 64], &[0u8; 63], 0x8e);
+    }
+
+    #[test]
+    #[should_panic(expected = "left == right")]
+    fn solve_two_erasures_rejects_length_mismatch() {
+        solve_two_erasures(&mut [0u8; 63], &mut [0u8; 64], 2, 4);
     }
 }

@@ -20,6 +20,11 @@
 //! ```
 
 #![warn(missing_docs)]
+// The vector loops in `gf256::kernel` are this crate's only raw-pointer
+// code; each block there must say why it is sound, and CI's clippy
+// step enforces it.
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod gf;
 pub mod gf256;

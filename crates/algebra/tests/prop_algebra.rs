@@ -233,46 +233,111 @@ fn subfield_is_closed_field() {
 
 // ---- wide GF(2^8)/XOR kernels vs their scalar references ----------------
 //
-// The data-path kernels (`xor_slice`, `mul_slice`, `mul_add_slice`)
-// process eight bytes per step via u64 lanes and 4-bit split (nibble)
-// tables; each keeps a byte-at-a-time `*_scalar` twin. These tests pin
-// wide == scalar for ALL 256 coefficients and random lengths that
-// deliberately include non-multiple-of-8 tails (and sub-threshold
-// slices that take the scalar fallback), so any lane/tail bug in the
-// wide forms is caught against the simple reference.
+// `mul_slice`, `mul_add_slice` and `solve_two_erasures` run on one of
+// up to two kernels per build (portable everywhere, plus AVX2 or NEON);
+// each keeps a byte-at-a-time `*_scalar` twin. The two batteries below
+// run every kernel the host can execute — so the portable fallback
+// stays tested on hosts that never select it — against `mul` and the
+// `*_scalar` oracles, on windows of over-allocated buffers so a stray
+// load or store outside the slice is caught too.
 
+/// Window start offsets `0..PAD`, and at least as many guard bytes
+/// behind every window.
+const PAD: usize = 32;
+
+/// Runs `op` on `buf[off..off + len]` of a copy of `pristine`, checks
+/// that no byte outside the window moved, and returns the window.
+fn windowed(pristine: &[u8], off: usize, len: usize, op: impl FnOnce(&mut [u8])) -> Vec<u8> {
+    let mut work = pristine.to_vec();
+    op(&mut work[off..off + len]);
+    assert!(work[..off] == pristine[..off], "bytes before the window changed");
+    assert!(work[off + len..] == pristine[off + len..], "bytes after the window changed");
+    work[off..off + len].to_vec()
+}
+
+/// One case of the battery, on every kernel the host can run:
+/// `mul_add_slice`, `mul_slice` (coefficient `c`) and
+/// `solve_two_erasures` (coefficients `c`, `gy`) on windows
+/// `a[d_off..][..len]` / `b[s_off..][..len]`, against the `*_scalar`
+/// oracles; `per_byte` also checks the oracles against `gf256::mul`.
+fn check_kernels_case(
+    (a, d_off): (&[u8], usize),
+    (b, s_off): (&[u8], usize),
+    len: usize,
+    (c, gy): (u8, u8),
+    per_byte: bool,
+) {
+    use pdl_algebra::gf256;
+    let (d0, s0) = (&a[d_off..d_off + len], &b[s_off..s_off + len]);
+
+    let mut want_mul_add = d0.to_vec();
+    gf256::mul_add_slice_scalar(&mut want_mul_add, s0, c);
+    let mut want_mul = d0.to_vec();
+    gf256::mul_slice_scalar(&mut want_mul, c);
+    // S_p = a's window, S_q = b's window; D_x = ca·S_p ^ cb·S_q lands
+    // in S_q's buffer, D_y = S_p ^ D_x in S_p's.
+    let (ca, cb) = gf256::two_erasure_coeffs(c, gy);
+    let mut want_x = s0.to_vec();
+    gf256::mul_slice_scalar(&mut want_x, cb);
+    gf256::mul_add_slice_scalar(&mut want_x, d0, ca);
+    let mut want_y = d0.to_vec();
+    gf256::xor_slice_scalar(&mut want_y, &want_x);
+    if per_byte {
+        for i in 0..len {
+            assert_eq!(want_mul_add[i], d0[i] ^ gf256::mul(s0[i], c), "c={c} len={len} i={i}");
+            assert_eq!(want_mul[i], gf256::mul(d0[i], c), "c={c} len={len} i={i}");
+            let x = gf256::mul(ca, d0[i]) ^ gf256::mul(cb, s0[i]);
+            assert_eq!((want_x[i], want_y[i]), (x, d0[i] ^ x), "c={c} gy={gy} len={len} i={i}");
+        }
+    }
+
+    for kernel in gf256::Kernel::available() {
+        let case = || format!("{} c={c} gy={gy} len={len} +{d_off}/+{s_off}", kernel.name());
+        let got = windowed(a, d_off, len, |d| kernel.mul_add_slice(d, s0, c));
+        assert!(got == want_mul_add, "mul_add_slice: {}", case());
+        let got = windowed(a, d_off, len, |d| kernel.mul_slice(d, c));
+        assert!(got == want_mul, "mul_slice: {}", case());
+        let mut got_x = Vec::new();
+        let got_y = windowed(a, d_off, len, |sp| {
+            got_x = windowed(b, s_off, len, |sq| kernel.solve_two_erasures(sp, sq, c, gy));
+        });
+        assert!(got_x == want_x && got_y == want_y, "solve_two_erasures: {}", case());
+    }
+}
+
+fn random_bytes(rng: &mut StdRng, n: usize) -> Vec<u8> {
+    let mut bytes = vec![0u8; n];
+    rand::RngCore::fill_bytes(rng, &mut bytes);
+    bytes
+}
+
+/// Up to a few vectors — the scalar path (< 32) and every body /
+/// 8-byte-lane / byte-tail split: all 32 × 32 (dst, src) misalignments
+/// per length, the coefficient walking through all 256 four times per
+/// length as the misalignment pair advances.
 #[test]
 fn wide_mul_kernels_match_scalar_all_coefficients() {
-    use pdl_algebra::gf256;
     let mut rng = StdRng::seed_from_u64(0x9f256);
-    for c in 0..=255u8 {
-        // Random length per coefficient: spans the scalar fallback
-        // (< 32), odd tails, and multi-word bodies.
-        let len = match c % 4 {
-            0 => rng.random_range(1usize..32),
-            1 => rng.random_range(32usize..64),
-            2 => 8 * rng.random_range(4usize..40),
-            _ => 8 * rng.random_range(4usize..40) + rng.random_range(1usize..8),
-        };
-        let src: Vec<u8> = (0..len).map(|_| rng.random_range(0u64..256) as u8).collect();
-        let base: Vec<u8> = (0..len).map(|_| rng.random_range(0u64..256) as u8).collect();
-
-        let mut wide = base.clone();
-        let mut scalar = base.clone();
-        gf256::mul_add_slice(&mut wide, &src, c);
-        gf256::mul_add_slice_scalar(&mut scalar, &src, c);
-        assert_eq!(wide, scalar, "mul_add_slice c={c} len={len}");
-        for i in 0..len {
-            assert_eq!(wide[i], base[i] ^ gf256::mul(src[i], c), "mul_add vs mul, c={c} i={i}");
+    for len in (0..=97).chain([255, 256, 257]) {
+        let (a, b) = (random_bytes(&mut rng, len + 2 * PAD), random_bytes(&mut rng, len + 2 * PAD));
+        for pair in 0..PAD * PAD {
+            let c = (pair + 37 * len) as u8;
+            let gy = c ^ (1 + (pair % 255) as u8);
+            check_kernels_case((&a, pair % PAD), (&b, pair / PAD), len, (c, gy), true);
         }
+    }
+}
 
-        let mut wide = base.clone();
-        let mut scalar = base.clone();
-        gf256::mul_slice(&mut wide, c);
-        gf256::mul_slice_scalar(&mut scalar, c);
-        assert_eq!(wide, scalar, "mul_slice c={c} len={len}");
-        for i in 0..len {
-            assert_eq!(wide[i], gf256::mul(base[i], c), "mul_slice vs mul, c={c} i={i}");
+/// Unit-sized slices: all 256 coefficients per length, each of the 32
+/// dst and 32 src misalignments eight times, unpaired.
+#[test]
+fn wide_mul_kernels_match_scalar_unit_sized() {
+    let mut rng = StdRng::seed_from_u64(0x9f257);
+    for len in [4095, 4096, 4097, 65_536, 65_537] {
+        let (a, b) = (random_bytes(&mut rng, len + 2 * PAD), random_bytes(&mut rng, len + 2 * PAD));
+        for c in 0..=255u8 {
+            let (d_off, s_off) = (c as usize % PAD, c as usize / 8);
+            check_kernels_case((&a, d_off), (&b, s_off), len, (c, !c), false);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Criterion bench: block-design construction throughput — full ring
 //! designs (Theorem 1) and the reduced constructions (Theorems 4/5/6).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 fn bench_ring_designs(c: &mut Criterion) {
@@ -76,6 +76,46 @@ fn bench_field_mul_ablation(c: &mut Criterion) {
     g.finish();
 }
 
+/// The store's data-path slice kernels at request, block and unit
+/// size: `xor_slice` (one implementation), and `mul_slice` /
+/// `mul_add_slice` / `solve_two_erasures` on every GF(2^8) multiply
+/// kernel this host can run — the vector kernel against the portable
+/// fallback, and both against XOR, the bar P+Q is measured by.
+fn bench_gf256_slice_kernels(c: &mut Criterion) {
+    use pdl_algebra::gf256::{self, Kernel};
+    let mut g = c.benchmark_group("gf256_slice_kernels");
+    for len in [512usize, 4096, 65_536] {
+        let src: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+        let mut dst: Vec<u8> = (0..len).map(|i| (i * 13 + 1) as u8).collect();
+        let mut other = src.clone();
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(BenchmarkId::new("xor", len), |b| {
+            b.iter(|| gf256::xor_slice(black_box(&mut dst), black_box(&src)))
+        });
+        for kernel in Kernel::available() {
+            let name = kernel.name();
+            g.bench_function(BenchmarkId::new(format!("mul/{name}"), len), |b| {
+                b.iter(|| kernel.mul_slice(black_box(&mut dst), black_box(0x8e)))
+            });
+            g.bench_function(BenchmarkId::new(format!("mul_add/{name}"), len), |b| {
+                b.iter(|| {
+                    kernel.mul_add_slice(black_box(&mut dst), black_box(&src), black_box(0x8e))
+                })
+            });
+        }
+        // Two units recovered per call.
+        g.throughput(Throughput::Bytes(2 * len as u64));
+        for kernel in Kernel::available() {
+            g.bench_function(BenchmarkId::new(format!("solve2/{}", kernel.name()), len), |b| {
+                b.iter(|| {
+                    kernel.solve_two_erasures(black_box(&mut dst), black_box(&mut other), 2, 8)
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -85,6 +125,7 @@ criterion_group! {
     targets = bench_ring_designs,
     bench_reduced_designs,
     bench_field_construction,
-    bench_field_mul_ablation
+    bench_field_mul_ablation,
+    bench_gf256_slice_kernels
 }
 criterion_main!(benches);

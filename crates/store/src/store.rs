@@ -2212,20 +2212,28 @@ impl<B: Backend> BlockStore<B> {
             return Err(StoreError::DiskFailed(d));
         }
         let Scratch { acc_p, acc_q, tmp } = scratch;
+        // The Q syndrome is only part of the answer with two units
+        // lost, or when the one lost unit is Q itself; any other
+        // single erasure is solved by the P equation alone. Every
+        // survivor (Q included) is still read, so the per-disk read
+        // counts do not depend on which unit a stripe lost.
+        let need_q = nlost == 2 || (nlost == 1 && Some(lost[0]) == q_slot);
         acc_p.fill(0);
-        acc_q.fill(0);
+        if need_q {
+            acc_q.fill(0);
+        }
         for (slot, u) in stripe.units().iter().enumerate() {
             if lost[..nlost].contains(&slot) {
                 continue;
             }
             read(StripeUnit { disk: u.disk, offset: u.offset + shift }, tmp)?;
-            if slot == p_slot {
-                xor_slice(acc_p, tmp);
-            } else if Some(slot) == q_slot {
-                xor_slice(acc_q, tmp);
+            if Some(slot) == q_slot {
+                if need_q {
+                    xor_slice(acc_q, tmp);
+                }
             } else {
                 xor_slice(acc_p, tmp);
-                if self.scheme == ParityScheme::PQ {
+                if need_q && slot != p_slot {
                     gf256::mul_add_slice(acc_q, tmp, gf256::gen_pow(slot));
                 }
             }
@@ -3463,5 +3471,51 @@ mod tests {
         let mut s = vec![5, 1, 5, 3, 1];
         sort_shard_set(&mut s);
         assert_eq!(s, [1, 3, 5]);
+    }
+
+    /// A single erasure on a P+Q stripe reads every survivor (Q
+    /// included) but builds the Q syndrome only when the lost unit is
+    /// Q: for any other slot the Q accumulator is left alone.
+    #[test]
+    fn single_erasure_decode_builds_q_only_for_lost_q() {
+        const UNIT: usize = 40;
+        const POISON: u8 = 0xa5;
+        let dp =
+            DoubleParityLayout::new(pdl_core::RingLayout::for_v_k(9, 4).layout().clone()).unwrap();
+        let backend = crate::MemBackend::new(9, dp.layout().size(), UNIT);
+        let store = BlockStore::new_pq(dp, backend).unwrap();
+        let mut block = vec![0u8; UNIT];
+        for addr in 0..store.blocks() {
+            fill_pattern(addr, 7, &mut block);
+            store.write_block(addr, &block).unwrap();
+        }
+        let st = store.state_read();
+        let mut scratch = Scratch::new(UNIT);
+        let mut want = vec![0u8; UNIT];
+        for (si, stripe) in st.world.layout.stripes().iter().enumerate() {
+            let (_, q_slot) = st.world.smap.parity_slots(si);
+            for (slot, lost) in stripe.units().iter().enumerate() {
+                scratch.acc_q.fill(POISON);
+                let mut reads = 0;
+                let solved = store
+                    .decode_stripe_with(&st, si, 0, &[slot], &mut scratch, |u, buf| {
+                        reads += 1;
+                        store.backend.read_unit(u.disk as usize, u.offset as usize, buf)
+                    })
+                    .unwrap();
+                assert_eq!(reads, stripe.units().len() - 1, "every survivor read once");
+                let [Some((got_slot, which)), None] = solved else {
+                    panic!("stripe {si} slot {slot}: expected one decoded unit")
+                };
+                assert_eq!(got_slot, slot);
+                store
+                    .backend
+                    .read_unit(lost.disk as usize, lost.offset as usize, &mut want)
+                    .unwrap();
+                assert_eq!(scratch.decoded(which), &want[..], "stripe {si} slot {slot}");
+                let q_untouched = scratch.acc_q.iter().all(|&b| b == POISON);
+                assert_eq!(q_untouched, Some(slot) != q_slot, "stripe {si} slot {slot}");
+            }
+        }
     }
 }

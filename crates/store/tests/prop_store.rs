@@ -5,11 +5,17 @@
 
 use pdl_core::{holland_gibson_layout, raid5_layout, DoubleParityLayout, Layout, RingLayout};
 use pdl_design::{complete_design, steiner_triple_system, theorem4_design, theorem6_design};
-use pdl_store::{Backend, BlockStore, MemBackend, ParityScheme};
+use pdl_store::{Backend, BlockStore, MemBackend, ParityScheme, Rebuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 const UNIT: usize = 32;
+
+/// Unit sizes of the P+Q cases, chosen against the GF(2^8) multiply
+/// kernel's 32-byte vector: exactly one vector (and exactly its
+/// table-path threshold), a vector plus one 8-byte lane, three vectors
+/// plus a byte tail, and a many-vector body plus a lane.
+const PQ_UNITS: [usize; 4] = [32, 40, 100, 4104];
 
 /// One layout per construction family exercised by the store:
 /// ring-based (Theorem 1), RAID5 baseline, Holland–Gibson over the
@@ -35,22 +41,22 @@ fn seeded_writes<B: Backend>(
     seed: u64,
     ops: usize,
 ) {
-    let blocks = store.blocks();
+    let (blocks, unit) = (store.blocks(), store.unit_size());
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..ops {
         if rng.random_bool(0.3) {
             // Multi-block run (may hit the full-stripe fast path).
             let len = rng.random_range(1..=8usize).min(blocks);
             let addr = rng.random_range(0..=blocks - len);
-            let mut data = vec![0u8; len * UNIT];
+            let mut data = vec![0u8; len * unit];
             rng.fill_bytes(&mut data);
             store.write_blocks(addr, &data).unwrap();
-            for (j, chunk) in data.chunks_exact(UNIT).enumerate() {
+            for (j, chunk) in data.chunks_exact(unit).enumerate() {
                 image[addr + j] = chunk.to_vec();
             }
         } else {
             let addr = rng.random_range(0..blocks);
-            let mut data = vec![0u8; UNIT];
+            let mut data = vec![0u8; unit];
             rng.fill_bytes(&mut data);
             store.write_block(addr, &data).unwrap();
             image[addr] = data;
@@ -59,7 +65,7 @@ fn seeded_writes<B: Backend>(
 }
 
 fn assert_image<B: Backend>(store: &BlockStore<B>, image: &[Vec<u8>], what: &str) {
-    let mut out = vec![0u8; UNIT];
+    let mut out = vec![0u8; store.unit_size()];
     for (addr, block) in image.iter().enumerate() {
         store.read_block(addr, &mut out).unwrap();
         assert_eq!(&out, block, "{what}: block {addr} differs");
@@ -91,21 +97,27 @@ fn pq_parity_holds_after_seeded_writes_all_families() {
             continue;
         }
         let dp = DoubleParityLayout::new(layout).unwrap();
-        for seed in [7u64, 99] {
-            let backend = MemBackend::new(dp.layout().v(), 2 * dp.layout().size(), UNIT);
-            let mut store = BlockStore::new_pq(dp.clone(), backend).unwrap();
-            assert_eq!(store.scheme(), ParityScheme::PQ);
-            let mut image = vec![vec![0u8; UNIT]; store.blocks()];
-            seeded_writes(&mut store, &mut image, seed, 150);
-            store.verify_parity().unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
-            assert_image(&store, &image, name);
+        for unit in PQ_UNITS {
+            for seed in [7u64, 99] {
+                let backend = MemBackend::new(dp.layout().v(), 2 * dp.layout().size(), unit);
+                let mut store = BlockStore::new_pq(dp.clone(), backend).unwrap();
+                assert_eq!(store.scheme(), ParityScheme::PQ);
+                let mut image = vec![vec![0u8; unit]; store.blocks()];
+                seeded_writes(&mut store, &mut image, seed, 150);
+                store
+                    .verify_parity()
+                    .unwrap_or_else(|e| panic!("{name} unit {unit} seed {seed}: {e}"));
+                assert_image(&store, &image, &format!("{name} unit {unit}"));
+            }
         }
     }
 }
 
 /// P+Q double-failure reconstruction is exact for **all** disk pairs:
 /// every stripe therefore proves every (lost, lost) slot combination
-/// it can express — data+data, data+P, data+Q, and P+Q.
+/// it can express — data+data, data+P, data+Q, and P+Q. Then the same
+/// decodes through the rebuild path: two wiped disks rebuilt onto
+/// spares in two phases, and a third alone.
 #[test]
 fn pq_double_failure_exact_for_all_disk_pairs() {
     for (name, layout) in families() {
@@ -114,24 +126,41 @@ fn pq_double_failure_exact_for_all_disk_pairs() {
         }
         let v = layout.v();
         let dp = DoubleParityLayout::new(layout).unwrap();
-        let backend = MemBackend::new(v, dp.layout().size(), UNIT);
-        let mut store = BlockStore::new_pq(dp, backend).unwrap();
-        let mut image = vec![vec![0u8; UNIT]; store.blocks()];
-        seeded_writes(&mut store, &mut image, 0xfeed, 120);
-        store.verify_parity().unwrap();
+        for unit in PQ_UNITS {
+            let backend = MemBackend::new(v + 3, dp.layout().size(), unit);
+            let mut store = BlockStore::new_pq(dp.clone(), backend).unwrap();
+            let mut image = vec![vec![0u8; unit]; store.blocks()];
+            seeded_writes(&mut store, &mut image, 0xfeed, 120);
+            store.verify_parity().unwrap();
 
-        for f1 in 0..v {
-            for f2 in f1 + 1..v {
-                store.fail_disk(f1).unwrap();
-                store.fail_disk(f2).unwrap();
-                assert_image(&store, &image, &format!("{name} failed ({f1}, {f2})"));
-                // Transient failures: contents are intact, so restore
-                // instead of rebuilding 36× per family.
-                store.restore_disk(f1).unwrap();
-                store.restore_disk(f2).unwrap();
+            for f1 in 0..v {
+                for f2 in f1 + 1..v {
+                    store.fail_disk(f1).unwrap();
+                    store.fail_disk(f2).unwrap();
+                    assert_image(
+                        &store,
+                        &image,
+                        &format!("{name} unit {unit} failed ({f1}, {f2})"),
+                    );
+                    // Transient failures: contents are intact, so restore
+                    // instead of rebuilding 36× per family.
+                    store.restore_disk(f1).unwrap();
+                    store.restore_disk(f2).unwrap();
+                }
+            }
+            store.verify_parity().unwrap();
+
+            for (failed, spares) in [(vec![0, v - 1], vec![v, v + 1]), (vec![1], vec![v + 2])] {
+                for &f in &failed {
+                    store.fail_disk(f).unwrap();
+                    store.backend().wipe_disk(store.physical_disk(f)).unwrap();
+                }
+                Rebuilder::new(2).rebuild_all(&store, &spares).unwrap();
+                assert!(!store.is_degraded());
+                assert_image(&store, &image, &format!("{name} unit {unit} rebuilt {failed:?}"));
+                store.verify_parity().unwrap();
             }
         }
-        store.verify_parity().unwrap();
     }
 }
 
