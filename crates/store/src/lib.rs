@@ -159,12 +159,12 @@ pub use integrity::{
     xxh64, ChecksumTable, DiskHealthSnapshot, IntegrityStatsSnapshot, RetryPolicy,
 };
 pub use maintenance::{
-    ContinuousScrubConfig, ContinuousScrubHandle, ContinuousScrubReport, MaintenanceStateSnapshot,
-    ReshapeDriverConfig, ReshapeDriverHandle, ReshapeDriverReport,
+    ContinuousScrubConfig, ContinuousScrubReport, JobHandle, MaintenanceStateSnapshot,
+    ReshapeDriverConfig, ReshapeDriverReport,
 };
 pub use meta::{
     create_file_store, create_file_store_pq, open_file_store, update_cache_policy, ReshapeState,
-    ScrubState, StoreMeta, META_FILE, SUMS_FILE, SUMS_LOG_FILE,
+    ScrubState, StoreMeta, META_FILE, META_VERSION, SUMS_FILE, SUMS_LOG_FILE,
 };
 pub use obs::{
     render_stats, CacheStatsSnapshot, DegradedSnapshot, DiskCounters, DiskStatSnapshot, Event,
@@ -174,6 +174,6 @@ pub use obs::{
 pub use rebuild::{RebuildReport, Rebuilder};
 pub use reshape::{CopiesPolicy, ReshapeOptions, ReshapeReport};
 pub use scheme::{AddrRef, FailureSet, ParityScheme, StripeMap};
-pub use scrub::{ScrubConfig, ScrubHandle, ScrubReport};
+pub use scrub::{ScrubConfig, ScrubReport};
 pub use store::{fill_pattern, BlockStore, ReplayStats};
 pub use stress::{RebuildMode, StressConfig, StressReport};

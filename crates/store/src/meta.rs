@@ -1,5 +1,5 @@
-//! Array metadata persistence: a version-tagged JSON document
-//! (reusing `pdl-core`'s [`LayoutSpec`] codec for the layout itself)
+//! Array metadata persistence: one JSON document, `store.json`
+//! (reusing `pdl-core`'s [`LayoutSpec`] codec for the layout itself),
 //! stored alongside a file-backed array so it can be reopened with the
 //! exact geometry it was created with — including the parity scheme
 //! and, under P+Q, the per-stripe `(P, Q)` slot assignment, so a
@@ -9,8 +9,15 @@
 //! (`mapping.json`, written by the backend) so a reopened store reads
 //! spares, not stale failed disks.
 //!
-//! Version 1 documents (written before double parity existed) carry no
-//! scheme field and reopen as XOR stores.
+//! There is one document shape, [`StoreMeta`], stamped
+//! [`META_VERSION`]; any other stamp is rejected. The progress of the
+//! two resumable maintenance jobs rides in two independent optional
+//! sections — `reshape` ([`ReshapeState`]) and `scrub`
+//! ([`ScrubState`]) — that may both be present, and every writer
+//! (reshape checkpoints, the commit, scrub checkpoints) builds the
+//! whole document from live store state in one place
+//! (`BlockStore::checkpoint_meta`), so no checkpoint drops the other
+//! job's section. Every rewrite is atomic (temp file + rename).
 //!
 //! A *pending* failure is deliberately not persisted: if a process
 //! exits while degraded, the reopened store sees the array as healthy
@@ -21,14 +28,15 @@ use crate::backend::{Backend, FileBackend};
 use crate::cache::CachePolicy;
 use crate::error::StoreError;
 use crate::scheme::ParityScheme;
-use crate::store::{BlockStore, MetaPersister};
+use crate::store::{BlockStore, MetaPersister, World};
 use pdl_core::{DoubleParityLayout, Layout, LayoutSpec};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
+use std::sync::atomic::Ordering;
 
-/// The durable image of an in-flight reshape, embedded in a
-/// version-3 [`StoreMeta`] so a crash mid-reshape resumes on reopen
-/// (see the [`crate::reshape`] module docs for the protocol).
+/// The durable image of an in-flight reshape — the `reshape` section
+/// of [`StoreMeta`] — so a crash mid-reshape resumes on reopen (see
+/// the [`crate::reshape`] module docs for the protocol).
 ///
 /// `phase = "migrate"`: the store reopens on the **source** geometry
 /// (backend at `grown_units` units per disk) with the migration
@@ -72,10 +80,11 @@ pub struct ReshapeState {
     pub checkpoint_every: usize,
 }
 
-/// The durable image of the background scrubber's progress, embedded
-/// in a version-4 [`StoreMeta`]. A crash mid-pass resumes at `cursor`
+/// The durable image of the scrubber's progress — the `scrub` section
+/// of [`StoreMeta`]. A stopped or crashed pass resumes at `cursor`
 /// (stripes already verified are not re-walked until the next pass);
-/// `passes` carries the lifetime pass count across reopens.
+/// `passes` carries the lifetime pass count across reopens — and
+/// across reshapes, which reset only the cursor.
 #[derive(Clone, Debug, Default, Serialize, Deserialize, PartialEq, Eq)]
 pub struct ScrubState {
     /// Global stripe index (`copy × stripes_per_copy + stripe`) of the
@@ -85,13 +94,16 @@ pub struct ScrubState {
     pub passes: u64,
 }
 
+/// The format stamp of every `store.json` this crate writes or opens.
+pub const META_VERSION: u32 = 5;
+
 /// Everything needed to reopen an array: layout, unit size, copies,
-/// spare count, and the parity scheme. Serialized as `store.json` in
-/// the array directory.
+/// spare count, and the parity scheme, plus the progress of any
+/// resumable maintenance job. Serialized as `store.json` in the array
+/// directory.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Eq)]
 pub struct StoreMeta {
-    /// Metadata format version: 1 XOR, 2 P+Q, 3 carries reshape
-    /// state, 4 carries scrub state.
+    /// Metadata format stamp: always [`META_VERSION`].
     pub version: u32,
     /// Bytes per unit.
     pub unit_size: usize,
@@ -103,76 +115,16 @@ pub struct StoreMeta {
     pub scheme: String,
     /// Per-stripe `(P, Q)` slot pairs under P+Q; empty under XOR.
     pub parity_slots: Vec<(u32, u32)>,
-    /// Cache policy name (see [`CachePolicy::encode`]); documents
-    /// written before the write-back cache existed reopen as
-    /// `writethrough`.
+    /// Cache policy name (see [`CachePolicy::encode`]).
     pub cache_policy: String,
-    /// In-flight reshape checkpoint; `Some` exactly when `version`
-    /// is 3. Committed (and never-reshaped) arrays carry `None` and
-    /// are stamped version 1 or 2 by scheme.
+    /// In-flight reshape checkpoint; `None` on committed (and
+    /// never-reshaped) arrays.
     pub reshape: Option<ReshapeState>,
-    /// Scrub progress checkpoint; `Some` exactly when `version` is 4.
-    /// Mutually exclusive with `reshape` (the scrubber yields and its
-    /// cursor resets while a reshape is active).
+    /// Scrub progress checkpoint; `None` until a scrub has run.
+    /// Independent of `reshape`: both may be present.
     pub scrub: Option<ScrubState>,
     /// The declustered layout, in its stable exchange format.
     pub layout: LayoutSpec,
-}
-
-/// The version-1 document shape, kept readable for arrays created
-/// before the scheme field existed.
-#[derive(Deserialize)]
-struct StoreMetaV1 {
-    version: u32,
-    unit_size: usize,
-    copies: usize,
-    spares: usize,
-    layout: LayoutSpec,
-}
-
-/// The pre-cache document shape (versions 1–2 written before the
-/// cache-policy field existed), kept readable so existing arrays
-/// reopen as write-through.
-#[derive(Deserialize)]
-struct StoreMetaPreCache {
-    version: u32,
-    unit_size: usize,
-    copies: usize,
-    spares: usize,
-    scheme: String,
-    parity_slots: Vec<(u32, u32)>,
-    layout: LayoutSpec,
-}
-
-/// The pre-reshape document shape (versions 1–2 written before online
-/// reshaping existed: cache policy but no reshape field), kept
-/// readable so existing arrays reopen unchanged.
-#[derive(Deserialize)]
-struct StoreMetaPreReshape {
-    version: u32,
-    unit_size: usize,
-    copies: usize,
-    spares: usize,
-    scheme: String,
-    parity_slots: Vec<(u32, u32)>,
-    cache_policy: String,
-    layout: LayoutSpec,
-}
-
-/// The pre-scrub document shape (versions 1–3 written before the
-/// integrity layer existed: reshape state but no scrub field), kept
-/// readable so existing arrays reopen unchanged.
-#[derive(Deserialize)]
-struct StoreMetaPreScrub {
-    version: u32,
-    unit_size: usize,
-    copies: usize,
-    spares: usize,
-    scheme: String,
-    parity_slots: Vec<(u32, u32)>,
-    cache_policy: String,
-    reshape: Option<ReshapeState>,
-    layout: LayoutSpec,
 }
 
 /// File name of the metadata document inside an array directory.
@@ -193,14 +145,16 @@ pub const SUMS_FILE: &str = "checksums.bin";
 /// crash mid-append is detected and ignored on replay.
 pub const SUMS_LOG_FILE: &str = "checksums.log";
 
+/// `(P, Q)` slot pairs in the document's fixed-width form.
+pub(crate) fn slots_u32(slots: &[(usize, usize)]) -> Vec<(u32, u32)> {
+    slots.iter().map(|&(p, q)| (p as u32, q as u32)).collect()
+}
+
 impl StoreMeta {
-    /// Captures the metadata of an XOR store configuration. XOR
-    /// documents carry no version-2-only information (the scheme is
-    /// the v1 default and the slot list is empty), so they are stamped
-    /// version 1 and remain openable by pre-P+Q readers.
+    /// Captures the metadata of an XOR store configuration.
     pub fn new(layout: &Layout, unit_size: usize, copies: usize, spares: usize) -> Self {
         StoreMeta {
-            version: 1,
+            version: META_VERSION,
             unit_size,
             copies,
             spares,
@@ -217,20 +171,9 @@ impl StoreMeta {
     /// the exact parity-slot assignment.
     pub fn new_pq(dp: &DoubleParityLayout, unit_size: usize, copies: usize, spares: usize) -> Self {
         StoreMeta {
-            version: 2,
-            unit_size,
-            copies,
-            spares,
             scheme: ParityScheme::PQ.name().to_string(),
-            parity_slots: dp
-                .all_parity_slots()
-                .iter()
-                .map(|&(p, q)| (p as u32, q as u32))
-                .collect(),
-            cache_policy: CachePolicy::WriteThrough.encode(),
-            reshape: None,
-            scrub: None,
-            layout: LayoutSpec::from_layout(dp.layout()),
+            parity_slots: slots_u32(dp.all_parity_slots()),
+            ..StoreMeta::new(dp.layout(), unit_size, copies, spares)
         }
     }
 
@@ -253,81 +196,12 @@ impl StoreMeta {
         serde_json::to_string(self).expect("meta is always serializable")
     }
 
-    /// Parses and validates a JSON document (version 1–4, with or
-    /// without the cache-policy, reshape, and scrub fields).
+    /// Parses and validates a JSON document. Only [`META_VERSION`]
+    /// documents are accepted.
     pub fn from_json(json: &str) -> Result<Self, StoreError> {
-        let meta: StoreMeta = match serde_json::from_str(json) {
-            Ok(meta) => meta,
-            Err(full_err) => {
-                // Not a current-shape document; accept the pre-scrub
-                // shape (reshape state but no scrub field), then the
-                // pre-reshape shape (cache policy but no reshape
-                // field), then the pre-cache shape (scheme but no
-                // cache policy), and finally the v1 shape.
-                if let Ok(pre) = serde_json::from_str::<StoreMetaPreScrub>(json) {
-                    StoreMeta {
-                        version: pre.version,
-                        unit_size: pre.unit_size,
-                        copies: pre.copies,
-                        spares: pre.spares,
-                        scheme: pre.scheme,
-                        parity_slots: pre.parity_slots,
-                        cache_policy: pre.cache_policy,
-                        reshape: pre.reshape,
-                        scrub: None,
-                        layout: pre.layout,
-                    }
-                } else if let Ok(pre) = serde_json::from_str::<StoreMetaPreReshape>(json) {
-                    StoreMeta {
-                        version: pre.version,
-                        unit_size: pre.unit_size,
-                        copies: pre.copies,
-                        spares: pre.spares,
-                        scheme: pre.scheme,
-                        parity_slots: pre.parity_slots,
-                        cache_policy: pre.cache_policy,
-                        reshape: None,
-                        scrub: None,
-                        layout: pre.layout,
-                    }
-                } else if let Ok(pre) = serde_json::from_str::<StoreMetaPreCache>(json) {
-                    StoreMeta {
-                        version: pre.version,
-                        unit_size: pre.unit_size,
-                        copies: pre.copies,
-                        spares: pre.spares,
-                        scheme: pre.scheme,
-                        parity_slots: pre.parity_slots,
-                        cache_policy: CachePolicy::WriteThrough.encode(),
-                        reshape: None,
-                        scrub: None,
-                        layout: pre.layout,
-                    }
-                } else {
-                    let v1: StoreMetaV1 = serde_json::from_str(json)
-                        .map_err(|_| StoreError::Corrupt(format!("meta: {full_err}")))?;
-                    if v1.version != 1 {
-                        return Err(StoreError::Corrupt(format!(
-                            "unsupported store meta version {}",
-                            v1.version
-                        )));
-                    }
-                    StoreMeta {
-                        version: 1,
-                        unit_size: v1.unit_size,
-                        copies: v1.copies,
-                        spares: v1.spares,
-                        scheme: ParityScheme::Xor.name().to_string(),
-                        parity_slots: Vec::new(),
-                        cache_policy: CachePolicy::WriteThrough.encode(),
-                        reshape: None,
-                        scrub: None,
-                        layout: v1.layout,
-                    }
-                }
-            }
-        };
-        if !(1..=4).contains(&meta.version) {
+        let meta: StoreMeta =
+            serde_json::from_str(json).map_err(|e| StoreError::Corrupt(format!("meta: {e}")))?;
+        if meta.version != META_VERSION {
             return Err(StoreError::Corrupt(format!(
                 "unsupported store meta version {}",
                 meta.version
@@ -347,16 +221,6 @@ impl StoreMeta {
             _ => {}
         }
         meta.parsed_cache_policy()?;
-        if (meta.version == 3) != meta.reshape.is_some() {
-            return Err(StoreError::Corrupt(
-                "reshape state and version-3 stamp must appear together".into(),
-            ));
-        }
-        if (meta.version == 4) != meta.scrub.is_some() {
-            return Err(StoreError::Corrupt(
-                "scrub state and version-4 stamp must appear together".into(),
-            ));
-        }
         if let Some(rs) = &meta.reshape {
             if rs.kind != "add" && rs.kind != "remove" {
                 return Err(StoreError::Corrupt(format!("unknown reshape kind `{}`", rs.kind)));
@@ -389,6 +253,32 @@ impl StoreMeta {
     }
 }
 
+impl<B: Backend> BlockStore<B> {
+    /// The one place a [`StoreMeta`] is built from live store state,
+    /// called by every checkpoint writer: the document describing
+    /// world `w` (the serving world, or a reshape's target world at
+    /// its commit) with `reshape` as its reshape section and the
+    /// store's current scrub cursor and pass count as its scrub
+    /// section.
+    pub(crate) fn checkpoint_meta(&self, w: &World, reshape: Option<ReshapeState>) -> StoreMeta {
+        let cursor = self.scrub_cursor.load(Ordering::Acquire);
+        let passes = self.integrity.scrub_passes.load(Ordering::Acquire);
+        StoreMeta {
+            scheme: self.scheme.name().to_string(),
+            parity_slots: slots_u32(w.pq_slots.as_deref().unwrap_or_default()),
+            cache_policy: self.cache.policy().encode(),
+            reshape,
+            scrub: (cursor != 0 || passes != 0).then_some(ScrubState { cursor, passes }),
+            ..StoreMeta::new(
+                &w.layout,
+                self.unit_size,
+                w.copies,
+                self.backend.disks() - w.layout.v(),
+            )
+        }
+    }
+}
+
 /// Creates a new single-parity (XOR) file-backed array under `dir`:
 /// per-disk files for `v + spares` physical disks plus a `store.json`
 /// metadata document.
@@ -404,7 +294,7 @@ pub fn create_file_store(
     let backend = FileBackend::create(dir, layout.v() + spares, copies * layout.size(), unit_size)?;
     std::fs::write(dir.join(META_FILE), meta.to_json())?;
     let mut store = BlockStore::new(layout, backend)?;
-    install_persister(&mut store, dir);
+    install_document(&mut store, dir, &meta)?;
     Ok(store)
 }
 
@@ -424,7 +314,7 @@ pub fn create_file_store_pq(
         FileBackend::create(dir, dp.layout().v() + spares, copies * dp.layout().size(), unit_size)?;
     std::fs::write(dir.join(META_FILE), meta.to_json())?;
     let mut store = BlockStore::new_pq(dp, backend)?;
-    install_persister(&mut store, dir);
+    install_document(&mut store, dir, &meta)?;
     Ok(store)
 }
 
@@ -437,28 +327,39 @@ fn write_meta_atomic(dir: &Path, meta: &StoreMeta) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Installs a durable metadata writer on a file-backed store so the
-/// reshape engine and the scrubber can checkpoint their progress into
-/// `store.json`, plus the checksum-sidecar path so flushes persist
-/// the table.
-fn install_persister(store: &mut BlockStore<FileBackend>, dir: &Path) {
+/// Ties a freshly built store to its array directory and document:
+/// the durable metadata writer the reshape engine and the scrubber
+/// checkpoint through, the checksum-sidecar path flushes persist the
+/// table to, and what the document records — the cache policy and
+/// the scrub section.
+fn install_document(
+    store: &mut BlockStore<FileBackend>,
+    dir: &Path,
+    meta: &StoreMeta,
+) -> Result<(), StoreError> {
     let dir_owned = dir.to_path_buf();
     store.meta_persister =
         Some(MetaPersister(Box::new(move |meta: &StoreMeta| write_meta_atomic(&dir_owned, meta))));
     store.sums_path = Some(dir.join(SUMS_FILE));
+    store.set_cache_policy(meta.parsed_cache_policy()?)?;
+    if let Some(sc) = &meta.scrub {
+        store.restore_scrub_state(sc.cursor, sc.passes);
+    }
+    Ok(())
 }
 
 /// Reopens an array created by [`create_file_store`] or
 /// [`create_file_store_pq`], reading the geometry **and scheme** from
 /// its metadata document.
 ///
-/// A version-3 document (crash mid-reshape) is handled by phase:
-/// `"migrate"` reopens on the source geometry with the migration
-/// runtime resumed at the persisted cursor (finish with
+/// A document with a `reshape` section (crash mid-reshape) is handled
+/// by phase: `"migrate"` reopens on the source geometry with the
+/// migration runtime resumed at the persisted cursor (finish with
 /// [`BlockStore::finish_reshape`] or step it incrementally);
 /// `"commit"` statically redoes the interrupted commit (slide from
 /// the watermark, mapping, final metadata, trim) and then opens the
-/// committed target-geometry array.
+/// committed target-geometry array. The `scrub` section is restored
+/// either way.
 pub fn open_file_store(dir: impl AsRef<Path>) -> Result<BlockStore<FileBackend>, StoreError> {
     let dir = dir.as_ref();
     let json = std::fs::read_to_string(dir.join(META_FILE))?;
@@ -485,11 +386,7 @@ pub fn open_file_store(dir: impl AsRef<Path>) -> Result<BlockStore<FileBackend>,
         ParityScheme::Xor => BlockStore::new(layout, backend),
         ParityScheme::PQ => BlockStore::new_pq(meta.double_parity_layout()?, backend),
     }?;
-    store.set_cache_policy(meta.parsed_cache_policy()?)?;
-    install_persister(&mut store, dir);
-    if let Some(sc) = &meta.scrub {
-        store.restore_scrub_state(sc.cursor, sc.passes);
-    }
+    install_document(&mut store, dir, &meta)?;
     // Best-effort sidecar load: wrong geometry or torn bytes leave
     // the table unset (every verification skipped until re-adopted).
     let mut base_ok = false;
@@ -535,8 +432,7 @@ fn open_resuming(
             BlockStore::build_resuming(dp.layout().clone(), Some(slots), backend, meta.copies)
         }
     }?;
-    store.set_cache_policy(meta.parsed_cache_policy()?)?;
-    install_persister(&mut store, dir);
+    install_document(&mut store, dir, meta)?;
     store.install_resumed_reshape(rs)?;
     Ok(store)
 }
@@ -577,18 +473,16 @@ fn redo_commit(dir: &Path, meta: &StoreMeta, rs: &ReshapeState) -> Result<(), St
         write_meta_atomic(dir, &doc)?;
     }
     backend.persist_mapping(&rs.tgt_redirect)?;
-    let scheme = meta.parsed_scheme()?;
+    // The committed document: the interrupted one re-pointed at the
+    // target geometry (scheme, cache policy, and the scrub section
+    // carry over unchanged).
     let final_meta = StoreMeta {
-        version: if scheme == ParityScheme::PQ { 2 } else { 1 },
-        unit_size: us,
         copies: rs.target_copies,
         spares: disks - tgt_layout.v(),
-        scheme: meta.scheme.clone(),
         parity_slots: rs.target_parity_slots.clone(),
-        cache_policy: meta.cache_policy.clone(),
         reshape: None,
-        scrub: None,
         layout: rs.target_layout.clone(),
+        ..meta.clone()
     };
     write_meta_atomic(dir, &final_meta)?;
     backend.set_units_per_disk(u_tgt)?;
@@ -597,15 +491,14 @@ fn redo_commit(dir: &Path, meta: &StoreMeta, rs: &ReshapeState) -> Result<(), St
 }
 
 /// Durably changes the cache policy of an existing file-backed array
-/// (rewriting its `store.json`); the next [`open_file_store`] installs
-/// it. Does not affect stores already open — call
-/// [`BlockStore::set_cache_policy`] on those directly.
+/// (atomically rewriting its `store.json`); the next
+/// [`open_file_store`] installs it. Does not affect stores already
+/// open — call [`BlockStore::set_cache_policy`] on those directly.
 pub fn update_cache_policy(dir: impl AsRef<Path>, policy: CachePolicy) -> Result<(), StoreError> {
     let dir = dir.as_ref();
     let json = std::fs::read_to_string(dir.join(META_FILE))?;
     let meta = StoreMeta::from_json(&json)?.with_cache_policy(policy);
-    std::fs::write(dir.join(META_FILE), meta.to_json())?;
-    Ok(())
+    write_meta_atomic(dir, &meta)
 }
 
 #[cfg(test)]
@@ -638,22 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_cache_documents_reopen_as_writethrough() {
-        // A document with scheme + parity_slots but no cache_policy —
-        // the shape every pre-cache store wrote.
-        let rl = RingLayout::for_v_k(5, 3);
-        let spec = pdl_core::LayoutSpec::from_layout(rl.layout());
-        let layout_json = serde_json::to_string(&spec).unwrap();
-        let pre = format!(
-            "{{\"version\":1,\"unit_size\":64,\"copies\":2,\"spares\":1,\"scheme\":\"xor\",\
-             \"parity_slots\":[],\"layout\":{layout_json}}}"
-        );
-        let meta = StoreMeta::from_json(&pre).unwrap();
-        assert_eq!(meta.parsed_cache_policy().unwrap(), CachePolicy::WriteThrough);
-        assert_eq!(meta.parsed_scheme().unwrap(), ParityScheme::Xor);
-    }
-
-    #[test]
     fn pq_meta_roundtrips_slots() {
         let rl = RingLayout::for_v_k(9, 4);
         let dp = DoubleParityLayout::new(rl.layout().clone()).unwrap();
@@ -662,22 +539,6 @@ mod tests {
         assert_eq!(back.parsed_scheme().unwrap(), ParityScheme::PQ);
         let dp2 = back.double_parity_layout().unwrap();
         assert_eq!(dp2.all_parity_slots(), dp.all_parity_slots());
-    }
-
-    #[test]
-    fn v1_documents_reopen_as_xor() {
-        // A hand-built version-1 document: no scheme, no parity_slots.
-        let rl = RingLayout::for_v_k(5, 3);
-        let spec = pdl_core::LayoutSpec::from_layout(rl.layout());
-        let layout_json = serde_json::to_string(&spec).unwrap();
-        let v1 = format!(
-            "{{\"version\":1,\"unit_size\":64,\"copies\":2,\"spares\":1,\"layout\":{layout_json}}}"
-        );
-        let meta = StoreMeta::from_json(&v1).unwrap();
-        assert_eq!(meta.version, 1);
-        assert_eq!(meta.parsed_scheme().unwrap(), ParityScheme::Xor);
-        assert_eq!(meta.unit_size, 64);
-        assert_eq!(meta.copies, 2);
     }
 
     #[test]
@@ -769,42 +630,64 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The reshape and scrub sections are independent: a document
+    /// carrying both round-trips whole, and so does each alone.
     #[test]
-    fn scrub_state_roundtrips_as_v4() {
-        let rl = RingLayout::for_v_k(5, 3);
-        let mut meta = StoreMeta::new(rl.layout(), 64, 2, 1);
-        meta.version = 4;
-        meta.scrub = Some(ScrubState { cursor: 17, passes: 3 });
-        let back = StoreMeta::from_json(&meta.to_json()).unwrap();
-        assert_eq!(back.scrub, Some(ScrubState { cursor: 17, passes: 3 }));
-        // The version stamp and the scrub state must appear together.
-        let mut bad = meta.clone();
-        bad.version = 1;
-        assert!(StoreMeta::from_json(&bad.to_json()).is_err());
-        let mut bad = meta;
-        bad.scrub = None;
-        assert!(StoreMeta::from_json(&bad.to_json()).is_err());
+    fn reshape_and_scrub_sections_roundtrip_together() {
+        let src = RingLayout::for_v_k(5, 3);
+        let tgt = RingLayout::for_v_k(7, 3);
+        let reshape = ReshapeState {
+            kind: "add".into(),
+            phase: "migrate".into(),
+            cursor: 9,
+            slide_done: 0,
+            target_layout: LayoutSpec::from_layout(tgt.layout()),
+            target_parity_slots: Vec::new(),
+            target_copies: 2,
+            tgt_redirect: (0..7).collect(),
+            removed: Vec::new(),
+            scratch_base: 2 * src.layout().size(),
+            grown_units: 2 * src.layout().size() + 2 * tgt.layout().size(),
+            capacity_after: 100,
+            batch_stripes: 7,
+            checkpoint_every: 1,
+        };
+        let scrub = ScrubState { cursor: 0, passes: 3 };
+        let base = StoreMeta::new(src.layout(), 64, 2, 2);
+        for (reshape, scrub) in [
+            (Some(reshape.clone()), Some(scrub.clone())),
+            (Some(reshape), None),
+            (None, Some(ScrubState { cursor: 17, passes: 3 })),
+        ] {
+            let meta = StoreMeta { reshape, scrub, ..base.clone() };
+            assert_eq!(meta.version, META_VERSION);
+            assert_eq!(StoreMeta::from_json(&meta.to_json()).unwrap(), meta);
+        }
     }
 
+    /// Documents stamped by earlier releases (1 XOR, 2 P+Q, 3 reshape
+    /// state, 4 scrub state) are refused by name, not misread.
     #[test]
-    fn pre_scrub_documents_reopen_with_no_scrub_state() {
-        // The exact shape the previous release wrote: reshape key
-        // present, no scrub key at all.
-        let rl = RingLayout::for_v_k(5, 3);
-        let meta = StoreMeta::new(rl.layout(), 64, 2, 1);
-        let json = meta.to_json();
-        let pre = json.replace(",\"scrub\":null", "");
-        assert_ne!(pre, json, "the scrub key must actually be stripped");
-        let back = StoreMeta::from_json(&pre).unwrap();
-        assert_eq!(back.scrub, None);
-        assert_eq!(back.layout().unwrap().v(), 5);
+    fn old_version_stamp_is_rejected_with_a_readable_error() {
+        for old in 1..META_VERSION {
+            let mut meta = StoreMeta::new(RingLayout::for_v_k(5, 3).layout(), 64, 2, 1);
+            meta.version = old;
+            match StoreMeta::from_json(&meta.to_json()) {
+                Err(StoreError::Corrupt(msg)) => {
+                    assert_eq!(msg, format!("unsupported store meta version {old}"));
+                }
+                other => panic!("version {old} must be refused, got {other:?}"),
+            }
+        }
     }
 
     /// A crash can tear `store.json` three ways: a leftover `.tmp`
     /// from a write that never renamed, a truncated document, or
     /// garbage bytes. The first must be ignored (the committed
     /// document governs); the others must reject as corrupt — a
-    /// half-applied open is never acceptable.
+    /// half-applied open is never acceptable. Every writer, the
+    /// offline `update_cache_policy` included, must therefore replace
+    /// the document by rename and never rewrite it in place.
     #[test]
     fn torn_meta_crash_windows_recover_or_reject() {
         let dir = std::env::temp_dir().join(format!("pdl-meta-torn-{}", std::process::id()));
@@ -827,6 +710,22 @@ mod tests {
             assert!(out.iter().all(|&b| b == 0xab));
             store.verify_parity().unwrap();
         }
+
+        // Window 1b: `update_cache_policy` interrupted mid-write. It
+        // goes through the same tmp + rename, so the committed inode is
+        // never written to: a hard link to it still reads the complete
+        // old document afterwards (an in-place rewrite truncates it on
+        // the way), and no tmp is left behind.
+        let witness = dir.join("store.json.witness");
+        std::fs::hard_link(&meta_path, &witness).unwrap();
+        update_cache_policy(&dir, CachePolicy::WriteBack { max_dirty: 16 }).unwrap();
+        assert_eq!(std::fs::read_to_string(&witness).unwrap(), good);
+        assert!(!dir.join(format!("{META_FILE}.tmp")).exists());
+        assert_eq!(
+            open_file_store(&dir).unwrap().cache_policy(),
+            CachePolicy::WriteBack { max_dirty: 16 }
+        );
+        std::fs::remove_file(&witness).unwrap();
 
         // Window 2: document torn in place (truncated JSON).
         std::fs::write(&meta_path, &good[..good.len() / 2]).unwrap();

@@ -46,15 +46,17 @@
 //!
 //! # Durability and crash resume
 //!
-//! File-backed stores persist a [`ReshapeState`] inside `store.json`
-//! (format version 3): at begin, at every `checkpoint_every`-th batch
-//! boundary (cursor only advances in the document *after* the batch's
-//! writes landed, so a resumed migration only ever re-copies), and at
-//! every commit slide chunk. [`crate::open_file_store`] resumes a
-//! `phase = "migrate"` document by rebuilding the runtime at the
-//! persisted cursor, and statically *redoes* a `phase = "commit"`
-//! document (slide from the watermark → mapping → final meta → trim)
-//! before opening normally.
+//! File-backed stores persist a [`ReshapeState`] as the `reshape`
+//! section of `store.json`: at begin, at every `checkpoint_every`-th
+//! batch boundary (cursor only advances in the document *after* the
+//! batch's writes landed, so a resumed migration only ever
+//! re-copies), and at every commit slide chunk. Every one of those
+//! documents also carries the `scrub` section, so the scrubber's
+//! lifetime pass count survives the reshape.
+//! [`crate::open_file_store`] resumes a `phase = "migrate"` document
+//! by rebuilding the runtime at the persisted cursor, and statically
+//! *redoes* a `phase = "commit"` document (slide from the watermark →
+//! mapping → final meta → trim) before opening normally.
 //!
 //! # Commit
 //!
@@ -72,7 +74,8 @@
 use crate::backend::Backend;
 use crate::cache::{key_parts, stripe_key, FlushSnapshot};
 use crate::error::StoreError;
-use crate::meta::{ReshapeState, StoreMeta};
+use crate::maintenance::{ReshapeDriverConfig, ReshapeJob};
+use crate::meta::{slots_u32, ReshapeState};
 use crate::obs::{Event, OpKind, ReshapeProgressSnapshot};
 use crate::scheme::{FailureSet, ParityScheme};
 use crate::store::{
@@ -459,11 +462,7 @@ impl<B: Backend> BlockStore<B> {
             cursor: 0,
             slide_done: 0,
             target_layout: LayoutSpec::from_layout(&target.layout),
-            target_parity_slots: target
-                .pq_slots
-                .as_ref()
-                .map(|s| s.iter().map(|&(p, q)| (p as u32, q as u32)).collect())
-                .unwrap_or_default(),
+            target_parity_slots: slots_u32(target.pq_slots.as_deref().unwrap_or_default()),
             target_copies: copies_tgt,
             tgt_redirect: tgt_redirect.clone(),
             removed: removed.clone(),
@@ -500,18 +499,21 @@ impl<B: Backend> BlockStore<B> {
             state_template,
             started: Instant::now(),
         });
+        // Stripe indices change meaning across worlds: any in-flight
+        // scrub pass restarts from zero (it also yields while the
+        // reshape is active — see `scrub`). Reset before the begin
+        // document is built, so no reshape-era document carries a
+        // source-world cursor.
+        self.scrub_cursor.store(0, Ordering::Release);
         if let Some(p) = &self.meta_persister {
-            if let Err(e) = p.0(&self.source_meta(st, rs.state_template.clone())) {
+            let begin = self.checkpoint_meta(&st.world, Some(rs.state_template.clone()));
+            if let Err(e) = p.0(&begin) {
                 let _ = self.backend.set_units_per_disk(scratch_base);
                 return Err(e);
             }
         }
         st.reshape = Some(rs);
         st.epoch += 1;
-        // Stripe indices change meaning across worlds: any in-flight
-        // scrub pass restarts from zero (it also yields while the
-        // reshape is active — see `scrub`).
-        self.scrub_cursor.store(0, Ordering::Release);
         let epoch = st.epoch;
         self.events.emit(|| Event::ReshapeBegan {
             from_v: from_v as u32,
@@ -519,49 +521,6 @@ impl<B: Backend> BlockStore<B> {
             epoch,
         });
         Ok(())
-    }
-
-    /// The store's own metadata document (source world) carrying
-    /// `state` as its embedded reshape state (format version 3).
-    fn source_meta(&self, st: &ArrayState, state: ReshapeState) -> StoreMeta {
-        let w = &st.world;
-        StoreMeta {
-            version: 3,
-            unit_size: self.unit_size,
-            copies: w.copies,
-            spares: self.backend.disks() - w.layout.v(),
-            scheme: self.scheme.name().to_string(),
-            parity_slots: w
-                .pq_slots
-                .as_ref()
-                .map(|s| s.iter().map(|&(p, q)| (p as u32, q as u32)).collect())
-                .unwrap_or_default(),
-            cache_policy: self.cache.policy().encode(),
-            layout: LayoutSpec::from_layout(&w.layout),
-            reshape: Some(state),
-            scrub: None,
-        }
-    }
-
-    /// The committed (post-reshape) metadata document.
-    fn target_meta(&self, rs: &ReshapeRuntime) -> StoreMeta {
-        let tw = &rs.target;
-        StoreMeta {
-            version: if self.scheme == ParityScheme::PQ { 2 } else { 1 },
-            unit_size: self.unit_size,
-            copies: tw.copies,
-            spares: self.backend.disks() - tw.layout.v(),
-            scheme: self.scheme.name().to_string(),
-            parity_slots: tw
-                .pq_slots
-                .as_ref()
-                .map(|s| s.iter().map(|&(p, q)| (p as u32, q as u32)).collect())
-                .unwrap_or_default(),
-            cache_policy: self.cache.policy().encode(),
-            layout: LayoutSpec::from_layout(&tw.layout),
-            reshape: None,
-            scrub: None,
-        }
     }
 
     /// Runs up to `max_batches` migration batches (at least one).
@@ -589,10 +548,13 @@ impl<B: Backend> BlockStore<B> {
 
     /// Drives the active reshape to completion: migrates every batch,
     /// then commits. Blocking convenience over
-    /// [`BlockStore::reshape_step`] + [`BlockStore::complete_reshape`].
+    /// [`BlockStore::reshape_step`] + [`BlockStore::complete_reshape`],
+    /// pumped by the maintenance runner like a reshape driver but
+    /// claiming no driver slot.
     pub fn finish_reshape(&self) -> Result<ReshapeReport, StoreError> {
-        while !self.reshape_step(8)? {}
-        self.complete_reshape()
+        let cfg = ReshapeDriverConfig { batches_per_step: 8, sleep_us: 0 };
+        let run = self.run_job(ReshapeJob::attach(self, &cfg, false)?, None)?;
+        Ok(run.report.expect("a pump nobody can stop runs to the commit"))
     }
 
     /// One migration batch: flush covered cache entries, band-read the
@@ -896,7 +858,7 @@ impl<B: Backend> BlockStore<B> {
         }
         let mut state = rs.state_template.clone();
         state.cursor = cursor;
-        p.0(&self.source_meta(&st, state))
+        p.0(&self.checkpoint_meta(&st.world, Some(state)))
     }
 
     fn persist_commit_watermark(
@@ -910,7 +872,7 @@ impl<B: Backend> BlockStore<B> {
         state.phase = "commit".into();
         state.cursor = rs.total;
         state.slide_done = slide_done;
-        p.0(&self.source_meta(st, state))
+        p.0(&self.checkpoint_meta(&st.world, Some(state)))
     }
 
     /// Commits a fully migrated reshape (see module docs for the
@@ -968,7 +930,7 @@ impl<B: Backend> BlockStore<B> {
         }
         self.backend.persist_mapping(&rs.tgt_redirect)?;
         if let Some(p) = &self.meta_persister {
-            p.0(&self.target_meta(&rs))?;
+            p.0(&self.checkpoint_meta(&rs.target, None))?;
         }
         self.backend.set_units_per_disk(u_tgt)?;
         self.backend.flush()?;

@@ -1,7 +1,7 @@
-//! Background scrubbing: a rate-limited walk over every stripe that
-//! verifies unit checksums *and* parity consistency, repairing what
-//! it finds via erasure decode (see
-//! `BlockStore::repair_stripe_locked`'s read-repair machinery).
+//! Scrubbing: a walk over every stripe that verifies unit checksums
+//! *and* parity consistency, repairing what it finds via erasure
+//! decode (see `BlockStore::repair_stripe_locked`'s read-repair
+//! machinery).
 //!
 //! Latent sector errors are the quiet failure mode of disk arrays:
 //! a corrupt unit that nobody reads stays corrupt until the disk
@@ -12,42 +12,42 @@
 //! the declustered layouts this crate reproduces (Schwabe & Sutherland,
 //! SPAA '94) assume one runs.
 //!
-//! Design points:
+//! A scrub pass is a `ScrubJob` pumped by the maintenance runner
+//! ([`crate::maintenance`]), which owns admission (one scrub of any
+//! flavor at a time, else [`StoreError::ScrubInProgress`]), the
+//! background thread, stopping, and sleeping. This module is the job
+//! itself — one step is one batch of stripes:
 //!
-//! - **One scrub at a time.** A compare-and-swap on
-//!   `BlockStore::scrub_active` admits a single pass, foreground
-//!   ([`BlockStore::scrub`]) or background ([`BlockStore::start_scrub`]);
-//!   a second caller gets [`StoreError::ScrubInProgress`].
 //! - **Races live traffic safely.** Each stripe is verified under its
 //!   exclusive stripe shard lock — the same lock writers take — so a
 //!   scrub never sees a half-written stripe. Between stripes the
 //!   scrubber holds only the shared array-state guard, so reads and
-//!   writes proceed concurrently; an optional per-batch sleep bounds
-//!   the bandwidth it steals.
-//! - **Yields to reshape.** Stripe indices change meaning across
-//!   worlds, so a reshape resets the scrub cursor and the scrubber
-//!   sleeps (background) or bails with
-//!   [`StoreError::ReshapeInProgress`] (foreground) while one is
-//!   active. Checkpoints are written while holding the shared state
-//!   guard, so a scrub checkpoint can never overwrite a reshape's
-//!   version-3 metadata.
-//! - **Crash-resumable.** Every `checkpoint_stripes` stripes the
-//!   cursor is persisted into [`StoreMeta`] (schema v4) together with
-//!   the checksum sidecar; [`crate::meta::open_file_store`] restores
-//!   both, and the next pass resumes where the crashed one stopped.
+//!   writes proceed concurrently; an optional per-batch sleep (fixed,
+//!   or adapted to client load by the maintenance pacer) bounds the
+//!   bandwidth it steals.
+//! - **Yields to reshape** — the runner's one arbitration rule. Stripe
+//!   indices change meaning across worlds, so a reshape resets the
+//!   scrub cursor and a step taken while one is active answers
+//!   `Yield`: a stoppable pass parks until the reshape commits, a
+//!   foreground [`BlockStore::scrub`] (which nobody could stop) fails
+//!   with [`StoreError::ReshapeInProgress`].
+//! - **Crash-resumable.** Every `checkpoint_stripes` stripes, at pass
+//!   end, and when stopped, the cursor and the lifetime pass count
+//!   are persisted in the `scrub` section of [`crate::StoreMeta`]
+//!   together with the checksum sidecar;
+//!   [`crate::meta::open_file_store`] restores both, and the next
+//!   pass resumes where the stopped or crashed one left off. The
+//!   section rides in every document the store writes, so it
+//!   survives a reshape's checkpoints and commit too.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use pdl_core::LayoutSpec;
 
 use crate::backend::Backend;
 use crate::error::StoreError;
-use crate::meta::{ScrubState, StoreMeta};
+use crate::maintenance::{Job, JobHandle, ScrubPacer, Step};
 use crate::obs::{Event, OpKind};
-use crate::scheme::ParityScheme;
 use crate::store::{ArrayState, BlockStore};
 
 /// Tuning for a scrub pass.
@@ -60,7 +60,7 @@ pub struct ScrubConfig {
     /// Microseconds slept between batches — the rate limit. `0`
     /// scrubs flat out.
     pub sleep_us: u64,
-    /// Stripes between durable cursor checkpoints (metadata v4 plus
+    /// Stripes between durable cursor checkpoints (`store.json` plus
     /// the checksum sidecar). `0` checkpoints only at pass end.
     /// Ignored for memory-backed stores (no persister installed).
     pub checkpoint_stripes: u64,
@@ -87,47 +87,145 @@ pub struct ScrubReport {
     /// hold over verified data.
     pub parity_repairs: u64,
     /// Whether the pass walked every stripe (`false` when stopped
-    /// early via [`ScrubHandle::stop`]).
+    /// early via [`JobHandle::stop`]).
     pub completed: bool,
 }
 
-/// Handle to a background scrub started by [`BlockStore::start_scrub`].
+/// One scrub pass as a maintenance job: each step verifies one batch
+/// of stripes from the store's scrub cursor.
 #[derive(Debug)]
-pub struct ScrubHandle {
-    stop: Arc<AtomicBool>,
-    thread: JoinHandle<Result<ScrubReport, StoreError>>,
+pub(crate) struct ScrubJob {
+    cfg: ScrubConfig,
+    /// Load-aware pacing (see [`crate::maintenance`]): resizes the
+    /// batch and sets the sleep after each one.
+    pacer: Option<ScrubPacer>,
+    step: u64,
+    since_ckpt: u64,
+    /// What the current pass has done so far.
+    pub(crate) report: ScrubReport,
 }
 
-impl ScrubHandle {
-    /// Asks the scrubber to stop at the next batch boundary. The
-    /// cursor is checkpointed, so a later pass resumes from it.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
+impl ScrubJob {
+    /// Opens a pass at the store's scrub cursor (non-zero when the
+    /// previous pass was stopped or crashed). The caller holds the
+    /// scrub admission.
+    pub(crate) fn new<B: Backend>(
+        store: &BlockStore<B>,
+        cfg: ScrubConfig,
+        pacer: Option<ScrubPacer>,
+    ) -> Self {
+        let report = ScrubReport::default();
+        let mut job = ScrubJob { cfg, pacer, step: 1, since_ckpt: 0, report };
+        job.begin_pass(store);
+        job
     }
 
-    /// Waits for the scrubber to finish and returns its report. A
-    /// panicked scrubber thread propagates the panic.
-    pub fn join(self) -> Result<ScrubReport, StoreError> {
-        match self.thread.join() {
-            Ok(r) => r,
-            Err(p) => std::panic::resume_unwind(p),
+    /// Starts the next pass (a continuous scrub reuses the job, and
+    /// with it the pacer's cost model, pass after pass).
+    pub(crate) fn begin_pass<B: Backend>(&mut self, store: &BlockStore<B>) {
+        self.step = match &mut self.pacer {
+            Some(p) => {
+                p.reset_pass(&store.metrics);
+                p.step
+            }
+            None => self.cfg.stripes_per_step,
         }
-    }
-
-    /// Whether the scrubber thread has exited (the `join` will not
-    /// block).
-    pub fn is_finished(&self) -> bool {
-        self.thread.is_finished()
+        .max(1) as u64;
+        self.since_ckpt = 0;
+        let cursor = store.scrub_cursor.load(Ordering::Acquire);
+        self.report = ScrubReport { resumed_from: cursor, ..ScrubReport::default() };
+        store.events.emit(|| Event::ScrubStarted { cursor });
     }
 }
 
-/// Clears `scrub_active` however the pass ends (success, error, or
-/// panic), so a failed scrub never wedges the store.
-struct ActiveGuard<'a>(&'a AtomicBool);
+impl<B: Backend> Job<B> for ScrubJob {
+    type Report = ScrubReport;
 
-impl Drop for ActiveGuard<'_> {
-    fn drop(&mut self) {
-        self.0.store(false, Ordering::Release);
+    fn step(&mut self, store: &BlockStore<B>) -> Result<Step, StoreError> {
+        let st = store.state_read();
+        if st.reshape.is_some() {
+            // The cursor was reset when the reshape began; stripe
+            // indices mean nothing until it commits or aborts.
+            return Ok(Step::Yield);
+        }
+        // Holding the shared state guard blocks a reshape from
+        // *beginning* (it takes the write guard), so the batch below
+        // and its checkpoint see a stable world.
+        let spc = st.world.layout.stripes().len() as u64;
+        let total = st.world.copies as u64 * spc;
+        let cur = store.scrub_cursor.load(Ordering::Acquire);
+        if cur >= total {
+            // Pass complete: bump the pass counter, rewind the
+            // cursor, and make both durable with the sums.
+            store.integrity.scrub_passes.fetch_add(1, Ordering::AcqRel);
+            if self.pacer.is_some() {
+                store.maint.paced_passes.fetch_add(1, Ordering::Relaxed);
+            }
+            store.scrub_cursor.store(0, Ordering::Release);
+            store.checkpoint_scrub(&st)?;
+            self.report.completed = true;
+            drop(st);
+            let r = self.report;
+            store.events.emit(|| Event::ScrubCompleted {
+                stripes: r.stripes,
+                checksum_repairs: r.checksum_repairs,
+                parity_repairs: r.parity_repairs,
+            });
+            if store.integrity.health.has_pending() {
+                store.apply_pending_health();
+            }
+            return Ok(Step::Done);
+        }
+        let end = (cur + self.step).min(total);
+        let batch_t0 = Instant::now();
+        for t in cur..end {
+            let (copy, si) = ((t / spc) as usize, (t % spc) as usize);
+            let shard = store.locks.shard_of(copy, si);
+            let t0 = Instant::now();
+            let (c, p) = {
+                let (_g, _) = store.locks.lock_one_counting(shard);
+                store.repair_stripe_locked(&st, copy, si)?
+            };
+            store.metrics.record_op(
+                OpKind::ScrubRead,
+                st.world.layout.stripes()[si].len() as u64,
+                t0.elapsed().as_nanos() as u64,
+            );
+            self.report.checksum_repairs += u64::from(c);
+            self.report.parity_repairs += u64::from(p);
+        }
+        let batch_ns = batch_t0.elapsed().as_nanos() as u64;
+        store.scrub_cursor.store(end, Ordering::Release);
+        self.report.stripes += end - cur;
+        self.since_ckpt += end - cur;
+        if self.cfg.checkpoint_stripes > 0 && self.since_ckpt >= self.cfg.checkpoint_stripes {
+            store.checkpoint_scrub(&st)?;
+            self.since_ckpt = 0;
+        }
+        drop(st);
+        if store.integrity.health.has_pending() {
+            store.apply_pending_health();
+        }
+        let mut sleep_us = self.cfg.sleep_us;
+        if let Some(p) = &mut self.pacer {
+            let (next_step, pace_sleep_us) =
+                p.pace(&store.metrics, &store.maint, batch_ns, end - cur);
+            self.step = next_step.max(1) as u64;
+            sleep_us = sleep_us.max(pace_sleep_us);
+        }
+        Ok(Step::Again { sleep: Duration::from_micros(sleep_us) })
+    }
+
+    fn checkpoint(&mut self, store: &BlockStore<B>) -> Result<(), StoreError> {
+        let st = store.state_read();
+        if st.reshape.is_none() {
+            store.checkpoint_scrub(&st)?;
+        }
+        Ok(())
+    }
+
+    fn into_report(self) -> ScrubReport {
+        self.report
     }
 }
 
@@ -140,209 +238,36 @@ impl<B: Backend> BlockStore<B> {
     /// [`StoreError::ScrubInProgress`] if another pass is running and
     /// [`StoreError::ReshapeInProgress`] if a reshape is active.
     pub fn scrub(&self, cfg: &ScrubConfig) -> Result<ScrubReport, StoreError> {
-        if self
-            .scrub_active
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return Err(StoreError::ScrubInProgress);
-        }
-        let _active = ActiveGuard(&self.scrub_active);
-        self.scrub_pass(cfg, None, None)
+        let _admitted = self.admit_scrub()?;
+        self.run_job(ScrubJob::new(self, cfg.clone(), None), None)
     }
 
     /// Starts a scrub pass on a background thread and returns a
-    /// handle to stop or join it. The thread holds only a [`Weak`]
-    /// store reference, so dropping every strong `Arc` ends the pass
-    /// instead of leaking the store.
-    pub fn start_scrub(self: &Arc<Self>, cfg: ScrubConfig) -> Result<ScrubHandle, StoreError>
+    /// handle to stop or join it; a stopped pass checkpoints its
+    /// cursor, so a later pass resumes from it.
+    pub fn start_scrub(
+        self: &Arc<Self>,
+        cfg: ScrubConfig,
+    ) -> Result<JobHandle<ScrubReport>, StoreError>
     where
         B: 'static,
     {
-        if self
-            .scrub_active
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return Err(StoreError::ScrubInProgress);
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let weak: Weak<Self> = Arc::downgrade(self);
-        let stop_t = stop.clone();
-        let thread = std::thread::Builder::new()
-            .name("pdl-scrub".into())
-            .spawn(move || {
-                let Some(store) = weak.upgrade() else {
-                    return Ok(ScrubReport::default());
-                };
-                let _active = ActiveGuard(&store.scrub_active);
-                store.scrub_pass(&cfg, Some(&stop_t), None)
-            })
-            .expect("spawn scrub thread");
-        Ok(ScrubHandle { stop, thread })
+        let admitted = self.admit_scrub()?;
+        Ok(self.spawn_job("pdl-scrub", admitted, ScrubJob::new(self, cfg, None)))
     }
 
-    /// The scrub pass body. `stop` is `Some` for background passes
-    /// (checked at batch boundaries) and `None` for foreground ones.
-    /// `pacer` is `Some` for load-aware passes (see
-    /// [`crate::maintenance`]): it resizes the batch and inserts
-    /// sleeps after each one. The caller owns `scrub_active`.
-    pub(crate) fn scrub_pass(
-        &self,
-        cfg: &ScrubConfig,
-        stop: Option<&AtomicBool>,
-        mut pacer: Option<&mut crate::maintenance::ScrubPacer>,
-    ) -> Result<ScrubReport, StoreError> {
-        let mut step = match &pacer {
-            Some(p) => p.step().max(1) as u64,
-            None => cfg.stripes_per_step.max(1) as u64,
-        };
-        let mut pace_sleep_us = 0u64;
-        let mut report = ScrubReport {
-            resumed_from: self.scrub_cursor.load(Ordering::Acquire),
-            ..ScrubReport::default()
-        };
-        self.events.emit(|| Event::ScrubStarted { cursor: report.resumed_from });
-        let mut since_ckpt = 0u64;
-        loop {
-            if let Some(s) = stop {
-                if s.load(Ordering::Acquire) {
-                    let st = self.state_read();
-                    if st.reshape.is_none() {
-                        self.checkpoint_scrub(&st)?;
-                    }
-                    return Ok(report);
-                }
-            }
-            let st = self.state_read();
-            if st.reshape.is_some() {
-                // The cursor was reset when the reshape began; stripe
-                // indices mean nothing until it commits or aborts.
-                drop(st);
-                match stop {
-                    None => return Err(StoreError::ReshapeInProgress),
-                    Some(_) => {
-                        // Arbitration rule 1: scrub yields to reshape
-                        // (see `crate::maintenance`), observably.
-                        self.maint.scrub_yields.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(Duration::from_millis(2));
-                        continue;
-                    }
-                }
-            }
-            // Holding the shared state guard blocks a reshape from
-            // *beginning* (it takes the write guard), so the batch
-            // below and its checkpoint see a stable world.
-            let spc = st.world.layout.stripes().len() as u64;
-            let total = st.world.copies as u64 * spc;
-            let cur = self.scrub_cursor.load(Ordering::Acquire);
-            if cur >= total {
-                // Pass complete: bump the pass counter, rewind the
-                // cursor, and make both durable with the sums.
-                self.integrity.scrub_passes.fetch_add(1, Ordering::AcqRel);
-                if pacer.is_some() {
-                    self.maint.paced_passes.fetch_add(1, Ordering::Relaxed);
-                }
-                self.scrub_cursor.store(0, Ordering::Release);
-                self.checkpoint_scrub(&st)?;
-                report.completed = true;
-                drop(st);
-                let (s, c, p) = (report.stripes, report.checksum_repairs, report.parity_repairs);
-                self.events.emit(|| Event::ScrubCompleted {
-                    stripes: s,
-                    checksum_repairs: c,
-                    parity_repairs: p,
-                });
-                if self.integrity.health.has_pending() {
-                    self.apply_pending_health();
-                }
-                return Ok(report);
-            }
-            let end = (cur + step).min(total);
-            let batch_t0 = Instant::now();
-            for t in cur..end {
-                let (copy, si) = ((t / spc) as usize, (t % spc) as usize);
-                let shard = self.locks.shard_of(copy, si);
-                let t0 = Instant::now();
-                let (c, p) = {
-                    let (_g, _) = self.locks.lock_one_counting(shard);
-                    self.repair_stripe_locked(&st, copy, si)?
-                };
-                self.metrics.record_op(
-                    OpKind::ScrubRead,
-                    st.world.layout.stripes()[si].len() as u64,
-                    t0.elapsed().as_nanos() as u64,
-                );
-                report.checksum_repairs += u64::from(c);
-                report.parity_repairs += u64::from(p);
-            }
-            let batch_ns = batch_t0.elapsed().as_nanos() as u64;
-            self.scrub_cursor.store(end, Ordering::Release);
-            report.stripes += end - cur;
-            since_ckpt += end - cur;
-            if cfg.checkpoint_stripes > 0 && since_ckpt >= cfg.checkpoint_stripes {
-                self.checkpoint_scrub(&st)?;
-                since_ckpt = 0;
-            }
-            drop(st);
-            if self.integrity.health.has_pending() {
-                self.apply_pending_health();
-            }
-            if let Some(p) = pacer.as_mut() {
-                let (next_step, sleep_us) =
-                    p.pace(&self.metrics, &self.maint, end, total, batch_ns, end - cur);
-                step = next_step.max(1) as u64;
-                pace_sleep_us = sleep_us;
-            }
-            let sleep_us = cfg.sleep_us.max(pace_sleep_us);
-            if sleep_us > 0 {
-                std::thread::sleep(Duration::from_micros(sleep_us));
-            }
-        }
-    }
-
-    /// Durably records the scrub position: writes a version-4
-    /// [`StoreMeta`] carrying [`ScrubState`] (or the base document
-    /// when there is nothing to resume) plus the checksum sidecar.
-    /// No-op for memory-backed stores. Must be called with the array
-    /// state guard held and no reshape active, so it cannot clobber a
-    /// reshape's version-3 metadata.
+    /// Durably records the scrub position: the store's metadata
+    /// document (whose `scrub` section carries the cursor and pass
+    /// count) plus the checksum sidecar. No-op for memory-backed
+    /// stores. Called with the array state guard held and no reshape
+    /// active — a reshape's own checkpoints carry the section while
+    /// one is.
     fn checkpoint_scrub(&self, st: &ArrayState) -> Result<(), StoreError> {
         debug_assert!(st.reshape.is_none());
         let Some(p) = &self.meta_persister else {
             return Ok(());
         };
-        p.0(&self.scrub_meta(st))?;
+        p.0(&self.checkpoint_meta(&st.world, None))?;
         self.persist_sums()
-    }
-
-    /// The store's metadata document carrying the current scrub
-    /// cursor and pass count (format version 4), or the plain
-    /// version-1/2 document when both are zero.
-    fn scrub_meta(&self, st: &ArrayState) -> StoreMeta {
-        let cursor = self.scrub_cursor.load(Ordering::Acquire);
-        let passes = self.integrity.scrub_passes.load(Ordering::Acquire);
-        let scrub = (cursor != 0 || passes != 0).then_some(ScrubState { cursor, passes });
-        let w = &st.world;
-        StoreMeta {
-            version: match (&scrub, self.scheme) {
-                (Some(_), _) => 4,
-                (None, ParityScheme::PQ) => 2,
-                (None, _) => 1,
-            },
-            unit_size: self.unit_size,
-            copies: w.copies,
-            spares: self.backend.disks() - w.layout.v(),
-            scheme: self.scheme.name().to_string(),
-            parity_slots: w
-                .pq_slots
-                .as_ref()
-                .map(|s| s.iter().map(|&(p, q)| (p as u32, q as u32)).collect())
-                .unwrap_or_default(),
-            cache_policy: self.cache.policy().encode(),
-            layout: LayoutSpec::from_layout(&w.layout),
-            reshape: None,
-            scrub,
-        }
     }
 }

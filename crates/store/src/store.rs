@@ -564,9 +564,10 @@ pub struct BlockStore<B> {
     /// Live-progress state of the registered rebuild, if any.
     pub(crate) rb_tracker: RebuildTracker,
     /// Durable-metadata writer installed by the file-store
-    /// constructors: a reshape persists its migration checkpoints and
-    /// the final committed geometry through this hook. `None` for
-    /// memory-backed stores (nothing survives the process anyway).
+    /// constructors: reshape and scrub checkpoints (and a reshape's
+    /// final committed geometry) are persisted through this hook.
+    /// `None` for memory-backed stores (nothing survives the process
+    /// anyway).
     pub(crate) meta_persister: Option<MetaPersister>,
     /// End-to-end integrity state: the per-physical-unit checksum
     /// table, the transient-retry policy, the per-disk health
@@ -585,21 +586,20 @@ pub struct BlockStore<B> {
     pub(crate) engine_on: AtomicBool,
     /// The scrub position: stripes (global index across layout
     /// copies) already verified in the current pass, `0` when no pass
-    /// is mid-flight. Checkpointed into [`StoreMeta`] (schema v4) by
-    /// the scrubber so a crashed pass resumes where it stopped; reset
-    /// by a reshape commit (the geometry it indexed is gone).
+    /// is mid-flight. Checkpointed into [`StoreMeta`]'s `scrub`
+    /// section so a stopped or crashed pass resumes where it left
+    /// off; reset when a reshape begins (the geometry it indexed is
+    /// going away).
     pub(crate) scrub_cursor: AtomicU64,
-    /// One scrub at a time (foreground or background) — see
-    /// [`crate::scrub`].
-    pub(crate) scrub_active: AtomicBool,
     /// Where the checksum-table sidecar lives for file-backed stores
     /// (`None` for memory stores). `flush` and scrub checkpoints
     /// persist it (base table plus an incremental dirty-entry log, see
     /// [`BlockStore::persist_sums`]) so a reopened store verifies
     /// against the sums it last made durable.
     pub(crate) sums_path: Option<std::path::PathBuf>,
-    /// Background-maintenance scheduler state (reshape driver +
-    /// continuous scrub), see [`crate::maintenance`].
+    /// Background-maintenance state — admission flags (one scrub, one
+    /// reshape driver at a time) and counters, see
+    /// [`crate::maintenance`].
     pub(crate) maint: MaintState,
     /// Serializes sidecar persists: `flush`, scrub checkpoints, and
     /// maintenance threads may all call [`BlockStore::persist_sums`]
@@ -766,7 +766,6 @@ impl<B: Backend> BlockStore<B> {
             meta_persister: None,
             integrity,
             scrub_cursor: AtomicU64::new(0),
-            scrub_active: AtomicBool::new(false),
             sums_path: None,
             maint: MaintState::default(),
             sums_persist_lock: Mutex::new(()),
@@ -1255,8 +1254,9 @@ impl<B: Backend> BlockStore<B> {
         self.persist_sums()
     }
 
-    /// Restores the scrub position saved in a version-4 [`StoreMeta`]
-    /// so the next scrub pass resumes where the crashed one stopped.
+    /// Restores the scrub position saved in a [`StoreMeta`]'s `scrub`
+    /// section so the next scrub pass resumes where the last one
+    /// stopped.
     pub(crate) fn restore_scrub_state(&mut self, cursor: u64, passes: u64) {
         self.scrub_cursor.store(cursor, Ordering::Release);
         self.integrity.scrub_passes.store(passes, Ordering::Release);

@@ -337,82 +337,48 @@ pub fn run<B: Backend + 'static>(
         store.fail_disk(disk)?;
     }
 
-    let rebuild_result: Mutex<Option<Result<RebuildReport, StoreError>>> = Mutex::new(None);
-    let reshape_result: Mutex<Option<Result<ReshapeReport, StoreError>>> = Mutex::new(None);
-    let scrub_result: Mutex<Option<Result<ContinuousScrubReport, StoreError>>> = Mutex::new(None);
     let progress_samples: Mutex<Vec<RebuildProgress>> = Mutex::new(Vec::new());
     let rebuild_done = AtomicBool::new(false);
     let scrub_stop = AtomicBool::new(false);
     let start = Instant::now();
-    let tallies: Vec<ThreadTally> = std::thread::scope(|s| {
-        if let RebuildMode::Racing { spare } = cfg.rebuild {
-            let rebuild_result = &rebuild_result;
-            let rebuild_done = &rebuild_done;
-            s.spawn(move || {
-                // Let the traffic threads take the field first so the
-                // rebuild genuinely races in-flight writes.
-                std::thread::sleep(Duration::from_millis(2));
-                // Poison-proof locking throughout the harness: if a
-                // client thread panics (its message carries the seed),
-                // dying on `PoisonError` in a racing thread would
-                // replace that seeded repro line with a useless
-                // "poisoned lock" panic.
-                *rebuild_result.lock().unwrap_or_else(|e| e.into_inner()) =
-                    Some(Rebuilder::default().rebuild(store, spare));
-                rebuild_done.store(true, Ordering::Release);
-            });
-            // Poll live rebuild progress while the rebuild overlaps
-            // the traffic: each sample carries the per-disk read
-            // distribution at that instant.
-            let progress_samples = &progress_samples;
-            s.spawn(move || {
-                while !rebuild_done.load(Ordering::Acquire) {
-                    if let Some(p) = store.rebuild_progress() {
-                        progress_samples.lock().unwrap_or_else(|e| e.into_inner()).push(p);
+    // Racing work runs on scoped threads that *return* their results;
+    // joining one re-raises its own panic payload — the message that
+    // names the failing seed — instead of a secondhand one.
+    fn join<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
+        h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+    }
+    let (tallies, rebuild, reshape, scrub) = std::thread::scope(|s| {
+        let rebuild_thread = match cfg.rebuild {
+            RebuildMode::Racing { spare } => {
+                // Poll live rebuild progress while the rebuild overlaps
+                // the traffic: each sample carries the per-disk read
+                // distribution at that instant.
+                let (rebuild_done, progress_samples) = (&rebuild_done, &progress_samples);
+                s.spawn(move || {
+                    while !rebuild_done.load(Ordering::Acquire) {
+                        if let Some(p) = store.rebuild_progress() {
+                            // Poison-proof: a panicking client thread
+                            // must not turn into a "poisoned lock" here.
+                            progress_samples.lock().unwrap_or_else(|e| e.into_inner()).push(p);
+                        }
+                        std::thread::sleep(Duration::from_micros(200));
                     }
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            });
-        }
-        match cfg.rebuild {
-            RebuildMode::ReshapeAdd { added } => {
-                let reshape_result = &reshape_result;
-                s.spawn(move || {
+                });
+                Some(s.spawn(move || {
                     // Let the traffic threads take the field first so
-                    // the whole reshape — begin, migration batches,
-                    // commit flip — genuinely races in-flight writes.
+                    // the rebuild genuinely races in-flight writes.
                     std::thread::sleep(Duration::from_millis(2));
-                    let mapped: Vec<usize> =
-                        (0..store.v()).map(|d| store.physical_disk(d)).collect();
-                    let joining: Vec<usize> = (0..store.backend().disks())
-                        .filter(|p| !mapped.contains(p))
-                        .take(added)
-                        .collect();
-                    assert_eq!(
-                        joining.len(),
-                        added,
-                        "[stress seed {}] not enough unmapped spares to add",
-                        cfg.seed
-                    );
-                    *reshape_result.lock().unwrap_or_else(|e| e.into_inner()) =
-                        Some(store.add_disks(&joining));
-                });
+                    let r = Rebuilder::default().rebuild(store, spare);
+                    rebuild_done.store(true, Ordering::Release);
+                    r
+                }))
             }
-            RebuildMode::ReshapeRemove { removed } => {
-                let reshape_result = &reshape_result;
-                s.spawn(move || {
-                    std::thread::sleep(Duration::from_millis(2));
-                    let v = store.v();
-                    let leaving: Vec<usize> = (v - removed..v).collect();
-                    *reshape_result.lock().unwrap_or_else(|e| e.into_inner()) =
-                        Some(store.remove_disks(&leaving));
-                });
-            }
-            RebuildMode::BackgroundMaintenance { added } => {
-                // Continuous scrub: paced passes for the entire client
-                // phase, stopped (and joined by the scope) after the
-                // client threads finish.
-                let scrub_result = &scrub_result;
+            _ => None,
+        };
+        // Continuous scrub: paced passes from before the first client
+        // op until it is told to stop, below.
+        let scrub_thread =
+            matches!(cfg.rebuild, RebuildMode::BackgroundMaintenance { .. }).then(|| {
                 let scrub_stop = &scrub_stop;
                 s.spawn(move || {
                     let cfg = ContinuousScrubConfig {
@@ -420,44 +386,34 @@ pub fn run<B: Backend + 'static>(
                         load_budget: 0.3,
                         ..ContinuousScrubConfig::default()
                     };
-                    *scrub_result.lock().unwrap_or_else(|e| e.into_inner()) =
-                        Some(store.run_continuous_scrub(&cfg, scrub_stop));
-                });
-                // Reshape driver: fine-grained batches so migration,
-                // dual writes, scrub yields, and the commit flip all
-                // interleave with the traffic many times over.
-                let reshape_result = &reshape_result;
-                s.spawn(move || {
-                    std::thread::sleep(Duration::from_millis(2));
-                    let mapped: Vec<usize> =
-                        (0..store.v()).map(|d| store.physical_disk(d)).collect();
-                    let joining: Vec<usize> = (0..store.backend().disks())
-                        .filter(|p| !mapped.contains(p))
-                        .take(added)
-                        .collect();
-                    assert_eq!(
-                        joining.len(),
-                        added,
-                        "[stress seed {}] not enough unmapped spares to add",
-                        cfg.seed
-                    );
-                    let res = store
-                        .begin_add_disks_with(
-                            &joining,
-                            &ReshapeOptions { batch_stripes: 1, ..ReshapeOptions::default() },
-                        )
-                        .and_then(|()| {
-                            store.drive_reshape(&ReshapeDriverConfig {
-                                batches_per_step: 1,
-                                sleep_us: 200,
-                            })
-                        })
-                        .map(|rep| rep.report.expect("a never-stopped driver runs to commit"));
-                    *reshape_result.lock().unwrap_or_else(|e| e.into_inner()) = Some(res);
-                });
-            }
-            _ => {}
-        }
+                    store.run_continuous_scrub(&cfg, scrub_stop)
+                })
+            });
+        // Reshape modes: the whole reshape — begin, migration batches,
+        // commit flip — starts 2 ms in, so it races in-flight writes.
+        let reshape_thread = match cfg.rebuild {
+            RebuildMode::ReshapeAdd { added } => Some(s.spawn(move || {
+                std::thread::sleep(Duration::from_millis(2));
+                store.add_disks(&unmapped_spares(store, added, cfg.seed))
+            })),
+            RebuildMode::ReshapeRemove { removed } => Some(s.spawn(move || {
+                std::thread::sleep(Duration::from_millis(2));
+                let v = store.v();
+                store.remove_disks(&(v - removed..v).collect::<Vec<_>>())
+            })),
+            // Reshape driver: fine-grained batches so migration, dual
+            // writes, scrub yields, and the commit flip all interleave
+            // with the traffic many times over.
+            RebuildMode::BackgroundMaintenance { added } => Some(s.spawn(move || {
+                std::thread::sleep(Duration::from_millis(2));
+                let opts = ReshapeOptions { batch_stripes: 1, ..ReshapeOptions::default() };
+                store.begin_add_disks_with(&unmapped_spares(store, added, cfg.seed), &opts)?;
+                let run = store
+                    .drive_reshape(&ReshapeDriverConfig { batches_per_step: 1, sleep_us: 200 })?;
+                Ok(run.report.expect("a never-stopped driver runs to commit"))
+            })),
+            _ => None,
+        };
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let salts = &salts;
@@ -467,61 +423,49 @@ pub fn run<B: Backend + 'static>(
                 s.spawn(move || client_thread(store, cfg, t, lo, hi, salts))
             })
             .collect();
-        let tallies = handles
-            .into_iter()
-            .map(|h| {
-                // Re-raise the client thread's own panic payload — it
-                // is the message that names the failing seed/thread/op.
-                h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
-            })
-            .collect();
+        let tallies: Vec<ThreadTally> = handles.into_iter().map(join).collect();
+        let reshape = reshape_thread.map(join);
+        if let (Some(scrubber), Some(Ok(_))) = (&scrub_thread, &reshape) {
+            // Stop the scrubber by order, not by luck. It legitimately
+            // parks for the whole reshape, so when the clients finish
+            // before the commit it may not have verified a stripe yet.
+            // The reshape is committed (joined above): give the
+            // scrubber one post-commit batch — its cursor or pass
+            // count moves — before raising the stop flag. Bounded, and
+            // cut short if the scrubber already ended on an error.
+            let scrub_pos = || {
+                let s = store.stats().integrity;
+                (s.scrub_cursor, s.scrub_passes)
+            };
+            let (committed_at, deadline) = (scrub_pos(), Instant::now() + Duration::from_secs(30));
+            while scrub_pos() == committed_at
+                && !scrubber.is_finished()
+                && Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        }
         // Release the continuous scrubber *inside* the scope — the
         // scope's implicit join would otherwise wait on a loop that
         // only stops when told to.
         scrub_stop.store(true, Ordering::Release);
-        tallies
+        (tallies, rebuild_thread.map(join), reshape, scrub_thread.map(join))
     });
     let elapsed = start.elapsed();
 
-    let rebuild = match cfg.rebuild {
-        RebuildMode::None => None,
-        RebuildMode::Racing { .. } => {
-            let r = rebuild_result
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("racing rebuild ran");
-            Some(r?)
-        }
-        RebuildMode::AtEnd { spare } => Some(Rebuilder::default().rebuild(store, spare)?),
-        RebuildMode::ReshapeAdd { .. }
-        | RebuildMode::ReshapeRemove { .. }
-        | RebuildMode::BackgroundMaintenance { .. } => None,
+    let rebuild = match (rebuild, cfg.rebuild) {
+        (Some(raced), _) => Some(raced?),
+        (None, RebuildMode::AtEnd { spare }) => Some(Rebuilder::default().rebuild(store, spare)?),
+        (None, _) => None,
     };
-    let reshape = if reshaping {
-        let r = reshape_result
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .expect("racing reshape ran");
-        Some(r.unwrap_or_else(|e| {
-            panic!("[stress seed {} threads {threads}] reshape: {e}", cfg.seed)
-        }))
-    } else {
-        None
-    };
-    let scrub = if matches!(cfg.rebuild, RebuildMode::BackgroundMaintenance { .. }) {
-        let r = scrub_result
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .expect("continuous scrub ran");
-        Some(r.unwrap_or_else(|e| {
+    let reshape = reshape.map(|r| {
+        r.unwrap_or_else(|e| panic!("[stress seed {} threads {threads}] reshape: {e}", cfg.seed))
+    });
+    let scrub = scrub.map(|r| {
+        r.unwrap_or_else(|e| {
             panic!("[stress seed {} threads {threads}] continuous scrub: {e}", cfg.seed)
-        }))
-    } else {
-        None
-    };
+        })
+    });
 
     // Drain the write-back cache off the clock: the final sweep then
     // verifies the *flushed* bytes end to end (combined parity
@@ -578,6 +522,16 @@ pub fn run<B: Backend + 'static>(
         report.blocks_written += t.blocks_written;
     }
     Ok(report)
+}
+
+/// The first `added` physical disks not mapped to any logical disk —
+/// the spares an add-disks reshape grows onto.
+fn unmapped_spares<B: Backend>(store: &BlockStore<B>, added: usize, seed: u64) -> Vec<usize> {
+    let mapped: Vec<usize> = (0..store.v()).map(|d| store.physical_disk(d)).collect();
+    let joining: Vec<usize> =
+        (0..store.backend().disks()).filter(|p| !mapped.contains(p)).take(added).collect();
+    assert_eq!(joining.len(), added, "[stress seed {seed}] not enough unmapped spares to add");
+    joining
 }
 
 /// Salt of the prefill pass — below every client salt (those carry

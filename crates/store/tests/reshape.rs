@@ -10,7 +10,7 @@
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
     create_file_store, fill_pattern, open_file_store, Backend, BlockStore, FileBackend, MemBackend,
-    Rebuilder, ReshapeOptions, StoreError, StoreMeta, META_FILE,
+    Rebuilder, ReshapeOptions, ScrubConfig, StoreError, StoreMeta, META_FILE,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -289,7 +289,9 @@ fn persisted_reshape_cursor(dir: &Path) -> Option<(String, u64)> {
 /// Satellite 2: snapshot the directory at *every* migration
 /// checkpoint boundary, reopen each snapshot as a crashed store, and
 /// prove the reshape resumes at the persisted cursor (never restarts)
-/// and finishes bit-exact.
+/// and finishes bit-exact. A scrub pass completed before the reshape
+/// must stay counted through every one of those documents: the
+/// reshape and scrub checkpoints share `store.json`.
 #[test]
 fn crash_resume_at_every_checkpoint_file() {
     let dir = tmp_dir("ckpt");
@@ -298,6 +300,8 @@ fn crash_resume_at_every_checkpoint_file() {
     let seed = 0xc4a5_u64;
     let blocks = store.blocks();
     prefill(&store, seed);
+    assert!(store.scrub(&ScrubConfig::default()).unwrap().completed);
+    assert_eq!(store.stats().integrity.scrub_passes, 1);
     let opts = ReshapeOptions { batch_stripes: 7, checkpoint_every: 1, ..Default::default() };
     store.begin_add_disks_with(&[5], &opts).unwrap();
     // Snapshot 0 is the begin checkpoint (cursor 0); one more follows
@@ -328,6 +332,7 @@ fn crash_resume_at_every_checkpoint_file() {
         assert_eq!(phase, "migrate");
         let re = open_file_store(snap).unwrap();
         assert!(re.reshaping(), "reopened snapshot resumes the reshape");
+        assert_eq!(re.stats().integrity.scrub_passes, 1, "migrate-phase reopen keeps the scrub");
         let progress = re.stats().reshape.expect("reshape visible in stats");
         assert_eq!(
             progress.stripes_done, cursor,
@@ -339,6 +344,10 @@ fn crash_resume_at_every_checkpoint_file() {
         let rep = re.finish_reshape().unwrap();
         assert_eq!(rep.to_v, 6);
         assert_eq!(re.v(), 6);
+        re.flush().unwrap();
+        drop(re);
+        let re = open_file_store(snap).unwrap();
+        assert_eq!(re.stats().integrity.scrub_passes, 1, "the resumed commit keeps the scrub");
         let mut got = vec![0u8; UNIT];
         let mut want = vec![0u8; UNIT];
         for addr in 0..blocks {
@@ -352,10 +361,12 @@ fn crash_resume_at_every_checkpoint_file() {
     }
     assert!(saw_midway, "at least one snapshot crashed strictly mid-migration");
 
-    // The committed original reopens at the target geometry too.
+    // The committed original reopens at the target geometry too,
+    // with its scrub history.
     let re = open_file_store(&dir).unwrap();
     assert_eq!(re.v(), 6);
     assert!(!re.reshaping());
+    assert_eq!(re.stats().integrity.scrub_passes, 1, "the commit keeps the scrub");
     re.verify_parity().unwrap();
     drop(re);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -401,6 +412,7 @@ fn commit_fault_reopen_redo_file() {
     let seed = 0xd00d_u64;
     let blocks = store.blocks();
     prefill(&store, seed);
+    assert!(store.scrub(&ScrubConfig::default()).unwrap().completed);
     store.begin_add_disks(&[5]).unwrap();
     while !store.reshape_step(8).unwrap() {}
     let opts = ReshapeOptions { commit_fault_after_chunks: Some(1), ..Default::default() };
@@ -411,6 +423,7 @@ fn commit_fault_reopen_redo_file() {
     let re = open_file_store(&dir).unwrap();
     assert!(!re.reshaping(), "reopen redid the commit");
     assert_eq!(re.v(), 6);
+    assert_eq!(re.stats().integrity.scrub_passes, 1, "the redone commit keeps the scrub");
     assert!(re.blocks() > blocks);
     let mut got = vec![0u8; UNIT];
     let mut want = vec![0u8; UNIT];
