@@ -36,7 +36,7 @@
 
 use crate::error::StoreError;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
@@ -233,39 +233,12 @@ impl ChecksumTable {
         }
     }
 
-    /// Verifies a contiguous span of units starting at `(disk,
-    /// start)` — `data` holds the units back to back — in **one**
-    /// table-lock acquisition instead of a `check` call (and its
-    /// `RwLock` read) per unit. Offsets of mismatching units are
-    /// appended to `bad`; units with no recorded checksum pass, as
-    /// in [`ChecksumTable::check`]. Returns `true` when every unit
-    /// passed.
-    pub fn check_span(
-        &self,
-        disk: usize,
-        start: usize,
-        data: &[u8],
-        unit_size: usize,
-        bad: &mut Vec<usize>,
-    ) -> bool {
-        let t = self.disks.read().unwrap();
-        let Some(d) = t.get(disk) else { return true };
-        let before = bad.len();
-        for (i, unit) in data.chunks_exact(unit_size).enumerate() {
-            if let Some(slot) = d.sums.get(start + i) {
-                let stored = slot.load(Ordering::Relaxed);
-                if stored != Self::UNSET && stored != Self::encode(xxh64(Self::SEED, unit)) {
-                    bad.push(start + i);
-                }
-            }
-        }
-        bad.len() == before
-    }
-
     /// Verifies a batch of (offset, unit-bytes) pairs on `disk` in
-    /// one table-lock acquisition — the scattered-run counterpart of
-    /// [`ChecksumTable::check_span`]. Mismatching offsets are
-    /// appended to `bad`; returns `true` when every unit passed.
+    /// **one** table-lock acquisition instead of a `check` call (and
+    /// its `RwLock` read) per unit. Offsets of mismatching units are
+    /// appended to `bad`; units with no recorded checksum pass, as in
+    /// [`ChecksumTable::check`]. Returns `true` when every unit
+    /// passed.
     pub fn check_many<'a>(
         &self,
         disk: usize,
@@ -353,22 +326,6 @@ impl ChecksumTable {
                 next.mark_dirty(i);
             }
             *d = next;
-        }
-    }
-
-    /// Slides `disk`'s entries down by `base` rows (`[base, base+n)`
-    /// → `[0, n)`), mirroring the reshape commit's physical slide of
-    /// the scratch region.
-    pub fn slide_down(&self, disk: usize, base: usize, n: usize) {
-        let t = self.disks.read().unwrap();
-        let Some(d) = t.get(disk) else { return };
-        for row in 0..n {
-            let v =
-                d.sums.get(base + row).map(|s| s.load(Ordering::Relaxed)).unwrap_or(Self::UNSET);
-            if let Some(dst) = d.sums.get(row) {
-                dst.store(v, Ordering::Relaxed);
-                d.mark_dirty(row);
-            }
         }
     }
 
@@ -480,6 +437,10 @@ pub struct HealthMonitor {
     last_decay: Mutex<Instant>,
     /// Physical disks queued for auto-fail.
     pending: Mutex<Vec<usize>>,
+    /// `pending.len()`, stored under the queue's lock — what the op
+    /// epilogue's [`HealthMonitor::has_pending`] reads instead of
+    /// taking it.
+    pending_len: AtomicUsize,
     /// Disks the policy has auto-failed (sticky, for stats).
     auto_failed: Mutex<Vec<usize>>,
 }
@@ -498,6 +459,7 @@ impl HealthMonitor {
             rate_window_ms: AtomicU64::new(1000),
             last_decay: Mutex::new(Instant::now()),
             pending: Mutex::new(Vec::new()),
+            pending_len: AtomicUsize::new(0),
             auto_failed: Mutex::new(Vec::new()),
         }
     }
@@ -550,10 +512,7 @@ impl HealthMonitor {
         }
         self.decay_recent();
         if self.recent[disk].fetch_add(1, Ordering::Relaxed) + 1 >= th {
-            let mut p = Self::locked(&self.pending);
-            if !p.contains(&disk) {
-                p.push(disk);
-            }
+            self.requeue(disk);
         }
     }
 
@@ -569,10 +528,7 @@ impl HealthMonitor {
         let score =
             self.errors[disk].load(Ordering::Relaxed) + self.repairs[disk].load(Ordering::Relaxed);
         if score >= th {
-            let mut p = Self::locked(&self.pending);
-            if !p.contains(&disk) {
-                p.push(disk);
-            }
+            self.requeue(disk);
         }
     }
 
@@ -612,22 +568,29 @@ impl HealthMonitor {
 
     /// Drains the auto-fail queue (the store applies it).
     pub fn take_pending(&self) -> Vec<usize> {
-        std::mem::take(&mut *Self::locked(&self.pending))
+        let mut p = Self::locked(&self.pending);
+        self.pending_len.store(0, Ordering::Relaxed);
+        std::mem::take(&mut *p)
     }
 
-    /// Re-queues a disk whose auto-fail could not be applied yet
-    /// (reshape active, failure budget exhausted).
+    /// Queues a disk for auto-fail (once) — a threshold crossing, or
+    /// an auto-fail that could not be applied yet (reshape active,
+    /// failure budget exhausted).
     pub fn requeue(&self, disk: usize) {
         let mut p = Self::locked(&self.pending);
         if !p.contains(&disk) {
             p.push(disk);
+            self.pending_len.store(p.len(), Ordering::Relaxed);
         }
     }
 
-    /// Whether any disk is queued for auto-fail (one cheap check for
-    /// the op epilogue — avoids the drain dance when idle).
+    /// Whether any disk is queued for auto-fail: one relaxed load, so
+    /// the epilogue of every client call stays lock-free. The length
+    /// publishes no other data — a caller that sees it nonzero takes
+    /// the queue's lock to drain, and one that misses a racing push
+    /// leaves it to the next epilogue.
     pub fn has_pending(&self) -> bool {
-        !Self::locked(&self.pending).is_empty()
+        self.pending_len.load(Ordering::Relaxed) != 0
     }
 
     /// Records that the policy auto-failed `disk`.
@@ -857,42 +820,36 @@ mod tests {
         let units: Vec<[u8; 4]> = (0..6u8).map(|i| [i; 4]).collect();
         let span: Vec<u8> = units.iter().flat_map(|u| u.iter().copied()).collect();
         t.record_span(0, 1, &span, 4);
-        // Clean span passes and reports nothing.
+        // The span as a batch: unit `i` sits at offset `1 + i`.
+        fn batch(bytes: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
+            bytes.chunks_exact(4).enumerate().map(|(i, u)| (1 + i, u))
+        }
+        // A clean batch passes and reports nothing.
         let mut bad = Vec::new();
-        assert!(t.check_span(0, 1, &span, 4, &mut bad));
+        assert!(t.check_many(0, batch(&span), &mut bad));
         assert!(bad.is_empty());
-        // Corrupt two units mid-span: both offsets reported, in
+        // Corrupt two units mid-batch: both offsets reported, in
         // order, matching what per-unit check() says.
         let mut torn = span.clone();
         torn[4] ^= 0xff; // unit at offset 2
         torn[16] ^= 0xff; // unit at offset 5
-        assert!(!t.check_span(0, 1, &torn, 4, &mut bad));
+        assert!(!t.check_many(0, batch(&torn), &mut bad));
         assert_eq!(bad, vec![2, 5]);
-        for (i, u) in torn.chunks_exact(4).enumerate() {
-            assert_eq!(t.check(0, 1 + i, u), !bad.contains(&(1 + i)));
+        for (off, u) in batch(&torn) {
+            assert_eq!(t.check(0, off, u), !bad.contains(&off));
         }
         // Unset entries pass (offset 7 never recorded).
         bad.clear();
-        assert!(t.check_span(0, 7, &[0xab; 4], 4, &mut bad));
-        // check_many over scattered offsets agrees too.
-        let scattered: Vec<(usize, &[u8])> =
-            vec![(1, &torn[..4]), (2, &torn[4..8]), (5, &torn[16..20])];
-        assert!(!t.check_many(0, scattered.iter().copied(), &mut bad));
-        assert_eq!(bad, vec![2, 5]);
+        assert!(t.check_many(0, [(7, &[0xab; 4][..])], &mut bad));
         // Out-of-range disk is a pass, never a panic.
-        bad.clear();
-        assert!(t.check_many(9, scattered.iter().copied(), &mut bad));
-        assert!(t.check_span(9, 0, &span, 4, &mut bad));
+        assert!(t.check_many(9, batch(&torn), &mut bad));
     }
 
     #[test]
-    fn checksum_table_resize_slide_and_bytes() {
+    fn checksum_table_resize_and_bytes() {
         let t = ChecksumTable::new(1, 6);
         let unit = [7u8; 4];
-        t.record(0, 4, &unit);
-        t.slide_down(0, 4, 2);
-        assert!(t.recorded(0, 0), "slid down from row 4");
-        assert!(t.check(0, 0, &unit));
+        t.record(0, 0, &unit);
         t.resize_units(2);
         assert!(t.check(0, 0, &unit));
         let bytes = t.to_bytes();

@@ -135,6 +135,7 @@
 
 pub mod backend;
 pub mod cache;
+mod codec;
 pub mod engine;
 pub mod error;
 pub mod integrity;

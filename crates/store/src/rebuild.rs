@@ -38,8 +38,9 @@
 //! client traffic).
 
 use crate::backend::Backend;
+use crate::codec::Scratch;
 use crate::error::StoreError;
-use crate::store::{BlockStore, Scratch, UnitCache};
+use crate::store::{BlockStore, UnitCache};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};

@@ -25,9 +25,11 @@
 //!   during an active reshape also lands in the target world
 //!   (`BlockStore::dual_write`): under the reshape's own per-stripe
 //!   lock table, the target data unit is read, the delta folded into
-//!   the target P (and Q), and the new bytes written. Re-applying the
-//!   same value is a no-op (delta = 0), so dual writes are
-//!   **idempotent** and the writer never needs to know whether the
+//!   the target P (and Q), and the new bytes written — each unit
+//!   through the store's two single-unit helpers, so a transient
+//!   backend error is retried exactly as on every other path.
+//!   Re-applying the same value is a no-op (delta = 0), so dual writes
+//!   are **idempotent** and the writer never needs to know whether the
 //!   migration has passed its address yet.
 //! * **Migration batches need no target locks.** A batch covers the
 //!   target stripes `[t0, t1)`, whose data ranges are exactly the
@@ -73,16 +75,16 @@
 
 use crate::backend::Backend;
 use crate::cache::{key_parts, stripe_key, FlushSnapshot};
+use crate::codec::{self, Decoded, Role, Syndromes};
 use crate::error::StoreError;
 use crate::maintenance::{ReshapeDriverConfig, ReshapeJob};
 use crate::meta::{slots_u32, ReshapeState};
 use crate::obs::{Event, OpKind, ReshapeProgressSnapshot};
 use crate::scheme::{FailureSet, ParityScheme};
 use crate::store::{
-    sort_shard_set, ArrayState, BlockStore, StripeLockTable, UnitCache, World, WritePlan, WriteSrc,
+    sort_shard_set, ArrayState, BlockStore, PhysUnit, StripeLockTable, UnitCache, World, WritePlan,
 };
-use pdl_algebra::gf256::{self, xor_slice};
-use pdl_core::{DoubleParityLayout, LayoutSpec, ReshapeMethod, ReshapePlan};
+use pdl_core::{DoubleParityLayout, LayoutSpec, ReshapeMethod, ReshapePlan, StripeUnit};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -243,6 +245,17 @@ impl ReshapeRuntime {
     /// maps to the end of the target address space.
     pub(crate) fn lo(&self, t: u64) -> usize {
         lo_of(&self.target, t)
+    }
+
+    /// Where target-world unit `u` (copy shift applied) lives while
+    /// the reshape runs: its target disk's scratch rows, which carry no
+    /// recorded checksums.
+    pub(crate) fn place(&self, u: StripeUnit) -> PhysUnit {
+        PhysUnit {
+            disk: self.tgt_redirect[u.disk as usize],
+            offset: self.scratch_base + u.offset as usize,
+            checked: false,
+        }
     }
 
     /// Live progress for [`crate::StatsSnapshot`].
@@ -642,7 +655,7 @@ impl<B: Backend> BlockStore<B> {
         let mut scratch = self.scratch.get();
         let res: Result<usize, StoreError> = (|| {
             let mut decoded_for = (usize::MAX, usize::MAX);
-            let mut solved = [None, None];
+            let mut solved = Decoded::default();
             for i in 0..fill_end {
                 let m = w.smap.locate_full(lo_addr + i);
                 let out = &mut src_data[i * us..(i + 1) * us];
@@ -655,30 +668,30 @@ impl<B: Backend> BlockStore<B> {
                             shift,
                             &[],
                             &mut scratch,
-                            |u, buf| {
+                            |_, u, buf| {
                                 ucache.copy_to(st.redirect[u.disk as usize] as u32, u.offset, buf)
                             },
                         )?;
                         decoded_for = (m.copy, m.stripe);
                     }
-                    let which = solved
-                        .iter()
-                        .flatten()
-                        .find(|&&(slot, _)| slot == m.slot)
-                        .map(|&(_, b)| b)
-                        .ok_or_else(|| {
-                            StoreError::Corrupt("reshape decode missed a lost unit".into())
-                        })?;
-                    out.copy_from_slice(scratch.decoded(which));
+                    out.copy_from_slice(solved.get(&scratch, m.slot)?);
                 } else {
                     ucache.copy_to(st.redirect[m.unit.disk as usize] as u32, m.unit.offset, out)?;
                 }
             }
-            // Plan and write the target stripes at the scratch rows.
+            // Plan the target stripes — data from the assembled source
+            // bytes, P/Q fresh — at the scratch rows, and write them.
+            let tw = &*rs.target;
+            let ns = tw.layout.b() as u64;
             let mut plan = WritePlan::new(self.backend.disks());
             let mut units_planned = 0usize;
             for t in t0..t1 {
-                units_planned += self.plan_target_stripe(rs, t, lo_addr, src_data, &mut plan);
+                let (lo, k_data) = tw.smap.stripe_data_range((t % ns) as usize);
+                let start = (t / ns) as usize * tw.smap.data_units_per_copy() + lo;
+                let base = start - lo_addr;
+                let stripe_data = &src_data[base * us..(base + k_data) * us];
+                units_planned += self
+                    .plan_stripe(tw, start, stripe_data, base, &mut plan, |u| Some(rs.place(u)));
             }
             self.flush_write_plan(&mut plan, src_data)?;
             Ok(units_planned)
@@ -705,75 +718,6 @@ impl<B: Backend> BlockStore<B> {
         Ok(t1 >= rs.total)
     }
 
-    /// Plans one target stripe into `plan`: data units from the
-    /// batch's assembled source bytes, P/Q computed fresh, every
-    /// offset shifted into the scratch region. Returns units planned.
-    fn plan_target_stripe(
-        &self,
-        rs: &ReshapeRuntime,
-        t: u64,
-        lo_addr: usize,
-        src_data: &[u8],
-        plan: &mut WritePlan,
-    ) -> usize {
-        let us = self.unit_size;
-        let tw = &rs.target;
-        let ns = tw.layout.b() as u64;
-        let copy = (t / ns) as usize;
-        let si = (t % ns) as usize;
-        let (lo, k_data) = tw.smap.stripe_data_range(si);
-        let start_addr = copy * tw.smap.data_units_per_copy() + lo;
-        let base = start_addr - lo_addr;
-        let sb = rs.scratch_base as u32;
-        let shift = (copy * tw.layout.size()) as u32;
-        let units = tw.layout.stripes()[si].units();
-        let (p_slot, q_slot) = tw.smap.parity_slots(si);
-        let is_pq = self.scheme == ParityScheme::PQ;
-        let WritePlan { by_disk, parity, unsorted } = plan;
-        let p_idx = parity.len() / us;
-        parity.extend_from_slice(&src_data[base * us..(base + 1) * us]);
-        if is_pq {
-            parity.resize((p_idx + 2) * us, 0);
-        }
-        let (acc_p, acc_q) = parity[p_idx * us..].split_at_mut(us);
-        let mut push = |disk: usize, offset: u32, src: WriteSrc| {
-            let bucket = &mut by_disk[disk];
-            if bucket.last().is_some_and(|&(last, _)| offset < last) {
-                *unsorted = true;
-            }
-            bucket.push((offset, src));
-        };
-        for j in 0..k_data {
-            let chunk = &src_data[(base + j) * us..(base + j + 1) * us];
-            let m = tw.smap.locate_full(start_addr + j);
-            debug_assert_eq!(m.stripe, si);
-            if j > 0 {
-                xor_slice(acc_p, chunk);
-            }
-            if is_pq {
-                gf256::mul_add_slice(acc_q, chunk, gf256::gen_pow(m.slot));
-            }
-            push(
-                rs.tgt_redirect[m.unit.disk as usize],
-                sb + m.unit.offset,
-                WriteSrc::data(base + j),
-            );
-        }
-        let pu = units[p_slot];
-        push(rs.tgt_redirect[pu.disk as usize], sb + pu.offset + shift, WriteSrc::parity(p_idx));
-        let mut planned = k_data + 1;
-        if let Some(qs) = q_slot {
-            let qu = units[qs];
-            push(
-                rs.tgt_redirect[qu.disk as usize],
-                sb + qu.offset + shift,
-                WriteSrc::parity(p_idx + 1),
-            );
-            planned += 1;
-        }
-        planned
-    }
-
     /// Mirrors an acknowledged write into the target world: under the
     /// reshape's own stripe lock, fold the delta into target P (and
     /// Q), then write the new bytes. Idempotent — re-applying the
@@ -788,39 +732,29 @@ impl<B: Backend> BlockStore<B> {
     ) -> Result<(), StoreError> {
         let tw = &rs.target;
         let m = tw.smap.locate_full(addr);
-        let sb = rs.scratch_base;
         let shard = rs.tgt_locks.shard_of(m.copy, m.stripe);
         let (_guard, _) = rs.tgt_locks.lock_one_counting(shard);
         let mut s = self.scratch.get();
         let res = (|| {
-            let d_disk = rs.tgt_redirect[m.unit.disk as usize];
-            let d_off = sb + m.unit.offset as usize;
-            // acc_p = old ^ new (the delta); tmp is the parity RMW
-            // buffer.
-            self.backend.read_unit(d_disk, d_off, &mut s.acc_p)?;
-            xor_slice(&mut s.acc_p, data);
-            if s.acc_p.iter().all(|&b| b == 0) {
+            let (delta, par) = (s.acc_p.as_mut_slice(), s.tmp.as_mut_slice());
+            let d_at = rs.place(m.unit);
+            self.read_unit(d_at, delta)?;
+            codec::delta(delta, data);
+            if codec::is_zero(delta) {
                 return Ok(()); // same value: nothing to fold or write
             }
-            let shift = (m.copy * tw.layout.size()) as u32;
-            let units = tw.layout.stripes()[m.stripe].units();
             let (p_slot, q_slot) = tw.smap.parity_slots(m.stripe);
-            let pu = units[p_slot];
-            let p_disk = rs.tgt_redirect[pu.disk as usize];
-            let p_off = sb + (pu.offset + shift) as usize;
-            self.backend.read_unit(p_disk, p_off, &mut s.tmp)?;
-            let (delta, par) = (&s.acc_p, &mut s.tmp);
-            xor_slice(par, delta);
-            self.backend.write_unit(p_disk, p_off, par)?;
-            if let Some(qs) = q_slot {
-                let qu = units[qs];
-                let q_disk = rs.tgt_redirect[qu.disk as usize];
-                let q_off = sb + (qu.offset + shift) as usize;
-                self.backend.read_unit(q_disk, q_off, par)?;
-                gf256::mul_add_slice(par, delta, gf256::gen_pow(m.slot));
-                self.backend.write_unit(q_disk, q_off, par)?;
+            let parity_at = |slot: usize| rs.place(tw.unit(m.copy, m.stripe, slot));
+            let p_at = parity_at(p_slot);
+            self.read_unit(p_at, par)?;
+            Syndromes { p: Some(&mut *par), q: None }.fold(Role::Data(m.slot), delta);
+            self.write_unit(p_at, par)?;
+            if let Some(q_at) = q_slot.map(parity_at) {
+                self.read_unit(q_at, par)?;
+                Syndromes { p: None, q: Some(&mut *par) }.fold(Role::Data(m.slot), delta);
+                self.write_unit(q_at, par)?;
             }
-            self.backend.write_unit(d_disk, d_off, data)
+            self.write_unit(d_at, data)
         })();
         self.scratch.put(s);
         res

@@ -75,7 +75,8 @@
 //! removes it from the failure set. A rebuild may run **concurrently
 //! with live traffic**: while it is registered, writes that would
 //! have to skip a unit on the rebuilding disk are *written through*
-//! to its spare (see `spare_for`), so the spare is bit-exact when the
+//! to its spare (see `BlockStore::place`, the one resolver of where a
+//! stripe unit's bytes go), so the spare is bit-exact when the
 //! redirect flips.
 //!
 //! ## Decode policy
@@ -106,13 +107,31 @@
 //! | rebuild chunks ([`crate::Rebuilder`]) | `RebuildRead` + `SpareWrite` (timed per chunk) | — |
 //! | cache flush batches | `CacheFlush` (units = dirty units flushed) | `CacheFlush` |
 //!
-//! `OpBegin`/`OpEnd` spans are emitted only while a sink is
-//! installed; an op that fails mid-flight leaves its span unclosed.
-//! Latency histograms sample 1 in [`Metrics::SAMPLE_EVERY`] ops
-//! (every op while a sink forces span timing); counters are exact.
+//! The four client calls run inside one envelope
+//! (`BlockStore::client_op`). `OpBegin`/`OpEnd` spans are emitted only
+//! while a sink is installed, and a span closes — op counted, latency
+//! recorded, `OpEnd` emitted — only when the call succeeds: an op that
+//! fails mid-flight leaves its span unclosed. Disk-health decisions
+//! are applied on **every** exit, `Ok` or `Err`: a call whose hard
+//! error crosses the auto-fail threshold returns the error with the
+//! disk already failed, so the next call is served degraded. Latency
+//! histograms sample 1 in [`Metrics::SAMPLE_EVERY`] ops (every op
+//! while a sink forces span timing); counters are exact.
+//!
+//! ## Where the pieces live
+//!
+//! The P/Q algebra — the stripe invariant, its one `fold`, the erasure
+//! solver — lives in `codec.rs` and is named nowhere else. Single
+//! units move through two helpers here (`read_unit` / `write_unit`,
+//! keyed by physical `(disk, offset)`, retried, checksummed);
+//! multi-run transfers go through `io.rs`. Full stripes are
+//! planned by one `plan_stripe`, generic over where each unit is
+//! placed, for client writes, cache flushes and the reshape migration
+//! alike; `write_block_rmw` is the one read-modify-write.
 
 use crate::backend::Backend;
 use crate::cache::{key_parts, stripe_key, CachePolicy, FlushSnapshot, StripeCache};
+use crate::codec::{self, Decoded, Role, Scratch, Syndromes};
 use crate::engine::Priority;
 use crate::error::StoreError;
 use crate::integrity::{xxh64, ChecksumTable, Integrity, RetryPolicy};
@@ -120,32 +139,17 @@ use crate::io::{Io, Run};
 use crate::maintenance::MaintState;
 use crate::meta::StoreMeta;
 use crate::obs::{
-    DiskStatSnapshot, Event, EventHub, EventSink, Metrics, OpKind, RebuildProgress, RebuildTracker,
-    StatsSnapshot,
+    DiskStatSnapshot, Event, EventHub, EventSink, Metrics, OpKind, OpTimer, RebuildProgress,
+    RebuildTracker, StatsSnapshot,
 };
 use crate::reshape::ReshapeRuntime;
 use crate::scheme::{AddrRef, FailureSet, ParityScheme, StripeMap};
-use pdl_algebra::gf256::{self, xor_slice};
 use pdl_core::{DoubleParityLayout, Layout, StripeUnit};
 use pdl_sim::{Trace, TraceOp};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
-
-/// Names which [`Scratch`] buffer holds a decoded value, so decode
-/// results carry no borrow and callers can keep using the scratch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum DecodedBuf {
-    /// The P (XOR syndrome) accumulator.
-    P,
-    /// The Q (`GF(2^8)` syndrome) accumulator.
-    Q,
-}
-
-/// A decode result: up to two `(lost slot, holding buffer)` pairs; the
-/// values live in the caller's [`Scratch`] until its next decode.
-pub(crate) type Decoded = [Option<(usize, DecodedBuf)>; 2];
 
 /// Largest hole (in units) a coalesced read run will bridge — units
 /// in a bridged gap are read into a discard buffer so the run stays
@@ -272,6 +276,13 @@ impl World {
         let stale = (0..layout.v()).map(|_| AtomicU64::new(0)).collect();
         World { layout, smap, pq_slots, copies, stale }
     }
+
+    /// Unit `slot` of stripe `si` in layout copy `copy`, the copy's row
+    /// shift applied.
+    pub(crate) fn unit(&self, copy: usize, si: usize, slot: usize) -> StripeUnit {
+        let u = self.layout.stripes()[si].units()[slot];
+        StripeUnit { disk: u.disk, offset: u.offset + (copy * self.layout.size()) as u32 }
+    }
 }
 
 /// The store's failure-epoch state: everything a failure transition
@@ -322,6 +333,25 @@ impl WriteSrc {
     }
 }
 
+/// A physical unit address, and whether reads of it verify against
+/// the unit's recorded checksum: live media do; a racing rebuild's
+/// spare (arbitrary bytes until reconstructed), a reshape's scratch
+/// rows and the parity scan are read raw.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PhysUnit {
+    pub(crate) disk: usize,
+    pub(crate) offset: usize,
+    pub(crate) checked: bool,
+}
+
+impl PhysUnit {
+    /// Stripe unit `u` (copy shift applied) on its disk's current
+    /// medium.
+    pub(crate) fn live(st: &ArrayState, u: StripeUnit) -> PhysUnit {
+        PhysUnit { disk: st.redirect[u.disk as usize], offset: u.offset as usize, checked: true }
+    }
+}
+
 /// The deferred full-stripe write plan: per-physical-disk buckets of
 /// `(offset, source)` unit writes plus the parity staging buffer the
 /// stripe accumulators live in. Sequential writes push offsets in
@@ -366,34 +396,6 @@ impl WritePlan {
         }
         self.parity.clear();
         self.unsorted = false;
-    }
-}
-
-/// Reusable decode buffers: one P accumulator, one Q accumulator, one
-/// transfer buffer. Rebuild workers hold one per thread; the store's
-/// data paths borrow them from a [`ScratchPool`].
-#[derive(Debug)]
-pub(crate) struct Scratch {
-    pub(crate) acc_p: Vec<u8>,
-    pub(crate) acc_q: Vec<u8>,
-    pub(crate) tmp: Vec<u8>,
-}
-
-impl Scratch {
-    pub(crate) fn new(unit_size: usize) -> Scratch {
-        Scratch {
-            acc_p: vec![0u8; unit_size],
-            acc_q: vec![0u8; unit_size],
-            tmp: vec![0u8; unit_size],
-        }
-    }
-
-    /// The buffer a decode left a value in.
-    pub(crate) fn decoded(&self, which: DecodedBuf) -> &[u8] {
-        match which {
-            DecodedBuf::P => &self.acc_p,
-            DecodedBuf::Q => &self.acc_q,
-        }
     }
 }
 
@@ -875,26 +877,42 @@ impl<B: Backend> BlockStore<B> {
         self.state_read().rebuilding
     }
 
-    /// Marks `disk`'s medium stale: a write to `(copy, stripe)`
-    /// skipped (or wrote through past) one of its units while it was
-    /// failed. The stripe is kept as the witness
-    /// [`StoreError::RebuildRequired`] reports (last writer wins —
-    /// any skipping stripe is a valid witness). Set under the shared
-    /// state guard; read/cleared only under the exclusive one.
-    fn mark_stale(&self, st: &ArrayState, disk: usize, copy: usize, stripe: usize) {
+    /// The one answer to "where do this stripe unit's bytes go right
+    /// now" on the write paths. `u` carries its copy's row shift;
+    /// `(copy, stripe)` names its stripe.
+    ///
+    /// * disk live → its current medium (`redirect`), reads
+    ///   checksum-verified;
+    /// * disk failed, rebuild of exactly that disk racing → the spare,
+    ///   read raw. A value written through is either overwritten later
+    ///   by the rebuild's own decode of the stripe (both produce the
+    ///   same post-write bytes, serialized by the stripe lock) or
+    ///   lands on an already-reconstructed unit (keeping it fresh) —
+    ///   so the spare is bit-exact at completion either way;
+    /// * disk failed otherwise → nowhere: the value exists only
+    ///   through the stripe's surviving parity.
+    ///
+    /// A write that resolves a failed disk's unit skips (or writes
+    /// through past) the failed medium, which leaves it stale: only a
+    /// rebuild, never [`BlockStore::restore_disk`], may bring it back.
+    /// The stripe is recorded as the witness
+    /// [`StoreError::RebuildRequired`] reports (last writer wins — any
+    /// skipping stripe is a valid witness); set under the shared state
+    /// guard, read/cleared only under the exclusive one.
+    pub(crate) fn place(
+        &self,
+        st: &ArrayState,
+        u: StripeUnit,
+        copy: usize,
+        stripe: usize,
+    ) -> Option<PhysUnit> {
+        let disk = u.disk as usize;
+        if !st.failed.contains(disk) {
+            return Some(PhysUnit::live(st, u));
+        }
         st.world.stale[disk].store(stripe_key(copy, stripe) + 1, Ordering::Release);
-    }
-
-    /// The physical spare that writes to failed disk `disk` must be
-    /// written through to — `Some` only while a rebuild of exactly
-    /// that disk is registered. Values written through are either
-    /// overwritten later by the rebuild's own decode of the stripe
-    /// (not-yet-rebuilt region: both produce the same post-write
-    /// bytes, serialized by the stripe lock) or land on an
-    /// already-reconstructed unit (keeping it fresh) — so the spare
-    /// is bit-exact at completion either way.
-    fn spare_for(st: &ArrayState, disk: usize) -> Option<usize> {
-        st.rebuilding.and_then(|(d, spare)| (d == disk).then_some(spare))
+        let (_, spare) = st.rebuilding.filter(|&(d, _)| d == disk)?;
+        Some(PhysUnit { disk: spare, offset: u.offset as usize, checked: false })
     }
 
     /// Registers a rebuild of `failed` onto physical `spare`,
@@ -1562,7 +1580,9 @@ impl<B: Backend> BlockStore<B> {
                 if snap.ndirty == k_data {
                     // Fully dirty: zero-read full-stripe planning into
                     // the combined plan.
-                    self.plan_full_stripe(st, start, stripe_bytes, base, plan)?;
+                    self.plan_stripe(&st.world, start, stripe_bytes, base, plan, |u| {
+                        self.place(st, u, copy, si)
+                    });
                     planned.push(key);
                 } else if st.world.layout.stripes()[si]
                     .units()
@@ -1675,39 +1695,33 @@ impl<B: Backend> BlockStore<B> {
     ) -> Result<(), StoreError> {
         let us = self.unit_size;
         let is_pq = self.scheme == ParityScheme::PQ;
-        let w = st.world.clone();
-        let units = w.layout.stripes()[si].units();
+        let w = &*st.world;
         let (p_slot, q_slot) = w.smap.parity_slots(si);
-        let shift = (copy * w.layout.size()) as u32;
-        let shifted = |u: StripeUnit| StripeUnit { disk: u.disk, offset: u.offset + shift };
+        let parity_at = |slot: usize| PhysUnit::live(st, w.unit(copy, si, slot));
         let mut acc = self.scratch.get();
         let res = (|| {
             let Scratch { acc_p, acc_q, tmp } = &mut acc;
-            acc_p.fill(0);
-            acc_q.fill(0);
+            let mut syn = Syndromes::zeroed(acc_p, is_pq.then_some(acc_q.as_mut_slice()));
             for (j, &dirty) in snap.dirty.iter().enumerate() {
                 let m = w.smap.locate_full(start + j);
                 let val: &[u8] = if dirty {
                     &data[j * us..(j + 1) * us]
                 } else {
-                    self.read_phys(st, m.unit, tmp)?;
+                    self.read_unit(PhysUnit::live(st, m.unit), tmp)?;
                     tmp
                 };
-                xor_slice(acc_p, val);
-                if is_pq {
-                    gf256::mul_add_slice(acc_q, val, gf256::gen_pow(m.slot));
-                }
+                syn.fold(Role::Data(m.slot), val);
             }
-            self.write_phys(st, shifted(units[p_slot]), acc_p)?;
+            self.write_unit(parity_at(p_slot), acc_p)?;
             if let Some(qs) = q_slot {
-                self.write_phys(st, shifted(units[qs]), acc_q)?;
+                self.write_unit(parity_at(qs), acc_q)?;
             }
             for (j, &dirty) in snap.dirty.iter().enumerate() {
                 if !dirty {
                     continue;
                 }
                 let m = w.smap.locate_full(start + j);
-                self.write_phys(st, m.unit, &data[j * us..(j + 1) * us])?;
+                self.write_unit(PhysUnit::live(st, m.unit), &data[j * us..(j + 1) * us])?;
             }
             Ok(())
         })();
@@ -1729,57 +1743,36 @@ impl<B: Backend> BlockStore<B> {
         Ok(())
     }
 
-    /// Physical unit read without checksum verification (the repair
-    /// path must read possibly-corrupt bytes without erroring), still
-    /// under the transient-retry policy.
-    fn read_phys_raw(
-        &self,
-        st: &ArrayState,
-        u: StripeUnit,
-        buf: &mut [u8],
-    ) -> Result<(), StoreError> {
-        let (pd, off) = (st.redirect[u.disk as usize], u.offset as usize);
-        self.integrity.retrying(pd, || self.backend.read_unit(pd, off, &mut *buf))
-    }
-
-    /// Physical unit read: retried on transient errors and verified
-    /// against the unit's recorded checksum. A mismatch surfaces as
-    /// [`StoreError::ChecksumMismatch`], which the public paths catch
-    /// and convert into a stripe repair (see `repair_stripe_locked`).
-    fn read_phys(&self, st: &ArrayState, u: StripeUnit, buf: &mut [u8]) -> Result<(), StoreError> {
-        self.read_phys_raw(st, u, buf)?;
-        let (pd, off) = (st.redirect[u.disk as usize], u.offset as usize);
-        if self.integrity.verifying() && !self.integrity.sums.check(pd, off, buf) {
-            return Err(StoreError::ChecksumMismatch { disk: pd, offset: off });
+    /// The one single-unit read: retried on transient errors and, for
+    /// a `checked` unit, verified against its recorded checksum. A
+    /// mismatch surfaces as [`StoreError::ChecksumMismatch`], which
+    /// the public paths catch and convert into a stripe repair (see
+    /// `repair_stripe_locked`).
+    pub(crate) fn read_unit(&self, at: PhysUnit, buf: &mut [u8]) -> Result<(), StoreError> {
+        let PhysUnit { disk, offset, checked } = at;
+        self.integrity.retrying(disk, || self.backend.read_unit(disk, offset, &mut *buf))?;
+        if checked && self.integrity.verifying() && !self.integrity.sums.check(disk, offset, buf) {
+            return Err(StoreError::ChecksumMismatch { disk, offset });
         }
         Ok(())
     }
 
-    /// Physical unit write: retried on transient errors, the unit's
-    /// checksum recorded on success.
-    fn write_phys(&self, st: &ArrayState, u: StripeUnit, buf: &[u8]) -> Result<(), StoreError> {
-        let (pd, off) = (st.redirect[u.disk as usize], u.offset as usize);
-        self.integrity.retrying(pd, || self.backend.write_unit(pd, off, buf))?;
+    /// The one direct write: `buf` (one unit, or a rebuild chunk's
+    /// span of them) lands at `at` under the transient-retry policy
+    /// and its checksums are recorded — a spare becomes the live
+    /// medium when its rebuild's redirect flips, so its sums must be
+    /// fresh by then.
+    pub(crate) fn write_unit(&self, at: PhysUnit, buf: &[u8]) -> Result<(), StoreError> {
+        let PhysUnit { disk, offset, .. } = at;
+        self.integrity.retrying(disk, || {
+            if buf.len() == self.unit_size {
+                self.backend.write_unit(disk, offset, buf)
+            } else {
+                self.backend.write_units(disk, offset, buf)
+            }
+        })?;
         if self.integrity.verifying() {
-            self.integrity.sums.record(pd, off, buf);
-        }
-        Ok(())
-    }
-
-    /// Raw spare-disk read for the write-through delta path: retried,
-    /// never checksum-verified — pre-rebuild spare bytes are
-    /// arbitrary by contract.
-    fn read_spare(&self, spare: usize, off: usize, buf: &mut [u8]) -> Result<(), StoreError> {
-        self.integrity.retrying(spare, || self.backend.read_unit(spare, off, &mut *buf))
-    }
-
-    /// Spare-disk write: retried, checksum recorded — the spare
-    /// becomes the live medium when the rebuild's redirect flips, so
-    /// its sums must be fresh by then.
-    fn write_spare(&self, spare: usize, off: usize, buf: &[u8]) -> Result<(), StoreError> {
-        self.integrity.retrying(spare, || self.backend.write_unit(spare, off, buf))?;
-        if self.integrity.verifying() {
-            self.integrity.sums.record(spare, off, buf);
+            self.integrity.sums.record_span(disk, offset, buf, self.unit_size);
         }
         Ok(())
     }
@@ -1862,23 +1855,18 @@ impl<B: Backend> BlockStore<B> {
                     shift,
                     &mismatched,
                     &mut scratch,
-                    |pu, buf| {
-                        let slot = units
-                            .iter()
-                            .position(|m| m.disk == pu.disk && m.offset + shift == pu.offset)
-                            .expect("decode reads only this stripe's members");
+                    |slot, _, buf| {
                         buf.copy_from_slice(&bytes[slot * us..(slot + 1) * us]);
                         Ok(())
                     },
                 )?;
-                for (slot, which) in solved.into_iter().flatten() {
+                for slot in solved.slots() {
                     if !mismatched.contains(&slot) {
                         continue; // a failed disk's unit: no medium
                     }
                     let (pd, off) = phys(slot);
-                    let repaired = scratch.decoded(which);
-                    self.integrity.retrying(pd, || self.backend.write_unit(pd, off, repaired))?;
-                    self.integrity.sums.record(pd, off, repaired);
+                    let repaired = solved.get(&scratch, slot)?;
+                    self.write_unit(PhysUnit { disk: pd, offset: off, checked: true }, repaired)?;
                     bytes[slot * us..(slot + 1) * us].copy_from_slice(repaired);
                     self.integrity.checksum_repairs.fetch_add(1, Ordering::Relaxed);
                     self.integrity.health.note_repair(pd);
@@ -1898,14 +1886,10 @@ impl<B: Backend> BlockStore<B> {
             let is_pq = self.scheme == ParityScheme::PQ;
             let mut acc_p = vec![0u8; us];
             let mut acc_q = vec![0u8; us];
-            for slot in 0..units.len() {
-                if slot == p_slot || Some(slot) == q_slot {
-                    continue;
-                }
-                let val = &bytes[slot * us..(slot + 1) * us];
-                xor_slice(&mut acc_p, val);
-                if is_pq {
-                    gf256::mul_add_slice(&mut acc_q, val, gf256::gen_pow(slot));
+            let mut syn = Syndromes { p: Some(&mut acc_p), q: is_pq.then_some(&mut acc_q) };
+            for (slot, val) in bytes.chunks_exact(us).enumerate() {
+                if !w.smap.is_parity_slot(si, slot) {
+                    syn.fold(Role::Data(slot), val);
                 }
             }
             let mut fix = |slot: usize, acc: &[u8]| -> Result<(), StoreError> {
@@ -1913,8 +1897,7 @@ impl<B: Backend> BlockStore<B> {
                     return Ok(());
                 }
                 let (pd, off) = phys(slot);
-                self.integrity.retrying(pd, || self.backend.write_unit(pd, off, acc))?;
-                self.integrity.sums.record(pd, off, acc);
+                self.write_unit(PhysUnit { disk: pd, offset: off, checked: true }, acc)?;
                 bytes[slot * us..(slot + 1) * us].copy_from_slice(acc);
                 self.integrity.parity_repairs.fetch_add(1, Ordering::Relaxed);
                 self.integrity.health.note_repair(pd);
@@ -1957,36 +1940,19 @@ impl<B: Backend> BlockStore<B> {
         offset: usize,
         out: &mut [u8],
     ) -> Result<(), StoreError> {
-        let mut scratch = self.scratch.get();
-        let res = self.reconstruct_unit_into(st, disk, offset, out, &mut scratch);
-        self.scratch.put(scratch);
-        res
-    }
-
-    /// Allocation-free variant for hot loops: the caller supplies the
-    /// [`Scratch`] buffers.
-    fn reconstruct_unit_into(
-        &self,
-        st: &ArrayState,
-        disk: usize,
-        offset: usize,
-        out: &mut [u8],
-        scratch: &mut Scratch,
-    ) -> Result<(), StoreError> {
         self.check_block_buf(out.len())?;
         let size = st.world.layout.size();
         let shift = (offset / size * size) as u32;
         let r = st.world.layout.unit_ref(disk, offset % size);
-        let si = r.stripe as usize;
-        let solved = self.decode_stripe(st, si, shift, &[r.slot as usize], scratch)?;
-        for (slot, which) in solved.into_iter().flatten() {
-            if slot == r.slot as usize {
-                out.copy_from_slice(scratch.decoded(which));
-                return Ok(());
-            }
-        }
-        // Unreachable: the requested slot is always in the lost set.
-        Err(StoreError::Corrupt(format!("decode of stripe {si} skipped slot {}", r.slot)))
+        let mut scratch = self.scratch.get();
+        let res = self
+            .decode_stripe(st, r.stripe as usize, shift, &[r.slot as usize], &mut scratch)
+            .and_then(|solved| {
+                out.copy_from_slice(solved.get(&scratch, r.slot as usize)?);
+                Ok(())
+            });
+        self.scratch.put(scratch);
+        res
     }
 
     /// Batched rebuild primitive: reconstructs the `out.len() /
@@ -2108,29 +2074,13 @@ impl<B: Backend> BlockStore<B> {
                     self.decode_stripe_with(&st, si, shift, &[r.slot as usize], scratch, {
                         let cache = &*cache;
                         let redirect = &st.redirect;
-                        move |u: StripeUnit, buf: &mut [u8]| {
+                        move |_, u: StripeUnit, buf: &mut [u8]| {
                             cache.copy_to(redirect[u.disk as usize] as u32, u.offset, buf)
                         }
                     })?;
-                let mut found = false;
-                for (slot, which) in solved.into_iter().flatten() {
-                    if slot == r.slot as usize {
-                        chunk.copy_from_slice(scratch.decoded(which));
-                        found = true;
-                    }
-                }
-                if !found {
-                    return Err(StoreError::Corrupt(format!(
-                        "decode of stripe {si} skipped slot {}",
-                        r.slot
-                    )));
-                }
+                chunk.copy_from_slice(solved.get(scratch, r.slot as usize)?);
             }
-            let data_out: &[u8] = out;
-            self.integrity.retrying(spare, || self.backend.write_units(spare, start, data_out))?;
-            if self.integrity.verifying() {
-                self.integrity.sums.record_span(spare, start, out, self.unit_size);
-            }
+            self.write_unit(PhysUnit { disk: spare, offset: start, checked: false }, out)?;
             self.metrics.record_op(
                 OpKind::SpareWrite,
                 n as u64,
@@ -2156,7 +2106,7 @@ impl<B: Backend> BlockStore<B> {
     ) -> Result<Decoded, StoreError> {
         let io = self.io();
         let verify = self.integrity.verifying();
-        self.decode_stripe_with(st, si, shift, extra_lost, scratch, |u, buf| {
+        self.decode_stripe_with(st, si, shift, extra_lost, scratch, |_, u, buf| {
             let (disk, first) = (st.redirect[u.disk as usize], u.offset as usize);
             let run = [Run { disk, first, parts: 0..1 }];
             io.read_runs(&run, &mut [&mut *buf], Priority::Client, |_, _| {})?;
@@ -2167,16 +2117,15 @@ impl<B: Backend> BlockStore<B> {
         })
     }
 
-    /// Erasure-decodes one stripe (at copy offset `shift`): reads every
-    /// surviving member exactly once through `read` (the backend, or a
-    /// prefetched [`UnitCache`]), accumulates the P/Q syndromes, and
-    /// solves for the lost units. `extra_lost` forces extra slots
-    /// into the lost set beyond the failed disks — a unit being
-    /// rebuilt whose disk may not be in the failure set, or units
-    /// whose checksums mismatched and are being repaired as erasures.
-    /// Returns up to two `(slot, buffer)` pairs; the values live in
-    /// `scratch` until its next decode. No heap allocation (this sits
-    /// in the rebuild workers' per-unit loop).
+    /// Erasure-decodes one stripe (at copy offset `shift`) with
+    /// [`codec::decode`]: every surviving member is read exactly once
+    /// through `read(slot, unit, buf)` (the backend, a prefetched
+    /// [`UnitCache`], or bytes already in memory). `extra_lost` forces
+    /// extra slots into the lost set beyond the failed disks — a unit
+    /// being rebuilt whose disk may not be in the failure set, or
+    /// units whose checksums mismatched and are being repaired as
+    /// erasures. The decoded values live in `scratch` until its next
+    /// decode.
     pub(crate) fn decode_stripe_with<F>(
         &self,
         st: &ArrayState,
@@ -2187,16 +2136,16 @@ impl<B: Backend> BlockStore<B> {
         mut read: F,
     ) -> Result<Decoded, StoreError>
     where
-        F: FnMut(StripeUnit, &mut [u8]) -> Result<(), StoreError>,
+        F: FnMut(usize, StripeUnit, &mut [u8]) -> Result<(), StoreError>,
     {
-        let stripe = &st.world.layout.stripes()[si];
+        let units = st.world.layout.stripes()[si].units();
         let (p_slot, q_slot) = st.world.smap.parity_slots(si);
         // Collect the lost slots (ascending; at most tolerance + 1
         // with the forced extra, and anything past the redundancy is
         // an error anyway).
         let mut lost = [usize::MAX; 3];
         let mut nlost = 0usize;
-        for (slot, u) in stripe.units().iter().enumerate() {
+        for (slot, u) in units.iter().enumerate() {
             if st.failed.contains(u.disk as usize) || extra_lost.contains(&slot) {
                 if nlost < lost.len() {
                     lost[nlost] = slot;
@@ -2204,88 +2153,66 @@ impl<B: Backend> BlockStore<B> {
                 nlost += 1;
             }
         }
-        let redundancy = self.scheme.parity_per_stripe();
-        if nlost > redundancy {
+        if nlost > self.scheme.parity_per_stripe() {
             // More erasures than parity units: unreconstructable. Name
             // a failed disk of the stripe for the error.
-            let d = stripe.units()[lost[0]].disk as usize;
-            return Err(StoreError::DiskFailed(d));
+            return Err(StoreError::DiskFailed(units[lost[0]].disk as usize));
         }
-        let Scratch { acc_p, acc_q, tmp } = scratch;
-        // The Q syndrome is only part of the answer with two units
-        // lost, or when the one lost unit is Q itself; any other
-        // single erasure is solved by the P equation alone. Every
-        // survivor (Q included) is still read, so the per-disk read
-        // counts do not depend on which unit a stripe lost.
-        let need_q = nlost == 2 || (nlost == 1 && Some(lost[0]) == q_slot);
-        acc_p.fill(0);
-        if need_q {
-            acc_q.fill(0);
+        codec::decode(scratch, units.len(), p_slot, q_slot, &lost[..nlost], |slot, buf| {
+            let u = units[slot];
+            read(slot, StripeUnit { disk: u.disk, offset: u.offset + shift }, buf)
+        })
+    }
+
+    /// The one envelope every client call runs in. It takes over the
+    /// caller's state guard (so the op's kind is classified under the
+    /// very snapshot the body then runs against), opens the
+    /// [`OpTimer`], feeds the read/write mix estimator — under every
+    /// cache policy, so a store switched *to* write-back starts with
+    /// a warm verdict — emits `OpBegin` and runs `body`. The span
+    /// closes (`finish` + `OpEnd`) only when the body succeeds; the
+    /// guard is dropped and queued auto-fail decisions are applied on
+    /// **every** exit, `Ok` or `Err`. `body` returns how many of the
+    /// call's `blocks` a `Read` span served by stripe decode: those
+    /// are accounted as `DegradedRead` units instead.
+    #[inline]
+    fn client_op(
+        &self,
+        st: RwLockReadGuard<'_, ArrayState>,
+        kind: OpKind,
+        addr: usize,
+        blocks: usize,
+        body: impl FnOnce(&ArrayState, &OpTimer) -> Result<u64, StoreError>,
+    ) -> Result<(), StoreError> {
+        let t = self.metrics.begin(kind, self.events.active());
+        if t.mix_due {
+            self.metrics.note_mix(matches!(kind, OpKind::Read | OpKind::DegradedRead));
         }
-        for (slot, u) in stripe.units().iter().enumerate() {
-            if lost[..nlost].contains(&slot) {
-                continue;
+        self.events.emit(|| {
+            let m = st.world.smap.locate_full(addr);
+            Event::OpBegin {
+                kind,
+                addr: addr as u64,
+                blocks: blocks as u32,
+                stripe: m.stripe as u32,
+                disk: m.unit.disk,
             }
-            read(StripeUnit { disk: u.disk, offset: u.offset + shift }, tmp)?;
-            if Some(slot) == q_slot {
-                if need_q {
-                    xor_slice(acc_q, tmp);
-                }
-            } else {
-                xor_slice(acc_p, tmp);
-                if need_q && slot != p_slot {
-                    gf256::mul_add_slice(acc_q, tmp, gf256::gen_pow(slot));
-                }
-            }
+        });
+        let res = body(&st, &t).map(|decoded| {
+            let ns = self.metrics.finish(t, blocks as u64 - decoded).unwrap_or(0);
+            self.metrics.add_units(OpKind::DegradedRead, decoded);
+            self.events.emit(|| Event::OpEnd {
+                kind,
+                addr: addr as u64,
+                blocks: blocks as u32,
+                ns,
+            });
+        });
+        drop(st);
+        if self.integrity.health.has_pending() {
+            self.apply_pending_health();
         }
-        // Solve. Every equation below is the stripe invariant
-        // `P ^ Σ D = 0` (and `Q ^ Σ g^j·D_j = 0`) restricted to the
-        // surviving members: the accumulator equals the XOR of the
-        // *missing* participants.
-        match lost[..nlost] {
-            [] => Ok([None, None]),
-            [a] => {
-                // Single erasure: whichever unit is missing, the P
-                // accumulator already equals it — except a missing Q,
-                // which the Q accumulator holds.
-                if Some(a) == q_slot {
-                    Ok([Some((a, DecodedBuf::Q)), None])
-                } else {
-                    Ok([Some((a, DecodedBuf::P)), None])
-                }
-            }
-            [a, b] => {
-                debug_assert_eq!(self.scheme, ParityScheme::PQ);
-                let (qa, qb) = (Some(a) == q_slot, Some(b) == q_slot);
-                let (pa, pb) = (a == p_slot, b == p_slot);
-                if (pa && qb) || (pb && qa) {
-                    // Lost P and Q: each accumulator is its parity.
-                    let (p_lost, q_lost) = if pa { (a, b) } else { (b, a) };
-                    Ok([Some((p_lost, DecodedBuf::P)), Some((q_lost, DecodedBuf::Q))])
-                } else if pa || pb {
-                    // Lost P and a data unit j: the Q equation is
-                    // missing only g^j·D_j, so D_j = acc_q / g^j; then
-                    // P = acc_p ^ D_j.
-                    let (p_lost, j) = if pa { (a, b) } else { (b, a) };
-                    let c = gf256::inv(gf256::gen_pow(j)).expect("g^j is nonzero");
-                    gf256::mul_slice(acc_q, c);
-                    xor_slice(acc_p, acc_q);
-                    Ok([Some((j, DecodedBuf::Q)), Some((p_lost, DecodedBuf::P))])
-                } else if qa || qb {
-                    // Lost Q and a data unit j: D_j = acc_p; then
-                    // Q = acc_q ^ g^j·D_j.
-                    let (q_lost, j) = if qa { (a, b) } else { (b, a) };
-                    gf256::mul_add_slice(acc_q, acc_p, gf256::gen_pow(j));
-                    Ok([Some((j, DecodedBuf::P)), Some((q_lost, DecodedBuf::Q))])
-                } else {
-                    // Two lost data units: the classic RAID-6 solve.
-                    gf256::solve_two_erasures(acc_p, acc_q, gf256::gen_pow(a), gf256::gen_pow(b));
-                    // acc_q now holds D_a, acc_p holds D_b.
-                    Ok([Some((a, DecodedBuf::Q)), Some((b, DecodedBuf::P))])
-                }
-            }
-            _ => unreachable!("lost.len() bounded by redundancy above"),
-        }
+        res
     }
 
     /// Reads logical block `addr` into `buf` (`unit_size` bytes),
@@ -2302,21 +2229,7 @@ impl<B: Backend> BlockStore<B> {
         let m = st.world.smap.locate_full(addr);
         let degraded = st.failed.contains(m.unit.disk as usize);
         let kind = if degraded { OpKind::DegradedRead } else { OpKind::Read };
-        let t = self.metrics.begin(kind, self.events.active());
-        // The mix estimator is fed under every policy — not just
-        // write-back — so a store switched *to* write-back starts
-        // with a warm read/write verdict instead of a cold window.
-        if t.mix_due {
-            self.metrics.note_mix(true);
-        }
-        self.events.emit(|| Event::OpBegin {
-            kind,
-            addr: addr as u64,
-            blocks: 1,
-            stripe: m.stripe as u32,
-            disk: m.unit.disk,
-        });
-        let res = (|| {
+        self.client_op(st, kind, addr, 1, |st, _| {
             // Dirty units exist only in the write-back cache until
             // their stripe flushes, so every read path probes it
             // first (one atomic load when the cache is clean). A miss
@@ -2325,46 +2238,38 @@ impl<B: Backend> BlockStore<B> {
             // missing entry implies the bytes are already durable
             // below.
             if self.cache.maybe_dirty() {
-                let (shard, key, j, _) = self.cache_coords(&st, &m, addr);
+                let (shard, key, j, _) = self.cache_coords(st, &m, addr);
                 if self.cache.read_into(shard, key, j, buf) {
-                    return Ok(());
+                    return Ok(0);
                 }
             }
-            if degraded {
-                let shard = self.locks.shard_of(m.copy, m.stripe);
-                let _g = self.locks.lock_one_shared(shard);
-                self.reconstruct_unit(&st, m.unit.disk as usize, m.unit.offset as usize, buf)
-            } else {
-                self.read_phys(&st, m.unit, buf)
-            }
-        })();
-        // Read-repair: a checksum mismatch — on this block's unit
-        // (healthy path) or among the survivors its decode read
-        // (degraded path) — is treated as an erasure. Either way the
-        // corrupt unit sits in this block's stripe: take the stripe
-        // exclusively, repair it from parity, and retry once.
-        let res = match res {
-            Err(StoreError::ChecksumMismatch { .. }) => {
-                let shard = self.locks.shard_of(m.copy, m.stripe);
-                let (_g, _) = self.locks.lock_one_counting(shard);
-                self.repair_stripe_locked(&st, m.copy, m.stripe)?;
+            let mut fetch = || {
                 if degraded {
-                    self.reconstruct_unit(&st, m.unit.disk as usize, m.unit.offset as usize, buf)
+                    self.reconstruct_unit(st, m.unit.disk as usize, m.unit.offset as usize, buf)
                 } else {
-                    self.read_phys(&st, m.unit, buf)
+                    self.read_unit(PhysUnit::live(st, m.unit), buf)
                 }
+            };
+            let shard = self.locks.shard_of(m.copy, m.stripe);
+            let first = {
+                let _g = degraded.then(|| self.locks.lock_one_shared(shard));
+                fetch()
+            };
+            // Read-repair: a checksum mismatch — on this block's unit
+            // (healthy path) or among the survivors its decode read
+            // (degraded path) — is treated as an erasure. Either way
+            // the corrupt unit sits in this block's stripe: take the
+            // stripe exclusively, repair it from parity, and retry
+            // once.
+            if let Err(StoreError::ChecksumMismatch { .. }) = first {
+                let (_g, _) = self.locks.lock_one_counting(shard);
+                self.repair_stripe_locked(st, m.copy, m.stripe)?;
+                fetch()?;
+            } else {
+                first?;
             }
-            r => r,
-        };
-        if res.is_ok() {
-            let ns = self.metrics.finish(t, 1).unwrap_or(0);
-            self.events.emit(|| Event::OpEnd { kind, addr: addr as u64, blocks: 1, ns });
-        }
-        drop(st);
-        if self.integrity.health.has_pending() {
-            self.apply_pending_health();
-        }
-        res
+            Ok(0)
+        })
     }
 
     /// Writes logical block `addr` from `data` (`unit_size` bytes),
@@ -2398,94 +2303,77 @@ impl<B: Backend> BlockStore<B> {
         } else {
             OpKind::Write
         };
-        let t = self.metrics.begin(kind, self.events.active());
-        self.events.emit(|| Event::OpBegin {
-            kind,
-            addr: addr as u64,
-            blocks: 1,
-            stripe: m.stripe as u32,
-            disk: m.unit.disk,
-        });
-        let res = (|| {
-            // Fed under every policy — see `read_block`.
-            if t.mix_due {
-                self.metrics.note_mix(false);
+        self.client_op(st, kind, addr, 1, |st, t| {
+            let lock_stripe = || {
+                let (guard, contended) = self.locks.lock_one_counting(shard);
+                if contended {
+                    self.metrics.note_lock_contention();
+                    self.events.emit(|| Event::LockContention { shard: shard as u32 });
+                }
+                guard
+            };
+            if !self.cache.is_write_back() {
+                let _g = lock_stripe();
+                self.write_block_locked(st, addr, data)?;
+                return Ok(0);
             }
-            if self.cache.is_write_back() {
-                // Read-mostly write-back bypass: when recent traffic
-                // is read-dominated and the backend is memory-speed
-                // (no call-coalescing win to combine for), deferring
-                // the RMW buys nothing — the flush does the same
-                // backend work later while every read pays the cache
-                // probe. Never bypasses past an existing entry: a
-                // direct backend write below a dirty cached unit
-                // would let reads serve the stale cached bytes.
-                let bypass = !self.backend.prefers_gap_bridging() && self.metrics.read_mostly();
-                {
-                    let (_g, contended) = self.locks.lock_one_counting(shard);
-                    if contended {
-                        self.metrics.note_lock_contention();
-                        self.events.emit(|| Event::LockContention { shard: shard as u32 });
-                    }
-                    // Fast bypass: with zero dirty stripes anywhere
-                    // (one acquire load — reads use the same gate) no
-                    // entry can shadow this write, so the per-stripe
-                    // probe and even the cache coordinates are
-                    // skipped. A concurrent insert for *this* stripe
-                    // is excluded by the shard lock held here.
-                    if bypass && !self.cache.maybe_dirty() {
-                        self.metrics.note_bypass(&t);
-                        return self.write_block_locked(&st, addr, data);
-                    }
-                    let (_, key, j, k_data) = self.cache_coords(&st, &m, addr);
-                    if bypass && !self.cache.has_entry(shard, key) {
-                        // A bypassed write adds no dirty state, so
-                        // the eviction check is skipped with it.
-                        self.metrics.note_bypass(&t);
-                        self.write_block_locked(&st, addr, data)?;
-                    } else {
-                        self.cache.write(shard, key, k_data, j, data);
-                        // A cached write is acknowledged without
-                        // touching the backend, but the target world
-                        // of an active reshape must still see it —
-                        // migration reads the *backend* source bytes
-                        // after flushing covered stripes, while the
-                        // dual write keeps already-migrated target
-                        // stripes fresh.
-                        self.dual_write_if_reshaping(&st, addr, data)?;
-                    }
+            // Read-mostly write-back bypass: when recent traffic
+            // is read-dominated and the backend is memory-speed
+            // (no call-coalescing win to combine for), deferring
+            // the RMW buys nothing — the flush does the same
+            // backend work later while every read pays the cache
+            // probe. Never bypasses past an existing entry: a
+            // direct backend write below a dirty cached unit
+            // would let reads serve the stale cached bytes.
+            let bypass = !self.backend.prefers_gap_bridging() && self.metrics.read_mostly();
+            {
+                let _g = lock_stripe();
+                // Fast bypass: with zero dirty stripes anywhere
+                // (one acquire load — reads use the same gate) no
+                // entry can shadow this write, so the per-stripe
+                // probe and even the cache coordinates are
+                // skipped. A concurrent insert for *this* stripe
+                // is excluded by the shard lock held here.
+                if bypass && !self.cache.maybe_dirty() {
+                    self.metrics.note_bypass(t);
+                    self.write_block_locked(st, addr, data)?;
+                    return Ok(0);
                 }
-                if bypass {
-                    // The mix turned read-mostly while stripes dirtied
-                    // before the flip are still resident; they keep
-                    // `maybe_dirty` true, taxing every later op with
-                    // the probe above. Drain them now — one address-
-                    // sorted combined flush — so the steady state is
-                    // the clean fast path again. Estimator flapping
-                    // costs one drain per flip, work the eviction
-                    // trickle would have done anyway, batched.
-                    return self.flush_cache_locked(&st);
+                let (_, key, j, k_data) = self.cache_coords(st, &m, addr);
+                if bypass && !self.cache.has_entry(shard, key) {
+                    // A bypassed write adds no dirty state, so
+                    // the eviction check is skipped with it.
+                    self.metrics.note_bypass(t);
+                    self.write_block_locked(st, addr, data)?;
+                } else {
+                    self.cache.write(shard, key, k_data, j, data);
+                    // A cached write is acknowledged without
+                    // touching the backend, but the target world
+                    // of an active reshape must still see it —
+                    // migration reads the *backend* source bytes
+                    // after flushing covered stripes, while the
+                    // dual write keeps already-migrated target
+                    // stripes fresh.
+                    self.dual_write_if_reshaping(st, addr, data)?;
                 }
+            }
+            if bypass {
+                // The mix turned read-mostly while stripes dirtied
+                // before the flip are still resident; they keep
+                // `maybe_dirty` true, taxing every later op with
+                // the probe above. Drain them now — one address-
+                // sorted combined flush — so the steady state is
+                // the clean fast path again. Estimator flapping
+                // costs one drain per flip, work the eviction
+                // trickle would have done anyway, batched.
+                self.flush_cache_locked(st)?;
+            } else {
                 // Eviction runs with the stripe lock released (one
                 // victim shard at a time — see `evict_over_limit`).
-                return self.evict_over_limit(&st);
+                self.evict_over_limit(st)?;
             }
-            let (_g, contended) = self.locks.lock_one_counting(shard);
-            if contended {
-                self.metrics.note_lock_contention();
-                self.events.emit(|| Event::LockContention { shard: shard as u32 });
-            }
-            self.write_block_locked(&st, addr, data)
-        })();
-        if res.is_ok() {
-            let ns = self.metrics.finish(t, 1).unwrap_or(0);
-            self.events.emit(|| Event::OpEnd { kind, addr: addr as u64, blocks: 1, ns });
-        }
-        drop(st);
-        if self.integrity.health.has_pending() {
-            self.apply_pending_health();
-        }
-        res
+            Ok(0)
+        })
     }
 
     /// The single-block write body; the caller holds the stripe's
@@ -2511,153 +2399,97 @@ impl<B: Backend> BlockStore<B> {
         }
     }
 
+    /// The store's one read-modify-write site.
     fn write_block_rmw(&self, st: &ArrayState, addr: usize, data: &[u8]) -> Result<(), StoreError> {
-        let w = st.world.clone();
+        let w = &*st.world;
         let m = w.smap.locate_full(addr);
-        let u = m.unit;
-        let si = m.stripe;
-        let t_slot = m.slot;
+        let (si, t_slot) = (m.stripe, m.slot);
         let shift = (m.copy * w.layout.size()) as u32;
         let units = w.layout.stripes()[si].units();
         let (p_slot, q_slot) = w.smap.parity_slots(si);
-        let p_unit = units[p_slot];
-        let p_alive = !st.failed.contains(p_unit.disk as usize);
-        let q = q_slot.map(|qs| {
-            let qu = units[qs];
-            (qu, !st.failed.contains(qu.disk as usize))
-        });
-        let shifted = |u: StripeUnit| StripeUnit { disk: u.disk, offset: u.offset + shift };
+        // Where the new P and Q go: their live media, a racing
+        // rebuild's spare, or nowhere.
+        let p_at = self.place(st, w.unit(m.copy, si, p_slot), m.copy, si);
+        let q_at = q_slot.and_then(|qs| self.place(st, w.unit(m.copy, si, qs), m.copy, si));
 
-        // A parity (or the target, below) this write cannot place on
-        // its failed disk leaves that disk's medium stale: restoring
-        // it transiently is no longer safe, only a rebuild is. (With
-        // a rebuild racing, the value is *also* written through to
-        // the spare — the true medium is stale either way.)
-        if !p_alive {
-            self.mark_stale(st, p_unit.disk as usize, m.copy, si);
-        }
-        if let Some((q_unit, false)) = q {
-            self.mark_stale(st, q_unit.disk as usize, m.copy, si);
-        }
-
-        if !st.failed.contains(u.disk as usize) {
-            // Target disk alive: delta-update every surviving parity.
+        if !st.failed.contains(m.unit.disk as usize) {
+            // Target disk alive: delta-update every placeable parity.
             // Valid even when *another* stripe member is failed — the
             // invariants stay linear in the deltas. Scratch buffers
-            // stand in for delta/parity staging: zero allocations.
+            // stand in for delta/parity staging: zero allocations. A
+            // spare's copy is updated like a live one: pre-rebuild it
+            // holds arbitrary bytes and the write is harmless (the
+            // rebuild's decode overwrites it, serialized by the stripe
+            // lock); post-rebuild it holds the true old parity and the
+            // delta lands correctly.
+            let t_at = PhysUnit::live(st, m.unit);
             let mut s = self.scratch.get();
             let res = (|| {
-                let Scratch { acc_p: delta, acc_q: par, .. } = &mut s;
-                self.read_phys(st, u, delta)?;
-                xor_slice(delta, data); // delta = old ^ new
-                if p_alive {
-                    let pu = shifted(p_unit);
-                    self.read_phys(st, pu, par)?;
-                    xor_slice(par, delta);
-                    self.write_phys(st, pu, par)?;
-                } else if let Some(spare) = Self::spare_for(st, p_unit.disk as usize) {
-                    // P lives on the disk being rebuilt: delta-update
-                    // its spare copy. Pre-rebuild the spare holds
-                    // arbitrary bytes and this write is harmless (the
-                    // rebuild's decode overwrites it, serialized by
-                    // the stripe lock); post-rebuild it holds the
-                    // true old P and the delta lands correctly.
-                    let pu = shifted(p_unit);
-                    self.read_spare(spare, pu.offset as usize, par)?;
-                    xor_slice(par, delta);
-                    self.write_spare(spare, pu.offset as usize, par)?;
+                let (delta, par) = (s.acc_p.as_mut_slice(), s.acc_q.as_mut_slice());
+                self.read_unit(t_at, delta)?;
+                codec::delta(delta, data);
+                if let Some(at) = p_at {
+                    self.read_unit(at, par)?;
+                    Syndromes { p: Some(&mut *par), q: None }.fold(Role::Data(t_slot), delta);
+                    self.write_unit(at, par)?;
                 }
-                if let Some((q_unit, q_alive)) = q {
-                    let qu = shifted(q_unit);
-                    if q_alive {
-                        self.read_phys(st, qu, par)?;
-                        gf256::mul_add_slice(par, delta, gf256::gen_pow(t_slot));
-                        self.write_phys(st, qu, par)?;
-                    } else if let Some(spare) = Self::spare_for(st, q_unit.disk as usize) {
-                        self.read_spare(spare, qu.offset as usize, par)?;
-                        gf256::mul_add_slice(par, delta, gf256::gen_pow(t_slot));
-                        self.write_spare(spare, qu.offset as usize, par)?;
-                    }
+                if let Some(at) = q_at {
+                    self.read_unit(at, par)?;
+                    Syndromes { p: None, q: Some(&mut *par) }.fold(Role::Data(t_slot), delta);
+                    self.write_unit(at, par)?;
                 }
-                self.write_phys(st, u, data)?;
+                self.write_unit(t_at, data)?;
                 self.dual_write_if_reshaping(st, addr, data)
             })();
             self.scratch.put(s);
             return res;
         }
-        self.mark_stale(st, u.disk as usize, m.copy, si);
 
         // Target disk failed: the new value exists only through the
-        // surviving parity, so recompute P (and Q) over the full data
-        // vector — surviving data units read directly, a second lost
-        // data unit (P+Q only) erasure-decoded first (into its own
-        // scratch, which keeps the value live while a second scratch
-        // accumulates the new parity).
-        let lost_other_data: Option<usize> = units.iter().enumerate().find_map(|(slot, mu)| {
-            (slot != t_slot
-                && slot != p_slot
-                && Some(slot) != q_slot
-                && st.failed.contains(mu.disk as usize))
-            .then_some(slot)
+        // surviving parity — and on the spare, when a rebuild of the
+        // target is racing: written through, an already-reconstructed
+        // unit stays fresh (a not-yet-reconstructed one is re-decoded
+        // to these exact bytes later). Recompute P (and Q) over the
+        // full data vector — surviving data units read directly, a
+        // second lost data unit (P+Q only) erasure-decoded first (into
+        // its own scratch, which keeps the value live while a second
+        // scratch accumulates the new parity).
+        let t_at = self.place(st, m.unit, m.copy, si);
+        let is_data = |slot: usize| !w.smap.is_parity_slot(si, slot);
+        let lost_other_data = (0..units.len()).find(|&slot| {
+            slot != t_slot && is_data(slot) && st.failed.contains(units[slot].disk as usize)
         });
         let mut dec_scratch = self.scratch.get();
         let mut acc_scratch = self.scratch.get();
         let res = (|| {
-            let mut other_buf: Option<DecodedBuf> = None;
-            if let Some(o) = lost_other_data {
-                let solved = self.decode_stripe(st, si, shift, &[], &mut dec_scratch)?;
-                other_buf = Some(
-                    solved
-                        .iter()
-                        .flatten()
-                        .find(|(slot, _)| *slot == o)
-                        .map(|&(_, w)| w)
-                        .ok_or_else(|| {
-                            StoreError::Corrupt(format!("decode of stripe {si} skipped slot {o}"))
-                        })?,
-                );
-            }
+            let other = match lost_other_data {
+                Some(o) => {
+                    let solved = self.decode_stripe(st, si, shift, &[], &mut dec_scratch)?;
+                    Some((o, solved.get(&dec_scratch, o)?))
+                }
+                None => None,
+            };
             let Scratch { acc_p, acc_q, tmp } = &mut acc_scratch;
-            acc_p.copy_from_slice(data);
-            acc_q.fill(0);
-            let is_pq = self.scheme == ParityScheme::PQ;
-            if is_pq {
-                gf256::mul_add_slice(acc_q, data, gf256::gen_pow(t_slot));
-            }
-            for (slot, mu) in units.iter().enumerate() {
-                if slot == t_slot || slot == p_slot || Some(slot) == q_slot {
-                    continue;
-                }
-                let val: &[u8] = if Some(slot) == lost_other_data {
-                    dec_scratch.decoded(other_buf.expect("decoded above"))
-                } else {
-                    self.read_phys(st, shifted(*mu), tmp)?;
-                    tmp
+            let mut syn = Syndromes::zeroed(acc_p, q_slot.map(|_| acc_q.as_mut_slice()));
+            syn.fold(Role::Data(t_slot), data);
+            for slot in (0..units.len()).filter(|&slot| slot != t_slot && is_data(slot)) {
+                let val: &[u8] = match other {
+                    Some((o, decoded)) if o == slot => decoded,
+                    _ => {
+                        self.read_unit(PhysUnit::live(st, w.unit(m.copy, si, slot)), tmp)?;
+                        tmp
+                    }
                 };
-                xor_slice(acc_p, val);
-                if is_pq {
-                    gf256::mul_add_slice(acc_q, val, gf256::gen_pow(slot));
-                }
+                syn.fold(Role::Data(slot), val);
             }
-            if p_alive {
-                self.write_phys(st, shifted(p_unit), acc_p)?;
-            } else if let Some(spare) = Self::spare_for(st, p_unit.disk as usize) {
-                self.write_spare(spare, shifted(p_unit).offset as usize, acc_p)?;
+            if let Some(at) = p_at {
+                self.write_unit(at, acc_p)?;
             }
-            if let Some((q_unit, q_alive)) = q {
-                if q_alive {
-                    self.write_phys(st, shifted(q_unit), acc_q)?;
-                } else if let Some(spare) = Self::spare_for(st, q_unit.disk as usize) {
-                    self.write_spare(spare, shifted(q_unit).offset as usize, acc_q)?;
-                }
+            if let Some(at) = q_at {
+                self.write_unit(at, acc_q)?;
             }
-            // The target's new value exists only through parity — and
-            // on the spare, when a rebuild of the target is racing:
-            // write it through so an already-reconstructed unit stays
-            // fresh (a not-yet-reconstructed one is re-decoded to
-            // these exact bytes later).
-            if let Some(spare) = Self::spare_for(st, u.disk as usize) {
-                self.write_spare(spare, u.offset as usize, data)?;
+            if let Some(at) = t_at {
+                self.write_unit(at, data)?;
             }
             self.dual_write_if_reshaping(st, addr, data)
         })();
@@ -2826,25 +2658,22 @@ impl<B: Backend> BlockStore<B> {
         if n == 1 {
             return self.read_block(start, buf);
         }
-        let st = self.state_read();
         // The batch records one `Read` span; blocks served by stripe
         // decode move their units to `DegradedRead` at the end.
-        let t = self.metrics.begin(OpKind::Read, self.events.active());
-        // Fed under every policy — see `read_block`.
-        if t.mix_due {
-            self.metrics.note_mix(true);
-        }
-        self.events.emit(|| {
-            let m = st.world.smap.locate_full(start);
-            Event::OpBegin {
-                kind: OpKind::Read,
-                addr: start as u64,
-                blocks: n as u32,
-                stripe: m.stripe as u32,
-                disk: m.unit.disk,
-            }
-        });
+        self.client_op(self.state_read(), OpKind::Read, start, n, |st, _| {
+            self.read_blocks_locked(st, start, buf)
+        })
+    }
 
+    /// The body of [`BlockStore::read_blocks`] under the state guard;
+    /// returns how many blocks were served by stripe decode.
+    fn read_blocks_locked(
+        &self,
+        st: &ArrayState,
+        start: usize,
+        buf: &mut [u8],
+    ) -> Result<u64, StoreError> {
+        let us = self.unit_size;
         // Disjoint per-block views of `buf`, consumed as the cache
         // probe, the coalesced runs, and the decodes claim them.
         let mut chunks: Vec<Option<&mut [u8]>> = buf.chunks_mut(us).map(Some).collect();
@@ -2865,7 +2694,7 @@ impl<B: Backend> BlockStore<B> {
             let addr = start + i;
             let m = st.world.smap.locate_full(addr);
             if check_cache {
-                let (shard, key, j, _) = self.cache_coords(&st, &m, addr);
+                let (shard, key, j, _) = self.cache_coords(st, &m, addr);
                 let chunk = slot.as_mut().expect("unclaimed block");
                 if self.cache.read_into(shard, key, j, chunk) {
                     *slot = None;
@@ -2883,7 +2712,7 @@ impl<B: Backend> BlockStore<B> {
             }
         }
 
-        self.read_healthy_runs(&st, start, &mut by_disk, unsorted, &mut chunks)?;
+        self.read_healthy_runs(st, start, &mut by_disk, unsorted, &mut chunks)?;
 
         // Degraded blocks, grouped by (copy, stripe): consecutive lost
         // addresses of one stripe are adjacent in address order, so a
@@ -2911,7 +2740,7 @@ impl<B: Backend> BlockStore<B> {
                     let _guards = self.locks.lock_sorted_shared(&shards);
                     (|| {
                         let mut decoded_key: Option<(usize, usize)> = None;
-                        let mut solved: Decoded = [None, None];
+                        let mut solved = Decoded::default();
                         for &(bi, addr) in &degraded {
                             if chunks[bi].is_none() {
                                 continue;
@@ -2920,24 +2749,11 @@ impl<B: Backend> BlockStore<B> {
                             let copy = st.world.smap.copy_of(addr);
                             if decoded_key != Some((copy, si)) {
                                 let shift = (copy * st.world.layout.size()) as u32;
-                                solved = self.decode_stripe(&st, si, shift, &[], &mut scratch)?;
+                                solved = self.decode_stripe(st, si, shift, &[], &mut scratch)?;
                                 decoded_key = Some((copy, si));
                             }
-                            let slot = st.world.smap.slot_of(addr);
-                            let which = solved
-                                .iter()
-                                .flatten()
-                                .find(|(s, _)| *s == slot)
-                                .map(|&(_, w)| w)
-                                .ok_or_else(|| {
-                                    StoreError::Corrupt(format!(
-                                        "decode of stripe {si} skipped slot {slot}"
-                                    ))
-                                })?;
-                            chunks[bi]
-                                .take()
-                                .expect("block decoded once")
-                                .copy_from_slice(scratch.decoded(which));
+                            let decoded = solved.get(&scratch, st.world.smap.slot_of(addr))?;
+                            chunks[bi].take().expect("block decoded once").copy_from_slice(decoded);
                         }
                         Ok(())
                     })()
@@ -2946,21 +2762,13 @@ impl<B: Backend> BlockStore<B> {
                     Err(StoreError::ChecksumMismatch { .. }) if attempt == 0 => {
                         attempt = 1;
                         let mut seen: Option<(usize, usize)> = None;
-                        let mut rep: Result<(), StoreError> = Ok(());
-                        for &(_, addr) in &degraded {
-                            let copy = st.world.smap.copy_of(addr);
-                            let si = st.world.smap.stripe_of(addr);
-                            if seen == Some((copy, si)) {
-                                continue;
+                        let rep = degraded.iter().try_for_each(|&(_, addr)| {
+                            let key = (st.world.smap.copy_of(addr), st.world.smap.stripe_of(addr));
+                            if seen.replace(key) == Some(key) {
+                                return Ok(());
                             }
-                            seen = Some((copy, si));
-                            let shard = self.locks.shard_of(copy, si);
-                            let (_g, _) = self.locks.lock_one_counting(shard);
-                            if let Err(e) = self.repair_stripe_locked(&st, copy, si) {
-                                rep = Err(e);
-                                break;
-                            }
-                        }
+                            self.repair_addr(st, addr)
+                        });
                         if let Err(e) = rep {
                             break Err(e);
                         }
@@ -2971,20 +2779,7 @@ impl<B: Backend> BlockStore<B> {
             self.scratch.put(scratch);
             res?;
         }
-        let n_degraded = degraded.len() as u64;
-        let ns = self.metrics.finish(t, n as u64 - n_degraded).unwrap_or(0);
-        self.metrics.add_units(OpKind::DegradedRead, n_degraded);
-        self.events.emit(|| Event::OpEnd {
-            kind: OpKind::Read,
-            addr: start as u64,
-            blocks: n as u32,
-            ns,
-        });
-        drop(st);
-        if self.integrity.health.has_pending() {
-            self.apply_pending_health();
-        }
-        Ok(())
+        Ok(degraded.len() as u64)
     }
 
     /// Writes consecutive logical blocks starting at `start`,
@@ -3027,8 +2822,26 @@ impl<B: Backend> BlockStore<B> {
             }
             return Ok(());
         }
-        let w = st.world.clone();
+        // Batch-level kind: any failure in the array classes the whole
+        // batch degraded (per-stripe classification would walk every
+        // stripe's members before any byte moves).
+        let kind = if st.failed.is_empty() { OpKind::Write } else { OpKind::DegradedWrite };
+        self.client_op(st, kind, start, n, |st, _| {
+            self.write_blocks_locked(st, start, data)?;
+            Ok(0)
+        })
+    }
+
+    /// The body of [`BlockStore::write_blocks`] under the state guard.
+    fn write_blocks_locked(
+        &self,
+        st: &ArrayState,
+        start: usize,
+        data: &[u8],
+    ) -> Result<(), StoreError> {
+        let w = &*st.world;
         let per_copy = w.smap.data_units_per_copy();
+        let n = data.len() / self.unit_size;
         // Phase one of two-phase locking: the full shard set of every
         // stripe the batch will touch, ascending, before any byte
         // moves. Stripe data ranges are contiguous in address space,
@@ -3045,25 +2858,6 @@ impl<B: Backend> BlockStore<B> {
         let stripe_count = shards.len();
         sort_shard_set(&mut shards);
         let wb = self.cache.is_write_back();
-        // Batch-level kind: any failure in the array classes the whole
-        // batch degraded (per-stripe classification would walk every
-        // stripe's members before any byte moves).
-        let kind = if st.failed.is_empty() { OpKind::Write } else { OpKind::DegradedWrite };
-        let t = self.metrics.begin(kind, self.events.active());
-        // Fed under every policy — see `read_block`.
-        if t.mix_due {
-            self.metrics.note_mix(false);
-        }
-        self.events.emit(|| {
-            let m = w.smap.locate_full(start);
-            Event::OpBegin {
-                kind,
-                addr: start as u64,
-                blocks: n as u32,
-                stripe: m.stripe as u32,
-                disk: m.unit.disk,
-            }
-        });
         {
             let _guards = self.locks.lock_sorted(&shards);
             // Loaded *after* the batch's shard locks are held: a
@@ -3122,13 +2916,10 @@ impl<B: Backend> BlockStore<B> {
                             stripe_key(m.copy, m.stripe),
                         ));
                     }
-                    self.plan_full_stripe(
-                        &st,
-                        addr,
-                        &data[i * self.unit_size..(i + k_data) * self.unit_size],
-                        i,
-                        &mut plan,
-                    )?;
+                    let stripe_data = &data[i * self.unit_size..(i + k_data) * self.unit_size];
+                    self.plan_stripe(w, addr, stripe_data, i, &mut plan, |u| {
+                        self.place(st, u, m.copy, m.stripe)
+                    });
                     i += k_data;
                     planned_stripes += 1;
                     if planned_stripes >= window {
@@ -3144,7 +2935,7 @@ impl<B: Backend> BlockStore<B> {
                     // Partial stripe under write-back: defer the RMW
                     // into the stripe cache (zero backend I/O here).
                     let shard = self.locks.shard_of(m.copy, m.stripe);
-                    let (_, key, j, k_data) = self.cache_coords(&st, &m, addr);
+                    let (_, key, j, k_data) = self.cache_coords(st, &m, addr);
                     self.cache.write(
                         shard,
                         key,
@@ -3155,7 +2946,7 @@ impl<B: Backend> BlockStore<B> {
                     i += 1;
                 } else {
                     self.write_block_locked(
-                        &st,
+                        st,
                         addr,
                         &data[i * self.unit_size..(i + 1) * self.unit_size],
                     )?;
@@ -3170,109 +2961,67 @@ impl<B: Backend> BlockStore<B> {
         // Eviction after the batch's shard locks are released (one
         // victim shard at a time — see `evict_over_limit`).
         if wb {
-            self.evict_over_limit(&st)?;
-        }
-        let ns = self.metrics.finish(t, n as u64).unwrap_or(0);
-        self.events.emit(|| Event::OpEnd { kind, addr: start as u64, blocks: n as u32, ns });
-        drop(st);
-        if self.integrity.health.has_pending() {
-            self.apply_pending_health();
+            self.evict_over_limit(st)?;
         }
         Ok(())
     }
 
-    /// Computes parity for one fully-covered stripe (addresses `start
-    /// .. start + k_data`, verified by the caller) and appends its
-    /// unit writes — no reads — to the deferred plan. `base` is the
-    /// block index of `stripe_data` within the caller's full buffer.
-    fn plan_full_stripe(
+    /// The one stripe planner. Plans a fully covered stripe of
+    /// `world` — logical addresses `start .. start + k_data` (verified
+    /// by the caller), whose new bytes are `stripe_data` — into the
+    /// deferred plan: parity computed fresh, no reads, one unit write
+    /// for every unit `place` resolves (it is handed each unit with
+    /// its copy's row shift applied). `base` is the block index of
+    /// `stripe_data` within the buffer the plan is flushed against.
+    /// Returns the unit writes planned.
+    pub(crate) fn plan_stripe(
         &self,
-        st: &ArrayState,
+        world: &World,
         start: usize,
         stripe_data: &[u8],
         base: usize,
         plan: &mut WritePlan,
-    ) -> Result<(), StoreError> {
+        mut place: impl FnMut(StripeUnit) -> Option<PhysUnit>,
+    ) -> usize {
         let us = self.unit_size;
-        let w = st.world.clone();
-        let head = w.smap.locate_full(start);
-        let (si, copy) = (head.stripe, head.copy);
-        let shift = (copy * w.layout.size()) as u32;
-        let units = w.layout.stripes()[si].units();
-        let (p_slot, q_slot) = w.smap.parity_slots(si);
-        let is_pq = self.scheme == ParityScheme::PQ;
+        let head = world.smap.locate_full(start);
+        let (copy, si) = (head.copy, head.stripe);
+        let (p_slot, q_slot) = world.smap.parity_slots(si);
         // Parity accumulates directly in the plan's staging area — no
         // scratch round trip, no copy. Destructured so the parity
         // borrow and the bucket pushes coexist. P is *copy*-initialized
-        // from the first data unit (then XORs the rest), which saves a
+        // from the first data unit (then folds the rest), which saves a
         // zero-fill plus one accumulation pass per stripe; Q has no
         // such shortcut (its first term is already coefficient-scaled).
         let WritePlan { by_disk, parity, unsorted } = plan;
         let p_idx = parity.len() / us;
         parity.extend_from_slice(&stripe_data[..us]);
-        if is_pq {
+        if q_slot.is_some() {
             parity.resize((p_idx + 2) * us, 0);
         }
         let (acc_p, acc_q) = parity[p_idx * us..].split_at_mut(us);
-        let mut push = |disk: usize, offset: u32, src: WriteSrc| {
-            let bucket = &mut by_disk[disk];
+        let mut planned = 0usize;
+        let mut push = |u: StripeUnit, src: WriteSrc| {
+            let Some(at) = place(u) else { return };
+            let (bucket, offset) = (&mut by_disk[at.disk], at.offset as u32);
             if bucket.last().is_some_and(|&(last, _)| offset < last) {
                 *unsorted = true;
             }
             bucket.push((offset, src));
+            planned += 1;
         };
-        // Hoisted failure gate: on a healthy array (the overwhelmingly
-        // common case) none of the per-unit failed-set probes below
-        // run at all.
-        let any_failed = !st.failed.is_empty();
         for (j, chunk) in stripe_data.chunks_exact(us).enumerate() {
-            let m = w.smap.locate_full(start + j);
+            let m = world.smap.locate_full(start + j);
             debug_assert_eq!(m.stripe, si);
-            if j > 0 {
-                xor_slice(acc_p, chunk);
-            }
-            if is_pq {
-                gf256::mul_add_slice(acc_q, chunk, gf256::gen_pow(m.slot));
-            }
-            let u = m.unit;
-            if any_failed && st.failed.contains(u.disk as usize) {
-                // The lost unit's content is encoded in the new parity;
-                // nothing to write on the failed disk, whose medium is
-                // now stale (rebuild-only). With a rebuild racing, the
-                // fresh value goes to the spare instead.
-                self.mark_stale(st, u.disk as usize, copy, si);
-                if let Some(spare) = Self::spare_for(st, u.disk as usize) {
-                    push(spare, u.offset, WriteSrc::data(base + j));
-                }
-                continue;
-            }
-            push(st.redirect[u.disk as usize], u.offset, WriteSrc::data(base + j));
+            let (p, q) = ((j > 0).then_some(&mut *acc_p), q_slot.is_some().then_some(&mut *acc_q));
+            Syndromes { p, q }.fold(Role::Data(m.slot), chunk);
+            push(m.unit, WriteSrc::data(base + j));
         }
-        let p_unit = units[p_slot];
-        if any_failed && st.failed.contains(p_unit.disk as usize) {
-            self.mark_stale(st, p_unit.disk as usize, copy, si);
-            if let Some(spare) = Self::spare_for(st, p_unit.disk as usize) {
-                push(spare, p_unit.offset + shift, WriteSrc::parity(p_idx));
-            }
-        } else {
-            push(st.redirect[p_unit.disk as usize], p_unit.offset + shift, WriteSrc::parity(p_idx));
-        }
+        push(world.unit(copy, si, p_slot), WriteSrc::parity(p_idx));
         if let Some(qs) = q_slot {
-            let q_unit = units[qs];
-            if any_failed && st.failed.contains(q_unit.disk as usize) {
-                self.mark_stale(st, q_unit.disk as usize, copy, si);
-                if let Some(spare) = Self::spare_for(st, q_unit.disk as usize) {
-                    push(spare, q_unit.offset + shift, WriteSrc::parity(p_idx + 1));
-                }
-            } else {
-                push(
-                    st.redirect[q_unit.disk as usize],
-                    q_unit.offset + shift,
-                    WriteSrc::parity(p_idx + 1),
-                );
-            }
+            push(world.unit(copy, si, qs), WriteSrc::parity(p_idx + 1));
         }
-        Ok(())
+        planned
     }
 
     /// Walks the deferred unit writes disk by disk, coalescing
@@ -3386,39 +3135,32 @@ impl<B: Backend> BlockStore<B> {
         // no backend byte until their combined flush — but verifying
         // flushed bytes is the stronger statement.)
         self.flush_cache_locked(&st)?;
-        let w = st.world.clone();
+        let w = &*st.world;
         let size = w.layout.size();
         let is_pq = self.scheme == ParityScheme::PQ;
-        let mut acc_p = vec![0u8; self.unit_size];
-        let mut acc_q = vec![0u8; self.unit_size];
-        let mut tmp = vec![0u8; self.unit_size];
+        let Scratch { mut acc_p, mut acc_q, mut tmp } = Scratch::new(self.unit_size);
         for copy in 0..w.copies {
             let shift = (copy * size) as u32;
             for (si, stripe) in w.layout.stripes().iter().enumerate() {
                 let _g = self.locks.lock_one_shared(self.locks.shard_of(copy, si));
                 let (p_slot, q_slot) = w.smap.parity_slots(si);
-                acc_p.fill(0);
-                acc_q.fill(0);
+                let mut syn = Syndromes::zeroed(&mut acc_p, is_pq.then_some(&mut acc_q));
                 for (slot, u) in stripe.units().iter().enumerate() {
-                    let phys = StripeUnit { disk: u.disk, offset: u.offset + shift };
+                    let u = StripeUnit { disk: u.disk, offset: u.offset + shift };
                     // Raw read: this scan checks the parity equations
                     // themselves, so a corrupt unit should surface as
                     // the named `ParityMismatch`, not a checksum error
                     // (scrub is the checksum-aware repair pass).
-                    self.read_phys_raw(&st, phys, &mut tmp)?;
-                    if Some(slot) == q_slot {
-                        xor_slice(&mut acc_q, &tmp);
-                    } else {
-                        xor_slice(&mut acc_p, &tmp);
-                        if is_pq && slot != p_slot {
-                            gf256::mul_add_slice(&mut acc_q, &tmp, gf256::gen_pow(slot));
-                        }
-                    }
+                    self.read_unit(
+                        PhysUnit { checked: false, ..PhysUnit::live(&st, u) },
+                        &mut tmp,
+                    )?;
+                    syn.fold(Role::of(slot, p_slot, q_slot), &tmp);
                 }
-                if acc_p.iter().any(|&b| b != 0) {
+                if !codec::is_zero(&acc_p) {
                     return Err(StoreError::ParityMismatch { stripe: si, copy, parity: "P (XOR)" });
                 }
-                if is_pq && acc_q.iter().any(|&b| b != 0) {
+                if is_pq && !codec::is_zero(&acc_q) {
                     return Err(StoreError::ParityMismatch {
                         stripe: si,
                         copy,
@@ -3471,51 +3213,5 @@ mod tests {
         let mut s = vec![5, 1, 5, 3, 1];
         sort_shard_set(&mut s);
         assert_eq!(s, [1, 3, 5]);
-    }
-
-    /// A single erasure on a P+Q stripe reads every survivor (Q
-    /// included) but builds the Q syndrome only when the lost unit is
-    /// Q: for any other slot the Q accumulator is left alone.
-    #[test]
-    fn single_erasure_decode_builds_q_only_for_lost_q() {
-        const UNIT: usize = 40;
-        const POISON: u8 = 0xa5;
-        let dp =
-            DoubleParityLayout::new(pdl_core::RingLayout::for_v_k(9, 4).layout().clone()).unwrap();
-        let backend = crate::MemBackend::new(9, dp.layout().size(), UNIT);
-        let store = BlockStore::new_pq(dp, backend).unwrap();
-        let mut block = vec![0u8; UNIT];
-        for addr in 0..store.blocks() {
-            fill_pattern(addr, 7, &mut block);
-            store.write_block(addr, &block).unwrap();
-        }
-        let st = store.state_read();
-        let mut scratch = Scratch::new(UNIT);
-        let mut want = vec![0u8; UNIT];
-        for (si, stripe) in st.world.layout.stripes().iter().enumerate() {
-            let (_, q_slot) = st.world.smap.parity_slots(si);
-            for (slot, lost) in stripe.units().iter().enumerate() {
-                scratch.acc_q.fill(POISON);
-                let mut reads = 0;
-                let solved = store
-                    .decode_stripe_with(&st, si, 0, &[slot], &mut scratch, |u, buf| {
-                        reads += 1;
-                        store.backend.read_unit(u.disk as usize, u.offset as usize, buf)
-                    })
-                    .unwrap();
-                assert_eq!(reads, stripe.units().len() - 1, "every survivor read once");
-                let [Some((got_slot, which)), None] = solved else {
-                    panic!("stripe {si} slot {slot}: expected one decoded unit")
-                };
-                assert_eq!(got_slot, slot);
-                store
-                    .backend
-                    .read_unit(lost.disk as usize, lost.offset as usize, &mut want)
-                    .unwrap();
-                assert_eq!(scratch.decoded(which), &want[..], "stripe {si} slot {slot}");
-                let q_untouched = scratch.acc_q.iter().all(|&b| b == POISON);
-                assert_eq!(q_untouched, Some(slot) != q_slot, "stripe {si} slot {slot}");
-            }
-        }
     }
 }

@@ -13,7 +13,7 @@
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
     fill_pattern, open_file_store, Backend, BlockStore, Event, EventSink, FaultConfig,
-    FaultyBackend, MemBackend, Rebuilder, ScrubConfig, StoreError,
+    FaultyBackend, MemBackend, Rebuilder, RetryPolicy, ScrubConfig, StoreError,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -336,4 +336,29 @@ fn health_monitor_auto_fails_decaying_disk_and_rebuild_recovers() {
     let report = store.scrub(&ScrubConfig::default()).unwrap();
     assert_eq!(report.checksum_repairs, 0, "rebuilt data carries fresh checksums");
     store.verify_parity().unwrap();
+}
+
+/// Auto-fail lands after a *failed* call too: a multi-block read whose
+/// hard error crosses the health threshold returns `Err`, and the
+/// disk is already out of service when it does — so the very next
+/// call is served degraded instead of erroring again.
+#[test]
+fn failed_batch_call_still_applies_auto_fail() {
+    let store = xor_store(FaultConfig::quiet(SEED));
+    fill(&store, SEED);
+    store.set_retry_policy(RetryPolicy { max_retries: 0, backoff_us: 0 });
+    store.set_health_threshold(1);
+    // The batch's runs go out in physical-disk order: the injected
+    // error hits the lower of the two disks the blocks live on.
+    let hit = (0..2).map(|addr| store.stripe_map().locate(addr).disk as usize).min().unwrap();
+    let mut got = vec![0u8; 2 * UNIT];
+    store.backend().fail_next(1);
+    assert!(store.read_blocks(0, &mut got).is_err(), "no retries: the transient is a hard error");
+    assert_eq!(store.failed_disks().as_slice(), [hit], "auto-fail applied on the failing exit");
+    store.read_blocks(0, &mut got).expect("the same read is served degraded");
+    let mut want = vec![0u8; UNIT];
+    for (addr, chunk) in got.chunks_exact(UNIT).enumerate() {
+        fill_pattern(addr, SEED, &mut want);
+        assert_eq!(chunk, &want[..], "block {addr} decodes bit-exact");
+    }
 }

@@ -9,8 +9,9 @@
 
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
-    create_file_store, fill_pattern, open_file_store, Backend, BlockStore, FileBackend, MemBackend,
-    Rebuilder, ReshapeOptions, ScrubConfig, StoreError, StoreMeta, META_FILE,
+    create_file_store, fill_pattern, open_file_store, Backend, BlockStore, CachePolicy,
+    FaultConfig, FaultyBackend, FileBackend, MemBackend, Rebuilder, ReshapeOptions, ScrubConfig,
+    StoreError, StoreMeta, META_FILE,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -215,6 +216,30 @@ fn racing_add_differential_xor_mem() {
         racing_differential(&store, threads, 0xadd0 + i as u64, Dir::Add(1));
         assert_eq!(store.v(), 6);
     }
+    // One more racing writer: its dual write into the target world
+    // meets a transient backend error. Under write-back the source
+    // write is cached, so the target-world mirror is the first backend
+    // call — and it is retried like every other path's.
+    let layout = RingLayout::for_v_k(5, 3).layout().clone();
+    let mem = MemBackend::new(5 + 2, 2 * layout.size(), UNIT);
+    let store = BlockStore::new(layout, FaultyBackend::new(mem, FaultConfig::quiet(7))).unwrap();
+    prefill(&store, 7);
+    let blocks = store.blocks();
+    store.set_cache_policy(CachePolicy::write_back()).unwrap();
+    store.begin_add_disks(&[5]).unwrap();
+    let block = vec![0x5a; UNIT];
+    store.backend().fail_next(1);
+    store.write_block(3, &block).expect("a transient during the dual write is absorbed");
+    assert_eq!(store.backend().injected_transients(), 1);
+    assert_eq!(store.stats().integrity.transient_retries, 1);
+    store.finish_reshape().unwrap();
+    let (mut got, mut want) = (vec![0u8; UNIT], vec![0u8; UNIT]);
+    for addr in 0..blocks {
+        store.read_block(addr, &mut got).unwrap();
+        fill_pattern(addr, 7, &mut want);
+        assert_eq!(&got, if addr == 3 { &block } else { &want }, "block {addr} after the reshape");
+    }
+    store.verify_parity().unwrap();
 }
 
 #[test]
