@@ -2,128 +2,11 @@
 //! small parameters, runs in seconds. The full experiment binaries
 //! (fig*/table*/sim*/claim*) sweep far wider; this is the smoke check.
 
-use pdl_algebra::nt::gcd;
-use pdl_core::{
-    copies_for_perfect_parity, parity_counts, raid5_layout, single_copy_layout, stairway_layout,
-    DoubleParityLayout, QualityReport, RingLayout, SparedLayout, StairwayParams, StripePartition,
-};
-use pdl_design::{
-    bibd_min_blocks, steiner_triple_system, theorem4_design, theorem5_design, theorem6_design,
-    RingDesign,
-};
-use pdl_sim::{rebuild_reads_match_layout, simulate_rebuild, RebuildTarget};
-
-fn check(name: &str, ok: bool) {
-    assert!(ok, "FAILED: {name}");
-    println!("  ok  {name}");
-}
-
 fn main() {
     println!("condensed verification of every paper claim:\n");
-
-    // Section 2
-    let d = RingDesign::for_v_k(9, 4).to_block_design().verify_bibd().unwrap();
-    check(
-        "Thm 1: ring design is BIBD(b=v(v-1), r=k(v-1), λ=k(k-1))",
-        (d.b, d.r, d.lambda) == (72, 32, 12),
-    );
-    check(
-        "Thm 2: k ≤ M(v) characterization",
-        pdl_design::ring_design_exists(12, 3) && !pdl_design::ring_design_exists(12, 4),
-    );
-    check(
-        "Thm 4: b = v(v-1)/gcd(v-1,k-1)",
-        theorem4_design(13, 5).params.b == 13 * 12 / gcd(12, 4) as usize,
-    );
-    check("Thm 5: b = v(v-1)/gcd(v-1,k)", theorem5_design(13, 4).params.b == 39);
-    let t6 = theorem6_design(16, 4).params;
-    check("Thm 6: λ=1 subfield design", t6.lambda == 1 && t6.b == 20);
-    check("Thm 7: Theorem 6 is optimally small", t6.b as u64 == bibd_min_blocks(16, 4));
-    check(
-        "Steiner (Bose/Skolem): λ=1 for k=3 at composite v",
-        steiner_triple_system(15).params.lambda == 1,
-    );
-
-    // Section 3
-    let rl = RingLayout::for_v_k(9, 4);
-    let q = QualityReport::measure(rl.layout());
-    check(
-        "ring layout: size k(v-1), perfect balance",
-        rl.layout().size() == 32 && q.parity_balanced() && q.reconstruction_balanced(),
-    );
-    let q8 = QualityReport::measure(&rl.remove_disk(0));
-    check(
-        "Thm 8: removal keeps perfect balance at v parity units/disk",
-        q8.parity_units == (9, 9) && q8.reconstruction_balanced(),
-    );
-    let l9 = RingLayout::for_v_k(11, 5).remove_disks(&[1, 7]).unwrap();
-    let c9 = parity_counts(&l9);
-    check(
-        "Thm 9: i-removal bounds parity within one",
-        c9.iter().max().unwrap() - c9.iter().min().unwrap() <= 1,
-    );
-    let p10 = StairwayParams::solve(8, 9).unwrap();
-    let s10 = stairway_layout(&RingDesign::for_v_k(8, 3), 9).unwrap();
-    let q10 = QualityReport::measure(&s10);
-    check(
-        "Thm 10: stairway v=q+1 exact metrics",
-        s10.size() == p10.size(3)
-            && q10.parity_balanced()
-            && (q10.reconstruction_workload.1 - 2.0 / 8.0).abs() < 1e-12,
-    );
-    let s12 = stairway_layout(&RingDesign::for_v_k(9, 4), 13).unwrap();
-    let p12 = StairwayParams::solve(9, 13).unwrap();
-    let q12 = QualityReport::measure(&s12);
-    let (olo, ohi) = p12.parity_overhead_bounds(4);
-    check(
-        "Thm 12: wide-step stairway within overhead bounds",
-        q12.parity_overhead.0 >= olo - 1e-9 && q12.parity_overhead.1 <= ohi + 1e-9,
-    );
-    check(
-        "§3.2: stairway params exist (sampled)",
-        (3..500).all(|v| pdl_core::stairway_params_exist(v).is_some()),
-    );
-
-    // Section 4
-    let single = single_copy_layout(&theorem6_design(9, 3).design, 0);
-    let balanced = StripePartition::from_layout(&single).assign_parity().unwrap();
-    let cb = parity_counts(&balanced);
-    check(
-        "Thm 13/14: flow gives ⌊L⌋/⌈L⌉ parity per disk",
-        cb.iter().max().unwrap() - cb.iter().min().unwrap() <= 1,
-    );
-    check("Cor 17: lcm(b,v)/b replication", copies_for_perfect_parity(12, 9) == 3);
-    let two = StripePartition::from_layout(&single).assign_parity_two_phase().unwrap();
-    let ct = parity_counts(&two);
-    check(
-        "Thm 13 (paper's two-phase G′ variant) agrees",
-        ct.iter().max().unwrap() - ct.iter().min().unwrap() <= 1,
-    );
-
-    // Section 5 (simulator + extensions)
-    let res = simulate_rebuild(rl.layout(), 0, RebuildTarget::ReadOnly, 1);
-    check(
-        "simulator: rebuild reads exactly the layout's crossing units",
-        rebuild_reads_match_layout(rl.layout(), 0, &res),
-    );
-    let r5 = raid5_layout(9, 32);
-    let res5 = simulate_rebuild(&r5, 0, RebuildTarget::ReadOnly, 1);
-    check(
-        "declustered rebuilds faster than RAID5 (same geometry)",
-        res.rebuild_finished_at.unwrap() < res5.rebuild_finished_at.unwrap(),
-    );
-    let spared = SparedLayout::new(rl.layout().clone()).unwrap();
-    let sc = spared.spare_counts();
-    check(
-        "distributed sparing balanced within one",
-        sc.iter().max().unwrap() - sc.iter().min().unwrap() <= 1,
-    );
-    let dp = DoubleParityLayout::new(rl.layout().clone()).unwrap();
-    let dc = dp.parity_counts();
-    check(
-        "double parity (generalized Thm 14) balanced within one",
-        dc.iter().max().unwrap() - dc.iter().min().unwrap() <= 1,
-    );
-
+    for (name, ok) in pdl_bench::verify_all() {
+        assert!(ok, "FAILED: {name}");
+        println!("  ok  {name}");
+    }
     println!("\nall condensed checks passed.");
 }

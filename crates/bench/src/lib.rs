@@ -3,10 +3,21 @@
 //! Experiment binaries and criterion benches that regenerate every
 //! figure and table of the paper (see `DESIGN.md` §5 for the index and
 //! `EXPERIMENTS.md` for recorded results). The library portion holds
-//! shared table-formatting helpers used by the binaries.
+//! shared table-formatting helpers used by the binaries and the
+//! condensed claim checks ([`verify_all`]).
 
 #![warn(missing_docs)]
 
+use pdl_algebra::nt::gcd;
+use pdl_core::{
+    copies_for_perfect_parity, parity_counts, raid5_layout, single_copy_layout, stairway_layout,
+    DoubleParityLayout, QualityReport, RingLayout, SparedLayout, StairwayParams, StripePartition,
+};
+use pdl_design::{
+    bibd_min_blocks, steiner_triple_system, theorem4_design, theorem5_design, theorem6_design,
+    RingDesign,
+};
+use pdl_sim::{rebuild_reads_match_layout, simulate_rebuild, RebuildTarget};
 use std::fmt::Display;
 
 /// Prints a fixed-width table row.
@@ -42,310 +53,132 @@ pub fn bound_check(measured: (f64, f64), expected: (f64, f64)) -> &'static str {
     }
 }
 
-/// One `results` row of a `BENCH_store.json` artifact.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchRow {
-    /// Backend label (`mem`, `mem_raw`, `file`, …).
-    pub backend: String,
-    /// Workload label (`seq_read_vectored`, `concurrent_read`, …).
-    pub workload: String,
-    /// Measured throughput.
-    pub mb_per_s: f64,
-    /// Client threads, when the row came from the thread-scaling
-    /// section (`None` for the single-thread results array).
-    pub threads: Option<usize>,
-}
+/// The condensed verification gate: one check per paper claim (Thm 1
+/// → Cor 17, the simulator, sparing, double parity) at small
+/// parameters, as `(claim, holds)` pairs. The `verify_all` binary
+/// prints the list; this crate's test suite asserts every entry. The
+/// full experiment binaries (fig*/table*/sim*/claim*) sweep far wider.
+pub fn verify_all() -> Vec<(&'static str, bool)> {
+    let mut checks = Vec::new();
 
-/// Extracts one `"key": value` field from a JSON result line. The
-/// BENCH artifacts are machine-written one-object-per-line, so this
-/// stays a deliberate line-oriented parser (the vendored serde_json
-/// stand-in has no dynamic `Value` to lean on).
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\": ");
-    let at = line.find(&tag)? + tag.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"'))
-}
+    // Section 2
+    let d = RingDesign::for_v_k(9, 4).to_block_design().verify_bibd().unwrap();
+    checks.push((
+        "Thm 1: ring design is BIBD(b=v(v-1), r=k(v-1), λ=k(k-1))",
+        (d.b, d.r, d.lambda) == (72, 32, 12),
+    ));
+    checks.push((
+        "Thm 2: k ≤ M(v) characterization",
+        pdl_design::ring_design_exists(12, 3) && !pdl_design::ring_design_exists(12, 4),
+    ));
+    checks.push((
+        "Thm 4: b = v(v-1)/gcd(v-1,k-1)",
+        theorem4_design(13, 5).params.b == 13 * 12 / gcd(12, 4) as usize,
+    ));
+    checks.push(("Thm 5: b = v(v-1)/gcd(v-1,k)", theorem5_design(13, 4).params.b == 39));
+    let t6 = theorem6_design(16, 4).params;
+    checks.push(("Thm 6: λ=1 subfield design", t6.lambda == 1 && t6.b == 20));
+    checks.push(("Thm 7: Theorem 6 is optimally small", t6.b as u64 == bibd_min_blocks(16, 4)));
+    checks.push((
+        "Steiner (Bose/Skolem): λ=1 for k=3 at composite v",
+        steiner_triple_system(15).params.lambda == 1,
+    ));
 
-/// Parses every result row (main results *and* thread-scaling) out of
-/// a `BENCH_store.json` artifact.
-pub fn parse_bench_rows(json: &str) -> Vec<BenchRow> {
-    json.lines()
-        .filter_map(|line| {
-            let backend = field(line, "backend")?.to_string();
-            let workload = field(line, "workload")?.to_string();
-            let mb_per_s = field(line, "mb_per_s")?.parse().ok()?;
-            let threads = field(line, "threads").and_then(|t| t.parse().ok());
-            Some(BenchRow { backend, workload, mb_per_s, threads })
-        })
-        .collect()
-}
+    // Section 3
+    let rl = RingLayout::for_v_k(9, 4);
+    let q = QualityReport::measure(rl.layout());
+    checks.push((
+        "ring layout: size k(v-1), perfect balance",
+        rl.layout().size() == 32 && q.parity_balanced() && q.reconstruction_balanced(),
+    ));
+    let q8 = QualityReport::measure(&rl.remove_disk(0));
+    checks.push((
+        "Thm 8: removal keeps perfect balance at v parity units/disk",
+        q8.parity_units == (9, 9) && q8.reconstruction_balanced(),
+    ));
+    let l9 = RingLayout::for_v_k(11, 5).remove_disks(&[1, 7]).unwrap();
+    let c9 = parity_counts(&l9);
+    checks.push((
+        "Thm 9: i-removal bounds parity within one",
+        c9.iter().max().unwrap() - c9.iter().min().unwrap() <= 1,
+    ));
+    let p10 = StairwayParams::solve(8, 9).unwrap();
+    let s10 = stairway_layout(&RingDesign::for_v_k(8, 3), 9).unwrap();
+    let q10 = QualityReport::measure(&s10);
+    checks.push((
+        "Thm 10: stairway v=q+1 exact metrics",
+        s10.size() == p10.size(3)
+            && q10.parity_balanced()
+            && (q10.reconstruction_workload.1 - 2.0 / 8.0).abs() < 1e-12,
+    ));
+    let s12 = stairway_layout(&RingDesign::for_v_k(9, 4), 13).unwrap();
+    let p12 = StairwayParams::solve(9, 13).unwrap();
+    let q12 = QualityReport::measure(&s12);
+    let (olo, ohi) = p12.parity_overhead_bounds(4);
+    checks.push((
+        "Thm 12: wide-step stairway within overhead bounds",
+        q12.parity_overhead.0 >= olo - 1e-9 && q12.parity_overhead.1 <= ohi + 1e-9,
+    ));
+    checks.push((
+        "§3.2: stairway params exist (sampled)",
+        (3..500).all(|v| pdl_core::stairway_params_exist(v).is_some()),
+    ));
 
-/// Parses every scalar `"name": <number>` line of a BENCH artifact —
-/// the shape of the `ratios` sections — into `(name, value)` pairs.
-/// Result-row lines carry several fields per line and never match.
-pub fn parse_named_numbers(json: &str) -> Vec<(String, f64)> {
-    json.lines()
-        .filter_map(|line| {
-            let line = line.trim().trim_end_matches(',');
-            let rest = line.strip_prefix('"')?;
-            let (name, value) = rest.split_once("\": ")?;
-            if name.contains('"') || value.contains('"') || value.contains('{') {
-                return None;
-            }
-            Some((name.to_string(), value.trim().parse().ok()?))
-        })
-        .collect()
-}
+    // Section 4
+    let single = single_copy_layout(&theorem6_design(9, 3).design, 0);
+    let balanced = StripePartition::from_layout(&single).assign_parity().unwrap();
+    let cb = parity_counts(&balanced);
+    checks.push((
+        "Thm 13/14: flow gives ⌊L⌋/⌈L⌉ parity per disk",
+        cb.iter().max().unwrap() - cb.iter().min().unwrap() <= 1,
+    ));
+    checks.push(("Cor 17: lcm(b,v)/b replication", copies_for_perfect_parity(12, 9) == 3));
+    let two = StripePartition::from_layout(&single).assign_parity_two_phase().unwrap();
+    let ct = parity_counts(&two);
+    checks.push((
+        "Thm 13 (paper's two-phase G′ variant) agrees",
+        ct.iter().max().unwrap() - ct.iter().min().unwrap() <= 1,
+    ));
 
-/// Marker introducing the thread-scaling section — always the *last*
-/// top-level key of `BENCH_store.json`, which keeps replacement a
-/// truncate-and-append.
-const THREAD_SCALING_MARKER: &str = ",\n  \"thread_scaling\":";
+    // Section 5 (simulator + extensions)
+    let res = simulate_rebuild(rl.layout(), 0, RebuildTarget::ReadOnly, 1);
+    checks.push((
+        "simulator: rebuild reads exactly the layout's crossing units",
+        rebuild_reads_match_layout(rl.layout(), 0, &res),
+    ));
+    let r5 = raid5_layout(9, 32);
+    let res5 = simulate_rebuild(&r5, 0, RebuildTarget::ReadOnly, 1);
+    checks.push((
+        "declustered rebuilds faster than RAID5 (same geometry)",
+        res.rebuild_finished_at.unwrap() < res5.rebuild_finished_at.unwrap(),
+    ));
+    let spared = SparedLayout::new(rl.layout().clone()).unwrap();
+    let sc = spared.spare_counts();
+    checks.push((
+        "distributed sparing balanced within one",
+        sc.iter().max().unwrap() - sc.iter().min().unwrap() <= 1,
+    ));
+    let dp = DoubleParityLayout::new(rl.layout().clone()).unwrap();
+    let dc = dp.parity_counts();
+    checks.push((
+        "double parity (generalized Thm 14) balanced within one",
+        dc.iter().max().unwrap() - dc.iter().min().unwrap() <= 1,
+    ));
 
-/// Splices `section` (the full `"thread_scaling": {…}` object body,
-/// **without** a leading comma) into a `BENCH_store.json` document as
-/// its last top-level key, replacing any previous thread-scaling
-/// section, and returns the new document.
-pub fn merge_thread_scaling(json: &str, section: &str) -> String {
-    let trimmed = json.trim_end();
-    let body = match trimmed.find(THREAD_SCALING_MARKER) {
-        Some(at) => &trimmed[..at],
-        None => trimmed.strip_suffix('}').expect("BENCH json ends with a closing brace").trim_end(),
-    };
-    format!("{body},\n  {section}\n}}\n")
-}
-
-/// The median of a ratio list (lower-middle for even counts); `None`
-/// when empty. Used by the bench regression gate to factor out the
-/// machine-speed constant between a committed baseline and a fresh
-/// run.
-pub fn median(values: &mut [f64]) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    Some(values[(values.len() - 1) / 2])
-}
-
-/// Flattens every numeric leaf of a JSON document into
-/// `("dotted.path", value)` pairs: object keys join with `.`, array
-/// elements use their index as the segment (`disks.2.reads`).
-/// Non-numeric leaves (strings, booleans, nulls) are skipped, which is
-/// exactly what the stat gate wants — it compares counters, not labels.
-///
-/// This is a tolerant single-pass scanner, not a validator: on
-/// malformed input it returns whatever pairs it saw before losing the
-/// plot. The gate treats a missing path as a failure anyway.
-pub fn flatten_json_numbers(json: &str) -> Vec<(String, f64)> {
-    struct Scan<'a> {
-        bytes: &'a [u8],
-        at: usize,
-        out: Vec<(String, f64)>,
-    }
-    impl Scan<'_> {
-        fn skip_ws(&mut self) {
-            while self.at < self.bytes.len() && self.bytes[self.at].is_ascii_whitespace() {
-                self.at += 1;
-            }
-        }
-        fn peek(&mut self) -> Option<u8> {
-            self.skip_ws();
-            self.bytes.get(self.at).copied()
-        }
-        /// Consumes a string literal and returns its raw contents
-        /// (escapes left as-is; stat paths never need them).
-        fn string(&mut self) -> String {
-            debug_assert_eq!(self.bytes[self.at], b'"');
-            self.at += 1;
-            let start = self.at;
-            while self.at < self.bytes.len() {
-                match self.bytes[self.at] {
-                    b'\\' => self.at += 2,
-                    b'"' => break,
-                    _ => self.at += 1,
-                }
-            }
-            let s = String::from_utf8_lossy(&self.bytes[start..self.at.min(self.bytes.len())])
-                .into_owned();
-            self.at += 1; // closing quote
-            s
-        }
-        fn value(&mut self, path: &str) {
-            match self.peek() {
-                Some(b'{') => {
-                    self.at += 1;
-                    loop {
-                        match self.peek() {
-                            Some(b'}') => {
-                                self.at += 1;
-                                break;
-                            }
-                            Some(b'"') => {
-                                let key = self.string();
-                                if self.peek() == Some(b':') {
-                                    self.at += 1;
-                                }
-                                let sub =
-                                    if path.is_empty() { key } else { format!("{path}.{key}") };
-                                self.value(&sub);
-                                if self.peek() == Some(b',') {
-                                    self.at += 1;
-                                }
-                            }
-                            _ => break, // malformed — bail on this object
-                        }
-                    }
-                }
-                Some(b'[') => {
-                    self.at += 1;
-                    let mut idx = 0usize;
-                    loop {
-                        match self.peek() {
-                            Some(b']') => {
-                                self.at += 1;
-                                break;
-                            }
-                            Some(_) => {
-                                self.value(&format!("{path}.{idx}"));
-                                idx += 1;
-                                if self.peek() == Some(b',') {
-                                    self.at += 1;
-                                }
-                            }
-                            None => break,
-                        }
-                    }
-                }
-                Some(b'"') => {
-                    self.string();
-                }
-                Some(c) if c == b'-' || c.is_ascii_digit() => {
-                    let start = self.at;
-                    while self.bytes.get(self.at).is_some_and(|b| {
-                        b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-                    }) {
-                        self.at += 1;
-                    }
-                    if let Ok(v) = std::str::from_utf8(&self.bytes[start..self.at])
-                        .unwrap_or("")
-                        .parse::<f64>()
-                    {
-                        self.out.push((path.to_string(), v));
-                    }
-                }
-                Some(_) => {
-                    // true / false / null — skip the bareword.
-                    while self.bytes.get(self.at).is_some_and(|b| b.is_ascii_alphabetic()) {
-                        self.at += 1;
-                    }
-                }
-                None => {}
-            }
-        }
-    }
-    let mut s = Scan { bytes: json.as_bytes(), at: 0, out: Vec::new() };
-    s.value("");
-    s.out
-}
-
-/// Looks up one dotted path in a flattened document.
-pub fn json_number_at(pairs: &[(String, f64)], path: &str) -> Option<f64> {
-    pairs.iter().find(|(n, _)| n == path).map(|(_, v)| *v)
+    checks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = r#"{
-  "schema": "pdl-bench-store/v1",
-  "results": [
-    {"backend": "mem", "workload": "seq_read_vectored", "mb_per_s": 7624.791, "bytes": 56623104, "seconds": 0.007426},
-    {"backend": "file", "workload": "rebuild", "mb_per_s": 36.612, "bytes": 8388608, "seconds": 0.229124}
-  ],
-  "ratios": {
-    "file_seq_write_vectored_over_per_unit": 2.642
-  }
-}
-"#;
-
     #[test]
-    fn parses_result_rows() {
-        let rows = parse_bench_rows(SAMPLE);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].backend, "mem");
-        assert_eq!(rows[0].workload, "seq_read_vectored");
-        assert!((rows[0].mb_per_s - 7624.791).abs() < 1e-9);
-        assert_eq!(rows[0].threads, None);
-        assert_eq!(rows[1].backend, "file");
-    }
-
-    #[test]
-    fn parses_threaded_rows() {
-        let rows = parse_bench_rows(
-            r#"{"backend": "mem", "workload": "concurrent_read", "threads": 4, "mb_per_s": 19.5}"#,
-        );
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].threads, Some(4));
-    }
-
-    #[test]
-    fn parses_named_numbers_from_ratio_sections() {
-        let pairs = parse_named_numbers(SAMPLE);
-        assert!(
-            pairs
-                .iter()
-                .any(|(n, v)| n == "file_seq_write_vectored_over_per_unit"
-                    && (v - 2.642).abs() < 1e-9)
-        );
-        // Result-row lines (several fields per line) never match.
-        assert!(!pairs.iter().any(|(n, _)| n == "backend" || n == "mb_per_s"));
-    }
-
-    #[test]
-    fn thread_scaling_merge_inserts_and_replaces() {
-        let section = "\"thread_scaling\": {\n    \"x\": 1\n  }";
-        let once = merge_thread_scaling(SAMPLE, section);
-        assert!(once.contains("\"thread_scaling\""));
-        assert!(once.trim_end().ends_with('}'), "document still closes");
-        assert_eq!(parse_bench_rows(&once).len(), 2, "original rows survive");
-        // Idempotent under replacement: merging a new section drops
-        // the old one instead of stacking.
-        let twice = merge_thread_scaling(&once, "\"thread_scaling\": {\n    \"x\": 2\n  }");
-        assert_eq!(twice.matches("thread_scaling").count(), 1);
-        assert!(twice.contains("\"x\": 2") && !twice.contains("\"x\": 1"));
-    }
-
-    #[test]
-    fn flattens_numeric_leaves_with_dotted_paths() {
-        let pairs = flatten_json_numbers(
-            r#"{"schema":"pdl-bench-stats/v1","mem":{"degraded":{"one":{"ops":42,"wall_ns":1.5e3}},"disks":[{"reads":7},{"reads":9}],"live":true,"note":null}}"#,
-        );
-        assert_eq!(json_number_at(&pairs, "mem.degraded.one.ops"), Some(42.0));
-        assert_eq!(json_number_at(&pairs, "mem.degraded.one.wall_ns"), Some(1500.0));
-        assert_eq!(json_number_at(&pairs, "mem.disks.0.reads"), Some(7.0));
-        assert_eq!(json_number_at(&pairs, "mem.disks.1.reads"), Some(9.0));
-        // Strings, booleans, and nulls never produce entries.
-        assert!(!pairs.iter().any(|(n, _)| n == "schema" || n == "mem.live" || n == "mem.note"));
-        assert_eq!(json_number_at(&pairs, "mem.disks.2.reads"), None);
-    }
-
-    #[test]
-    fn flatten_handles_pretty_printed_and_negative() {
-        let pairs =
-            flatten_json_numbers("{\n  \"a\": {\n    \"b\": -3\n  },\n  \"c\": [1, 2]\n}\n");
-        assert_eq!(json_number_at(&pairs, "a.b"), Some(-3.0));
-        assert_eq!(json_number_at(&pairs, "c.1"), Some(2.0));
-    }
-
-    #[test]
-    fn median_picks_lower_middle() {
-        assert_eq!(median(&mut []), None);
-        assert_eq!(median(&mut [3.0]), Some(3.0));
-        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), Some(2.0));
-        assert_eq!(median(&mut [4.0, 1.0, 3.0]), Some(3.0));
+    fn every_paper_claim_holds() {
+        let checks = verify_all();
+        assert_eq!(checks.len(), 20);
+        for (name, ok) in checks {
+            assert!(ok, "FAILED: {name}");
+        }
     }
 
     #[test]

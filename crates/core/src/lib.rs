@@ -38,7 +38,6 @@ pub mod designer;
 pub mod double_parity;
 pub mod extendible;
 pub mod feasibility;
-pub mod hetero;
 pub mod hg;
 pub mod layout;
 pub mod mapping;
@@ -59,7 +58,6 @@ pub use feasibility::{
     best_bibd_params, count_feasible, layout_size, stairway_params_exist, stairway_smallest_source,
     stairway_source_for, Method,
 };
-pub use hetero::{mixed_size_array, HeteroArray, HeteroError};
 pub use hg::{holland_gibson_layout, raid5_layout, single_copy_layout};
 pub use layout::{
     Layout, LayoutError, Stripe, StripeUnit, UnitRef, UnitRole, DEFAULT_FEASIBILITY_LIMIT,

@@ -60,8 +60,8 @@
 //!   the [`store`] module docs for the full model;
 //! * a seeded multi-threaded **stress harness** ([`stress`]) driving
 //!   N verified client threads of mixed traffic — optionally degraded
-//!   or racing a live rebuild — used by the concurrency tests, the CI
-//!   matrix, and the thread-scaling benchmark;
+//!   or racing a live rebuild — used by the concurrency tests and the
+//!   CI matrix;
 //! * **first-class observability** ([`obs`]) — a lock-light
 //!   [`Metrics`] registry (per-op-kind counters + sampled log2
 //!   latency histograms) owned by every store, a pluggable
@@ -69,8 +69,8 @@
 //!   [`RebuildProgress`] snapshots (the (k−1)/(v−1) read
 //!   distribution observable *during* a racing rebuild),
 //!   degraded-window accounting split by erasure count, and a serde
-//!   [`StatsSnapshot`] from [`BlockStore::stats`] that the benches
-//!   and stress harness dump as `stats.json`.
+//!   [`StatsSnapshot`] from [`BlockStore::stats`] that the stress
+//!   harness dumps as `stats.json`.
 //!
 //! ## Fault-tolerance levels
 //!

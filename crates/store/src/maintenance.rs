@@ -358,9 +358,7 @@ pub struct MaintenanceStateSnapshot {
 /// Adaptive scrub pacing: widens batches when the store is idle,
 /// narrows them and inserts sleeps when clients are active.
 ///
-/// The client op rate is sampled from [`Metrics::client_ops`]; if the
-/// metrics registry is disabled the rate reads as zero and the pacer
-/// treats the store as idle (scrubs flat out).
+/// The client op rate is sampled from [`Metrics::client_ops`].
 #[derive(Debug)]
 pub(crate) struct ScrubPacer {
     budget: f64,

@@ -10,7 +10,7 @@
 //! * [`Metrics`] — a lock-light registry owned by every
 //!   [`crate::BlockStore`]: relaxed atomic op/unit counters and
 //!   fixed-bucket log2 latency histograms per [`OpKind`], cheap
-//!   enough to stay enabled in benchmarks (no allocation, no lock on
+//!   enough to be always on (no allocation, no lock on
 //!   the hot path; latencies are *sampled* — see
 //!   [`Metrics::SAMPLE_EVERY`] — so the common op pays one relaxed
 //!   `fetch_add`, not two `Instant` reads).
@@ -29,8 +29,7 @@
 //! * [`StatsSnapshot`] — one serde-serializable view over all of the
 //!   above plus the per-disk backend counters and cache statistics,
 //!   returned by [`crate::BlockStore::stats`], dumped as `stats.json`
-//!   by the benches and the stress harness, and rendered as text by
-//!   [`render_stats`].
+//!   by the stress harness, and rendered as text by [`render_stats`].
 //!
 //! The per-disk unit/call counters that the backends used to keep in
 //! private duplicated structs are unified here as [`DiskCounters`]
@@ -233,8 +232,7 @@ pub struct OpTimer {
     kind: OpKind,
     start: Option<Instant>,
     /// The opening thread's counter cells, stashed here so
-    /// [`Metrics::finish`] skips a second thread-local lookup. Null
-    /// when the registry was off at `begin` (the op is not counted).
+    /// [`Metrics::finish`] skips a second thread-local lookup.
     /// Only dereferenced by `finish` on the same thread, while the
     /// registry (which pins the allocation) is borrowed.
     counts: *const ThreadCounts,
@@ -271,11 +269,9 @@ struct DegradedClock {
 /// All data-path updates are relaxed atomics; reads produce a
 /// point-in-time [`StatsSnapshot`] that is internally *approximately*
 /// consistent under concurrent traffic (each counter is exact, the
-/// set is not one linearization point). Disable with
-/// [`Metrics::set_enabled`] to measure the registry's own overhead.
+/// set is not one linearization point).
 #[derive(Debug)]
 pub struct Metrics {
-    enabled: AtomicBool,
     /// This registry's process-unique id — the key threads use to
     /// find their private [`ThreadCounts`]. Never reused, so a stale
     /// thread-local entry for a dropped registry can never match.
@@ -307,7 +303,6 @@ static NEXT_METRICS_ID: AtomicU64 = AtomicU64::new(1);
 impl Default for Metrics {
     fn default() -> Self {
         Metrics {
-            enabled: AtomicBool::new(true),
             id: NEXT_METRICS_ID.fetch_add(1, Ordering::Relaxed),
             threads: Mutex::new(Vec::new()),
             hist: Default::default(),
@@ -343,17 +338,6 @@ impl Metrics {
     /// Minimum recent samples (~1024 ops) before
     /// [`Metrics::read_mostly`] trusts the mix.
     const MIX_MIN: u64 = 16;
-
-    /// Turns the registry on or off. Off, every data-path hook is one
-    /// relaxed load — the control used to gate the ≤5% overhead claim.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Release);
-    }
-
-    /// Whether the registry is recording.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
 
     /// The calling thread's private counter cells for this registry:
     /// one thread-local read and an id compare on the fast path, a
@@ -402,9 +386,6 @@ impl Metrics {
     /// RMW** on the unsampled hot path. `force_timing` (set when an
     /// event sink wants span durations) samples unconditionally.
     pub fn begin(&self, kind: OpKind, force_timing: bool) -> OpTimer {
-        if !self.enabled() {
-            return OpTimer { kind, start: None, counts: std::ptr::null(), mix_due: false };
-        }
         let counts = self.my_counts();
         let seen = counts.ops(kind);
         let sampled = force_timing || seen.is_multiple_of(Self::SAMPLE_EVERY);
@@ -422,9 +403,6 @@ impl Metrics {
     /// Returns the elapsed nanoseconds when timed (for event-span
     /// emission).
     pub fn finish(&self, t: OpTimer, units: u64) -> Option<u64> {
-        if t.counts.is_null() {
-            return None;
-        }
         // Stashed by `begin` on this thread; `&self` keeps the
         // backing allocation (owned by `self.threads`) alive.
         unsafe { &*t.counts }.bump(t.kind, units.wrapping_sub(1));
@@ -439,9 +417,6 @@ impl Metrics {
     /// by the chunked paths (rebuild chunks, cache flush batches)
     /// where per-op timing is cheap relative to the work.
     pub fn record_op(&self, kind: OpKind, units: u64, ns: u64) {
-        if !self.enabled() {
-            return;
-        }
         self.my_counts().bump(kind, units.wrapping_sub(1));
         self.hist[kind.idx()].record(ns);
     }
@@ -449,7 +424,7 @@ impl Metrics {
     /// Adds units to a kind without opening an op — e.g. the degraded
     /// share of a batched read, accounted alongside the batch's span.
     pub fn add_units(&self, kind: OpKind, units: u64) {
-        if units > 0 && self.enabled() {
+        if units > 0 {
             self.my_counts().add_extra(kind, units);
         }
     }
@@ -458,12 +433,10 @@ impl Metrics {
     /// read-mostly bypass. Takes the op's open [`OpTimer`] so the
     /// tally reuses the counter cells `begin` already resolved — the
     /// bypass path pays one load+store, no thread-local lookup and no
-    /// RMW. A no-op when the registry was off at `begin`.
+    /// RMW.
     pub(crate) fn note_bypass(&self, t: &OpTimer) {
-        if !t.counts.is_null() {
-            // Same thread and liveness argument as `finish`.
-            unsafe { &*t.counts }.note_bypass();
-        }
+        // Same thread and liveness argument as `finish`.
+        unsafe { &*t.counts }.note_bypass();
     }
 
     /// Total writes routed around the cache by the read-mostly
@@ -483,8 +456,7 @@ impl Metrics {
     /// Client-facing ops (reads and writes, healthy or degraded)
     /// across all threads — excludes maintenance kinds (rebuild,
     /// reshape, scrub), so maintenance pacing can measure foreground
-    /// load without counting itself. Reads as zero when the registry
-    /// is disabled.
+    /// load without counting itself.
     pub fn client_ops(&self) -> u64 {
         const CLIENT: [OpKind; 4] =
             [OpKind::Read, OpKind::Write, OpKind::DegradedRead, OpKind::DegradedWrite];
@@ -499,9 +471,6 @@ impl Metrics {
     /// `Self::MIX_SAMPLE`); each sample also refreshes
     /// the cached [`Metrics::read_mostly`] verdict.
     pub fn note_mix(&self, is_read: bool) {
-        if !self.enabled() {
-            return;
-        }
         let bumped = if is_read { &self.recent_reads } else { &self.recent_writes };
         bumped.fetch_add(1, Ordering::Relaxed);
         let mut r = self.recent_reads.load(Ordering::Relaxed);
@@ -1127,7 +1096,7 @@ impl IoTotals {
 /// A point-in-time view of everything the store measures, returned by
 /// [`crate::BlockStore::stats`]. Serializable with the workspace's
 /// vendored serde (`serde_json::to_string` / `from_str`) — this is
-/// the `stats.json` schema the benches and CI artifacts carry.
+/// the `stats.json` schema the CI artifacts carry.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct StatsSnapshot {
     /// Per-op-kind counters and latency histograms.
@@ -1196,7 +1165,7 @@ impl StatsSnapshot {
     }
 
     /// The snapshot as compact JSON — the `stats.json` payload the
-    /// bench and stress harnesses persist for CI.
+    /// stress harness persists for CI.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("StatsSnapshot serializes")
     }
@@ -1416,19 +1385,6 @@ mod tests {
         // Forced timing (sink installed) always records.
         let t = m.begin(OpKind::Write, true);
         assert!(m.finish(t, 1).is_some());
-    }
-
-    #[test]
-    fn disabled_metrics_record_nothing() {
-        let m = Metrics::default();
-        m.set_enabled(false);
-        let t = m.begin(OpKind::Read, true);
-        assert!(m.finish(t, 5).is_none());
-        m.record_op(OpKind::CacheFlush, 9, 100);
-        m.note_mix(true);
-        assert_eq!(m.total_ops(), 0);
-        let (ops, _, _) = m.snapshot();
-        assert!(ops.iter().all(|o| o.ops == 0 && o.units == 0));
     }
 
     #[test]

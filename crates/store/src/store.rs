@@ -1113,8 +1113,7 @@ impl<B: Backend> BlockStore<B> {
 
     /// The store's metrics registry — per-op-kind counters, sampled
     /// latency histograms, the recent read/write mix, and the
-    /// degraded-window clock. Always on; disable with
-    /// [`Metrics::set_enabled`] to measure the registry's own cost.
+    /// degraded-window clock. Always on.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }

@@ -93,11 +93,6 @@ pub struct StressConfig {
     pub seed: u64,
     /// Largest batched read/write, in blocks.
     pub batch_max: usize,
-    /// Smallest read/write, in blocks (default 1). Raising it to
-    /// `batch_max` makes every op a full-size batch — the shape the
-    /// async-engine benches measure, where each op hands the
-    /// submission queues a whole band of per-disk runs.
-    pub batch_min: usize,
     /// Fraction of operations that are reads (the rest write).
     pub read_fraction: f64,
     /// Fail this logical disk (and wipe its physical medium) before
@@ -107,9 +102,9 @@ pub struct StressConfig {
     pub rebuild: RebuildMode,
     /// Verify contents bit-for-bit: every read during the run, plus a
     /// whole-store sweep at the end. Disabling turns the harness into
-    /// a pure traffic generator for throughput timing (the sweep
-    /// assumes a store the harness wrote from scratch, which a reused
-    /// bench store is not); the parity-invariant check still runs.
+    /// a pure traffic generator for callers that verify after
+    /// quiescing their own fault schedule (an armed `FaultyBackend`
+    /// corrupts the very writes the sweep would check).
     pub verify_reads: bool,
     /// Cache policy installed on the store before the run (the
     /// `PDL_CACHE` environment variable overrides it, so the CI
@@ -133,7 +128,6 @@ impl Default for StressConfig {
             ops_per_thread: 400,
             seed: 0xdecaf,
             batch_max: 8,
-            batch_min: 1,
             read_fraction: 0.5,
             fail_disk: None,
             rebuild: RebuildMode::None,
@@ -177,7 +171,7 @@ impl StressConfig {
     }
 }
 
-/// What a stress run did and how fast it went.
+/// What a stress run did.
 #[derive(Clone, Debug)]
 pub struct StressReport {
     /// Client threads that ran.
@@ -190,12 +184,6 @@ pub struct StressReport {
     pub blocks_read: usize,
     /// Blocks transferred by writes.
     pub blocks_written: usize,
-    /// Bytes per block (for throughput math).
-    pub unit_size: usize,
-    /// Wall-clock time of the client phase (excludes setup and the
-    /// final verification sweep; includes a racing rebuild, which
-    /// overlaps the traffic by design).
-    pub elapsed: Duration,
     /// The rebuild's report, when one ran.
     pub rebuild: Option<RebuildReport>,
     /// The reshape's report, when a racing reshape mode ran.
@@ -215,16 +203,6 @@ pub struct StressReport {
 }
 
 impl StressReport {
-    /// Aggregate read throughput across all threads, MB/s.
-    pub fn read_mb_per_s(&self) -> f64 {
-        (self.blocks_read * self.unit_size) as f64 / self.elapsed.as_secs_f64().max(1e-9) / 1e6
-    }
-
-    /// Aggregate write throughput across all threads, MB/s.
-    pub fn write_mb_per_s(&self) -> f64 {
-        (self.blocks_written * self.unit_size) as f64 / self.elapsed.as_secs_f64().max(1e-9) / 1e6
-    }
-
     /// Serializes [`StressReport::stats`] as compact JSON — the
     /// `stats.json` payload the concurrency tests and CI artifacts
     /// persist.
@@ -270,7 +248,7 @@ pub fn run<B: Backend + 'static>(
     // Engine session: the whole run — prefill, traffic, maintenance,
     // verification sweep — goes through the submission queues; the
     // guard stops the engine on every exit path (including seeded
-    // panics) so a reused bench store reverts to the sync path.
+    // panics) so a reused store reverts to the sync path.
     struct EngineGuard<'a, B: Backend + 'static>(&'a BlockStore<B>);
     impl<B: Backend + 'static> Drop for EngineGuard<'_, B> {
         fn drop(&mut self) {
@@ -340,7 +318,6 @@ pub fn run<B: Backend + 'static>(
     let progress_samples: Mutex<Vec<RebuildProgress>> = Mutex::new(Vec::new());
     let rebuild_done = AtomicBool::new(false);
     let scrub_stop = AtomicBool::new(false);
-    let start = Instant::now();
     // Racing work runs on scoped threads that *return* their results;
     // joining one re-raises its own panic payload — the message that
     // names the failing seed — instead of a secondhand one.
@@ -451,7 +428,6 @@ pub fn run<B: Backend + 'static>(
         scrub_stop.store(true, Ordering::Release);
         (tallies, rebuild_thread.map(join), reshape, scrub_thread.map(join))
     });
-    let elapsed = start.elapsed();
 
     let rebuild = match (rebuild, cfg.rebuild) {
         (Some(raced), _) => Some(raced?),
@@ -494,9 +470,6 @@ pub fn run<B: Backend + 'static>(
             );
         }
     }
-    // Pure-traffic (bench) mode skips this too: a DelayBackend pays
-    // the emulated service time for every verification read, and the
-    // bench verifies once per curve instead of once per sample.
     if cfg.verify_reads && !store.is_degraded() {
         store.verify_parity()?;
     }
@@ -507,8 +480,6 @@ pub fn run<B: Backend + 'static>(
         writes: 0,
         blocks_read: 0,
         blocks_written: 0,
-        unit_size: unit,
-        elapsed,
         rebuild,
         reshape,
         scrub,
@@ -562,13 +533,12 @@ fn client_thread<B: Backend>(
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ (t as u64).wrapping_mul(0x9e3779b97f4a7c15));
     let mut tally = ThreadTally::default();
     let batch_max = cfg.batch_max.clamp(1, hi - lo);
-    let batch_min = cfg.batch_min.clamp(1, batch_max);
     let mut buf = vec![0u8; batch_max * unit];
     let mut want = vec![0u8; unit];
     let ctx = |op: usize| format!("[stress seed {} thread {t} op {op}]", cfg.seed);
     for op in 0..cfg.ops_per_thread {
         let batched = rng.random_bool(0.3);
-        let len = if batched { rng.random_range(batch_min..=batch_max) } else { batch_min };
+        let len = if batched { rng.random_range(1..=batch_max) } else { 1 };
         let addr = rng.random_range(lo..=hi - len);
         if rng.random_bool(cfg.read_fraction) {
             let out = &mut buf[..len * unit];

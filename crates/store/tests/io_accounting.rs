@@ -9,13 +9,12 @@
 //! Every budget is asserted on a **snapshot diff**
 //! ([`pdl_store::IoTotals::since`]) bracketing exactly the operation
 //! under test, so the assertions compose with any setup traffic and
-//! exercise the same `stats()` plumbing the benches and CI artifacts
-//! rely on.
+//! exercise the same `stats()` plumbing the CI artifacts rely on.
 
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
-    Backend, BlockStore, CachePolicy, EngineConfig, IoTotals, MemBackend, RebuildProgress,
-    Rebuilder, StatsSnapshot,
+    Backend, BlockStore, CachePolicy, EngineConfig, EngineStatsSnapshot, FileBackend, MemBackend,
+    RebuildProgress, Rebuilder, StatsSnapshot,
 };
 
 const UNIT: usize = 128;
@@ -44,20 +43,50 @@ fn pq_store(v: usize, k: usize, copies: usize, engine: bool) -> BlockStore<MemBa
     with_engine(BlockStore::new_pq(dp, backend).unwrap(), engine)
 }
 
-/// Aggregate physical IO so far, via the observability snapshot.
-fn totals<B: Backend>(store: &BlockStore<B>) -> IoTotals {
-    store.stats().io_totals()
+/// `(read_units, write_units, read_calls, write_calls)` since `t0`.
+/// With the engine on, also checks its books over the same bracket
+/// (see [`engine_accounts`]): all of those calls went through the
+/// queues except the `inline` single-unit calls of an RMW or a
+/// partial-stripe flush, which `BlockStore::{read_unit, write_unit}`
+/// issue directly.
+fn diff<B: Backend>(
+    store: &BlockStore<B>,
+    t0: &StatsSnapshot,
+    inline: u64,
+) -> (u64, u64, u64, u64) {
+    let now = store.stats();
+    let d = now.io_totals().since(&t0.io_totals());
+    engine_accounts(&now, t0, d.read_calls + d.write_calls - inline);
+    (d.read_units, d.write_units, d.read_calls, d.write_calls)
 }
 
-/// `(read_units, write_units, read_calls, write_calls)` since `t0`.
-fn diff<B: Backend>(store: &BlockStore<B>, t0: &IoTotals) -> (u64, u64, u64, u64) {
-    let d = totals(store).since(t0);
-    (d.read_units, d.write_units, d.read_calls, d.write_calls)
+/// The engine's books between two snapshots: the `queued_calls`
+/// backend calls made on its behalf are exactly its submissions that
+/// were not merged into a queue neighbour, every completion token has
+/// drained, nothing failed, and no maintenance request waited behind
+/// client work. Vacuous with the engine off.
+fn engine_accounts(now: &StatsSnapshot, before: &StatsSnapshot, queued_calls: u64) {
+    let (Some(e0), Some(e1)) = (&before.engine, &now.engine) else { return };
+    let submitted = |e: &EngineStatsSnapshot| e.client_submitted + e.maintenance_submitted;
+    let merged = |e: &EngineStatsSnapshot| e.disks.iter().map(|d| d.coalesced).sum::<u64>();
+    assert_eq!(
+        (submitted(e1) - submitted(e0)) - (merged(e1) - merged(e0)),
+        queued_calls,
+        "one backend call per unmerged engine submission"
+    );
+    assert_eq!(e1.completed, submitted(e1), "every completion token drained");
+    assert_eq!((e1.errors, e1.maintenance_deferred), (0, 0), "no error, no deferral");
 }
 
 /// Per-logical-disk read calls since the `before` snapshot.
 fn disk_read_calls(now: &StatsSnapshot, before: &StatsSnapshot, d: usize) -> u64 {
     now.disks[d].read_calls.saturating_sub(before.disks[d].read_calls)
+}
+
+/// Read calls since `before` on every disk but `failed` — a rebuild's
+/// whole read side (its logical disk flips to the spare's counters).
+fn survivor_read_calls(now: &StatsSnapshot, before: &StatsSnapshot, failed: usize) -> u64 {
+    (0..now.disks.len()).filter(|&d| d != failed).map(|d| disk_read_calls(now, before, d)).sum()
 }
 
 /// A full-stripe write is exactly `k` unit writes (k−1 data + P) and
@@ -68,9 +97,9 @@ fn full_stripe_write_is_k_writes_zero_reads() {
         let store = ring_store(7, 4, 1, engine);
         let k_data = 3; // k - 1 data units per XOR stripe
         let data = vec![0x5au8; k_data * UNIT];
-        let t0 = totals(&store);
+        let t0 = store.stats();
         store.write_blocks(0, &data).unwrap();
-        let (r, w, _, _) = diff(&store, &t0);
+        let (r, w, _, _) = diff(&store, &t0, 0);
         assert_eq!(r, 0, "full-stripe write must not read");
         assert_eq!(w, 4, "full-stripe write is exactly k = 4 unit writes");
         store.verify_parity().unwrap();
@@ -85,9 +114,9 @@ fn pq_full_stripe_write_is_k_writes_zero_reads() {
         let store = pq_store(9, 4, 1, engine);
         let k_data = 2; // k - 2 data units per P+Q stripe
         let data = vec![0xa5u8; k_data * UNIT];
-        let t0 = totals(&store);
+        let t0 = store.stats();
         store.write_blocks(0, &data).unwrap();
-        let (r, w, _, _) = diff(&store, &t0);
+        let (r, w, _, _) = diff(&store, &t0, 0);
         assert_eq!(r, 0, "P+Q full-stripe write must not read");
         assert_eq!(w, 4, "P+Q full-stripe write is exactly k = 4 unit writes");
         store.verify_parity().unwrap();
@@ -120,6 +149,7 @@ fn sequential_stripe_read_is_one_call_per_disk() {
             );
             touched += calls;
         }
+        engine_accounts(&now, &before, touched);
         let r = now.io_totals().since(&before.io_totals()).read_units;
         assert!(r >= (stripes * k_data) as u64, "every requested unit is transferred");
         assert!(touched >= 2, "a multi-stripe read touches several disks");
@@ -152,6 +182,7 @@ fn sequential_copy_read_coalesces_per_disk() {
             );
         }
         let t = now.io_totals().since(&before.io_totals());
+        engine_accounts(&now, &before, t.read_calls);
         assert_eq!(
             t.read_units, blocks as u64,
             "exactly the data units are transferred — no bridged waste"
@@ -172,10 +203,10 @@ fn sequential_write_is_one_call_per_disk() {
         let store = ring_store(7, 4, 1, engine);
         let blocks = store.blocks();
         let data: Vec<u8> = (0..blocks * UNIT).map(|i| (i % 241) as u8).collect();
-        let t0 = totals(&store);
+        let t0 = store.stats();
         store.write_blocks(0, &data).unwrap();
         let layout_units = store.v() as u64 * store.layout().size() as u64;
-        let (r, w, _, wc) = diff(&store, &t0);
+        let (r, w, _, wc) = diff(&store, &t0, 0);
         assert_eq!(r, 0, "whole-copy write is all full stripes: zero reads");
         assert_eq!(w, layout_units, "every unit (data + parity) written once");
         assert!(wc <= store.v() as u64, "at most one backend call per touched disk, got {wc}");
@@ -191,9 +222,9 @@ fn small_xor_write_is_2_plus_2() {
         let store = ring_store(7, 4, 2, engine);
         let data: Vec<u8> = (0..store.blocks() * UNIT).map(|i| (i % 239) as u8).collect();
         store.write_blocks(0, &data).unwrap();
-        let t0 = totals(&store);
+        let t0 = store.stats();
         store.write_block(1, &[0x11u8; UNIT]).unwrap();
-        let (r, w, rc, wc) = diff(&store, &t0);
+        let (r, w, rc, wc) = diff(&store, &t0, 4);
         assert_eq!((r, w), (2, 2), "XOR RMW is 2 reads + 2 writes");
         assert_eq!((rc, wc), (2, 2), "each a single-unit backend call");
         store.verify_parity().unwrap();
@@ -207,9 +238,9 @@ fn small_pq_write_is_3_plus_3() {
         let store = pq_store(9, 4, 2, engine);
         let data: Vec<u8> = (0..store.blocks() * UNIT).map(|i| (i % 233) as u8).collect();
         store.write_blocks(0, &data).unwrap();
-        let t0 = totals(&store);
+        let t0 = store.stats();
         store.write_block(1, &[0x22u8; UNIT]).unwrap();
-        let (r, w, _, _) = diff(&store, &t0);
+        let (r, w, _, _) = diff(&store, &t0, 6);
         assert_eq!((r, w), (3, 3), "P+Q RMW is 3 reads + 3 writes");
         store.verify_parity().unwrap();
     }
@@ -230,7 +261,7 @@ fn write_back_combines_k_writes_into_one_flush() {
         store.set_cache_policy(CachePolicy::WriteBack { max_dirty: 64 }).unwrap();
         let (lo, k_data) = store.stripe_map().stripe_data_range(0);
         assert_eq!(k_data, 3, "k = 4 XOR stripes carry 3 data units");
-        let t0 = totals(&store);
+        let t0 = store.stats();
         // 50 + 30 writes, all into two data units of stripe 0.
         for i in 0..50u8 {
             store.write_block(lo, &[i; UNIT]).unwrap();
@@ -238,11 +269,11 @@ fn write_back_combines_k_writes_into_one_flush() {
         for i in 0..30u8 {
             store.write_block(lo + 1, &[i; UNIT]).unwrap();
         }
-        let (r, w, _, _) = diff(&store, &t0);
+        let (r, w, _, _) = diff(&store, &t0, 0);
         assert_eq!((r, w), (0, 0), "cached writes perform no backend I/O");
         assert_eq!(store.dirty_cache_stripes(), 1);
         store.flush().unwrap();
-        let (r, w, rc, wc) = diff(&store, &t0);
+        let (r, w, rc, wc) = diff(&store, &t0, 4);
         assert_eq!(
             (r, w),
             (1, 3),
@@ -275,14 +306,14 @@ fn write_back_full_stripe_flush_is_zero_read() {
         let store = pq_store(9, 4, 1, engine);
         store.set_cache_policy(CachePolicy::write_back()).unwrap();
         let (lo, k_data) = store.stripe_map().stripe_data_range(0);
-        let t0 = totals(&store);
+        let t0 = store.stats();
         for round in 0..4u8 {
             for j in 0..k_data {
                 store.write_block(lo + j, &[round ^ j as u8; UNIT]).unwrap();
             }
         }
         store.flush().unwrap();
-        let (r, w, _, wc) = diff(&store, &t0);
+        let (r, w, _, wc) = diff(&store, &t0, 0);
         assert_eq!(r, 0, "fully dirty stripe flushes with zero reads");
         assert_eq!(w, 4, "k - 2 data + P + Q = k = 4 unit writes");
         assert!(wc <= 4, "one call per touched disk");
@@ -301,14 +332,14 @@ fn write_back_batch_flush_coalesces_across_stripes() {
         let store = ring_store(7, 4, 1, engine);
         store.set_cache_policy(CachePolicy::WriteBack { max_dirty: 1024 }).unwrap();
         let blocks = store.blocks();
-        let t0 = totals(&store);
+        let t0 = store.stats();
         for addr in 0..blocks {
             store.write_block(addr, &[(addr % 251) as u8; UNIT]).unwrap();
         }
-        let (r, w, _, _) = diff(&store, &t0);
+        let (r, w, _, _) = diff(&store, &t0, 0);
         assert_eq!((r, w), (0, 0), "all writes absorbed by the cache");
         store.flush().unwrap();
-        let (r, w, _, wc) = diff(&store, &t0);
+        let (r, w, _, wc) = diff(&store, &t0, 0);
         let layout_units = store.v() as u64 * store.layout().size() as u64;
         assert_eq!(r, 0, "whole-copy drain is all full stripes: zero reads");
         assert_eq!(w, layout_units, "every unit (data + parity) written once");
@@ -318,6 +349,61 @@ fn write_back_batch_flush_coalesces_across_stripes() {
         );
         store.verify_parity().unwrap();
     }
+}
+
+/// Single-block traffic whose mix the store's estimator calls
+/// read-mostly before the first write arrives: 2048 reads (32 of the
+/// 1-in-64 samples, twice the minimum), then 1000 ops at 70/30.
+/// Returns the number of writes issued.
+fn read_mostly_trace<B: Backend>(store: &BlockStore<B>) -> u64 {
+    let mut buf = vec![0u8; UNIT];
+    let mut writes = 0;
+    for i in 0..3048usize {
+        let addr = (i * 7) % store.blocks();
+        if i >= 2048 && i % 10 >= 7 {
+            store.write_block(addr, &[i as u8; UNIT]).unwrap();
+            writes += 1;
+        } else {
+            store.read_block(addr, &mut buf).unwrap();
+        }
+    }
+    writes
+}
+
+/// Under a read-dominated mix a memory-speed backend gains nothing
+/// from deferring small writes, so write-back routes each around the
+/// cache: nothing goes dirty and the backend sees exactly the write
+/// calls of a write-through twin. A backend that prefers gap bridging
+/// (files: a call costs a syscall, so combining pays) never bypasses.
+#[test]
+fn read_mostly_mix_bypasses_write_back_on_memory_speed_backends_only() {
+    // Single-block calls never enter the engine's queues, so one mode.
+    let twin = |policy| {
+        let store = ring_store(7, 4, 2, false);
+        store.set_cache_policy(policy).unwrap();
+        let writes = read_mostly_trace(&store);
+        let calls = store.stats().io_totals().write_calls;
+        (store, writes, calls)
+    };
+    let (cached, writes, cached_calls) = twin(CachePolicy::write_back());
+    let (_, _, through_calls) = twin(CachePolicy::WriteThrough);
+    assert_eq!(cached.stats().cache.bypassed_writes, writes, "every write bypassed");
+    assert_eq!(cached.dirty_cache_stripes(), 0, "a bypassed write leaves nothing dirty");
+    assert_eq!(cached_calls, through_calls, "same backend writes as the uncached twin");
+    assert_eq!(cached_calls, 2 * writes, "each a 2 + 2 RMW");
+    cached.verify_parity().unwrap();
+
+    let dir = std::env::temp_dir().join(format!("pdl-io-bypass-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let layout = RingLayout::for_v_k(7, 4).layout().clone();
+    let backend = FileBackend::create(&dir, 8, 2 * layout.size(), UNIT).unwrap();
+    let file = BlockStore::new(layout, backend).unwrap();
+    file.set_cache_policy(CachePolicy::write_back()).unwrap();
+    read_mostly_trace(&file);
+    assert_eq!(file.stats().cache.bypassed_writes, 0, "a syscall-bound backend keeps combining");
+    assert!(file.dirty_cache_stripes() > 0);
+    drop(file);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A degraded batched read decodes each lost stripe **once**: with two
@@ -332,7 +418,7 @@ fn degraded_batch_read_decodes_each_stripe_once() {
         store.write_blocks(0, &data).unwrap();
         store.fail_disk(0).unwrap();
         store.fail_disk(1).unwrap();
-        let t0 = totals(&store);
+        let t0 = store.stats();
         let mut out = vec![0u8; blocks * UNIT];
         store.read_blocks(0, &mut out).unwrap();
         assert_eq!(out, data, "doubly-degraded batched read returns the written bytes");
@@ -350,7 +436,7 @@ fn degraded_batch_read_decodes_each_stripe_once() {
             // the real assertion.
             b * k
         };
-        let (r, _, _, _) = diff(&store, &t0);
+        let (r, _, _, _) = diff(&store, &t0, 0);
         assert!(
             r < per_block_decode_cost,
             "batched degraded read ({r} unit reads) must beat per-block decoding"
@@ -379,6 +465,9 @@ fn rebuild_batches_reads_without_changing_unit_counts() {
         );
         assert_eq!(report.read_imbalance(), 0.0, "per-disk unit counts perfectly balanced");
         let now = store.stats();
+        // Survivor reads ride the maintenance lane; the spare's writes
+        // are issued around the queues.
+        engine_accounts(&now, &before, survivor_read_calls(&now, &before, 2));
         let units_per_disk = store.backend().units_per_disk() as u64;
         for d in 0..store.v() {
             if d == 2 {
@@ -417,6 +506,7 @@ fn racing_rebuild_live_read_distribution_matches_declustering() {
             store.write_blocks(0, &data).unwrap();
             store.fail_disk(2).unwrap();
             assert!(store.rebuild_progress().is_none(), "no progress before a rebuild registers");
+            let before = store.stats();
 
             // Single worker + tiny chunks stretch the rebuild so the
             // polling loop below lands samples strictly mid-flight.
@@ -435,6 +525,8 @@ fn racing_rebuild_live_read_distribution_matches_declustering() {
                 store.rebuild_progress().is_none(),
                 "progress clears once the rebuild completes"
             );
+            let now = store.stats();
+            engine_accounts(&now, &before, survivor_read_calls(&now, &before, 2));
             let captured =
                 samples.iter().any(|p| p.units_done >= 64 && p.units_done < p.units_total);
             if captured {

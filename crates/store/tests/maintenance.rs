@@ -140,7 +140,9 @@ fn scrub_continuous_case<B: Backend + 'static>(store: Arc<BlockStore<B>>) {
         .expect("slot released after the loop stopped");
     assert!(pass.completed);
     assert_eq!(pass.checksum_repairs, 0);
-    assert!(store.stats().maintenance.paced_passes > after.maintenance.paced_passes);
+    let done = store.stats().maintenance;
+    assert_eq!(done.paced_passes, after.maintenance.paced_passes + 1, "one pass per call");
+    assert_eq!(done.scrub_yields, 0, "no reshape ran, so no scrub ever yielded to one");
     store.verify_parity().unwrap();
 }
 
