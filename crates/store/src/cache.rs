@@ -19,21 +19,27 @@
 //! * **fully dirty** (every data unit of the stripe overwritten) —
 //!   the existing zero-read full-stripe path: parity is recomputed
 //!   fresh from the cached data, `k` unit writes, **no reads at all**;
-//! * **partially dirty, healthy stripe** — one combined update:
-//!   read each *clean* unit once, recompute P (and the
-//!   GF-coefficient-weighted Q, under P+Q) fresh in parity
-//!   accumulators over clean + cached data, then write parity and
-//!   the dirty units **once**, however many client writes the entry
-//!   absorbed. `K` writes to one stripe cost at most `k_data`
-//!   reads-plus-writes per unit-slot — and at most one backend call
-//!   per touched disk — instead of `K` full RMW cycles. Recomputing
-//!   (rather than delta-updating the old parity) makes the flush
-//!   **idempotent**: an errored flush retries from scratch and
-//!   converges, with no half-applied delta to cancel;
-//! * **degraded stripe** (a member disk failed or rebuilding) — the
-//!   store's per-unit degraded write path, which already maintains
-//!   every surviving parity, marks skipped media stale, and writes
-//!   through to a racing rebuild's spare.
+//! * **partially dirty** — the store's one partial-stripe update
+//!   (`BlockStore::update_partial_stripe`, the same function a
+//!   write-through write calls): the dirty units and the parity are
+//!   written **once**, however many client writes the entry absorbed,
+//!   at most one backend call per touched disk. A healthy stripe pays
+//!   whichever is fewer reads — the delta route (old dirty units and
+//!   old parity, `m + p`; it also takes ties, touching fewer disks) or
+//!   the reconstruct route (the clean units, `k_data − m`, parity
+//!   recomputed fresh); a degraded stripe (a member disk failed or
+//!   rebuilding) takes the per-unit route, which maintains every
+//!   surviving parity, marks skipped media stale, and writes through
+//!   to a racing rebuild's spare.
+//!
+//! An errored flush re-queues its stripes, and `StripeCache::requeue`
+//! marks each entry: a marked entry of a healthy stripe always flushes
+//! by **reconstruct**, which is idempotent — it recomputes parity from
+//! the data vector and so converges over whatever part of the failed
+//! attempt landed. The delta route would instead fold a landed unit's
+//! zero delta into a stale parity, corrupting the stripe for good. (A
+//! degraded stripe keeps its per-unit route on retry too — part of the
+//! write hole, ROADMAP item 1.)
 //!
 //! ## Consistency argument
 //!
@@ -154,6 +160,11 @@ struct StripeEntry {
     data: Box<[u8]>,
     /// Count of `true` flags in `dirty`.
     ndirty: usize,
+    /// A flush of this entry failed part-way (set by
+    /// [`StripeCache::requeue`]): the backend may hold any subset of
+    /// that attempt's writes, so the entry must flush by an
+    /// idempotent route. Cleared only with the entry.
+    requeued: bool,
 }
 
 /// An owned copy of one entry's dirty flags, taken under the stripe's
@@ -165,6 +176,7 @@ struct StripeEntry {
 pub(crate) struct FlushSnapshot {
     pub(crate) dirty: Vec<bool>,
     pub(crate) ndirty: usize,
+    pub(crate) requeued: bool,
 }
 
 /// The `(copy, stripe)` cache key packed into one word.
@@ -365,6 +377,7 @@ impl StripeCache {
                 dirty: vec![false; k_data].into_boxed_slice(),
                 data: vec![0u8; k_data * self.unit_size].into_boxed_slice(),
                 ndirty: 0,
+                requeued: false,
             }
         });
         if !e.dirty[j] {
@@ -394,6 +407,7 @@ impl StripeCache {
                 snap.dirty.clear();
                 snap.dirty.extend_from_slice(&e.dirty);
                 snap.ndirty = e.ndirty;
+                snap.requeued = e.requeued;
                 staged.extend_from_slice(&e.data);
                 true
             }
@@ -427,8 +441,13 @@ impl StripeCache {
     }
 
     /// Returns a popped key to the queue (flush error path), so a
-    /// later flush retries the stripe instead of stranding it.
-    pub(crate) fn requeue(&self, key: u64) {
+    /// later flush retries the stripe instead of stranding it, and
+    /// marks its entry (if still present) as re-queued — see the
+    /// [module docs](self) for why the retry must then reconstruct.
+    pub(crate) fn requeue(&self, shard: usize, key: u64) {
+        if let Some(e) = self.shards[shard].lock().unwrap().get_mut(&key) {
+            e.requeued = true;
+        }
         self.queue.lock().unwrap().push_front(key);
     }
 
@@ -568,9 +587,14 @@ mod tests {
         assert!(!cache.over_limit());
         cache.write(1, stripe_key(0, 1), 2, 0, &[2; 4]);
         assert!(cache.over_limit());
-        // Requeue puts an errored flush victim back at the front.
+        // Requeue puts an errored flush victim back at the front and
+        // marks the entry, which its next snapshot carries.
         let k = cache.pop_dirty().unwrap();
-        cache.requeue(k);
+        let mut snap = FlushSnapshot::default();
+        let mut staged = Vec::new();
+        assert!(cache.snapshot_append(0, k, &mut snap, &mut staged) && !snap.requeued);
+        cache.requeue(0, k);
         assert_eq!(cache.pop_dirty(), Some(k));
+        assert!(cache.snapshot_append(0, k, &mut snap, &mut staged) && snap.requeued);
     }
 }

@@ -20,10 +20,10 @@
 //!   backend service time. Submission blocks (backpressure) when the
 //!   ring is full.
 //! * **Worker pool** — `workers` OS threads (default: one per disk)
-//!   each servicing *any* queue: a worker scans for the eligible
-//!   queue with the lowest expected drain time
-//!   (`(in_flight + 1) × ewma_service_ns`), pops a batch, executes
-//!   the backend call, and fulfils the completions. Plain
+//!   each servicing *any* queue: a worker scans the queues with
+//!   requests waiting for the eligible one with the lowest expected
+//!   drain time (`(in_flight + 1) × ewma_service_ns`), pops a batch,
+//!   executes the backend call, and fulfils the completions. Plain
 //!   condvar/atomic wakeups — no async runtime.
 //! * **Coalescing pop** — at dequeue time, requests at the head of
 //!   the chosen lane that are the same kind and offset-adjacent are
@@ -195,6 +195,9 @@ pub struct DiskQueue {
     lanes: Mutex<Lanes>,
     /// Signalled when a pop makes room for a blocked submitter.
     not_full: Condvar,
+    /// Requests waiting in either lane — changed only under the lane
+    /// lock, read lock-free by the dispatcher's eligibility scan.
+    queued: AtomicUsize,
     /// Outstanding backend calls against this disk.
     in_flight: AtomicUsize,
     /// EWMA of backend service time, ns (α = 1/8; 0 = no sample yet).
@@ -210,6 +213,7 @@ impl DiskQueue {
         DiskQueue {
             lanes: Mutex::new(Lanes::default()),
             not_full: Condvar::new(),
+            queued: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
             ewma_ns: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
@@ -283,14 +287,31 @@ impl<B: Backend + Send + Sync + 'static> Engine<B> {
     /// the retry policy and per-disk health accounting, identical to
     /// the synchronous path.
     pub fn start(backend: Arc<B>, integrity: Arc<Integrity>, cfg: EngineConfig) -> Arc<Self> {
+        let inner = Arc::new(Inner::new(backend, integrity, cfg));
+        let handles = (0..inner.cfg.workers)
+            .map(|wid| {
+                let inner = Arc::clone(&inner);
+                std::thread::Builder::new()
+                    .name(format!("pdl-engine-{wid}"))
+                    .spawn(move || worker_loop(&inner, wid))
+                    .expect("spawn engine worker")
+            })
+            .collect();
+        Arc::new(Engine { inner, workers: Mutex::new(handles) })
+    }
+}
+
+impl<B: Backend> Inner<B> {
+    /// The queues and counters of an engine whose pool is not yet
+    /// spawned (`cfg.workers == 0` resolved to one per disk).
+    fn new(backend: Arc<B>, integrity: Arc<Integrity>, cfg: EngineConfig) -> Self {
         let disks = backend.disks();
         let workers = if cfg.workers == 0 { disks.max(1) } else { cfg.workers };
-        let cfg = EngineConfig { workers, queue_capacity: cfg.queue_capacity.max(1) };
-        let inner = Arc::new(Inner {
+        Inner {
             backend,
             integrity,
             queues: (0..disks).map(|_| DiskQueue::new()).collect(),
-            cfg,
+            cfg: EngineConfig { workers, queue_capacity: cfg.queue_capacity.max(1) },
             pending: AtomicUsize::new(0),
             work_m: Mutex::new(()),
             work_cv: Condvar::new(),
@@ -301,17 +322,7 @@ impl<B: Backend + Send + Sync + 'static> Engine<B> {
             errors: AtomicU64::new(0),
             maintenance_deferred: AtomicU64::new(0),
             queue_wait: LatencyHistogram::default(),
-        });
-        let handles = (0..workers)
-            .map(|wid| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("pdl-engine-{wid}"))
-                    .spawn(move || worker_loop(&inner, wid))
-                    .expect("spawn engine worker")
-            })
-            .collect();
-        Arc::new(Engine { inner, workers: Mutex::new(handles) })
+        }
     }
 }
 
@@ -377,6 +388,7 @@ impl<B: Backend> Engine<B> {
                 inner.maint_submitted.fetch_add(1, Ordering::Relaxed);
             }
         }
+        q.queued.fetch_add(1, Ordering::Relaxed);
         q.submitted.fetch_add(1, Ordering::Relaxed);
         drop(lanes);
         inner.pending.fetch_add(1, Ordering::Release);
@@ -443,6 +455,7 @@ impl<B> Engine<B> {
                 .into_iter()
                 .chain(lanes.maint.drain(..))
                 .collect();
+            q.queued.store(0, Ordering::Relaxed);
             drop(lanes);
             for req in leftovers {
                 inner.pending.fetch_sub(1, Ordering::Relaxed);
@@ -539,74 +552,78 @@ fn worker_loop<B: Backend>(inner: &Inner<B>, wid: usize) {
 }
 
 /// Picks the eligible queue with the lowest expected drain time
-/// (depth-aware: `in_flight` must be under [`TARGET_DEPTH`]) and pops
-/// a coalesced batch from it. Scanning starts at `wid` so workers
-/// spread over disks when scores tie.
+/// (depth-aware: `in_flight` must be under [`TARGET_DEPTH`]) among
+/// those with requests *waiting*, and pops a coalesced batch from it.
+/// Scanning starts at `wid` so workers spread over disks when scores
+/// tie. A queue emptied by another worker between the scan and the
+/// lane lock sends the scan round again rather than parking the worker
+/// while other queues still wait — its `queued` reads zero by then, so
+/// the rescan moves on.
 fn next_batch<B: Backend>(inner: &Inner<B>, wid: usize) -> Option<(usize, Batch)> {
     let n = inner.queues.len();
-    if n == 0 || inner.pending.load(Ordering::Acquire) == 0 {
-        return None;
+    loop {
+        if n == 0 || inner.pending.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let mut best: Option<(usize, u64)> = None;
+        for i in 0..n {
+            let d = (wid + i) % n;
+            let q = &inner.queues[d];
+            if q.in_flight.load(Ordering::Relaxed) >= TARGET_DEPTH
+                || q.queued.load(Ordering::Relaxed) == 0
+            {
+                continue;
+            }
+            let s = q.score();
+            if best.is_none_or(|(_, bs)| s < bs) {
+                best = Some((d, s));
+            }
+        }
+        let (disk, _) = best?;
+        let q = &inner.queues[disk];
+        let mut lanes = q.lanes.lock().unwrap();
+        // Strict priority: drain the client lane first; count every
+        // maintenance request it bypasses as deferred.
+        let lane = if !lanes.client.is_empty() {
+            if !lanes.maint.is_empty() {
+                inner.maintenance_deferred.fetch_add(lanes.maint.len() as u64, Ordering::Relaxed);
+            }
+            &mut lanes.client
+        } else if !lanes.maint.is_empty() {
+            &mut lanes.maint
+        } else {
+            continue; // lost the race for this queue's last request
+        };
+        let first = lane.pop_front().expect("lane checked non-empty");
+        let is_read = matches!(first.op, ReqOp::Read);
+        let mut total_units = first.units;
+        let mut reqs = vec![first];
+        // Coalescing pop: merge offset-adjacent same-kind heads.
+        while let Some(next) = lane.front() {
+            let last = reqs.last().expect("batch non-empty");
+            let adjacent = next.offset == last.offset + last.units;
+            let same_kind = matches!(next.op, ReqOp::Read) == is_read;
+            if !(adjacent && same_kind) || total_units + next.units > MAX_COALESCE_UNITS {
+                break;
+            }
+            total_units += next.units;
+            q.coalesced.fetch_add(1, Ordering::Relaxed);
+            reqs.push(lane.pop_front().expect("front checked"));
+        }
+        // Reserve the in-flight slot before releasing the lane lock so
+        // a concurrent scan sees the updated depth.
+        q.in_flight.fetch_add(1, Ordering::Relaxed);
+        let popped = reqs.len();
+        q.queued.fetch_sub(popped, Ordering::Relaxed);
+        drop(lanes);
+        q.not_full.notify_all();
+        inner.pending.fetch_sub(popped, Ordering::Release);
+        let now = Instant::now();
+        for r in &reqs {
+            inner.queue_wait.record(now.duration_since(r.submitted).as_nanos() as u64);
+        }
+        return Some((disk, Batch { reqs, is_read }));
     }
-    let mut best: Option<(usize, u64)> = None;
-    for i in 0..n {
-        let d = (wid + i) % n;
-        let q = &inner.queues[d];
-        if q.in_flight.load(Ordering::Relaxed) >= TARGET_DEPTH {
-            continue;
-        }
-        // Cheap non-emptiness probe without the lane mutex: the
-        // submitted/completed delta covers queued + in-flight work.
-        if q.submitted.load(Ordering::Relaxed) == q.completed.load(Ordering::Relaxed) {
-            continue;
-        }
-        let s = q.score();
-        if best.is_none_or(|(_, bs)| s < bs) {
-            best = Some((d, s));
-        }
-    }
-    let (disk, _) = best?;
-    let q = &inner.queues[disk];
-    let mut lanes = q.lanes.lock().unwrap();
-    // Strict priority: drain the client lane first; count every
-    // maintenance request it bypasses as deferred.
-    let lane = if !lanes.client.is_empty() {
-        if !lanes.maint.is_empty() {
-            inner.maintenance_deferred.fetch_add(lanes.maint.len() as u64, Ordering::Relaxed);
-        }
-        &mut lanes.client
-    } else if !lanes.maint.is_empty() {
-        &mut lanes.maint
-    } else {
-        return None;
-    };
-    let first = lane.pop_front().expect("lane checked non-empty");
-    let is_read = matches!(first.op, ReqOp::Read);
-    let mut total_units = first.units;
-    let mut reqs = vec![first];
-    // Coalescing pop: merge offset-adjacent same-kind heads.
-    while let Some(next) = lane.front() {
-        let last = reqs.last().expect("batch non-empty");
-        let adjacent = next.offset == last.offset + last.units;
-        let same_kind = matches!(next.op, ReqOp::Read) == is_read;
-        if !(adjacent && same_kind) || total_units + next.units > MAX_COALESCE_UNITS {
-            break;
-        }
-        total_units += next.units;
-        q.coalesced.fetch_add(1, Ordering::Relaxed);
-        reqs.push(lane.pop_front().expect("front checked"));
-    }
-    // Reserve the in-flight slot before releasing the lane lock so
-    // a concurrent scan sees the updated depth.
-    q.in_flight.fetch_add(1, Ordering::Relaxed);
-    let popped = reqs.len();
-    drop(lanes);
-    q.not_full.notify_all();
-    inner.pending.fetch_sub(popped, Ordering::Release);
-    let now = Instant::now();
-    for r in &reqs {
-        inner.queue_wait.record(now.duration_since(r.submitted).as_nanos() as u64);
-    }
-    Some((disk, Batch { reqs, is_read }))
 }
 
 /// Executes one batch against the backend (under the integrity
@@ -863,6 +880,31 @@ mod tests {
         let err = eng.submit_read_units(0, 0, 1, Priority::Client).err().expect("refused");
         assert!(is_engine_down(&err), "submit after stop must fail as engine-down");
         assert!(!is_engine_down(&StoreError::Io(std::io::Error::other("disk on fire"))));
+    }
+
+    /// A worker must not park while requests wait: with disk 0 busy
+    /// and drained and disk 1 busy with one request still queued, the
+    /// two scores tie and the scan meets disk 0 first — yet the pick
+    /// is disk 1's waiting request, not an empty lane.
+    #[test]
+    fn scan_skips_busy_queues_with_nothing_waiting() {
+        let backend = Arc::new(MemBackend::new(2, 32, 64));
+        let integrity = Arc::new(Integrity::new(2, 32));
+        let cfg = EngineConfig { workers: 1, ..EngineConfig::default() };
+        // No pool: this test is the only worker.
+        let eng = Engine {
+            inner: Arc::new(Inner::new(backend, integrity, cfg)),
+            workers: Mutex::default(),
+        };
+        let _tokens: Vec<Completion> = [(0, 0), (1, 0), (1, 5)]
+            .into_iter()
+            .map(|(disk, offset)| eng.submit_read_units(disk, offset, 1, Priority::Client).unwrap())
+            .collect();
+        let pick = |wid| next_batch(&eng.inner, wid).map(|(disk, b)| (disk, b.reqs[0].offset));
+        assert_eq!(pick(0), Some((0, 0)));
+        assert_eq!(pick(1), Some((1, 0)));
+        assert_eq!(pick(0), Some((1, 5)), "the waiting request, not disk 0's empty lane");
+        assert_eq!(pick(0), None, "nothing left waiting");
     }
 
     #[test]

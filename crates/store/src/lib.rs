@@ -19,7 +19,8 @@
 //!   [`ParityScheme::PQ`] (two parity units per stripe, any **two**
 //!   disks may fail concurrently);
 //! * [`BlockStore`] — the stripe-aware read/write path: parity
-//!   maintained by small-write read-modify-write, a zero-read
+//!   maintained on a partially covered stripe by delta or
+//!   reconstruct update (whichever reads fewer units), a zero-read
 //!   full-stripe write fast path, logical→physical translation via
 //!   the scheme-aware Condition-4 [`StripeMap`] (a precomputed
 //!   per-rotation lookup table: [`StripeMap::locate_full`] resolves

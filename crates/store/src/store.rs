@@ -21,7 +21,7 @@
 //! Every data-path operation — reads, writes, degraded decodes,
 //! rebuild chunks — takes `&self`, so one store serves many client
 //! threads at once (`BlockStore<B>: Sync` whenever `B: Backend`).
-//! Three mechanisms make that safe:
+//! Four mechanisms make that safe:
 //!
 //! 1. **A stripe-sharded lock table** (`StripeLockTable`). Parity
 //!    maintenance is a multi-unit read-modify-write over one stripe,
@@ -127,7 +127,10 @@
 //! multi-run transfers go through `io.rs`. Full stripes are
 //! planned by one `plan_stripe`, generic over where each unit is
 //! placed, for client writes, cache flushes and the reshape migration
-//! alike; `write_block_rmw` is the one read-modify-write.
+//! alike. Every partially covered stripe — a `write_block`, the head
+//! or tail of a `write_blocks`, a partially dirty cache flush — is
+//! updated by one `update_partial_stripe`, which picks the delta or
+//! the reconstruct route by read count.
 
 use crate::backend::Backend;
 use crate::cache::{key_parts, stripe_key, CachePolicy, FlushSnapshot, StripeCache};
@@ -1516,9 +1519,10 @@ impl<B: Backend> BlockStore<B> {
     /// Flushes one sorted batch of cached stripes under a single
     /// two-phase ordered shard acquisition. Fully dirty stripes plan
     /// into one combined gather plan (flushed at the end, entries
-    /// removed after the backend writes land); partially dirty and
-    /// degraded stripes take their per-stripe paths inline. On error
-    /// every key of the batch is re-queued — already-flushed entries
+    /// removed after the backend writes land); partially dirty
+    /// stripes go through `update_partial_stripe` inline. On error
+    /// every key of the batch is re-queued (and its entry marked, so
+    /// its retry takes the idempotent route) — already-flushed entries
     /// are gone and skip harmlessly on the retry.
     fn flush_batch(
         &self,
@@ -1583,34 +1587,13 @@ impl<B: Backend> BlockStore<B> {
                         self.place(st, u, copy, si)
                     });
                     planned.push(key);
-                } else if st.world.layout.stripes()[si]
-                    .units()
-                    .iter()
-                    .any(|u| st.failed.contains(u.disk as usize))
-                {
-                    // Degraded stripe: the per-unit path keeps every
-                    // surviving parity consistent, marks stale media,
-                    // and writes through to a racing rebuild's spare.
-                    // Units flush in ascending address order, so a
-                    // second lost unit decoded by a later iteration
-                    // sees the values earlier iterations already
-                    // folded into parity.
-                    (0..k_data).filter(|&j| snap.dirty[j]).try_for_each(|j| {
-                        self.write_block_locked(st, start + j, &stripe_bytes[j * us..(j + 1) * us])
-                    })?;
-                    self.cache.remove_flushed(shard, key);
                 } else {
-                    // A clean unit failing its checksum would fold
-                    // corrupt bytes into the recomputed parity:
-                    // repair the stripe (the shard lock is held
-                    // exclusive) and retry the flush once.
-                    match self.flush_partial_stripe(st, si, copy, start, snap, stripe_bytes) {
-                        Err(StoreError::ChecksumMismatch { .. }) => {
-                            self.repair_stripe_locked(st, copy, si)?;
-                            self.flush_partial_stripe(st, si, copy, start, snap, stripe_bytes)?;
-                        }
-                        r => r?,
-                    }
+                    let dirty: Vec<(usize, &[u8])> = stripe_bytes
+                        .chunks_exact(us)
+                        .enumerate()
+                        .filter(|&(j, _)| snap.dirty[j])
+                        .collect();
+                    self.update_partial_stripe(st, copy, si, &dirty, snap.requeued)?;
                     self.cache.remove_flushed(shard, key);
                 }
             }
@@ -1623,7 +1606,8 @@ impl<B: Backend> BlockStore<B> {
         })();
         if res.is_err() {
             for &key in keys {
-                self.cache.requeue(key);
+                let (copy, si) = key_parts(key);
+                self.cache.requeue(self.locks.shard_of(copy, si), key);
             }
         } else if flushed_stripes > 0 {
             self.cache.note_flush(flushed_stripes as u64, flushed_units as u64);
@@ -1671,61 +1655,174 @@ impl<B: Backend> BlockStore<B> {
         Ok(())
     }
 
-    /// Combined flush of a **healthy**, partially dirty stripe —
-    /// **idempotent by construction**, so an errored flush simply
-    /// retries: parity is recomputed *fresh* over the stripe's
-    /// current data vector (clean units read from the backend once,
-    /// dirty units taken from the cache snapshot) and never depends
-    /// on the previous on-disk parity. A retry after any partial
-    /// failure therefore converges to the same final state — a
-    /// parity-delta RMW would instead cancel its own half-applied
-    /// update on the second pass. It is also cheaper for the stripe
-    /// shapes in play: `k_data − ndirty` reads instead of
-    /// `ndirty + parity_count`, still at most one backend call per
-    /// touched disk, however many client writes the entry absorbed.
-    fn flush_partial_stripe(
+    /// The one partial-stripe update: lands the new bytes of the data
+    /// slots in `dirty` — `(j, unit)` pairs, `j` the slot's data index
+    /// within stripe `si` of layout copy `copy` (address order, as the
+    /// cache indexes it), ascending — and keeps every placeable parity
+    /// consistent. The caller holds the stripe's shard lock exclusive
+    /// and the state read guard. With `m` dirty units and `p` placeable
+    /// parities it writes `m + p` units, at most one backend call per
+    /// touched disk, and picks its reads by count:
+    ///
+    /// * **delta** — read the `m` old units and the `p` old parities
+    ///   and fold every `old ⊕ new` into the parities. Taken when its
+    ///   `m + p` reads are no more than reconstruct's: at a tie it
+    ///   touches `k_data − m` fewer disks, its reads landing on units
+    ///   it writes anyway. It is not idempotent — re-run over a
+    ///   half-applied attempt it folds a landed unit's zero delta into
+    ///   a stale parity;
+    /// * **reconstruct** — read the `k_data − m` clean units and
+    ///   recompute the parities fresh over the whole data vector.
+    ///   Taken when strictly fewer reads, and for every `requeued`
+    ///   update of a healthy stripe (a cache entry whose earlier flush
+    ///   failed part-way), because it is idempotent;
+    /// * **degraded stripe** (a member disk failed) — one unit at a
+    ///   time, ascending: delta while the unit's disk lives,
+    ///   reconstruct when its value exists only through parity (a
+    ///   second lost data unit decoded first), so a later unit's decode
+    ///   sees what earlier ones folded in.
+    ///
+    /// Every read of an attempt precedes its writes (per unit on the
+    /// degraded route), so a checksum mismatch — a corrupt unit about
+    /// to be folded into parity — surfaces before anything of the unit
+    /// in hand has landed: the stripe is repaired and the update
+    /// retried once. A *client* retrying a write-through call that
+    /// failed part-way, or a re-queued flush of a degraded stripe, may
+    /// still take the delta route over the half-applied attempt: that
+    /// is the write hole (ROADMAP item 1).
+    fn update_partial_stripe(
         &self,
         st: &ArrayState,
-        si: usize,
         copy: usize,
-        start: usize,
-        snap: &FlushSnapshot,
-        data: &[u8],
+        si: usize,
+        dirty: &[(usize, &[u8])],
+        requeued: bool,
     ) -> Result<(), StoreError> {
-        let us = self.unit_size;
-        let is_pq = self.scheme == ParityScheme::PQ;
         let w = &*st.world;
+        let (lo, k_data) = w.smap.stripe_data_range(si);
+        let start = copy * w.smap.data_units_per_copy() + lo;
+        let locate = |j: usize| w.smap.locate_full(start + j);
+        let lost = |m: &AddrRef| st.failed.contains(m.unit.disk as usize);
         let (p_slot, q_slot) = w.smap.parity_slots(si);
-        let parity_at = |slot: usize| PhysUnit::live(st, w.unit(copy, si, slot));
-        let mut acc = self.scratch.get();
-        let res = (|| {
-            let Scratch { acc_p, acc_q, tmp } = &mut acc;
-            let mut syn = Syndromes::zeroed(acc_p, is_pq.then_some(acc_q.as_mut_slice()));
-            for (j, &dirty) in snap.dirty.iter().enumerate() {
-                let m = w.smap.locate_full(start + j);
-                let val: &[u8] = if dirty {
-                    &data[j * us..(j + 1) * us]
-                } else {
-                    self.read_unit(PhysUnit::live(st, m.unit), tmp)?;
-                    tmp
-                };
-                syn.fold(Role::Data(m.slot), val);
+        // Where the new P and Q go: their live media, a racing
+        // rebuild's spare, or nowhere.
+        let p_at = self.place(st, w.unit(copy, si, p_slot), copy, si);
+        let q_at = q_slot.and_then(|qs| self.place(st, w.unit(copy, si, qs), copy, si));
+        let land = |set: &[(usize, &[u8])], p: &[u8], q: &[u8]| -> Result<(), StoreError> {
+            if let Some(at) = p_at {
+                self.write_unit(at, p)?;
             }
-            self.write_unit(parity_at(p_slot), acc_p)?;
-            if let Some(qs) = q_slot {
-                self.write_unit(parity_at(qs), acc_q)?;
+            if let Some(at) = q_at {
+                self.write_unit(at, q)?;
             }
-            for (j, &dirty) in snap.dirty.iter().enumerate() {
-                if !dirty {
-                    continue;
+            for &(j, new) in set {
+                if let Some(at) = self.place(st, locate(j).unit, copy, si) {
+                    self.write_unit(at, new)?;
                 }
-                let m = w.smap.locate_full(start + j);
-                self.write_unit(PhysUnit::live(st, m.unit), &data[j * us..(j + 1) * us])?;
             }
             Ok(())
-        })();
-        self.scratch.put(acc);
-        res
+        };
+        // Delta: P ⊕= Σ (old ⊕ new), Q likewise coefficient-weighted —
+        // valid with *another* member failed, the invariants being
+        // linear in the deltas. A spare's parity is updated like a live
+        // one: pre-rebuild it holds arbitrary bytes the rebuild's decode
+        // overwrites (serialized by the stripe lock); post-rebuild it
+        // holds the true old parity.
+        let delta = |set: &[(usize, &[u8])]| {
+            let mut s = self.scratch.get();
+            let res = (|| {
+                let Scratch { acc_p, acc_q, tmp } = &mut s;
+                let mut syn = Syndromes { p: None, q: None };
+                if let Some(at) = p_at {
+                    self.read_unit(at, acc_p)?;
+                    syn.p = Some(acc_p.as_mut_slice());
+                }
+                if let Some(at) = q_at {
+                    self.read_unit(at, acc_q)?;
+                    syn.q = Some(acc_q.as_mut_slice());
+                }
+                for &(j, new) in set {
+                    let m = locate(j);
+                    self.read_unit(PhysUnit::live(st, m.unit), tmp)?;
+                    codec::delta(tmp, new);
+                    syn.fold(Role::Data(m.slot), tmp);
+                }
+                land(set, acc_p, acc_q)
+            })();
+            self.scratch.put(s);
+            res
+        };
+        // Reconstruct: P and Q folded fresh from the new bytes of `set`
+        // and the clean units read back. A clean unit whose disk is
+        // failed (P+Q, beside a lost unit of `set`) is decoded first,
+        // into its own scratch, which keeps the value live while a
+        // second scratch accumulates the parity.
+        let reconstruct = |set: &[(usize, &[u8])]| {
+            let mut dec = (0..k_data)
+                .map(locate)
+                .enumerate()
+                .find(|(j, m)| lost(m) && !set.iter().any(|&(d, _)| d == *j))
+                .map(|(_, m)| (m.slot, self.scratch.get()));
+            let mut acc = self.scratch.get();
+            let res = (|| {
+                let decoded = match &mut dec {
+                    Some((slot, s)) => {
+                        let shift = (copy * w.layout.size()) as u32;
+                        let solved = self.decode_stripe(st, si, shift, &[], s)?;
+                        Some((*slot, solved.get(s, *slot)?))
+                    }
+                    None => None,
+                };
+                let Scratch { acc_p, acc_q, tmp } = &mut acc;
+                let mut syn = Syndromes::zeroed(acc_p, q_slot.map(|_| acc_q.as_mut_slice()));
+                let mut news = set.iter().peekable();
+                for j in 0..k_data {
+                    let m = locate(j);
+                    let val: &[u8] = match (news.next_if(|&&(d, _)| d == j), decoded) {
+                        (Some(&(_, new)), _) => new,
+                        (None, Some((slot, bytes))) if slot == m.slot => bytes,
+                        (None, _) => {
+                            self.read_unit(PhysUnit::live(st, m.unit), tmp)?;
+                            tmp
+                        }
+                    };
+                    syn.fold(Role::Data(m.slot), val);
+                }
+                land(set, acc_p, acc_q)
+            })();
+            if let Some((_, s)) = dec {
+                self.scratch.put(s);
+            }
+            self.scratch.put(acc);
+            res
+        };
+        let degraded = !st.failed.is_empty()
+            && w.layout.stripes()[si].units().iter().any(|u| st.failed.contains(u.disk as usize));
+        let reads_by_delta =
+            dirty.len() + usize::from(p_at.is_some()) + usize::from(q_at.is_some());
+        let attempt = || {
+            if degraded {
+                dirty.iter().try_for_each(|unit| {
+                    let one = std::slice::from_ref(unit);
+                    if lost(&locate(unit.0)) {
+                        reconstruct(one)
+                    } else {
+                        delta(one)
+                    }
+                })
+            } else if !requeued && reads_by_delta <= k_data - dirty.len() {
+                delta(dirty)
+            } else {
+                reconstruct(dirty)
+            }
+        };
+        match attempt() {
+            Err(StoreError::ChecksumMismatch { .. }) => {
+                self.repair_stripe_locked(st, copy, si)?;
+                attempt()
+            }
+            r => r,
+        }
     }
 
     fn check_addr(&self, addr: usize) -> Result<(), StoreError> {
@@ -2272,12 +2369,15 @@ impl<B: Backend> BlockStore<B> {
     }
 
     /// Writes logical block `addr` from `data` (`unit_size` bytes),
-    /// maintaining every surviving parity unit of the stripe. Small
-    /// writes are read-modify-write (2 reads + 2 writes under XOR,
-    /// 3 + 3 under P+Q); use [`BlockStore::write_blocks`] for the
-    /// zero-read full-stripe path.
+    /// maintaining every surviving parity unit of the stripe. A small
+    /// write is the partial-stripe update of one unit: `1 + p` unit
+    /// writes (`p` parities) and `min(1 + p, k_data − 1)` reads — the
+    /// old unit and parities or, when fewer, the stripe's other data
+    /// units (2 + 2 under XOR from k = 4, 1 + 3 under P+Q at k = 4,
+    /// 3 + 3 under P+Q from k = 6); use
+    /// [`BlockStore::write_blocks`] for the zero-read full-stripe path.
     ///
-    /// Takes `&self`: the stripe's shard lock serializes the RMW
+    /// Takes `&self`: the stripe's shard lock serializes the update
     /// against concurrent writers (and degraded readers) of the same
     /// stripe, while writes to other stripes proceed in parallel.
     ///
@@ -2291,7 +2391,7 @@ impl<B: Backend> BlockStore<B> {
         self.check_block_buf(data.len())?;
         let st = self.state_read();
         let m = st.world.smap.locate_full(addr);
-        let shard = self.locks.shard_of(m.copy, m.stripe);
+        let (shard, key, j, k_data) = self.cache_coords(&st, &m, addr);
         let kind = if !st.failed.is_empty()
             && st.world.layout.stripes()[m.stripe]
                 .units()
@@ -2303,58 +2403,42 @@ impl<B: Backend> BlockStore<B> {
             OpKind::Write
         };
         self.client_op(st, kind, addr, 1, |st, t| {
-            let lock_stripe = || {
-                let (guard, contended) = self.locks.lock_one_counting(shard);
+            // Read-mostly write-back bypass: when recent traffic is
+            // read-dominated and the backend is memory-speed (no
+            // call-coalescing win to combine for), deferring the
+            // update buys nothing — the flush does the same backend
+            // work later while every read pays the cache probe.
+            let wb = self.cache.is_write_back();
+            let bypass = wb && !self.backend.prefers_gap_bridging() && self.metrics.read_mostly();
+            {
+                let (_g, contended) = self.locks.lock_one_counting(shard);
                 if contended {
                     self.metrics.note_lock_contention();
                     self.events.emit(|| Event::LockContention { shard: shard as u32 });
                 }
-                guard
-            };
-            if !self.cache.is_write_back() {
-                let _g = lock_stripe();
-                self.write_block_locked(st, addr, data)?;
-                return Ok(0);
-            }
-            // Read-mostly write-back bypass: when recent traffic
-            // is read-dominated and the backend is memory-speed
-            // (no call-coalescing win to combine for), deferring
-            // the RMW buys nothing — the flush does the same
-            // backend work later while every read pays the cache
-            // probe. Never bypasses past an existing entry: a
-            // direct backend write below a dirty cached unit
-            // would let reads serve the stale cached bytes.
-            let bypass = !self.backend.prefers_gap_bridging() && self.metrics.read_mostly();
-            {
-                let _g = lock_stripe();
-                // Fast bypass: with zero dirty stripes anywhere
-                // (one acquire load — reads use the same gate) no
-                // entry can shadow this write, so the per-stripe
-                // probe and even the cache coordinates are
-                // skipped. A concurrent insert for *this* stripe
-                // is excluded by the shard lock held here.
-                if bypass && !self.cache.maybe_dirty() {
-                    self.metrics.note_bypass(t);
-                    self.write_block_locked(st, addr, data)?;
-                    return Ok(0);
-                }
-                let (_, key, j, k_data) = self.cache_coords(st, &m, addr);
-                if bypass && !self.cache.has_entry(shard, key) {
-                    // A bypassed write adds no dirty state, so
-                    // the eviction check is skipped with it.
-                    self.metrics.note_bypass(t);
-                    self.write_block_locked(st, addr, data)?;
+                // Never bypasses past an existing entry: a direct
+                // backend write below a dirty cached unit would let
+                // reads serve the stale cached bytes. With zero dirty
+                // stripes anywhere (one acquire load — reads use the
+                // same gate) the per-stripe probe is skipped; a
+                // concurrent insert for *this* stripe is excluded by
+                // the shard lock held here.
+                if !wb
+                    || (bypass && !(self.cache.maybe_dirty() && self.cache.has_entry(shard, key)))
+                {
+                    if bypass {
+                        self.metrics.note_bypass(t);
+                    }
+                    self.update_partial_stripe(st, m.copy, m.stripe, &[(j, data)], false)?;
                 } else {
                     self.cache.write(shard, key, k_data, j, data);
-                    // A cached write is acknowledged without
-                    // touching the backend, but the target world
-                    // of an active reshape must still see it —
-                    // migration reads the *backend* source bytes
-                    // after flushing covered stripes, while the
-                    // dual write keeps already-migrated target
-                    // stripes fresh.
-                    self.dual_write_if_reshaping(st, addr, data)?;
                 }
+                // The target world of an active reshape sees every
+                // write, cached ones included — migration reads the
+                // *backend* source bytes after flushing covered
+                // stripes, while the dual write keeps already-migrated
+                // target stripes fresh.
+                self.dual_write_if_reshaping(st, addr, data)?;
             }
             if bypass {
                 // The mix turned read-mostly while stripes dirtied
@@ -2366,135 +2450,13 @@ impl<B: Backend> BlockStore<B> {
                 // costs one drain per flip, work the eviction
                 // trickle would have done anyway, batched.
                 self.flush_cache_locked(st)?;
-            } else {
+            } else if wb {
                 // Eviction runs with the stripe lock released (one
                 // victim shard at a time — see `evict_over_limit`).
                 self.evict_over_limit(st)?;
             }
             Ok(0)
         })
-    }
-
-    /// The single-block write body; the caller holds the stripe's
-    /// shard lock exclusive and the state read guard. A checksum
-    /// mismatch discovered by the read-modify-write's reads (old
-    /// data, old parity, or a degraded decode's survivor — all in
-    /// this stripe) triggers a stripe repair and one retry: folding a
-    /// corrupt old value into a parity delta would corrupt the parity
-    /// permanently.
-    fn write_block_locked(
-        &self,
-        st: &ArrayState,
-        addr: usize,
-        data: &[u8],
-    ) -> Result<(), StoreError> {
-        match self.write_block_rmw(st, addr, data) {
-            Err(StoreError::ChecksumMismatch { .. }) => {
-                let m = st.world.smap.locate_full(addr);
-                self.repair_stripe_locked(st, m.copy, m.stripe)?;
-                self.write_block_rmw(st, addr, data)
-            }
-            r => r,
-        }
-    }
-
-    /// The store's one read-modify-write site.
-    fn write_block_rmw(&self, st: &ArrayState, addr: usize, data: &[u8]) -> Result<(), StoreError> {
-        let w = &*st.world;
-        let m = w.smap.locate_full(addr);
-        let (si, t_slot) = (m.stripe, m.slot);
-        let shift = (m.copy * w.layout.size()) as u32;
-        let units = w.layout.stripes()[si].units();
-        let (p_slot, q_slot) = w.smap.parity_slots(si);
-        // Where the new P and Q go: their live media, a racing
-        // rebuild's spare, or nowhere.
-        let p_at = self.place(st, w.unit(m.copy, si, p_slot), m.copy, si);
-        let q_at = q_slot.and_then(|qs| self.place(st, w.unit(m.copy, si, qs), m.copy, si));
-
-        if !st.failed.contains(m.unit.disk as usize) {
-            // Target disk alive: delta-update every placeable parity.
-            // Valid even when *another* stripe member is failed — the
-            // invariants stay linear in the deltas. Scratch buffers
-            // stand in for delta/parity staging: zero allocations. A
-            // spare's copy is updated like a live one: pre-rebuild it
-            // holds arbitrary bytes and the write is harmless (the
-            // rebuild's decode overwrites it, serialized by the stripe
-            // lock); post-rebuild it holds the true old parity and the
-            // delta lands correctly.
-            let t_at = PhysUnit::live(st, m.unit);
-            let mut s = self.scratch.get();
-            let res = (|| {
-                let (delta, par) = (s.acc_p.as_mut_slice(), s.acc_q.as_mut_slice());
-                self.read_unit(t_at, delta)?;
-                codec::delta(delta, data);
-                if let Some(at) = p_at {
-                    self.read_unit(at, par)?;
-                    Syndromes { p: Some(&mut *par), q: None }.fold(Role::Data(t_slot), delta);
-                    self.write_unit(at, par)?;
-                }
-                if let Some(at) = q_at {
-                    self.read_unit(at, par)?;
-                    Syndromes { p: None, q: Some(&mut *par) }.fold(Role::Data(t_slot), delta);
-                    self.write_unit(at, par)?;
-                }
-                self.write_unit(t_at, data)?;
-                self.dual_write_if_reshaping(st, addr, data)
-            })();
-            self.scratch.put(s);
-            return res;
-        }
-
-        // Target disk failed: the new value exists only through the
-        // surviving parity — and on the spare, when a rebuild of the
-        // target is racing: written through, an already-reconstructed
-        // unit stays fresh (a not-yet-reconstructed one is re-decoded
-        // to these exact bytes later). Recompute P (and Q) over the
-        // full data vector — surviving data units read directly, a
-        // second lost data unit (P+Q only) erasure-decoded first (into
-        // its own scratch, which keeps the value live while a second
-        // scratch accumulates the new parity).
-        let t_at = self.place(st, m.unit, m.copy, si);
-        let is_data = |slot: usize| !w.smap.is_parity_slot(si, slot);
-        let lost_other_data = (0..units.len()).find(|&slot| {
-            slot != t_slot && is_data(slot) && st.failed.contains(units[slot].disk as usize)
-        });
-        let mut dec_scratch = self.scratch.get();
-        let mut acc_scratch = self.scratch.get();
-        let res = (|| {
-            let other = match lost_other_data {
-                Some(o) => {
-                    let solved = self.decode_stripe(st, si, shift, &[], &mut dec_scratch)?;
-                    Some((o, solved.get(&dec_scratch, o)?))
-                }
-                None => None,
-            };
-            let Scratch { acc_p, acc_q, tmp } = &mut acc_scratch;
-            let mut syn = Syndromes::zeroed(acc_p, q_slot.map(|_| acc_q.as_mut_slice()));
-            syn.fold(Role::Data(t_slot), data);
-            for slot in (0..units.len()).filter(|&slot| slot != t_slot && is_data(slot)) {
-                let val: &[u8] = match other {
-                    Some((o, decoded)) if o == slot => decoded,
-                    _ => {
-                        self.read_unit(PhysUnit::live(st, w.unit(m.copy, si, slot)), tmp)?;
-                        tmp
-                    }
-                };
-                syn.fold(Role::Data(slot), val);
-            }
-            if let Some(at) = p_at {
-                self.write_unit(at, acc_p)?;
-            }
-            if let Some(at) = q_at {
-                self.write_unit(at, acc_q)?;
-            }
-            if let Some(at) = t_at {
-                self.write_unit(at, data)?;
-            }
-            self.dual_write_if_reshaping(st, addr, data)
-        })();
-        self.scratch.put(dec_scratch);
-        self.scratch.put(acc_scratch);
-        res
     }
 
     /// Lands `data` in the reshape target world too, when a reshape is
@@ -2784,8 +2746,9 @@ impl<B: Backend> BlockStore<B> {
     /// Writes consecutive logical blocks starting at `start`,
     /// recognizing runs that cover a whole stripe's data units and
     /// writing those with freshly computed parity and **zero reads**
-    /// (the paper's Condition-5 large-write optimization); partial
-    /// stripes fall back to read-modify-write.
+    /// (the paper's Condition-5 large-write optimization); a partially
+    /// covered head or tail stripe takes one partial-stripe update
+    /// (see [`BlockStore::write_block`] for its read/write count).
     ///
     /// Full-stripe units (data and parity alike) are not written one
     /// by one: they accumulate in a write plan that is sorted into
@@ -2840,7 +2803,8 @@ impl<B: Backend> BlockStore<B> {
     ) -> Result<(), StoreError> {
         let w = &*st.world;
         let per_copy = w.smap.data_units_per_copy();
-        let n = data.len() / self.unit_size;
+        let us = self.unit_size;
+        let n = data.len() / us;
         // Phase one of two-phase locking: the full shard set of every
         // stripe the batch will touch, ascending, before any byte
         // moves. Stripe data ranges are contiguous in address space,
@@ -2877,10 +2841,11 @@ impl<B: Backend> BlockStore<B> {
             // The deferred full-stripe plan: per-physical-disk buckets
             // of `(offset, source)` unit writes, where a source
             // indexes either the caller's data or the appended parity
-            // staging below. Safe to defer past the interleaved RMW
-            // writes because every planned unit belongs to a
-            // fully-covered stripe, which no RMW of this call (always
-            // a *partially*-covered stripe) can touch. The shard walk
+            // staging below. Safe to defer past the interleaved
+            // partial-stripe updates because every planned unit
+            // belongs to a fully-covered stripe, which no update of
+            // this call (always a *partially*-covered stripe) can
+            // touch. The shard walk
             // above counted the batch's stripes, so the plan can be
             // sized exactly once up front.
             let parity_units = self.scheme.parity_per_stripe();
@@ -2888,7 +2853,7 @@ impl<B: Backend> BlockStore<B> {
                 self.backend.disks(),
                 stripe_count,
                 n + stripe_count * parity_units,
-                parity_units * self.unit_size,
+                parity_units * us,
             );
             // Call-bound backends (files, disks, networks) want the
             // plan as large as possible — every deferred unit widens
@@ -2915,7 +2880,7 @@ impl<B: Backend> BlockStore<B> {
                             stripe_key(m.copy, m.stripe),
                         ));
                     }
-                    let stripe_data = &data[i * self.unit_size..(i + k_data) * self.unit_size];
+                    let stripe_data = &data[i * us..(i + k_data) * us];
                     self.plan_stripe(w, addr, stripe_data, i, &mut plan, |u| {
                         self.place(st, u, m.copy, m.stripe)
                     });
@@ -2930,26 +2895,23 @@ impl<B: Backend> BlockStore<B> {
                         }
                         superseded.clear();
                     }
-                } else if wb {
-                    // Partial stripe under write-back: defer the RMW
-                    // into the stripe cache (zero backend I/O here).
-                    let shard = self.locks.shard_of(m.copy, m.stripe);
-                    let (_, key, j, k_data) = self.cache_coords(st, &m, addr);
-                    self.cache.write(
-                        shard,
-                        key,
-                        k_data,
-                        j,
-                        &data[i * self.unit_size..(i + 1) * self.unit_size],
-                    );
-                    i += 1;
                 } else {
-                    self.write_block_locked(
-                        st,
-                        addr,
-                        &data[i * self.unit_size..(i + 1) * self.unit_size],
-                    )?;
-                    i += 1;
+                    // A partially covered head or tail: its covered
+                    // units are one run of the stripe's data slots.
+                    let (shard, key, j0, _) = self.cache_coords(st, &m, addr);
+                    let m_units = (k_data - j0).min(n - i);
+                    let units = data[i * us..(i + m_units) * us].chunks_exact(us);
+                    if wb {
+                        // Under write-back the update is deferred into
+                        // the stripe cache (zero backend I/O here).
+                        for (j, unit) in (j0..).zip(units) {
+                            self.cache.write(shard, key, k_data, j, unit);
+                        }
+                    } else {
+                        let dirty: Vec<(usize, &[u8])> = (j0..).zip(units).collect();
+                        self.update_partial_stripe(st, m.copy, m.stripe, &dirty, false)?;
+                    }
+                    i += m_units;
                 }
             }
             self.flush_write_plan(&mut plan, data)?;

@@ -12,7 +12,7 @@
 
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
-    fill_pattern, open_file_store, Backend, BlockStore, Event, EventSink, FaultConfig,
+    fill_pattern, open_file_store, Backend, BlockStore, CachePolicy, Event, EventSink, FaultConfig,
     FaultyBackend, MemBackend, Rebuilder, RetryPolicy, ScrubConfig, StoreError,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -360,5 +360,57 @@ fn failed_batch_call_still_applies_auto_fail() {
     for (addr, chunk) in got.chunks_exact(UNIT).enumerate() {
         fill_pattern(addr, SEED, &mut want);
         assert_eq!(chunk, &want[..], "block {addr} decodes bit-exact");
+    }
+}
+
+/// Write-back retry convergence. With transient retries off, flushes
+/// fail part-way through stripe updates and re-queue their stripes,
+/// and `flush()` is retried until it succeeds. XOR at k = 5 makes the
+/// delta route the cheaper one for a single dirty unit, so first
+/// attempts run it; a retry by delta over a half-applied attempt would
+/// fold a landed unit's zero delta into a stale parity for good. The
+/// re-queued entries must reconstruct instead: once the faults are
+/// disarmed, parity verifies and every block reads back as written.
+#[test]
+fn requeued_flush_retries_converge() {
+    let seed = SEED ^ 0x25;
+    let layout = RingLayout::for_v_k(7, 5).layout().clone();
+    let mem = MemBackend::new(7, COPIES * layout.size(), UNIT);
+    let cfg = FaultConfig { transient_rate: 0.2, ..FaultConfig::quiet(seed) };
+    let store = BlockStore::new(layout, FaultyBackend::new(mem, cfg)).unwrap();
+    store.backend().set_armed(false);
+    fill(&store, SEED);
+    let mut image: Vec<Vec<u8>> = (0..store.blocks())
+        .map(|addr| {
+            let mut b = vec![0u8; UNIT];
+            fill_pattern(addr, SEED, &mut b);
+            b
+        })
+        .collect();
+    store.set_cache_policy(CachePolicy::write_back()).unwrap();
+    store.set_retry_policy(RetryPolicy { max_retries: 0, backoff_us: 0 });
+    store.set_health_threshold(u64::MAX);
+    store.backend().set_armed(true);
+    let k_data = store.stripe_map().stripe_data_range(0).1;
+    assert_eq!(k_data, 4, "k = 5 XOR stripes carry 4 data units");
+    let mut failed_flushes = 0u32;
+    for round in 0..k_data {
+        // One dirty unit per stripe (data ranges are k_data-aligned).
+        for addr in (round..store.blocks()).step_by(k_data) {
+            fill_pattern(addr, seed + round as u64, &mut image[addr]);
+            store.write_block(addr, &image[addr]).unwrap();
+        }
+        while store.flush().is_err() {
+            failed_flushes += 1;
+            assert!(failed_flushes < 10_000, "[seed {seed:#x}] flush never converged");
+        }
+    }
+    assert!(failed_flushes > 0, "[seed {seed:#x}] the schedule must fail some flushes");
+    store.backend().set_armed(false);
+    store.verify_parity().unwrap_or_else(|e| panic!("[seed {seed:#x}] parity after retries: {e}"));
+    let mut got = vec![0u8; UNIT];
+    for (addr, want) in image.iter().enumerate() {
+        store.read_block(addr, &mut got).unwrap();
+        assert_eq!(&got, want, "[seed {seed:#x}] block {addr} after retries");
     }
 }

@@ -46,8 +46,9 @@ fn pq_store(v: usize, k: usize, copies: usize, engine: bool) -> BlockStore<MemBa
 /// `(read_units, write_units, read_calls, write_calls)` since `t0`.
 /// With the engine on, also checks its books over the same bracket
 /// (see [`engine_accounts`]): all of those calls went through the
-/// queues except the `inline` single-unit calls of an RMW or a
-/// partial-stripe flush, which `BlockStore::{read_unit, write_unit}`
+/// queues except the `inline` single-unit calls of a partial-stripe
+/// update (`write_block`, a partially covered `write_blocks` stripe, a
+/// partially dirty flush), which `BlockStore::{read_unit, write_unit}`
 /// issue directly.
 fn diff<B: Backend>(
     store: &BlockStore<B>,
@@ -214,8 +215,10 @@ fn sequential_write_is_one_call_per_disk() {
     }
 }
 
-/// A small XOR write is read-modify-write: 2 unit reads (target,
-/// parity) + 2 unit writes, in 2 + 2 backend calls.
+/// A small XOR write at k = 4 reads 2 units and writes 2 (target,
+/// parity), in 2 + 2 backend calls: the delta route (old target and
+/// parity) and the reconstruct route (the two other data units) tie,
+/// and the tie goes to delta, which reads only disks it writes.
 #[test]
 fn small_xor_write_is_2_plus_2() {
     for engine in ENGINE_MODES {
@@ -225,35 +228,101 @@ fn small_xor_write_is_2_plus_2() {
         let t0 = store.stats();
         store.write_block(1, &[0x11u8; UNIT]).unwrap();
         let (r, w, rc, wc) = diff(&store, &t0, 4);
-        assert_eq!((r, w), (2, 2), "XOR RMW is 2 reads + 2 writes");
+        assert_eq!((r, w), (2, 2), "XOR small write is 2 reads + 2 writes");
         assert_eq!((rc, wc), (2, 2), "each a single-unit backend call");
+        let now = store.stats();
+        for (d, (a, b)) in now.disks.iter().zip(&t0.disks).enumerate() {
+            let (r, w) = (a.read_calls - b.read_calls, a.write_calls - b.write_calls);
+            assert_eq!(r, w, "disk {d}: the tie goes to delta, reading only written disks");
+        }
         store.verify_parity().unwrap();
     }
 }
 
-/// A small P+Q write is 3 reads (target, P, Q) + 3 writes.
+/// A small P+Q write where the delta route is strictly cheaper (k = 7,
+/// five data units) reads the target, P and Q and writes all three.
+/// At k = 4 the reconstruct route wins instead (1 + 3, see
+/// [`partial_stripe_update_reads_the_cheaper_route`]).
 #[test]
 fn small_pq_write_is_3_plus_3() {
     for engine in ENGINE_MODES {
-        let store = pq_store(9, 4, 2, engine);
+        let store = pq_store(9, 7, 2, engine);
         let data: Vec<u8> = (0..store.blocks() * UNIT).map(|i| (i % 233) as u8).collect();
         store.write_blocks(0, &data).unwrap();
         let t0 = store.stats();
         store.write_block(1, &[0x22u8; UNIT]).unwrap();
         let (r, w, _, _) = diff(&store, &t0, 6);
-        assert_eq!((r, w), (3, 3), "P+Q RMW is 3 reads + 3 writes");
+        assert_eq!((r, w), (3, 3), "P+Q delta update is 3 reads + 3 writes");
         store.verify_parity().unwrap();
+    }
+}
+
+/// The partial-stripe budget table. For XOR at k = 4 and 5 and P+Q at
+/// k = 4 and 7, every partial run of `m` blocks of one stripe costs
+/// exactly `min(m + p, k_data − m)` unit reads — the delta route (old
+/// units and the `p` parities) or the reconstruct route (the clean
+/// units) — and `m + p` unit writes, at most one backend call per
+/// disk each way, none of them through the engine's queues. A
+/// write-through `write_blocks` and a write-back flush of the same
+/// dirty set cost the same.
+#[test]
+fn partial_stripe_update_reads_the_cheaper_route() {
+    type Build = fn(bool) -> BlockStore<MemBackend>;
+    let shapes: [(&str, Build, u64); 4] = [
+        ("xor k=4", |e| ring_store(7, 4, 1, e), 1),
+        ("xor k=5", |e| ring_store(7, 5, 1, e), 1),
+        ("pq k=4", |e| pq_store(9, 4, 1, e), 2),
+        ("pq k=7", |e| pq_store(9, 7, 1, e), 2),
+    ];
+    for (shape, build, p) in shapes {
+        for engine in ENGINE_MODES {
+            let k_data = build(false).stripe_map().stripe_data_range(0).1 as u64;
+            for m in 1..k_data {
+                let want = ((m + p).min(k_data - m), m + p);
+                let mut counts = Vec::new();
+                for policy in [CachePolicy::WriteThrough, CachePolicy::write_back()] {
+                    let ctx = format!("{shape} m={m} engine={engine} {policy:?}");
+                    let store = build(engine);
+                    let mut image: Vec<u8> =
+                        (0..store.blocks() * UNIT).map(|i| (i % 211) as u8).collect();
+                    store.write_blocks(0, &image).unwrap();
+                    store.set_cache_policy(policy).unwrap();
+                    // The run ends at the stripe's end: an unaligned head.
+                    let at = (k_data - m) as usize;
+                    let new = vec![0xc3u8; m as usize * UNIT];
+                    let t0 = store.stats();
+                    store.write_blocks(at, &new).unwrap();
+                    store.flush().unwrap();
+                    let now = store.stats();
+                    engine_accounts(&now, &t0, 0);
+                    let d = now.io_totals().since(&t0.io_totals());
+                    assert_eq!((d.read_units, d.write_units), want, "{ctx}: units");
+                    for (disk, (a, b)) in now.disks.iter().zip(&t0.disks).enumerate() {
+                        let calls = (a.read_calls - b.read_calls, a.write_calls - b.write_calls);
+                        assert!(calls.0 <= 1 && calls.1 <= 1, "{ctx}: disk {disk} {calls:?}");
+                    }
+                    counts.push((d.read_units, d.write_units, d.read_calls, d.write_calls));
+                    image[at * UNIT..(at + m as usize) * UNIT].copy_from_slice(&new);
+                    let mut out = vec![0u8; image.len()];
+                    store.read_blocks(0, &mut out).unwrap();
+                    assert!(out == image, "{ctx}: read-back");
+                    store.verify_parity().unwrap();
+                }
+                assert_eq!(counts[0], counts[1], "{shape} m={m}: write-through == flush");
+            }
+        }
     }
 }
 
 /// K small writes to one stripe under write-back flush as **one**
 /// combined parity update: the cached writes themselves do zero
-/// backend I/O, and the flush pays `k_data − dirty` reads (the clean
-/// units, for the idempotent fresh-parity recompute) plus
-/// `dirty + parity` writes — one backend call per touched disk — no
-/// matter how many client writes the stripe absorbed. The cache's own
-/// counters agree: one insertion, every repeat write absorbed, the
-/// whole batch flushed as one stripe.
+/// backend I/O, and the flush pays one partial-stripe update — here
+/// the reconstruct route's `k_data − dirty` reads (the one clean
+/// unit, fewer than delta's 2 + 1) plus `dirty + parity` writes, one
+/// backend call per touched disk — no matter how many client writes
+/// the stripe absorbed. The cache's own counters agree: one
+/// insertion, every repeat write absorbed, the whole batch flushed as
+/// one stripe.
 #[test]
 fn write_back_combines_k_writes_into_one_flush() {
     for engine in ENGINE_MODES {
