@@ -212,18 +212,18 @@ pub trait Backend: Send + Sync {
     /// any stale read surfaces as corruption instead of silent luck.
     fn wipe_disk(&self, disk: usize) -> Result<(), StoreError>;
 
-    /// Durably records the store's logical→physical disk mapping (the
-    /// redirect table updated when a rebuild moves a logical disk onto
-    /// a spare). Volatile backends keep the default no-op; durable
-    /// backends must persist it so a reopened store does not read the
-    /// stale pre-rebuild disk.
+    /// Vestigial: the store no longer calls this. The logical→physical
+    /// disk redirect lives in the array's `store.json` (see
+    /// [`crate::meta`]); the no-op default stays only for wrappers that
+    /// still override it, until ROADMAP item 6a (a `Backend` that is
+    /// only about I/O) deletes it.
     fn persist_mapping(&self, redirect: &[usize]) -> Result<(), StoreError> {
         let _ = redirect;
         Ok(())
     }
 
-    /// Loads the mapping saved by [`Backend::persist_mapping`], or
-    /// `None` if none was ever saved.
+    /// Vestigial, like [`Backend::persist_mapping`]: the store no
+    /// longer calls this, and ROADMAP item 6a deletes it.
     fn load_mapping(&self) -> Result<Option<Vec<usize>>, StoreError> {
         Ok(None)
     }
@@ -530,13 +530,6 @@ impl FileBackend {
         }
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        // A fresh array must not inherit the rebuild mapping of a
-        // previous array that lived in this directory.
-        match std::fs::remove_file(dir.join(Self::MAPPING_FILE)) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
         let mut files = Vec::with_capacity(disks);
         for d in 0..disks {
             let f = OpenOptions::new()
@@ -625,9 +618,6 @@ impl FileBackend {
     fn units(&self) -> usize {
         self.units.load(Ordering::Acquire)
     }
-
-    /// File recording the logical→physical disk mapping after rebuilds.
-    pub const MAPPING_FILE: &'static str = "mapping.json";
 
     /// Zero-buffer size for [`Backend::wipe_disk`] (1 MiB of zeroes
     /// per write call instead of one call per unit).
@@ -778,24 +768,6 @@ impl Backend for FileBackend {
         }
         Ok(())
     }
-
-    fn persist_mapping(&self, redirect: &[usize]) -> Result<(), StoreError> {
-        let json = serde_json::to_string(&redirect.to_vec())
-            .map_err(|e| StoreError::Corrupt(format!("mapping encode: {e}")))?;
-        std::fs::write(self.dir.join(Self::MAPPING_FILE), json)?;
-        Ok(())
-    }
-
-    fn load_mapping(&self) -> Result<Option<Vec<usize>>, StoreError> {
-        let path = self.dir.join(Self::MAPPING_FILE);
-        if !path.exists() {
-            return Ok(None);
-        }
-        let json = std::fs::read_to_string(path)?;
-        let redirect: Vec<usize> = serde_json::from_str(&json)
-            .map_err(|e| StoreError::Corrupt(format!("mapping decode: {e}")))?;
-        Ok(Some(redirect))
-    }
 }
 
 /// Fault-injection knobs for [`FaultyBackend`]. All rates are
@@ -847,7 +819,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// A seeded fault-injecting wrapper over any [`Backend`] — the fault
 /// model every integrity claim in this crate is tested against.
 /// Composable over [`MemBackend`] and [`FileBackend`] alike; geometry,
-/// counters, and management ops (wipe, mapping, resize, flush)
+/// counters, and management ops (wipe, resize, flush)
 /// delegate untouched, data-path calls roll the seeded dice first:
 ///
 /// * **transient errors** surface as `ErrorKind::Interrupted` before
@@ -1145,14 +1117,6 @@ impl<B: Backend> Backend for FaultyBackend<B> {
         self.inner.wipe_disk(disk)
     }
 
-    fn persist_mapping(&self, redirect: &[usize]) -> Result<(), StoreError> {
-        self.inner.persist_mapping(redirect)
-    }
-
-    fn load_mapping(&self) -> Result<Option<Vec<usize>>, StoreError> {
-        self.inner.load_mapping()
-    }
-
     fn set_units_per_disk(&self, units: usize) -> Result<(), StoreError> {
         self.inner.set_units_per_disk(units)
     }
@@ -1197,20 +1161,6 @@ mod tests {
         let mut out = vec![0u8; 64];
         b.read_unit(1, 3, &mut out).unwrap();
         assert_eq!(out[1], 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn create_discards_stale_mapping() {
-        let dir = std::env::temp_dir().join(format!("pdl-store-stalemap-{}", std::process::id()));
-        {
-            let b = FileBackend::create(&dir, 3, 4, 32).unwrap();
-            b.persist_mapping(&[0, 2, 1]).unwrap();
-            assert_eq!(b.load_mapping().unwrap(), Some(vec![0, 2, 1]));
-        }
-        // A fresh array in the same directory starts with no mapping.
-        let b = FileBackend::create(&dir, 3, 4, 32).unwrap();
-        assert_eq!(b.load_mapping().unwrap(), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

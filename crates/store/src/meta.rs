@@ -4,20 +4,27 @@
 //! exact geometry it was created with — including the parity scheme
 //! and, under P+Q, the per-stripe `(P, Q)` slot assignment, so a
 //! reopened store decodes with the same parity placement instead of
-//! re-running the (implementation-detail) flow assignment. Rebuilds
-//! additionally persist the logical→physical disk mapping
-//! (`mapping.json`, written by the backend) so a reopened store reads
-//! spares, not stale failed disks.
+//! re-running the (implementation-detail) flow assignment. The same
+//! document carries the logical→physical disk redirect a rebuild
+//! changes, so a reopened store reads spares, not stale failed disks.
 //!
 //! There is one document shape, [`StoreMeta`], stamped
 //! [`META_VERSION`]; any other stamp is rejected. The progress of the
 //! two resumable maintenance jobs rides in two independent optional
 //! sections — `reshape` ([`ReshapeState`]) and `scrub`
 //! ([`ScrubState`]) — that may both be present, and every writer
-//! (reshape checkpoints, the commit, scrub checkpoints) builds the
-//! whole document from live store state in one place
-//! (`BlockStore::checkpoint_meta`), so no checkpoint drops the other
-//! job's section. Every rewrite is atomic (temp file + rename).
+//! (rebuild completion, reshape checkpoints, the commit, scrub
+//! checkpoints) builds the whole document from live store state in one
+//! place (`BlockStore::checkpoint_meta`), so no checkpoint drops the
+//! other job's section. Every rewrite is atomic (temp file + rename).
+//!
+//! Beside the `disk-*.bin` media an array directory holds three
+//! metadata files: `store.json`, the checksum base [`SUMS_FILE`] and
+//! its journal [`SUMS_LOG_FILE`]. One private type, `ArrayDir`, is the
+//! only code that touches them: it reads and replaces the document,
+//! writes the base, appends to and replays the journal, and detects a
+//! torn journal tail. A file-backed store holds its `ArrayDir`; a
+//! memory-backed store has none, and persists nothing.
 //!
 //! A *pending* failure is deliberately not persisted: if a process
 //! exits while degraded, the reopened store sees the array as healthy
@@ -27,12 +34,14 @@
 use crate::backend::{Backend, FileBackend};
 use crate::cache::CachePolicy;
 use crate::error::StoreError;
+use crate::integrity::{xxh64, ChecksumTable, Integrity};
 use crate::scheme::ParityScheme;
-use crate::store::{BlockStore, MetaPersister, World};
+use crate::store::{BlockStore, World};
 use pdl_core::{DoubleParityLayout, Layout, LayoutSpec};
 use serde::{Deserialize, Serialize};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
+use std::sync::Mutex;
 
 /// The durable image of an in-flight reshape — the `reshape` section
 /// of [`StoreMeta`] — so a crash mid-reshape resumes on reopen (see
@@ -42,8 +51,9 @@ use std::sync::atomic::Ordering;
 /// (backend at `grown_units` units per disk) with the migration
 /// runtime reinstalled at `cursor`. `phase = "commit"`: migration is
 /// complete and the commit slide was interrupted at the `slide_done`
-/// watermark; reopening statically redoes the remaining slide,
-/// mapping, final metadata, and trim before a normal open.
+/// watermark; reopening statically redoes the remaining slide, the
+/// final metadata (target mapping included), and trim before a normal
+/// open.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Eq)]
 pub struct ReshapeState {
     /// `"add"` or `"remove"`.
@@ -95,12 +105,12 @@ pub struct ScrubState {
 }
 
 /// The format stamp of every `store.json` this crate writes or opens.
-pub const META_VERSION: u32 = 5;
+pub const META_VERSION: u32 = 6;
 
 /// Everything needed to reopen an array: layout, unit size, copies,
-/// spare count, and the parity scheme, plus the progress of any
-/// resumable maintenance job. Serialized as `store.json` in the array
-/// directory.
+/// spare count, the parity scheme and the disk redirect, plus the
+/// progress of any resumable maintenance job. Serialized as
+/// `store.json` in the array directory.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Eq)]
 pub struct StoreMeta {
     /// Metadata format stamp: always [`META_VERSION`].
@@ -111,6 +121,10 @@ pub struct StoreMeta {
     pub copies: usize,
     /// Spare physical disks beyond the layout's `v`.
     pub spares: usize,
+    /// Logical disk → physical backend disk, `v` distinct entries below
+    /// `v + spares`: the identity until a rebuild moves a logical disk
+    /// onto a spare.
+    pub redirect: Vec<usize>,
     /// Parity scheme name (see [`ParityScheme::name`]).
     pub scheme: String,
     /// Per-stripe `(P, Q)` slot pairs under P+Q; empty under XOR.
@@ -141,7 +155,7 @@ pub const SUMS_FILE: &str = "checksums.bin";
 /// directory: self-checksummed records of entries dirtied since the
 /// last full sidecar write, appended by flushes and scrub checkpoints
 /// and compacted back into [`SUMS_FILE`] when it outgrows half the
-/// base table (see `BlockStore::persist_sums`). A torn tail from a
+/// base table (see `ArrayDir::persist_sums`). A torn tail from a
 /// crash mid-append is detected and ignored on replay.
 pub const SUMS_LOG_FILE: &str = "checksums.log";
 
@@ -158,6 +172,7 @@ impl StoreMeta {
             unit_size,
             copies,
             spares,
+            redirect: (0..layout.v()).collect(),
             scheme: ParityScheme::Xor.name().to_string(),
             parity_slots: Vec::new(),
             cache_policy: CachePolicy::WriteThrough.encode(),
@@ -221,6 +236,22 @@ impl StoreMeta {
             _ => {}
         }
         meta.parsed_cache_policy()?;
+        let v = meta.layout.v;
+        if meta.redirect.len() != v {
+            return Err(StoreError::Corrupt(format!(
+                "redirect covers {} disks, layout has {v}",
+                meta.redirect.len()
+            )));
+        }
+        let mut physical = meta.redirect.clone();
+        physical.sort_unstable();
+        let out_of_range = physical.last().is_some_and(|&p| p >= v.saturating_add(meta.spares));
+        if out_of_range || physical.windows(2).any(|w| w[0] == w[1]) {
+            return Err(StoreError::Corrupt(format!(
+                "redirect {:?} has an entry out of range or repeated",
+                meta.redirect
+            )));
+        }
         if let Some(rs) = &meta.reshape {
             if rs.kind != "add" && rs.kind != "remove" {
                 return Err(StoreError::Corrupt(format!("unknown reshape kind `{}`", rs.kind)));
@@ -256,14 +287,20 @@ impl StoreMeta {
 impl<B: Backend> BlockStore<B> {
     /// The one place a [`StoreMeta`] is built from live store state,
     /// called by every checkpoint writer: the document describing
-    /// world `w` (the serving world, or a reshape's target world at
-    /// its commit) with `reshape` as its reshape section and the
-    /// store's current scrub cursor and pass count as its scrub
-    /// section.
-    pub(crate) fn checkpoint_meta(&self, w: &World, reshape: Option<ReshapeState>) -> StoreMeta {
+    /// world `w` reached through `redirect` (the serving world and
+    /// redirect, or a reshape's target pair at its commit) with
+    /// `reshape` as its reshape section and the store's current scrub
+    /// cursor and pass count as its scrub section.
+    pub(crate) fn checkpoint_meta(
+        &self,
+        w: &World,
+        redirect: &[usize],
+        reshape: Option<ReshapeState>,
+    ) -> StoreMeta {
         let cursor = self.scrub_cursor.load(Ordering::Acquire);
         let passes = self.integrity.scrub_passes.load(Ordering::Acquire);
         StoreMeta {
+            redirect: redirect.to_vec(),
             scheme: self.scheme.name().to_string(),
             parity_slots: slots_u32(w.pq_slots.as_deref().unwrap_or_default()),
             cache_policy: self.cache.policy().encode(),
@@ -277,6 +314,216 @@ impl<B: Backend> BlockStore<B> {
             )
         }
     }
+
+    /// Durably replaces the array's document with
+    /// [`BlockStore::checkpoint_meta`]`(w, redirect, reshape)`, or
+    /// fails the operation that needed it. No-op for stores without an
+    /// array directory (nothing survives the process anyway).
+    pub(crate) fn persist_meta(
+        &self,
+        w: &World,
+        redirect: &[usize],
+        reshape: Option<ReshapeState>,
+    ) -> Result<(), StoreError> {
+        match &self.dir {
+            Some(dir) => dir.replace_meta(&self.checkpoint_meta(w, redirect, reshape)),
+            None => Ok(()),
+        }
+    }
+}
+
+/// An array directory, and the only code that touches its metadata
+/// files (see the [module docs](self)).
+#[derive(Debug)]
+pub(crate) struct ArrayDir {
+    path: PathBuf,
+    /// The checksum journal's state. Flushes, scrub checkpoints and
+    /// maintenance threads may all persist concurrently, and
+    /// interleaved appends would corrupt the record stream.
+    journal: Mutex<Journal>,
+}
+
+/// What the checksum journal knows about the sidecar files on disk.
+#[derive(Debug, Default)]
+struct Journal {
+    /// Geometry `(disks, units)` of the base table on disk; `None`
+    /// when the next persist must rewrite the base (nothing written
+    /// yet, a base or journal that did not load whole, a failed write).
+    /// A table whose geometry no longer matches — a reshape commit
+    /// resized it — is rewritten whole too.
+    base: Option<(usize, usize)>,
+    /// Bytes in [`SUMS_LOG_FILE`] — drives compaction.
+    log_len: u64,
+}
+
+impl ArrayDir {
+    /// Magic prefix of one journal record.
+    const LOG_MAGIC: &'static [u8; 4] = b"PSL1";
+
+    fn new(path: &Path) -> Self {
+        ArrayDir { path: path.to_path_buf(), journal: Mutex::default() }
+    }
+
+    /// Reads and validates the document.
+    fn read_meta(&self) -> Result<StoreMeta, StoreError> {
+        StoreMeta::from_json(&std::fs::read_to_string(self.path.join(META_FILE))?)
+    }
+
+    /// Atomically replaces the document, so a crash mid-write never
+    /// leaves a truncated one.
+    fn replace_meta(&self, meta: &StoreMeta) -> Result<(), StoreError> {
+        self.replace(META_FILE, meta.to_json().as_bytes())
+    }
+
+    /// Replaces file `name` by writing `name.tmp` and renaming it over
+    /// the old one, whose inode is never written to.
+    fn replace(&self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        let tmp = self.path.join(format!("{name}.tmp"));
+        std::fs::write(&tmp, bytes)?;
+        std::fs::rename(&tmp, self.path.join(name))?;
+        Ok(())
+    }
+
+    /// Best-effort load of a reopened store's checksum table: the base,
+    /// then the journal replayed over it. Wrong geometry or torn bytes
+    /// leave entries unset (their verification skipped until a scrub
+    /// re-adopts them); nothing here fails an open. Replay is safe even
+    /// without a base: records carry the geometry they were written
+    /// under and a torn tail stops it. Only a base that loaded and a
+    /// journal that replayed whole let the next persist append;
+    /// otherwise it rewrites the base and drops the journal — appending
+    /// past a torn record would leave the new entries unreachable.
+    fn load_sums(&self, sums: &ChecksumTable) {
+        let base_ok = std::fs::read(self.path.join(SUMS_FILE)).is_ok_and(|b| sums.load_bytes(&b));
+        let (log_len, whole) = match std::fs::read(self.path.join(SUMS_LOG_FILE)) {
+            Ok(bytes) => (bytes.len() as u64, Self::replay(sums, &bytes) == bytes.len()),
+            Err(_) => (0, true),
+        };
+        let base = (base_ok && whole).then(|| sums.geometry());
+        *self.journal.lock().unwrap_or_else(|e| e.into_inner()) = Journal { base, log_len };
+    }
+
+    /// Persists the checksum table while verification is on. Called
+    /// from [`BlockStore::flush`] and from scrub checkpoints.
+    ///
+    /// Rather than rewriting the whole table every time (continuous
+    /// scrubbing would turn that into continuous full-table
+    /// rewrites), entries dirtied since the last persist are appended
+    /// as one self-checksummed record to the journal: `"PSL1" + disks
+    /// u32 + units u32 + count u32 + count × (disk u32, offset u32,
+    /// sum u64) + xxh64(entries)`. The base is rewritten whole (tmp +
+    /// rename, then the journal is removed) only when forced (see
+    /// `Journal::base`) or when the journal outgrows half the base
+    /// (compaction). A torn tail from a crash mid-append is detected
+    /// on replay by the record checksum and ignored; sums are
+    /// best-effort and self-heal through read-repair.
+    pub(crate) fn persist_sums(&self, integrity: &Integrity) -> Result<(), StoreError> {
+        if !integrity.verifying() {
+            return Ok(());
+        }
+        let sums = &integrity.sums;
+        let mut j = self.journal.lock().unwrap_or_else(|e| e.into_inner());
+        let geometry = sums.geometry();
+        let base_len = 24 + (geometry.0 * geometry.1 * 8) as u64;
+        if j.base != Some(geometry) || j.log_len > base_len / 2 {
+            // Drain (and discard) the dirty set first: everything it
+            // covers is in the table we are about to write whole.
+            sums.drain_dirty(|_, _, _| {});
+            j.base = None;
+            self.replace(SUMS_FILE, &sums.to_bytes())?;
+            // Remove the now-stale journal only after the base rename,
+            // so a crash between the two loses no entry. (Its older
+            // entries then replay over the newer base; read-repair
+            // heals the sums they revert.)
+            match std::fs::remove_file(self.path.join(SUMS_LOG_FILE)) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+                _ => {}
+            }
+            *j = Journal { base: Some(geometry), log_len: 0 };
+            return Ok(());
+        }
+        let mut entries = Vec::new();
+        let mut count = 0u32;
+        sums.drain_dirty(|d, o, s| {
+            entries.extend_from_slice(&(d as u32).to_le_bytes());
+            entries.extend_from_slice(&(o as u32).to_le_bytes());
+            entries.extend_from_slice(&s.to_le_bytes());
+            count += 1;
+        });
+        if count == 0 {
+            return Ok(());
+        }
+        let mut rec = Vec::with_capacity(16 + entries.len() + 8);
+        rec.extend_from_slice(Self::LOG_MAGIC);
+        rec.extend_from_slice(&(geometry.0 as u32).to_le_bytes());
+        rec.extend_from_slice(&(geometry.1 as u32).to_le_bytes());
+        rec.extend_from_slice(&count.to_le_bytes());
+        rec.extend_from_slice(&entries);
+        rec.extend_from_slice(
+            &ChecksumTable::encode(xxh64(ChecksumTable::SEED, &entries)).to_le_bytes(),
+        );
+        let appended = (|| {
+            use std::io::Write as _;
+            let mut f = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.path.join(SUMS_LOG_FILE))?;
+            f.write_all(&rec)?;
+            f.sync_data()
+        })();
+        match appended {
+            Ok(()) => {
+                j.log_len += rec.len() as u64;
+                Ok(())
+            }
+            Err(e) => {
+                // The drained entries may be half-appended; force the
+                // next persist to re-establish a clean base.
+                j.base = None;
+                Err(e.into())
+            }
+        }
+    }
+
+    /// Replays journal bytes over `sums`, returning the number of
+    /// bytes consumed. Stops — without erroring — at the first
+    /// malformed or checksum-failing record (a torn tail from a crash
+    /// mid-append); records whose geometry header disagrees with the
+    /// table (written before a reshape changed the world) are skipped,
+    /// not applied.
+    fn replay(sums: &ChecksumTable, bytes: &[u8]) -> usize {
+        let (disks, units) = sums.geometry();
+        let mut at = 0usize;
+        while bytes.len() - at >= 24 {
+            let rec = &bytes[at..];
+            if &rec[..4] != Self::LOG_MAGIC {
+                break;
+            }
+            let rd32 = |b: &[u8]| u32::from_le_bytes(b[..4].try_into().unwrap());
+            let count = rd32(&rec[12..]) as usize;
+            let body_end = 16 + count * 16;
+            if rec.len() < body_end + 8 {
+                break;
+            }
+            let entries = &rec[16..body_end];
+            let want = u64::from_le_bytes(rec[body_end..body_end + 8].try_into().unwrap());
+            if ChecksumTable::encode(xxh64(ChecksumTable::SEED, entries)) != want {
+                break;
+            }
+            let geometry_ok =
+                rd32(&rec[4..]) as usize == disks && rd32(&rec[8..]) as usize == units;
+            if geometry_ok {
+                for e in entries.chunks_exact(16) {
+                    let d = rd32(e) as usize;
+                    let o = rd32(&e[4..]) as usize;
+                    let s = u64::from_le_bytes(e[8..16].try_into().unwrap());
+                    sums.set_raw(d, o, s);
+                }
+            }
+            at += body_end + 8;
+        }
+        at
+    }
 }
 
 /// Creates a new single-parity (XOR) file-backed array under `dir`:
@@ -289,10 +536,11 @@ pub fn create_file_store(
     copies: usize,
     spares: usize,
 ) -> Result<BlockStore<FileBackend>, StoreError> {
-    let dir = dir.as_ref();
+    let dir = ArrayDir::new(dir.as_ref());
     let meta = StoreMeta::new(&layout, unit_size, copies, spares);
-    let backend = FileBackend::create(dir, layout.v() + spares, copies * layout.size(), unit_size)?;
-    std::fs::write(dir.join(META_FILE), meta.to_json())?;
+    let backend =
+        FileBackend::create(&dir.path, layout.v() + spares, copies * layout.size(), unit_size)?;
+    dir.replace_meta(&meta)?;
     let mut store = BlockStore::new(layout, backend)?;
     install_document(&mut store, dir, &meta)?;
     Ok(store)
@@ -308,39 +556,27 @@ pub fn create_file_store_pq(
     copies: usize,
     spares: usize,
 ) -> Result<BlockStore<FileBackend>, StoreError> {
-    let dir = dir.as_ref();
+    let dir = ArrayDir::new(dir.as_ref());
     let meta = StoreMeta::new_pq(&dp, unit_size, copies, spares);
-    let backend =
-        FileBackend::create(dir, dp.layout().v() + spares, copies * dp.layout().size(), unit_size)?;
-    std::fs::write(dir.join(META_FILE), meta.to_json())?;
+    let (v, size) = (dp.layout().v(), dp.layout().size());
+    let backend = FileBackend::create(&dir.path, v + spares, copies * size, unit_size)?;
+    dir.replace_meta(&meta)?;
     let mut store = BlockStore::new_pq(dp, backend)?;
     install_document(&mut store, dir, &meta)?;
     Ok(store)
 }
 
-/// Atomically replaces an array's `store.json` (temp file + rename),
-/// so a crash mid-write never leaves a truncated document.
-fn write_meta_atomic(dir: &Path, meta: &StoreMeta) -> Result<(), StoreError> {
-    let tmp = dir.join(format!("{META_FILE}.tmp"));
-    std::fs::write(&tmp, meta.to_json())?;
-    std::fs::rename(&tmp, dir.join(META_FILE))?;
-    Ok(())
-}
-
-/// Ties a freshly built store to its array directory and document:
-/// the durable metadata writer the reshape engine and the scrubber
-/// checkpoint through, the checksum-sidecar path flushes persist the
-/// table to, and what the document records — the cache policy and
-/// the scrub section.
+/// Ties a freshly built store to its array directory — which every
+/// later checkpoint, rebuild and flush persists through — and
+/// installs what the document records: the redirect, the cache
+/// policy and the scrub section.
 fn install_document(
     store: &mut BlockStore<FileBackend>,
-    dir: &Path,
+    dir: ArrayDir,
     meta: &StoreMeta,
 ) -> Result<(), StoreError> {
-    let dir_owned = dir.to_path_buf();
-    store.meta_persister =
-        Some(MetaPersister(Box::new(move |meta: &StoreMeta| write_meta_atomic(&dir_owned, meta))));
-    store.sums_path = Some(dir.join(SUMS_FILE));
+    store.state_write().redirect = meta.redirect.clone();
+    store.dir = Some(dir);
     store.set_cache_policy(meta.parsed_cache_policy()?)?;
     if let Some(sc) = &meta.scrub {
         store.restore_scrub_state(sc.cursor, sc.passes);
@@ -357,18 +593,17 @@ fn install_document(
 /// migration runtime resumed at the persisted cursor (finish with
 /// [`BlockStore::finish_reshape`] or step it incrementally);
 /// `"commit"` statically redoes the interrupted commit (slide from
-/// the watermark, mapping, final metadata, trim) and then opens the
-/// committed target-geometry array. The `scrub` section is restored
-/// either way.
+/// the watermark, final metadata with the target mapping, trim) and
+/// then opens the committed target-geometry array. The `scrub`
+/// section is restored either way.
 pub fn open_file_store(dir: impl AsRef<Path>) -> Result<BlockStore<FileBackend>, StoreError> {
-    let dir = dir.as_ref();
-    let json = std::fs::read_to_string(dir.join(META_FILE))?;
-    let meta = StoreMeta::from_json(&json)?;
+    let dir = ArrayDir::new(dir.as_ref());
+    let meta = dir.read_meta()?;
     if let Some(rs) = &meta.reshape {
         if rs.phase == "commit" {
-            redo_commit(dir, &meta, rs)?;
+            redo_commit(&dir, &meta, rs)?;
             // The document now has no reshape state; reopen normally.
-            return open_file_store(dir);
+            return open_file_store(&dir.path);
         }
         return open_resuming(dir, &meta, rs);
     }
@@ -377,7 +612,7 @@ pub fn open_file_store(dir: impl AsRef<Path>) -> Result<BlockStore<FileBackend>,
     // reshape's backend grow and its first metadata checkpoint, or
     // between a commit's final metadata write and its trim.
     let backend = FileBackend::open_trimming(
-        dir,
+        &dir.path,
         layout.v() + meta.spares,
         meta.copies * layout.size(),
         meta.unit_size,
@@ -386,30 +621,8 @@ pub fn open_file_store(dir: impl AsRef<Path>) -> Result<BlockStore<FileBackend>,
         ParityScheme::Xor => BlockStore::new(layout, backend),
         ParityScheme::PQ => BlockStore::new_pq(meta.double_parity_layout()?, backend),
     }?;
+    dir.load_sums(&store.integrity.sums);
     install_document(&mut store, dir, &meta)?;
-    // Best-effort sidecar load: wrong geometry or torn bytes leave
-    // the table unset (every verification skipped until re-adopted).
-    let mut base_ok = false;
-    if let Ok(bytes) = std::fs::read(dir.join(SUMS_FILE)) {
-        base_ok = store.load_checksums(&bytes);
-    }
-    // Replay the incremental log over the base (entries persisted by
-    // flushes since the base was last compacted). Replay is safe even
-    // without a base: records carry the geometry they were written
-    // under and torn tails stop the replay. A tail the replay could
-    // not consume (the crash landed mid-append) forces the next
-    // persist to rewrite the base and drop the log — appending past a
-    // torn record would leave the new entries unreachable forever.
-    let mut log_torn = false;
-    if let Ok(bytes) = std::fs::read(dir.join(SUMS_LOG_FILE)) {
-        let consumed = store.replay_sums_log(&bytes);
-        log_torn = consumed != bytes.len();
-        store.sums_log_len.store(bytes.len() as u64, std::sync::atomic::Ordering::Release);
-    }
-    // Only build incrementally on a base that actually loaded and a
-    // log that replayed whole; otherwise the first persist
-    // re-establishes a clean base.
-    store.sums_full_rewrite.store(!base_ok || log_torn, std::sync::atomic::Ordering::Release);
     Ok(store)
 }
 
@@ -418,12 +631,13 @@ pub fn open_file_store(dir: impl AsRef<Path>) -> Result<BlockStore<FileBackend>,
 /// the store is built on the **source** layout, and the migration
 /// runtime is reinstalled at the persisted cursor.
 fn open_resuming(
-    dir: &Path,
+    dir: ArrayDir,
     meta: &StoreMeta,
     rs: &ReshapeState,
 ) -> Result<BlockStore<FileBackend>, StoreError> {
     let layout = meta.layout()?;
-    let backend = FileBackend::open(dir, layout.v() + meta.spares, rs.grown_units, meta.unit_size)?;
+    let disks = layout.v() + meta.spares;
+    let backend = FileBackend::open(&dir.path, disks, rs.grown_units, meta.unit_size)?;
     let mut store = match meta.parsed_scheme()? {
         ParityScheme::Xor => BlockStore::build_resuming(layout, None, backend, meta.copies),
         ParityScheme::PQ => {
@@ -439,14 +653,15 @@ fn open_resuming(
 
 /// Statically redoes an interrupted reshape *commit*: resumes the
 /// slide-down at the persisted watermark (chunks never clobber
-/// scratch rows a redo would re-read), persists the target mapping
-/// and final metadata, and trims the scratch region.
-fn redo_commit(dir: &Path, meta: &StoreMeta, rs: &ReshapeState) -> Result<(), StoreError> {
+/// scratch rows a redo would re-read), persists the final metadata
+/// with the target mapping in one replace, and trims the scratch
+/// region.
+fn redo_commit(dir: &ArrayDir, meta: &StoreMeta, rs: &ReshapeState) -> Result<(), StoreError> {
     let src_layout = meta.layout()?;
     // Physical disk count never changes during a reshape.
     let disks = src_layout.v() + meta.spares;
     let us = meta.unit_size;
-    let backend = FileBackend::open(dir, disks, rs.grown_units, us)?;
+    let backend = FileBackend::open(&dir.path, disks, rs.grown_units, us)?;
     let tgt_layout = rs
         .target_layout
         .to_layout()
@@ -470,21 +685,21 @@ fn redo_commit(dir: &Path, meta: &StoreMeta, rs: &ReshapeState) -> Result<(), St
         wm.slide_done = row as u64;
         let mut doc = meta.clone();
         doc.reshape = Some(wm);
-        write_meta_atomic(dir, &doc)?;
+        dir.replace_meta(&doc)?;
     }
-    backend.persist_mapping(&rs.tgt_redirect)?;
     // The committed document: the interrupted one re-pointed at the
-    // target geometry (scheme, cache policy, and the scrub section
-    // carry over unchanged).
+    // target geometry and mapping (scheme, cache policy, and the scrub
+    // section carry over unchanged).
     let final_meta = StoreMeta {
         copies: rs.target_copies,
         spares: disks - tgt_layout.v(),
+        redirect: rs.tgt_redirect.clone(),
         parity_slots: rs.target_parity_slots.clone(),
         reshape: None,
         layout: rs.target_layout.clone(),
         ..meta.clone()
     };
-    write_meta_atomic(dir, &final_meta)?;
+    dir.replace_meta(&final_meta)?;
     backend.set_units_per_disk(u_tgt)?;
     backend.flush()?;
     Ok(())
@@ -495,10 +710,8 @@ fn redo_commit(dir: &Path, meta: &StoreMeta, rs: &ReshapeState) -> Result<(), St
 /// [`open_file_store`] installs it. Does not affect stores already
 /// open — call [`BlockStore::set_cache_policy`] on those directly.
 pub fn update_cache_policy(dir: impl AsRef<Path>, policy: CachePolicy) -> Result<(), StoreError> {
-    let dir = dir.as_ref();
-    let json = std::fs::read_to_string(dir.join(META_FILE))?;
-    let meta = StoreMeta::from_json(&json)?.with_cache_policy(policy);
-    write_meta_atomic(dir, &meta)
+    let dir = ArrayDir::new(dir.as_ref());
+    dir.replace_meta(&dir.read_meta()?.with_cache_policy(policy))
 }
 
 #[cfg(test)]
@@ -555,6 +768,52 @@ mod tests {
         let mut meta = StoreMeta::new(RingLayout::for_v_k(5, 3).layout(), 64, 1, 0);
         meta.scheme = "pq".into();
         assert!(StoreMeta::from_json(&meta.to_json()).is_err());
+        // Redirects: the identity over v = 5 with 2 spares is accepted,
+        // and so is a rebuilt one; a wrong length, an entry at or past
+        // v + spares, and a repeated entry are not.
+        let good = StoreMeta::new(RingLayout::for_v_k(5, 3).layout(), 64, 1, 2);
+        assert!(StoreMeta::from_json(&good.to_json()).is_ok());
+        let rebuilt = StoreMeta { redirect: vec![0, 1, 6, 3, 4], ..good.clone() };
+        assert!(StoreMeta::from_json(&rebuilt.to_json()).is_ok());
+        for redirect in [vec![0, 1, 2, 3], vec![0, 1, 2, 3, 7], vec![0, 1, 5, 3, 5]] {
+            let meta = StoreMeta { redirect, ..good.clone() };
+            assert!(
+                matches!(StoreMeta::from_json(&meta.to_json()), Err(StoreError::Corrupt(_))),
+                "{:?} must be refused",
+                meta.redirect
+            );
+        }
+    }
+
+    /// The checksum journal appends while the table keeps the geometry
+    /// of the base on disk, and rewrites the base (dropping the
+    /// journal) once a reshape commit resized the table; a reload sees
+    /// every entry either way.
+    #[test]
+    fn journal_appends_until_the_table_geometry_changes() {
+        let dir = std::env::temp_dir().join(format!("pdl-meta-journal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let ad = ArrayDir::new(&dir);
+        let integrity = Integrity::new(3, 8);
+        let len = |name: &str| std::fs::metadata(dir.join(name)).map(|m| m.len()).ok();
+        integrity.sums.record(0, 1, b"first");
+        ad.persist_sums(&integrity).unwrap(); // nothing on disk yet: a base
+        assert_eq!((len(SUMS_FILE), len(SUMS_LOG_FILE)), (Some(24 + 3 * 8 * 8), None));
+        integrity.sums.record(2, 7, b"second");
+        ad.persist_sums(&integrity).unwrap(); // same geometry: one record
+        assert_eq!((len(SUMS_FILE), len(SUMS_LOG_FILE)), (Some(24 + 3 * 8 * 8), Some(16 + 16 + 8)));
+        let reloaded = ChecksumTable::new(3, 8);
+        ArrayDir::new(&dir).load_sums(&reloaded);
+        assert_eq!(reloaded.to_bytes(), integrity.sums.to_bytes());
+        integrity.sums.resize_units(4);
+        integrity.sums.record(1, 3, b"third");
+        ad.persist_sums(&integrity).unwrap(); // resized: a fresh base
+        assert_eq!((len(SUMS_FILE), len(SUMS_LOG_FILE)), (Some(24 + 3 * 4 * 8), None));
+        let reloaded = ChecksumTable::new(3, 4);
+        ArrayDir::new(&dir).load_sums(&reloaded);
+        assert_eq!(reloaded.to_bytes(), integrity.sums.to_bytes());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -58,7 +58,7 @@
 //! [`crate::open_file_store`] resumes a `phase = "migrate"` document
 //! by rebuilding the runtime at the persisted cursor, and statically
 //! *redoes* a `phase = "commit"` document (slide from the watermark →
-//! mapping → final meta → trim) before opening normally.
+//! final meta with the target mapping → trim) before opening normally.
 //!
 //! # Commit
 //!
@@ -68,10 +68,10 @@
 //! mapped disk's target region down from the scratch rows to row 0 in
 //! watermarked chunks of at most `min(scratch_base, 4096)` rows (so a
 //! chunk's write never overlaps the scratch rows a redo would
-//! re-read), persists the mapping and the final metadata, trims the
-//! backend to `U_tgt`, and swaps the in-memory world: target layout,
-//! redirect table, remapped failure set, raised capacity, bumped
-//! epoch.
+//! re-read), persists the final metadata, target mapping included,
+//! trims the backend to `U_tgt`, and swaps the in-memory world: target
+//! layout, redirect table, remapped failure set, raised capacity,
+//! bumped epoch.
 
 use crate::backend::Backend;
 use crate::cache::{key_parts, stripe_key, FlushSnapshot};
@@ -518,12 +518,10 @@ impl<B: Backend> BlockStore<B> {
         // document is built, so no reshape-era document carries a
         // source-world cursor.
         self.scrub_cursor.store(0, Ordering::Release);
-        if let Some(p) = &self.meta_persister {
-            let begin = self.checkpoint_meta(&st.world, Some(rs.state_template.clone()));
-            if let Err(e) = p.0(&begin) {
-                let _ = self.backend.set_units_per_disk(scratch_base);
-                return Err(e);
-            }
+        let begin = Some(rs.state_template.clone());
+        if let Err(e) = self.persist_meta(&st.world, &st.redirect, begin) {
+            let _ = self.backend.set_units_per_disk(scratch_base);
+            return Err(e);
         }
         st.reshape = Some(rs);
         st.epoch += 1;
@@ -781,7 +779,6 @@ impl<B: Backend> BlockStore<B> {
         rs: &Arc<ReshapeRuntime>,
         cursor: u64,
     ) -> Result<(), StoreError> {
-        let Some(p) = &self.meta_persister else { return Ok(()) };
         // Re-check under the state guard: a concurrent commit (which
         // holds the guard exclusively for its whole duration) must not
         // have its final document overwritten by a stale checkpoint.
@@ -792,7 +789,7 @@ impl<B: Backend> BlockStore<B> {
         }
         let mut state = rs.state_template.clone();
         state.cursor = cursor;
-        p.0(&self.checkpoint_meta(&st.world, Some(state)))
+        self.persist_meta(&st.world, &st.redirect, Some(state))
     }
 
     fn persist_commit_watermark(
@@ -801,12 +798,11 @@ impl<B: Backend> BlockStore<B> {
         rs: &ReshapeRuntime,
         slide_done: u64,
     ) -> Result<(), StoreError> {
-        let Some(p) = &self.meta_persister else { return Ok(()) };
         let mut state = rs.state_template.clone();
         state.phase = "commit".into();
         state.cursor = rs.total;
         state.slide_done = slide_done;
-        p.0(&self.checkpoint_meta(&st.world, Some(state)))
+        self.persist_meta(&st.world, &st.redirect, Some(state))
     }
 
     /// Commits a fully migrated reshape (see module docs for the
@@ -862,10 +858,7 @@ impl<B: Backend> BlockStore<B> {
                 return Err(StoreError::Corrupt("injected reshape commit fault".into()));
             }
         }
-        self.backend.persist_mapping(&rs.tgt_redirect)?;
-        if let Some(p) = &self.meta_persister {
-            p.0(&self.checkpoint_meta(&rs.target, None))?;
-        }
+        self.persist_meta(&rs.target, &rs.tgt_redirect, None)?;
         self.backend.set_units_per_disk(u_tgt)?;
         self.backend.flush()?;
         // Swap worlds. Failures survive the flip (remapped through the
@@ -913,10 +906,6 @@ impl<B: Backend> BlockStore<B> {
         for d in 0..self.backend.disks() {
             self.integrity.sums.clear_disk(d);
         }
-        // The sidecar's geometry header changed with the table: force
-        // the next persist to write a fresh base rather than append
-        // old-geometry entries to the incremental log.
-        self.sums_full_rewrite.store(true, Ordering::Release);
         self.scrub_cursor.store(0, Ordering::Release);
         let epoch = st.epoch;
         let to_v = tw.layout.v();

@@ -264,10 +264,7 @@ impl<B: Backend> BlockStore<B> {
     /// one is.
     fn checkpoint_scrub(&self, st: &ArrayState) -> Result<(), StoreError> {
         debug_assert!(st.reshape.is_none());
-        let Some(p) = &self.meta_persister else {
-            return Ok(());
-        };
-        p.0(&self.checkpoint_meta(&st.world, None))?;
-        self.persist_sums()
+        self.persist_meta(&st.world, &st.redirect, None)?;
+        self.dir.as_ref().map_or(Ok(()), |dir| dir.persist_sums(&self.integrity))
     }
 }

@@ -137,10 +137,10 @@ use crate::cache::{key_parts, stripe_key, CachePolicy, FlushSnapshot, StripeCach
 use crate::codec::{self, Decoded, Role, Scratch, Syndromes};
 use crate::engine::Priority;
 use crate::error::StoreError;
-use crate::integrity::{xxh64, ChecksumTable, Integrity, RetryPolicy};
+use crate::integrity::{Integrity, RetryPolicy};
 use crate::io::{Io, Run};
 use crate::maintenance::MaintState;
-use crate::meta::StoreMeta;
+use crate::meta::ArrayDir;
 use crate::obs::{
     DiskStatSnapshot, Event, EventHub, EventSink, Metrics, OpKind, OpTimer, RebuildProgress,
     RebuildTracker, StatsSnapshot,
@@ -149,7 +149,6 @@ use crate::reshape::ReshapeRuntime;
 use crate::scheme::{AddrRef, FailureSet, ParityScheme, StripeMap};
 use pdl_core::{DoubleParityLayout, Layout, StripeUnit};
 use pdl_sim::{Trace, TraceOp};
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
@@ -568,12 +567,11 @@ pub struct BlockStore<B> {
     pub(crate) events: EventHub,
     /// Live-progress state of the registered rebuild, if any.
     pub(crate) rb_tracker: RebuildTracker,
-    /// Durable-metadata writer installed by the file-store
-    /// constructors: reshape and scrub checkpoints (and a reshape's
-    /// final committed geometry) are persisted through this hook.
-    /// `None` for memory-backed stores (nothing survives the process
-    /// anyway).
-    pub(crate) meta_persister: Option<MetaPersister>,
+    /// The array directory installed by the file-store constructors:
+    /// rebuild completions, reshape and scrub checkpoints persist the
+    /// document through it, and flushes the checksum table. `None`
+    /// for memory-backed stores (nothing survives the process anyway).
+    pub(crate) dir: Option<ArrayDir>,
     /// End-to-end integrity state: the per-physical-unit checksum
     /// table, the transient-retry policy, the per-disk health
     /// monitor, and the global repair counters (see
@@ -591,46 +589,15 @@ pub struct BlockStore<B> {
     pub(crate) engine_on: AtomicBool,
     /// The scrub position: stripes (global index across layout
     /// copies) already verified in the current pass, `0` when no pass
-    /// is mid-flight. Checkpointed into [`StoreMeta`]'s `scrub`
+    /// is mid-flight. Checkpointed into [`crate::StoreMeta`]'s `scrub`
     /// section so a stopped or crashed pass resumes where it left
     /// off; reset when a reshape begins (the geometry it indexed is
     /// going away).
     pub(crate) scrub_cursor: AtomicU64,
-    /// Where the checksum-table sidecar lives for file-backed stores
-    /// (`None` for memory stores). `flush` and scrub checkpoints
-    /// persist it (base table plus an incremental dirty-entry log, see
-    /// [`BlockStore::persist_sums`]) so a reopened store verifies
-    /// against the sums it last made durable.
-    pub(crate) sums_path: Option<std::path::PathBuf>,
     /// Background-maintenance state — admission flags (one scrub, one
     /// reshape driver at a time) and counters, see
     /// [`crate::maintenance`].
     pub(crate) maint: MaintState,
-    /// Serializes sidecar persists: `flush`, scrub checkpoints, and
-    /// maintenance threads may all call [`BlockStore::persist_sums`]
-    /// concurrently, and interleaved log appends would corrupt the
-    /// record stream.
-    pub(crate) sums_persist_lock: Mutex<()>,
-    /// Bytes currently in the incremental sidecar log — drives the
-    /// compaction heuristic.
-    pub(crate) sums_log_len: AtomicU64,
-    /// Forces the next [`BlockStore::persist_sums`] to rewrite the
-    /// whole base table (set at build, after a geometry change, and
-    /// when a log append fails).
-    pub(crate) sums_full_rewrite: AtomicBool,
-}
-
-/// Signature of a metadata-persistence hook: atomically durably write
-/// the given [`StoreMeta`], or fail the operation that needed it.
-pub(crate) type MetaPersistFn = Box<dyn Fn(&StoreMeta) -> Result<(), StoreError> + Send + Sync>;
-
-/// Boxed metadata-persistence hook (see [`BlockStore::meta_persister`]).
-pub(crate) struct MetaPersister(pub(crate) MetaPersistFn);
-
-impl fmt::Debug for MetaPersister {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("MetaPersister")
-    }
 }
 
 impl<B: Backend> BlockStore<B> {
@@ -722,30 +689,6 @@ impl<B: Backend> BlockStore<B> {
         if unit_size == 0 {
             return Err(StoreError::Geometry("backend unit size is zero".into()));
         }
-        // A durable backend may carry a logical→physical mapping from
-        // rebuilds in a previous process lifetime; honor it, or reads
-        // would hit the stale pre-rebuild disks.
-        let redirect = match backend.load_mapping()? {
-            Some(saved) => {
-                let mut seen = vec![false; backend.disks()];
-                if saved.len() != v {
-                    return Err(StoreError::Corrupt(format!(
-                        "persisted mapping covers {} disks, layout has {v}",
-                        saved.len()
-                    )));
-                }
-                for &p in &saved {
-                    if p >= backend.disks() || seen[p] {
-                        return Err(StoreError::Corrupt(format!(
-                            "persisted mapping entry {p} is out of range or duplicated"
-                        )));
-                    }
-                    seen[p] = true;
-                }
-                saved
-            }
-            None => (0..v).collect(),
-        };
         let world = Arc::new(World::new(Arc::new(layout), pq_slots, copies));
         let capacity = copies * world.smap.data_units_per_copy();
         let integrity = Arc::new(Integrity::new(backend.disks(), per_disk));
@@ -755,7 +698,7 @@ impl<B: Backend> BlockStore<B> {
             unit_size,
             state: RwLock::new(ArrayState {
                 world,
-                redirect,
+                redirect: (0..v).collect(),
                 failed: FailureSet::new(),
                 rebuilding: None,
                 reshape: None,
@@ -768,14 +711,10 @@ impl<B: Backend> BlockStore<B> {
             metrics: Metrics::default(),
             events: EventHub::default(),
             rb_tracker: RebuildTracker::default(),
-            meta_persister: None,
+            dir: None,
             integrity,
             scrub_cursor: AtomicU64::new(0),
-            sums_path: None,
             maint: MaintState::default(),
-            sums_persist_lock: Mutex::new(()),
-            sums_log_len: AtomicU64::new(0),
-            sums_full_rewrite: AtomicBool::new(true),
             engine: RwLock::new(None),
             engine_on: AtomicBool::new(false),
         })
@@ -992,11 +931,11 @@ impl<B: Backend> BlockStore<B> {
         // written through while it raced traffic): the medium is
         // fresh again.
         st.world.stale[failed].store(0, Ordering::Release);
-        // Durable backends record the new mapping so a reopened store
-        // reads the spare, not the stale failed disk. Persisted under
-        // the exclusive guard: no in-flight op can observe the new
-        // redirect before it is durable.
-        self.backend.persist_mapping(&st.redirect)
+        // File-backed arrays record the new redirect in their document
+        // so a reopened store reads the spare, not the stale failed
+        // disk. Persisted under the exclusive guard: no in-flight op
+        // can observe the new redirect before it is durable.
+        self.persist_meta(&st.world, &st.redirect, None)
     }
 
     /// Marks a logical disk failed. Subsequent reads of its units are
@@ -1271,163 +1210,15 @@ impl<B: Backend> BlockStore<B> {
             self.flush_cache_locked(&st)?;
         }
         self.backend.flush()?;
-        self.persist_sums()
+        self.dir.as_ref().map_or(Ok(()), |dir| dir.persist_sums(&self.integrity))
     }
 
-    /// Restores the scrub position saved in a [`StoreMeta`]'s `scrub`
+    /// Restores the scrub position saved in a [`crate::StoreMeta`]'s `scrub`
     /// section so the next scrub pass resumes where the last one
     /// stopped.
     pub(crate) fn restore_scrub_state(&mut self, cursor: u64, passes: u64) {
         self.scrub_cursor.store(cursor, Ordering::Release);
         self.integrity.scrub_passes.store(passes, Ordering::Release);
-    }
-
-    /// Seeds the checksum table from a serialized sidecar (see
-    /// [`crate::meta::SUMS_FILE`]). Malformed or geometry-mismatched
-    /// bytes are ignored — the table simply stays unset and fills
-    /// back in as units are written. Returns whether the bytes were
-    /// accepted, so the opener knows if incremental persistence may
-    /// build on the base table.
-    pub(crate) fn load_checksums(&self, bytes: &[u8]) -> bool {
-        self.integrity.sums.load_bytes(bytes)
-    }
-
-    /// Magic prefix of one incremental sidecar-log record.
-    pub(crate) const SUMS_LOG_MAGIC: &'static [u8; 4] = b"PSL1";
-
-    /// Persists the checksum-table sidecar, when one is configured
-    /// and verification is on. Called from [`BlockStore::flush`] and
-    /// from scrub checkpoints.
-    ///
-    /// Rather than rewriting the whole table every time (continuous
-    /// scrubbing would turn that into continuous full-table
-    /// rewrites), entries dirtied since the last persist are appended
-    /// as one self-checksummed record to an adjacent log file
-    /// (`checksums.log`): `"PSL1" + disks u32 + units u32 + count
-    /// u32 + count × (disk u32, offset u32, sum u64) +
-    /// xxh64(entries)`.
-    /// The base table is fully rewritten (tmp + rename, then the log
-    /// is discarded) only when forced — first persist, geometry
-    /// change, failed append — or when the log outgrows half the base
-    /// size (compaction). A torn tail from a crash mid-append is
-    /// detected on replay by the record checksum and ignored; sums
-    /// are best-effort and self-heal through read-repair.
-    pub(crate) fn persist_sums(&self) -> Result<(), StoreError> {
-        let Some(path) = &self.sums_path else {
-            return Ok(());
-        };
-        if !self.integrity.verifying() {
-            return Ok(());
-        }
-        let _serial = self.sums_persist_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let (disks, units) = self.integrity.sums.geometry();
-        let base_len = 24 + (disks * units * 8) as u64;
-        let log_path = path.with_extension("log");
-        let full = self.sums_full_rewrite.swap(false, Ordering::AcqRel)
-            || self.sums_log_len.load(Ordering::Acquire) > base_len / 2;
-        if full {
-            // Drain (and discard) the dirty set first: everything it
-            // covers is in the table we are about to write whole.
-            self.integrity.sums.drain_dirty(|_, _, _| {});
-            let res: Result<(), StoreError> = (|| {
-                let tmp = path.with_extension("bin.tmp");
-                std::fs::write(&tmp, self.integrity.sums.to_bytes())?;
-                std::fs::rename(&tmp, path)?;
-                // Remove the now-stale log *after* the base rename: a
-                // crash between the two leaves a log whose replay is
-                // idempotent over the new base.
-                match std::fs::remove_file(&log_path) {
-                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
-                    _ => {}
-                }
-                self.sums_log_len.store(0, Ordering::Release);
-                Ok(())
-            })();
-            if res.is_err() {
-                self.sums_full_rewrite.store(true, Ordering::Release);
-            }
-            return res;
-        }
-        let mut entries = Vec::new();
-        let mut count = 0u32;
-        self.integrity.sums.drain_dirty(|d, o, s| {
-            entries.extend_from_slice(&(d as u32).to_le_bytes());
-            entries.extend_from_slice(&(o as u32).to_le_bytes());
-            entries.extend_from_slice(&s.to_le_bytes());
-            count += 1;
-        });
-        if count == 0 {
-            return Ok(());
-        }
-        let mut rec = Vec::with_capacity(16 + entries.len() + 8);
-        rec.extend_from_slice(Self::SUMS_LOG_MAGIC);
-        rec.extend_from_slice(&(disks as u32).to_le_bytes());
-        rec.extend_from_slice(&(units as u32).to_le_bytes());
-        rec.extend_from_slice(&count.to_le_bytes());
-        rec.extend_from_slice(&entries);
-        rec.extend_from_slice(
-            &ChecksumTable::encode(xxh64(ChecksumTable::SEED, &entries)).to_le_bytes(),
-        );
-        let res: Result<(), StoreError> = (|| {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new().create(true).append(true).open(&log_path)?;
-            f.write_all(&rec)?;
-            f.sync_data()?;
-            Ok(())
-        })();
-        match res {
-            Ok(()) => {
-                self.sums_log_len.fetch_add(rec.len() as u64, Ordering::AcqRel);
-                Ok(())
-            }
-            Err(e) => {
-                // The drained entries may be half-appended; force the
-                // next persist to re-establish a clean base.
-                self.sums_full_rewrite.store(true, Ordering::Release);
-                Err(e)
-            }
-        }
-    }
-
-    /// Replays an incremental sidecar log (see
-    /// [`BlockStore::persist_sums`]) over the already-loaded base
-    /// table, returning the number of bytes consumed. Stops — without
-    /// erroring — at the first malformed or checksum-failing record
-    /// (a torn tail from a crash mid-append); records whose geometry
-    /// header disagrees with the current table (written before a
-    /// reshape changed the world) are skipped, not applied.
-    pub(crate) fn replay_sums_log(&self, bytes: &[u8]) -> usize {
-        let (disks, units) = self.integrity.sums.geometry();
-        let mut at = 0usize;
-        while bytes.len() - at >= 24 {
-            let rec = &bytes[at..];
-            if &rec[..4] != Self::SUMS_LOG_MAGIC {
-                break;
-            }
-            let rd32 = |b: &[u8]| u32::from_le_bytes(b[..4].try_into().unwrap());
-            let count = rd32(&rec[12..]) as usize;
-            let body_end = 16 + count * 16;
-            if rec.len() < body_end + 8 {
-                break;
-            }
-            let entries = &rec[16..body_end];
-            let want = u64::from_le_bytes(rec[body_end..body_end + 8].try_into().unwrap());
-            if ChecksumTable::encode(xxh64(ChecksumTable::SEED, entries)) != want {
-                break;
-            }
-            let geometry_ok =
-                rd32(&rec[4..]) as usize == disks && rd32(&rec[8..]) as usize == units;
-            if geometry_ok {
-                for e in entries.chunks_exact(16) {
-                    let d = rd32(e) as usize;
-                    let o = rd32(&e[4..]) as usize;
-                    let s = u64::from_le_bytes(e[8..16].try_into().unwrap());
-                    self.integrity.sums.set_raw(d, o, s);
-                }
-            }
-            at += body_end + 8;
-        }
-        at
     }
 
     /// The installed [`CachePolicy`].

@@ -292,8 +292,8 @@ fn racing_remove_differential_pq_file() {
 }
 
 /// Copies every regular file of an array directory (disk files,
-/// `store.json`, `mapping.json`) — the crash image a power cut at
-/// that instant would leave behind.
+/// `store.json`, the checksum sidecar) — the crash image a power cut
+/// at that instant would leave behind.
 fn snapshot_dir(src: &Path, dst: &Path) {
     let _ = std::fs::remove_dir_all(dst);
     std::fs::create_dir_all(dst).unwrap();

@@ -7,7 +7,9 @@
 
 use pdl_core::{raid5_layout, DoubleParityLayout, Layout, RingLayout};
 use pdl_sim::{Trace, Workload};
-use pdl_store::{Backend, BlockStore, FileBackend, MemBackend, Rebuilder, StoreError};
+use pdl_store::{
+    Backend, BlockStore, FileBackend, MemBackend, Rebuilder, StoreError, StoreMeta, META_FILE,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -107,7 +109,9 @@ fn file_ring_declustered_end_to_end() {
 
 /// Rebuild redirects must survive a close/reopen: data written while
 /// degraded lives on the spare, and a reopened store has to read it
-/// from there, not from the stale failed disk.
+/// from there, not from the stale failed disk. The redirect rides in
+/// `store.json`, replaced atomically like every other document write,
+/// and the directory holds no other metadata file.
 #[test]
 fn file_store_reopen_after_rebuild_reads_spare() {
     let dir = std::env::temp_dir().join(format!("pdl-e2e-reopen-{}", std::process::id()));
@@ -124,8 +128,27 @@ fn file_store_reopen_after_rebuild_reads_spare() {
         store.write_block(addr, &block).unwrap();
         image[addr] = block;
     }
+    // A hard link to the committed document: a rebuild that rewrote
+    // it in place would change what the link reads.
+    let meta_path = dir.join(META_FILE);
+    let old_doc = std::fs::read_to_string(&meta_path).unwrap();
+    let witness = dir.join("store.json.witness");
+    std::fs::hard_link(&meta_path, &witness).unwrap();
     Rebuilder::new(2).rebuild(&store, 7).unwrap();
     drop(store); // simulate process exit
+
+    assert_eq!(std::fs::read_to_string(&witness).unwrap(), old_doc, "replaced, not rewritten");
+    std::fs::remove_file(&witness).unwrap();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        let media = name.starts_with("disk-") && name.ends_with(".bin");
+        assert!(
+            media || ["store.json", "checksums.bin", "checksums.log"].contains(&name.as_str()),
+            "unexpected file {name} in the array directory"
+        );
+    }
+    let meta = StoreMeta::from_json(&std::fs::read_to_string(&meta_path).unwrap()).unwrap();
+    assert_eq!(meta.redirect[4], 7, "the redirect is in store.json");
 
     let store = pdl_store::open_file_store(&dir).unwrap();
     assert_eq!(store.physical_disk(4), 7, "mapping must be persisted");
