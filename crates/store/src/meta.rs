@@ -47,13 +47,13 @@ use std::sync::Mutex;
 /// of [`StoreMeta`] — so a crash mid-reshape resumes on reopen (see
 /// the [`crate::reshape`] module docs for the protocol).
 ///
-/// `phase = "migrate"`: the store reopens on the **source** geometry
-/// (backend at `grown_units` units per disk) with the migration
-/// runtime reinstalled at `cursor`. `phase = "commit"`: migration is
-/// complete and the commit slide was interrupted at the `slide_done`
-/// watermark; reopening statically redoes the remaining slide, the
-/// final metadata (target mapping included), and trim before a normal
-/// open.
+/// The store reopens on the **source** geometry (backend at
+/// `grown_units` units per disk) with the migration runtime installed
+/// from this section, at `cursor` and `slide_done`. `phase =
+/// "migrate"`: the migration resumes at `cursor`. `phase = "commit"`:
+/// migration is complete and the commit slide was interrupted at the
+/// `slide_done` watermark; the open runs the live commit, which
+/// resumes the slide there, before it returns.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Eq)]
 pub struct ReshapeState {
     /// `"add"` or `"remove"`.
@@ -384,6 +384,25 @@ impl ArrayDir {
         Ok(())
     }
 
+    /// Removes file `name`; one that does not exist is already gone.
+    fn remove(&self, name: &str) -> Result<(), StoreError> {
+        match std::fs::remove_file(self.path.join(name)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+            _ => Ok(()),
+        }
+    }
+
+    /// Removes the checksum base and journal and forgets what the
+    /// journal knew of them, so the next persist writes a fresh base.
+    /// A reshape commit calls it before writing its final document:
+    /// the sums on disk describe source-world units.
+    pub(crate) fn drop_sums(&self) -> Result<(), StoreError> {
+        let mut j = self.journal.lock().unwrap_or_else(|e| e.into_inner());
+        *j = Journal::default();
+        self.remove(SUMS_FILE)?;
+        self.remove(SUMS_LOG_FILE)
+    }
+
     /// Best-effort load of a reopened store's checksum table: the base,
     /// then the journal replayed over it. Wrong geometry or torn bytes
     /// leave entries unset (their verification skipped until a scrub
@@ -435,10 +454,7 @@ impl ArrayDir {
             // so a crash between the two loses no entry. (Its older
             // entries then replay over the newer base; read-repair
             // heals the sums they revert.)
-            match std::fs::remove_file(self.path.join(SUMS_LOG_FILE)) {
-                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
-                _ => {}
-            }
+            self.remove(SUMS_LOG_FILE)?;
             *j = Journal { base: Some(geometry), log_len: 0 };
             return Ok(());
         }
@@ -588,121 +604,50 @@ fn install_document(
 /// [`create_file_store_pq`], reading the geometry **and scheme** from
 /// its metadata document.
 ///
-/// A document with a `reshape` section (crash mid-reshape) is handled
-/// by phase: `"migrate"` reopens on the source geometry with the
-/// migration runtime resumed at the persisted cursor (finish with
-/// [`BlockStore::finish_reshape`] or step it incrementally);
-/// `"commit"` statically redoes the interrupted commit (slide from
-/// the watermark, final metadata with the target mapping, trim) and
-/// then opens the committed target-geometry array. The `scrub`
-/// section is restored either way.
+/// A document with a `reshape` section (crash mid-reshape) reopens on
+/// the source geometry, with the backend still holding the scratch
+/// rows, and installs the reshape runtime from that section — after
+/// the same checks a live begin's document passes; a malformed one is
+/// refused as [`StoreError::Corrupt`] before any disk is written. A
+/// `"migrate"` document resumes at the persisted cursor (finish with
+/// [`BlockStore::finish_reshape`] or step it incrementally). A
+/// `"commit"` document runs [`BlockStore::complete_reshape`], the live
+/// commit, from the persisted slide watermark before the open returns
+/// the committed target-geometry array. The `scrub` section is
+/// restored either way.
 pub fn open_file_store(dir: impl AsRef<Path>) -> Result<BlockStore<FileBackend>, StoreError> {
     let dir = ArrayDir::new(dir.as_ref());
     let meta = dir.read_meta()?;
-    if let Some(rs) = &meta.reshape {
-        if rs.phase == "commit" {
-            redo_commit(&dir, &meta, rs)?;
-            // The document now has no reshape state; reopen normally.
-            return open_file_store(&dir.path);
-        }
-        return open_resuming(dir, &meta, rs);
-    }
-    let layout = meta.layout()?;
-    // Trim-allowing open: heals files left long by a crash between a
-    // reshape's backend grow and its first metadata checkpoint, or
-    // between a commit's final metadata write and its trim.
-    let backend = FileBackend::open_trimming(
-        &dir.path,
-        layout.v() + meta.spares,
-        meta.copies * layout.size(),
-        meta.unit_size,
-    )?;
-    let mut store = match meta.parsed_scheme()? {
-        ParityScheme::Xor => BlockStore::new(layout, backend),
-        ParityScheme::PQ => BlockStore::new_pq(meta.double_parity_layout()?, backend),
-    }?;
-    dir.load_sums(&store.integrity.sums);
-    install_document(&mut store, dir, &meta)?;
-    Ok(store)
-}
-
-/// Reopens a store whose document records an interrupted *migration*
-/// phase: the backend opens at the grown (scratch-holding) geometry,
-/// the store is built on the **source** layout, and the migration
-/// runtime is reinstalled at the persisted cursor.
-fn open_resuming(
-    dir: ArrayDir,
-    meta: &StoreMeta,
-    rs: &ReshapeState,
-) -> Result<BlockStore<FileBackend>, StoreError> {
-    let layout = meta.layout()?;
-    let disks = layout.v() + meta.spares;
-    let backend = FileBackend::open(&dir.path, disks, rs.grown_units, meta.unit_size)?;
-    let mut store = match meta.parsed_scheme()? {
-        ParityScheme::Xor => BlockStore::build_resuming(layout, None, backend, meta.copies),
+    let (layout, pq_slots) = match meta.parsed_scheme()? {
+        ParityScheme::Xor => (meta.layout()?, None),
         ParityScheme::PQ => {
             let dp = meta.double_parity_layout()?;
-            let slots = dp.all_parity_slots().to_vec();
-            BlockStore::build_resuming(dp.layout().clone(), Some(slots), backend, meta.copies)
+            (dp.layout().clone(), Some(dp.all_parity_slots().to_vec()))
         }
-    }?;
-    install_document(&mut store, dir, meta)?;
-    store.install_resumed_reshape(rs)?;
-    Ok(store)
-}
-
-/// Statically redoes an interrupted reshape *commit*: resumes the
-/// slide-down at the persisted watermark (chunks never clobber
-/// scratch rows a redo would re-read), persists the final metadata
-/// with the target mapping in one replace, and trims the scratch
-/// region.
-fn redo_commit(dir: &ArrayDir, meta: &StoreMeta, rs: &ReshapeState) -> Result<(), StoreError> {
-    let src_layout = meta.layout()?;
-    // Physical disk count never changes during a reshape.
-    let disks = src_layout.v() + meta.spares;
-    let us = meta.unit_size;
-    let backend = FileBackend::open(&dir.path, disks, rs.grown_units, us)?;
-    let tgt_layout = rs
-        .target_layout
-        .to_layout()
-        .map_err(|e| StoreError::Corrupt(format!("reshape target layout: {e}")))?;
-    let u_tgt = rs.target_copies * tgt_layout.size();
-    let sb = rs.scratch_base;
-    let mut row = rs.slide_done as usize;
-    if row > u_tgt {
-        return Err(StoreError::Corrupt("reshape slide watermark past target".into()));
-    }
-    let chunk_rows = sb.clamp(1, 4096);
-    let mut buf = vec![0u8; chunk_rows * us];
-    while row < u_tgt {
-        let n = chunk_rows.min(u_tgt - row);
-        for &phys in &rs.tgt_redirect {
-            backend.read_units(phys, sb + row, &mut buf[..n * us])?;
-            backend.write_units(phys, row, &buf[..n * us])?;
-        }
-        row += n;
-        let mut wm = rs.clone();
-        wm.slide_done = row as u64;
-        let mut doc = meta.clone();
-        doc.reshape = Some(wm);
-        dir.replace_meta(&doc)?;
-    }
-    // The committed document: the interrupted one re-pointed at the
-    // target geometry and mapping (scheme, cache policy, and the scrub
-    // section carry over unchanged).
-    let final_meta = StoreMeta {
-        copies: rs.target_copies,
-        spares: disks - tgt_layout.v(),
-        redirect: rs.tgt_redirect.clone(),
-        parity_slots: rs.target_parity_slots.clone(),
-        reshape: None,
-        layout: rs.target_layout.clone(),
-        ..meta.clone()
     };
-    dir.replace_meta(&final_meta)?;
-    backend.set_units_per_disk(u_tgt)?;
-    backend.flush()?;
-    Ok(())
+    let (disks, us) = (layout.v() + meta.spares, meta.unit_size);
+    let backend = match &meta.reshape {
+        // Mid-reshape the files hold exactly the grown geometry.
+        Some(rs) => FileBackend::open(&dir.path, disks, rs.grown_units, us)?,
+        // Trim-allowing open: heals files left long by a crash between
+        // a reshape's backend grow and its first metadata checkpoint,
+        // or between a commit's final metadata write and its trim.
+        None => FileBackend::open_trimming(&dir.path, disks, meta.copies * layout.size(), us)?,
+    };
+    let mut store = BlockStore::build_resuming(layout, pq_slots, backend, meta.copies)?;
+    // A reopened reshape starts without sums: its commit drops them
+    // anyway, and until then writes record them afresh.
+    if meta.reshape.is_none() {
+        dir.load_sums(&store.integrity.sums);
+    }
+    install_document(&mut store, dir, &meta)?;
+    if let Some(rs) = &meta.reshape {
+        store.install_reshape(&mut store.state_write(), rs, None)?;
+        if rs.phase == "commit" {
+            store.complete_reshape()?;
+        }
+    }
+    Ok(store)
 }
 
 /// Durably changes the cache policy of an existing file-backed array

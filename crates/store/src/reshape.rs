@@ -55,10 +55,16 @@
 //! re-copies), and at every commit slide chunk. Every one of those
 //! documents also carries the `scrub` section, so the scrubber's
 //! lifetime pass count survives the reshape.
-//! [`crate::open_file_store`] resumes a `phase = "migrate"` document
-//! by rebuilding the runtime at the persisted cursor, and statically
-//! *redoes* a `phase = "commit"` document (slide from the watermark →
-//! final meta with the target mapping → trim) before opening normally.
+//!
+//! That document is the only source of a reshape's runtime. `begin`
+//! persists it and then installs the runtime from it;
+//! [`crate::open_file_store`] installs the runtime from the persisted
+//! one, at its cursor and slide watermark, after the same checks (a
+//! document on disk is outside input). A `phase = "migrate"` document
+//! then resumes migrating at its cursor. A `phase = "commit"` document
+//! runs [`BlockStore::complete_reshape`] before the open returns: a
+//! crashed commit reopens into the live commit, resuming its slide at
+//! the watermark — there is no second, static commit.
 //!
 //! # Commit
 //!
@@ -67,16 +73,20 @@
 //! documented trade-off) drains the write-back cache, slides every
 //! mapped disk's target region down from the scratch rows to row 0 in
 //! watermarked chunks of at most `min(scratch_base, 4096)` rows (so a
-//! chunk's write never overlaps the scratch rows a redo would
-//! re-read), persists the final metadata, target mapping included,
-//! trims the backend to `U_tgt`, and swaps the in-memory world: target
-//! layout, redirect table, remapped failure set, raised capacity,
-//! bumped epoch.
+//! chunk's write never overlaps the scratch rows a resumed slide would
+//! re-read; each transfer is retried on transient errors), drops the
+//! checksum table together with its base and journal on disk (they
+//! describe source-world units), persists the final metadata, target
+//! mapping included, trims the backend to `U_tgt`, and swaps the
+//! in-memory world: target layout, redirect table, remapped failure
+//! set, raised capacity, bumped epoch.
 
 use crate::backend::Backend;
 use crate::cache::{key_parts, stripe_key, FlushSnapshot};
 use crate::codec::{self, Decoded, Role, Syndromes};
+use crate::engine::Priority;
 use crate::error::StoreError;
+use crate::io::Run;
 use crate::maintenance::{ReshapeDriverConfig, ReshapeJob};
 use crate::meta::{slots_u32, ReshapeState};
 use crate::obs::{Event, OpKind, ReshapeProgressSnapshot};
@@ -193,19 +203,18 @@ pub(crate) struct StepState {
 }
 
 /// The in-memory state of an active reshape, installed in
-/// [`ArrayState::reshape`] and shared by writers (dual writes), the
-/// migration engine, and the stats path.
+/// [`ArrayState::reshape`] by [`BlockStore::install_reshape`] and
+/// shared by writers (dual writes), the migration engine, and the
+/// stats path.
 #[derive(Debug)]
 pub(crate) struct ReshapeRuntime {
-    pub(crate) kind: ReshapeKind,
+    /// The document the runtime was installed from: kind, target
+    /// mapping, scratch geometry, capacity after the commit, batch
+    /// cadence and removed disks. Checkpoints write it back with the
+    /// live `cursor` and `slide_done` below.
+    pub(crate) doc: ReshapeState,
     /// The target world being assembled in the scratch region.
     pub(crate) target: Arc<World>,
-    /// Target logical disk → physical backend disk.
-    pub(crate) tgt_redirect: Vec<usize>,
-    /// First physical row of the scratch (target) region — the source
-    /// world's units-per-disk.
-    pub(crate) scratch_base: usize,
-    /// Units per disk while the reshape is active.
     /// Target stripe indices to migrate: the smallest `t` whose data
     /// range starts at or past the source capacity. Tail stripes stay
     /// all-zero (valid parity) and are never touched.
@@ -219,23 +228,14 @@ pub(crate) struct ReshapeRuntime {
     /// commit retries from where it stopped instead of re-reading
     /// scratch rows its own writes already clobbered.
     pub(crate) slide_done: AtomicU64,
-    pub(crate) capacity_after: usize,
     /// Per-target-stripe lock table serializing dual writes; disjoint
     /// from the store's source lock table and always taken after it.
     pub(crate) tgt_locks: StripeLockTable,
     pub(crate) step: Mutex<StepState>,
-    pub(crate) batch_stripes: usize,
-    pub(crate) checkpoint_every: usize,
     pub(crate) from_v: usize,
     pub(crate) capacity_before: usize,
     pub(crate) method: ReshapeMethod,
     pub(crate) moved_fraction: f64,
-    /// Logical source disks being removed (empty on add) — drives the
-    /// failure-set remap at commit.
-    pub(crate) removed: Vec<usize>,
-    /// The persisted-state skeleton (cursor/slide at zero); checkpoint
-    /// writers clone it and fill in the live cursor.
-    pub(crate) state_template: ReshapeState,
     pub(crate) started: Instant,
 }
 
@@ -252,8 +252,8 @@ impl ReshapeRuntime {
     /// recorded checksums.
     pub(crate) fn place(&self, u: StripeUnit) -> PhysUnit {
         PhysUnit {
-            disk: self.tgt_redirect[u.disk as usize],
-            offset: self.scratch_base + u.offset as usize,
+            disk: self.doc.tgt_redirect[u.disk as usize],
+            offset: self.doc.scratch_base + u.offset as usize,
             checked: false,
         }
     }
@@ -261,7 +261,7 @@ impl ReshapeRuntime {
     /// Live progress for [`crate::StatsSnapshot`].
     pub(crate) fn progress_snapshot(&self) -> ReshapeProgressSnapshot {
         ReshapeProgressSnapshot {
-            kind: self.kind.name().to_string(),
+            kind: self.doc.kind.clone(),
             to_v: self.target.layout.v() as u32,
             stripes_done: self.cursor.load(Ordering::Acquire),
             stripes_total: self.total,
@@ -408,8 +408,8 @@ impl<B: Backend> BlockStore<B> {
         opts: &ReshapeOptions,
     ) -> Result<(), StoreError> {
         let tgt_layout = plan.layout;
-        let tgt_pq = match self.scheme {
-            ParityScheme::Xor => None,
+        let target_parity_slots = match self.scheme {
+            ParityScheme::Xor => Vec::new(),
             ParityScheme::PQ => {
                 if let Some(bad) = tgt_layout.stripes().iter().position(|s| s.len() > 255) {
                     return Err(StoreError::Geometry(format!(
@@ -419,7 +419,7 @@ impl<B: Backend> BlockStore<B> {
                 }
                 let dp = DoubleParityLayout::new(tgt_layout.clone())
                     .map_err(|e| StoreError::Geometry(format!("target parity assignment: {e}")))?;
-                Some(dp.all_parity_slots().to_vec())
+                slots_u32(dp.all_parity_slots())
             }
         };
         let cap_src = self.capacity.load(Ordering::Acquire);
@@ -463,74 +463,155 @@ impl<B: Backend> BlockStore<B> {
         }
         let from_v = st.world.layout.v();
         let to_v = tgt_layout.v();
-        let target = Arc::new(World::new(Arc::new(tgt_layout), tgt_pq, copies_tgt));
-        debug_assert_eq!(dpc_tgt, target.smap.data_units_per_copy());
-        let total = migration_total(&target, cap_src);
-        let batch_stripes =
-            if opts.batch_stripes == 0 { target.layout.b() } else { opts.batch_stripes };
-        let checkpoint_every = opts.checkpoint_every.max(1);
-        let state_template = ReshapeState {
+        let doc = ReshapeState {
             kind: kind.name().to_string(),
             phase: "migrate".into(),
             cursor: 0,
             slide_done: 0,
-            target_layout: LayoutSpec::from_layout(&target.layout),
-            target_parity_slots: slots_u32(target.pq_slots.as_deref().unwrap_or_default()),
+            target_layout: LayoutSpec::from_layout(&tgt_layout),
+            target_parity_slots,
             target_copies: copies_tgt,
-            tgt_redirect: tgt_redirect.clone(),
-            removed: removed.clone(),
+            tgt_redirect,
+            removed,
             scratch_base,
             grown_units,
             capacity_after,
-            batch_stripes,
-            checkpoint_every,
+            batch_stripes: if opts.batch_stripes == 0 {
+                tgt_layout.b()
+            } else {
+                opts.batch_stripes
+            },
+            checkpoint_every: opts.checkpoint_every.max(1),
         };
         // Grow under the exclusive guard (no I/O in flight). If the
         // begin-state persist then fails, shrink back so a retried
         // begin doesn't stack scratch regions; a crash in between
         // leaves longer files that the trimming open self-heals.
         self.backend.set_units_per_disk(grown_units)?;
-        let rs = Arc::new(ReshapeRuntime {
-            kind,
-            target,
-            tgt_redirect,
-            scratch_base,
-            total,
-            cursor: AtomicU64::new(0),
-            units_done: AtomicU64::new(0),
-            slide_done: AtomicU64::new(0),
-            capacity_after,
-            tgt_locks: StripeLockTable::new(),
-            step: Mutex::new(StepState::default()),
-            batch_stripes,
-            checkpoint_every,
-            from_v,
-            capacity_before: cap_src,
-            method: plan.method,
-            moved_fraction: plan.moved_fraction,
-            removed,
-            state_template,
-            started: Instant::now(),
-        });
         // Stripe indices change meaning across worlds: any in-flight
         // scrub pass restarts from zero (it also yields while the
         // reshape is active — see `scrub`). Reset before the begin
         // document is built, so no reshape-era document carries a
         // source-world cursor.
         self.scrub_cursor.store(0, Ordering::Release);
-        let begin = Some(rs.state_template.clone());
-        if let Err(e) = self.persist_meta(&st.world, &st.redirect, begin) {
+        if let Err(e) = self.persist_meta(&st.world, &st.redirect, Some(doc.clone())) {
             let _ = self.backend.set_units_per_disk(scratch_base);
             return Err(e);
         }
-        st.reshape = Some(rs);
-        st.epoch += 1;
+        self.install_reshape(st, &doc, Some((plan.method, plan.moved_fraction)))?;
         let epoch = st.epoch;
         self.events.emit(|| Event::ReshapeBegan {
             from_v: from_v as u32,
             to_v: to_v as u32,
             epoch,
         });
+        Ok(())
+    }
+
+    /// The one builder of a reshape's runtime: validates `doc` — built
+    /// by `begin` or read back from `store.json`, where it is outside
+    /// input — against the serving world and the backend, builds the
+    /// target world, and installs the runtime at the document's cursor
+    /// and slide watermark. `plan` carries the planner's method and
+    /// moved fraction for the final report; a reopened reshape passes
+    /// `None` and they are re-planned best-effort (the migration itself
+    /// trusts only the document's target layout).
+    pub(crate) fn install_reshape(
+        &self,
+        st: &mut ArrayState,
+        doc: &ReshapeState,
+        plan: Option<(ReshapeMethod, f64)>,
+    ) -> Result<(), StoreError> {
+        let corrupt = |what: String| StoreError::Corrupt(format!("reshape state: {what}"));
+        let add = match doc.kind.as_str() {
+            "add" => true,
+            "remove" => false,
+            other => return Err(corrupt(format!("unknown kind `{other}`"))),
+        };
+        let layout =
+            doc.target_layout.to_layout().map_err(|e| corrupt(format!("target layout: {e}")))?;
+        let (layout, pq_slots) = match self.scheme {
+            ParityScheme::Xor => (layout, None),
+            ParityScheme::PQ => {
+                let slots = doc.target_parity_slots.iter();
+                let slots = slots.map(|&(p, q)| (p as usize, q as usize)).collect();
+                let dp = DoubleParityLayout::from_parts(layout, slots)
+                    .map_err(|e| corrupt(format!("target parity slots: {e}")))?;
+                (dp.layout().clone(), Some(dp.all_parity_slots().to_vec()))
+            }
+        };
+        if doc.target_copies == 0 {
+            return Err(corrupt("zero target copies".into()));
+        }
+        let mut mapped = doc.tgt_redirect.clone();
+        mapped.sort_unstable();
+        mapped.dedup();
+        let disks = self.backend.disks();
+        if doc.tgt_redirect.len() != layout.v()
+            || mapped.len() != layout.v()
+            || mapped.last().is_some_and(|&p| p >= disks)
+        {
+            return Err(corrupt(format!(
+                "target mapping {:?} is not {} distinct disks below {disks}",
+                doc.tgt_redirect,
+                layout.v()
+            )));
+        }
+        // The commit remaps failures through the source disks kept.
+        let kept = (0..st.world.layout.v()).filter(|d| !doc.removed.contains(d)).count();
+        let removed_ok = if add { doc.removed.is_empty() } else { kept == layout.v() };
+        if !removed_ok {
+            return Err(corrupt(format!("removed disks {:?} for a {}", doc.removed, doc.kind)));
+        }
+        let target = Arc::new(World::new(Arc::new(layout), pq_slots, doc.target_copies));
+        let u_tgt = doc.target_copies.saturating_mul(target.layout.size());
+        if doc.scratch_base != st.world.copies * st.world.layout.size()
+            || doc.scratch_base.checked_add(u_tgt) != Some(doc.grown_units)
+            || self.backend.units_per_disk() != doc.grown_units
+        {
+            return Err(corrupt("scratch geometry disagrees with the array".into()));
+        }
+        let cap_src = self.capacity.load(Ordering::Acquire);
+        let total = migration_total(&target, cap_src);
+        if doc.cursor > total || (doc.phase == "commit" && doc.cursor != total) {
+            let (phase, cursor) = (&doc.phase, doc.cursor);
+            return Err(corrupt(format!(
+                "{phase} cursor {cursor} with {total} stripes to migrate"
+            )));
+        }
+        if doc.slide_done > u_tgt as u64 {
+            return Err(corrupt(format!("slide watermark {} past {u_tgt} rows", doc.slide_done)));
+        }
+        let src = &st.world.layout;
+        let (method, moved_fraction) = plan.unwrap_or_else(|| {
+            let replanned = if add {
+                pdl_core::plan_add(src, target.layout.v().saturating_sub(src.v()))
+            } else {
+                pdl_core::plan_remove(src, &doc.removed)
+            };
+            replanned.map_or((ReshapeMethod::Regenerated, 0.0), |p| (p.method, p.moved_fraction))
+        });
+        let doc = ReshapeState {
+            batch_stripes: doc.batch_stripes.max(1),
+            checkpoint_every: doc.checkpoint_every.max(1),
+            ..doc.clone()
+        };
+        st.reshape = Some(Arc::new(ReshapeRuntime {
+            total,
+            cursor: AtomicU64::new(doc.cursor),
+            units_done: AtomicU64::new(0),
+            slide_done: AtomicU64::new(doc.slide_done),
+            tgt_locks: StripeLockTable::new(),
+            step: Mutex::new(StepState::default()),
+            from_v: src.v(),
+            capacity_before: cap_src,
+            method,
+            moved_fraction,
+            started: Instant::now(),
+            doc,
+            target,
+        }));
+        st.epoch += 1;
         Ok(())
     }
 
@@ -591,7 +672,7 @@ impl<B: Backend> BlockStore<B> {
         }
         let w = st.world.clone();
         let cap_src = self.capacity.load(Ordering::Acquire);
-        let t1 = (t0 + rs.batch_stripes as u64).min(rs.total);
+        let t1 = (t0 + rs.doc.batch_stripes as u64).min(rs.total);
         let lo_addr = rs.lo(t0);
         let hi_addr = rs.lo(t1);
         // Source stripes covering the batch's address range, and
@@ -701,6 +782,13 @@ impl<B: Backend> BlockStore<B> {
         // resumed migration may re-copy (idempotent) but never skips.
         rs.cursor.store(t1, Ordering::Release);
         drop(guards);
+        step.batches_since_checkpoint += 1;
+        if step.batches_since_checkpoint >= rs.doc.checkpoint_every {
+            step.batches_since_checkpoint = 0;
+            // Under the state guard taken above, so no commit has
+            // replaced this reshape's document since.
+            self.persist_reshape(&st, rs, "migrate")?;
+        }
         drop(st);
         self.metrics.record_op(
             OpKind::ReshapeCopy,
@@ -708,11 +796,6 @@ impl<B: Backend> BlockStore<B> {
             started.elapsed().as_nanos() as u64,
         );
         self.events.emit(|| Event::ReshapeProgress { stripes_done: t1, stripes_total: rs.total });
-        step.batches_since_checkpoint += 1;
-        if step.batches_since_checkpoint >= rs.checkpoint_every {
-            step.batches_since_checkpoint = 0;
-            self.persist_migrate_checkpoint(rs, t1)?;
-        }
         Ok(t1 >= rs.total)
     }
 
@@ -763,46 +846,28 @@ impl<B: Backend> BlockStore<B> {
     /// the reshape driver's stop path, so a later driver resumes at
     /// the stop point instead of the last periodic checkpoint.
     pub(crate) fn checkpoint_active_reshape(&self) -> Result<(), StoreError> {
-        let rs = {
-            let st = self.state_read();
-            match &st.reshape {
-                Some(rs) => rs.clone(),
-                None => return Ok(()),
-            }
-        };
-        let cursor = rs.cursor.load(Ordering::Acquire);
-        self.persist_migrate_checkpoint(&rs, cursor)
-    }
-
-    fn persist_migrate_checkpoint(
-        &self,
-        rs: &Arc<ReshapeRuntime>,
-        cursor: u64,
-    ) -> Result<(), StoreError> {
-        // Re-check under the state guard: a concurrent commit (which
-        // holds the guard exclusively for its whole duration) must not
-        // have its final document overwritten by a stale checkpoint.
         let st = self.state_read();
-        match &st.reshape {
-            Some(cur) if Arc::ptr_eq(cur, rs) => {}
-            _ => return Ok(()),
-        }
-        let mut state = rs.state_template.clone();
-        state.cursor = cursor;
-        self.persist_meta(&st.world, &st.redirect, Some(state))
+        st.reshape.as_ref().map_or(Ok(()), |rs| self.persist_reshape(&st, rs, "migrate"))
     }
 
-    fn persist_commit_watermark(
+    /// Durably replaces the document with `rs`'s, in `phase`, at the
+    /// runtime's live cursor and slide watermark. The caller holds a
+    /// state guard under which `rs` is the active reshape, so a commit
+    /// (which holds the guard exclusively throughout) never has its
+    /// final document overwritten by a stale checkpoint.
+    fn persist_reshape(
         &self,
         st: &ArrayState,
         rs: &ReshapeRuntime,
-        slide_done: u64,
+        phase: &str,
     ) -> Result<(), StoreError> {
-        let mut state = rs.state_template.clone();
-        state.phase = "commit".into();
-        state.cursor = rs.total;
-        state.slide_done = slide_done;
-        self.persist_meta(&st.world, &st.redirect, Some(state))
+        let doc = ReshapeState {
+            phase: phase.into(),
+            cursor: rs.cursor.load(Ordering::Acquire),
+            slide_done: rs.slide_done.load(Ordering::Acquire),
+            ..rs.doc.clone()
+        };
+        self.persist_meta(&st.world, &st.redirect, Some(doc))
     }
 
     /// Commits a fully migrated reshape (see module docs for the
@@ -835,83 +900,79 @@ impl<B: Backend> BlockStore<B> {
         let us = self.unit_size;
         let tw = rs.target.clone();
         let u_tgt = tw.copies * tw.layout.size();
-        let sb = rs.scratch_base;
-        let mut row = rs.slide_done.load(Ordering::Acquire) as usize;
-        self.persist_commit_watermark(&st, &rs, row as u64)?;
+        let sb = rs.doc.scratch_base;
+        self.persist_reshape(&st, &rs, "commit")?;
         // Slide the target region down: chunk ≤ scratch_base rows, so
-        // a chunk's writes never clobber scratch rows a redo from the
-        // watermark would re-read.
+        // a chunk's writes never clobber scratch rows a slide resumed
+        // from the watermark would re-read.
         let chunk_rows = sb.clamp(1, 4096);
         let mut buf = vec![0u8; chunk_rows * us];
+        let io = self.io();
+        let mut row = rs.slide_done.load(Ordering::Acquire) as usize;
         let mut chunks_done = 0usize;
         while row < u_tgt {
-            let n = chunk_rows.min(u_tgt - row);
-            for &phys in &rs.tgt_redirect {
-                self.backend.read_units(phys, sb + row, &mut buf[..n * us])?;
-                self.backend.write_units(phys, row, &buf[..n * us])?;
+            let span = &mut buf[..chunk_rows.min(u_tgt - row) * us];
+            for &disk in &rs.doc.tgt_redirect {
+                let run = |first| [Run { disk, first, parts: 0..1 }];
+                io.read_runs(&run(sb + row), &mut [&mut *span], Priority::Maintenance, |_, _| {})?;
+                io.write_runs(&run(row), &[&*span], Priority::Maintenance, |_| {})?;
             }
-            row += n;
+            row += span.len() / us;
             rs.slide_done.store(row as u64, Ordering::Release);
-            self.persist_commit_watermark(&st, &rs, row as u64)?;
+            self.persist_reshape(&st, &rs, "commit")?;
             chunks_done += 1;
             if opts.commit_fault_after_chunks == Some(chunks_done) {
                 return Err(StoreError::Corrupt("injected reshape commit fault".into()));
             }
         }
-        self.persist_meta(&rs.target, &rs.tgt_redirect, None)?;
-        self.backend.set_units_per_disk(u_tgt)?;
-        self.backend.flush()?;
-        // Swap worlds. Failures survive the flip (remapped through the
-        // survivors on remove; a removed failed disk simply drops
-        // out); the new world's stale markers start fresh — the
-        // target region of a failed disk was kept complete by dual
-        // writes and the migration, so restore-after-commit is valid.
-        let mut new_failed = FailureSet::new();
-        match rs.kind {
-            ReshapeKind::Add => {
-                let old: Vec<usize> = st.failed.iter().collect();
-                for d in old {
-                    new_failed.insert(d);
-                }
-            }
-            ReshapeKind::Remove => {
-                let mut t = 0usize;
-                for d in 0..rs.from_v {
-                    if rs.removed.contains(&d) {
-                        continue;
-                    }
-                    if st.failed.contains(d) {
-                        new_failed.insert(t);
-                    }
-                    t += 1;
-                }
-            }
-        }
-        st.world = tw.clone();
-        st.redirect = rs.tgt_redirect.clone();
-        st.failed = new_failed;
-        st.rebuilding = None;
-        st.reshape = None;
-        st.epoch += 1;
-        self.capacity.store(rs.capacity_after, Ordering::Release);
         // The slide moved target-world bytes into rows whose recorded
         // checksums (if any) describe *source*-world units: sliding
         // the sums down would still leave every untouched tail row
         // stale. Drop the whole table instead — unset sums are
         // re-adopted by the next scrub pass (or re-recorded by
         // writes), which trades one pass of verification for zero
-        // false mismatches. The scrub cursor restarts with the new
-        // stripe numbering.
+        // false mismatches — and its base and journal with it, before
+        // the committed document lands: a reopen of that document must
+        // not load source-world sums (when `U_tgt` equals the source
+        // rows their geometry matches), and a crash before it reopens
+        // into this commit, which loads none.
         self.integrity.sums.resize_units(u_tgt);
         for d in 0..self.backend.disks() {
             self.integrity.sums.clear_disk(d);
         }
+        if let Some(dir) = &self.dir {
+            dir.drop_sums()?;
+        }
+        self.persist_meta(&tw, &rs.doc.tgt_redirect, None)?;
+        self.backend.set_units_per_disk(u_tgt)?;
+        self.backend.flush()?;
+        // Swap worlds. Failures survive the flip, remapped through the
+        // surviving source disks (the identity on add; a removed failed
+        // disk simply drops out); the new world's stale markers start
+        // fresh — the target region of a failed disk was kept complete
+        // by dual writes and the migration, so restore-after-commit is
+        // valid.
+        let mut new_failed = FailureSet::new();
+        let survivors = (0..rs.from_v).filter(|d| !rs.doc.removed.contains(d));
+        for (t, d) in survivors.enumerate() {
+            if st.failed.contains(d) {
+                new_failed.insert(t);
+            }
+        }
+        st.world = tw.clone();
+        st.redirect = rs.doc.tgt_redirect.clone();
+        st.failed = new_failed;
+        st.rebuilding = None;
+        st.reshape = None;
+        st.epoch += 1;
+        self.capacity.store(rs.doc.capacity_after, Ordering::Release);
+        // The scrub cursor restarts with the new stripe numbering.
         self.scrub_cursor.store(0, Ordering::Release);
         let epoch = st.epoch;
         let to_v = tw.layout.v();
         self.events.emit(|| Event::ReshapeCompleted { to_v: to_v as u32, epoch });
         Ok(ReshapeReport {
-            kind: rs.kind.name().to_string(),
+            kind: rs.doc.kind.clone(),
             method: rs.method.to_string(),
             moved_fraction: rs.moved_fraction,
             from_v: rs.from_v,
@@ -919,126 +980,9 @@ impl<B: Backend> BlockStore<B> {
             stripes_migrated: rs.total,
             units_copied: rs.units_done.load(Ordering::Relaxed),
             capacity_before: rs.capacity_before,
-            capacity_after: rs.capacity_after,
+            capacity_after: rs.doc.capacity_after,
             elapsed_ms: rs.started.elapsed().as_millis() as u64,
         })
-    }
-
-    /// Reinstalls a persisted mid-migration reshape on a freshly
-    /// reopened store (called by [`crate::open_file_store`] for
-    /// `phase = "migrate"` documents). The runtime resumes at the
-    /// persisted cursor; already-copied batches may be re-copied
-    /// (idempotent), never skipped.
-    pub(crate) fn install_resumed_reshape(&self, state: &ReshapeState) -> Result<(), StoreError> {
-        let mut st = self.state_write();
-        self.check_reshape_allowed(&st)?;
-        let kind = match state.kind.as_str() {
-            "add" => ReshapeKind::Add,
-            "remove" => ReshapeKind::Remove,
-            other => {
-                return Err(StoreError::Corrupt(format!("unknown reshape kind `{other}`")));
-            }
-        };
-        let tgt_layout = state
-            .target_layout
-            .to_layout()
-            .map_err(|e| StoreError::Corrupt(format!("reshape target layout: {e}")))?;
-        let tgt_pq = match self.scheme {
-            ParityScheme::Xor => None,
-            ParityScheme::PQ => {
-                if state.target_parity_slots.is_empty() {
-                    return Err(StoreError::Corrupt(
-                        "reshape state is missing target parity slots".into(),
-                    ));
-                }
-                Some(
-                    state
-                        .target_parity_slots
-                        .iter()
-                        .map(|&(p, q)| (p as usize, q as usize))
-                        .collect::<Vec<_>>(),
-                )
-            }
-        };
-        if state.target_copies == 0 {
-            return Err(StoreError::Corrupt("reshape state has zero target copies".into()));
-        }
-        let disks = self.backend.disks();
-        let mut seen = vec![false; disks];
-        for &p in &state.tgt_redirect {
-            if p >= disks || seen[p] {
-                return Err(StoreError::Corrupt(format!(
-                    "reshape target mapping entry {p} is out of range or duplicated"
-                )));
-            }
-            seen[p] = true;
-        }
-        if state.tgt_redirect.len() != tgt_layout.v() {
-            return Err(StoreError::Corrupt(format!(
-                "reshape target mapping covers {} disks, target layout has {}",
-                state.tgt_redirect.len(),
-                tgt_layout.v()
-            )));
-        }
-        let target = Arc::new(World::new(Arc::new(tgt_layout), tgt_pq, state.target_copies));
-        let u_tgt = state.target_copies * target.layout.size();
-        if state.scratch_base + u_tgt != state.grown_units
-            || self.backend.units_per_disk() != state.grown_units
-        {
-            return Err(StoreError::Corrupt(
-                "reshape state geometry disagrees with the backend".into(),
-            ));
-        }
-        let cap_src = self.capacity.load(Ordering::Acquire);
-        let total = migration_total(&target, cap_src);
-        if state.cursor > total {
-            return Err(StoreError::Corrupt(format!(
-                "reshape cursor {} past the migration total {total}",
-                state.cursor
-            )));
-        }
-        // Best-effort method recomputation for the final report; the
-        // migration itself trusts only the persisted target layout.
-        let (method, moved_fraction) = match kind {
-            ReshapeKind::Add => {
-                pdl_core::plan_add(&st.world.layout, target.layout.v() - st.world.layout.v())
-                    .map(|p| (p.method, p.moved_fraction))
-                    .unwrap_or((ReshapeMethod::Regenerated, 0.0))
-            }
-            ReshapeKind::Remove => pdl_core::plan_remove(&st.world.layout, &state.removed)
-                .map(|p| (p.method, p.moved_fraction))
-                .unwrap_or((ReshapeMethod::Regenerated, 0.0)),
-        };
-        let mut template = state.clone();
-        template.phase = "migrate".into();
-        template.cursor = 0;
-        template.slide_done = 0;
-        let from_v = st.world.layout.v();
-        let rs = Arc::new(ReshapeRuntime {
-            kind,
-            target,
-            tgt_redirect: state.tgt_redirect.clone(),
-            scratch_base: state.scratch_base,
-            total,
-            cursor: AtomicU64::new(state.cursor),
-            units_done: AtomicU64::new(0),
-            slide_done: AtomicU64::new(0),
-            capacity_after: state.capacity_after,
-            tgt_locks: StripeLockTable::new(),
-            step: Mutex::new(StepState::default()),
-            batch_stripes: state.batch_stripes.max(1),
-            checkpoint_every: state.checkpoint_every.max(1),
-            from_v,
-            capacity_before: cap_src,
-            method,
-            moved_fraction,
-            removed: state.removed.clone(),
-            state_template: template,
-            started: Instant::now(),
-        });
-        st.reshape = Some(rs);
-        st.epoch += 1;
-        Ok(())
     }
 }
 

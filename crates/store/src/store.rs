@@ -627,11 +627,11 @@ impl<B: Backend> BlockStore<B> {
         Self::build_inner(layout, pq_slots, backend, None)
     }
 
-    /// [`BlockStore::build`] for a store reopened **mid-reshape**: the
-    /// backend is grown to the scratch geometry, so units-per-disk is
-    /// larger than `copies × layout.size()` — the caller passes the
-    /// source world's copy count explicitly and per-disk validation
-    /// relaxes to "at least that many copies".
+    /// [`BlockStore::build`] for a reopened store, whose document gives
+    /// the copy count: **mid-reshape** the backend is grown to the
+    /// scratch geometry, so units-per-disk is larger than `copies ×
+    /// layout.size()` — per-disk validation relaxes to "at least that
+    /// many copies".
     pub(crate) fn build_resuming(
         layout: Layout,
         pq_slots: Option<Vec<(usize, usize)>>,

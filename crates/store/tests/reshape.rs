@@ -2,16 +2,18 @@
 //! a shadow model (reads/writes/fail/restore concurrent with
 //! `add_disks`/`remove_disks` at 2/4/8 threads, mem + file backends,
 //! XOR and P+Q), crash-resume from every persisted migration
-//! checkpoint, commit-crash redo (in-memory retry and reopen paths),
-//! and post-reshape invariants: the (k−1)/(v−1) rebuild balance on
-//! the target layout, clean parity, and vectored-I/O accounting pins
-//! on the migration engine.
+//! checkpoint, commit-crash recovery (in-memory retry, and a reopen
+//! after every slide chunk that must match an uninterrupted commit
+//! byte for byte), no stale checksums after a commit, refusal of
+//! malformed `reshape` sections, and post-reshape invariants: the
+//! (k−1)/(v−1) rebuild balance on the target layout, clean parity,
+//! and vectored-I/O accounting pins on the migration engine.
 
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
-    create_file_store, fill_pattern, open_file_store, Backend, BlockStore, CachePolicy,
-    FaultConfig, FaultyBackend, FileBackend, MemBackend, Rebuilder, ReshapeOptions, ScrubConfig,
-    StoreError, StoreMeta, META_FILE,
+    create_file_store, create_file_store_pq, fill_pattern, open_file_store, Backend, BlockStore,
+    CachePolicy, CopiesPolicy, FaultConfig, FaultyBackend, FileBackend, MemBackend, Rebuilder,
+    ReshapeOptions, ReshapeState, ScrubConfig, StoreError, StoreMeta, META_FILE,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -232,7 +234,12 @@ fn racing_add_differential_xor_mem() {
     store.write_block(3, &block).expect("a transient during the dual write is absorbed");
     assert_eq!(store.backend().injected_transients(), 1);
     assert_eq!(store.stats().integrity.transient_retries, 1);
-    store.finish_reshape().unwrap();
+    // The commit slide's first transfer meets one too: retried as well.
+    while !store.reshape_step(8).unwrap() {}
+    store.backend().fail_next(1);
+    store.complete_reshape().expect("a transient during the commit slide is absorbed");
+    assert_eq!(store.backend().injected_transients(), 2);
+    assert_eq!(store.stats().integrity.transient_retries, 2);
     let (mut got, mut want) = (vec![0u8; UNIT], vec![0u8; UNIT]);
     for addr in 0..blocks {
         store.read_block(addr, &mut got).unwrap();
@@ -426,46 +433,199 @@ fn commit_fault_in_memory_retry_mem() {
     store.verify_parity().unwrap();
 }
 
-/// A commit interrupted by a crash (process gone, `phase = "commit"`
-/// on disk) is statically redone on reopen: slide from the persisted
-/// watermark, mapping, final metadata, trim.
-#[test]
-fn commit_fault_reopen_redo_file() {
-    let dir = tmp_dir("commit");
+/// The files that define an array, by name: every disk medium and
+/// `store.json` (the checksum sidecar is best-effort and left out).
+fn array_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.starts_with("disk-") || name == META_FILE)
+        .map(|name| {
+            let bytes = std::fs::read(dir.join(&name)).unwrap();
+            (name, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A scrubbed v=5 file store whose add of disk 5 has migrated every
+/// batch and waits for its commit.
+fn migrated_add_file(dir: &Path, seed: u64) -> BlockStore<FileBackend> {
     let layout = RingLayout::for_v_k(5, 3).layout().clone();
-    let store = create_file_store(&dir, layout, UNIT, 2, 2).unwrap();
-    let seed = 0xd00d_u64;
-    let blocks = store.blocks();
+    let store = create_file_store(dir, layout, UNIT, 2, 2).unwrap();
     prefill(&store, seed);
     assert!(store.scrub(&ScrubConfig::default()).unwrap().completed);
     store.begin_add_disks(&[5]).unwrap();
     while !store.reshape_step(8).unwrap() {}
-    let opts = ReshapeOptions { commit_fault_after_chunks: Some(1), ..Default::default() };
-    store.complete_reshape_with(&opts).unwrap_err();
-    drop(store); // the crash
-    let (phase, _) = persisted_reshape_cursor(&dir).expect("commit watermark persisted");
-    assert_eq!(phase, "commit");
-    let re = open_file_store(&dir).unwrap();
-    assert!(!re.reshaping(), "reopen redid the commit");
-    assert_eq!(re.v(), 6);
-    assert_eq!(re.stats().integrity.scrub_passes, 1, "the redone commit keeps the scrub");
-    assert!(re.blocks() > blocks);
-    let mut got = vec![0u8; UNIT];
-    let mut want = vec![0u8; UNIT];
-    for addr in 0..blocks {
-        re.read_block(addr, &mut got).unwrap();
-        fill_pattern(addr, seed, &mut want);
-        assert_eq!(got, want, "block {addr} corrupted by the redo");
+    store
+}
+
+/// A commit interrupted by a crash (process gone, `phase = "commit"`
+/// on disk) after any number of its slide chunks reopens into the live
+/// commit, which resumes at the persisted watermark and leaves every
+/// disk file and `store.json` byte-identical to an uninterrupted
+/// commit's.
+#[test]
+fn commit_fault_reopen_redo_file() {
+    const CHUNKS: usize = 5;
+    let seed = 0xd00d_u64;
+    let twin_dir = tmp_dir("commit-twin");
+    let twin = migrated_add_file(&twin_dir, seed);
+    let blocks = twin.blocks();
+    twin.complete_reshape().unwrap();
+    drop(twin);
+    let committed = array_files(&twin_dir);
+    std::fs::remove_dir_all(&twin_dir).unwrap();
+    for c in 1..=CHUNKS {
+        let dir = tmp_dir("commit");
+        let store = migrated_add_file(&dir, seed);
+        let opts = ReshapeOptions { commit_fault_after_chunks: Some(c), ..Default::default() };
+        store.complete_reshape_with(&opts).unwrap_err();
+        drop(store); // the crash
+        let json = std::fs::read_to_string(dir.join(META_FILE)).unwrap();
+        let rs = StoreMeta::from_json(&json).unwrap().reshape.expect("commit watermark persisted");
+        assert_eq!(rs.phase, "commit");
+        let u_tgt = (rs.grown_units - rs.scratch_base) as u64;
+        assert_eq!(rs.slide_done == u_tgt, c == CHUNKS, "chunk {c} of {CHUNKS}");
+        let re = open_file_store(&dir).unwrap();
+        assert!(!re.reshaping(), "chunk {c}: reopen ran the commit");
+        assert_eq!(re.v(), 6);
+        assert!(
+            array_files(&dir) == committed,
+            "chunk {c}: the reopened commit left other files than the live one"
+        );
+        assert_eq!(re.stats().integrity.scrub_passes, 1, "chunk {c}: the commit keeps the scrub");
+        assert!(re.blocks() > blocks);
+        let mut got = vec![0u8; UNIT];
+        let mut want = vec![0u8; UNIT];
+        for addr in 0..blocks {
+            re.read_block(addr, &mut got).unwrap();
+            fill_pattern(addr, seed, &mut want);
+            assert_eq!(got, want, "chunk {c}: block {addr} corrupted by the resumed commit");
+        }
+        re.verify_parity().unwrap();
+        drop(re);
+        // Stability: a second reopen sees a plain committed array.
+        let re2 = open_file_store(&dir).unwrap();
+        assert_eq!(re2.v(), 6);
+        assert!(!re2.reshaping());
+        re2.verify_parity().unwrap();
+        drop(re2);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// A commit whose target rows equal the source rows (`U_tgt == 36`
+/// both sides) keeps the checksum table's geometry, so the source
+/// world's base on disk would load over the target world. Reopening
+/// without a flush — after the live commit, or after one that crashed
+/// mid-slide — must read every block clean.
+#[test]
+fn equal_geometry_commit_leaves_no_stale_checksums_file() {
+    for fault in [None, Some(1)] {
+        let dir = tmp_dir("stalesums");
+        let layout = RingLayout::for_v_k(4, 3).layout().clone();
+        let store = create_file_store(&dir, layout, UNIT, 4, 1).unwrap();
+        let seed = 0x5a1e_u64;
+        assert_eq!((store.blocks(), store.backend().units_per_disk()), (96, 36));
+        prefill(&store, seed);
+        store.flush().unwrap(); // the source world's checksum base
+        let opts = ReshapeOptions {
+            target_copies: CopiesPolicy::Exact(1),
+            commit_fault_after_chunks: fault,
+            ..Default::default()
+        };
+        store.begin_add_disks_with(&[4], &opts).unwrap();
+        assert_eq!(store.backend().units_per_disk(), 36 + 36);
+        while !store.reshape_step(8).unwrap() {}
+        assert_eq!(store.complete_reshape_with(&opts).is_err(), fault.is_some());
+        drop(store); // no flush
+        let re = open_file_store(&dir).unwrap();
+        assert_eq!((re.v(), re.backend().units_per_disk()), (5, 36));
+        let (mut got, mut want) = (vec![0u8; UNIT], vec![0u8; UNIT]);
+        for addr in 0..96 {
+            re.read_block(addr, &mut got)
+                .unwrap_or_else(|e| panic!("fault {fault:?}: block {addr}: {e}"));
+            fill_pattern(addr, seed, &mut want);
+            assert_eq!(got, want, "fault {fault:?}: block {addr}");
+        }
+        re.verify_parity().unwrap();
+        drop(re);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A `reshape` section is outside input: one malformed field, in a
+/// mid-migrate or a mid-commit document, is refused as `Corrupt` by the
+/// open, which writes nothing first.
+#[test]
+fn malformed_reshape_sections_are_refused_file() {
+    let dir = tmp_dir("malformed");
+    let dp = DoubleParityLayout::new(RingLayout::for_v_k(9, 4).layout().clone()).unwrap();
+    let store = create_file_store_pq(&dir, dp, UNIT, 1, 2).unwrap();
+    let disks = store.backend().disks();
+    prefill(&store, 0xbad5);
+    let opts = ReshapeOptions {
+        batch_stripes: 2,
+        commit_fault_after_chunks: Some(1),
+        ..Default::default()
+    };
+    store.begin_remove_disks_with(&[8], &opts).unwrap();
+    assert!(!store.reshape_step(1).unwrap());
+    let migrate = tmp_dir("malformed-migrate");
+    snapshot_dir(&dir, &migrate);
+    while !store.reshape_step(8).unwrap() {}
+    store.complete_reshape_with(&opts).unwrap_err();
+    let commit = tmp_dir("malformed-commit");
+    snapshot_dir(&dir, &commit);
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+    let (_, total) = persisted_reshape_cursor(&commit).unwrap();
+    type Edit = dyn Fn(&mut ReshapeState);
+    let rows: [(&str, &Edit); 9] = [
+        ("cursor past the total", &move |rs| rs.cursor = total + 1),
+        ("slide_done past U_tgt", &|rs| {
+            rs.slide_done = (rs.grown_units - rs.scratch_base) as u64 + 1;
+        }),
+        ("tgt_redirect repeated", &|rs| rs.tgt_redirect[1] = rs.tgt_redirect[0]),
+        ("tgt_redirect out of range", &move |rs| rs.tgt_redirect[0] = disks),
+        ("tgt_redirect of the wrong length", &|rs| _ = rs.tgt_redirect.pop()),
+        ("grown_units off the file length", &|rs| rs.grown_units += 1),
+        ("zero target_copies", &|rs| rs.target_copies = 0),
+        ("no target_parity_slots under P+Q", &|rs| rs.target_parity_slots.clear()),
+        ("removed disks that keep too many", &|rs| rs.removed.clear()),
+    ];
+    let mut accepted = Vec::new();
+    for snap in [&migrate, &commit] {
+        let case = tmp_dir("malformed-case");
+        for (row, edit) in &rows {
+            snapshot_dir(snap, &case);
+            let json = std::fs::read_to_string(case.join(META_FILE)).unwrap();
+            let mut meta = StoreMeta::from_json(&json).unwrap();
+            let rs = meta.reshape.as_mut().unwrap();
+            let phase = rs.phase.clone();
+            edit(rs);
+            std::fs::write(case.join(META_FILE), meta.to_json()).unwrap();
+            let before = array_files(&case);
+            let opened = open_file_store(&case);
+            let refused = matches!(opened, Err(StoreError::Corrupt(_)));
+            drop(opened);
+            if !refused || array_files(&case) != before {
+                accepted.push(format!("{phase}: {row}"));
+            }
+        }
+        std::fs::remove_dir_all(&case).unwrap();
+    }
+    assert!(accepted.is_empty(), "not refused, or files written first: {accepted:#?}");
+    // The untouched snapshots still open: one resumes, one commits.
+    assert!(open_file_store(&migrate).unwrap().reshaping());
+    let re = open_file_store(&commit).unwrap();
+    assert_eq!((re.v(), re.reshaping()), (8, false));
     re.verify_parity().unwrap();
     drop(re);
-    // Stability: a second reopen sees a plain committed array.
-    let re2 = open_file_store(&dir).unwrap();
-    assert_eq!(re2.v(), 6);
-    assert!(!re2.reshaping());
-    re2.verify_parity().unwrap();
-    drop(re2);
-    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&migrate).unwrap();
+    std::fs::remove_dir_all(&commit).unwrap();
 }
 
 /// Satellite 3a: the paper's (k−1)/(v−1) rebuild balance holds on the
