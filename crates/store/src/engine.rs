@@ -12,6 +12,19 @@
 //! A single caller submitting an 8-run batch gets 8 disks seeking in
 //! parallel.
 //!
+//! Queueing pays only where there is latency to overlap. A hand-off —
+//! submit, wake a worker, wake the caller — costs about ten µs; a run
+//! on a memory-speed disk or a cached file takes one or two. So the
+//! engine measures its own hand-off cost once, at [`Engine::start`]
+//! (the median of about 15 no-op round trips through the pool,
+//! tallied nowhere), and the dispatcher keeps on the caller's thread
+//! every run whose disk's EWMA service time is below it. Those inline
+//! runs are timed into the same EWMA the workers feed, so a disk that
+//! starts stalling moves to the queues and one that recovers moves
+//! back; a disk not yet timed queues. Each disk's inline runs are
+//! counted in its snapshot (`inline`), beside the hand-off
+//! (`handoff_us`).
+//!
 //! ## Architecture
 //!
 //! * **[`DiskQueue`]** — one per logical disk: a bounded ring of
@@ -41,7 +54,8 @@
 //!   maintenance lane (rebuild/scrub/reshape prefetch submit at
 //!   [`Priority::Maintenance`]), extending the store's
 //!   client-over-maintenance arbitration rules to the queue tier.
-//!   Each deferral is counted in `maintenance_deferred`.
+//!   Each deferral is counted in `maintenance_deferred`. It orders
+//!   only runs that queue: inline runs never wait on a lane.
 //!
 //! ## Completion semantics
 //!
@@ -121,6 +135,10 @@ enum ReqOp {
     Read,
     /// Write these bytes (length = `units × unit_size`).
     Write(Vec<u8>),
+    /// Nothing: the worker that pops it fulfils it at once. One
+    /// hand-off round trip, timed by [`Engine::start`] and kept out of
+    /// every tally.
+    Ping,
 }
 
 /// One pending request in a [`DiskQueue`] lane.
@@ -206,6 +224,8 @@ pub struct DiskQueue {
     completed: AtomicU64,
     /// Requests merged into a preceding request by a coalescing pop.
     coalesced: AtomicU64,
+    /// Runs the dispatcher issued on its caller's thread instead.
+    inline: AtomicU64,
 }
 
 impl DiskQueue {
@@ -219,6 +239,7 @@ impl DiskQueue {
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
+            inline: AtomicU64::new(0),
         }
     }
 
@@ -271,6 +292,9 @@ struct Inner<B> {
 pub struct Engine<B> {
     inner: Arc<Inner<B>>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// What queueing one run costs over issuing it inline: the median
+    /// no-op round trip through the pool, measured once at start.
+    handoff_ns: u64,
 }
 
 impl<B: std::fmt::Debug> std::fmt::Debug for Engine<B> {
@@ -283,10 +307,16 @@ impl<B: std::fmt::Debug> std::fmt::Debug for Engine<B> {
 }
 
 impl<B: Backend + Send + Sync + 'static> Engine<B> {
-    /// Spawns the worker pool over `backend`. `integrity` supplies
-    /// the retry policy and per-disk health accounting, identical to
-    /// the synchronous path.
+    /// Spawns the worker pool over `backend` and measures its hand-off
+    /// cost. `integrity` supplies the retry policy and per-disk health
+    /// accounting, identical to the synchronous path.
     pub fn start(backend: Arc<B>, integrity: Arc<Integrity>, cfg: EngineConfig) -> Arc<Self> {
+        let mut eng = Self::spawn(backend, integrity, cfg);
+        eng.handoff_ns = eng.calibrate();
+        Arc::new(eng)
+    }
+
+    fn spawn(backend: Arc<B>, integrity: Arc<Integrity>, cfg: EngineConfig) -> Self {
         let inner = Arc::new(Inner::new(backend, integrity, cfg));
         let handles = (0..inner.cfg.workers)
             .map(|wid| {
@@ -297,7 +327,53 @@ impl<B: Backend + Send + Sync + 'static> Engine<B> {
                     .expect("spawn engine worker")
             })
             .collect();
-        Arc::new(Engine { inner, workers: Mutex::new(handles) })
+        Engine { inner, workers: Mutex::new(handles), handoff_ns: 0 }
+    }
+
+    /// The median of about 15 no-op round trips through the pool,
+    /// spread over the queues: submit, a parked worker wakes and pops,
+    /// the caller wakes. They are timed from one caller per CPU (at
+    /// most one per worker) at once, so a woken worker shares a CPU
+    /// with a caller, as it does under client load. A lone caller times
+    /// a wake onto an idle CPU instead, which a virtualised host
+    /// sometimes makes several times cheaper than any wake under load:
+    /// timed that way on a 2-vCPU VM, the hand-off swung between 2 and
+    /// 12 µs from one start to the next, and a file array sent most
+    /// runs to the queues whenever it read low.
+    ///
+    /// Never taken from live queue waits: those grow with the device's
+    /// service time, so a slow disk would buy itself the inline route
+    /// and nothing would ever move it back.
+    fn calibrate(&self) -> u64 {
+        let disks = self.inner.queues.len();
+        if disks == 0 {
+            return 0;
+        }
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let callers = cpus.min(self.inner.cfg.workers);
+        let each = 15usize.div_ceil(callers);
+        let mut ns: Vec<u64> = std::thread::scope(|s| {
+            let timed: Vec<_> = (0..callers)
+                .map(|c| {
+                    s.spawn(move || {
+                        (c * each..(c + 1) * each)
+                            .map(|i| {
+                                let t0 = Instant::now();
+                                // Pings are never refused: the engine
+                                // cannot stop before `start` returns.
+                                let _ = self
+                                    .submit(i % disks, 0, 0, ReqOp::Ping, Priority::Client)
+                                    .and_then(Completion::wait);
+                                t0.elapsed().as_nanos() as u64
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            timed.into_iter().flat_map(|t| t.join().expect("calibration caller")).collect()
+        });
+        ns.sort_unstable();
+        ns[ns.len() / 2]
     }
 }
 
@@ -378,18 +454,19 @@ impl<B: Backend> Engine<B> {
         if inner.shutdown.load(Ordering::Acquire) {
             return Err(engine_down());
         }
-        match prio {
-            Priority::Client => {
-                lanes.client.push_back(req);
-                inner.client_submitted.fetch_add(1, Ordering::Relaxed);
-            }
-            Priority::Maintenance => {
-                lanes.maint.push_back(req);
-                inner.maint_submitted.fetch_add(1, Ordering::Relaxed);
-            }
+        // Tallied under the lane lock, before a worker can complete it;
+        // a calibration ping is not traffic and is not tallied at all.
+        let tally = !matches!(req.op, ReqOp::Ping);
+        let (lane, submitted) = match prio {
+            Priority::Client => (&mut lanes.client, &inner.client_submitted),
+            Priority::Maintenance => (&mut lanes.maint, &inner.maint_submitted),
+        };
+        lane.push_back(req);
+        if tally {
+            submitted.fetch_add(1, Ordering::Relaxed);
+            q.submitted.fetch_add(1, Ordering::Relaxed);
         }
         q.queued.fetch_add(1, Ordering::Relaxed);
-        q.submitted.fetch_add(1, Ordering::Relaxed);
         drop(lanes);
         inner.pending.fetch_add(1, Ordering::Release);
         inner.work_cv.notify_one();
@@ -398,12 +475,31 @@ impl<B: Backend> Engine<B> {
 }
 
 impl<B> Engine<B> {
+    /// Whether a run on `disk` is cheaper issued on the caller's
+    /// thread: its disk has been timed, and serves faster than the
+    /// engine hands off. An untimed disk queues (as does a disk out of
+    /// range, for `submit` to refuse).
+    pub(crate) fn serves_inline(&self, disk: usize) -> bool {
+        let ewma = self.inner.queues.get(disk).map_or(0, |q| q.ewma_ns.load(Ordering::Relaxed));
+        ewma != 0 && ewma < self.handoff_ns
+    }
+
+    /// Books a run the dispatcher issued inline on `disk`: its service
+    /// time joins the EWMA the workers feed, so whichever route the
+    /// disk takes keeps the estimate that picks the route current.
+    pub(crate) fn note_inline(&self, disk: usize, ns: u64) {
+        let q = &self.inner.queues[disk];
+        q.note_service(ns);
+        q.inline.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Point-in-time engine statistics for
     /// [`crate::StatsSnapshot`].
     pub fn snapshot(&self) -> EngineStatsSnapshot {
         let inner = &self.inner;
         EngineStatsSnapshot {
             workers: inner.cfg.workers,
+            handoff_us: self.handoff_ns / 1_000,
             client_submitted: inner.client_submitted.load(Ordering::Relaxed),
             maintenance_submitted: inner.maint_submitted.load(Ordering::Relaxed),
             completed: inner.completed.load(Ordering::Relaxed),
@@ -422,6 +518,7 @@ impl<B> Engine<B> {
                     submitted: q.submitted.load(Ordering::Relaxed),
                     completed: q.completed.load(Ordering::Relaxed),
                     coalesced: q.coalesced.load(Ordering::Relaxed),
+                    inline: q.inline.load(Ordering::Relaxed),
                 })
                 .collect(),
         }
@@ -595,6 +692,13 @@ fn next_batch<B: Backend>(inner: &Inner<B>, wid: usize) -> Option<(usize, Batch)
             continue; // lost the race for this queue's last request
         };
         let first = lane.pop_front().expect("lane checked non-empty");
+        if matches!(first.op, ReqOp::Ping) {
+            q.queued.fetch_sub(1, Ordering::Relaxed);
+            drop(lanes);
+            inner.pending.fetch_sub(1, Ordering::Release);
+            first.done.fulfil(Ok(Vec::new()));
+            continue;
+        }
         let is_read = matches!(first.op, ReqOp::Read);
         let mut total_units = first.units;
         let mut reqs = vec![first];
@@ -646,7 +750,7 @@ fn execute<B: Backend>(inner: &Inner<B>, disk: usize, batch: Batch) {
             .iter()
             .map(|r| match &r.op {
                 ReqOp::Write(d) => d.as_slice(),
-                ReqOp::Read => unreachable!("mixed batch"),
+                ReqOp::Read | ReqOp::Ping => unreachable!("mixed batch"),
             })
             .collect();
         inner
@@ -719,14 +823,16 @@ impl<B: Backend> BlockStore<B> {
     }
 
     /// Starts the submit-and-complete async I/O engine (see the
-    /// [module docs](self)): multi-run transfers switch from issuing
-    /// per-disk backend calls serially to submitting every per-disk
-    /// run at once. Replaces a previously running engine, which is
-    /// drained first and whose final counters are returned. Safe
-    /// under live traffic: a call in flight finishes each of its runs
-    /// on whichever path accepted it. The `'static` bound is what
-    /// lets the engine's worker threads share the backend beyond any
-    /// caller's stack frame.
+    /// [module docs](self)) and measures its hand-off cost. Multi-run
+    /// transfers then submit at once every per-disk run whose disk is
+    /// slower than that hand-off (or not yet timed), and issue the rest
+    /// on the calling thread meanwhile, so the engine costs little on a
+    /// fast device and overlaps a slow one. Replaces a previously
+    /// running engine, which is drained first and whose final counters
+    /// are returned. Safe under live traffic: a call in flight
+    /// finishes each of its runs on whichever path accepted it. The
+    /// `'static` bound is what lets the engine's worker threads share
+    /// the backend beyond any caller's stack frame.
     pub fn start_engine(&self, cfg: EngineConfig) -> Option<EngineStatsSnapshot>
     where
         B: Send + Sync + 'static,
@@ -777,6 +883,9 @@ pub struct EngineDiskSnapshot {
     pub completed: u64,
     /// Requests merged into a neighbour by a coalescing pop.
     pub coalesced: u64,
+    /// Runs the dispatcher issued on its caller's thread because this
+    /// disk served faster than the engine hands off.
+    pub inline: u64,
 }
 
 /// Engine section of a [`crate::StatsSnapshot`] (present only while
@@ -785,6 +894,9 @@ pub struct EngineDiskSnapshot {
 pub struct EngineStatsSnapshot {
     /// Worker threads in the pool.
     pub workers: usize,
+    /// The hand-off cost measured at start, µs: a disk whose EWMA
+    /// service time is below it is served inline.
+    pub handoff_us: u64,
     /// Client-lane requests submitted.
     pub client_submitted: u64,
     /// Maintenance-lane requests submitted.
@@ -801,6 +913,25 @@ pub struct EngineStatsSnapshot {
     pub queue_wait_log2_ns: Vec<u64>,
     /// Per-disk queue gauges.
     pub disks: Vec<EngineDiskSnapshot>,
+}
+
+#[cfg(test)]
+impl<B: Backend + Send + Sync + 'static> Engine<B> {
+    /// An engine whose hand-off cost and per-disk service EWMAs are set
+    /// instead of measured, so a test knows which route each disk takes.
+    pub(crate) fn seeded(
+        backend: Arc<B>,
+        integrity: Arc<Integrity>,
+        handoff_ns: u64,
+        ewma_ns: &[u64],
+    ) -> Arc<Self> {
+        let mut eng = Self::spawn(backend, integrity, EngineConfig::default());
+        eng.handoff_ns = handoff_ns;
+        for (q, &ns) in eng.inner.queues.iter().zip(ewma_ns) {
+            q.ewma_ns.store(ns, Ordering::Relaxed);
+        }
+        Arc::new(eng)
+    }
 }
 
 #[cfg(test)]
@@ -831,6 +962,23 @@ mod tests {
         assert_eq!(snap.completed, 2);
         assert_eq!(snap.errors, 0);
         eng.stop();
+    }
+
+    /// The calibration pings at start are timed but are not traffic:
+    /// no submission, completion, queue wait or service sample.
+    #[test]
+    fn start_measures_its_handoff_without_tallying_it() {
+        let (eng, b) = engine(3, 8, EngineConfig::default());
+        let snap = eng.snapshot();
+        assert!(eng.handoff_ns > 0, "a round trip through the pool takes time");
+        assert_eq!(snap.handoff_us, eng.handoff_ns / 1_000);
+        assert_eq!((snap.client_submitted, snap.completed), (0, 0));
+        assert_eq!(snap.queue_wait_log2_ns.iter().sum::<u64>(), 0);
+        for d in &snap.disks {
+            assert_eq!((d.submitted, d.completed, d.ewma_service_us), (0, 0, 0));
+        }
+        assert!(!eng.serves_inline(0), "no disk is timed yet, so every run queues");
+        assert_eq!((0..3).map(|d| b.read_calls(d) + b.write_calls(d)).sum::<u64>(), 0);
     }
 
     #[test]
@@ -895,6 +1043,7 @@ mod tests {
         let eng = Engine {
             inner: Arc::new(Inner::new(backend, integrity, cfg)),
             workers: Mutex::default(),
+            handoff_ns: 0,
         };
         let _tokens: Vec<Completion> = [(0, 0), (1, 0), (1, 5)]
             .into_iter()

@@ -10,10 +10,19 @@
 //! * **engine off** — each run is one backend call, issued in order
 //!   under [`Integrity::retrying`] straight into (or out of) the
 //!   caller's slices: no staging copy, no allocation;
-//! * **engine on** — every run is submitted before any is waited on,
-//!   so all touched disks work at once; every token is then drained
-//!   (read payloads copied into the caller's buffers as they land)
-//!   before the first error is reported — none is abandoned in flight.
+//! * **engine on** — each run is routed by its disk. A disk whose
+//!   service EWMA is below the engine's hand-off cost (measured once,
+//!   at start) answers sooner on the caller's thread than through a
+//!   worker, so its runs are issued inline, timed, and folded into the
+//!   same EWMA the workers feed — either route keeps the estimate
+//!   current, so a disk that starts stalling moves to the queues and
+//!   one that recovers moves back. Every other run, including any on
+//!   a disk not yet timed, is submitted before the inline ones are
+//!   issued, so the queued disks work meanwhile. Every token is then
+//!   drained (read payloads copied into the caller's buffers as they
+//!   land) before the first error is reported — none is abandoned in
+//!   flight — and the callers' per-run callbacks fire in run order on
+//!   both routes.
 //!
 //! The mode switch is absorbed here too: a run the engine refuses or
 //! sweeps because it is stopping never reached the backend
@@ -26,6 +35,7 @@
 
 use std::ops::Range;
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::backend::Backend;
 use crate::engine::{is_engine_down, Completion, Engine, Priority};
@@ -61,10 +71,11 @@ impl<B: Backend> BlockStore<B> {
 }
 
 impl<B: Backend> Io<'_, B> {
-    /// Reads every run into its buffers. `landed(i, bufs)` is called
-    /// as soon as run `i`'s bytes are in place — with the engine on,
-    /// while later runs are still in flight — so the caller's
-    /// per-run work (checksum verification) overlaps the I/O.
+    /// Reads every run into its buffers. `landed(i, bufs)` is called,
+    /// in run order, once run `i`'s bytes are in place — with the
+    /// engine on, while later queued runs may still be in flight — so
+    /// the caller's per-run work (checksum verification) overlaps the
+    /// I/O.
     pub(crate) fn read_runs(
         &self,
         runs: &[Run],
@@ -132,10 +143,10 @@ impl<B: Backend> Io<'_, B> {
         )
     }
 
-    /// The one submit-all / drain-all loop, over whatever buffer list
+    /// The one route / submit / drain loop, over whatever buffer list
     /// `ctx` the closures share. `done(i, ctx, payload)` runs for
-    /// every run `i` that succeeded, with the engine's payload or
-    /// `None` when the run was issued inline.
+    /// every run `i` that succeeded, in run order, with the engine's
+    /// payload or `None` when the run was issued inline.
     fn dispatch<C: ?Sized>(
         &self,
         runs: &[Run],
@@ -148,15 +159,32 @@ impl<B: Backend> Io<'_, B> {
             return (runs.iter().enumerate())
                 .try_for_each(|(i, run)| inline(run, ctx).map(|()| done(i, ctx, None)));
         };
-        let tokens: Vec<_> = runs.iter().map(|run| submit(eng, run, ctx)).collect();
+        // `Ok(None)` marks a run kept on this thread; every other run is
+        // submitted before any of those is issued, so the queued disks
+        // work while this thread serves the fast ones.
+        let mut routed: Vec<_> = (runs.iter())
+            .map(|run| {
+                if eng.serves_inline(run.disk) {
+                    Ok(None)
+                } else {
+                    submit(eng, run, ctx).map(Some)
+                }
+            })
+            .collect();
+        for (run, slot) in runs.iter().zip(&mut routed) {
+            if matches!(slot, Ok(None)) {
+                let t0 = Instant::now();
+                *slot = inline(run, ctx).map(|()| None);
+                eng.note_inline(run.disk, t0.elapsed().as_nanos() as u64);
+            }
+        }
         let mut first_err = None;
-        for (i, (run, token)) in runs.iter().zip(tokens).enumerate() {
-            let res = match token.and_then(Completion::wait) {
-                Ok(payload) => Ok(Some(payload)),
+        for (i, (run, slot)) in runs.iter().zip(routed).enumerate() {
+            let res = match slot.and_then(|token| token.map(Completion::wait).transpose()) {
                 // Refused (submit) or swept (wait) by a stopping
                 // engine: the run never reached the backend.
                 Err(e) if is_engine_down(&e) => inline(run, ctx).map(|()| None),
-                Err(e) => Err(e),
+                res => res,
             };
             match res {
                 Ok(payload) => done(i, ctx, payload),
@@ -170,16 +198,25 @@ impl<B: Backend> Io<'_, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::MemBackend;
-    use crate::engine::EngineConfig;
+    use crate::backend::{FaultConfig, FaultyBackend, MemBackend};
+    use crate::engine::{EngineConfig, EngineDiskSnapshot};
+    use std::time::Duration;
 
     const US: usize = 16;
+
+    /// A memory array whose every call first sleeps `stall_ms`: a
+    /// device slower than any engine hand-off.
+    fn stalling(disks: usize, stall_ms: u64) -> Arc<FaultyBackend<MemBackend>> {
+        let stall =
+            FaultConfig { slow_rate: 1.0, slow_us: stall_ms * 1_000, ..FaultConfig::quiet(1) };
+        Arc::new(FaultyBackend::new(MemBackend::new(disks, 8, US), stall))
+    }
 
     /// Writes three runs (one unit, a three-source gather, one
     /// two-unit source), reads them back as a unit, a scatter with a
     /// discarded hole and a span, and checks every buffer got its own
     /// bytes.
-    fn roundtrip(io: &Io<'_, MemBackend>) {
+    fn roundtrip<B: Backend>(io: &Io<'_, B>) {
         let unit = |tag: u8| vec![tag; US];
         let (a, b, c, d) = (unit(1), unit(2), unit(3), [unit(4), unit(5)].concat());
         let runs = [
@@ -201,9 +238,11 @@ mod tests {
         assert_eq!(got, [a.clone(), b, c, a, d]);
     }
 
+    /// Inline, queued (the device stalls 2 ms a call, far above the
+    /// hand-off, so every run queues) and refused by a stopped engine.
     #[test]
     fn runs_land_in_their_own_buffers_on_every_path() {
-        let backend = Arc::new(MemBackend::new(3, 8, US));
+        let backend = stalling(3, 2);
         let integrity = Arc::new(Integrity::new(3, 8));
         let mut io = Io { backend: &*backend, integrity: &integrity, engine: None };
         roundtrip(&io);
@@ -226,5 +265,81 @@ mod tests {
         eng.stop();
         roundtrip(&io);
         assert_eq!(eng.snapshot().completed, 6, "nothing ran on the stopped engine");
+    }
+
+    /// The route tests seed a one-second hand-off: a disk timed at half
+    /// of it is fast, one timed at ten times it is slow, and neither
+    /// changes side from what a few memory calls add to its EWMA.
+    const HANDOFF_NS: u64 = 1_000_000_000;
+    const FAST_NS: u64 = HANDOFF_NS / 2;
+    const SLOW_NS: u64 = 10 * HANDOFF_NS;
+
+    /// Issues `calls` one-unit writes to a one-disk array whose disk
+    /// starts at `ewma_ns`, and returns that disk's engine gauges.
+    fn route_of(ewma_ns: u64, calls: u64) -> EngineDiskSnapshot {
+        let backend = Arc::new(MemBackend::new(1, 8, US));
+        let integrity = Arc::new(Integrity::new(1, 8));
+        let eng = Engine::seeded(backend.clone(), integrity.clone(), HANDOFF_NS, &[ewma_ns]);
+        let io = Io { backend: &*backend, integrity: &integrity, engine: Some(eng.clone()) };
+        let run = [Run { disk: 0, first: 2, parts: 0..1 }];
+        for _ in 0..calls {
+            io.write_runs(&run, &[&[7; US]], Priority::Client, |_| {}).unwrap();
+        }
+        assert_eq!(backend.write_calls(0), calls, "one backend call per run on either route");
+        eng.snapshot().disks.remove(0)
+    }
+
+    #[test]
+    fn a_fast_disk_is_served_inline() {
+        let d = route_of(FAST_NS, 4);
+        assert_eq!((d.inline, d.submitted, d.completed), (4, 0, 0));
+        assert!(d.ewma_service_us < FAST_NS / 1_000, "inline calls feed the disk's EWMA");
+    }
+
+    #[test]
+    fn a_slow_disk_queues() {
+        let d = route_of(SLOW_NS, 4);
+        assert_eq!((d.inline, d.submitted, d.completed), (0, 4, 4));
+        assert!(d.ewma_service_us < SLOW_NS / 1_000, "queued calls feed the disk's EWMA");
+    }
+
+    /// A disk with no sample yet queues; its first sample (a memory
+    /// call, far below the hand-off) then sends it inline.
+    #[test]
+    fn an_untimed_disk_queues_until_its_first_sample() {
+        let d = route_of(0, 1);
+        assert_eq!((d.inline, d.submitted), (0, 1));
+        let d = route_of(0, 3);
+        assert_eq!((d.inline, d.submitted), (2, 1));
+    }
+
+    /// A batch whose fast run comes first: the slow run is submitted
+    /// before the fast one is issued here, so the two 50 ms stalls
+    /// overlap (issued in run order they could not: ≥ 100 ms), and the
+    /// runs still land in run order.
+    #[test]
+    fn a_mixed_batch_queues_its_slow_runs_before_issuing_its_fast_ones() {
+        const STALL_MS: u64 = 50;
+        let backend = stalling(2, STALL_MS);
+        let integrity = Arc::new(Integrity::new(2, 8));
+        let eng =
+            Engine::seeded(backend.clone(), integrity.clone(), HANDOFF_NS, &[SLOW_NS, FAST_NS]);
+        let io = Io { backend: &*backend, integrity: &integrity, engine: Some(eng.clone()) };
+        let runs = [Run { disk: 1, first: 0, parts: 0..1 }, Run { disk: 0, first: 0, parts: 1..2 }];
+        let mut got = [vec![1; US], vec![1; US]];
+        let mut bufs: Vec<&mut [u8]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+        let mut landed = Vec::new();
+        let t0 = Instant::now();
+        io.read_runs(&runs, &mut bufs, Priority::Client, |i, bufs| {
+            assert_eq!(bufs[i], [0; US], "run {i} is in place when told");
+            landed.push(i);
+        })
+        .unwrap();
+        let took = t0.elapsed();
+        assert_eq!(landed, [0, 1], "the runs land in run order");
+        let snap = eng.snapshot();
+        assert_eq!((snap.disks[0].submitted, snap.disks[0].inline), (1, 0), "slow disk queued");
+        assert_eq!((snap.disks[1].submitted, snap.disks[1].inline), (0, 1), "fast disk inline");
+        assert!(took < Duration::from_millis(2 * STALL_MS), "{took:?}: the stalls did not overlap");
     }
 }

@@ -1305,9 +1305,10 @@ pub fn render_stats(s: &StatsSnapshot) -> String {
     if let Some(e) = &s.engine {
         let _ = writeln!(
             out,
-            "engine: {} worker(s); {} client + {} maintenance submitted, \
+            "engine: {} worker(s), hand-off {}us; {} client + {} maintenance submitted, \
              {} completed ({} error(s)), {} maintenance deferral(s)",
             e.workers,
+            e.handoff_us,
             e.client_submitted,
             e.maintenance_submitted,
             e.completed,
@@ -1315,20 +1316,21 @@ pub fn render_stats(s: &StatsSnapshot) -> String {
             e.maintenance_deferred
         );
         for d in &e.disks {
-            if d.submitted == 0 && d.queued == 0 && d.in_flight == 0 {
+            if d.submitted == 0 && d.inline == 0 && d.queued == 0 && d.in_flight == 0 {
                 continue;
             }
             let _ = writeln!(
                 out,
                 "  queue d{:<2} {:>3} queued / {:>2} in-flight / ewma {:>6}us / {:>8} sub / \
-                 {:>8} done / {:>6} coalesced",
+                 {:>8} done / {:>6} coalesced / {:>8} inline",
                 d.disk,
                 d.queued,
                 d.in_flight,
                 d.ewma_service_us,
                 d.submitted,
                 d.completed,
-                d.coalesced
+                d.coalesced,
+                d.inline
             );
         }
     }
@@ -1519,6 +1521,7 @@ mod tests {
             },
             engine: Some(crate::engine::EngineStatsSnapshot {
                 workers: 9,
+                handoff_us: 12,
                 client_submitted: 40,
                 maintenance_submitted: 6,
                 completed: 46,
@@ -1533,6 +1536,7 @@ mod tests {
                     submitted: 5,
                     completed: 4,
                     coalesced: 2,
+                    inline: 30,
                 }],
             }),
         };
@@ -1559,7 +1563,9 @@ mod tests {
         assert_eq!(eng.client_submitted, 40);
         assert_eq!(eng.maintenance_deferred, 2);
         assert_eq!(eng.disks[0].coalesced, 2);
-        assert!(text.contains("engine: 9 worker(s)"));
+        assert_eq!((eng.handoff_us, eng.disks[0].inline), (12, 30));
+        assert!(text.contains("engine: 9 worker(s), hand-off 12us"));
+        assert!(text.contains("coalesced /       30 inline"));
         // Engine-less snapshots round-trip the section as null.
         let mut no_engine = snap.clone();
         no_engine.engine = None;

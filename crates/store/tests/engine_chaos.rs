@@ -52,6 +52,13 @@ fn noisy(seed: u64) -> FaultConfig {
     FaultConfig { transient_rate: 0.003, slow_rate: 0.002, slow_us: 30, ..FaultConfig::quiet(seed) }
 }
 
+/// Every armed call stalls 5 ms — a device far slower than any engine
+/// hand-off, so once a disk has been timed stalling its runs queue
+/// (a memory-speed disk is served on the caller's thread instead).
+fn stalling(seed: u64) -> FaultConfig {
+    FaultConfig { slow_rate: 1.0, slow_us: 5_000, ..FaultConfig::quiet(seed) }
+}
+
 fn xor_faulty_mem(cfg: FaultConfig) -> BlockStore<FaultyBackend<MemBackend>> {
     let layout = RingLayout::for_v_k(7, 3).layout().clone();
     let mem = MemBackend::new(7 + 2, COPIES * layout.size(), UNIT);
@@ -212,13 +219,14 @@ fn assert_drained(eng: &EngineStatsSnapshot, what: &str) {
 /// reach the caller, every token must still be drained before the
 /// call returns (`completed == submitted`, and for the write no
 /// backend call lands afterwards), and the store must heal once the
-/// schedule disarms.
+/// schedule disarms. Armed, every call stalls, so the failing run is
+/// always one a worker issued.
 #[test]
 fn engine_torn_write_surfaces_error_without_leaking_tokens() {
     let seeds = seeds_under_test();
     record_seeds("torn_write", &seeds);
     for seed in seeds {
-        let store = xor_faulty_mem(FaultConfig { torn_rate: 1.0, ..FaultConfig::quiet(seed) });
+        let store = xor_faulty_mem(FaultConfig { torn_rate: 1.0, ..stalling(seed) });
         let blocks = store.blocks();
         let data: Vec<u8> = (0..blocks * UNIT).map(|i| (i % 251) as u8).collect();
         store.backend().set_armed(false);
@@ -286,6 +294,49 @@ fn engine_torn_write_surfaces_error_without_leaking_tokens() {
         assert_eq!(all, data, "[chaos seed {seed}] contents corrupted after heal");
         store.stop_engine();
         store.verify_parity().unwrap();
+    }
+}
+
+/// The warm-up trap: disks timed fast while the device stalls nowhere
+/// must leave the inline route within a few batches once every call
+/// stalls, and regain it once the stalls stop — each route times the
+/// disk it serves, so neither can hold a disk on a stale estimate.
+/// One 16-block `read_blocks` over and over; each batch reports the
+/// runs it kept inline and the runs it queued.
+#[test]
+fn engine_route_follows_the_device_through_stalls() {
+    let seeds = seeds_under_test();
+    record_seeds("route", &seeds);
+    for seed in seeds {
+        let store = xor_faulty_mem(stalling(seed));
+        store.backend().set_armed(false);
+        let mut buf: Vec<u8> = (0..16 * UNIT).map(|i| i as u8).collect();
+        store.write_blocks(0, &buf).unwrap();
+        store.start_engine(EngineConfig::default());
+        let mut batch = || {
+            let tally = |e: EngineStatsSnapshot| {
+                let inline = e.disks.iter().map(|d| d.inline).sum::<u64>();
+                (inline, e.client_submitted)
+            };
+            let before = tally(store.stats().engine.expect("engine running"));
+            store.read_blocks(0, &mut buf).unwrap();
+            let after = tally(store.stats().engine.expect("engine running"));
+            (after.0 - before.0, after.1 - before.1)
+        };
+        let all_inline = |(inline, queued): (u64, u64)| inline > 0 && queued == 0;
+        let all_queued = |(inline, queued): (u64, u64)| inline == 0 && queued > 0;
+        assert!(all_queued(batch()), "[chaos seed {seed}] untimed disks queue");
+        let warm = (1..=8).find(|_| all_inline(batch()));
+        assert!(warm.is_some(), "[chaos seed {seed}] memory-speed disks never went inline");
+        store.backend().set_armed(true);
+        let stalled = (1..=4).find(|_| all_queued(batch()));
+        assert!(stalled.is_some(), "[chaos seed {seed}] stalling disks stayed inline");
+        store.backend().set_armed(false);
+        let recovered = (1..=128).find(|_| all_inline(batch()));
+        assert!(recovered.is_some(), "[chaos seed {seed}] recovered disks stayed queued");
+        let eng = store.stop_engine().expect("engine was running");
+        assert_drained(&eng, &format!("[chaos seed {seed}] route"));
+        assert_eq!(eng.errors, 0);
     }
 }
 

@@ -46,34 +46,37 @@ fn pq_store(v: usize, k: usize, copies: usize, engine: bool) -> BlockStore<MemBa
 /// `(read_units, write_units, read_calls, write_calls)` since `t0`.
 /// With the engine on, also checks its books over the same bracket
 /// (see [`engine_accounts`]): all of those calls went through the
-/// queues except the `inline` single-unit calls of a partial-stripe
+/// dispatcher except the `direct` single-unit calls of a partial-stripe
 /// update (`write_block`, a partially covered `write_blocks` stripe, a
 /// partially dirty flush), which `BlockStore::{read_unit, write_unit}`
-/// issue directly.
+/// issue themselves.
 fn diff<B: Backend>(
     store: &BlockStore<B>,
     t0: &StatsSnapshot,
-    inline: u64,
+    direct: u64,
 ) -> (u64, u64, u64, u64) {
     let now = store.stats();
     let d = now.io_totals().since(&t0.io_totals());
-    engine_accounts(&now, t0, d.read_calls + d.write_calls - inline);
+    engine_accounts(&now, t0, d.read_calls + d.write_calls - direct);
     (d.read_units, d.write_units, d.read_calls, d.write_calls)
 }
 
-/// The engine's books between two snapshots: the `queued_calls`
-/// backend calls made on its behalf are exactly its submissions that
-/// were not merged into a queue neighbour, every completion token has
+/// The engine's books between two snapshots: the `dispatched_calls`
+/// backend calls the dispatcher made are exactly the engine's
+/// submissions that were not merged into a queue neighbour plus the
+/// runs it routed inline (its disk served faster than the hand-off;
+/// on memory, every disk once timed), every completion token has
 /// drained, nothing failed, and no maintenance request waited behind
 /// client work. Vacuous with the engine off.
-fn engine_accounts(now: &StatsSnapshot, before: &StatsSnapshot, queued_calls: u64) {
+fn engine_accounts(now: &StatsSnapshot, before: &StatsSnapshot, dispatched_calls: u64) {
     let (Some(e0), Some(e1)) = (&before.engine, &now.engine) else { return };
     let submitted = |e: &EngineStatsSnapshot| e.client_submitted + e.maintenance_submitted;
     let merged = |e: &EngineStatsSnapshot| e.disks.iter().map(|d| d.coalesced).sum::<u64>();
+    let inline = |e: &EngineStatsSnapshot| e.disks.iter().map(|d| d.inline).sum::<u64>();
     assert_eq!(
-        (submitted(e1) - submitted(e0)) - (merged(e1) - merged(e0)),
-        queued_calls,
-        "one backend call per unmerged engine submission"
+        (submitted(e1) - submitted(e0)) - (merged(e1) - merged(e0)) + (inline(e1) - inline(e0)),
+        dispatched_calls,
+        "one backend call per unmerged engine submission or inline run"
     );
     assert_eq!(e1.completed, submitted(e1), "every completion token drained");
     assert_eq!((e1.errors, e1.maintenance_deferred), (0, 0), "no error, no deferral");
@@ -262,7 +265,7 @@ fn small_pq_write_is_3_plus_3() {
 /// exactly `min(m + p, k_data − m)` unit reads — the delta route (old
 /// units and the `p` parities) or the reconstruct route (the clean
 /// units) — and `m + p` unit writes, at most one backend call per
-/// disk each way, none of them through the engine's queues. A
+/// disk each way, none of them through the engine. A
 /// write-through `write_blocks` and a write-back flush of the same
 /// dirty set cost the same.
 #[test]
@@ -446,7 +449,7 @@ fn read_mostly_trace<B: Backend>(store: &BlockStore<B>) -> u64 {
 /// (files: a call costs a syscall, so combining pays) never bypasses.
 #[test]
 fn read_mostly_mix_bypasses_write_back_on_memory_speed_backends_only() {
-    // Single-block calls never enter the engine's queues, so one mode.
+    // Single-block calls never reach the engine, so one mode.
     let twin = |policy| {
         let store = ring_store(7, 4, 2, false);
         store.set_cache_policy(policy).unwrap();
@@ -534,8 +537,9 @@ fn rebuild_batches_reads_without_changing_unit_counts() {
         );
         assert_eq!(report.read_imbalance(), 0.0, "per-disk unit counts perfectly balanced");
         let now = store.stats();
-        // Survivor reads ride the maintenance lane; the spare's writes
-        // are issued around the queues.
+        // Survivor reads go through the dispatcher (the maintenance
+        // lane, or inline once a disk is timed fast); the spare's
+        // writes are issued around it.
         engine_accounts(&now, &before, survivor_read_calls(&now, &before, 2));
         let units_per_disk = store.backend().units_per_disk() as u64;
         for d in 0..store.v() {
