@@ -9,7 +9,7 @@
 //! double rebuild.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pdl_core::{raid5_layout, DoubleParityLayout, Layout, RingLayout, StripeUnit};
+use pdl_core::{raid5_layout, DoubleParityLayout, Layout, RingLayout};
 use pdl_store::{BlockStore, CachePolicy, MemBackend, Rebuilder};
 use std::hint::black_box;
 
@@ -143,101 +143,6 @@ fn bench_rebuild(c: &mut Criterion) {
     g.finish();
 }
 
-/// The pre-LUT `StripeMap` address arithmetic, replicated verbatim:
-/// three separate per-field tables, each accessor paying its own
-/// `addr / len` or `addr % len` hardware divide — four accessor calls
-/// (the write path's former cost) per resolved address.
-struct LegacyStripeMap {
-    size: usize,
-    table: Vec<StripeUnit>,
-    stripe_of: Vec<u32>,
-    slot_of: Vec<u32>,
-}
-
-impl LegacyStripeMap {
-    fn build(layout: &Layout) -> LegacyStripeMap {
-        let mut table = Vec::new();
-        let mut stripe_of = Vec::new();
-        let mut slot_of = Vec::new();
-        for (si, stripe) in layout.stripes().iter().enumerate() {
-            let p = stripe.parity_slot();
-            for (slot, &u) in stripe.units().iter().enumerate() {
-                if slot == p {
-                    continue;
-                }
-                table.push(u);
-                stripe_of.push(si as u32);
-                slot_of.push(slot as u32);
-            }
-        }
-        LegacyStripeMap { size: layout.size(), table, stripe_of, slot_of }
-    }
-
-    fn locate(&self, addr: usize) -> StripeUnit {
-        let copy = addr / self.table.len();
-        let base = self.table[addr % self.table.len()];
-        StripeUnit { disk: base.disk, offset: base.offset + (copy * self.size) as u32 }
-    }
-
-    fn stripe_of(&self, addr: usize) -> usize {
-        self.stripe_of[addr % self.table.len()] as usize
-    }
-
-    fn slot_of(&self, addr: usize) -> usize {
-        self.slot_of[addr % self.table.len()] as usize
-    }
-
-    fn copy_of(&self, addr: usize) -> usize {
-        addr / self.table.len()
-    }
-}
-
-/// `StripeMap` address resolution: the pre-LUT arithmetic (four
-/// accessors, six divides) vs the precomputed single-index
-/// `locate_full` — the mapping cost every read/write/rebuild pays
-/// per block.
-fn bench_stripe_map(c: &mut Criterion) {
-    let mut g = c.benchmark_group("stripe_map_locate");
-    for (name, layout) in families() {
-        let store = make_store(&layout);
-        let smap = store.stripe_map();
-        let legacy = LegacyStripeMap::build(&layout);
-        let blocks = legacy.table.len() * 4;
-        g.throughput(Throughput::Elements(4096));
-        g.bench_function(BenchmarkId::new("legacy_arith", name), |b| {
-            b.iter(|| {
-                let mut acc = 0usize;
-                for i in 0..4096usize {
-                    let addr = i.wrapping_mul(2654435761) % blocks;
-                    let u = legacy.locate(black_box(addr));
-                    acc = acc
-                        .wrapping_add(u.disk as usize + u.offset as usize)
-                        .wrapping_add(legacy.stripe_of(addr))
-                        .wrapping_add(legacy.slot_of(addr))
-                        .wrapping_add(legacy.copy_of(addr));
-                }
-                black_box(acc)
-            })
-        });
-        g.bench_function(BenchmarkId::new("lut", name), |b| {
-            b.iter(|| {
-                let mut acc = 0usize;
-                for i in 0..4096usize {
-                    let addr = i.wrapping_mul(2654435761) % blocks;
-                    let m = smap.locate_full(black_box(addr));
-                    acc = acc
-                        .wrapping_add(m.unit.disk as usize + m.unit.offset as usize)
-                        .wrapping_add(m.stripe)
-                        .wrapping_add(m.slot)
-                        .wrapping_add(m.copy);
-                }
-                black_box(acc)
-            })
-        });
-    }
-    g.finish();
-}
-
 /// Small-write combining: the same random-small-write hammer with the
 /// write-back cache off vs on (flush included), on the mem backend.
 fn bench_write_back_cache(c: &mut Criterion) {
@@ -339,7 +244,6 @@ criterion_group! {
     bench_degraded_read,
     bench_rebuild,
     bench_pq,
-    bench_stripe_map,
     bench_write_back_cache
 }
 criterion_main!(benches);

@@ -4,7 +4,7 @@
 //! layouts.
 
 use pdl_bench::{f4, header, row};
-use pdl_core::{random_layout, relayout_cost, QualityReport, RingLayout, SparedLayout};
+use pdl_core::{random_layout, relayout_cost, QualityReport, RingLayout, SparedLayout, StripeMap};
 use pdl_design::RingDesign;
 
 fn main() {
@@ -46,7 +46,10 @@ fn main() {
         let rep = pdl_core::extend_via_stairway(&design, v).unwrap();
         let base = RingLayout::new(design.clone());
         let regen = RingLayout::for_v_k(v, k);
-        let regen_cost = relayout_cost(base.layout(), regen.layout());
+        let regen_cost = relayout_cost(
+            &StripeMap::new(base.layout(), None),
+            &StripeMap::new(regen.layout(), None),
+        );
         assert!(rep.moved_fraction < regen_cost);
         println!("{}", row(&[&q, &v, &f4(rep.moved_fraction), &f4(regen_cost)], &widths));
     }

@@ -7,21 +7,19 @@
 //! module quantifies that: the *relayout cost* is the fraction of logical
 //! data units whose physical location changes.
 
-use crate::layout::Layout;
-use crate::mapping::AddressMapper;
+use crate::mapping::StripeMap;
 
 /// Fraction of logical data units that live at different physical
-/// locations in `old` vs `new` (comparing the first
-/// `min(data_units(old), data_units(new))` logical addresses; disks
-/// present only in `new` hold fresh units and do not count as moves).
-pub fn relayout_cost(old: &Layout, new: &Layout) -> f64 {
-    let mo = AddressMapper::new(old);
-    let mn = AddressMapper::new(new);
-    let n = mo.data_units_per_copy().min(mn.data_units_per_copy());
+/// locations under map `old` vs map `new` (comparing the first
+/// `min(data_units(old), data_units(new))` logical addresses of one
+/// copy; disks present only in `new` hold fresh units and do not count
+/// as moves).
+pub fn relayout_cost(old: &StripeMap, new: &StripeMap) -> f64 {
+    let n = old.data_units_per_copy().min(new.data_units_per_copy());
     if n == 0 {
         return 0.0;
     }
-    let moved = (0..n).filter(|&a| mo.locate(a) != mn.locate(a)).count();
+    let moved = (0..n).filter(|&a| old.locate(a) != new.locate(a)).count();
     moved as f64 / n as f64
 }
 
@@ -60,17 +58,21 @@ mod tests {
     use crate::ring_layout::RingLayout;
     use pdl_design::RingDesign;
 
+    fn map(rl: &RingLayout) -> StripeMap {
+        StripeMap::new(rl.layout(), None)
+    }
+
     #[test]
     fn identity_has_zero_cost() {
-        let rl = RingLayout::for_v_k(7, 3);
-        assert_eq!(relayout_cost(rl.layout(), rl.layout()), 0.0);
+        let m = map(&RingLayout::for_v_k(7, 3));
+        assert_eq!(relayout_cost(&m, &m), 0.0);
     }
 
     #[test]
     fn different_layouts_have_positive_cost() {
-        let a = RingLayout::for_v_k(7, 3);
-        let b = RingLayout::for_v_k(8, 3);
-        assert!(relayout_cost(a.layout(), b.layout()) > 0.0);
+        let a = map(&RingLayout::for_v_k(7, 3));
+        let b = map(&RingLayout::for_v_k(8, 3));
+        assert!(relayout_cost(&a, &b) > 0.0);
     }
 
     #[test]
@@ -91,7 +93,7 @@ mod tests {
         let base = RingLayout::new(design.clone());
         let rep = extend_via_stairway(&design, 9).unwrap();
         let regen = RingLayout::for_v_k(9, 3);
-        let cost_regen = relayout_cost(base.layout(), regen.layout());
+        let cost_regen = relayout_cost(&map(&base), &map(&regen));
         assert!(
             rep.moved_fraction < cost_regen,
             "stairway {} should beat regeneration {cost_regen}",

@@ -15,10 +15,12 @@
 //! * **flow-based parity assignment** achieving the optimal ±1 parity
 //!   balance on any layout (Theorems 13–14, Corollaries 15–17,
 //!   [`parity_assign`]);
-//! * Condition-4 address mapping ([`mapping`]), feasibility sweeps
-//!   ([`feasibility`]), and the Section-5 extensions: distributed
-//!   sparing ([`sparing`]), extendible layouts ([`extendible`]), and
-//!   randomized baselines ([`randomized`]).
+//! * the Condition-4 address map ([`StripeMap`] in [`mapping`]: one
+//!   table for single- and double-parity stripes, read by the
+//!   simulator, the Condition 5–6 scores and the block store alike),
+//!   feasibility sweeps ([`feasibility`]), and the Section-5
+//!   extensions: distributed sparing ([`sparing`]), extendible layouts
+//!   ([`extendible`]), and randomized baselines ([`randomized`]).
 //!
 //! ```
 //! use pdl_core::{RingLayout, QualityReport};
@@ -62,7 +64,7 @@ pub use hg::{holland_gibson_layout, raid5_layout, single_copy_layout};
 pub use layout::{
     Layout, LayoutError, Stripe, StripeUnit, UnitRef, UnitRole, DEFAULT_FEASIBILITY_LIMIT,
 };
-pub use mapping::{verify_mapper, AddressMapper};
+pub use mapping::{AddrRef, StripeMap};
 pub use metrics::{
     crossing_matrix, parity_counts, parity_overhead_range, parity_overheads,
     reconstruction_workload_range, reconstruction_workloads, QualityReport,

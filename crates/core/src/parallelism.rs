@@ -2,7 +2,9 @@
 //! and "Maximal Parallelism" — which the paper sets aside and Stockmeyer
 //! (IBM RJ-9915, 1994) later analyzed for these same layouts. They
 //! depend on the *logical ordering* of data units, so they are metrics
-//! of a layout **plus** its [`AddressMapper`].
+//! of a layout **plus** its [`StripeMap`] — the map the block store
+//! serves, so a P+Q array's order (Q units skipped) scores here too
+//! when the map is built with its slot pairs.
 //!
 //! * Condition 5: a write of one stripe's worth of logically contiguous
 //!   data units should cover a full stripe, so parity is computed from
@@ -11,15 +13,15 @@
 //!   all `v` disks.
 
 use crate::layout::Layout;
-use crate::mapping::AddressMapper;
+use crate::mapping::StripeMap;
 
-/// Condition 5 score: the fraction of aligned logical groups of
-/// `k−1` data units (for uniform-`k` layouts, one stripe's worth) that
-/// lie entirely within a single stripe. 1.0 means every such write is a
-/// full-stripe write.
-pub fn large_write_score(layout: &Layout, mapper: &AddressMapper) -> f64 {
-    let (kmin, kmax) = layout.stripe_size_range();
-    let group = kmax.max(kmin).saturating_sub(1).max(1);
+/// Condition 5 score: the fraction of aligned logical groups of one
+/// widest stripe's data units (`k−1` under single parity, `k−2` under
+/// P+Q) that lie entirely within a single stripe. 1.0 means every such
+/// write is a full-stripe write.
+pub fn large_write_score(layout: &Layout, mapper: &StripeMap) -> f64 {
+    let widest = (0..layout.b()).map(|s| mapper.stripe_data_range(s).1).max();
+    let group = widest.unwrap_or(0).max(1);
     let n = mapper.data_units_per_copy();
     let groups = n / group;
     if groups == 0 {
@@ -38,7 +40,7 @@ pub fn large_write_score(layout: &Layout, mapper: &AddressMapper) -> f64 {
 /// Condition 6 score: over all aligned windows of `v` consecutive
 /// logical data units, the mean number of distinct disks touched,
 /// divided by `v`. 1.0 means any such read keeps every arm busy.
-pub fn parallelism_score(layout: &Layout, mapper: &AddressMapper) -> f64 {
+pub fn parallelism_score(layout: &Layout, mapper: &StripeMap) -> f64 {
     let v = layout.v();
     let n = mapper.data_units_per_copy();
     if n < v {
@@ -61,7 +63,7 @@ pub fn parallelism_score(layout: &Layout, mapper: &AddressMapper) -> f64 {
 
 /// Worst-case variant of Condition 6: the minimum distinct-disk count
 /// over all aligned `v`-unit windows, divided by `v`.
-pub fn parallelism_worst(layout: &Layout, mapper: &AddressMapper) -> f64 {
+pub fn parallelism_worst(layout: &Layout, mapper: &StripeMap) -> f64 {
     let v = layout.v();
     let n = mapper.data_units_per_copy();
     if n < v {
@@ -96,9 +98,9 @@ pub struct ParallelismReport {
 }
 
 impl ParallelismReport {
-    /// Measures both conditions for a layout.
+    /// Measures both conditions for a single-parity layout.
     pub fn measure(layout: &Layout) -> Self {
-        let mapper = AddressMapper::new(layout);
+        let mapper = StripeMap::new(layout, None);
         ParallelismReport {
             large_write: large_write_score(layout, &mapper),
             parallelism_mean: parallelism_score(layout, &mapper),
@@ -135,6 +137,10 @@ mod tests {
         assert_eq!(r.large_write, 1.0);
         assert!(r.parallelism_mean > 0.5, "{:?}", r);
         assert!(r.parallelism_worst <= r.parallelism_mean);
+        // Under P+Q a stripe's worth is its k-2 data units.
+        let dp = crate::DoubleParityLayout::new(rl.layout().clone()).unwrap();
+        let pq = StripeMap::new(dp.layout(), Some(dp.all_parity_slots()));
+        assert_eq!(large_write_score(dp.layout(), &pq), 1.0);
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //!   fraction).
 //!
 //! The store's migration engine copies data by *logical address*, so
-//! correctness never depends on which method is chosen; the method
-//! and its [`ReshapePlan::moved_fraction`] are reporting.
+//! correctness never depends on which method is chosen; the method is
+//! reporting, and the store measures the data a method moves on its own
+//! maps ([`crate::relayout_cost`]).
 
-use crate::extendible::relayout_cost;
 use crate::layout::Layout;
 use crate::ring_layout::RingLayout;
 use crate::stairway::stairway_layout;
@@ -50,16 +50,12 @@ impl fmt::Display for ReshapeMethod {
     }
 }
 
-/// A computed reshape target: the layout to migrate to, how it was
-/// constructed, and how much of the existing data a location-aware
-/// migration would have to move.
+/// A computed reshape target: the layout to migrate to and how it was
+/// constructed.
 #[derive(Clone, Debug)]
 pub struct ReshapePlan {
     /// The target layout (validated by construction).
     pub layout: Layout,
-    /// Fraction of the common logical address range whose physical
-    /// location differs between source and target.
-    pub moved_fraction: f64,
     /// The construction that produced [`ReshapePlan::layout`].
     pub method: ReshapeMethod,
 }
@@ -145,13 +141,10 @@ pub fn plan_add(src: &Layout, added: usize) -> Result<ReshapePlan, ReshapePlanEr
     let k = source_k(src);
     if let Some(design) = source_ring_design(src) {
         if let Ok(layout) = stairway_layout(&design, v_tgt) {
-            let moved_fraction = relayout_cost(src, &layout);
-            return Ok(ReshapePlan { layout, moved_fraction, method: ReshapeMethod::Stairway });
+            return Ok(ReshapePlan { layout, method: ReshapeMethod::Stairway });
         }
     }
-    let layout = regenerate(v_tgt, k)?;
-    let moved_fraction = relayout_cost(src, &layout);
-    Ok(ReshapePlan { layout, moved_fraction, method: ReshapeMethod::Regenerated })
+    Ok(ReshapePlan { layout: regenerate(v_tgt, k)?, method: ReshapeMethod::Regenerated })
 }
 
 /// Plans the target layout for shrinking the array by deleting the
@@ -182,19 +175,21 @@ pub fn plan_remove(src: &Layout, removed: &[usize]) -> Result<ReshapePlan, Resha
     if let Some(design) = source_ring_design(src) {
         let rl = RingLayout::new(design);
         if let Ok(layout) = rl.remove_disks(removed) {
-            let moved_fraction = relayout_cost(src, &layout);
-            return Ok(ReshapePlan { layout, moved_fraction, method: ReshapeMethod::RingRemoval });
+            return Ok(ReshapePlan { layout, method: ReshapeMethod::RingRemoval });
         }
     }
-    let layout = regenerate(v_tgt, k)?;
-    let moved_fraction = relayout_cost(src, &layout);
-    Ok(ReshapePlan { layout, moved_fraction, method: ReshapeMethod::Regenerated })
+    Ok(ReshapePlan { layout: regenerate(v_tgt, k)?, method: ReshapeMethod::Regenerated })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::QualityReport;
+    use crate::{relayout_cost, StripeMap};
+
+    fn moved_fraction(src: &Layout, plan: &ReshapePlan) -> f64 {
+        relayout_cost(&StripeMap::new(src, None), &StripeMap::new(&plan.layout, None))
+    }
 
     #[test]
     fn add_from_canonical_ring_prefers_stairway() {
@@ -202,7 +197,7 @@ mod tests {
         let plan = plan_add(src.layout(), 1).unwrap();
         assert_eq!(plan.method, ReshapeMethod::Stairway);
         assert_eq!(plan.layout.v(), 9);
-        assert!((0.0..=1.0).contains(&plan.moved_fraction));
+        assert!((0.0..=1.0).contains(&moved_fraction(src.layout(), &plan)));
     }
 
     #[test]
@@ -224,7 +219,7 @@ mod tests {
         let plan = plan_remove(src.layout(), &[2]).unwrap();
         assert_eq!(plan.method, ReshapeMethod::RingRemoval);
         assert_eq!(plan.layout.v(), 8);
-        assert!((0.0..=1.0).contains(&plan.moved_fraction));
+        assert!((0.0..=1.0).contains(&moved_fraction(src.layout(), &plan)));
     }
 
     #[test]

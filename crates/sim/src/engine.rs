@@ -8,7 +8,7 @@
 //! reproducible.
 
 use crate::model::{IoKind, RebuildTarget, SimConfig, StopCondition};
-use pdl_core::{AddressMapper, Layout};
+use pdl_core::{Layout, StripeMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -129,7 +129,7 @@ impl SimResult {
 /// The simulator.
 pub struct ArraySim<'a> {
     layout: &'a Layout,
-    mapper: AddressMapper,
+    mapper: StripeMap,
     cfg: SimConfig,
     rng: StdRng,
     now: u64,
@@ -160,7 +160,7 @@ impl<'a> ArraySim<'a> {
         let rng = StdRng::seed_from_u64(cfg.seed);
         ArraySim {
             layout,
-            mapper: AddressMapper::new(layout),
+            mapper: StripeMap::new(layout, None),
             cfg,
             rng,
             now: 0,

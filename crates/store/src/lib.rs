@@ -22,7 +22,8 @@
 //!   maintained on a partially covered stripe by delta or
 //!   reconstruct update (whichever reads fewer units), a zero-read
 //!   full-stripe write fast path, logical→physical translation via
-//!   the scheme-aware Condition-4 [`StripeMap`] (a precomputed
+//!   the Condition-4 [`StripeMap`] (re-exported from `pdl-core`,
+//!   built with the scheme's parity slots; a precomputed
 //!   per-rotation lookup table: [`StripeMap::locate_full`] resolves
 //!   an address in one branch-free index, no divides). Multi-block
 //!   transfers ([`BlockStore::read_blocks`]/
@@ -173,9 +174,10 @@ pub use obs::{
     EventSink, IoTotals, LatencyHistogram, Metrics, OpKind, OpStatSnapshot, RebuildProgress,
     ReshapeProgressSnapshot, StatsSnapshot, TraceLog, WindowSnapshot,
 };
+pub use pdl_core::{AddrRef, StripeMap};
 pub use rebuild::{RebuildReport, Rebuilder};
 pub use reshape::{CopiesPolicy, ReshapeOptions, ReshapeReport};
-pub use scheme::{AddrRef, FailureSet, ParityScheme, StripeMap};
+pub use scheme::{FailureSet, ParityScheme};
 pub use scrub::{ScrubConfig, ScrubReport};
 pub use store::{fill_pattern, BlockStore, ReplayStats};
 pub use stress::{RebuildMode, StressConfig, StressReport};

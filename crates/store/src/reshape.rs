@@ -94,7 +94,9 @@ use crate::scheme::{FailureSet, ParityScheme};
 use crate::store::{
     sort_shard_set, ArrayState, BlockStore, PhysUnit, StripeLockTable, UnitCache, World, WritePlan,
 };
-use pdl_core::{DoubleParityLayout, LayoutSpec, ReshapeMethod, ReshapePlan, StripeUnit};
+use pdl_core::{
+    relayout_cost, DoubleParityLayout, LayoutSpec, ReshapeMethod, ReshapePlan, StripeUnit,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -170,9 +172,11 @@ pub struct ReshapeReport {
     /// The construction that produced the target layout
     /// (see [`pdl_core::ReshapeMethod`]).
     pub method: String,
-    /// Fraction of the common address range whose physical location
-    /// differs between the worlds (reporting only; the migration
-    /// copies by logical address regardless).
+    /// Fraction of the common one-copy address range whose physical
+    /// location differs between the source and target worlds' maps
+    /// ([`pdl_core::relayout_cost`]; under P+Q neither map counts a Q
+    /// unit as data). Reporting only: the migration copies by logical
+    /// address regardless.
     pub moved_fraction: f64,
     /// Source disk count.
     pub from_v: usize,
@@ -498,7 +502,7 @@ impl<B: Backend> BlockStore<B> {
             let _ = self.backend.set_units_per_disk(scratch_base);
             return Err(e);
         }
-        self.install_reshape(st, &doc, Some((plan.method, plan.moved_fraction)))?;
+        self.install_reshape(st, &doc, Some(plan.method))?;
         let epoch = st.epoch;
         self.events.emit(|| Event::ReshapeBegan {
             from_v: from_v as u32,
@@ -512,15 +516,17 @@ impl<B: Backend> BlockStore<B> {
     /// by `begin` or read back from `store.json`, where it is outside
     /// input — against the serving world and the backend, builds the
     /// target world, and installs the runtime at the document's cursor
-    /// and slide watermark. `plan` carries the planner's method and
-    /// moved fraction for the final report; a reopened reshape passes
-    /// `None` and they are re-planned best-effort (the migration itself
-    /// trusts only the document's target layout).
+    /// and slide watermark. `method` carries the planner's construction
+    /// for the final report; a reopened reshape passes `None` and it is
+    /// re-planned best-effort (the migration itself trusts only the
+    /// document's target layout). The moved fraction is measured on the
+    /// serving and target worlds' own maps, so P+Q counts no Q unit as
+    /// data.
     pub(crate) fn install_reshape(
         &self,
         st: &mut ArrayState,
         doc: &ReshapeState,
-        plan: Option<(ReshapeMethod, f64)>,
+        method: Option<ReshapeMethod>,
     ) -> Result<(), StoreError> {
         let corrupt = |what: String| StoreError::Corrupt(format!("reshape state: {what}"));
         let add = match doc.kind.as_str() {
@@ -583,14 +589,15 @@ impl<B: Backend> BlockStore<B> {
             return Err(corrupt(format!("slide watermark {} past {u_tgt} rows", doc.slide_done)));
         }
         let src = &st.world.layout;
-        let (method, moved_fraction) = plan.unwrap_or_else(|| {
+        let method = method.unwrap_or_else(|| {
             let replanned = if add {
                 pdl_core::plan_add(src, target.layout.v().saturating_sub(src.v()))
             } else {
                 pdl_core::plan_remove(src, &doc.removed)
             };
-            replanned.map_or((ReshapeMethod::Regenerated, 0.0), |p| (p.method, p.moved_fraction))
+            replanned.map_or(ReshapeMethod::Regenerated, |p| p.method)
         });
+        let moved_fraction = relayout_cost(&st.world.smap, &target.smap);
         let doc = ReshapeState {
             batch_stripes: doc.batch_stripes.max(1),
             checkpoint_every: doc.checkpoint_every.max(1),

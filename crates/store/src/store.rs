@@ -146,8 +146,8 @@ use crate::obs::{
     RebuildTracker, StatsSnapshot,
 };
 use crate::reshape::ReshapeRuntime;
-use crate::scheme::{AddrRef, FailureSet, ParityScheme, StripeMap};
-use pdl_core::{DoubleParityLayout, Layout, StripeUnit};
+use crate::scheme::{FailureSet, ParityScheme};
+use pdl_core::{AddrRef, DoubleParityLayout, Layout, StripeMap, StripeUnit};
 use pdl_sim::{Trace, TraceOp};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};

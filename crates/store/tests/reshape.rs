@@ -650,6 +650,22 @@ fn post_reshape_rebuild_balance_and_parity_mem() {
     store.verify_parity().unwrap();
 }
 
+/// A reshape reports the moved fraction of the store's own maps: the
+/// share of the common one-copy address range whose `locate` differs
+/// between the map before and the map after. Under P+Q that is not the
+/// XOR map's figure, because a Q unit is not data.
+#[test]
+fn moved_fraction_is_measured_on_the_store_maps_mem() {
+    for store in [xor_store_mem(9, 4, 2, 0), pq_store_mem(9, 4, 2, 0)] {
+        let before = store.stripe_map();
+        let report = store.remove_disks(&[0]).unwrap();
+        let after = store.stripe_map();
+        let n = before.data_units_per_copy().min(after.data_units_per_copy());
+        let moved = (0..n).filter(|&a| before.locate(a) != after.locate(a)).count();
+        assert_eq!(report.moved_fraction, moved as f64 / n as f64, "{:?}", store.scheme());
+    }
+}
+
 /// Satellite 3b: migration I/O is vectored — with one batch covering
 /// one full target copy (the default), the engine issues at most one
 /// read call per source disk and one write call per target disk — and

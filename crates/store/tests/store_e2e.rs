@@ -214,12 +214,9 @@ fn rebuild_load_matches_declustering_claim() {
 #[test]
 fn full_stripe_writes_skip_reads() {
     let layout = ring_layout(7, 4); // k-1 = 3 data units per stripe
-    let per_copy_data = {
-        let m = pdl_core::AddressMapper::new(&layout);
-        m.data_units_per_copy()
-    };
     let backend = MemBackend::new(7, layout.size(), UNIT);
     let store = BlockStore::new(layout, backend).unwrap();
+    let per_copy_data = store.stripe_map().data_units_per_copy();
     // One whole copy, written stripe-aligned.
     let data = vec![0x77u8; per_copy_data * UNIT];
     store.write_blocks(0, &data).unwrap();

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use parity_decluster::core::{AddressMapper, QualityReport, RingLayout};
+use parity_decluster::core::{QualityReport, RingLayout, StripeMap};
 
 fn main() {
     // An array of 9 disks with parity stripes of size 4: each stripe has
@@ -29,19 +29,25 @@ fn main() {
         q.reconstruction_workload.1 * 100.0
     );
 
-    // Condition 4: logical→physical mapping is one table lookup.
-    let mapper = AddressMapper::new(layout);
+    // Condition 4: logical→physical mapping is one table lookup. The
+    // address resolves to its unit, stripe and layout copy; the stripe's
+    // parity unit sits in the same copy, `copy × size` rows down.
+    let map = StripeMap::new(layout, None);
     let addr = 1000;
-    let unit = mapper.locate(addr);
-    let parity = mapper.parity_of(addr, layout);
+    let at = map.locate_full(addr);
+    let (p_slot, _) = map.parity_slots(at.stripe);
+    let parity = layout.stripes()[at.stripe].units()[p_slot];
     println!(
         "logical unit {addr} → disk {} offset {} (parity on disk {} offset {})",
-        unit.disk, unit.offset, parity.disk, parity.offset
+        at.unit.disk,
+        at.unit.offset,
+        parity.disk,
+        parity.offset as usize + at.copy * layout.size()
     );
     println!(
         "mapping table: {} entries, ~{} KiB resident",
-        mapper.table_entries(),
-        mapper.table_bytes() / 1024
+        map.data_units_per_copy(),
+        map.table_bytes() / 1024
     );
 
     // A peek at the first rows of the layout (stripe ids, * = parity).

@@ -3,8 +3,8 @@
 
 use parity_decluster::core::{
     holland_gibson_layout, minimal_balanced_layout, raid5_layout, random_layout,
-    single_copy_layout, stairway_layout, verify_mapper, AddressMapper, Layout, QualityReport,
-    RingLayout, StripePartition,
+    single_copy_layout, stairway_layout, Layout, QualityReport, RingLayout, StripeMap,
+    StripePartition, StripeUnit,
 };
 use parity_decluster::design::{complete_design, theorem4_design, theorem6_design, RingDesign};
 
@@ -82,15 +82,26 @@ fn condition3_reconstruction_workload() {
 }
 
 /// Condition 4: the mapping is a table lookup + O(1) arithmetic and the
-/// table is small; round-trips for every construction.
+/// table is small; for every construction it follows the layout — over
+/// three copies, addresses enumerate each stripe's data units in stripe
+/// order, `copy × size` rows down.
 #[test]
 fn condition4_mapping_efficiency() {
     for (name, l) in all_layouts() {
-        assert!(verify_mapper(&l), "{name}: mapper round-trip failed");
-        let m = AddressMapper::new(&l);
-        assert_eq!(m.table_entries(), l.data_unit_count(), "{name}");
+        let m = StripeMap::new(&l, None);
+        assert_eq!(m.data_units_per_copy(), l.data_unit_count(), "{name}");
         // table entries never exceed v × size (one per unit)
-        assert!(m.table_entries() <= l.v() * l.size(), "{name}");
+        assert!(m.data_units_per_copy() <= l.v() * l.size(), "{name}");
+        let order: Vec<(StripeUnit, usize)> = (l.stripes().iter().enumerate())
+            .flat_map(|(si, s)| s.data_units().map(move |u| (u, si)))
+            .collect();
+        let n = order.len();
+        for addr in 0..3 * n {
+            let (u, si) = order[addr % n];
+            let offset = u.offset + (addr / n * l.size()) as u32;
+            assert_eq!(m.locate(addr), StripeUnit { disk: u.disk, offset }, "{name}: {addr}");
+            assert_eq!(m.stripe_of(addr), si, "{name}: addr {addr}");
+        }
     }
 }
 

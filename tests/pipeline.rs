@@ -2,14 +2,32 @@
 //! Each test exercises the full pipeline the way a storage system would.
 
 use parity_decluster::core::{
-    parity_counts, raid5_layout, verify_mapper, AddressMapper, QualityReport, RingLayout,
-    SparedLayout, StripePartition,
+    parity_counts, raid5_layout, Layout, QualityReport, RingLayout, SparedLayout, StripeMap,
+    StripePartition, StripeUnit,
 };
 use parity_decluster::design::{theorem5_design, theorem6_design, RingDesign};
 use parity_decluster::sim::{
     rebuild_reads_match_layout, simulate, simulate_rebuild, RebuildTarget, SimConfig,
     StopCondition, Workload,
 };
+
+/// The address map against its oracle, the layout: over three copies,
+/// logical addresses enumerate each stripe's data units in stripe
+/// order, `copy × size` rows down.
+fn assert_map_follows_layout(layout: &Layout) {
+    let map = StripeMap::new(layout, None);
+    let order: Vec<(StripeUnit, usize)> = (layout.stripes().iter().enumerate())
+        .flat_map(|(si, s)| s.data_units().map(move |u| (u, si)))
+        .collect();
+    let n = order.len();
+    assert_eq!(map.data_units_per_copy(), n);
+    for addr in 0..3 * n {
+        let (u, si) = order[addr % n];
+        let offset = u.offset + (addr / n * layout.size()) as u32;
+        assert_eq!(map.locate(addr), StripeUnit { disk: u.disk, offset }, "addr {addr}");
+        assert_eq!(map.stripe_of(addr), si, "addr {addr}");
+    }
+}
 
 /// GF(q) → ring design → ring layout → flow re-balance → simulate rebuild.
 #[test]
@@ -28,8 +46,8 @@ fn full_pipeline_prime_power() {
         let counts = parity_counts(&rebalanced);
         assert!(counts.iter().all(|&c| c == counts[0]), "v={v} k={k}");
 
-        // address mapping round-trips
-        assert!(verify_mapper(layout));
+        // address mapping follows the layout
+        assert_map_follows_layout(layout);
 
         // simulated rebuild touches exactly the predicted units
         for failed in [0, v / 2] {
@@ -129,14 +147,13 @@ fn raid5_vs_declustered_accounting() {
     assert_eq!(rb, (v as u64 - 1) * size as u64);
 }
 
-/// Mapper addresses survive a stairway transformation round-trip.
+/// The address map follows a stairway-transformed layout.
 #[test]
 fn stairway_layout_is_fully_functional() {
     let design = RingDesign::for_v_k(13, 4);
     let layout = parity_decluster::core::stairway_layout(&design, 16).unwrap();
-    assert!(verify_mapper(&layout));
-    let m = AddressMapper::new(&layout);
-    assert_eq!(m.data_units_per_copy(), layout.data_unit_count());
+    assert_map_follows_layout(&layout);
+    assert_eq!(StripeMap::new(&layout, None).data_units_per_copy(), layout.data_unit_count());
     let res = simulate_rebuild(&layout, 15, RebuildTarget::ReadOnly, 12);
     assert!(rebuild_reads_match_layout(&layout, 15, &res));
 }
@@ -149,5 +166,5 @@ fn lcm_minimal_pipeline() {
     assert_eq!(layout.size(), c.params.r);
     let q = QualityReport::measure(&layout);
     assert!(q.parity_balanced());
-    assert!(verify_mapper(&layout));
+    assert_map_follows_layout(&layout);
 }
