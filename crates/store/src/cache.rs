@@ -20,10 +20,12 @@
 //!   the existing zero-read full-stripe path: parity is recomputed
 //!   fresh from the cached data, `k` unit writes, **no reads at all**;
 //! * **partially dirty** — the store's one partial-stripe update
-//!   (`BlockStore::update_partial_stripe`, the same function a
-//!   write-through write calls): the dirty units and the parity are
+//!   (`BlockStore::update_partial_stripe`, the same update a
+//!   write-through write makes): the dirty units and the parity are
 //!   written **once**, however many client writes the entry absorbed,
-//!   at most one backend call per touched disk. A healthy stripe pays
+//!   at most one backend call per touched disk. A flush batch's
+//!   partially dirty stripes read in one shared round, and their
+//!   writes join the batch's write plan. A healthy stripe pays
 //!   whichever is fewer reads — the delta route (old dirty units and
 //!   old parity, `m + p`; it also takes ties, touching fewer disks) or
 //!   the reconstruct route (the clean units, `k_data − m`, parity
@@ -39,7 +41,9 @@
 //! attempt landed. The delta route would instead fold a landed unit's
 //! zero delta into a stale parity, corrupting the stripe for good. (A
 //! degraded stripe keeps its per-unit route on retry too — part of the
-//! write hole, ROADMAP item 1.)
+//! write hole, ROADMAP item 1.) A marked entry also lands on its own,
+//! not with the rest of its batch, so a disk that keeps failing calls
+//! cannot hold a whole batch back.
 //!
 //! ## Consistency argument
 //!

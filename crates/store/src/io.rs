@@ -2,10 +2,11 @@
 //!
 //! Every multi-run transfer the store makes — a client batch's
 //! per-disk runs, a degraded stripe's survivors, a rebuild or reshape
-//! chunk's prefetch band, a scrub stripe, a write plan's gathers —
-//! is handed to [`Io`] as a list of per-disk [`Run`]s over
-//! caller-owned buffers. [`Io`] alone knows whether an async
-//! [`Engine`] is running:
+//! chunk's prefetch band, a scrub stripe, a write plan's gathers, a
+//! partial-stripe update's read set and write set (a small write's
+//! two rounds: old units and parities in, new ones out) — is handed
+//! to [`Io`] as a list of per-disk [`Run`]s over caller-owned buffers.
+//! [`Io`] alone knows whether an async [`Engine`] is running:
 //!
 //! * **engine off** — each run is one backend call, issued in order
 //!   under [`Integrity::retrying`] straight into (or out of) the
@@ -30,6 +31,12 @@
 //! drain, `start_engine` / `stop_engine` under live traffic can
 //! neither fail a call nor let a write land after its call returned.
 //!
+//! One call is one *round*: its runs are independent, and with the
+//! engine on they are in flight together, so the order in which they
+//! reach the media is unspecified. A round bounds latency; it is not
+//! a durability promise — a crash part-way through a write round may
+//! leave any subset of its runs landed (ROADMAP item 1 owns that).
+//!
 //! Run formation (sorting, gap bridging, adjacency) and checksum
 //! verification, repair and recording stay with the callers.
 
@@ -48,7 +55,7 @@ use crate::store::BlockStore;
 /// `parts` of the list handed over with the runs. Each buffer is a
 /// whole number of units. A read may bridge a hole — just a buffer
 /// the caller discards; a write never does.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Run {
     pub(crate) disk: usize,
     pub(crate) first: usize,
@@ -109,6 +116,39 @@ impl<B: Backend> Io<'_, B> {
                     }
                 }
                 landed(i, bufs);
+            },
+        )
+    }
+
+    /// [`Io::read_runs`] into one staging buffer: run `i`'s `parts`
+    /// are the indices of the units of `units` it fills, so its bytes
+    /// land in one span and `landed(i, span)` hands that span over.
+    pub(crate) fn read_into(
+        &self,
+        runs: &[Run],
+        units: &mut [u8],
+        prio: Priority,
+        mut landed: impl FnMut(usize, &[u8]),
+    ) -> Result<(), StoreError> {
+        let us = self.backend.unit_size();
+        let span = |run: &Run| run.parts.start * us..run.parts.end * us;
+        self.dispatch(
+            runs,
+            units,
+            |eng, run, _| eng.submit_read_units(run.disk, run.first, run.parts.len(), prio),
+            |run, units| {
+                let buf = &mut units[span(run)];
+                self.integrity.retrying(run.disk, || match run.parts.len() {
+                    1 => self.backend.read_unit(run.disk, run.first, buf),
+                    _ => self.backend.read_units(run.disk, run.first, buf),
+                })
+            },
+            |i, units, payload| {
+                let buf = &mut units[span(&runs[i])];
+                if let Some(payload) = payload {
+                    buf.copy_from_slice(&payload);
+                }
+                landed(i, buf);
             },
         )
     }
@@ -235,6 +275,14 @@ mod tests {
         })
         .unwrap();
         assert_eq!(landed, [0, 1, 2, 0, 1, 2]);
+        // The first two runs again, into one staging buffer: run 1's
+        // three units follow run 0's one.
+        let mut staged = vec![0; 4 * US];
+        io.read_into(&runs[..2], &mut staged, Priority::Client, |i, span| {
+            assert_eq!((span.len(), span[0]), ([US, 3 * US][i], [1, 2][i]), "run {i}'s span");
+        })
+        .unwrap();
+        assert_eq!(staged, [&a[..], &b, &c, &a].concat());
         assert_eq!(got, [a.clone(), b, c, a, d]);
     }
 
@@ -254,8 +302,8 @@ mod tests {
         io.engine = Some(eng.clone());
         roundtrip(&io);
         let snap = eng.snapshot();
-        assert_eq!((snap.client_submitted, snap.maintenance_submitted), (3, 3));
-        assert_eq!(snap.completed, 6, "every token drained");
+        assert_eq!((snap.client_submitted, snap.maintenance_submitted), (5, 3));
+        assert_eq!(snap.completed, 8, "every token drained");
         let calls_engine: u64 =
             (0..3).map(|d| backend.read_calls(d) + backend.write_calls(d)).sum();
         assert_eq!(calls_engine, calls_inline, "one backend call per run in both modes");
@@ -264,7 +312,7 @@ mod tests {
         // and the caller cannot tell.
         eng.stop();
         roundtrip(&io);
-        assert_eq!(eng.snapshot().completed, 6, "nothing ran on the stopped engine");
+        assert_eq!(eng.snapshot().completed, 8, "nothing ran on the stopped engine");
     }
 
     /// The route tests seed a one-second hand-off: a disk timed at half

@@ -121,16 +121,20 @@
 //! ## Where the pieces live
 //!
 //! The P/Q algebra — the stripe invariant, its one `fold`, the erasure
-//! solver — lives in `codec.rs` and is named nowhere else. Single
-//! units move through two helpers here (`read_unit` / `write_unit`,
-//! keyed by physical `(disk, offset)`, retried, checksummed);
-//! multi-run transfers go through `io.rs`. Full stripes are
-//! planned by one `plan_stripe`, generic over where each unit is
-//! placed, for client writes, cache flushes and the reshape migration
-//! alike. Every partially covered stripe — a `write_block`, the head
-//! or tail of a `write_blocks`, a partially dirty cache flush — is
-//! updated by one `update_partial_stripe`, which picks the delta or
-//! the reconstruct route by read count.
+//! solver — lives in `codec.rs` and is named nowhere else. Client
+//! writes move every byte through `io.rs` in rounds; the two direct
+//! single-unit helpers here (`read_unit` / `write_unit`, keyed by
+//! physical `(disk, offset)`, retried, checksummed) serve only a
+//! healthy `read_block`, the parity scan, stripe repair and the
+//! rebuild's spare write. Full stripes are planned by one
+//! `plan_stripe`, generic over where each unit is placed, for client
+//! writes, cache flushes and the reshape migration alike. Every
+//! partially covered stripe — a `write_block`, the head or tail of a
+//! `write_blocks`, a partially dirty cache flush — is one partial-
+//! stripe update (`update_partial_stripe`), which picks the delta or
+//! the reconstruct route by read count and is a read set and a write
+//! set: a small write costs two device rounds, and a batch's partial
+//! stripes read in one shared round and write with its full stripes.
 
 use crate::backend::Backend;
 use crate::cache::{key_parts, stripe_key, CachePolicy, FlushSnapshot, StripeCache};
@@ -333,6 +337,13 @@ impl WriteSrc {
         debug_assert!((i as u32) < Self::PARITY);
         WriteSrc(i as u32 | Self::PARITY)
     }
+
+    /// The unit this source names, in `parity` or in `data`.
+    fn bytes<'a>(self, parity: &'a [u8], data: &'a [u8], unit_size: usize) -> &'a [u8] {
+        let i = (self.0 & !Self::PARITY) as usize;
+        let from = if self.0 & Self::PARITY != 0 { parity } else { data };
+        &from[i * unit_size..(i + 1) * unit_size]
+    }
 }
 
 /// A physical unit address, and whether reads of it verify against
@@ -399,33 +410,96 @@ impl WritePlan {
         self.parity.clear();
         self.unsorted = false;
     }
+
+    /// Plans one unit write: `src`'s bytes to `at`.
+    fn push(&mut self, at: PhysUnit, src: WriteSrc) {
+        let (bucket, offset) = (&mut self.by_disk[at.disk], at.offset as u32);
+        if bucket.last().is_some_and(|&(last, _)| offset < last) {
+            self.unsorted = true;
+        }
+        bucket.push((offset, src));
+    }
 }
 
-/// A lock-free-enough pool of [`Scratch`] sets: steady-state reads and
-/// writes check one out, use it, and return it, so no data-path
-/// operation allocates after warm-up. Capped so a burst of concurrent
-/// readers cannot pin unbounded memory.
+/// A partially covered stripe of a batch: stripe `si` of layout copy
+/// `copy`, whose new units are its `units` range of the batch's
+/// `(slot, block)` list (see `BlockStore::update_partial_stripes`).
 #[derive(Debug)]
-pub(crate) struct ScratchPool {
-    unit_size: usize,
-    pool: Mutex<Vec<Scratch>>,
+struct PartialStripe {
+    copy: usize,
+    si: usize,
+    units: std::ops::Range<usize>,
+    /// A cache entry whose earlier flush failed part-way.
+    requeued: bool,
 }
 
-impl ScratchPool {
+/// One partial-stripe update, routed (`BlockStore::route`): its new
+/// units as `(data slot, block of the source buffer)` pairs, slots
+/// ascending; its route; where its new P and Q go; and where its
+/// block of units starts in the [`ReadRound`].
+#[derive(Debug)]
+struct Partial<'d> {
+    copy: usize,
+    si: usize,
+    /// Logical address of the stripe's data slot 0.
+    start: usize,
+    dirty: &'d [(usize, usize)],
+    delta: bool,
+    p_at: Option<PhysUnit>,
+    q_at: Option<PhysUnit>,
+    block: usize,
+}
+
+/// The read round of one or more partial-stripe updates: one
+/// single-unit run per read, staged in `units`, where each update owns
+/// a block laid out `[P][Q][reads…]` (no Q slot under XOR). The parity
+/// slots take the delta route's old parities or serve as the
+/// reconstruct route's accumulators, and end up holding the new P and
+/// Q. Pooled, so a steady-state small write allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct ReadRound {
+    runs: Vec<Run>,
+    /// Per run: the update it reads for (index into the round's
+    /// updates) and whether it verifies against the recorded checksum.
+    of: Vec<(usize, bool)>,
+    units: Vec<u8>,
+    /// Updates whose reads mismatched their checksums, ascending.
+    bad: Vec<usize>,
+}
+
+/// Whether stripe `si` has a member on a failed disk.
+fn degraded_stripe(st: &ArrayState, si: usize) -> bool {
+    !st.failed.is_empty()
+        && st.world.layout.stripes()[si].units().iter().any(|u| st.failed.contains(u.disk as usize))
+}
+
+/// A lock-free-enough pool of reusable buffers ([`Scratch`] sets,
+/// [`ReadRound`]s): steady-state reads and writes check one out, use
+/// it, and return it, so no data-path operation allocates after
+/// warm-up. Capped so a burst of concurrent callers cannot pin
+/// unbounded memory.
+#[derive(Debug)]
+pub(crate) struct Pool<T> {
+    unit_size: usize,
+    make: fn(usize) -> T,
+    pool: Mutex<Vec<T>>,
+}
+
+impl<T> Pool<T> {
     const CAP: usize = 16;
 
-    fn new(unit_size: usize) -> ScratchPool {
-        ScratchPool { unit_size, pool: Mutex::new(Vec::new()) }
+    fn new(unit_size: usize, make: fn(usize) -> T) -> Pool<T> {
+        Pool { unit_size, make, pool: Mutex::new(Vec::new()) }
     }
 
-    pub(crate) fn get(&self) -> Scratch {
-        self.pool.lock().unwrap().pop().unwrap_or_else(|| Scratch::new(self.unit_size))
+    pub(crate) fn get(&self) -> T {
+        self.pool.lock().unwrap().pop().unwrap_or_else(|| (self.make)(self.unit_size))
     }
 
-    pub(crate) fn put(&self, scratch: Scratch) {
+    pub(crate) fn put(&self, item: T) {
         let mut pool = self.pool.lock().unwrap();
         if pool.len() < Self::CAP {
-            pool.push(scratch);
+            pool.push(item);
         }
     }
 }
@@ -470,8 +544,6 @@ impl UnitCache {
         );
         self.data.resize(self.wants.len() * unit_size, 0);
         let wants = &self.wants;
-        let mut rest = self.data.as_mut_slice();
-        let mut spans: Vec<&mut [u8]> = Vec::new();
         let mut runs: Vec<Run> = Vec::new();
         let mut i = 0;
         while i < wants.len() {
@@ -480,14 +552,10 @@ impl UnitCache {
             while j < wants.len() && wants[j] == (disk, offset + (j - i) as u32) {
                 j += 1;
             }
-            let (span, tail) = std::mem::take(&mut rest).split_at_mut((j - i) * unit_size);
-            rest = tail;
-            let part = spans.len();
-            runs.push(Run { disk: disk as usize, first: offset as usize, parts: part..part + 1 });
-            spans.push(span);
+            runs.push(Run { disk: disk as usize, first: offset as usize, parts: i..j });
             i = j;
         }
-        io.read_runs(&runs, &mut spans, Priority::Maintenance, |_, _| {})
+        io.read_into(&runs, &mut self.data, Priority::Maintenance, |_, _| {})
     }
 
     /// The `i`-th cached unit's bytes (index-aligned with `wants`).
@@ -554,7 +622,9 @@ pub struct BlockStore<B> {
     pub(crate) locks: StripeLockTable,
     /// Reusable decode/accumulator buffers: steady-state reads and
     /// writes are allocation-free.
-    pub(crate) scratch: ScratchPool,
+    pub(crate) scratch: Pool<Scratch>,
+    /// Reusable partial-stripe read rounds.
+    pub(crate) rounds: Pool<ReadRound>,
     /// The write-back stripe cache (write-combining of small writes;
     /// inert under the default [`CachePolicy::WriteThrough`]). Shares
     /// the lock table's shard indexing, so a cache entry is only ever
@@ -706,7 +776,8 @@ impl<B: Backend> BlockStore<B> {
             }),
             capacity: AtomicUsize::new(capacity),
             locks: StripeLockTable::new(),
-            scratch: ScratchPool::new(unit_size),
+            scratch: Pool::new(unit_size, Scratch::new),
+            rounds: Pool::new(unit_size, |_| ReadRound::default()),
             cache: StripeCache::new(unit_size, StripeLockTable::SHARDS),
             metrics: Metrics::default(),
             events: EventHub::default(),
@@ -1309,9 +1380,10 @@ impl<B: Backend> BlockStore<B> {
 
     /// Flushes one sorted batch of cached stripes under a single
     /// two-phase ordered shard acquisition. Fully dirty stripes plan
-    /// into one combined gather plan (flushed at the end, entries
-    /// removed after the backend writes land); partially dirty
-    /// stripes go through `update_partial_stripe` inline. On error
+    /// into one combined gather plan; partially dirty ones read in one
+    /// shared round and join it (`update_partial_stripes`). The plan
+    /// is flushed at the end and every entry removed only after the
+    /// backend writes land. On error
     /// every key of the batch is re-queued (and its entry marked, so
     /// its retry takes the idempotent route) — already-flushed entries
     /// are gone and skip harmlessly on the retry.
@@ -1353,8 +1425,10 @@ impl<B: Backend> BlockStore<B> {
         let t0 = Instant::now();
         let mut flushed_stripes = 0u32;
         let mut flushed_units = 0u32;
-        let mut planned: Vec<u64> = Vec::new();
         let res = (|| -> Result<(), StoreError> {
+            let mut planned: Vec<u64> = Vec::new();
+            let mut partials: Vec<PartialStripe> = Vec::new();
+            let mut dirty: Vec<(usize, usize)> = Vec::new();
             for &key in keys {
                 let (copy, si) = key_parts(key);
                 let shard = self.locks.shard_of(copy, si);
@@ -1370,30 +1444,28 @@ impl<B: Backend> BlockStore<B> {
                 flushed_units += snap.ndirty as u32;
                 let (lo, k_data) = st.world.smap.stripe_data_range(si);
                 let start = copy * st.world.smap.data_units_per_copy() + lo;
-                let stripe_bytes = &staged[base * us..(base + k_data) * us];
                 if snap.ndirty == k_data {
                     // Fully dirty: zero-read full-stripe planning into
                     // the combined plan.
+                    let stripe_bytes = &staged[base * us..(base + k_data) * us];
                     self.plan_stripe(&st.world, start, stripe_bytes, base, plan, |u| {
                         self.place(st, u, copy, si)
                     });
-                    planned.push(key);
                 } else {
-                    let dirty: Vec<(usize, &[u8])> = stripe_bytes
-                        .chunks_exact(us)
-                        .enumerate()
-                        .filter(|&(j, _)| snap.dirty[j])
-                        .collect();
-                    self.update_partial_stripe(st, copy, si, &dirty, snap.requeued)?;
-                    self.cache.remove_flushed(shard, key);
+                    let units = dirty.len()..dirty.len() + snap.ndirty;
+                    dirty.extend((0..k_data).filter(|&j| snap.dirty[j]).map(|j| (j, base + j)));
+                    let requeued = snap.requeued;
+                    partials.push(PartialStripe { copy, si, units, requeued });
+                }
+                planned.push(key);
+                // An entry re-queued by a failed flush lands on its own
+                // (with what was planned before it): entries that keep
+                // failing cannot hold the rest of the batch back.
+                if snap.requeued {
+                    self.land_flush(st, &mut planned, &mut partials, &mut dirty, plan, staged)?;
                 }
             }
-            self.flush_write_plan(plan, staged)?;
-            for &key in &planned {
-                let (copy, si) = key_parts(key);
-                self.cache.remove_flushed(self.locks.shard_of(copy, si), key);
-            }
-            Ok(())
+            self.land_flush(st, &mut planned, &mut partials, &mut dirty, plan, staged)
         })();
         if res.is_err() {
             for &key in keys {
@@ -1413,6 +1485,31 @@ impl<B: Backend> BlockStore<B> {
             });
         }
         res
+    }
+
+    /// Lands the `planned` stripes of a flush batch: the partially
+    /// dirty ones read in one round and join `plan`, the plan is
+    /// written, and every planned entry is removed once its writes
+    /// have landed. Leaves the lists and the plan empty.
+    fn land_flush(
+        &self,
+        st: &ArrayState,
+        planned: &mut Vec<u64>,
+        partials: &mut Vec<PartialStripe>,
+        dirty: &mut Vec<(usize, usize)>,
+        plan: &mut WritePlan,
+        staged: &[u8],
+    ) -> Result<(), StoreError> {
+        self.update_partial_stripes(st, partials, dirty, staged, plan)?;
+        self.flush_write_plan(plan, staged)?;
+        for key in planned.drain(..) {
+            let (copy, si) = key_parts(key);
+            self.cache.remove_flushed(self.locks.shard_of(copy, si), key);
+        }
+        partials.clear();
+        dirty.clear();
+        plan.reset();
+        Ok(())
     }
 
     /// Most victim stripes one write evicts — enough to outpace the
@@ -1446,14 +1543,18 @@ impl<B: Backend> BlockStore<B> {
         Ok(())
     }
 
-    /// The one partial-stripe update: lands the new bytes of the data
-    /// slots in `dirty` — `(j, unit)` pairs, `j` the slot's data index
-    /// within stripe `si` of layout copy `copy` (address order, as the
-    /// cache indexes it), ascending — and keeps every placeable parity
-    /// consistent. The caller holds the stripe's shard lock exclusive
-    /// and the state read guard. With `m` dirty units and `p` placeable
-    /// parities it writes `m + p` units, at most one backend call per
-    /// touched disk, and picks its reads by count:
+    /// The one partial-stripe update, issued alone: lands the new
+    /// bytes of the data slots in `dirty` — `(j, b)` pairs, `j` the
+    /// slot's data index within stripe `si` of layout copy `copy`
+    /// (address order, as the cache indexes it), ascending, and `b` the
+    /// block of `data` holding its new bytes — and keeps every
+    /// placeable parity consistent. The caller holds the stripe's shard
+    /// lock exclusive and the state read guard. Alone, an update lands
+    /// one new unit (`write_block`'s) unless its stripe is degraded; a
+    /// batch's partial stripes go through
+    /// [`BlockStore::update_partial_stripes`]. With `m` dirty units
+    /// and `p` placeable parities it writes `m + p` units, at most one
+    /// backend call per touched disk, and picks its reads by count:
     ///
     /// * **delta** — read the `m` old units and the `p` old parities
     ///   and fold every `old ⊕ new` into the parities. Taken when its
@@ -1471,149 +1572,356 @@ impl<B: Backend> BlockStore<B> {
     ///   time, ascending: delta while the unit's disk lives,
     ///   reconstruct when its value exists only through parity (a
     ///   second lost data unit decoded first), so a later unit's decode
-    ///   sees what earlier ones folded in.
+    ///   or delta sees what earlier ones wrote.
     ///
-    /// Every read of an attempt precedes its writes (per unit on the
-    /// degraded route), so a checksum mismatch — a corrupt unit about
-    /// to be folded into parity — surfaces before anything of the unit
-    /// in hand has landed: the stripe is repaired and the update
-    /// retried once. A *client* retrying a write-through call that
-    /// failed part-way, or a re-queued flush of a degraded stripe, may
-    /// still take the delta route over the half-applied attempt: that
-    /// is the write hole (ROADMAP item 1).
+    /// An update is a read set and a write set. Its reads go out as one
+    /// dispatcher round and are checksum-verified as they land; P and Q
+    /// are folded; its writes go out as a second round — or, in a
+    /// batch, into the batch's write plan. The calls within a round are
+    /// unordered: a round bounds latency, it promises nothing about
+    /// durability (ROADMAP item 1). Every read of an attempt precedes
+    /// its writes (per unit on the degraded route), so a checksum
+    /// mismatch — a corrupt unit about to be folded into parity —
+    /// surfaces before anything of the unit in hand has landed: the
+    /// stripe is repaired and the update retried once. A *client*
+    /// retrying a write-through call that failed part-way, or a
+    /// re-queued flush of a degraded stripe, may still take the delta
+    /// route over the half-applied attempt: that is the write hole
+    /// (ROADMAP item 1).
     fn update_partial_stripe(
         &self,
         st: &ArrayState,
         copy: usize,
         si: usize,
-        dirty: &[(usize, &[u8])],
+        data: &[u8],
+        dirty: &[(usize, usize)],
         requeued: bool,
     ) -> Result<(), StoreError> {
+        let degraded = degraded_stripe(st, si);
+        let per_update = if degraded { 1 } else { dirty.len() };
+        let mut round = self.rounds.get();
+        let mut attempt = || {
+            dirty.chunks(per_update).try_for_each(|set| {
+                let mut p = self.route(st, copy, si, set, requeued, degraded);
+                self.update_alone(st, &mut p, data, &mut round)
+            })
+        };
+        let res = match attempt() {
+            Err(StoreError::ChecksumMismatch { .. }) => {
+                self.repair_stripe_locked(st, copy, si).and_then(|_| attempt())
+            }
+            r => r,
+        };
+        self.rounds.put(round);
+        res
+    }
+
+    /// Healthy partial stripes one read round stages at most, so a
+    /// pooled round holds a few stripes' units, not a flush batch's.
+    const ROUND_STRIPES: usize = 16;
+
+    /// The partial stripes of one batch — `write_blocks`' head and
+    /// tail, a flush batch's partially dirty stripes — each with its
+    /// range of the batch's `(slot, block)` list `dirty` (see
+    /// [`BlockStore::update_partial_stripe`]). The healthy ones read in
+    /// shared rounds of up to [`Self::ROUND_STRIPES`] and fold their
+    /// parities into `plan`'s staging area; their writes join `plan`,
+    /// so they land with the batch's full stripes in its one write
+    /// round. A checksum mismatch repairs the stripes it hit and the
+    /// round is read again, once. A degraded stripe is updated alone,
+    /// unit by unit, before this returns.
+    fn update_partial_stripes(
+        &self,
+        st: &ArrayState,
+        stripes: &[PartialStripe],
+        dirty: &[(usize, usize)],
+        data: &[u8],
+        plan: &mut WritePlan,
+    ) -> Result<(), StoreError> {
+        let mut parts = Vec::with_capacity(stripes.len());
+        for s in stripes {
+            let set = &dirty[s.units.clone()];
+            if degraded_stripe(st, s.si) {
+                self.update_partial_stripe(st, s.copy, s.si, data, set, s.requeued)?;
+            } else {
+                parts.push(self.route(st, s.copy, s.si, set, s.requeued, false));
+            }
+        }
+        if parts.is_empty() {
+            return Ok(());
+        }
+        let (us, np) = (self.unit_size, self.scheme.parity_per_stripe());
+        let mut round = self.rounds.get();
+        let res = parts.chunks_mut(Self::ROUND_STRIPES).try_for_each(|parts| {
+            match self.read_partials(st, parts, &mut round) {
+                Err(StoreError::ChecksumMismatch { .. }) => {
+                    for &i in &round.bad {
+                        self.repair_stripe_locked(st, parts[i].copy, parts[i].si)?;
+                    }
+                    self.read_partials(st, parts, &mut round)?;
+                }
+                r => r?,
+            }
+            for p in parts.iter() {
+                self.fold_partial(st, p, data, &mut round.units, None);
+                let base = plan.parity.len() / us;
+                plan.parity.extend_from_slice(&round.units[p.block * us..(p.block + np) * us]);
+                self.partial_writes(st, p, base, |at, src| plan.push(at, src));
+            }
+            Ok(())
+        });
+        self.rounds.put(round);
+        res
+    }
+
+    /// Routes one partial-stripe update: where its new P and Q go
+    /// (their live media, a racing rebuild's spare, or nowhere) and
+    /// which route it takes (see [`BlockStore::update_partial_stripe`]).
+    /// On a `degraded` stripe `dirty` is one unit, which takes delta
+    /// exactly when its disk lives.
+    fn route<'d>(
+        &self,
+        st: &ArrayState,
+        copy: usize,
+        si: usize,
+        dirty: &'d [(usize, usize)],
+        requeued: bool,
+        degraded: bool,
+    ) -> Partial<'d> {
         let w = &*st.world;
         let (lo, k_data) = w.smap.stripe_data_range(si);
         let start = copy * w.smap.data_units_per_copy() + lo;
-        let locate = |j: usize| w.smap.locate_full(start + j);
-        let lost = |m: &AddrRef| st.failed.contains(m.unit.disk as usize);
         let (p_slot, q_slot) = w.smap.parity_slots(si);
-        // Where the new P and Q go: their live media, a racing
-        // rebuild's spare, or nowhere.
         let p_at = self.place(st, w.unit(copy, si, p_slot), copy, si);
         let q_at = q_slot.and_then(|qs| self.place(st, w.unit(copy, si, qs), copy, si));
-        let land = |set: &[(usize, &[u8])], p: &[u8], q: &[u8]| -> Result<(), StoreError> {
-            if let Some(at) = p_at {
-                self.write_unit(at, p)?;
-            }
-            if let Some(at) = q_at {
-                self.write_unit(at, q)?;
-            }
-            for &(j, new) in set {
-                if let Some(at) = self.place(st, locate(j).unit, copy, si) {
-                    self.write_unit(at, new)?;
-                }
-            }
-            Ok(())
+        let delta = if degraded {
+            debug_assert_eq!(dirty.len(), 1, "a degraded stripe updates one unit at a time");
+            let m = w.smap.locate_full(start + dirty[0].0);
+            !st.failed.contains(m.unit.disk as usize)
+        } else {
+            let reads_by_delta =
+                dirty.len() + usize::from(p_at.is_some()) + usize::from(q_at.is_some());
+            !requeued && reads_by_delta <= k_data - dirty.len()
         };
-        // Delta: P ⊕= Σ (old ⊕ new), Q likewise coefficient-weighted —
-        // valid with *another* member failed, the invariants being
-        // linear in the deltas. A spare's parity is updated like a live
-        // one: pre-rebuild it holds arbitrary bytes the rebuild's decode
-        // overwrites (serialized by the stripe lock); post-rebuild it
-        // holds the true old parity.
-        let delta = |set: &[(usize, &[u8])]| {
-            let mut s = self.scratch.get();
-            let res = (|| {
-                let Scratch { acc_p, acc_q, tmp } = &mut s;
-                let mut syn = Syndromes { p: None, q: None };
-                if let Some(at) = p_at {
-                    self.read_unit(at, acc_p)?;
-                    syn.p = Some(acc_p.as_mut_slice());
+        Partial { copy, si, start, dirty, delta, p_at, q_at, block: 0 }
+    }
+
+    /// One update alone: its read round, its fold, its write round —
+    /// one new unit and at most two parities, so the write set lives
+    /// on the stack. A reconstruct beside a second lost data unit
+    /// decodes that unit first.
+    fn update_alone(
+        &self,
+        st: &ArrayState,
+        p: &mut Partial<'_>,
+        data: &[u8],
+        round: &mut ReadRound,
+    ) -> Result<(), StoreError> {
+        let w = &*st.world;
+        let us = self.unit_size;
+        let mut dec = (!p.delta && !st.failed.is_empty())
+            .then(|| {
+                (0..w.smap.stripe_data_range(p.si).1)
+                    .filter(|&j| !p.dirty.iter().any(|&(d, _)| d == j))
+                    .map(|j| w.smap.locate_full(p.start + j))
+                    .find(|m| st.failed.contains(m.unit.disk as usize))
+            })
+            .flatten()
+            .map(|m| (m.slot, self.scratch.get()));
+        let res = (|| {
+            let decoded = match &mut dec {
+                Some((slot, s)) => {
+                    let shift = (p.copy * w.layout.size()) as u32;
+                    let solved = self.decode_stripe(st, p.si, shift, &[], s)?;
+                    Some((*slot, solved.get(s, *slot)?))
                 }
-                if let Some(at) = q_at {
-                    self.read_unit(at, acc_q)?;
-                    syn.q = Some(acc_q.as_mut_slice());
-                }
-                for &(j, new) in set {
-                    let m = locate(j);
-                    self.read_unit(PhysUnit::live(st, m.unit), tmp)?;
-                    codec::delta(tmp, new);
-                    syn.fold(Role::Data(m.slot), tmp);
-                }
-                land(set, acc_p, acc_q)
-            })();
+                None => None,
+            };
+            self.read_partials(st, std::slice::from_mut(p), round)?;
+            self.fold_partial(st, p, data, &mut round.units, decoded);
+            let np = self.scheme.parity_per_stripe();
+            let parity = &round.units[p.block * us..(p.block + np) * us];
+            let mut runs: [Run; 3] = Default::default();
+            let mut srcs: [&[u8]; 3] = [&[]; 3];
+            let mut n = 0;
+            self.partial_writes(st, p, 0, |at, src| {
+                runs[n] = Run { disk: at.disk, first: at.offset, parts: n..n + 1 };
+                srcs[n] = src.bytes(parity, data, us);
+                n += 1;
+            });
+            self.write_recorded(&runs[..n], &srcs[..n])
+        })();
+        if let Some((_, s)) = dec {
             self.scratch.put(s);
-            res
-        };
-        // Reconstruct: P and Q folded fresh from the new bytes of `set`
-        // and the clean units read back. A clean unit whose disk is
-        // failed (P+Q, beside a lost unit of `set`) is decoded first,
-        // into its own scratch, which keeps the value live while a
-        // second scratch accumulates the parity.
-        let reconstruct = |set: &[(usize, &[u8])]| {
-            let mut dec = (0..k_data)
-                .map(locate)
-                .enumerate()
-                .find(|(j, m)| lost(m) && !set.iter().any(|&(d, _)| d == *j))
-                .map(|(_, m)| (m.slot, self.scratch.get()));
-            let mut acc = self.scratch.get();
-            let res = (|| {
-                let decoded = match &mut dec {
-                    Some((slot, s)) => {
-                        let shift = (copy * w.layout.size()) as u32;
-                        let solved = self.decode_stripe(st, si, shift, &[], s)?;
-                        Some((*slot, solved.get(s, *slot)?))
-                    }
-                    None => None,
-                };
-                let Scratch { acc_p, acc_q, tmp } = &mut acc;
-                let mut syn = Syndromes::zeroed(acc_p, q_slot.map(|_| acc_q.as_mut_slice()));
-                let mut news = set.iter().peekable();
-                for j in 0..k_data {
-                    let m = locate(j);
-                    let val: &[u8] = match (news.next_if(|&&(d, _)| d == j), decoded) {
-                        (Some(&(_, new)), _) => new,
-                        (None, Some((slot, bytes))) if slot == m.slot => bytes,
-                        (None, _) => {
-                            self.read_unit(PhysUnit::live(st, m.unit), tmp)?;
-                            tmp
-                        }
-                    };
-                    syn.fold(Role::Data(m.slot), val);
-                }
-                land(set, acc_p, acc_q)
-            })();
-            if let Some((_, s)) = dec {
-                self.scratch.put(s);
-            }
-            self.scratch.put(acc);
-            res
-        };
-        let degraded = !st.failed.is_empty()
-            && w.layout.stripes()[si].units().iter().any(|u| st.failed.contains(u.disk as usize));
-        let reads_by_delta =
-            dirty.len() + usize::from(p_at.is_some()) + usize::from(q_at.is_some());
-        let attempt = || {
-            if degraded {
-                dirty.iter().try_for_each(|unit| {
-                    let one = std::slice::from_ref(unit);
-                    if lost(&locate(unit.0)) {
-                        reconstruct(one)
-                    } else {
-                        delta(one)
-                    }
-                })
-            } else if !requeued && reads_by_delta <= k_data - dirty.len() {
-                delta(dirty)
-            } else {
-                reconstruct(dirty)
-            }
-        };
-        match attempt() {
-            Err(StoreError::ChecksumMismatch { .. }) => {
-                self.repair_stripe_locked(st, copy, si)?;
-                attempt()
-            }
-            r => r,
         }
+        res
+    }
+
+    /// Stages the reads of every update in `parts` in `round` — each a
+    /// block of units laid out `[P][Q][reads…]` — and issues them as
+    /// one dispatcher round at client priority, each checked unit
+    /// verified as it lands. A mismatch fails the round, after every
+    /// read has landed, with [`StoreError::ChecksumMismatch`] naming
+    /// the first bad unit and the stripes hit listed in `round.bad`.
+    fn read_partials(
+        &self,
+        st: &ArrayState,
+        parts: &mut [Partial<'_>],
+        round: &mut ReadRound,
+    ) -> Result<(), StoreError> {
+        let w = &*st.world;
+        let (us, np) = (self.unit_size, self.scheme.parity_per_stripe());
+        let ReadRound { runs, of, units, bad } = round;
+        runs.clear();
+        of.clear();
+        bad.clear();
+        // Every staged byte is read or, as an accumulator, zeroed
+        // before use, so the buffer only ever grows.
+        let mut staged = 0;
+        for (i, p) in parts.iter_mut().enumerate() {
+            p.block = staged;
+            let mut next = p.block + np;
+            let mut push = |at: PhysUnit, unit: usize| {
+                runs.push(Run { disk: at.disk, first: at.offset, parts: unit..unit + 1 });
+                of.push((i, at.checked));
+            };
+            let unit = |j: usize| w.smap.locate_full(p.start + j).unit;
+            if p.delta {
+                // The old parities land in their own slots; the old
+                // units follow.
+                if let Some(at) = p.p_at {
+                    push(at, p.block);
+                }
+                if let Some(at) = p.q_at {
+                    push(at, p.block + 1);
+                }
+                for &(j, _) in p.dirty {
+                    push(PhysUnit::live(st, unit(j)), next);
+                    next += 1;
+                }
+            } else {
+                // Every clean unit whose disk lives; a lost one is
+                // decoded instead.
+                let mut news = p.dirty.iter().peekable();
+                for j in 0..w.smap.stripe_data_range(p.si).1 {
+                    if news.next_if(|&&(d, _)| d == j).is_some() {
+                        continue;
+                    }
+                    let u = unit(j);
+                    if !st.failed.contains(u.disk as usize) {
+                        push(PhysUnit::live(st, u), next);
+                        next += 1;
+                    }
+                }
+            }
+            staged = next;
+        }
+        if units.len() < staged * us {
+            units.resize(staged * us, 0);
+        }
+        let (runs, of) = (&*runs, &*of);
+        let verify = self.integrity.verifying();
+        let mut first_bad = None;
+        self.io().read_into(runs, units, Priority::Client, |r, unit| {
+            let (run, (i, checked)) = (&runs[r], of[r]);
+            if verify && checked && !self.integrity.sums.check(run.disk, run.first, unit) {
+                first_bad.get_or_insert((run.disk, run.first));
+                if bad.last() != Some(&i) {
+                    bad.push(i);
+                }
+            }
+        })?;
+        match first_bad {
+            Some((disk, offset)) => Err(StoreError::ChecksumMismatch { disk, offset }),
+            None => Ok(()),
+        }
+    }
+
+    /// Folds `p`'s new P and Q into the parity slots of its block of
+    /// `units` from its reads there and its new bytes in `data`;
+    /// `decoded` is a lost clean unit's value `(slot, bytes)` for the
+    /// reconstruct route. Delta: `P ⊕= Σ (old ⊕ new)`, Q likewise
+    /// coefficient-weighted — valid with *another* member failed, the
+    /// invariants being linear in the deltas. A spare's parity is
+    /// updated like a live one: pre-rebuild it holds arbitrary bytes
+    /// the rebuild's decode overwrites (serialized by the stripe lock);
+    /// post-rebuild it holds the true old parity. Reconstruct: P and Q
+    /// folded fresh from the whole new data vector.
+    fn fold_partial(
+        &self,
+        st: &ArrayState,
+        p: &Partial<'_>,
+        data: &[u8],
+        units: &mut [u8],
+        decoded: Option<(usize, &[u8])>,
+    ) {
+        let w = &*st.world;
+        let us = self.unit_size;
+        let (parity, reads) =
+            units[p.block * us..].split_at_mut(self.scheme.parity_per_stripe() * us);
+        let (acc_p, acc_q) = parity.split_at_mut(us);
+        let mut reads = reads.chunks_exact_mut(us);
+        let new = |b: usize| &data[b * us..(b + 1) * us];
+        if p.delta {
+            let mut syn = Syndromes { p: p.p_at.map(|_| acc_p), q: p.q_at.map(|_| acc_q) };
+            for &(j, b) in p.dirty {
+                let old = reads.next().expect("one old unit per new one");
+                codec::delta(old, new(b));
+                syn.fold(Role::Data(w.smap.locate_full(p.start + j).slot), old);
+            }
+        } else {
+            let q = w.smap.parity_slots(p.si).1.map(|_| acc_q);
+            let mut syn = Syndromes::zeroed(acc_p, q);
+            let mut news = p.dirty.iter().peekable();
+            for j in 0..w.smap.stripe_data_range(p.si).1 {
+                let slot = w.smap.locate_full(p.start + j).slot;
+                let val: &[u8] = match (news.next_if(|&&(d, _)| d == j), decoded) {
+                    (Some(&(_, b)), _) => new(b),
+                    (None, Some((lost, bytes))) if lost == slot => bytes,
+                    (None, _) => reads.next().expect("one read per clean unit"),
+                };
+                syn.fold(Role::Data(slot), val);
+            }
+        }
+    }
+
+    /// `p`'s write set, handed to `emit` unit by unit: its new P and Q
+    /// (`WriteSrc::parity(parity)` and `parity + 1`) and its new data
+    /// units (`WriteSrc::data(b)`), each where `place` puts it.
+    fn partial_writes(
+        &self,
+        st: &ArrayState,
+        p: &Partial<'_>,
+        parity: usize,
+        mut emit: impl FnMut(PhysUnit, WriteSrc),
+    ) {
+        if let Some(at) = p.p_at {
+            emit(at, WriteSrc::parity(parity));
+        }
+        if let Some(at) = p.q_at {
+            emit(at, WriteSrc::parity(parity + 1));
+        }
+        for &(j, b) in p.dirty {
+            let u = st.world.smap.locate_full(p.start + j).unit;
+            if let Some(at) = self.place(st, u, p.copy, p.si) {
+                emit(at, WriteSrc::data(b));
+            }
+        }
+    }
+
+    /// Writes every run through the dispatcher straight from `srcs`
+    /// and records the checksums of exactly the runs that landed, also
+    /// when another run's failure fails the call.
+    fn write_recorded(&self, runs: &[Run], srcs: &[&[u8]]) -> Result<(), StoreError> {
+        let verify = self.integrity.verifying();
+        self.io().write_runs(runs, srcs, Priority::Client, |i| {
+            let run = &runs[i];
+            if verify {
+                for (t, unit) in srcs[run.parts.clone()].iter().enumerate() {
+                    self.integrity.sums.record(run.disk, run.first + t, unit);
+                }
+            }
+        })
     }
 
     fn check_addr(&self, addr: usize) -> Result<(), StoreError> {
@@ -1698,17 +2006,16 @@ impl<B: Backend> BlockStore<B> {
         // classify each as verified, mismatched, or unset (no
         // checksum recorded yet).
         let mut bytes = vec![0u8; units.len() * us];
-        let (mut live, mut runs, mut bufs) = (Vec::new(), Vec::new(), Vec::new());
-        for (slot, buf) in bytes.chunks_exact_mut(us).enumerate() {
-            if !st.failed.contains(units[slot].disk as usize) {
+        let (mut live, mut runs) = (Vec::new(), Vec::new());
+        for (slot, u) in units.iter().enumerate() {
+            if !st.failed.contains(u.disk as usize) {
                 let (disk, first) = phys(slot);
-                runs.push(Run { disk, first, parts: bufs.len()..bufs.len() + 1 });
-                bufs.push(buf);
+                runs.push(Run { disk, first, parts: slot..slot + 1 });
                 live.push(slot);
             }
         }
         let nfailed = units.len() - live.len();
-        self.io().read_runs(&runs, &mut bufs, Priority::Maintenance, |_, _| {})?;
+        self.io().read_into(&runs, &mut bytes, Priority::Maintenance, |_, _| {})?;
         let mut mismatched: Vec<usize> = Vec::new();
         let mut unset: Vec<usize> = Vec::new();
         for &slot in &live {
@@ -1996,7 +2303,7 @@ impl<B: Backend> BlockStore<B> {
         self.decode_stripe_with(st, si, shift, extra_lost, scratch, |_, u, buf| {
             let (disk, first) = (st.redirect[u.disk as usize], u.offset as usize);
             let run = [Run { disk, first, parts: 0..1 }];
-            io.read_runs(&run, &mut [&mut *buf], Priority::Client, |_, _| {})?;
+            io.read_into(&run, buf, Priority::Client, |_, _| {})?;
             if verify && !self.integrity.sums.check(disk, first, buf) {
                 return Err(StoreError::ChecksumMismatch { disk, offset: first });
             }
@@ -2165,7 +2472,8 @@ impl<B: Backend> BlockStore<B> {
     /// writes (`p` parities) and `min(1 + p, k_data − 1)` reads — the
     /// old unit and parities or, when fewer, the stripe's other data
     /// units (2 + 2 under XOR from k = 4, 1 + 3 under P+Q at k = 4,
-    /// 3 + 3 under P+Q from k = 6); use
+    /// 3 + 3 under P+Q from k = 6) — in two dispatcher rounds, every
+    /// read and then every write, each on its own disk; use
     /// [`BlockStore::write_blocks`] for the zero-read full-stripe path.
     ///
     /// Takes `&self`: the stripe's shard lock serializes the update
@@ -2183,16 +2491,8 @@ impl<B: Backend> BlockStore<B> {
         let st = self.state_read();
         let m = st.world.smap.locate_full(addr);
         let (shard, key, j, k_data) = self.cache_coords(&st, &m, addr);
-        let kind = if !st.failed.is_empty()
-            && st.world.layout.stripes()[m.stripe]
-                .units()
-                .iter()
-                .any(|u| st.failed.contains(u.disk as usize))
-        {
-            OpKind::DegradedWrite
-        } else {
-            OpKind::Write
-        };
+        let kind =
+            if degraded_stripe(&st, m.stripe) { OpKind::DegradedWrite } else { OpKind::Write };
         self.client_op(st, kind, addr, 1, |st, t| {
             // Read-mostly write-back bypass: when recent traffic is
             // read-dominated and the backend is memory-speed (no
@@ -2220,7 +2520,7 @@ impl<B: Backend> BlockStore<B> {
                     if bypass {
                         self.metrics.note_bypass(t);
                     }
-                    self.update_partial_stripe(st, m.copy, m.stripe, &[(j, data)], false)?;
+                    self.update_partial_stripe(st, m.copy, m.stripe, data, &[(j, 0)], false)?;
                 } else {
                     self.cache.write(shard, key, k_data, j, data);
                 }
@@ -2539,13 +2839,15 @@ impl<B: Backend> BlockStore<B> {
     /// writing those with freshly computed parity and **zero reads**
     /// (the paper's Condition-5 large-write optimization); a partially
     /// covered head or tail stripe takes one partial-stripe update
-    /// (see [`BlockStore::write_block`] for its read/write count).
+    /// (see [`BlockStore::write_block`] for its read/write count), the
+    /// head's and the tail's reads issued together in one round.
     ///
-    /// Full-stripe units (data and parity alike) are not written one
-    /// by one: they accumulate in a write plan that is sorted into
-    /// per-disk contiguous runs and issued as one vectored backend
-    /// call per run, so a sequential bulk write costs one call per
-    /// touched disk.
+    /// Units (data and parity, full stripes and partial ones alike)
+    /// are not written one by one: they accumulate in a write plan
+    /// that is sorted into per-disk contiguous runs and issued as one
+    /// vectored backend call per run, so a sequential bulk write costs
+    /// one call per touched disk, and an unaligned one a read round
+    /// plus that write round.
     ///
     /// Takes `&self`: every stripe the batch touches is locked up
     /// front, in ascending shard order (two-phase ordered
@@ -2629,16 +2931,14 @@ impl<B: Backend> BlockStore<B> {
             // bytes for still-dirty units). Collected here, removed
             // after each plan flush.
             let mut superseded: Vec<(usize, u64)> = Vec::new();
-            // The deferred full-stripe plan: per-physical-disk buckets
-            // of `(offset, source)` unit writes, where a source
-            // indexes either the caller's data or the appended parity
-            // staging below. Safe to defer past the interleaved
-            // partial-stripe updates because every planned unit
-            // belongs to a fully-covered stripe, which no update of
-            // this call (always a *partially*-covered stripe) can
-            // touch. The shard walk
-            // above counted the batch's stripes, so the plan can be
-            // sized exactly once up front.
+            // The deferred write plan: per-physical-disk buckets of
+            // `(offset, source)` unit writes, where a source indexes
+            // either the caller's data or the appended parity staging
+            // below. Every stripe of the batch lands through it — the
+            // full ones planned here, the partially covered head and
+            // tail after their shared read round — and no unit belongs
+            // to two of them. The shard walk above counted the batch's
+            // stripes, so the plan can be sized exactly once up front.
             let parity_units = self.scheme.parity_per_stripe();
             let mut plan = WritePlan::with_capacity(
                 self.backend.disks(),
@@ -2655,6 +2955,10 @@ impl<B: Backend> BlockStore<B> {
             // span twice through last-level cache.
             let window = if self.backend.prefers_gap_bridging() { usize::MAX } else { 64 };
             let mut planned_stripes = 0usize;
+            // The partially covered head and tail, updated together
+            // once every full stripe is planned.
+            let mut partials: Vec<PartialStripe> = Vec::new();
+            let mut dirty: Vec<(usize, usize)> = Vec::new();
             let mut i = 0usize;
             while i < n {
                 let addr = start + i;
@@ -2691,20 +2995,27 @@ impl<B: Backend> BlockStore<B> {
                     // units are one run of the stripe's data slots.
                     let (shard, key, j0, _) = self.cache_coords(st, &m, addr);
                     let m_units = (k_data - j0).min(n - i);
-                    let units = data[i * us..(i + m_units) * us].chunks_exact(us);
                     if wb {
                         // Under write-back the update is deferred into
                         // the stripe cache (zero backend I/O here).
+                        let units = data[i * us..(i + m_units) * us].chunks_exact(us);
                         for (j, unit) in (j0..).zip(units) {
                             self.cache.write(shard, key, k_data, j, unit);
                         }
                     } else {
-                        let dirty: Vec<(usize, &[u8])> = (j0..).zip(units).collect();
-                        self.update_partial_stripe(st, m.copy, m.stripe, &dirty, false)?;
+                        let units = dirty.len()..dirty.len() + m_units;
+                        dirty.extend((j0..j0 + m_units).zip(i..));
+                        partials.push(PartialStripe {
+                            copy: m.copy,
+                            si: m.stripe,
+                            units,
+                            requeued: false,
+                        });
                     }
                     i += m_units;
                 }
             }
+            self.update_partial_stripes(st, &partials, &dirty, data, &mut plan)?;
             self.flush_write_plan(&mut plan, data)?;
             for &(shard, key) in &superseded {
                 self.cache.remove_flushed(shard, key);
@@ -2790,14 +3101,6 @@ impl<B: Backend> BlockStore<B> {
         let us = self.unit_size;
         let WritePlan { by_disk, parity, unsorted } = plan;
         let parity: &[u8] = parity;
-        let src = |s: WriteSrc| {
-            let i = (s.0 & !WriteSrc::PARITY) as usize;
-            if s.0 & WriteSrc::PARITY != 0 {
-                &parity[i * us..(i + 1) * us]
-            } else {
-                &data[i * us..(i + 1) * us]
-            }
-        };
         let mut srcs: Vec<&[u8]> = Vec::with_capacity(by_disk.iter().map(Vec::len).sum());
         let mut runs: Vec<Run> = Vec::new();
         for (disk, bucket) in by_disk.iter_mut().enumerate() {
@@ -2812,20 +3115,12 @@ impl<B: Backend> BlockStore<B> {
                     j += 1;
                 }
                 let part = srcs.len();
-                srcs.extend(bucket[i..j].iter().map(|e| src(e.1)));
+                srcs.extend(bucket[i..j].iter().map(|e| e.1.bytes(parity, data, us)));
                 runs.push(Run { disk, first: offset as usize, parts: part..srcs.len() });
                 i = j;
             }
         }
-        let verify = self.integrity.verifying();
-        self.io().write_runs(&runs, &srcs, Priority::Client, |i| {
-            let run = &runs[i];
-            if verify {
-                for (t, unit) in srcs[run.parts.clone()].iter().enumerate() {
-                    self.integrity.sums.record(run.disk, run.first + t, unit);
-                }
-            }
-        })
+        self.write_recorded(&runs, &srcs)
     }
 
     /// Replays a [`Trace`] (block-granular ops plus fail/restore/

@@ -12,8 +12,9 @@
 
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
-    fill_pattern, open_file_store, Backend, BlockStore, CachePolicy, Event, EventSink, FaultConfig,
-    FaultyBackend, MemBackend, Rebuilder, RetryPolicy, ScrubConfig, StoreError,
+    fill_pattern, open_file_store, Backend, BlockStore, CachePolicy, EngineConfig, Event,
+    EventSink, FaultConfig, FaultyBackend, MemBackend, Rebuilder, RetryPolicy, ScrubConfig,
+    StoreError,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -360,6 +361,50 @@ fn failed_batch_call_still_applies_auto_fail() {
     for (addr, chunk) in got.chunks_exact(UNIT).enumerate() {
         fill_pattern(addr, SEED, &mut want);
         assert_eq!(chunk, &want[..], "block {addr} decodes bit-exact");
+    }
+}
+
+/// One unaligned `write_blocks` — a partial head stripe, a full
+/// stripe, a partial tail stripe — over a corrupt old unit in its head
+/// and another in its tail: the clean unit each partial stripe's
+/// reconstruct route folds into its new parity. The batch's shared
+/// read round catches both, the two stripes are repaired from parity
+/// and the round is read again, so the call succeeds, reads back as
+/// written and leaves parity intact — engine off and on.
+#[test]
+fn unaligned_batch_repairs_a_corrupt_head_and_tail() {
+    type Build = fn(FaultConfig) -> BlockStore<FaultyBackend<MemBackend>>;
+    for (shape, build) in [("xor", xor_store as Build), ("pq", pq_store)] {
+        for engine in [false, true] {
+            let ctx = format!("{shape} engine={engine}");
+            let store = build(FaultConfig::quiet(SEED));
+            fill(&store, SEED);
+            if engine {
+                store.start_engine(EngineConfig::default());
+            }
+            let smap = store.stripe_map();
+            let (lo, k_data) = smap.stripe_data_range(1);
+            assert_eq!(k_data, 2, "{ctx}: two data units per stripe");
+            // Unit 1 of stripe 1, stripe 2, unit 0 of stripe 3: the
+            // clean units are `lo` and `end`.
+            let (start, end) = (lo + 1, lo + 3 * k_data - 1);
+            for addr in [lo, end] {
+                let u = smap.locate(addr);
+                store.backend().corrupt_unit(u.disk as usize, u.offset as usize).unwrap();
+            }
+            let repairs = store.stats().integrity.checksum_repairs;
+            let new: Vec<u8> = (0..(end - start) * UNIT).map(|i| (i % 251) as u8).collect();
+            store.write_blocks(start, &new).unwrap_or_else(|e| panic!("[{ctx}] {e}"));
+            assert_eq!(store.stats().integrity.checksum_repairs - repairs, 2, "[{ctx}] repairs");
+            let mut got = vec![0u8; (end + 1 - lo) * UNIT];
+            store.read_blocks(lo, &mut got).unwrap();
+            let mut want = vec![0u8; got.len()];
+            fill_pattern(lo, SEED, &mut want[..UNIT]);
+            want[UNIT..(end - lo) * UNIT].copy_from_slice(&new);
+            fill_pattern(end, SEED, &mut want[(end - lo) * UNIT..]);
+            assert!(got == want, "[{ctx}] read-back");
+            store.verify_parity().unwrap_or_else(|e| panic!("[{ctx}] {e}"));
+        }
     }
 }
 

@@ -45,19 +45,12 @@ fn pq_store(v: usize, k: usize, copies: usize, engine: bool) -> BlockStore<MemBa
 
 /// `(read_units, write_units, read_calls, write_calls)` since `t0`.
 /// With the engine on, also checks its books over the same bracket
-/// (see [`engine_accounts`]): all of those calls went through the
-/// dispatcher except the `direct` single-unit calls of a partial-stripe
-/// update (`write_block`, a partially covered `write_blocks` stripe, a
-/// partially dirty flush), which `BlockStore::{read_unit, write_unit}`
-/// issue themselves.
-fn diff<B: Backend>(
-    store: &BlockStore<B>,
-    t0: &StatsSnapshot,
-    direct: u64,
-) -> (u64, u64, u64, u64) {
+/// (see [`engine_accounts`]): every one of those calls went through
+/// the dispatcher.
+fn diff<B: Backend>(store: &BlockStore<B>, t0: &StatsSnapshot) -> (u64, u64, u64, u64) {
     let now = store.stats();
     let d = now.io_totals().since(&t0.io_totals());
-    engine_accounts(&now, t0, d.read_calls + d.write_calls - direct);
+    engine_accounts(&now, t0, d.read_calls + d.write_calls);
     (d.read_units, d.write_units, d.read_calls, d.write_calls)
 }
 
@@ -103,7 +96,7 @@ fn full_stripe_write_is_k_writes_zero_reads() {
         let data = vec![0x5au8; k_data * UNIT];
         let t0 = store.stats();
         store.write_blocks(0, &data).unwrap();
-        let (r, w, _, _) = diff(&store, &t0, 0);
+        let (r, w, _, _) = diff(&store, &t0);
         assert_eq!(r, 0, "full-stripe write must not read");
         assert_eq!(w, 4, "full-stripe write is exactly k = 4 unit writes");
         store.verify_parity().unwrap();
@@ -120,7 +113,7 @@ fn pq_full_stripe_write_is_k_writes_zero_reads() {
         let data = vec![0xa5u8; k_data * UNIT];
         let t0 = store.stats();
         store.write_blocks(0, &data).unwrap();
-        let (r, w, _, _) = diff(&store, &t0, 0);
+        let (r, w, _, _) = diff(&store, &t0);
         assert_eq!(r, 0, "P+Q full-stripe write must not read");
         assert_eq!(w, 4, "P+Q full-stripe write is exactly k = 4 unit writes");
         store.verify_parity().unwrap();
@@ -210,7 +203,7 @@ fn sequential_write_is_one_call_per_disk() {
         let t0 = store.stats();
         store.write_blocks(0, &data).unwrap();
         let layout_units = store.v() as u64 * store.layout().size() as u64;
-        let (r, w, _, wc) = diff(&store, &t0, 0);
+        let (r, w, _, wc) = diff(&store, &t0);
         assert_eq!(r, 0, "whole-copy write is all full stripes: zero reads");
         assert_eq!(w, layout_units, "every unit (data + parity) written once");
         assert!(wc <= store.v() as u64, "at most one backend call per touched disk, got {wc}");
@@ -230,7 +223,7 @@ fn small_xor_write_is_2_plus_2() {
         store.write_blocks(0, &data).unwrap();
         let t0 = store.stats();
         store.write_block(1, &[0x11u8; UNIT]).unwrap();
-        let (r, w, rc, wc) = diff(&store, &t0, 4);
+        let (r, w, rc, wc) = diff(&store, &t0);
         assert_eq!((r, w), (2, 2), "XOR small write is 2 reads + 2 writes");
         assert_eq!((rc, wc), (2, 2), "each a single-unit backend call");
         let now = store.stats();
@@ -254,7 +247,7 @@ fn small_pq_write_is_3_plus_3() {
         store.write_blocks(0, &data).unwrap();
         let t0 = store.stats();
         store.write_block(1, &[0x22u8; UNIT]).unwrap();
-        let (r, w, _, _) = diff(&store, &t0, 6);
+        let (r, w, _, _) = diff(&store, &t0);
         assert_eq!((r, w), (3, 3), "P+Q delta update is 3 reads + 3 writes");
         store.verify_parity().unwrap();
     }
@@ -265,7 +258,7 @@ fn small_pq_write_is_3_plus_3() {
 /// exactly `min(m + p, k_data − m)` unit reads — the delta route (old
 /// units and the `p` parities) or the reconstruct route (the clean
 /// units) — and `m + p` unit writes, at most one backend call per
-/// disk each way, none of them through the engine. A
+/// disk each way, every one of them through the dispatcher. A
 /// write-through `write_blocks` and a write-back flush of the same
 /// dirty set cost the same.
 #[test]
@@ -297,8 +290,8 @@ fn partial_stripe_update_reads_the_cheaper_route() {
                     store.write_blocks(at, &new).unwrap();
                     store.flush().unwrap();
                     let now = store.stats();
-                    engine_accounts(&now, &t0, 0);
                     let d = now.io_totals().since(&t0.io_totals());
+                    engine_accounts(&now, &t0, d.read_calls + d.write_calls);
                     assert_eq!((d.read_units, d.write_units), want, "{ctx}: units");
                     for (disk, (a, b)) in now.disks.iter().zip(&t0.disks).enumerate() {
                         let calls = (a.read_calls - b.read_calls, a.write_calls - b.write_calls);
@@ -312,6 +305,71 @@ fn partial_stripe_update_reads_the_cheaper_route() {
                     store.verify_parity().unwrap();
                 }
                 assert_eq!(counts[0], counts[1], "{shape} m={m}: write-through == flush");
+            }
+        }
+    }
+}
+
+/// An unaligned batch — a partial head stripe, a full stripe, a
+/// partial tail stripe — costs exactly its three parts written as
+/// three calls: the same units read and written on every disk, and no
+/// more backend calls. Its head and tail read in one shared round and
+/// write with the full stripe in one plan. Head and tail each leave
+/// one clean unit, so both take the reconstruct route under XOR and
+/// P+Q alike; on stripes 1–3 of both shapes the two clean units sit on
+/// different disks, so no disk sees more than one read call.
+#[test]
+fn unaligned_batch_costs_its_three_parts() {
+    type Build = fn(bool) -> BlockStore<MemBackend>;
+    let shapes: [(&str, Build); 2] =
+        [("xor k=4", |e| ring_store(7, 4, 1, e)), ("pq k=4", |e| pq_store(9, 4, 1, e))];
+    for (shape, build) in shapes {
+        for engine in ENGINE_MODES {
+            let ctx = format!("{shape} engine={engine}");
+            let (parts, batch) = (build(engine), build(engine));
+            let mut image: Vec<u8> = (0..parts.blocks() * UNIT).map(|i| (i % 211) as u8).collect();
+            parts.write_blocks(0, &image).unwrap();
+            batch.write_blocks(0, &image).unwrap();
+            let smap = batch.stripe_map();
+            let (lo, k_data) = smap.stripe_data_range(1);
+            assert_eq!(smap.stripe_data_range(3).0, lo + 2 * k_data, "{ctx}: adjacent stripes");
+            // All but the first unit of stripe 1, stripe 2, all but the
+            // last unit of stripe 3.
+            let (start, end) = (lo + 1, lo + 3 * k_data - 1);
+            let new: Vec<u8> = (0..(end - start) * UNIT).map(|i| (i % 7) as u8 ^ 0x5a).collect();
+            let at = |addr: usize| (addr - start) * UNIT;
+            let t0 = parts.stats();
+            for (a, b) in
+                [(start, lo + k_data), (lo + k_data, lo + 2 * k_data), (lo + 2 * k_data, end)]
+            {
+                parts.write_blocks(a, &new[at(a)..at(b)]).unwrap();
+            }
+            let separate = diff(&parts, &t0);
+            let (p_now, p_disks) = (parts.stats(), t0.disks);
+            let t0 = batch.stats();
+            batch.write_blocks(start, &new).unwrap();
+            let together = diff(&batch, &t0);
+            let b_now = batch.stats();
+            assert_eq!((together.0, together.1), (separate.0, separate.1), "{ctx}: units");
+            assert!(
+                together.2 + together.3 <= separate.2 + separate.3,
+                "{ctx}: {together:?} calls, three parts {separate:?}"
+            );
+            for d in 0..batch.v() {
+                let units = |now: &StatsSnapshot, before: &[pdl_store::DiskStatSnapshot]| {
+                    let (a, b) = (&now.disks[d], &before[d]);
+                    (a.read_units - b.read_units, a.write_units - b.write_units)
+                };
+                assert_eq!(units(&b_now, &t0.disks), units(&p_now, &p_disks), "{ctx}: disk {d}");
+                let reads = disk_read_calls(&b_now, &t0, d);
+                assert!(reads <= 1, "{ctx}: disk {d} read {reads} times");
+            }
+            image[start * UNIT..end * UNIT].copy_from_slice(&new);
+            for store in [&parts, &batch] {
+                let mut out = vec![0u8; image.len()];
+                store.read_blocks(0, &mut out).unwrap();
+                assert!(out == image, "{ctx}: read-back");
+                store.verify_parity().unwrap();
             }
         }
     }
@@ -341,11 +399,11 @@ fn write_back_combines_k_writes_into_one_flush() {
         for i in 0..30u8 {
             store.write_block(lo + 1, &[i; UNIT]).unwrap();
         }
-        let (r, w, _, _) = diff(&store, &t0, 0);
+        let (r, w, _, _) = diff(&store, &t0);
         assert_eq!((r, w), (0, 0), "cached writes perform no backend I/O");
         assert_eq!(store.dirty_cache_stripes(), 1);
         store.flush().unwrap();
-        let (r, w, rc, wc) = diff(&store, &t0, 4);
+        let (r, w, rc, wc) = diff(&store, &t0);
         assert_eq!(
             (r, w),
             (1, 3),
@@ -385,7 +443,7 @@ fn write_back_full_stripe_flush_is_zero_read() {
             }
         }
         store.flush().unwrap();
-        let (r, w, _, wc) = diff(&store, &t0, 0);
+        let (r, w, _, wc) = diff(&store, &t0);
         assert_eq!(r, 0, "fully dirty stripe flushes with zero reads");
         assert_eq!(w, 4, "k - 2 data + P + Q = k = 4 unit writes");
         assert!(wc <= 4, "one call per touched disk");
@@ -408,10 +466,10 @@ fn write_back_batch_flush_coalesces_across_stripes() {
         for addr in 0..blocks {
             store.write_block(addr, &[(addr % 251) as u8; UNIT]).unwrap();
         }
-        let (r, w, _, _) = diff(&store, &t0, 0);
+        let (r, w, _, _) = diff(&store, &t0);
         assert_eq!((r, w), (0, 0), "all writes absorbed by the cache");
         store.flush().unwrap();
-        let (r, w, _, wc) = diff(&store, &t0, 0);
+        let (r, w, _, wc) = diff(&store, &t0);
         let layout_units = store.v() as u64 * store.layout().size() as u64;
         assert_eq!(r, 0, "whole-copy drain is all full stripes: zero reads");
         assert_eq!(w, layout_units, "every unit (data + parity) written once");
@@ -449,7 +507,7 @@ fn read_mostly_trace<B: Backend>(store: &BlockStore<B>) -> u64 {
 /// (files: a call costs a syscall, so combining pays) never bypasses.
 #[test]
 fn read_mostly_mix_bypasses_write_back_on_memory_speed_backends_only() {
-    // Single-block calls never reach the engine, so one mode.
+    // The bypass decision does not look at the engine, so one mode.
     let twin = |policy| {
         let store = ring_store(7, 4, 2, false);
         store.set_cache_policy(policy).unwrap();
@@ -508,7 +566,7 @@ fn degraded_batch_read_decodes_each_stripe_once() {
             // the real assertion.
             b * k
         };
-        let (r, _, _, _) = diff(&store, &t0, 0);
+        let (r, _, _, _) = diff(&store, &t0);
         assert!(
             r < per_block_decode_cost,
             "batched degraded read ({r} unit reads) must beat per-block decoding"

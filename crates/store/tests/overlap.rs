@@ -2,8 +2,10 @@
 //! millisecond ([`FaultyBackend`]'s slow schedule at rate 1 — a sleep,
 //! so stalled calls overlap even on a single core), independent calls
 //! must wait *at the same time*: across client threads, and across the
-//! per-disk runs of one batched call once the async engine is on. The
-//! ratios asserted are half of what full overlap gives.
+//! per-disk runs of one batched call once the async engine is on, and
+//! across the accesses of one small write's read round and of its
+//! write round. The bounds asserted are well short of what full
+//! overlap gives.
 
 use std::time::{Duration, Instant};
 
@@ -11,11 +13,14 @@ use pdl_core::RingLayout;
 use pdl_store::{BlockStore, EngineConfig, FaultConfig, FaultyBackend, MemBackend};
 
 const UNIT: usize = 64;
+/// How long every backend call of [`stalling_store`] sleeps.
+const STALL: Duration = Duration::from_millis(1);
 
 fn stalling_store() -> BlockStore<FaultyBackend<MemBackend>> {
     let layout = RingLayout::for_v_k(9, 4).layout().clone();
     let mem = MemBackend::new(10, 4 * layout.size(), UNIT);
-    let stall = FaultConfig { slow_rate: 1.0, slow_us: 1000, ..FaultConfig::quiet(1) };
+    let stall =
+        FaultConfig { slow_rate: 1.0, slow_us: STALL.as_micros() as u64, ..FaultConfig::quiet(1) };
     BlockStore::new(layout, FaultyBackend::new(mem, stall)).unwrap()
 }
 
@@ -68,4 +73,54 @@ fn engine_overlaps_the_runs_of_one_batched_read() {
     let queued = ten_reads();
     store.stop_engine();
     assert!(queued * 2 <= inline, "engine on {queued:?}, off {inline:?}: runs did not overlap");
+}
+
+/// A small write reads the old unit and the old parity, then writes
+/// both: four accesses on four disks. With the engine on they go out
+/// as two rounds — the reads together, then the writes together — so
+/// ten small writes take at most ¾ of their time with the engine off,
+/// where the four stall one after another (ideal: ½).
+#[test]
+fn engine_overlaps_each_round_of_a_small_write() {
+    let store = stalling_store();
+    let block = vec![5u8; UNIT];
+    let ten_writes = || {
+        let start = Instant::now();
+        for i in 0..10 {
+            store.write_block(7 * i, &block).unwrap();
+        }
+        start.elapsed()
+    };
+    let inline = ten_writes();
+    store.start_engine(EngineConfig::default());
+    let queued = ten_writes();
+    store.stop_engine();
+    assert!(
+        queued * 4 <= inline * 3,
+        "engine on {queued:?}, off {inline:?}: rounds did not overlap"
+    );
+}
+
+/// An unaligned batch — a partial head stripe, a full stripe, a
+/// partial tail stripe — reads for its head and tail in one round and
+/// writes all three stripes in one more. With the engine on it lands
+/// within four stalls; updating the head and the tail call by call
+/// took about nine.
+#[test]
+fn engine_lands_an_unaligned_batch_in_two_rounds() {
+    let store = stalling_store();
+    let smap = store.stripe_map();
+    let (lo, k_data) = smap.stripe_data_range(0);
+    assert_eq!(smap.stripe_data_range(1).0, lo + k_data, "stripes 0..3 are address-adjacent");
+    // The last two units of stripe 0, stripe 1, the first two of stripe 2.
+    let (start, end) = (lo + 1, lo + 3 * k_data - 1);
+    let data = vec![9u8; (end - start) * UNIT];
+    store.start_engine(EngineConfig::default());
+    let start_at = Instant::now();
+    for _ in 0..10 {
+        store.write_blocks(start, &data).unwrap();
+    }
+    let took = start_at.elapsed();
+    store.stop_engine();
+    assert!(took <= 10 * 4 * STALL, "ten unaligned batches took {took:?}: over four stalls each");
 }
