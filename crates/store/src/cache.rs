@@ -14,7 +14,11 @@
 //!
 //! A cached write performs **zero backend I/O**: the new bytes land in
 //! the stripe's cache entry (latest write wins per unit) and the
-//! parity work is deferred to flush time. At flush, one stripe pays:
+//! parity work is deferred to flush time. Under write-back this is
+//! the only route a client write takes, so each policy has one
+//! destage rule: write-through updates parity before the write
+//! returns, write-back at the stripe's flush. At flush, one stripe
+//! pays:
 //!
 //! * **fully dirty** (every data unit of the stripe overwritten) —
 //!   the existing zero-read full-stripe path: parity is recomputed
@@ -103,8 +107,9 @@ pub enum CachePolicy {
     /// immediately (the compatibility default — identical I/O to a
     /// store without a cache).
     WriteThrough,
-    /// Writes accumulate per stripe and flush combined: explicitly via
-    /// [`crate::BlockStore::flush`], implicitly before every
+    /// Every client write accumulates in its stripe's entry, whatever
+    /// the read/write mix or backend, and flushes combined: explicitly
+    /// via [`crate::BlockStore::flush`], implicitly before every
     /// failure-state transition, and by oldest-first eviction when
     /// more than `max_dirty` stripes are dirty.
     WriteBack {
@@ -455,11 +460,9 @@ impl StripeCache {
         self.queue.lock().unwrap().push_front(key);
     }
 
-    /// True when the keyed stripe has a live cache entry. Used by the
-    /// read-mostly write bypass to keep ordering exact: a stripe with
-    /// a dirty entry must keep writing into it (a bypassed backend
-    /// write would be shadowed by the stale entry until its flush).
-    /// The caller holds the stripe's exclusive shard lock.
+    /// True when the keyed stripe has a live cache entry. A reshape
+    /// band asks, so it flushes only the covered stripes that are
+    /// dirty. The caller holds the stripe's exclusive shard lock.
     pub(crate) fn has_entry(&self, shard: usize, key: u64) -> bool {
         if self.shard_dirty[shard].load(Ordering::Acquire) == 0 {
             return false;
@@ -480,15 +483,12 @@ impl StripeCache {
     }
 
     /// Snapshot of the lifetime counters plus the live dirty count.
-    /// `bypassed_writes` is filled in by the store from the metrics
-    /// registry, where the bypass decision is made and tallied.
     pub(crate) fn stats_snapshot(&self) -> CacheStatsSnapshot {
         CacheStatsSnapshot {
             hits: self.stats.hits.load(Ordering::Relaxed),
             misses: self.stats.misses.load(Ordering::Relaxed),
             insertions: self.stats.insertions.load(Ordering::Relaxed),
             absorbed_writes: self.stats.absorbed_writes.load(Ordering::Relaxed),
-            bypassed_writes: 0,
             evictions: self.stats.evictions.load(Ordering::Relaxed),
             flushed_stripes: self.stats.flushed_stripes.load(Ordering::Relaxed),
             flushed_units: self.stats.flushed_units.load(Ordering::Relaxed),

@@ -35,16 +35,16 @@
 //! * **Worker pool** — `workers` OS threads (default: one per disk)
 //!   each servicing *any* queue: a worker scans the queues with
 //!   requests waiting for the eligible one with the lowest expected
-//!   drain time (`(in_flight + 1) × ewma_service_ns`), pops a batch,
-//!   executes the backend call, and fulfils the completions. Plain
-//!   condvar/atomic wakeups — no async runtime.
-//! * **Coalescing pop** — at dequeue time, requests at the head of
-//!   the chosen lane that are the same kind and offset-adjacent are
-//!   merged into one backend call (one `read_units` span / one
-//!   `write_units_gather`), up to [`MAX_COALESCE_UNITS`] units. The
-//!   per-request tokens still complete individually.
+//!   drain time (`(in_flight + 1) × ewma_service_ns`), pops one
+//!   request, executes its backend call, and fulfils its completion.
+//!   Plain condvar/atomic wakeups — no async runtime.
+//! * **One request, one call** — a pop takes the head of the chosen
+//!   lane and nothing else, so every queued request is exactly one
+//!   backend call (one `read_units` span / one `write_units_gather`)
+//!   and carries one caller's run. The store already merges adjacent
+//!   units into runs before it submits them.
 //! * **Depth-aware scheduling** — a queue is eligible only while its
-//!   in-flight batch count is below a fixed ceiling of 8, so multiple
+//!   in-flight call count is below a fixed ceiling of 8, so multiple
 //!   workers can overlap calls to the *same* disk (useful for
 //!   seek-free backends and kernel-level queueing) without
 //!   unboundedly piling on. The ceiling is a constant, not a knob:
@@ -66,9 +66,7 @@
 //! batch before it reports the first error, so none is abandoned. Every
 //! backend call runs under [`Integrity::retrying`], so transient
 //! errors retry with the same backoff and per-disk health accounting
-//! as the synchronous path. When a *coalesced* batch fails, the
-//! first request in the batch receives the real error and the rest
-//! receive a reconstructed copy ([`StoreError`] is not `Clone`).
+//! as the synchronous path.
 //!
 //! On [`Engine::stop`] (also invoked by `Drop`), workers drain every
 //! queue before exiting and any request that slips in after the
@@ -91,15 +89,14 @@ use crate::obs::LatencyHistogram;
 use crate::store::BlockStore;
 use serde::{Deserialize, Serialize};
 
-/// Ceiling on the units a coalescing pop may merge into one backend
-/// call — bounds worker latency (and the memory of the merged read
-/// buffer) under deep adjacent queues.
-pub const MAX_COALESCE_UNITS: usize = 256;
-
-/// Per-disk in-flight batch ceiling: a queue stops being eligible for
+/// Per-disk in-flight call ceiling: a queue stops being eligible for
 /// dispatch while this many backend calls are outstanding against its
 /// disk.
 const TARGET_DEPTH: usize = 8;
+
+/// Per-disk pending-request ceiling (both lanes combined); submission
+/// blocks when reached.
+const QUEUE_CAPACITY: usize = 256;
 
 /// Submission priority: which [`DiskQueue`] lane a request joins.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,21 +109,12 @@ pub enum Priority {
 }
 
 /// Engine tuning knobs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EngineConfig {
     /// Worker threads servicing the queues. `0` means one per disk,
     /// so each disk's positional pread/pwrite can progress on its own
     /// thread.
     pub workers: usize,
-    /// Per-disk pending-request ceiling (both lanes combined);
-    /// submission blocks when reached.
-    pub queue_capacity: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig { workers: 0, queue_capacity: 256 }
-    }
 }
 
 /// What a queued request asks of the disk.
@@ -222,8 +210,6 @@ pub struct DiskQueue {
     ewma_ns: AtomicU64,
     submitted: AtomicU64,
     completed: AtomicU64,
-    /// Requests merged into a preceding request by a coalescing pop.
-    coalesced: AtomicU64,
     /// Runs the dispatcher issued on its caller's thread instead.
     inline: AtomicU64,
 }
@@ -238,13 +224,12 @@ impl DiskQueue {
             ewma_ns: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
             inline: AtomicU64::new(0),
         }
     }
 
     /// Expected time to drain this queue's outstanding work if one
-    /// more batch were dispatched — the dispatcher picks the minimum.
+    /// more call were dispatched — the dispatcher picks the minimum.
     fn score(&self) -> u64 {
         let ewma = self.ewma_ns.load(Ordering::Relaxed).max(1);
         (self.in_flight.load(Ordering::Relaxed) as u64 + 1).saturating_mul(ewma)
@@ -387,7 +372,7 @@ impl<B: Backend> Inner<B> {
             backend,
             integrity,
             queues: (0..disks).map(|_| DiskQueue::new()).collect(),
-            cfg: EngineConfig { workers, queue_capacity: cfg.queue_capacity.max(1) },
+            cfg: EngineConfig { workers },
             pending: AtomicUsize::new(0),
             work_m: Mutex::new(()),
             work_cv: Condvar::new(),
@@ -445,7 +430,7 @@ impl<B: Backend> Engine<B> {
         let req =
             Request { offset, units, op, done: Arc::clone(&state), submitted: Instant::now() };
         let mut lanes = q.lanes.lock().unwrap();
-        while lanes.len() >= inner.cfg.queue_capacity {
+        while lanes.len() >= QUEUE_CAPACITY {
             if inner.shutdown.load(Ordering::Acquire) {
                 return Err(engine_down());
             }
@@ -517,7 +502,7 @@ impl<B> Engine<B> {
                     ewma_service_us: q.ewma_ns.load(Ordering::Relaxed) / 1_000,
                     submitted: q.submitted.load(Ordering::Relaxed),
                     completed: q.completed.load(Ordering::Relaxed),
-                    coalesced: q.coalesced.load(Ordering::Relaxed),
+                    coalesced: 0,
                     inline: q.inline.load(Ordering::Relaxed),
                 })
                 .collect(),
@@ -598,33 +583,11 @@ pub(crate) fn is_engine_down(e: &StoreError) -> bool {
     matches!(e, StoreError::Io(io) if io.get_ref().is_some_and(|r| r.is::<EngineDown>()))
 }
 
-/// Best-effort duplicate of a [`StoreError`] for fanning one failure
-/// out to every request of a coalesced batch (`StoreError` holds a
-/// non-`Clone` `io::Error`). The first request gets the original;
-/// the rest get this reconstruction.
-fn clone_err(e: &StoreError) -> StoreError {
-    match e {
-        StoreError::Io(io) => StoreError::Io(std::io::Error::new(io.kind(), io.to_string())),
-        StoreError::OutOfRange { disk, offset } => {
-            StoreError::OutOfRange { disk: *disk, offset: *offset }
-        }
-        StoreError::DiskFailed(d) => StoreError::DiskFailed(*d),
-        other => StoreError::Corrupt(format!("coalesced batch failed: {other}")),
-    }
-}
-
-/// One dequeued, possibly-coalesced unit of backend work.
-struct Batch {
-    reqs: Vec<Request>,
-    /// True when every request is a read (else all writes).
-    is_read: bool,
-}
-
-/// Worker thread body: scan → pop (coalescing) → execute → fulfil.
+/// Worker thread body: scan → pop → execute → fulfil.
 fn worker_loop<B: Backend>(inner: &Inner<B>, wid: usize) {
     loop {
-        match next_batch(inner, wid) {
-            Some((disk, batch)) => execute(inner, disk, batch),
+        match next_request(inner, wid) {
+            Some((disk, req)) => execute(inner, disk, req),
             None => {
                 if inner.shutdown.load(Ordering::Acquire)
                     && inner.pending.load(Ordering::Acquire) == 0
@@ -650,13 +613,13 @@ fn worker_loop<B: Backend>(inner: &Inner<B>, wid: usize) {
 
 /// Picks the eligible queue with the lowest expected drain time
 /// (depth-aware: `in_flight` must be under [`TARGET_DEPTH`]) among
-/// those with requests *waiting*, and pops a coalesced batch from it.
+/// those with requests *waiting*, and pops one request from it.
 /// Scanning starts at `wid` so workers spread over disks when scores
 /// tie. A queue emptied by another worker between the scan and the
 /// lane lock sends the scan round again rather than parking the worker
 /// while other queues still wait — its `queued` reads zero by then, so
 /// the rescan moves on.
-fn next_batch<B: Backend>(inner: &Inner<B>, wid: usize) -> Option<(usize, Batch)> {
+fn next_request<B: Backend>(inner: &Inner<B>, wid: usize) -> Option<(usize, Request)> {
     let n = inner.queues.len();
     loop {
         if n == 0 || inner.pending.load(Ordering::Acquire) == 0 {
@@ -691,72 +654,45 @@ fn next_batch<B: Backend>(inner: &Inner<B>, wid: usize) -> Option<(usize, Batch)
         } else {
             continue; // lost the race for this queue's last request
         };
-        let first = lane.pop_front().expect("lane checked non-empty");
-        if matches!(first.op, ReqOp::Ping) {
+        let req = lane.pop_front().expect("lane checked non-empty");
+        if matches!(req.op, ReqOp::Ping) {
             q.queued.fetch_sub(1, Ordering::Relaxed);
             drop(lanes);
             inner.pending.fetch_sub(1, Ordering::Release);
-            first.done.fulfil(Ok(Vec::new()));
+            req.done.fulfil(Ok(Vec::new()));
             continue;
-        }
-        let is_read = matches!(first.op, ReqOp::Read);
-        let mut total_units = first.units;
-        let mut reqs = vec![first];
-        // Coalescing pop: merge offset-adjacent same-kind heads.
-        while let Some(next) = lane.front() {
-            let last = reqs.last().expect("batch non-empty");
-            let adjacent = next.offset == last.offset + last.units;
-            let same_kind = matches!(next.op, ReqOp::Read) == is_read;
-            if !(adjacent && same_kind) || total_units + next.units > MAX_COALESCE_UNITS {
-                break;
-            }
-            total_units += next.units;
-            q.coalesced.fetch_add(1, Ordering::Relaxed);
-            reqs.push(lane.pop_front().expect("front checked"));
         }
         // Reserve the in-flight slot before releasing the lane lock so
         // a concurrent scan sees the updated depth.
         q.in_flight.fetch_add(1, Ordering::Relaxed);
-        let popped = reqs.len();
-        q.queued.fetch_sub(popped, Ordering::Relaxed);
+        q.queued.fetch_sub(1, Ordering::Relaxed);
         drop(lanes);
         q.not_full.notify_all();
-        inner.pending.fetch_sub(popped, Ordering::Release);
-        let now = Instant::now();
-        for r in &reqs {
-            inner.queue_wait.record(now.duration_since(r.submitted).as_nanos() as u64);
-        }
-        return Some((disk, Batch { reqs, is_read }));
+        inner.pending.fetch_sub(1, Ordering::Release);
+        inner.queue_wait.record(req.submitted.elapsed().as_nanos() as u64);
+        return Some((disk, req));
     }
 }
 
-/// Executes one batch against the backend (under the integrity
-/// retry/health wrapper) and fulfils every token in it.
-fn execute<B: Backend>(inner: &Inner<B>, disk: usize, batch: Batch) {
+/// Executes one request against the backend (under the integrity
+/// retry/health wrapper) and fulfils its token.
+fn execute<B: Backend>(inner: &Inner<B>, disk: usize, req: Request) {
     let q = &inner.queues[disk];
-    let us = inner.backend.unit_size();
-    let offset = batch.reqs[0].offset;
-    let total_units: usize = batch.reqs.iter().map(|r| r.units).sum();
+    let Request { offset, units, op, done, .. } = req;
     let t0 = Instant::now();
-    let result: Result<Vec<u8>, StoreError> = if batch.is_read {
-        let mut buf = vec![0u8; total_units * us];
-        inner
+    let result = match op {
+        ReqOp::Read => {
+            let mut buf = vec![0u8; units * inner.backend.unit_size()];
+            inner
+                .integrity
+                .retrying(disk, || inner.backend.read_units(disk, offset, &mut buf))
+                .map(|()| buf)
+        }
+        ReqOp::Write(data) => inner
             .integrity
-            .retrying(disk, || inner.backend.read_units(disk, offset, &mut buf))
-            .map(|()| buf)
-    } else {
-        let srcs: Vec<&[u8]> = batch
-            .reqs
-            .iter()
-            .map(|r| match &r.op {
-                ReqOp::Write(d) => d.as_slice(),
-                ReqOp::Read | ReqOp::Ping => unreachable!("mixed batch"),
-            })
-            .collect();
-        inner
-            .integrity
-            .retrying(disk, || inner.backend.write_units_gather(disk, offset, &srcs))
-            .map(|()| Vec::new())
+            .retrying(disk, || inner.backend.write_units_gather(disk, offset, &[&data]))
+            .map(|()| Vec::new()),
+        ReqOp::Ping => unreachable!("a ping is fulfilled at its pop"),
     };
     q.note_service(t0.elapsed().as_nanos() as u64);
     q.in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -765,41 +701,12 @@ fn execute<B: Backend>(inner: &Inner<B>, disk: usize, batch: Batch) {
         // eligible again; wake a parked worker to rescan.
         inner.work_cv.notify_one();
     }
-    let nreq = batch.reqs.len() as u64;
-    q.completed.fetch_add(nreq, Ordering::Relaxed);
-    inner.completed.fetch_add(nreq, Ordering::Relaxed);
-    match result {
-        Ok(buf) => {
-            if batch.is_read {
-                if batch.reqs.len() == 1 {
-                    // Common single-request case: hand over the whole
-                    // buffer, no copy.
-                    let req = batch.reqs.into_iter().next().expect("one req");
-                    req.done.fulfil(Ok(buf));
-                } else {
-                    let mut at = 0usize;
-                    for req in batch.reqs {
-                        let len = req.units * us;
-                        req.done.fulfil(Ok(buf[at..at + len].to_vec()));
-                        at += len;
-                    }
-                }
-            } else {
-                for req in batch.reqs {
-                    req.done.fulfil(Ok(Vec::new()));
-                }
-            }
-        }
-        Err(e) => {
-            inner.errors.fetch_add(nreq, Ordering::Relaxed);
-            let mut reqs = batch.reqs.into_iter();
-            let first = reqs.next().expect("batch non-empty");
-            for req in reqs {
-                req.done.fulfil(Err(clone_err(&e)));
-            }
-            first.done.fulfil(Err(e));
-        }
+    q.completed.fetch_add(1, Ordering::Relaxed);
+    inner.completed.fetch_add(1, Ordering::Relaxed);
+    if result.is_err() {
+        inner.errors.fetch_add(1, Ordering::Relaxed);
     }
+    done.fulfil(result);
 }
 
 /// The store's handle on its engine: the only place a [`BlockStore`]
@@ -881,7 +788,8 @@ pub struct EngineDiskSnapshot {
     pub submitted: u64,
     /// Requests ever completed.
     pub completed: u64,
-    /// Requests merged into a neighbour by a coalescing pop.
+    /// Always 0: a pop takes one request, so nothing is merged. Kept
+    /// so readers of the snapshot's serialized form still find it.
     pub coalesced: u64,
     /// Runs the dispatcher issued on its caller's thread because this
     /// disk served faster than the engine hands off.
@@ -990,31 +898,28 @@ mod tests {
         ));
     }
 
+    /// With one worker, a burst of adjacent one-unit reads piles up
+    /// behind the first call; each still gets a backend call of its
+    /// own and its own unit's bytes.
     #[test]
-    fn adjacent_requests_coalesce_into_one_backend_call() {
-        // One worker, so the first dispatch piles the rest of the
-        // burst behind it while its backend call runs (reliable
-        // enough — the assertion accepts any nonzero merge count
-        // across repeats).
-        let cfg = EngineConfig { workers: 1, queue_capacity: 256 };
-        let mut merged = 0;
-        for _ in 0..8 {
-            let (eng, b) = engine(2, 512, cfg);
-            let tokens: Vec<Completion> = (0..64)
-                .map(|i| eng.submit_read_units(0, i, 1, Priority::Client).unwrap())
-                .collect();
-            for t in tokens {
-                assert_eq!(t.wait().unwrap().len(), 64);
-            }
-            merged += eng.snapshot().disks[0].coalesced;
-            // Coalescing must also shrink the number of backend calls.
-            assert!(b.read_calls(0) <= 64);
-            eng.stop();
-            if merged > 0 {
-                break;
-            }
+    fn each_queued_request_is_one_backend_call() {
+        let (eng, b) = engine(2, 512, EngineConfig { workers: 1 });
+        let unit = |i: usize| vec![i as u8; 64];
+        for i in 0..64 {
+            b.write_unit(0, i, &unit(i)).unwrap();
         }
-        assert!(merged > 0, "64 adjacent reads never coalesced across 8 bursts");
+        b.reset_counters();
+        let tokens: Vec<Completion> =
+            (0..64).map(|i| eng.submit_read_units(0, i, 1, Priority::Client).unwrap()).collect();
+        for (i, t) in tokens.into_iter().enumerate() {
+            assert_eq!(t.wait().unwrap(), unit(i), "request {i} gets its own unit");
+        }
+        assert_eq!(b.read_calls(0), 64);
+        let snap = eng.snapshot();
+        assert_eq!((snap.client_submitted, snap.completed), (64, 64));
+        assert_eq!((snap.disks[0].submitted, snap.disks[0].completed), (64, 64));
+        assert_eq!(snap.disks[0].coalesced, 0);
+        eng.stop();
     }
 
     #[test]
@@ -1038,7 +943,7 @@ mod tests {
     fn scan_skips_busy_queues_with_nothing_waiting() {
         let backend = Arc::new(MemBackend::new(2, 32, 64));
         let integrity = Arc::new(Integrity::new(2, 32));
-        let cfg = EngineConfig { workers: 1, ..EngineConfig::default() };
+        let cfg = EngineConfig { workers: 1 };
         // No pool: this test is the only worker.
         let eng = Engine {
             inner: Arc::new(Inner::new(backend, integrity, cfg)),
@@ -1049,7 +954,7 @@ mod tests {
             .into_iter()
             .map(|(disk, offset)| eng.submit_read_units(disk, offset, 1, Priority::Client).unwrap())
             .collect();
-        let pick = |wid| next_batch(&eng.inner, wid).map(|(disk, b)| (disk, b.reqs[0].offset));
+        let pick = |wid| next_request(&eng.inner, wid).map(|(disk, r)| (disk, r.offset));
         assert_eq!(pick(0), Some((0, 0)));
         assert_eq!(pick(1), Some((1, 0)));
         assert_eq!(pick(0), Some((1, 5)), "the waiting request, not disk 0's empty lane");
@@ -1058,7 +963,7 @@ mod tests {
 
     #[test]
     fn snapshot_reports_per_disk_queues() {
-        let (eng, _b) = engine(3, 32, EngineConfig { workers: 2, ..EngineConfig::default() });
+        let (eng, _b) = engine(3, 32, EngineConfig { workers: 2 });
         eng.submit_write_gather(1, 0, vec![7u8; 64], Priority::Maintenance)
             .unwrap()
             .wait()

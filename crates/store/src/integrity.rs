@@ -36,7 +36,7 @@
 
 use crate::error::StoreError;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
@@ -662,10 +662,6 @@ pub struct Integrity {
     pub sums: ChecksumTable,
     /// Per-disk health + auto-fail queue.
     pub health: HealthMonitor,
-    /// Checksum verification on/off (on by default). Off, reads skip
-    /// hashing and writes skip recording — the bench's overhead
-    /// control.
-    pub verify: AtomicBool,
     /// Retry count for transient errors.
     pub max_retries: AtomicU32,
     /// Linear backoff step (µs) between retries.
@@ -680,25 +676,18 @@ pub struct Integrity {
 
 impl Integrity {
     /// Integrity state for `disks × units` physical units with the
-    /// default retry policy, verification enabled.
+    /// default retry policy.
     pub fn new(disks: usize, units: usize) -> Self {
         let rp = RetryPolicy::default();
         Integrity {
             sums: ChecksumTable::new(disks, units),
             health: HealthMonitor::new(disks),
-            verify: AtomicBool::new(true),
             max_retries: AtomicU32::new(rp.max_retries),
             backoff_us: AtomicU64::new(rp.backoff_us),
             checksum_repairs: AtomicU64::new(0),
             parity_repairs: AtomicU64::new(0),
             scrub_passes: AtomicU64::new(0),
         }
-    }
-
-    /// Whether checksum verification is enabled.
-    #[inline]
-    pub fn verifying(&self) -> bool {
-        self.verify.load(Ordering::Relaxed)
     }
 
     /// The current retry policy.

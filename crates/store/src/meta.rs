@@ -422,8 +422,8 @@ impl ArrayDir {
         *self.journal.lock().unwrap_or_else(|e| e.into_inner()) = Journal { base, log_len };
     }
 
-    /// Persists the checksum table while verification is on. Called
-    /// from [`BlockStore::flush`] and from scrub checkpoints.
+    /// Persists the checksum table. Called from
+    /// [`BlockStore::flush`] and from scrub checkpoints.
     ///
     /// Rather than rewriting the whole table every time (continuous
     /// scrubbing would turn that into continuous full-table
@@ -437,9 +437,6 @@ impl ArrayDir {
     /// on replay by the record checksum and ignored; sums are
     /// best-effort and self-heal through read-repair.
     pub(crate) fn persist_sums(&self, integrity: &Integrity) -> Result<(), StoreError> {
-        if !integrity.verifying() {
-            return Ok(());
-        }
         let sums = &integrity.sums;
         let mut j = self.journal.lock().unwrap_or_else(|e| e.into_inner());
         let geometry = sums.geometry();

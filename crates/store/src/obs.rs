@@ -155,16 +155,8 @@ impl LatencyHistogram {
 /// non-negative, so the mod-2⁶⁴ sum is exact.
 #[derive(Debug)]
 struct ThreadCounts {
-    cells: [AtomicU64; OpKind::COUNT * 2 + 1],
+    cells: [AtomicU64; OpKind::COUNT * 2],
 }
-
-/// Index of the bypassed-write tally in [`ThreadCounts::cells`] (the
-/// slot after the per-kind `[ops, extra_units]` pairs). Bypass is a
-/// store-level routing decision driven by the registry's own mix
-/// estimator, so it is counted here — with the same single-writer
-/// load+store — rather than in the cache's shared counters, keeping
-/// the bypassed write path free of atomic RMWs.
-const BYPASS_SLOT: usize = OpKind::COUNT * 2;
 
 impl Default for ThreadCounts {
     fn default() -> Self {
@@ -195,12 +187,6 @@ impl ThreadCounts {
     /// This thread's op count for `kind` (the sampling clock).
     fn ops(&self, kind: OpKind) -> u64 {
         self.cells[kind.idx() * 2].load(Ordering::Relaxed)
-    }
-
-    /// Tallies one bypassed write. Owning thread only.
-    fn note_bypass(&self) {
-        let c = &self.cells[BYPASS_SLOT];
-        c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 }
 
@@ -236,9 +222,6 @@ pub struct OpTimer {
     /// Only dereferenced by `finish` on the same thread, while the
     /// registry (which pins the allocation) is borrowed.
     counts: *const ThreadCounts,
-    /// True on the 1-in-[`MIX_SAMPLE`](Metrics) op whose caller
-    /// should feed [`Metrics::note_mix`].
-    pub(crate) mix_due: bool,
 }
 
 /// One window level's accumulated degraded-time totals.
@@ -283,16 +266,8 @@ pub struct Metrics {
     threads: Mutex<Vec<Arc<ThreadCounts>>>,
     /// Sampled per-kind latency histograms (1-in-`SAMPLE_EVERY`).
     hist: [LatencyHistogram; OpKind::COUNT],
-    /// Recent read/write mix with periodic halving decay — the
-    /// admission signal for the cache's read-mostly bypass.
-    recent_reads: AtomicU64,
-    recent_writes: AtomicU64,
     /// Stripe-shard lock acquisitions that found the shard contended.
     lock_contention: AtomicU64,
-    /// Cached [`Metrics::read_mostly`] verdict, recomputed by every
-    /// [`Metrics::note_mix`] sample so the write hot path pays one
-    /// relaxed load instead of re-deriving the ratio per op.
-    read_heavy: AtomicBool,
     degraded: Mutex<DegradedClock>,
 }
 
@@ -306,10 +281,7 @@ impl Default for Metrics {
             id: NEXT_METRICS_ID.fetch_add(1, Ordering::Relaxed),
             threads: Mutex::new(Vec::new()),
             hist: Default::default(),
-            recent_reads: AtomicU64::new(0),
-            recent_writes: AtomicU64::new(0),
             lock_contention: AtomicU64::new(0),
-            read_heavy: AtomicBool::new(false),
             degraded: Mutex::new(DegradedClock::default()),
         }
     }
@@ -323,21 +295,6 @@ impl Metrics {
     /// benchmarks (a clock read costs ~40 ns on a VM, several times
     /// the rest of the begin/finish pair).
     pub const SAMPLE_EVERY: u64 = 64;
-
-    /// The caller-side sampling period for [`Metrics::note_mix`]:
-    /// [`OpTimer::mix_due`] is set on one op in this many, so the mix
-    /// estimator costs the hot path nothing on the other 63.
-    pub(crate) const MIX_SAMPLE: u64 = 64;
-
-    /// Decay window for the recent read/write mix, in **samples**
-    /// (halved whenever the combined count crosses this); at
-    /// 1-in-[`MIX_SAMPLE`](Self::MIX_SAMPLE) sampling this spans
-    /// ~16k ops.
-    const MIX_WINDOW: u64 = 256;
-
-    /// Minimum recent samples (~1024 ops) before
-    /// [`Metrics::read_mostly`] trusts the mix.
-    const MIX_MIN: u64 = 16;
 
     /// The calling thread's private counter cells for this registry:
     /// one thread-local read and an id compare on the fast path, a
@@ -379,22 +336,15 @@ impl Metrics {
     }
 
     /// Opens an op: decides (from this thread's op count for the
-    /// kind) whether this op's latency is sampled and whether its
-    /// caller owes a [`Metrics::note_mix`] sample. The count itself
+    /// kind) whether this op's latency is sampled. The count itself
     /// is bumped in [`Metrics::finish`] with a single-writer
     /// load+store — the whole begin/finish pair performs **no atomic
     /// RMW** on the unsampled hot path. `force_timing` (set when an
     /// event sink wants span durations) samples unconditionally.
     pub fn begin(&self, kind: OpKind, force_timing: bool) -> OpTimer {
         let counts = self.my_counts();
-        let seen = counts.ops(kind);
-        let sampled = force_timing || seen.is_multiple_of(Self::SAMPLE_EVERY);
-        OpTimer {
-            kind,
-            start: sampled.then(Instant::now),
-            counts: counts as *const ThreadCounts,
-            mix_due: seen.is_multiple_of(Self::MIX_SAMPLE),
-        }
+        let sampled = force_timing || counts.ops(kind).is_multiple_of(Self::SAMPLE_EVERY);
+        OpTimer { kind, start: sampled.then(Instant::now), counts: counts as *const ThreadCounts }
     }
 
     /// Closes an op opened by [`Metrics::begin`]: counts it, adds the
@@ -429,23 +379,6 @@ impl Metrics {
         }
     }
 
-    /// Tallies one write routed around the write-back cache by the
-    /// read-mostly bypass. Takes the op's open [`OpTimer`] so the
-    /// tally reuses the counter cells `begin` already resolved — the
-    /// bypass path pays one load+store, no thread-local lookup and no
-    /// RMW.
-    pub(crate) fn note_bypass(&self, t: &OpTimer) {
-        // Same thread and liveness argument as `finish`.
-        unsafe { &*t.counts }.note_bypass();
-    }
-
-    /// Total writes routed around the cache by the read-mostly
-    /// bypass, across all threads.
-    pub fn bypassed_writes(&self) -> u64 {
-        let threads = self.threads.lock().unwrap();
-        threads.iter().map(|t| t.cells[BYPASS_SLOT].load(Ordering::Relaxed)).sum()
-    }
-
     /// Ops recorded across every kind and thread — the
     /// degraded-window op clock.
     pub fn total_ops(&self) -> u64 {
@@ -462,50 +395,6 @@ impl Metrics {
             [OpKind::Read, OpKind::Write, OpKind::DegradedRead, OpKind::DegradedWrite];
         let threads = self.threads.lock().unwrap();
         CLIENT.iter().map(|&k| threads.iter().map(|t| t.ops(k)).sum::<u64>()).sum()
-    }
-
-    /// Feeds the recent read/write mix estimator (decayed counters;
-    /// approximate under races, which is all the admission check
-    /// needs). Callers invoke this only on ops whose
-    /// `OpTimer::mix_due` flag is set (1 in
-    /// `Self::MIX_SAMPLE`); each sample also refreshes
-    /// the cached [`Metrics::read_mostly`] verdict.
-    pub fn note_mix(&self, is_read: bool) {
-        let bumped = if is_read { &self.recent_reads } else { &self.recent_writes };
-        bumped.fetch_add(1, Ordering::Relaxed);
-        let mut r = self.recent_reads.load(Ordering::Relaxed);
-        let mut w = self.recent_writes.load(Ordering::Relaxed);
-        if r + w >= Self::MIX_WINDOW {
-            r /= 2;
-            w /= 2;
-            self.recent_reads.store(r, Ordering::Relaxed);
-            self.recent_writes.store(w, Ordering::Relaxed);
-        }
-        // Hysteresis: enter read-heavy at r ≥ 2w, but only *leave*
-        // below r = 1.5w. A mix sitting near the 2:1 boundary (the
-        // canonical 70/30 workload is 2.33:1, with sampling noise
-        // straddling 2:1) would otherwise flip the verdict back and
-        // forth, and every flip to read-heavy drains the write-back
-        // cache — making cached slower than uncached. Sticky
-        // verdicts keep the bypass decision stable across
-        // interleaved passes of such workloads.
-        let verdict = if r + w < Self::MIX_MIN {
-            false
-        } else if self.read_heavy.load(Ordering::Relaxed) {
-            2 * r >= 3 * w
-        } else {
-            r >= 2 * w
-        };
-        self.read_heavy.store(verdict, Ordering::Relaxed);
-    }
-
-    /// True when recent traffic is read-dominated (reads ≥ 2× writes
-    /// over the decayed window, with enough samples to mean it) — the
-    /// signal behind the cache's read-mostly write-back bypass. One
-    /// relaxed load: the verdict is precomputed by
-    /// [`Metrics::note_mix`] samples.
-    pub fn read_mostly(&self) -> bool {
-        self.read_heavy.load(Ordering::Relaxed)
     }
 
     /// Counts one contended stripe-shard lock acquisition.
@@ -1033,8 +922,6 @@ pub struct CacheStatsSnapshot {
     pub insertions: u64,
     /// Writes absorbed into an already-dirty unit (combined RMWs).
     pub absorbed_writes: u64,
-    /// Writes that skipped the cache via the read-mostly bypass.
-    pub bypassed_writes: u64,
     /// Stripes flushed by over-budget eviction.
     pub evictions: u64,
     /// Stripes flushed (all causes).
@@ -1213,12 +1100,11 @@ pub fn render_stats(s: &StatsSnapshot) -> String {
     let c = &s.cache;
     let _ = writeln!(
         out,
-        "cache: {} hits / {} misses, {} absorbed, {} bypassed, {} flushed stripes ({} units), \
-         {} evicted, {} dirty",
+        "cache: {} hits / {} misses, {} absorbed, {} flushed stripes ({} units), {} evicted, \
+         {} dirty",
         c.hits,
         c.misses,
         c.absorbed_writes,
-        c.bypassed_writes,
         c.flushed_stripes,
         c.flushed_units,
         c.evictions,
@@ -1322,14 +1208,13 @@ pub fn render_stats(s: &StatsSnapshot) -> String {
             let _ = writeln!(
                 out,
                 "  queue d{:<2} {:>3} queued / {:>2} in-flight / ewma {:>6}us / {:>8} sub / \
-                 {:>8} done / {:>6} coalesced / {:>8} inline",
+                 {:>8} done / {:>8} inline",
                 d.disk,
                 d.queued,
                 d.in_flight,
                 d.ewma_service_us,
                 d.submitted,
                 d.completed,
-                d.coalesced,
                 d.inline
             );
         }
@@ -1387,42 +1272,6 @@ mod tests {
         // Forced timing (sink installed) always records.
         let t = m.begin(OpKind::Write, true);
         assert!(m.finish(t, 1).is_some());
-    }
-
-    #[test]
-    fn read_mostly_needs_dominance_and_volume() {
-        let m = Metrics::default();
-        assert!(!m.read_mostly(), "no samples yet");
-        for _ in 0..300 {
-            m.note_mix(true);
-        }
-        assert!(m.read_mostly(), "all reads");
-        for _ in 0..300 {
-            m.note_mix(false);
-        }
-        assert!(!m.read_mostly(), "mix dropped below 2x");
-    }
-
-    #[test]
-    fn read_mostly_verdict_is_sticky_near_the_boundary() {
-        let m = Metrics::default();
-        // A 70/30 mix (2.33:1) enters read-heavy…
-        for i in 0..200 {
-            m.note_mix(i % 10 < 7);
-        }
-        assert!(m.read_mostly(), "70/30 enters read-heavy");
-        // …and a dip to 9/5 (1.8:1) — below the 2:1 entry threshold
-        // but above the 1.5:1 exit threshold — must NOT flip it
-        // back: every flip drains the write-back cache.
-        for i in 0..70 {
-            m.note_mix(i % 14 < 9);
-        }
-        assert!(m.read_mostly(), "1.8:1 dip stays read-heavy (hysteresis)");
-        // A genuinely write-heavy shift does leave.
-        for _ in 0..300 {
-            m.note_mix(false);
-        }
-        assert!(!m.read_mostly(), "sustained writes leave read-heavy");
     }
 
     #[test]
@@ -1535,7 +1384,7 @@ mod tests {
                     ewma_service_us: 120,
                     submitted: 5,
                     completed: 4,
-                    coalesced: 2,
+                    coalesced: 0,
                     inline: 30,
                 }],
             }),
@@ -1562,10 +1411,10 @@ mod tests {
         let eng = back.engine.as_ref().unwrap();
         assert_eq!(eng.client_submitted, 40);
         assert_eq!(eng.maintenance_deferred, 2);
-        assert_eq!(eng.disks[0].coalesced, 2);
         assert_eq!((eng.handoff_us, eng.disks[0].inline), (12, 30));
         assert!(text.contains("engine: 9 worker(s), hand-off 12us"));
-        assert!(text.contains("coalesced /       30 inline"));
+        assert!(text.contains("       4 done /       30 inline"));
+        assert!(!text.contains("coalesced"));
         // Engine-less snapshots round-trip the section as null.
         let mut no_engine = snap.clone();
         no_engine.engine = None;

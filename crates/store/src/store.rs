@@ -146,8 +146,8 @@ use crate::io::{Io, Run};
 use crate::maintenance::MaintState;
 use crate::meta::ArrayDir;
 use crate::obs::{
-    DiskStatSnapshot, Event, EventHub, EventSink, Metrics, OpKind, OpTimer, RebuildProgress,
-    RebuildTracker, StatsSnapshot,
+    DiskStatSnapshot, Event, EventHub, EventSink, Metrics, OpKind, RebuildProgress, RebuildTracker,
+    StatsSnapshot,
 };
 use crate::reshape::ReshapeRuntime;
 use crate::scheme::{FailureSet, ParityScheme};
@@ -1125,8 +1125,7 @@ impl<B: Backend> BlockStore<B> {
     }
 
     /// The store's metrics registry — per-op-kind counters, sampled
-    /// latency histograms, the recent read/write mix, and the
-    /// degraded-window clock. Always on.
+    /// latency histograms, and the degraded-window clock. Always on.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
@@ -1139,19 +1138,6 @@ impl<B: Backend> BlockStore<B> {
     /// sink is [`crate::TraceLog`]; tests plug in their own.
     pub fn set_event_sink(&self, sink: Option<Arc<dyn EventSink>>) {
         self.events.set(sink);
-    }
-
-    /// Enables or disables checksum verification (on by default).
-    /// Off, reads skip hashing and writes skip recording — the
-    /// integrity-overhead control the benches measure against.
-    pub fn set_checksums_enabled(&self, on: bool) {
-        self.integrity.verify.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether per-unit checksums are verified on read and recorded
-    /// on write.
-    pub fn checksums_enabled(&self) -> bool {
-        self.integrity.verifying()
     }
 
     /// Sets the disk-health auto-fail threshold: a physical disk
@@ -1253,8 +1239,7 @@ impl<B: Backend> BlockStore<B> {
         let epoch = st.epoch;
         let reshape = st.reshape.as_ref().map(|rs| rs.progress_snapshot());
         drop(st);
-        let mut cache = self.cache.stats_snapshot();
-        cache.bypassed_writes = self.metrics.bypassed_writes();
+        let cache = self.cache.stats_snapshot();
         let mut integrity = self.integrity.snapshot();
         integrity.scrub_cursor = self.scrub_cursor.load(Ordering::Relaxed);
         StatsSnapshot {
@@ -1820,11 +1805,10 @@ impl<B: Backend> BlockStore<B> {
             units.resize(staged * us, 0);
         }
         let (runs, of) = (&*runs, &*of);
-        let verify = self.integrity.verifying();
         let mut first_bad = None;
         self.io().read_into(runs, units, Priority::Client, |r, unit| {
             let (run, (i, checked)) = (&runs[r], of[r]);
-            if verify && checked && !self.integrity.sums.check(run.disk, run.first, unit) {
+            if checked && !self.integrity.sums.check(run.disk, run.first, unit) {
                 first_bad.get_or_insert((run.disk, run.first));
                 if bad.last() != Some(&i) {
                     bad.push(i);
@@ -1913,13 +1897,10 @@ impl<B: Backend> BlockStore<B> {
     /// and records the checksums of exactly the runs that landed, also
     /// when another run's failure fails the call.
     fn write_recorded(&self, runs: &[Run], srcs: &[&[u8]]) -> Result<(), StoreError> {
-        let verify = self.integrity.verifying();
         self.io().write_runs(runs, srcs, Priority::Client, |i| {
             let run = &runs[i];
-            if verify {
-                for (t, unit) in srcs[run.parts.clone()].iter().enumerate() {
-                    self.integrity.sums.record(run.disk, run.first + t, unit);
-                }
+            for (t, unit) in srcs[run.parts.clone()].iter().enumerate() {
+                self.integrity.sums.record(run.disk, run.first + t, unit);
             }
         })
     }
@@ -1946,7 +1927,7 @@ impl<B: Backend> BlockStore<B> {
     pub(crate) fn read_unit(&self, at: PhysUnit, buf: &mut [u8]) -> Result<(), StoreError> {
         let PhysUnit { disk, offset, checked } = at;
         self.integrity.retrying(disk, || self.backend.read_unit(disk, offset, &mut *buf))?;
-        if checked && self.integrity.verifying() && !self.integrity.sums.check(disk, offset, buf) {
+        if checked && !self.integrity.sums.check(disk, offset, buf) {
             return Err(StoreError::ChecksumMismatch { disk, offset });
         }
         Ok(())
@@ -1966,9 +1947,7 @@ impl<B: Backend> BlockStore<B> {
                 self.backend.write_units(disk, offset, buf)
             }
         })?;
-        if self.integrity.verifying() {
-            self.integrity.sums.record_span(disk, offset, buf, self.unit_size);
-        }
+        self.integrity.sums.record_span(disk, offset, buf, self.unit_size);
         Ok(())
     }
 
@@ -2218,46 +2197,44 @@ impl<B: Backend> BlockStore<B> {
             // verify the whole prefetch before decoding. Mismatching
             // stripes are repaired in place (exclusive locks, after
             // the shared guards drop) and the chunk retried once.
-            if self.integrity.verifying() {
-                let mut bad: Vec<(usize, usize)> = Vec::new();
-                let mut first_bad: Option<(usize, usize)> = None;
-                for i in 0..n {
-                    let offset = start + i;
-                    let copy = offset / size;
-                    let shift = (copy * size) as u32;
-                    let r = w.layout.unit_ref(disk, offset % size);
-                    let si = r.stripe as usize;
-                    for u in w.layout.stripes()[si].units() {
-                        if u.disk as usize == disk || st.failed.contains(u.disk as usize) {
-                            continue;
+            let mut bad: Vec<(usize, usize)> = Vec::new();
+            let mut first_bad: Option<(usize, usize)> = None;
+            for i in 0..n {
+                let offset = start + i;
+                let copy = offset / size;
+                let shift = (copy * size) as u32;
+                let r = w.layout.unit_ref(disk, offset % size);
+                let si = r.stripe as usize;
+                for u in w.layout.stripes()[si].units() {
+                    if u.disk as usize == disk || st.failed.contains(u.disk as usize) {
+                        continue;
+                    }
+                    let pd = st.redirect[u.disk as usize];
+                    let off = (u.offset + shift) as usize;
+                    let ok = match cache.wants.binary_search(&(pd as u32, u.offset + shift)) {
+                        Ok(ix) => self.integrity.sums.check(pd, off, cache.unit(ix)),
+                        Err(_) => true,
+                    };
+                    if !ok {
+                        if bad.last() != Some(&(copy, si)) {
+                            bad.push((copy, si));
                         }
-                        let pd = st.redirect[u.disk as usize];
-                        let off = (u.offset + shift) as usize;
-                        let ok = match cache.wants.binary_search(&(pd as u32, u.offset + shift)) {
-                            Ok(ix) => self.integrity.sums.check(pd, off, cache.unit(ix)),
-                            Err(_) => true,
-                        };
-                        if !ok {
-                            if bad.last() != Some(&(copy, si)) {
-                                bad.push((copy, si));
-                            }
-                            first_bad.get_or_insert((pd, off));
-                        }
+                        first_bad.get_or_insert((pd, off));
                     }
                 }
-                if let Some((pd, off)) = first_bad {
-                    if attempt == 1 {
-                        return Err(StoreError::ChecksumMismatch { disk: pd, offset: off });
-                    }
-                    attempt = 1;
-                    drop(guards);
-                    for &(copy, si) in &bad {
-                        let shard = self.locks.shard_of(copy, si);
-                        let (_g, _) = self.locks.lock_one_counting(shard);
-                        self.repair_stripe_locked(&st, copy, si)?;
-                    }
-                    continue;
+            }
+            if let Some((pd, off)) = first_bad {
+                if attempt == 1 {
+                    return Err(StoreError::ChecksumMismatch { disk: pd, offset: off });
                 }
+                attempt = 1;
+                drop(guards);
+                for &(copy, si) in &bad {
+                    let shard = self.locks.shard_of(copy, si);
+                    let (_g, _) = self.locks.lock_one_counting(shard);
+                    self.repair_stripe_locked(&st, copy, si)?;
+                }
+                continue;
             }
             for (i, chunk) in out.chunks_exact_mut(self.unit_size).enumerate() {
                 let offset = start + i;
@@ -2299,12 +2276,11 @@ impl<B: Backend> BlockStore<B> {
         scratch: &mut Scratch,
     ) -> Result<Decoded, StoreError> {
         let io = self.io();
-        let verify = self.integrity.verifying();
         self.decode_stripe_with(st, si, shift, extra_lost, scratch, |_, u, buf| {
             let (disk, first) = (st.redirect[u.disk as usize], u.offset as usize);
             let run = [Run { disk, first, parts: 0..1 }];
             io.read_into(&run, buf, Priority::Client, |_, _| {})?;
-            if verify && !self.integrity.sums.check(disk, first, buf) {
+            if !self.integrity.sums.check(disk, first, buf) {
                 return Err(StoreError::ChecksumMismatch { disk, offset: first });
             }
             Ok(())
@@ -2361,14 +2337,12 @@ impl<B: Backend> BlockStore<B> {
     /// The one envelope every client call runs in. It takes over the
     /// caller's state guard (so the op's kind is classified under the
     /// very snapshot the body then runs against), opens the
-    /// [`OpTimer`], feeds the read/write mix estimator — under every
-    /// cache policy, so a store switched *to* write-back starts with
-    /// a warm verdict — emits `OpBegin` and runs `body`. The span
-    /// closes (`finish` + `OpEnd`) only when the body succeeds; the
-    /// guard is dropped and queued auto-fail decisions are applied on
-    /// **every** exit, `Ok` or `Err`. `body` returns how many of the
-    /// call's `blocks` a `Read` span served by stripe decode: those
-    /// are accounted as `DegradedRead` units instead.
+    /// [`OpTimer`](crate::obs::OpTimer), emits `OpBegin` and runs
+    /// `body`. The span closes (`finish` + `OpEnd`) only when the body
+    /// succeeds; the guard is dropped and queued auto-fail decisions
+    /// are applied on **every** exit, `Ok` or `Err`. `body` returns how
+    /// many of the call's `blocks` a `Read` span served by stripe
+    /// decode: those are accounted as `DegradedRead` units instead.
     #[inline]
     fn client_op(
         &self,
@@ -2376,12 +2350,9 @@ impl<B: Backend> BlockStore<B> {
         kind: OpKind,
         addr: usize,
         blocks: usize,
-        body: impl FnOnce(&ArrayState, &OpTimer) -> Result<u64, StoreError>,
+        body: impl FnOnce(&ArrayState) -> Result<u64, StoreError>,
     ) -> Result<(), StoreError> {
         let t = self.metrics.begin(kind, self.events.active());
-        if t.mix_due {
-            self.metrics.note_mix(matches!(kind, OpKind::Read | OpKind::DegradedRead));
-        }
         self.events.emit(|| {
             let m = st.world.smap.locate_full(addr);
             Event::OpBegin {
@@ -2392,7 +2363,7 @@ impl<B: Backend> BlockStore<B> {
                 disk: m.unit.disk,
             }
         });
-        let res = body(&st, &t).map(|decoded| {
+        let res = body(&st).map(|decoded| {
             let ns = self.metrics.finish(t, blocks as u64 - decoded).unwrap_or(0);
             self.metrics.add_units(OpKind::DegradedRead, decoded);
             self.events.emit(|| Event::OpEnd {
@@ -2423,7 +2394,7 @@ impl<B: Backend> BlockStore<B> {
         let m = st.world.smap.locate_full(addr);
         let degraded = st.failed.contains(m.unit.disk as usize);
         let kind = if degraded { OpKind::DegradedRead } else { OpKind::Read };
-        self.client_op(st, kind, addr, 1, |st, _| {
+        self.client_op(st, kind, addr, 1, |st| {
             // Dirty units exist only in the write-back cache until
             // their stripe flushes, so every read path probes it
             // first (one atomic load when the cache is clean). A miss
@@ -2493,36 +2464,18 @@ impl<B: Backend> BlockStore<B> {
         let (shard, key, j, k_data) = self.cache_coords(&st, &m, addr);
         let kind =
             if degraded_stripe(&st, m.stripe) { OpKind::DegradedWrite } else { OpKind::Write };
-        self.client_op(st, kind, addr, 1, |st, t| {
-            // Read-mostly write-back bypass: when recent traffic is
-            // read-dominated and the backend is memory-speed (no
-            // call-coalescing win to combine for), deferring the
-            // update buys nothing — the flush does the same backend
-            // work later while every read pays the cache probe.
+        self.client_op(st, kind, addr, 1, |st| {
             let wb = self.cache.is_write_back();
-            let bypass = wb && !self.backend.prefers_gap_bridging() && self.metrics.read_mostly();
             {
                 let (_g, contended) = self.locks.lock_one_counting(shard);
                 if contended {
                     self.metrics.note_lock_contention();
                     self.events.emit(|| Event::LockContention { shard: shard as u32 });
                 }
-                // Never bypasses past an existing entry: a direct
-                // backend write below a dirty cached unit would let
-                // reads serve the stale cached bytes. With zero dirty
-                // stripes anywhere (one acquire load — reads use the
-                // same gate) the per-stripe probe is skipped; a
-                // concurrent insert for *this* stripe is excluded by
-                // the shard lock held here.
-                if !wb
-                    || (bypass && !(self.cache.maybe_dirty() && self.cache.has_entry(shard, key)))
-                {
-                    if bypass {
-                        self.metrics.note_bypass(t);
-                    }
-                    self.update_partial_stripe(st, m.copy, m.stripe, data, &[(j, 0)], false)?;
-                } else {
+                if wb {
                     self.cache.write(shard, key, k_data, j, data);
+                } else {
+                    self.update_partial_stripe(st, m.copy, m.stripe, data, &[(j, 0)], false)?;
                 }
                 // The target world of an active reshape sees every
                 // write, cached ones included — migration reads the
@@ -2531,17 +2484,7 @@ impl<B: Backend> BlockStore<B> {
                 // target stripes fresh.
                 self.dual_write_if_reshaping(st, addr, data)?;
             }
-            if bypass {
-                // The mix turned read-mostly while stripes dirtied
-                // before the flip are still resident; they keep
-                // `maybe_dirty` true, taxing every later op with
-                // the probe above. Drain them now — one address-
-                // sorted combined flush — so the steady state is
-                // the clean fast path again. Estimator flapping
-                // costs one drain per flip, work the eviction
-                // trickle would have done anyway, batched.
-                self.flush_cache_locked(st)?;
-            } else if wb {
+            if wb {
                 // Eviction runs with the stripe lock released (one
                 // victim shard at a time — see `evict_over_limit`).
                 self.evict_over_limit(st)?;
@@ -2641,7 +2584,6 @@ impl<B: Backend> BlockStore<B> {
         // Each run is verified as it lands, in **one** checksum-table
         // pass over its wanted units (a hole's discard slice is
         // skipped, not checked); `bad` collects `(run, offset)`.
-        let verify = self.integrity.verifying();
         let mut offs: Vec<usize> = Vec::new();
         let mut check = |i: usize, bufs: &[&mut [u8]], bad: &mut Vec<(usize, usize)>| {
             let run = &runs[i];
@@ -2651,7 +2593,7 @@ impl<B: Backend> BlockStore<B> {
                 at = off + 1;
                 (off as usize, &*bufs[part - 1])
             });
-            if verify && !self.integrity.sums.check_many(run.disk, wanted, &mut offs) {
+            if !self.integrity.sums.check_many(run.disk, wanted, &mut offs) {
                 bad.extend(offs.drain(..).map(|off| (i, off)));
             }
         };
@@ -2712,7 +2654,7 @@ impl<B: Backend> BlockStore<B> {
         }
         // The batch records one `Read` span; blocks served by stripe
         // decode move their units to `DegradedRead` at the end.
-        self.client_op(self.state_read(), OpKind::Read, start, n, |st, _| {
+        self.client_op(self.state_read(), OpKind::Read, start, n, |st| {
             self.read_blocks_locked(st, start, buf)
         })
     }
@@ -2881,7 +2823,7 @@ impl<B: Backend> BlockStore<B> {
         // batch degraded (per-stripe classification would walk every
         // stripe's members before any byte moves).
         let kind = if st.failed.is_empty() { OpKind::Write } else { OpKind::DegradedWrite };
-        self.client_op(st, kind, start, n, |st, _| {
+        self.client_op(st, kind, start, n, |st| {
             self.write_blocks_locked(st, start, data)?;
             Ok(0)
         })

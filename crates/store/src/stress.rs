@@ -115,9 +115,8 @@ pub struct StressConfig {
     /// stress run with this configuration (started before the
     /// traffic, stopped after the verification sweep) — every hot
     /// path then goes through the per-disk submission queues. The
-    /// `PDL_ENGINE` / `PDL_ENGINE_WORKERS` environment variables
-    /// override it, so the CI engine matrix replays every schedule
-    /// through the queues.
+    /// `PDL_ENGINE` environment variable overrides it, so the CI
+    /// engine matrix replays every schedule through the queues.
     pub engine: Option<crate::engine::EngineConfig>,
 }
 
@@ -140,7 +139,8 @@ impl Default for StressConfig {
 
 impl StressConfig {
     /// Applies the `PDL_STRESS_SEED` / `PDL_STRESS_THREADS` /
-    /// `PDL_STRESS_OPS` / `PDL_CACHE` environment overrides (the CI
+    /// `PDL_STRESS_OPS` / `PDL_CACHE` / `PDL_ENGINE` environment
+    /// overrides (the CI
     /// concurrency matrix sets the thread count and cache policy; a
     /// failure replays with the seed).
     pub fn with_env_overrides(mut self) -> Self {
@@ -160,12 +160,6 @@ impl StressConfig {
         if let Ok(s) = std::env::var("PDL_ENGINE") {
             let on: u32 = s.parse().expect("PDL_ENGINE must be 0 or 1");
             self.engine = if on != 0 { Some(crate::engine::EngineConfig::default()) } else { None };
-        }
-        if let Ok(s) = std::env::var("PDL_ENGINE_WORKERS") {
-            let workers = s.parse().expect("PDL_ENGINE_WORKERS must be a usize");
-            let mut ecfg = self.engine.unwrap_or_default();
-            ecfg.workers = workers;
-            self.engine = Some(ecfg);
         }
         self
     }

@@ -350,7 +350,7 @@ fn engine_stop_under_forced_transients_fulfils_everything() {
     record_seeds("stop_drain", &seeds);
     for seed in seeds {
         let store = xor_faulty_mem(noisy(seed));
-        store.start_engine(EngineConfig { workers: 2, ..EngineConfig::default() });
+        store.start_engine(EngineConfig { workers: 2 });
         store.backend().fail_next(3);
         let mut buf = vec![0u8; UNIT];
         // Reads retry through the forced transients exactly like the

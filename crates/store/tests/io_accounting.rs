@@ -16,6 +16,7 @@ use pdl_store::{
     Backend, BlockStore, CachePolicy, EngineConfig, EngineStatsSnapshot, FileBackend, MemBackend,
     RebuildProgress, Rebuilder, StatsSnapshot,
 };
+use std::collections::BTreeMap;
 
 const UNIT: usize = 128;
 
@@ -56,20 +57,18 @@ fn diff<B: Backend>(store: &BlockStore<B>, t0: &StatsSnapshot) -> (u64, u64, u64
 
 /// The engine's books between two snapshots: the `dispatched_calls`
 /// backend calls the dispatcher made are exactly the engine's
-/// submissions that were not merged into a queue neighbour plus the
-/// runs it routed inline (its disk served faster than the hand-off;
-/// on memory, every disk once timed), every completion token has
-/// drained, nothing failed, and no maintenance request waited behind
-/// client work. Vacuous with the engine off.
+/// submissions plus the runs it routed inline (its disk served faster
+/// than the hand-off; on memory, every disk once timed), every
+/// completion token has drained, nothing failed, and no maintenance
+/// request waited behind client work. Vacuous with the engine off.
 fn engine_accounts(now: &StatsSnapshot, before: &StatsSnapshot, dispatched_calls: u64) {
     let (Some(e0), Some(e1)) = (&before.engine, &now.engine) else { return };
     let submitted = |e: &EngineStatsSnapshot| e.client_submitted + e.maintenance_submitted;
-    let merged = |e: &EngineStatsSnapshot| e.disks.iter().map(|d| d.coalesced).sum::<u64>();
     let inline = |e: &EngineStatsSnapshot| e.disks.iter().map(|d| d.inline).sum::<u64>();
     assert_eq!(
-        (submitted(e1) - submitted(e0)) - (merged(e1) - merged(e0)) + (inline(e1) - inline(e0)),
+        (submitted(e1) - submitted(e0)) + (inline(e1) - inline(e0)),
         dispatched_calls,
-        "one backend call per unmerged engine submission or inline run"
+        "one backend call per engine submission or inline run"
     );
     assert_eq!(e1.completed, submitted(e1), "every completion token drained");
     assert_eq!((e1.errors, e1.maintenance_deferred), (0, 0), "no error, no deferral");
@@ -481,58 +480,54 @@ fn write_back_batch_flush_coalesces_across_stripes() {
     }
 }
 
-/// Single-block traffic whose mix the store's estimator calls
-/// read-mostly before the first write arrives: 2048 reads (32 of the
-/// 1-in-64 samples, twice the minimum), then 1000 ops at 70/30.
-/// Returns the number of writes issued.
-fn read_mostly_trace<B: Backend>(store: &BlockStore<B>) -> u64 {
+/// Single-block traffic that is read-mostly before the first write
+/// arrives: 2048 reads, then 1000 ops at 70/30. Returns the last
+/// value written to each written address.
+fn read_mostly_trace<B: Backend>(store: &BlockStore<B>) -> BTreeMap<usize, u8> {
     let mut buf = vec![0u8; UNIT];
-    let mut writes = 0;
+    let mut written = BTreeMap::new();
     for i in 0..3048usize {
         let addr = (i * 7) % store.blocks();
         if i >= 2048 && i % 10 >= 7 {
             store.write_block(addr, &[i as u8; UNIT]).unwrap();
-            writes += 1;
+            written.insert(addr, i as u8);
         } else {
             store.read_block(addr, &mut buf).unwrap();
         }
     }
-    writes
+    written
 }
 
-/// Under a read-dominated mix a memory-speed backend gains nothing
-/// from deferring small writes, so write-back routes each around the
-/// cache: nothing goes dirty and the backend sees exactly the write
-/// calls of a write-through twin. A backend that prefers gap bridging
-/// (files: a call costs a syscall, so combining pays) never bypasses.
+/// Write-back caches every client write, whatever the read/write mix
+/// and whatever the backend: under a read-mostly trace neither a
+/// memory-speed nor a file array issues one backend write before the
+/// flush, and the flush lands every last value with parity intact.
 #[test]
-fn read_mostly_mix_bypasses_write_back_on_memory_speed_backends_only() {
-    // The bypass decision does not look at the engine, so one mode.
-    let twin = |policy| {
-        let store = ring_store(7, 4, 2, false);
-        store.set_cache_policy(policy).unwrap();
-        let writes = read_mostly_trace(&store);
-        let calls = store.stats().io_totals().write_calls;
-        (store, writes, calls)
-    };
-    let (cached, writes, cached_calls) = twin(CachePolicy::write_back());
-    let (_, _, through_calls) = twin(CachePolicy::WriteThrough);
-    assert_eq!(cached.stats().cache.bypassed_writes, writes, "every write bypassed");
-    assert_eq!(cached.dirty_cache_stripes(), 0, "a bypassed write leaves nothing dirty");
-    assert_eq!(cached_calls, through_calls, "same backend writes as the uncached twin");
-    assert_eq!(cached_calls, 2 * writes, "each a 2 + 2 RMW");
-    cached.verify_parity().unwrap();
+fn write_back_defers_every_write_whatever_the_mix() {
+    fn leg<B: Backend>(store: &BlockStore<B>, name: &str) {
+        store.set_cache_policy(CachePolicy::write_back()).unwrap();
+        let t0 = store.stats().io_totals();
+        let written = read_mostly_trace(store);
+        assert!(!written.is_empty());
+        let calls = store.stats().io_totals().since(&t0).write_calls;
+        assert_eq!(calls, 0, "{name}: no backend write before the flush");
+        assert!(store.dirty_cache_stripes() > 0, "{name}: the writes sit in the cache");
+        store.flush().unwrap();
+        let mut buf = vec![0u8; UNIT];
+        for (&addr, &val) in &written {
+            store.read_block(addr, &mut buf).unwrap();
+            assert_eq!(buf, [val; UNIT], "{name}: block {addr} reads its last value");
+        }
+        store.verify_parity().unwrap();
+    }
+    // Caching does not look at the engine, so one mode.
+    leg(&ring_store(7, 4, 2, false), "memory");
 
-    let dir = std::env::temp_dir().join(format!("pdl-io-bypass-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("pdl-io-write-back-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let layout = RingLayout::for_v_k(7, 4).layout().clone();
     let backend = FileBackend::create(&dir, 8, 2 * layout.size(), UNIT).unwrap();
-    let file = BlockStore::new(layout, backend).unwrap();
-    file.set_cache_policy(CachePolicy::write_back()).unwrap();
-    read_mostly_trace(&file);
-    assert_eq!(file.stats().cache.bypassed_writes, 0, "a syscall-bound backend keeps combining");
-    assert!(file.dirty_cache_stripes() > 0);
-    drop(file);
+    leg(&BlockStore::new(layout, backend).unwrap(), "file");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
