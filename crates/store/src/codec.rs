@@ -23,9 +23,10 @@
 //!   end up holding P and Q;
 //! * **verify** — fold every unit: a consistent stripe leaves both
 //!   accumulators zero ([`is_zero`]);
-//! * **decode** — fold the survivors: each accumulator is left holding
-//!   the fold of the *missing* units, which [`decode`] solves for up
-//!   to two of them;
+//! * **decode** — fold the survivors, each from wherever the caller
+//!   holds its bytes ([`Decode`]): each accumulator is left holding
+//!   the fold of the *missing* units, which [`Decode::solve`] solves
+//!   for up to two of them;
 //! * **read-modify-write** — fold `old ⊕ new` of a data unit
 //!   ([`delta`]) into the old parity bytes: they become the new parity.
 //!
@@ -106,8 +107,8 @@ pub(crate) fn is_zero(bytes: &[u8]) -> bool {
 }
 
 /// Reusable decode buffers: one P accumulator, one Q accumulator, one
-/// transfer buffer. Rebuild workers hold one per thread; the store's
-/// data paths borrow them from its scratch pool.
+/// read buffer. Rebuild workers hold one per thread; the store's data
+/// paths borrow them from its scratch pool.
 #[derive(Debug)]
 pub(crate) struct Scratch {
     pub(crate) acc_p: Vec<u8>,
@@ -125,7 +126,7 @@ impl Scratch {
     }
 }
 
-/// Names which [`Scratch`] accumulator holds a decoded unit, so a
+/// Names which accumulator of a [`Decode`] holds a decoded unit, so a
 /// decode result carries no borrow.
 #[derive(Clone, Copy, Debug)]
 enum DecodedBuf {
@@ -133,13 +134,14 @@ enum DecodedBuf {
     Q,
 }
 
-/// A decode result: up to two lost slots and where their bytes sit in
-/// the [`Scratch`] that decoded them, until its next decode.
+/// A decode result: up to two lost slots and which accumulator holds
+/// each, until the accumulators' next decode.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Decoded([Option<(usize, DecodedBuf)>; 2]);
 
 impl Decoded {
-    /// The decoded bytes of lost `slot`.
+    /// The decoded bytes of lost `slot`, from the [`Scratch`] whose
+    /// accumulators the decode ran in.
     pub(crate) fn get<'s>(
         &self,
         scratch: &'s Scratch,
@@ -158,70 +160,153 @@ impl Decoded {
     }
 }
 
-/// Erasure-decodes a stripe of `width` units with parity at `p_slot`
-/// (and `q_slot`): reads every slot not in `lost` (ascending, at most
-/// as many as the stripe has parity units) exactly once through
-/// `read`, folds it, and solves for the lost units. No heap
-/// allocation — this sits in the rebuild workers' per-unit loop.
+/// An erasure decode in progress: the caller [folds](Decode::fold)
+/// every slot not in [`Decode::lost`] exactly once, straight from
+/// wherever its bytes lie — a prefetch cache, a stripe already in
+/// memory, one read buffer — and then [solves](Decode::solve). No
+/// copy and no heap allocation: this sits in the rebuild's per-unit
+/// loop.
 ///
-/// The Q syndrome is only part of the answer with two units lost, or
-/// when the one lost unit is Q itself; any other single erasure is
-/// solved by the P equation alone and leaves `scratch.acc_q`
-/// untouched. Every survivor (Q included) is still read, so per-disk
-/// read counts do not depend on which unit a stripe lost.
-pub(crate) fn decode<E>(
-    scratch: &mut Scratch,
-    width: usize,
+/// The P accumulator is *copy*-initialised from the first survivor
+/// that lands in it (as `plan_stripe` initialises P), which saves a
+/// zero-fill and one pass. The Q syndrome is only part of the answer
+/// with two units lost, or when the one lost unit is Q itself; any
+/// other single erasure is solved by the P equation alone and leaves
+/// the Q accumulator untouched (a lost Q alone leaves P untouched).
+/// The caller still folds every survivor, so per-disk read counts do
+/// not depend on which unit a stripe lost.
+pub(crate) struct Decode<'a> {
+    syn: Syndromes<'a>,
+    /// No survivor has landed in the P accumulator yet.
+    p_fresh: bool,
     p_slot: usize,
     q_slot: Option<usize>,
-    lost: &[usize],
-    mut read: impl FnMut(usize, &mut [u8]) -> Result<(), E>,
-) -> Result<Decoded, E> {
-    let Scratch { acc_p, acc_q, tmp } = scratch;
-    let need_q = lost.len() == 2 || (lost.len() == 1 && Some(lost[0]) == q_slot);
-    let mut syn = Syndromes::zeroed(acc_p, need_q.then_some(acc_q.as_mut_slice()));
-    for slot in (0..width).filter(|slot| !lost.contains(slot)) {
-        read(slot, tmp)?;
-        syn.fold(Role::of(slot, p_slot, q_slot), tmp);
+    lost: [usize; 2],
+    nlost: usize,
+}
+
+impl<'a> Decode<'a> {
+    /// A decode of `lost` (ascending, at most as many slots as the
+    /// stripe has parity units) into `acc_p` and `acc_q` — a
+    /// [`Scratch`]'s, so [`Decoded::get`] finds the answers there.
+    pub(crate) fn new(
+        acc_p: &'a mut [u8],
+        acc_q: &'a mut [u8],
+        p_slot: usize,
+        q_slot: Option<usize>,
+        lost: &[usize],
+    ) -> Decode<'a> {
+        let q_alone = matches!(*lost, [a] if Some(a) == q_slot);
+        let need_q = lost.len() == 2 || q_alone;
+        Decode::start(
+            Syndromes { p: (!q_alone).then_some(acc_p), q: need_q.then_some(acc_q) },
+            p_slot,
+            q_slot,
+            lost,
+        )
     }
-    // Each accumulator now equals the fold of the *missing* units.
-    let (is_p, is_q) = (|s: usize| s == p_slot, |s: usize| Some(s) == q_slot);
-    Ok(Decoded(match *lost {
-        [] => [None, None],
-        // Whichever unit is missing, the P accumulator already equals
-        // it — except a missing Q, which the Q accumulator holds.
-        [a] if is_q(a) => [Some((a, DecodedBuf::Q)), None],
-        [a] => [Some((a, DecodedBuf::P)), None],
-        [a, b] => {
-            debug_assert!(q_slot.is_some(), "two erasures need P+Q");
-            if (is_p(a) && is_q(b)) || (is_p(b) && is_q(a)) {
-                // Lost P and Q: each accumulator is its parity.
-                let (p_lost, q_lost) = if is_p(a) { (a, b) } else { (b, a) };
-                [Some((p_lost, DecodedBuf::P)), Some((q_lost, DecodedBuf::Q))]
-            } else if is_p(a) || is_p(b) {
-                // Lost P and a data unit j: the Q equation is missing
-                // only g^j·D_j, so D_j = acc_q / g^j; then
-                // P = acc_p ^ D_j.
-                let (p_lost, j) = if is_p(a) { (a, b) } else { (b, a) };
-                let c = gf256::inv(gf256::gen_pow(j)).expect("g^j is nonzero");
-                gf256::mul_slice(acc_q, c);
-                xor_slice(acc_p, acc_q);
-                [Some((j, DecodedBuf::Q)), Some((p_lost, DecodedBuf::P))]
-            } else if is_q(a) || is_q(b) {
-                // Lost Q and a data unit j: D_j = acc_p; then
-                // Q = acc_q ^ g^j·D_j.
-                let (q_lost, j) = if is_q(a) { (a, b) } else { (b, a) };
-                gf256::mul_add_slice(acc_q, acc_p, gf256::gen_pow(j));
-                [Some((j, DecodedBuf::P)), Some((q_lost, DecodedBuf::Q))]
-            } else {
-                // Two lost data units: the classic RAID-6 solve.
-                gf256::solve_two_erasures(acc_p, acc_q, gf256::gen_pow(a), gf256::gen_pow(b));
-                // acc_q now holds D_a, acc_p holds D_b.
-                [Some((a, DecodedBuf::Q)), Some((b, DecodedBuf::P))]
+
+    /// A decode of the one lost `slot` straight into `out`, which
+    /// holds the answer once [solved](Decode::solve): the output unit
+    /// is the only accumulator.
+    pub(crate) fn into_unit(
+        out: &'a mut [u8],
+        p_slot: usize,
+        q_slot: Option<usize>,
+        slot: usize,
+    ) -> Decode<'a> {
+        let syn = if Some(slot) == q_slot {
+            Syndromes { p: None, q: Some(out) }
+        } else {
+            Syndromes { p: Some(out), q: None }
+        };
+        Decode::start(syn, p_slot, q_slot, &[slot])
+    }
+
+    fn start(
+        mut syn: Syndromes<'a>,
+        p_slot: usize,
+        q_slot: Option<usize>,
+        lost: &[usize],
+    ) -> Decode<'a> {
+        debug_assert!(lost.len() <= 1 + usize::from(q_slot.is_some()), "lost past the parity");
+        debug_assert!(lost.windows(2).all(|w| w[0] < w[1]), "lost slots ascend");
+        if let Some(q) = &mut syn.q {
+            q.fill(0);
+        }
+        let mut slots = [usize::MAX; 2];
+        slots[..lost.len()].copy_from_slice(lost);
+        Decode { syn, p_fresh: true, p_slot, q_slot, lost: slots, nlost: lost.len() }
+    }
+
+    /// The lost slots: every other slot of the stripe is a survivor
+    /// the caller folds.
+    pub(crate) fn lost(&self) -> &[usize] {
+        &self.lost[..self.nlost]
+    }
+
+    /// Folds survivor `slot`'s bytes into the accumulators.
+    #[inline]
+    pub(crate) fn fold(&mut self, slot: usize, bytes: &[u8]) {
+        debug_assert!(!self.lost().contains(&slot), "slot {slot} is lost, not a survivor");
+        let role = Role::of(slot, self.p_slot, self.q_slot);
+        if self.p_fresh && role != Role::Q {
+            if let Some(p) = &mut self.syn.p {
+                p.copy_from_slice(bytes);
+                self.p_fresh = false;
+                Syndromes { p: None, q: self.syn.q.as_deref_mut() }.fold(role, bytes);
+                return;
             }
         }
-        _ => unreachable!("callers bound the lost set by the stripe's parity count"),
-    }))
+        self.syn.fold(role, bytes);
+    }
+
+    /// Solves for the lost units once every survivor is folded.
+    pub(crate) fn solve(self) -> Decoded {
+        let Decode { syn: Syndromes { mut p, q }, p_fresh, p_slot, q_slot, lost, nlost } = self;
+        if let (true, Some(p)) = (p_fresh, &mut p) {
+            p.fill(0); // no survivor folds into P: every unit it sums is lost
+        }
+        // Each accumulator now equals the fold of the *missing* units.
+        let (is_p, is_q) = (|s: usize| s == p_slot, |s: usize| Some(s) == q_slot);
+        Decoded(match lost[..nlost] {
+            [] => [None, None],
+            // Whichever unit is missing, the P accumulator already
+            // equals it — except a missing Q, which the Q accumulator
+            // holds.
+            [a] if is_q(a) => [Some((a, DecodedBuf::Q)), None],
+            [a] => [Some((a, DecodedBuf::P)), None],
+            [a, b] => {
+                let (acc_p, acc_q) = (p.expect("two erasures fold P"), q.expect("and Q"));
+                if (is_p(a) && is_q(b)) || (is_p(b) && is_q(a)) {
+                    // Lost P and Q: each accumulator is its parity.
+                    let (p_lost, q_lost) = if is_p(a) { (a, b) } else { (b, a) };
+                    [Some((p_lost, DecodedBuf::P)), Some((q_lost, DecodedBuf::Q))]
+                } else if is_p(a) || is_p(b) {
+                    // Lost P and a data unit j: the Q equation is
+                    // missing only g^j·D_j, so D_j = acc_q / g^j; then
+                    // P = acc_p ^ D_j.
+                    let (p_lost, j) = if is_p(a) { (a, b) } else { (b, a) };
+                    let c = gf256::inv(gf256::gen_pow(j)).expect("g^j is nonzero");
+                    gf256::mul_slice(acc_q, c);
+                    xor_slice(acc_p, acc_q);
+                    [Some((j, DecodedBuf::Q)), Some((p_lost, DecodedBuf::P))]
+                } else if is_q(a) || is_q(b) {
+                    // Lost Q and a data unit j: D_j = acc_p; then
+                    // Q = acc_q ^ g^j·D_j.
+                    let (q_lost, j) = if is_q(a) { (a, b) } else { (b, a) };
+                    gf256::mul_add_slice(acc_q, acc_p, gf256::gen_pow(j));
+                    [Some((j, DecodedBuf::P)), Some((q_lost, DecodedBuf::Q))]
+                } else {
+                    // Two lost data units: the classic RAID-6 solve.
+                    gf256::solve_two_erasures(acc_p, acc_q, gf256::gen_pow(a), gf256::gen_pow(b));
+                    // acc_q now holds D_a, acc_p holds D_b.
+                    [Some((a, DecodedBuf::Q)), Some((b, DecodedBuf::P))]
+                }
+            }
+            _ => unreachable!("callers bound the lost set by the stripe's parity count"),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -253,8 +338,9 @@ mod tests {
     /// The whole codec on every small stripe: both schemes, widths
     /// 2..=6, every parity placement, unit sizes straddling the
     /// kernels' vector width — encode, verify, read-modify-write, and
-    /// every lost set up to the scheme's tolerance (single, data/data,
-    /// data/P, data/Q, P/Q).
+    /// the borrowed-slice decode of every lost set up to the scheme's
+    /// tolerance (single, data/data, data/P, data/Q, P/Q), a single
+    /// erasure also straight into the output unit.
     #[test]
     fn fold_encodes_verifies_updates_and_decodes_every_lost_set() {
         for len in [1usize, 31, 64] {
@@ -306,18 +392,18 @@ mod tests {
             lost_sets.extend((0..width).flat_map(|a| (a + 1..width).map(move |b| vec![a, b])));
         }
         for lost in lost_sets {
+            // Into a scratch's accumulators, every survivor folded from
+            // the slice it already lies in.
             let mut scratch = Scratch::new(len);
+            scratch.acc_p.fill(POISON);
             scratch.acc_q.fill(POISON);
-            let mut reads = vec![0usize; width];
-            let solved = decode::<()>(&mut scratch, width, p_slot, q_slot, &lost, |slot, buf| {
-                reads[slot] += 1;
-                buf.copy_from_slice(&stripe[slot]);
-                Ok(())
-            })
-            .unwrap();
-            for (slot, &n) in reads.iter().enumerate() {
-                assert_eq!(n, usize::from(!lost.contains(&slot)), "{ctx} lost {lost:?}: reads");
+            let mut dec =
+                Decode::new(&mut scratch.acc_p, &mut scratch.acc_q, p_slot, q_slot, &lost);
+            assert_eq!(dec.lost(), &lost[..], "{ctx}: the lost set");
+            for slot in (0..width).filter(|s| !lost.contains(s)) {
+                dec.fold(slot, &stripe[slot]);
             }
+            let solved = dec.solve();
             let mut answered: Vec<usize> = solved.slots().collect();
             answered.sort_unstable();
             assert_eq!(answered, lost, "{ctx}: exactly the lost slots are solved");
@@ -328,10 +414,25 @@ mod tests {
             if let Some(survivor) = (0..width).find(|s| !lost.contains(s)) {
                 assert!(solved.get(&scratch, survivor).is_err(), "{ctx}: survivor not decoded");
             }
-            // The Q syndrome is built only when the answer needs it.
-            let need_q = lost.len() == 2 || (lost.len() == 1 && Some(lost[0]) == q_slot);
-            if !need_q {
+            // Each syndrome is built only when the answer needs it.
+            let q_alone = lost.len() == 1 && Some(lost[0]) == q_slot;
+            if lost.len() == 1 && !q_alone {
                 assert!(scratch.acc_q.iter().all(|&b| b == POISON), "{ctx} lost {lost:?}: Q idle");
+            }
+            if q_alone {
+                assert!(scratch.acc_p.iter().all(|&b| b == POISON), "{ctx} lost {lost:?}: P idle");
+            }
+
+            // A single erasure straight into the output unit: its
+            // prior bytes are overwritten, never folded in.
+            if let [slot] = lost[..] {
+                let mut out = vec![POISON; len];
+                let mut dec = Decode::into_unit(&mut out, p_slot, q_slot, slot);
+                for s in (0..width).filter(|&s| s != slot) {
+                    dec.fold(s, &stripe[s]);
+                }
+                dec.solve();
+                assert_eq!(out, stripe[slot], "{ctx}: slot {slot} folded into the output unit");
             }
         }
     }

@@ -722,6 +722,10 @@ struct RebuildRun {
     started: Instant,
     /// Per-logical-disk backend read counts at registration.
     baseline_reads: Vec<u64>,
+    /// Per-logical-disk reads that were repair work, not
+    /// reconstruction: a retried chunk's discarded prefetch and the
+    /// stripe repairs it waited on.
+    repair_reads: Vec<u64>,
 }
 
 impl RebuildTracker {
@@ -733,6 +737,7 @@ impl RebuildTracker {
             spare,
             total,
             started: Instant::now(),
+            repair_reads: vec![0; baseline.len()],
             baseline_reads: baseline,
         });
         self.active.store(true, Ordering::Release);
@@ -741,6 +746,14 @@ impl RebuildTracker {
     pub(crate) fn add_done(&self, units: u64) {
         if self.active.load(Ordering::Relaxed) {
             self.done.fetch_add(units, Ordering::Relaxed);
+        }
+    }
+
+    /// Counts one repair-work read on each logical disk of `disks`;
+    /// they are kept out of the read distribution.
+    pub(crate) fn note_repair_reads(&self, disks: impl IntoIterator<Item = usize>) {
+        if let Some(run) = self.run.lock().unwrap().as_mut() {
+            disks.into_iter().for_each(|d| run.repair_reads[d] += 1);
         }
     }
 
@@ -761,11 +774,15 @@ impl RebuildTracker {
         // ETA from the moving rate: remaining units at the average
         // units/ms so far (0 until the first chunk lands).
         let eta_ms = ((run.total - done) * elapsed_ms.max(1)).checked_div(done).unwrap_or(0);
-        let per_disk_reads: Vec<u64> = current_reads
-            .iter()
-            .zip(&run.baseline_reads)
-            .enumerate()
-            .map(|(d, (&cur, &base))| if d == run.failed { 0 } else { cur.saturating_sub(base) })
+        let per_disk_reads: Vec<u64> = (0..current_reads.len())
+            .map(|d| {
+                let spent = run.baseline_reads[d] + run.repair_reads[d];
+                if d == run.failed {
+                    0
+                } else {
+                    current_reads[d].saturating_sub(spent)
+                }
+            })
             .collect();
         let survivors = per_disk_reads.len().saturating_sub(1).max(1);
         let total_reads: u64 = per_disk_reads.iter().sum();
@@ -786,11 +803,12 @@ impl RebuildTracker {
 
 /// A live view of a running rebuild (see `RebuildTracker` /
 /// [`crate::BlockStore::rebuild_progress`]). `per_disk_reads` counts
-/// backend reads per *logical* disk since the rebuild registered —
-/// with racing client traffic those reads are included, so
-/// `mean_read_fraction` approximates the paper's `(k−1)/(v−1)` rather
-/// than matching it exactly (the final [`crate::RebuildReport`] is
-/// measured the same way).
+/// backend reads per *logical* disk since the rebuild registered, less
+/// the repair work of chunks retried after a checksum mismatch (their
+/// discarded prefetch and the stripe repairs' reads) — with racing
+/// client traffic those reads are included, so `mean_read_fraction`
+/// approximates the paper's `(k−1)/(v−1)` rather than matching it
+/// exactly (the final [`crate::RebuildReport`] is this same count).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RebuildProgress {
     /// The logical disk being rebuilt.
@@ -806,8 +824,8 @@ pub struct RebuildProgress {
     /// Estimated milliseconds to completion at the average rate so
     /// far (0 before the first chunk lands).
     pub eta_ms: u64,
-    /// Backend reads per logical disk since registration (the entry
-    /// for `failed_disk` is 0).
+    /// Backend reads per logical disk since registration, less
+    /// repair work (the entry for `failed_disk` is 0).
     pub per_disk_reads: Vec<u64>,
     /// Mean fraction of a surviving disk read per reconstructed unit
     /// so far — declustering predicts `(k−1)/(v−1)`.

@@ -12,6 +12,22 @@
 //! rebuild — batching changes how reads are issued, never which units
 //! are read — so the declustering measurement is unchanged.
 //!
+//! **One sweep per survivor.** After the prefetch lands, each target
+//! unit's survivors are checksum-checked and folded into it where
+//! they lie in the prefetch — no verify pass over the whole chunk, no
+//! copy into a transfer buffer. A single erasure folds straight into
+//! the output unit; a stripe crossing a second failed disk takes the
+//! two-erasure solve in the same sweep. The prefetch is the only copy
+//! of a survivor's bytes. A mismatching survivor discards the chunk's
+//! output; its stripe is repaired under the exclusive lock and the
+//! chunk retried once, so a corrupt survivor never reaches the spare.
+//!
+//! **Chunks bounded by bytes.** A chunk is at most
+//! min([`Rebuilder::chunk_size`], 256 KiB ÷ unit size) units — 128 at
+//! 512 B, 64 at 4 KiB, 4 at 64 KiB — so its prefetch (k−1 survivors
+//! per unit) plus its output stay cache-resident while the sweep runs
+//! over them.
+//!
 //! Rebuilds take `&BlockStore` and may run **concurrently with live
 //! client traffic**: the rebuild registers itself in the store's
 //! failure-epoch state, each chunk holds its stripes' shard locks
@@ -60,7 +76,10 @@ pub struct RebuildReport {
     pub units_rebuilt: usize,
     /// Units read from each *logical* disk during the rebuild
     /// (entries for `failed_disk` and `also_failed` are 0: their
-    /// media are gone).
+    /// media are gone), less the repair work of a chunk retried after
+    /// a checksum mismatch — its discarded prefetch and the stripe
+    /// repairs' reads. The same count as
+    /// [`crate::RebuildProgress::per_disk_reads`].
     pub per_disk_reads: Vec<u64>,
     /// Worker threads used.
     pub workers: usize,
@@ -118,12 +137,17 @@ pub struct Rebuilder {
     chunk: usize,
 }
 
-/// Default units per rebuild chunk. Each chunk pays one state-guard
-/// acquisition plus one shard-lock acquisition per distinct stripe it
-/// covers, so larger chunks amortize the concurrency machinery (the
-/// shard count caps the locks per chunk at 64 however large the chunk
-/// grows) on top of the vectored-IO batching.
+/// Default upper bound on units per rebuild chunk. Each chunk pays
+/// one state-guard acquisition plus one shard-lock acquisition per
+/// distinct stripe it covers, so larger chunks amortize the
+/// concurrency machinery (the shard count caps the locks per chunk at
+/// 64 however large the chunk grows) on top of the vectored-IO
+/// batching — up to [`CHUNK_BYTES`].
 const DEFAULT_CHUNK: usize = 128;
+
+/// Bytes of output per rebuild chunk, at most: the chunk's prefetch
+/// and output must still be in cache when its one sweep folds them.
+const CHUNK_BYTES: usize = 256 << 10;
 
 impl Default for Rebuilder {
     fn default() -> Self {
@@ -138,8 +162,9 @@ impl Rebuilder {
         Rebuilder { workers: workers.max(1), chunk: DEFAULT_CHUNK }
     }
 
-    /// Units reconstructed per claimed work item; tune for backend
-    /// latency (larger chunks amortize queue contention).
+    /// At most this many units reconstructed per claimed work item
+    /// (the chunk is also bounded to 256 KiB of output); tune for
+    /// backend latency (larger chunks amortize queue contention).
     pub fn chunk_size(mut self, chunk: usize) -> Self {
         self.chunk = chunk.max(1);
         self
@@ -210,12 +235,10 @@ impl Rebuilder {
         store.begin_rebuild(failed, spare)?;
         let also_failed: Vec<usize> =
             store.failed_disks().iter().filter(|&d| d != failed).collect();
-        let backend = store.backend();
-        let units = backend.units_per_disk();
-        let before: Vec<u64> =
-            (0..store.v()).map(|d| backend.read_count(store.physical_disk(d))).collect();
+        let units = store.backend().units_per_disk();
         let start = Instant::now();
 
+        let chunk = self.chunk.min(CHUNK_BYTES / store.unit_size()).max(1);
         let next = AtomicUsize::new(0);
         let first_error: Mutex<Option<StoreError>> = Mutex::new(None);
         let shared: &BlockStore<B> = store;
@@ -226,15 +249,16 @@ impl Rebuilder {
                     // offsets; `rebuild_chunk` prefetches every
                     // surviving stripe member the chunk's decodes need
                     // in coalesced per-disk runs (one vectored read
-                    // per run), decodes from memory, and lands the
-                    // chunk on the spare with one vectored write —
-                    // all under the chunk's stripe shard locks, so
-                    // racing client writes serialize per stripe.
-                    let mut buf = vec![0u8; self.chunk * shared.unit_size()];
+                    // per run), checks and folds each where it lies,
+                    // and lands the chunk on the spare with one
+                    // vectored write — all under the chunk's stripe
+                    // shard locks, so racing client writes serialize
+                    // per stripe.
+                    let mut buf = vec![0u8; chunk * shared.unit_size()];
                     let mut scratch = Scratch::new(shared.unit_size());
                     let mut cache = UnitCache::new();
                     loop {
-                        let at = next.fetch_add(self.chunk, Ordering::Relaxed);
+                        let at = next.fetch_add(chunk, Ordering::Relaxed);
                         // Poison-proof locking throughout: a panicking
                         // sibling worker poisons the mutex, and dying
                         // on `PoisonError` here would replace the
@@ -245,7 +269,7 @@ impl Rebuilder {
                         {
                             return;
                         }
-                        let end = (at + self.chunk).min(units);
+                        let end = (at + chunk).min(units);
                         let out = &mut buf[..(end - at) * shared.unit_size()];
                         let res =
                             shared.rebuild_chunk(failed, spare, at, out, &mut scratch, &mut cache);
@@ -262,15 +286,11 @@ impl Rebuilder {
             return Err(e);
         }
 
-        let backend = store.backend();
-        let per_disk_reads: Vec<u64> = (0..store.v())
-            .map(|d| {
-                if d == failed || also_failed.contains(&d) {
-                    0
-                } else {
-                    backend.read_count(store.physical_disk(d)) - before[d]
-                }
-            })
+        // The live progress's count: backend reads since registration,
+        // less repair work.
+        let progress = store.rebuild_progress().expect("registered until complete_rebuild");
+        let per_disk_reads: Vec<u64> = (progress.per_disk_reads.iter().enumerate())
+            .map(|(d, &r)| if also_failed.contains(&d) { 0 } else { r })
             .collect();
         store.complete_rebuild(failed, spare)?;
         store.flush()?;

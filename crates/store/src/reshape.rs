@@ -83,7 +83,7 @@
 
 use crate::backend::Backend;
 use crate::cache::{key_parts, stripe_key, FlushSnapshot};
-use crate::codec::{self, Decoded, Role, Syndromes};
+use crate::codec::{self, Decoded, Role, Scratch, Syndromes};
 use crate::engine::Priority;
 use crate::error::StoreError;
 use crate::io::Run;
@@ -92,7 +92,8 @@ use crate::meta::{slots_u32, ReshapeState};
 use crate::obs::{Event, OpKind, ReshapeProgressSnapshot};
 use crate::scheme::{FailureSet, ParityScheme};
 use crate::store::{
-    sort_shard_set, ArrayState, BlockStore, PhysUnit, StripeLockTable, UnitCache, World, WritePlan,
+    sort_shard_set, sweep_repairing, ArrayState, BlockStore, Mismatches, PhysUnit, StripeLockTable,
+    UnitCache, World, WritePlan,
 };
 use pdl_core::{
     relayout_cost, DoubleParityLayout, LayoutSpec, ReshapeMethod, ReshapePlan, StripeUnit,
@@ -730,41 +731,26 @@ impl<B: Backend> BlockStore<B> {
                 ucache.push_want(st.redirect[u.disk as usize] as u32, u.offset + shift);
             }
         }
-        ucache.fill(&self.io(), us)?;
-        // Assemble the batch's source bytes in address order:
-        // healthy units from the band read, lost units decoded once
-        // per stripe, addresses past the source capacity left zero.
+        // Assemble the batch's source bytes in address order. A corrupt
+        // source unit must not migrate (the commit drops every sum, so
+        // it would be laundered): mismatching stripes are repaired in
+        // place — their shards are already held exclusively — and the
+        // band read and swept once more. Addresses past the source
+        // capacity stay zero.
         let n_addr = hi_addr - lo_addr;
         src_data.clear();
         src_data.resize(n_addr * us, 0);
         let fill_end = cap_src.saturating_sub(lo_addr).min(n_addr);
         let mut scratch = self.scratch.get();
         let res: Result<usize, StoreError> = (|| {
-            let mut decoded_for = (usize::MAX, usize::MAX);
-            let mut solved = Decoded::default();
-            for i in 0..fill_end {
-                let m = w.smap.locate_full(lo_addr + i);
-                let out = &mut src_data[i * us..(i + 1) * us];
-                if st.failed.contains(m.unit.disk as usize) {
-                    if decoded_for != (m.copy, m.stripe) {
-                        let shift = (m.copy * w.layout.size()) as u32;
-                        solved = self.decode_stripe_with(
-                            &st,
-                            m.stripe,
-                            shift,
-                            &[],
-                            &mut scratch,
-                            |_, u, buf| {
-                                ucache.copy_to(st.redirect[u.disk as usize] as u32, u.offset, buf)
-                            },
-                        )?;
-                        decoded_for = (m.copy, m.stripe);
-                    }
-                    out.copy_from_slice(solved.get(&scratch, m.slot)?);
-                } else {
-                    ucache.copy_to(st.redirect[m.unit.disk as usize] as u32, m.unit.offset, out)?;
-                }
-            }
+            sweep_repairing(
+                |bad| {
+                    ucache.fill(&self.io(), us)?;
+                    let out = &mut src_data[..fill_end * us];
+                    self.sweep_band(&st, lo_addr, out, ucache, &mut scratch, bad)
+                },
+                |copy, si| self.repair_stripe_locked(&st, copy, si).map(drop),
+            )?;
             // Plan the target stripes — data from the assembled source
             // bytes, P/Q fresh — at the scratch rows, and write them.
             let tw = &*rs.target;
@@ -804,6 +790,61 @@ impl<B: Backend> BlockStore<B> {
         );
         self.events.emit(|| Event::ReshapeProgress { stripes_done: t1, stripes_total: rs.total });
         Ok(t1 >= rs.total)
+    }
+
+    /// The sweep over a migration batch's band read: `out` receives
+    /// the source bytes of the addresses from `lo_addr` on. A stripe
+    /// with a lost data unit is decoded where the sweep enters it,
+    /// its survivors checked and folded in place, and its healthy
+    /// units then copied unchecked; any other healthy unit is checked
+    /// as it is copied. Mismatching units are noted in `bad` (the
+    /// output is then not to be used).
+    fn sweep_band(
+        &self,
+        st: &ArrayState,
+        lo_addr: usize,
+        out: &mut [u8],
+        band: &UnitCache,
+        scratch: &mut Scratch,
+        bad: &mut Mismatches,
+    ) -> Result<(), StoreError> {
+        let (w, us) = (&*st.world, self.unit_size);
+        // The stripe the sweep is in, and whether it was decoded.
+        let mut current: Option<((usize, usize), bool)> = None;
+        let mut solved = Decoded::default();
+        for (i, unit) in out.chunks_exact_mut(us).enumerate() {
+            let m = w.smap.locate_full(lo_addr + i);
+            let key = (m.copy, m.stripe);
+            let decoded = match current {
+                Some((at, decoded)) if at == key => decoded,
+                _ => {
+                    let lost_data =
+                        w.layout.stripes()[m.stripe].units().iter().enumerate().any(|(slot, u)| {
+                            st.failed.contains(u.disk as usize)
+                                && !w.smap.is_parity_slot(m.stripe, slot)
+                        });
+                    if lost_data {
+                        let Scratch { acc_p, acc_q, .. } = &mut *scratch;
+                        let mut dec = self.stripe_decode(st, m.stripe, &[], acc_p, acc_q)?;
+                        self.fold_checked(st, m.copy, m.stripe, &mut dec, band, bad)?;
+                        solved = dec.solve();
+                    }
+                    current = Some((key, lost_data));
+                    lost_data
+                }
+            };
+            if st.failed.contains(m.unit.disk as usize) {
+                unit.copy_from_slice(solved.get(scratch, m.slot)?);
+                continue;
+            }
+            let (pd, off) = (st.redirect[m.unit.disk as usize], m.unit.offset as usize);
+            let bytes = band.get(pd, off)?;
+            if !decoded && !self.integrity.sums.check(pd, off, bytes) {
+                bad.note(key, pd, off);
+            }
+            unit.copy_from_slice(bytes);
+        }
+        Ok(())
     }
 
     /// Mirrors an acknowledged write into the target world: under the

@@ -138,7 +138,7 @@
 
 use crate::backend::Backend;
 use crate::cache::{key_parts, stripe_key, CachePolicy, FlushSnapshot, StripeCache};
-use crate::codec::{self, Decoded, Role, Scratch, Syndromes};
+use crate::codec::{self, Decode, Decoded, Role, Scratch, Syndromes};
 use crate::engine::Priority;
 use crate::error::StoreError;
 use crate::integrity::{Integrity, RetryPolicy};
@@ -504,11 +504,12 @@ impl<T> Pool<T> {
     }
 }
 
-/// A prefetched set of physical units: the rebuild workers list every
-/// surviving stripe member a chunk of decodes will need, read each
-/// disk's units in coalesced runs (one vectored backend call per run),
-/// and then decode entirely from memory. Reused across chunks so the
-/// steady-state rebuild loop is allocation-free.
+/// A prefetched set of physical units: the rebuild workers and the
+/// reshape's band read list every unit a chunk (or batch) will need,
+/// read each disk's units in coalesced runs (one vectored backend call
+/// per run), and then verify and fold each unit where it lies in the
+/// cache ([`UnitCache::get`] borrows, it never copies). Reused across
+/// chunks so the steady-state rebuild loop is allocation-free.
 #[derive(Debug, Default)]
 pub(crate) struct UnitCache {
     /// `(physical disk, offset)` wanted keys; sorted by [`UnitCache::fill`].
@@ -558,20 +559,56 @@ impl UnitCache {
         io.read_into(&runs, &mut self.data, Priority::Maintenance, |_, _| {})
     }
 
-    /// The `i`-th cached unit's bytes (index-aligned with `wants`).
-    pub(crate) fn unit(&self, i: usize) -> &[u8] {
-        &self.data[i * self.unit_size..(i + 1) * self.unit_size]
-    }
-
-    /// Copies the cached unit `(disk, offset)` into `out`.
-    pub(crate) fn copy_to(&self, disk: u32, offset: u32, out: &mut [u8]) -> Result<(), StoreError> {
-        let i = self.wants.binary_search(&(disk, offset)).map_err(|_| {
+    /// The cached bytes of unit `(disk, offset)`.
+    pub(crate) fn get(&self, disk: usize, offset: usize) -> Result<&[u8], StoreError> {
+        let i = self.wants.binary_search(&(disk as u32, offset as u32)).map_err(|_| {
             StoreError::Corrupt(format!(
-                "unit (disk {disk}, offset {offset}) missing from the rebuild read cache"
+                "unit (disk {disk}, offset {offset}) missing from the prefetch cache"
             ))
         })?;
-        out.copy_from_slice(&self.data[i * self.unit_size..(i + 1) * self.unit_size]);
-        Ok(())
+        Ok(&self.data[i * self.unit_size..(i + 1) * self.unit_size])
+    }
+}
+
+/// The prefetched units a sweep found corrupt: each stripe `(copy,
+/// stripe)` holding one, in sweep order, and the first such unit
+/// `(physical disk, offset)`.
+#[derive(Debug, Default)]
+pub(crate) struct Mismatches {
+    stripes: Vec<(usize, usize)>,
+    first: Option<(usize, usize)>,
+}
+
+impl Mismatches {
+    pub(crate) fn note(&mut self, stripe: (usize, usize), disk: usize, offset: usize) {
+        if self.stripes.last() != Some(&stripe) {
+            self.stripes.push(stripe);
+        }
+        self.first.get_or_insert((disk, offset));
+    }
+}
+
+/// Runs `sweep` — a pass over prefetched units that notes corrupt
+/// ones instead of using them — and, if it noted any, runs `repair`
+/// on each stripe it named and sweeps once more. A corrupt unit on
+/// the second sweep is [`StoreError::ChecksumMismatch`] naming it.
+pub(crate) fn sweep_repairing<T>(
+    mut sweep: impl FnMut(&mut Mismatches) -> Result<T, StoreError>,
+    mut repair: impl FnMut(usize, usize) -> Result<(), StoreError>,
+) -> Result<T, StoreError> {
+    let mut bad = Mismatches::default();
+    let out = sweep(&mut bad)?;
+    if bad.first.is_none() {
+        return Ok(out);
+    }
+    for &(copy, si) in &bad.stripes {
+        repair(copy, si)?;
+    }
+    let mut bad = Mismatches::default();
+    let out = sweep(&mut bad)?;
+    match bad.first {
+        None => Ok(out),
+        Some((disk, offset)) => Err(StoreError::ChecksumMismatch { disk, offset }),
     }
 }
 
@@ -2018,21 +2055,18 @@ impl<B: Backend> BlockStore<B> {
         if !mismatched.is_empty() {
             // Decode the mismatched units (the failed disks ride
             // along in the lost set but have no medium to rewrite)
-            // from the verified survivors — served from the bytes
+            // from the verified survivors — folded from the bytes
             // already read above, no second backend pass.
             let mut scratch = self.scratch.get();
             let res = (|| -> Result<(), StoreError> {
-                let solved = self.decode_stripe_with(
-                    st,
-                    si,
-                    shift,
-                    &mismatched,
-                    &mut scratch,
-                    |slot, _, buf| {
-                        buf.copy_from_slice(&bytes[slot * us..(slot + 1) * us]);
-                        Ok(())
-                    },
-                )?;
+                let Scratch { acc_p, acc_q, .. } = &mut scratch;
+                let mut dec = self.stripe_decode(st, si, &mismatched, acc_p, acc_q)?;
+                for (slot, val) in bytes.chunks_exact(us).enumerate() {
+                    if !dec.lost().contains(&slot) {
+                        dec.fold(slot, val);
+                    }
+                }
+                let solved = dec.solve();
                 for slot in solved.slots() {
                     if !mismatched.contains(&slot) {
                         continue; // a failed disk's unit: no medium
@@ -2133,12 +2167,15 @@ impl<B: Backend> BlockStore<B> {
     /// lands them on physical disk `spare` with one vectored write.
     /// Surviving members are prefetched in coalesced per-disk runs
     /// (one vectored backend call per run) instead of one call per
-    /// stripe member. The chunk's stripe shards are held *shared* for
-    /// the whole prefetch→decode→spare-write sequence, so concurrent
-    /// writers (exclusive) are excluded stripe by stripe and the
-    /// spare write cannot clobber a write-through that happened after
-    /// the decode. `scratch` and `cache` are caller-owned so worker
-    /// threads reuse their capacity across chunks.
+    /// stripe member, then swept once: each survivor is checked
+    /// against its checksum and folded into its target unit where it
+    /// lies in `cache`. The chunk's stripe shards are held *shared*
+    /// for the whole prefetch→sweep→spare-write sequence, so
+    /// concurrent writers (exclusive) are excluded stripe by stripe
+    /// and the spare write cannot clobber a write-through that
+    /// happened after the decode. `scratch` and `cache` are
+    /// caller-owned so worker threads reuse their capacity across
+    /// chunks.
     pub(crate) fn rebuild_chunk(
         &self,
         disk: usize,
@@ -2148,10 +2185,11 @@ impl<B: Backend> BlockStore<B> {
         scratch: &mut Scratch,
         cache: &mut UnitCache,
     ) -> Result<(), StoreError> {
-        if out.is_empty() || !out.len().is_multiple_of(self.unit_size) {
-            return Err(StoreError::BadBufferSize { expected: self.unit_size, got: out.len() });
+        let us = self.unit_size;
+        if out.is_empty() || !out.len().is_multiple_of(us) {
+            return Err(StoreError::BadBufferSize { expected: us, got: out.len() });
         }
-        let n = out.len() / self.unit_size;
+        let n = out.len() / us;
         let st = self.state_read();
         let w = st.world.clone();
         let size = w.layout.size();
@@ -2165,9 +2203,13 @@ impl<B: Backend> BlockStore<B> {
             })
             .collect();
         sort_shard_set(&mut shards);
-        let mut attempt = 0;
-        loop {
-            let guards = self.locks.lock_sorted_shared(&shards);
+        let logical = |pd: usize| st.redirect.iter().position(|&p| p == pd);
+        // A corrupt survivor must never reach the spare: a sweep that
+        // meets one discards the chunk's output, its stripe is
+        // repaired in place (exclusive lock, after the shared guards
+        // drop) and the chunk retried once.
+        let attempt = |bad: &mut Mismatches| -> Result<(), StoreError> {
+            let _guards = self.locks.lock_sorted_shared(&shards);
             // Gather every surviving stripe member the decodes below
             // will touch. Distinct target offsets live in distinct
             // stripes, and stripes never share units, so the want-list
@@ -2187,69 +2229,45 @@ impl<B: Backend> BlockStore<B> {
                 }
             }
             let t0 = Instant::now();
-            cache.fill(&self.io(), self.unit_size)?;
+            cache.fill(&self.io(), us)?;
             // The chunk's surviving-member prefetch *is* the rebuild
             // read load; timed unconditionally (chunks are large, the
             // two Instant reads vanish against the vectored I/O).
             let prefetch_ns = t0.elapsed().as_nanos() as u64;
             self.metrics.record_op(OpKind::RebuildRead, cache.wants.len() as u64, prefetch_ns);
-            // A corrupt survivor must never be folded into the spare:
-            // verify the whole prefetch before decoding. Mismatching
-            // stripes are repaired in place (exclusive locks, after
-            // the shared guards drop) and the chunk retried once.
-            let mut bad: Vec<(usize, usize)> = Vec::new();
-            let mut first_bad: Option<(usize, usize)> = None;
-            for i in 0..n {
+            // One sweep: each target unit's survivors are checked, then
+            // folded while still in cache — a single erasure straight
+            // into the output unit, a stripe crossing a second failed
+            // disk through the two-erasure solve.
+            for (i, unit) in out.chunks_exact_mut(us).enumerate() {
                 let offset = start + i;
-                let copy = offset / size;
-                let shift = (copy * size) as u32;
                 let r = w.layout.unit_ref(disk, offset % size);
-                let si = r.stripe as usize;
-                for u in w.layout.stripes()[si].units() {
-                    if u.disk as usize == disk || st.failed.contains(u.disk as usize) {
-                        continue;
-                    }
-                    let pd = st.redirect[u.disk as usize];
-                    let off = (u.offset + shift) as usize;
-                    let ok = match cache.wants.binary_search(&(pd as u32, u.offset + shift)) {
-                        Ok(ix) => self.integrity.sums.check(pd, off, cache.unit(ix)),
-                        Err(_) => true,
-                    };
-                    if !ok {
-                        if bad.last() != Some(&(copy, si)) {
-                            bad.push((copy, si));
-                        }
-                        first_bad.get_or_insert((pd, off));
-                    }
+                let (si, slot) = (r.stripe as usize, r.slot as usize);
+                let (lost, nlost) = self.lost_slots(&st, si, &[slot])?;
+                let (p_slot, q_slot) = w.smap.parity_slots(si);
+                let mut dec = match nlost {
+                    1 => Decode::into_unit(unit, p_slot, q_slot, slot),
+                    _ => Decode::new(
+                        &mut scratch.acc_p,
+                        &mut scratch.acc_q,
+                        p_slot,
+                        q_slot,
+                        &lost[..nlost],
+                    ),
+                };
+                self.fold_checked(&st, offset / size, si, &mut dec, cache, bad)?;
+                let solved = dec.solve();
+                if nlost > 1 {
+                    unit.copy_from_slice(solved.get(scratch, slot)?);
                 }
             }
-            if let Some((pd, off)) = first_bad {
-                if attempt == 1 {
-                    return Err(StoreError::ChecksumMismatch { disk: pd, offset: off });
-                }
-                attempt = 1;
-                drop(guards);
-                for &(copy, si) in &bad {
-                    let shard = self.locks.shard_of(copy, si);
-                    let (_g, _) = self.locks.lock_one_counting(shard);
-                    self.repair_stripe_locked(&st, copy, si)?;
-                }
-                continue;
-            }
-            for (i, chunk) in out.chunks_exact_mut(self.unit_size).enumerate() {
-                let offset = start + i;
-                let shift = (offset / size * size) as u32;
-                let r = w.layout.unit_ref(disk, offset % size);
-                let si = r.stripe as usize;
-                let solved =
-                    self.decode_stripe_with(&st, si, shift, &[r.slot as usize], scratch, {
-                        let cache = &*cache;
-                        let redirect = &st.redirect;
-                        move |_, u: StripeUnit, buf: &mut [u8]| {
-                            cache.copy_to(redirect[u.disk as usize] as u32, u.offset, buf)
-                        }
-                    })?;
-                chunk.copy_from_slice(solved.get(scratch, r.slot as usize)?);
+            if bad.first.is_some() {
+                // The discarded prefetch is repair work, not
+                // reconstruction load.
+                self.rb_tracker.note_repair_reads(
+                    cache.wants.iter().filter_map(|&(pd, _)| logical(pd as usize)),
+                );
+                return Ok(());
             }
             self.write_unit(PhysUnit { disk: spare, offset: start, checked: false }, out)?;
             self.metrics.record_op(
@@ -2258,15 +2276,58 @@ impl<B: Backend> BlockStore<B> {
                 (t0.elapsed().as_nanos() as u64).saturating_sub(prefetch_ns),
             );
             self.rb_tracker.add_done(n as u64);
-            return Ok(());
-        }
+            Ok(())
+        };
+        sweep_repairing(attempt, |copy, si| {
+            let (_g, _) = self.locks.lock_one_counting(self.locks.shard_of(copy, si));
+            // The repair reads every live unit of the stripe: repair
+            // work too.
+            self.rb_tracker.note_repair_reads(
+                w.layout.stripes()[si]
+                    .units()
+                    .iter()
+                    .map(|u| u.disk as usize)
+                    .filter(|&d| !st.failed.contains(d)),
+            );
+            self.repair_stripe_locked(&st, copy, si).map(drop)
+        })
     }
 
-    /// [`BlockStore::decode_stripe_with`] reading straight from the
-    /// backend — the common, unbatched decode: each survivor is
-    /// pulled through the dispatcher into the scratch's one transfer
-    /// buffer (client priority — a degraded read is still a client
-    /// op) and checksum-verified before it is folded in.
+    /// Folds every survivor of stripe `si` of copy `copy` into `dec`
+    /// from where it lies in `band`, each checked against its sum
+    /// first. A mismatching survivor is left out and noted in `bad`:
+    /// the decode's answer is then not to be used.
+    pub(crate) fn fold_checked(
+        &self,
+        st: &ArrayState,
+        copy: usize,
+        si: usize,
+        dec: &mut Decode<'_>,
+        band: &UnitCache,
+        bad: &mut Mismatches,
+    ) -> Result<(), StoreError> {
+        let shift = (copy * st.world.layout.size()) as u32;
+        for (slot, u) in st.world.layout.stripes()[si].units().iter().enumerate() {
+            if dec.lost().contains(&slot) {
+                continue;
+            }
+            let (pd, off) = (st.redirect[u.disk as usize], (u.offset + shift) as usize);
+            let bytes = band.get(pd, off)?;
+            if self.integrity.sums.check(pd, off, bytes) {
+                dec.fold(slot, bytes);
+            } else {
+                bad.note((copy, si), pd, off);
+            }
+        }
+        Ok(())
+    }
+
+    /// Erasure-decodes one stripe (at copy offset `shift`) reading
+    /// straight from the backend — the common, unbatched decode: each
+    /// survivor is pulled through the dispatcher into the scratch's
+    /// one read buffer (client priority — a degraded read is still a
+    /// client op), checksum-verified, and folded in. The decoded
+    /// values live in `scratch` until its next decode.
     fn decode_stripe(
         &self,
         st: &ArrayState,
@@ -2276,62 +2337,66 @@ impl<B: Backend> BlockStore<B> {
         scratch: &mut Scratch,
     ) -> Result<Decoded, StoreError> {
         let io = self.io();
-        self.decode_stripe_with(st, si, shift, extra_lost, scratch, |_, u, buf| {
-            let (disk, first) = (st.redirect[u.disk as usize], u.offset as usize);
+        let Scratch { acc_p, acc_q, tmp } = scratch;
+        let mut dec = self.stripe_decode(st, si, extra_lost, acc_p, acc_q)?;
+        for (slot, u) in st.world.layout.stripes()[si].units().iter().enumerate() {
+            if dec.lost().contains(&slot) {
+                continue;
+            }
+            let (disk, first) = (st.redirect[u.disk as usize], (u.offset + shift) as usize);
             let run = [Run { disk, first, parts: 0..1 }];
-            io.read_into(&run, buf, Priority::Client, |_, _| {})?;
-            if !self.integrity.sums.check(disk, first, buf) {
+            io.read_into(&run, tmp, Priority::Client, |_, _| {})?;
+            if !self.integrity.sums.check(disk, first, tmp) {
                 return Err(StoreError::ChecksumMismatch { disk, offset: first });
             }
-            Ok(())
-        })
+            dec.fold(slot, tmp);
+        }
+        Ok(dec.solve())
     }
 
-    /// Erasure-decodes one stripe (at copy offset `shift`) with
-    /// [`codec::decode`]: every surviving member is read exactly once
-    /// through `read(slot, unit, buf)` (the backend, a prefetched
-    /// [`UnitCache`], or bytes already in memory). `extra_lost` forces
-    /// extra slots into the lost set beyond the failed disks — a unit
-    /// being rebuilt whose disk may not be in the failure set, or
-    /// units whose checksums mismatched and are being repaired as
-    /// erasures. The decoded values live in `scratch` until its next
-    /// decode.
-    pub(crate) fn decode_stripe_with<F>(
+    /// Starts the erasure decode of stripe `si` into `acc_p` and
+    /// `acc_q` (see [`BlockStore::lost_slots`]): the caller folds
+    /// every survivor from wherever its bytes lie — the backend, a
+    /// prefetched [`UnitCache`], or bytes already in memory — and
+    /// solves.
+    pub(crate) fn stripe_decode<'a>(
         &self,
         st: &ArrayState,
         si: usize,
-        shift: u32,
         extra_lost: &[usize],
-        scratch: &mut Scratch,
-        mut read: F,
-    ) -> Result<Decoded, StoreError>
-    where
-        F: FnMut(usize, StripeUnit, &mut [u8]) -> Result<(), StoreError>,
-    {
-        let units = st.world.layout.stripes()[si].units();
+        acc_p: &'a mut [u8],
+        acc_q: &'a mut [u8],
+    ) -> Result<Decode<'a>, StoreError> {
+        let (lost, nlost) = self.lost_slots(st, si, extra_lost)?;
         let (p_slot, q_slot) = st.world.smap.parity_slots(si);
-        // Collect the lost slots (ascending; at most tolerance + 1
-        // with the forced extra, and anything past the redundancy is
-        // an error anyway).
-        let mut lost = [usize::MAX; 3];
+        Ok(Decode::new(acc_p, acc_q, p_slot, q_slot, &lost[..nlost]))
+    }
+
+    /// The lost slots of stripe `si`, ascending: its units on failed
+    /// disks plus `extra_lost` — a unit being rebuilt whose disk may
+    /// not be in the failure set, or units whose checksums mismatched
+    /// and are being repaired as erasures. More erasures than parity
+    /// units is unreconstructable.
+    fn lost_slots(
+        &self,
+        st: &ArrayState,
+        si: usize,
+        extra_lost: &[usize],
+    ) -> Result<([usize; 2], usize), StoreError> {
+        let units = st.world.layout.stripes()[si].units();
+        let mut lost = [usize::MAX; 2];
         let mut nlost = 0usize;
         for (slot, u) in units.iter().enumerate() {
             if st.failed.contains(u.disk as usize) || extra_lost.contains(&slot) {
-                if nlost < lost.len() {
-                    lost[nlost] = slot;
+                if nlost == self.scheme.parity_per_stripe() {
+                    // Name a failed disk of the stripe for the error.
+                    return Err(StoreError::DiskFailed(units[lost[0]].disk as usize));
                 }
+                lost[nlost] = slot;
                 nlost += 1;
             }
         }
-        if nlost > self.scheme.parity_per_stripe() {
-            // More erasures than parity units: unreconstructable. Name
-            // a failed disk of the stripe for the error.
-            return Err(StoreError::DiskFailed(units[lost[0]].disk as usize));
-        }
-        codec::decode(scratch, units.len(), p_slot, q_slot, &lost[..nlost], |slot, buf| {
-            let u = units[slot];
-            read(slot, StripeUnit { disk: u.disk, offset: u.offset + shift }, buf)
-        })
+        Ok((lost, nlost))
     }
 
     /// The one envelope every client call runs in. It takes over the

@@ -459,3 +459,95 @@ fn requeued_flush_retries_converge() {
         assert_eq!(&got, want, "[seed {seed:#x}] block {addr} after retries");
     }
 }
+
+/// Rot on the survivors a rebuild folds: the rebuild's one sweep
+/// checks every survivor before folding it, so a corrupt one never
+/// reaches the spare. Under P+Q with two disks failed, rot in stripes
+/// that cross one of them leaves two erasures: the two-phase
+/// `rebuild_all` repairs each such stripe under its exclusive lock,
+/// retries the chunk, and still reads exactly (k−1)/(v−1) of every
+/// survivor in each phase — the repair's reads are not the rebuild's.
+/// Under XOR a rotted survivor of a failed disk's stripe is a second
+/// erasure, past the redundancy: the rebuild refuses with the corrupt
+/// unit named, repairs nothing, and the store stays degraded.
+#[test]
+fn rebuild_repairs_a_corrupt_survivor_before_folding_it() {
+    const SALT: u64 = 0x5a1e;
+    // Rots up to `per_side` data survivors, each in its own stripe,
+    // of the stripes crossing exactly one of `failed`; returns
+    // `(physical disk, offset)` of each.
+    fn rot<B: Backend>(
+        store: &BlockStore<FaultyBackend<B>>,
+        failed: &[usize],
+        per_side: usize,
+    ) -> Vec<(usize, usize)> {
+        let (layout, map) = (store.layout(), store.stripe_map());
+        let mut per = vec![0usize; failed.len()];
+        let mut seen = Vec::new();
+        for addr in 0..store.blocks() {
+            let m = map.locate_full(addr);
+            let crosses: Vec<usize> = (0..failed.len())
+                .filter(|&i| {
+                    layout.stripes()[m.stripe].units().iter().any(|u| u.disk as usize == failed[i])
+                })
+                .collect();
+            let [side] = crosses[..] else { continue };
+            if failed.contains(&(m.unit.disk as usize))
+                || per[side] == per_side
+                || seen.contains(&(m.copy, m.stripe))
+            {
+                continue;
+            }
+            seen.push((m.copy, m.stripe));
+            per[side] += 1;
+            let pd = store.physical_disk(m.unit.disk as usize);
+            store.backend().corrupt_unit(pd, m.unit.offset as usize).unwrap();
+        }
+        store.backend().corruptions()
+    }
+
+    // P+Q, ring v=9 k=4: two failures, rot on both sides.
+    let store = pq_store(FaultConfig::quiet(SEED));
+    fill(&store, SALT);
+    let (v, k) = (store.v() as u64, store.layout().stripes()[0].units().len() as u64);
+    for d in [0, 1] {
+        let pd = store.physical_disk(d);
+        store.fail_disk(d).unwrap();
+        store.backend().wipe_disk(pd).unwrap();
+    }
+    let injected = rot(&store, &[0, 1], 3).len() as u64;
+    assert_eq!(injected, 6, "three rotted survivors per failed disk");
+    let reports = Rebuilder::new(2).rebuild_all(&store, &[9, 10]).unwrap();
+    assert_eq!(reports.len(), 2);
+    for r in &reports {
+        let (min, max) = r.surviving_read_range();
+        assert_eq!(min, max, "phase {}: every survivor reads alike", r.failed_disk);
+        assert_eq!(
+            max * (v - 1),
+            r.units_rebuilt as u64 * (k - 1),
+            "phase {}: survivors read exactly (k-1)/(v-1)",
+            r.failed_disk
+        );
+    }
+    assert!(!store.is_degraded());
+    sweep(&store, SALT, "pq after rebuild_all");
+    store.verify_parity().unwrap();
+    let repairs = store.stats().integrity.checksum_repairs;
+    assert!(repairs >= injected, "{repairs} checksum repairs for {injected} rotted survivors");
+
+    // XOR, ring v=7 k=3: one failure, one rotted survivor.
+    let store = xor_store(FaultConfig::quiet(SEED));
+    fill(&store, SALT);
+    store.fail_disk(0).unwrap();
+    let rotted = rot(&store, &[0], 1);
+    assert_eq!(rotted.len(), 1);
+    match Rebuilder::new(2).rebuild(&store, 7) {
+        Err(StoreError::ChecksumMismatch { disk, offset }) => {
+            assert_eq!((disk, offset), rotted[0], "the rotted survivor is named")
+        }
+        other => panic!("a rebuild over an unrepairable survivor must refuse, got {other:?}"),
+    }
+    assert_eq!(store.failed_disks().as_slice(), [0], "still degraded, the spare not swapped in");
+    assert_eq!(store.rebuilding(), None, "the refused rebuild is unregistered");
+    assert_eq!(store.stats().integrity.checksum_repairs, 0, "nothing repairable was repaired");
+}

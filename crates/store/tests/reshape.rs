@@ -709,3 +709,54 @@ fn migration_io_vectored_and_monotone_mem() {
     assert_eq!(store.v(), 6);
     store.verify_parity().unwrap();
 }
+
+/// A corrupt source unit is repaired, not migrated: the band read
+/// verifies every unit it copies or folds, so a latent error on the
+/// source is decoded from parity before the batch assembles its
+/// target stripes — the commit drops every checksum, so a unit
+/// migrated corrupt would read back wrong with no error ever after.
+/// XOR (ring v=7 k=3) and P+Q (ring v=9 k=4), grow onto the spare
+/// and shrink by the last disk; two data units of disk 2 rot.
+#[test]
+fn reshape_repairs_a_corrupt_source_unit_before_migrating_it() {
+    const SALT: u64 = 0xc0de;
+    let stores = || {
+        let layout = RingLayout::for_v_k(7, 3).layout().clone();
+        let xor = MemBackend::new(8, layout.size(), UNIT);
+        let dp = DoubleParityLayout::new(RingLayout::for_v_k(9, 4).layout().clone()).unwrap();
+        let pq = MemBackend::new(10, dp.layout().size(), UNIT);
+        [
+            BlockStore::new(layout, FaultyBackend::new(xor, FaultConfig::quiet(1))).unwrap(),
+            BlockStore::new_pq(dp, FaultyBackend::new(pq, FaultConfig::quiet(2))).unwrap(),
+        ]
+    };
+    for add in [true, false] {
+        for store in stores() {
+            let ctx = format!("{:?} {}", store.scheme(), if add { "add" } else { "remove" });
+            prefill(&store, SALT);
+            let blocks = store.blocks();
+            let map = store.stripe_map();
+            let rotted: Vec<usize> =
+                (0..blocks).filter(|&a| map.locate(a).disk == 2).take(2).collect();
+            assert_eq!(rotted.len(), 2, "{ctx}");
+            for &a in &rotted {
+                let u = map.locate(a);
+                store.backend().corrupt_unit(store.physical_disk(2), u.offset as usize).unwrap();
+            }
+            let v = store.v();
+            if add {
+                store.add_disks(&[v]).unwrap();
+            } else {
+                store.remove_disks(&[v - 1]).unwrap();
+            }
+            let (mut got, mut want) = (vec![0u8; UNIT], vec![0u8; UNIT]);
+            for addr in 0..blocks {
+                store.read_block(addr, &mut got).unwrap();
+                fill_pattern(addr, SALT, &mut want);
+                assert_eq!(got, want, "{ctx}: block {addr} (rotted: {rotted:?})");
+            }
+            store.verify_parity().unwrap();
+            assert_eq!(store.stats().integrity.checksum_repairs, 2, "{ctx}: one repair per rot");
+        }
+    }
+}
