@@ -36,6 +36,7 @@
 //! whichever side they do not need.
 
 use crate::error::StoreError;
+use crate::store::UnitCache;
 use pdl_algebra::gf256::{self, xor_slice};
 
 /// What a stripe unit contributes to the invariant (see the
@@ -106,14 +107,16 @@ pub(crate) fn is_zero(bytes: &[u8]) -> bool {
     bytes.iter().all(|&b| b == 0)
 }
 
-/// Reusable decode buffers: one P accumulator, one Q accumulator, one
-/// read buffer. Rebuild workers hold one per thread; the store's data
-/// paths borrow them from its scratch pool.
+/// Reusable decode buffers: one P accumulator, one Q accumulator, and
+/// the [`UnitCache`] the survivors are prefetched into and folded from
+/// where they lie. Rebuild workers hold one per thread; the store's
+/// data paths borrow them from its scratch pool, so a decode allocates
+/// nothing once the cache has grown to a stripe (or a chunk).
 #[derive(Debug)]
 pub(crate) struct Scratch {
     pub(crate) acc_p: Vec<u8>,
     pub(crate) acc_q: Vec<u8>,
-    pub(crate) tmp: Vec<u8>,
+    pub(crate) cache: UnitCache,
 }
 
 impl Scratch {
@@ -121,7 +124,7 @@ impl Scratch {
         Scratch {
             acc_p: vec![0u8; unit_size],
             acc_q: vec![0u8; unit_size],
-            tmp: vec![0u8; unit_size],
+            cache: UnitCache::default(),
         }
     }
 }
@@ -162,8 +165,8 @@ impl Decoded {
 
 /// An erasure decode in progress: the caller [folds](Decode::fold)
 /// every slot not in [`Decode::lost`] exactly once, straight from
-/// wherever its bytes lie — a prefetch cache, a stripe already in
-/// memory, one read buffer — and then [solves](Decode::solve). No
+/// wherever its bytes lie — a prefetch cache or a stripe already in
+/// memory — and then [solves](Decode::solve). No
 /// copy and no heap allocation: this sits in the rebuild's per-unit
 /// loop.
 ///

@@ -56,7 +56,7 @@
 use crate::backend::Backend;
 use crate::codec::Scratch;
 use crate::error::StoreError;
-use crate::store::{BlockStore, UnitCache};
+use crate::store::BlockStore;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -256,7 +256,6 @@ impl Rebuilder {
                     // per stripe.
                     let mut buf = vec![0u8; chunk * shared.unit_size()];
                     let mut scratch = Scratch::new(shared.unit_size());
-                    let mut cache = UnitCache::new();
                     loop {
                         let at = next.fetch_add(chunk, Ordering::Relaxed);
                         // Poison-proof locking throughout: a panicking
@@ -271,8 +270,7 @@ impl Rebuilder {
                         }
                         let end = (at + chunk).min(units);
                         let out = &mut buf[..(end - at) * shared.unit_size()];
-                        let res =
-                            shared.rebuild_chunk(failed, spare, at, out, &mut scratch, &mut cache);
+                        let res = shared.rebuild_chunk(failed, spare, at, out, &mut scratch);
                         if let Err(e) = res {
                             first_error.lock().unwrap_or_else(|e| e.into_inner()).get_or_insert(e);
                             return;

@@ -745,7 +745,7 @@ impl<B: Backend> BlockStore<B> {
         let res: Result<usize, StoreError> = (|| {
             sweep_repairing(
                 |bad| {
-                    ucache.fill(&self.io(), us)?;
+                    ucache.fill(&self.io(), us, Priority::Maintenance)?;
                     let out = &mut src_data[..fill_end * us];
                     self.sweep_band(&st, lo_addr, out, ucache, &mut scratch, bad)
                 },
@@ -849,10 +849,16 @@ impl<B: Backend> BlockStore<B> {
 
     /// Mirrors an acknowledged write into the target world: under the
     /// reshape's own stripe lock, fold the delta into target P (and
-    /// Q), then write the new bytes. Idempotent — re-applying the
-    /// current value is a no-op — so writers never consult the
-    /// migration cursor. Called with the source stripe's shard lock
-    /// held (write path) — lock order `source shard → target shard`.
+    /// Q), then write the new bytes. Re-applying a value that landed
+    /// whole is a no-op (its delta is zero), so writers never consult
+    /// the migration cursor. It is *not* idempotent over a part-failed
+    /// call: if the P write lands and the data write fails, a client
+    /// retry reads the old data again and folds the same delta into P
+    /// a second time, leaving P at its old value beside the new data.
+    /// This is the store's second parity-delta site, beside the delta
+    /// route of `update_partial_stripe` (ROADMAP item 1). Called with
+    /// the source stripe's shard lock held (write path) — lock order
+    /// `source shard → target shard`.
     pub(crate) fn dual_write(
         &self,
         rs: &ReshapeRuntime,
@@ -865,7 +871,7 @@ impl<B: Backend> BlockStore<B> {
         let (_guard, _) = rs.tgt_locks.lock_one_counting(shard);
         let mut s = self.scratch.get();
         let res = (|| {
-            let (delta, par) = (s.acc_p.as_mut_slice(), s.tmp.as_mut_slice());
+            let (delta, par) = (s.acc_p.as_mut_slice(), s.acc_q.as_mut_slice());
             let d_at = rs.place(m.unit);
             self.read_unit(d_at, delta)?;
             codec::delta(delta, data);

@@ -124,11 +124,26 @@
 //! solver — lives in `codec.rs` and is named nowhere else. Client
 //! writes move every byte through `io.rs` in rounds; the two direct
 //! single-unit helpers here (`read_unit` / `write_unit`, keyed by
-//! physical `(disk, offset)`, retried, checksummed) serve only a
-//! healthy `read_block`, the parity scan, stripe repair and the
-//! rebuild's spare write. Full stripes are planned by one
-//! `plan_stripe`, generic over where each unit is placed, for client
-//! writes, cache flushes and the reshape migration alike. Every
+//! physical `(disk, offset)`, retried; the write records checksums,
+//! the read is raw) serve only a healthy `read_block`, the parity
+//! scan, stripe repair and the rebuild's spare write.
+//!
+//! There is one repair rule. Every path that reads checksummed units —
+//! `read_block`, both halves of `read_blocks`, the partial-stripe
+//! updates, the rebuild chunk, the reshape band — runs as a sweep
+//! under `sweep_repairing`: a unit whose checksum mismatches is noted
+//! in a `Mismatches`, never used and never returned as an error; its
+//! stripe is repaired (`repair_stripe_locked`, under the stripe's
+//! exclusive shard lock) and the sweep runs once more, where a second
+//! mismatch is the error. And there is one checked decode: a degraded
+//! stripe's survivors are listed in a `UnitCache`, read in one
+//! dispatcher round and checked and folded where they lie
+//! (`fold_checked`) — a degraded read, a reconstruct beside a lost
+//! unit, a rebuild chunk and a reshape band alike.
+//!
+//! Full stripes are planned by one `plan_stripe`, generic over where
+//! each unit is placed, for client writes, cache flushes and the
+//! reshape migration alike. Every
 //! partially covered stripe — a `write_block`, the head or tail of a
 //! `write_blocks`, a partially dirty cache flush — is one partial-
 //! stripe update (`update_partial_stripe`), which picks the delta or
@@ -348,8 +363,8 @@ impl WriteSrc {
 
 /// A physical unit address, and whether reads of it verify against
 /// the unit's recorded checksum: live media do; a racing rebuild's
-/// spare (arbitrary bytes until reconstructed), a reshape's scratch
-/// rows and the parity scan are read raw.
+/// spare (arbitrary bytes until reconstructed) and a reshape's scratch
+/// rows are read raw.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PhysUnit {
     pub(crate) disk: usize,
@@ -463,8 +478,6 @@ pub(crate) struct ReadRound {
     /// updates) and whether it verifies against the recorded checksum.
     of: Vec<(usize, bool)>,
     units: Vec<u8>,
-    /// Updates whose reads mismatched their checksums, ascending.
-    bad: Vec<usize>,
 }
 
 /// Whether stripe `si` has a member on a failed disk.
@@ -504,38 +517,39 @@ impl<T> Pool<T> {
     }
 }
 
-/// A prefetched set of physical units: the rebuild workers and the
-/// reshape's band read list every unit a chunk (or batch) will need,
-/// read each disk's units in coalesced runs (one vectored backend call
-/// per run), and then verify and fold each unit where it lies in the
-/// cache ([`UnitCache::get`] borrows, it never copies). Reused across
-/// chunks so the steady-state rebuild loop is allocation-free.
+/// A prefetched set of physical units: every decode lists the units
+/// it will fold — a degraded stripe's survivors, a rebuild chunk's, a
+/// reshape batch's band — reads them in one dispatcher round of
+/// per-disk coalesced runs (one vectored backend call per run, the
+/// runs in flight together with the engine on), and then verifies and
+/// folds each unit where it lies in the cache ([`UnitCache::get`]
+/// borrows, it never copies). Held in every [`Scratch`] and reused
+/// across decodes and chunks, so the steady state is allocation-free.
 #[derive(Debug, Default)]
 pub(crate) struct UnitCache {
     /// `(physical disk, offset)` wanted keys; sorted by [`UnitCache::fill`].
     pub(crate) wants: Vec<(u32, u32)>,
     /// Unit payloads, index-aligned with `wants` after `fill`.
     data: Vec<u8>,
+    /// The last fill's runs, kept for their capacity.
+    runs: Vec<Run>,
     unit_size: usize,
 }
 
 impl UnitCache {
-    pub(crate) fn new() -> UnitCache {
-        UnitCache::default()
-    }
-
     pub(crate) fn push_want(&mut self, disk: u32, offset: u32) {
         self.wants.push((disk, offset));
     }
 
-    /// Sorts the want-list and reads it through `io` in per-disk
-    /// coalesced runs — one run per stretch of adjacent units, each
-    /// landing in its own span of the cache — at maintenance priority
-    /// (every prefetch band belongs to a background job).
+    /// Sorts the want-list and reads it through `io` at `prio` (client
+    /// for a degraded decode, maintenance for a rebuild or reshape
+    /// band) in per-disk coalesced runs — one run per stretch of
+    /// adjacent units, each landing in its own span of the cache.
     pub(crate) fn fill<B: Backend>(
         &mut self,
         io: &Io<'_, B>,
         unit_size: usize,
+        prio: Priority,
     ) -> Result<(), StoreError> {
         self.unit_size = unit_size;
         self.wants.sort_unstable();
@@ -544,8 +558,8 @@ impl UnitCache {
             "stripes never share units, so the want-list has no duplicates"
         );
         self.data.resize(self.wants.len() * unit_size, 0);
-        let wants = &self.wants;
-        let mut runs: Vec<Run> = Vec::new();
+        let UnitCache { wants, data, runs, .. } = self;
+        runs.clear();
         let mut i = 0;
         while i < wants.len() {
             let (disk, offset) = wants[i];
@@ -556,7 +570,7 @@ impl UnitCache {
             runs.push(Run { disk: disk as usize, first: offset as usize, parts: i..j });
             i = j;
         }
-        io.read_into(&runs, &mut self.data, Priority::Maintenance, |_, _| {})
+        io.read_into(runs, data, prio, |_, _| {})
     }
 
     /// The cached bytes of unit `(disk, offset)`.
@@ -570,8 +584,8 @@ impl UnitCache {
     }
 }
 
-/// The prefetched units a sweep found corrupt: each stripe `(copy,
-/// stripe)` holding one, in sweep order, and the first such unit
+/// The units a sweep found corrupt: each stripe `(copy, stripe)`
+/// holding one, once, in the order found, and the first such unit
 /// `(physical disk, offset)`.
 #[derive(Debug, Default)]
 pub(crate) struct Mismatches {
@@ -581,24 +595,32 @@ pub(crate) struct Mismatches {
 
 impl Mismatches {
     pub(crate) fn note(&mut self, stripe: (usize, usize), disk: usize, offset: usize) {
-        if self.stripes.last() != Some(&stripe) {
+        if !self.stripes.contains(&stripe) {
             self.stripes.push(stripe);
         }
         self.first.get_or_insert((disk, offset));
     }
+
+    /// Whether the sweep noted anything.
+    pub(crate) fn any(&self) -> bool {
+        self.first.is_some()
+    }
 }
 
-/// Runs `sweep` — a pass over prefetched units that notes corrupt
-/// ones instead of using them — and, if it noted any, runs `repair`
-/// on each stripe it named and sweeps once more. A corrupt unit on
-/// the second sweep is [`StoreError::ChecksumMismatch`] naming it.
+/// The one repair rule. Runs `sweep` — a pass that reads checksummed
+/// units and notes corrupt ones in its [`Mismatches`] instead of using
+/// them — and, if it noted any, runs `repair` on each stripe it named
+/// and sweeps once more. A corrupt unit on the second sweep is
+/// [`StoreError::ChecksumMismatch`] naming it. `repair` takes the
+/// stripe's exclusive shard lock, or relies on the one its caller
+/// already holds.
 pub(crate) fn sweep_repairing<T>(
     mut sweep: impl FnMut(&mut Mismatches) -> Result<T, StoreError>,
     mut repair: impl FnMut(usize, usize) -> Result<(), StoreError>,
 ) -> Result<T, StoreError> {
     let mut bad = Mismatches::default();
     let out = sweep(&mut bad)?;
-    if bad.first.is_none() {
+    if !bad.any() {
         return Ok(out);
     }
     for &(copy, si) in &bad.stripes {
@@ -1603,9 +1625,10 @@ impl<B: Backend> BlockStore<B> {
     /// unordered: a round bounds latency, it promises nothing about
     /// durability (ROADMAP item 1). Every read of an attempt precedes
     /// its writes (per unit on the degraded route), so a checksum
-    /// mismatch — a corrupt unit about to be folded into parity —
-    /// surfaces before anything of the unit in hand has landed: the
-    /// stripe is repaired and the update retried once. A *client*
+    /// mismatch — a corrupt unit about to be folded into parity — is
+    /// noted before anything of the unit in hand has landed: the
+    /// update stops, and [`sweep_repairing`] repairs the stripe under
+    /// the lock already held and retries the update once. A *client*
     /// retrying a write-through call that failed part-way, or a
     /// re-queued flush of a degraded stripe, may still take the delta
     /// route over the half-applied attempt: that is the write hole
@@ -1622,18 +1645,19 @@ impl<B: Backend> BlockStore<B> {
         let degraded = degraded_stripe(st, si);
         let per_update = if degraded { 1 } else { dirty.len() };
         let mut round = self.rounds.get();
-        let mut attempt = || {
-            dirty.chunks(per_update).try_for_each(|set| {
-                let mut p = self.route(st, copy, si, set, requeued, degraded);
-                self.update_alone(st, &mut p, data, &mut round)
-            })
-        };
-        let res = match attempt() {
-            Err(StoreError::ChecksumMismatch { .. }) => {
-                self.repair_stripe_locked(st, copy, si).and_then(|_| attempt())
-            }
-            r => r,
-        };
+        let res = sweep_repairing(
+            |bad| {
+                for set in dirty.chunks(per_update) {
+                    let mut p = self.route(st, copy, si, set, requeued, degraded);
+                    self.update_alone(st, &mut p, data, &mut round, bad)?;
+                    if bad.any() {
+                        break;
+                    }
+                }
+                Ok(())
+            },
+            |copy, si| self.repair_stripe_locked(st, copy, si).map(drop),
+        );
         self.rounds.put(round);
         res
     }
@@ -1650,7 +1674,8 @@ impl<B: Backend> BlockStore<B> {
     /// parities into `plan`'s staging area; their writes join `plan`,
     /// so they land with the batch's full stripes in its one write
     /// round. A checksum mismatch repairs the stripes it hit and the
-    /// round is read again, once. A degraded stripe is updated alone,
+    /// round is read again, once ([`sweep_repairing`]; the caller holds
+    /// their shard locks). A degraded stripe is updated alone,
     /// unit by unit, before this returns.
     fn update_partial_stripes(
         &self,
@@ -1675,15 +1700,10 @@ impl<B: Backend> BlockStore<B> {
         let (us, np) = (self.unit_size, self.scheme.parity_per_stripe());
         let mut round = self.rounds.get();
         let res = parts.chunks_mut(Self::ROUND_STRIPES).try_for_each(|parts| {
-            match self.read_partials(st, parts, &mut round) {
-                Err(StoreError::ChecksumMismatch { .. }) => {
-                    for &i in &round.bad {
-                        self.repair_stripe_locked(st, parts[i].copy, parts[i].si)?;
-                    }
-                    self.read_partials(st, parts, &mut round)?;
-                }
-                r => r?,
-            }
+            sweep_repairing(
+                |bad| self.read_partials(st, parts, &mut round, bad),
+                |copy, si| self.repair_stripe_locked(st, copy, si).map(drop),
+            )?;
             for p in parts.iter() {
                 self.fold_partial(st, p, data, &mut round.units, None);
                 let base = plan.parity.len() / us;
@@ -1731,13 +1751,15 @@ impl<B: Backend> BlockStore<B> {
     /// One update alone: its read round, its fold, its write round —
     /// one new unit and at most two parities, so the write set lives
     /// on the stack. A reconstruct beside a second lost data unit
-    /// decodes that unit first.
+    /// decodes that unit first. A mismatch noted in `bad`, by the
+    /// decode or the read round, stops the update before its writes.
     fn update_alone(
         &self,
         st: &ArrayState,
         p: &mut Partial<'_>,
         data: &[u8],
         round: &mut ReadRound,
+        bad: &mut Mismatches,
     ) -> Result<(), StoreError> {
         let w = &*st.world;
         let us = self.unit_size;
@@ -1752,14 +1774,16 @@ impl<B: Backend> BlockStore<B> {
             .map(|m| (m.slot, self.scratch.get()));
         let res = (|| {
             let decoded = match &mut dec {
-                Some((slot, s)) => {
-                    let shift = (p.copy * w.layout.size()) as u32;
-                    let solved = self.decode_stripe(st, p.si, shift, &[], s)?;
-                    Some((*slot, solved.get(s, *slot)?))
-                }
+                Some((slot, s)) => match self.decode_stripe(st, p.copy, p.si, s, bad)? {
+                    Some(solved) => Some((*slot, solved.get(s, *slot)?)),
+                    None => return Ok(()),
+                },
                 None => None,
             };
-            self.read_partials(st, std::slice::from_mut(p), round)?;
+            self.read_partials(st, std::slice::from_mut(p), round, bad)?;
+            if bad.any() {
+                return Ok(());
+            }
             self.fold_partial(st, p, data, &mut round.units, decoded);
             let np = self.scheme.parity_per_stripe();
             let parity = &round.units[p.block * us..(p.block + np) * us];
@@ -1782,21 +1806,20 @@ impl<B: Backend> BlockStore<B> {
     /// Stages the reads of every update in `parts` in `round` — each a
     /// block of units laid out `[P][Q][reads…]` — and issues them as
     /// one dispatcher round at client priority, each checked unit
-    /// verified as it lands. A mismatch fails the round, after every
-    /// read has landed, with [`StoreError::ChecksumMismatch`] naming
-    /// the first bad unit and the stripes hit listed in `round.bad`.
+    /// verified as it lands and a mismatch noted in `bad` against its
+    /// update's stripe.
     fn read_partials(
         &self,
         st: &ArrayState,
         parts: &mut [Partial<'_>],
         round: &mut ReadRound,
+        bad: &mut Mismatches,
     ) -> Result<(), StoreError> {
         let w = &*st.world;
         let (us, np) = (self.unit_size, self.scheme.parity_per_stripe());
-        let ReadRound { runs, of, units, bad } = round;
+        let ReadRound { runs, of, units } = round;
         runs.clear();
         of.clear();
-        bad.clear();
         // Every staged byte is read or, as an accumulator, zeroed
         // before use, so the buffer only ever grows.
         let mut staged = 0;
@@ -1841,21 +1864,13 @@ impl<B: Backend> BlockStore<B> {
         if units.len() < staged * us {
             units.resize(staged * us, 0);
         }
-        let (runs, of) = (&*runs, &*of);
-        let mut first_bad = None;
+        let (runs, of, parts) = (&*runs, &*of, &*parts);
         self.io().read_into(runs, units, Priority::Client, |r, unit| {
             let (run, (i, checked)) = (&runs[r], of[r]);
             if checked && !self.integrity.sums.check(run.disk, run.first, unit) {
-                first_bad.get_or_insert((run.disk, run.first));
-                if bad.last() != Some(&i) {
-                    bad.push(i);
-                }
+                bad.note((parts[i].copy, parts[i].si), run.disk, run.first);
             }
-        })?;
-        match first_bad {
-            Some((disk, offset)) => Err(StoreError::ChecksumMismatch { disk, offset }),
-            None => Ok(()),
-        }
+        })
     }
 
     /// Folds `p`'s new P and Q into the parity slots of its block of
@@ -1956,18 +1971,13 @@ impl<B: Backend> BlockStore<B> {
         Ok(())
     }
 
-    /// The one single-unit read: retried on transient errors and, for
-    /// a `checked` unit, verified against its recorded checksum. A
-    /// mismatch surfaces as [`StoreError::ChecksumMismatch`], which
-    /// the public paths catch and convert into a stripe repair (see
-    /// `repair_stripe_locked`).
+    /// The one direct single-unit read, retried on transient errors
+    /// and raw: a caller that must verify the unit checks it itself
+    /// (`read_block` notes a mismatch for its sweep; the parity scan
+    /// and the reshape's target rows take the bytes as they are).
     pub(crate) fn read_unit(&self, at: PhysUnit, buf: &mut [u8]) -> Result<(), StoreError> {
-        let PhysUnit { disk, offset, checked } = at;
-        self.integrity.retrying(disk, || self.backend.read_unit(disk, offset, &mut *buf))?;
-        if checked && !self.integrity.sums.check(disk, offset, buf) {
-            return Err(StoreError::ChecksumMismatch { disk, offset });
-        }
-        Ok(())
+        let PhysUnit { disk, offset, .. } = at;
+        self.integrity.retrying(disk, || self.backend.read_unit(disk, offset, &mut *buf))
     }
 
     /// The one direct write: `buf` (one unit, or a rebuild chunk's
@@ -2136,32 +2146,6 @@ impl<B: Backend> BlockStore<B> {
         Ok((fixed, fixed_parity))
     }
 
-    /// Reconstructs the unit at `(disk, offset)` from the surviving
-    /// members of its stripe (disk may be failed or simply absent).
-    /// This is the degraded-read primitive; the caller holds the
-    /// stripe's shard lock (shared suffices) and the state guard.
-    fn reconstruct_unit(
-        &self,
-        st: &ArrayState,
-        disk: usize,
-        offset: usize,
-        out: &mut [u8],
-    ) -> Result<(), StoreError> {
-        self.check_block_buf(out.len())?;
-        let size = st.world.layout.size();
-        let shift = (offset / size * size) as u32;
-        let r = st.world.layout.unit_ref(disk, offset % size);
-        let mut scratch = self.scratch.get();
-        let res = self
-            .decode_stripe(st, r.stripe as usize, shift, &[r.slot as usize], &mut scratch)
-            .and_then(|solved| {
-                out.copy_from_slice(solved.get(&scratch, r.slot as usize)?);
-                Ok(())
-            });
-        self.scratch.put(scratch);
-        res
-    }
-
     /// Batched rebuild primitive: reconstructs the `out.len() /
     /// unit_size` consecutive units of `disk` starting at `start` and
     /// lands them on physical disk `spare` with one vectored write.
@@ -2173,9 +2157,9 @@ impl<B: Backend> BlockStore<B> {
     /// for the whole prefetch→sweep→spare-write sequence, so
     /// concurrent writers (exclusive) are excluded stripe by stripe
     /// and the spare write cannot clobber a write-through that
-    /// happened after the decode. `scratch` and `cache` are
-    /// caller-owned so worker threads reuse their capacity across
-    /// chunks.
+    /// happened after the decode. `scratch` (its accumulators and its
+    /// prefetch cache) is caller-owned so worker threads reuse its
+    /// capacity across chunks.
     pub(crate) fn rebuild_chunk(
         &self,
         disk: usize,
@@ -2183,7 +2167,6 @@ impl<B: Backend> BlockStore<B> {
         start: usize,
         out: &mut [u8],
         scratch: &mut Scratch,
-        cache: &mut UnitCache,
     ) -> Result<(), StoreError> {
         let us = self.unit_size;
         if out.is_empty() || !out.len().is_multiple_of(us) {
@@ -2210,6 +2193,7 @@ impl<B: Backend> BlockStore<B> {
         // drop) and the chunk retried once.
         let attempt = |bad: &mut Mismatches| -> Result<(), StoreError> {
             let _guards = self.locks.lock_sorted_shared(&shards);
+            let cache = &mut scratch.cache;
             // Gather every surviving stripe member the decodes below
             // will touch. Distinct target offsets live in distinct
             // stripes, and stripes never share units, so the want-list
@@ -2229,7 +2213,7 @@ impl<B: Backend> BlockStore<B> {
                 }
             }
             let t0 = Instant::now();
-            cache.fill(&self.io(), us)?;
+            cache.fill(&self.io(), us, Priority::Maintenance)?;
             // The chunk's surviving-member prefetch *is* the rebuild
             // read load; timed unconditionally (chunks are large, the
             // two Instant reads vanish against the vectored I/O).
@@ -2255,17 +2239,17 @@ impl<B: Backend> BlockStore<B> {
                         &lost[..nlost],
                     ),
                 };
-                self.fold_checked(&st, offset / size, si, &mut dec, cache, bad)?;
+                self.fold_checked(&st, offset / size, si, &mut dec, &scratch.cache, bad)?;
                 let solved = dec.solve();
                 if nlost > 1 {
                     unit.copy_from_slice(solved.get(scratch, slot)?);
                 }
             }
-            if bad.first.is_some() {
+            if bad.any() {
                 // The discarded prefetch is repair work, not
                 // reconstruction load.
                 self.rb_tracker.note_repair_reads(
-                    cache.wants.iter().filter_map(|&(pd, _)| logical(pd as usize)),
+                    scratch.cache.wants.iter().filter_map(|&(pd, _)| logical(pd as usize)),
                 );
                 return Ok(());
             }
@@ -2279,7 +2263,6 @@ impl<B: Backend> BlockStore<B> {
             Ok(())
         };
         sweep_repairing(attempt, |copy, si| {
-            let (_g, _) = self.locks.lock_one_counting(self.locks.shard_of(copy, si));
             // The repair reads every live unit of the stripe: repair
             // work too.
             self.rb_tracker.note_repair_reads(
@@ -2289,14 +2272,15 @@ impl<B: Backend> BlockStore<B> {
                     .map(|u| u.disk as usize)
                     .filter(|&d| !st.failed.contains(d)),
             );
-            self.repair_stripe_locked(&st, copy, si).map(drop)
+            self.repair_stripe(&st, copy, si)
         })
     }
 
     /// Folds every survivor of stripe `si` of copy `copy` into `dec`
     /// from where it lies in `band`, each checked against its sum
     /// first. A mismatching survivor is left out and noted in `bad`:
-    /// the decode's answer is then not to be used.
+    /// the decode's answer is then not to be used. Returns whether
+    /// every survivor verified.
     pub(crate) fn fold_checked(
         &self,
         st: &ArrayState,
@@ -2305,8 +2289,9 @@ impl<B: Backend> BlockStore<B> {
         dec: &mut Decode<'_>,
         band: &UnitCache,
         bad: &mut Mismatches,
-    ) -> Result<(), StoreError> {
+    ) -> Result<bool, StoreError> {
         let shift = (copy * st.world.layout.size()) as u32;
+        let mut clean = true;
         for (slot, u) in st.world.layout.stripes()[si].units().iter().enumerate() {
             if dec.lost().contains(&slot) {
                 continue;
@@ -2317,48 +2302,46 @@ impl<B: Backend> BlockStore<B> {
                 dec.fold(slot, bytes);
             } else {
                 bad.note((copy, si), pd, off);
+                clean = false;
             }
         }
-        Ok(())
+        Ok(clean)
     }
 
-    /// Erasure-decodes one stripe (at copy offset `shift`) reading
-    /// straight from the backend — the common, unbatched decode: each
-    /// survivor is pulled through the dispatcher into the scratch's
-    /// one read buffer (client priority — a degraded read is still a
-    /// client op), checksum-verified, and folded in. The decoded
-    /// values live in `scratch` until its next decode.
+    /// The one checked decode of a client op: erasure-decodes stripe
+    /// `si` of copy `copy` from its survivors — listed in the scratch's
+    /// prefetch cache, read in one dispatcher round at client priority
+    /// (each on its own disk, so with the engine on they are in flight
+    /// together), then checked and folded where they lie
+    /// ([`BlockStore::fold_checked`]). `None` when a survivor
+    /// mismatched: it is noted in `bad` and there is no answer. The
+    /// decoded values live in `scratch` until its next decode.
     fn decode_stripe(
         &self,
         st: &ArrayState,
+        copy: usize,
         si: usize,
-        shift: u32,
-        extra_lost: &[usize],
         scratch: &mut Scratch,
-    ) -> Result<Decoded, StoreError> {
-        let io = self.io();
-        let Scratch { acc_p, acc_q, tmp } = scratch;
-        let mut dec = self.stripe_decode(st, si, extra_lost, acc_p, acc_q)?;
+        bad: &mut Mismatches,
+    ) -> Result<Option<Decoded>, StoreError> {
+        let shift = (copy * st.world.layout.size()) as u32;
+        let Scratch { acc_p, acc_q, cache } = scratch;
+        let mut dec = self.stripe_decode(st, si, &[], acc_p, acc_q)?;
+        cache.wants.clear();
         for (slot, u) in st.world.layout.stripes()[si].units().iter().enumerate() {
-            if dec.lost().contains(&slot) {
-                continue;
+            if !dec.lost().contains(&slot) {
+                cache.push_want(st.redirect[u.disk as usize] as u32, u.offset + shift);
             }
-            let (disk, first) = (st.redirect[u.disk as usize], (u.offset + shift) as usize);
-            let run = [Run { disk, first, parts: 0..1 }];
-            io.read_into(&run, tmp, Priority::Client, |_, _| {})?;
-            if !self.integrity.sums.check(disk, first, tmp) {
-                return Err(StoreError::ChecksumMismatch { disk, offset: first });
-            }
-            dec.fold(slot, tmp);
         }
-        Ok(dec.solve())
+        cache.fill(&self.io(), self.unit_size, Priority::Client)?;
+        let clean = self.fold_checked(st, copy, si, &mut dec, cache, bad)?;
+        Ok(clean.then(|| dec.solve()))
     }
 
     /// Starts the erasure decode of stripe `si` into `acc_p` and
     /// `acc_q` (see [`BlockStore::lost_slots`]): the caller folds
-    /// every survivor from wherever its bytes lie — the backend, a
-    /// prefetched [`UnitCache`], or bytes already in memory — and
-    /// solves.
+    /// every survivor from wherever its bytes lie — a prefetched
+    /// [`UnitCache`] or bytes already in memory — and solves.
     pub(crate) fn stripe_decode<'a>(
         &self,
         st: &ArrayState,
@@ -2451,7 +2434,11 @@ impl<B: Backend> BlockStore<B> {
     /// Healthy reads take no stripe lock (unit reads are atomic at
     /// the backend); degraded reads hold the stripe's shard lock
     /// shared, so concurrent decodes overlap but a concurrent writer
-    /// to the stripe is excluded mid-update.
+    /// to the stripe is excluded mid-update. A checksum mismatch — on
+    /// this block's unit or among the survivors its decode read — sits
+    /// in this block's stripe: the stripe is repaired under its
+    /// exclusive lock and the read retried once, where a second
+    /// mismatch is [`StoreError::ChecksumMismatch`].
     pub fn read_block(&self, addr: usize, buf: &mut [u8]) -> Result<(), StoreError> {
         self.check_addr(addr)?;
         self.check_block_buf(buf.len())?;
@@ -2473,32 +2460,35 @@ impl<B: Backend> BlockStore<B> {
                     return Ok(0);
                 }
             }
-            let mut fetch = || {
-                if degraded {
-                    self.reconstruct_unit(st, m.unit.disk as usize, m.unit.offset as usize, buf)
-                } else {
-                    self.read_unit(PhysUnit::live(st, m.unit), buf)
-                }
-            };
-            let shard = self.locks.shard_of(m.copy, m.stripe);
-            let first = {
-                let _g = degraded.then(|| self.locks.lock_one_shared(shard));
-                fetch()
-            };
-            // Read-repair: a checksum mismatch — on this block's unit
-            // (healthy path) or among the survivors its decode read
-            // (degraded path) — is treated as an erasure. Either way
-            // the corrupt unit sits in this block's stripe: take the
-            // stripe exclusively, repair it from parity, and retry
-            // once.
-            if let Err(StoreError::ChecksumMismatch { .. }) = first {
-                let (_g, _) = self.locks.lock_one_counting(shard);
-                self.repair_stripe_locked(st, m.copy, m.stripe)?;
-                fetch()?;
-            } else {
-                first?;
+            let mut scratch = degraded.then(|| self.scratch.get());
+            let res = sweep_repairing(
+                |bad| {
+                    match &mut scratch {
+                        None => {
+                            let at = PhysUnit::live(st, m.unit);
+                            self.read_unit(at, buf)?;
+                            if !self.integrity.sums.check(at.disk, at.offset, buf) {
+                                bad.note((m.copy, m.stripe), at.disk, at.offset);
+                            }
+                        }
+                        Some(s) => {
+                            let shard = self.locks.shard_of(m.copy, m.stripe);
+                            let _g = self.locks.lock_one_shared(shard);
+                            if let Some(solved) =
+                                self.decode_stripe(st, m.copy, m.stripe, s, bad)?
+                            {
+                                buf.copy_from_slice(solved.get(s, m.slot)?);
+                            }
+                        }
+                    }
+                    Ok(0)
+                },
+                |copy, si| self.repair_stripe(st, copy, si),
+            );
+            if let Some(s) = scratch {
+                self.scratch.put(s);
             }
-            Ok(0)
+            res
         })
     }
 
@@ -2573,14 +2563,12 @@ impl<B: Backend> BlockStore<B> {
         }
     }
 
-    /// Repairs the stripe owning logical block `addr` under its
-    /// exclusive shard lock (taken here — the caller must hold none).
-    fn repair_addr(&self, st: &ArrayState, addr: usize) -> Result<(), StoreError> {
-        let m = st.world.smap.locate_full(addr);
-        let shard = self.locks.shard_of(m.copy, m.stripe);
-        let (_g, _) = self.locks.lock_one_counting(shard);
-        self.repair_stripe_locked(st, m.copy, m.stripe)?;
-        Ok(())
+    /// Repairs stripe `si` of copy `copy` under its exclusive shard
+    /// lock, taken here: the repair step of a sweep whose caller holds
+    /// no stripe lock.
+    fn repair_stripe(&self, st: &ArrayState, copy: usize, si: usize) -> Result<(), StoreError> {
+        let (_g, _) = self.locks.lock_one_counting(self.locks.shard_of(copy, si));
+        self.repair_stripe_locked(st, copy, si).map(drop)
     }
 
     /// The healthy half of [`BlockStore::read_blocks`]: coalesces
@@ -2588,8 +2576,10 @@ impl<B: Backend> BlockStore<B> {
     /// *bridging* the small parity-unit holes a data scan never wants
     /// (the hole is read into a discard buffer so the run stays one
     /// backend call), and reads them through the dispatcher — each
-    /// run one scatter read straight into the caller's chunks — with
-    /// checksum verification and one repair-and-reread on mismatch.
+    /// run one scatter read straight into the caller's chunks — each
+    /// run verified as it lands; a mismatch is noted against its
+    /// block's stripe, which is repaired before the runs are read
+    /// again, once ([`sweep_repairing`]).
     fn read_healthy_runs(
         &self,
         st: &ArrayState,
@@ -2648,47 +2638,34 @@ impl<B: Backend> BlockStore<B> {
         }
         // Each run is verified as it lands, in **one** checksum-table
         // pass over its wanted units (a hole's discard slice is
-        // skipped, not checked); `bad` collects `(run, offset)`.
-        let mut offs: Vec<usize> = Vec::new();
-        let mut check = |i: usize, bufs: &[&mut [u8]], bad: &mut Vec<(usize, usize)>| {
-            let run = &runs[i];
-            let (mut part, mut at) = (run.parts.start, run.first as u32);
-            let wanted = by_disk[run.disk][spans[i].clone()].iter().map(|&(off, _)| {
-                part += 1 + usize::from(off > at);
-                at = off + 1;
-                (off as usize, &*bufs[part - 1])
-            });
-            if !self.integrity.sums.check_many(run.disk, wanted, &mut offs) {
-                bad.extend(offs.drain(..).map(|off| (i, off)));
-            }
-        };
+        // skipped, not checked).
         let io = self.io();
-        let mut bad: Vec<(usize, usize)> = Vec::new();
-        io.read_runs(&runs, &mut bufs, Priority::Client, |i, bufs| check(i, bufs, &mut bad))?;
-        if bad.is_empty() {
-            return Ok(());
-        }
-        // Latent corruption: repair the owning stripes in place
-        // (exclusive lock — none held here), then read the affected
-        // runs into the same buffers and verify them once more.
-        for &(i, off) in &bad {
-            let &(_, blk) = by_disk[runs[i].disk][spans[i].clone()]
-                .iter()
-                .find(|&&(o, _)| o as usize == off)
-                .expect("bad offset belongs to this run");
-            self.repair_addr(st, start + blk as usize)?;
-        }
-        bad.dedup_by_key(|b| b.0);
-        let mut still: Vec<(usize, usize)> = Vec::new();
-        for &(i, _) in &bad {
-            let again = std::slice::from_ref(&runs[i]);
-            io.read_runs(again, &mut bufs, Priority::Client, |_, bufs| check(i, bufs, &mut still))?;
-        }
-        match still.first() {
-            // The repair could not restore the unit.
-            Some(&(i, offset)) => Err(StoreError::ChecksumMismatch { disk: runs[i].disk, offset }),
-            None => Ok(()),
-        }
+        let mut offs: Vec<usize> = Vec::new();
+        sweep_repairing(
+            |bad| {
+                io.read_runs(&runs, &mut bufs, Priority::Client, |i, bufs| {
+                    let (run, span) = (&runs[i], &by_disk[runs[i].disk][spans[i].clone()]);
+                    let (mut part, mut at) = (run.parts.start, run.first as u32);
+                    let wanted = span.iter().map(|&(off, _)| {
+                        part += 1 + usize::from(off > at);
+                        at = off + 1;
+                        (off as usize, &*bufs[part - 1])
+                    });
+                    if self.integrity.sums.check_many(run.disk, wanted, &mut offs) {
+                        return;
+                    }
+                    for off in offs.drain(..) {
+                        let &(_, blk) = span
+                            .iter()
+                            .find(|&&(o, _)| o as usize == off)
+                            .expect("bad offset belongs to this run");
+                        let m = st.world.smap.locate_full(start + blk as usize);
+                        bad.note((m.copy, m.stripe), run.disk, off);
+                    }
+                })
+            },
+            |copy, si| self.repair_stripe(st, copy, si),
+        )
     }
 
     /// Reads `buf.len() / unit_size` consecutive logical blocks
@@ -2777,8 +2754,12 @@ impl<B: Backend> BlockStore<B> {
         // addresses of one stripe are adjacent in address order, so a
         // one-entry memo of the last decode suffices to decode each
         // degraded stripe exactly once. The degraded stripes' shards
-        // are held shared for the whole decode loop (two-phase, sorted
-        // — same discipline as the writers' exclusive acquisition).
+        // are held shared for the whole decode sweep (two-phase, sorted
+        // — same discipline as the writers' exclusive acquisition). A
+        // stripe whose decode meets a corrupt survivor is noted and its
+        // blocks left unserved; once the noted stripes are repaired
+        // (exclusive, with the shared guards released), the second
+        // sweep decodes only the stripes whose blocks are still unserved.
         if !degraded.is_empty() {
             let mut shards: Vec<usize> = degraded
                 .iter()
@@ -2788,53 +2769,33 @@ impl<B: Backend> BlockStore<B> {
                 .collect();
             sort_shard_set(&mut shards);
             let mut scratch = self.scratch.get();
-            // Two attempts: a checksum mismatch on a survivor read
-            // aborts the decode loop, the affected stripes are
-            // repaired (exclusive locks, taken with the shared guards
-            // released), and the loop reruns — blocks already served
-            // are `None` in `chunks` and skip.
-            let mut attempt = 0;
-            let res: Result<(), StoreError> = loop {
-                let res = {
+            let res = sweep_repairing(
+                |bad| {
                     let _guards = self.locks.lock_sorted_shared(&shards);
-                    (|| {
-                        let mut decoded_key: Option<(usize, usize)> = None;
-                        let mut solved = Decoded::default();
-                        for &(bi, addr) in &degraded {
-                            if chunks[bi].is_none() {
-                                continue;
+                    let mut current: Option<((usize, usize), Option<Decoded>)> = None;
+                    for &(bi, addr) in &degraded {
+                        if chunks[bi].is_none() {
+                            continue;
+                        }
+                        let key = (st.world.smap.copy_of(addr), st.world.smap.stripe_of(addr));
+                        let solved = match current {
+                            Some((at, solved)) if at == key => solved,
+                            _ => {
+                                let solved =
+                                    self.decode_stripe(st, key.0, key.1, &mut scratch, bad)?;
+                                current = Some((key, solved));
+                                solved
                             }
-                            let si = st.world.smap.stripe_of(addr);
-                            let copy = st.world.smap.copy_of(addr);
-                            if decoded_key != Some((copy, si)) {
-                                let shift = (copy * st.world.layout.size()) as u32;
-                                solved = self.decode_stripe(st, si, shift, &[], &mut scratch)?;
-                                decoded_key = Some((copy, si));
-                            }
+                        };
+                        if let Some(solved) = solved {
                             let decoded = solved.get(&scratch, st.world.smap.slot_of(addr))?;
                             chunks[bi].take().expect("block decoded once").copy_from_slice(decoded);
                         }
-                        Ok(())
-                    })()
-                };
-                match res {
-                    Err(StoreError::ChecksumMismatch { .. }) if attempt == 0 => {
-                        attempt = 1;
-                        let mut seen: Option<(usize, usize)> = None;
-                        let rep = degraded.iter().try_for_each(|&(_, addr)| {
-                            let key = (st.world.smap.copy_of(addr), st.world.smap.stripe_of(addr));
-                            if seen.replace(key) == Some(key) {
-                                return Ok(());
-                            }
-                            self.repair_addr(st, addr)
-                        });
-                        if let Err(e) = rep {
-                            break Err(e);
-                        }
                     }
-                    r => break r,
-                }
-            };
+                    Ok(())
+                },
+                |copy, si| self.repair_stripe(st, copy, si),
+            );
             self.scratch.put(scratch);
             res?;
         }
@@ -3192,7 +3153,8 @@ impl<B: Backend> BlockStore<B> {
         let w = &*st.world;
         let size = w.layout.size();
         let is_pq = self.scheme == ParityScheme::PQ;
-        let Scratch { mut acc_p, mut acc_q, mut tmp } = Scratch::new(self.unit_size);
+        let us = self.unit_size;
+        let (mut acc_p, mut acc_q, mut unit) = (vec![0u8; us], vec![0u8; us], vec![0u8; us]);
         for copy in 0..w.copies {
             let shift = (copy * size) as u32;
             for (si, stripe) in w.layout.stripes().iter().enumerate() {
@@ -3205,11 +3167,8 @@ impl<B: Backend> BlockStore<B> {
                     // themselves, so a corrupt unit should surface as
                     // the named `ParityMismatch`, not a checksum error
                     // (scrub is the checksum-aware repair pass).
-                    self.read_unit(
-                        PhysUnit { checked: false, ..PhysUnit::live(&st, u) },
-                        &mut tmp,
-                    )?;
-                    syn.fold(Role::of(slot, p_slot, q_slot), &tmp);
+                    self.read_unit(PhysUnit::live(&st, u), &mut unit)?;
+                    syn.fold(Role::of(slot, p_slot, q_slot), &unit);
                 }
                 if !codec::is_zero(&acc_p) {
                     return Err(StoreError::ParityMismatch { stripe: si, copy, parity: "P (XOR)" });

@@ -551,3 +551,206 @@ fn rebuild_repairs_a_corrupt_survivor_before_folding_it() {
     assert_eq!(store.rebuilding(), None, "the refused rebuild is unregistered");
     assert_eq!(store.stats().integrity.checksum_repairs, 0, "nothing repairable was repaired");
 }
+
+/// The one repair rule, call by call: `read_block`, `read_blocks`,
+/// `write_block` and `write_blocks`, on a healthy and on a degraded
+/// array, XOR and P+Q, engine off and on, each meet one rotted unit
+/// they must read, repair it exactly once and complete with exact
+/// bytes; with the rot past the redundancy each fails naming the
+/// rotted unit and repairs nothing. Every leg works in stripe 0 of
+/// copy 0, whose two data units are blocks `lo` and `a = lo + 1`: `lo`
+/// is rotted and `a` is written (a one-unit update of a two-data-unit
+/// stripe takes the reconstruct route, so it reads `lo`). A read
+/// reaches `lo` itself, or decodes `a` from its survivors when `a`'s
+/// disk is failed. The degraded XOR leg fails a disk outside stripe 0:
+/// a rotted survivor of a decoded XOR stripe is past the redundancy,
+/// which the last column covers.
+#[test]
+fn every_client_path_repairs_a_corrupt_unit_once() {
+    #[derive(Clone, Copy, Debug)]
+    enum Call {
+        ReadBlock,
+        ReadBlocks,
+        WriteBlock,
+        WriteBlocks,
+    }
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Array {
+        Healthy,
+        Degraded,
+        PastRedundancy,
+    }
+    const SALT: u64 = 0x0ace;
+    const NEW: u64 = 0x0bee;
+    let pattern = |addr: usize, salt: u64| {
+        let mut b = vec![0u8; UNIT];
+        fill_pattern(addr, salt, &mut b);
+        b
+    };
+    for call in [Call::ReadBlock, Call::ReadBlocks, Call::WriteBlock, Call::WriteBlocks] {
+        for array in [Array::Healthy, Array::Degraded, Array::PastRedundancy] {
+            for pq in [false, true] {
+                for engine in [false, true] {
+                    let scheme = if pq { "P+Q" } else { "XOR" };
+                    let ctx = format!("{call:?} {array:?} {scheme} engine {engine}");
+                    let store = if pq {
+                        pq_store(FaultConfig::quiet(SEED))
+                    } else {
+                        xor_store(FaultConfig::quiet(SEED))
+                    };
+                    fill(&store, SALT);
+                    store.set_health_threshold(u64::MAX);
+                    if engine {
+                        store.start_engine(EngineConfig::default());
+                    }
+                    let (layout, map) = (store.layout(), store.stripe_map());
+                    let (lo, k_data) = map.stripe_data_range(0);
+                    assert_eq!(k_data, 2, "[{ctx}] two data units per stripe");
+                    let a = lo + 1;
+                    assert_eq!(map.stripe_data_range(1), (a + 1, 2), "[{ctx}] stripe 1 follows");
+                    let stripe = layout.stripes()[0].units();
+                    let disk_of = |addr: usize| map.locate_full(addr).unit.disk as usize;
+                    let p_disk = stripe[map.parity_slots(0).0].disk as usize;
+                    let failed: Vec<usize> = match (array, pq) {
+                        (Array::Healthy, _) => vec![],
+                        (Array::Degraded, false) => {
+                            let outside = (0..store.v())
+                                .find(|&d| stripe.iter().all(|u| u.disk as usize != d))
+                                .unwrap();
+                            vec![outside]
+                        }
+                        (Array::Degraded, true) | (Array::PastRedundancy, false) => {
+                            vec![disk_of(a)]
+                        }
+                        (Array::PastRedundancy, true) => vec![disk_of(a), p_disk],
+                    };
+                    for &d in &failed {
+                        store.fail_disk(d).unwrap();
+                    }
+                    let rot = map.locate_full(lo).unit;
+                    let rotted = (store.physical_disk(rot.disk as usize), rot.offset as usize);
+                    store.backend().corrupt_unit(rotted.0, rotted.1).unwrap();
+                    let a_lost = failed.contains(&disk_of(a));
+                    let blocks = store.blocks();
+                    let repairs0 = store.stats().integrity.checksum_repairs;
+                    let res = match call {
+                        Call::ReadBlock => {
+                            let target = if a_lost { a } else { lo };
+                            let mut got = vec![0u8; UNIT];
+                            store.read_block(target, &mut got).map(|()| {
+                                assert_eq!(got, pattern(target, SALT), "[{ctx}] block {target}")
+                            })
+                        }
+                        Call::ReadBlocks => {
+                            // With `a` lost, leave `lo` out: only the
+                            // decode of stripe 0 reads it.
+                            let first = if a_lost { a } else { 0 };
+                            let mut got = vec![0u8; (blocks - first) * UNIT];
+                            store.read_blocks(first, &mut got).map(|()| {
+                                for (i, g) in got.chunks(UNIT).enumerate() {
+                                    let addr = first + i;
+                                    assert_eq!(g, pattern(addr, SALT), "[{ctx}] block {addr}");
+                                }
+                            })
+                        }
+                        Call::WriteBlock => store.write_block(a, &pattern(a, NEW)),
+                        Call::WriteBlocks => {
+                            let data: Vec<u8> = (a..a + 3).flat_map(|b| pattern(b, NEW)).collect();
+                            store.write_blocks(a, &data)
+                        }
+                    };
+                    let repairs = store.stats().integrity.checksum_repairs - repairs0;
+                    if array == Array::PastRedundancy {
+                        match res {
+                            Err(StoreError::ChecksumMismatch { disk, offset }) => {
+                                assert_eq!((disk, offset), rotted, "[{ctx}] the rotted unit named")
+                            }
+                            other => panic!("[{ctx}] rot past the redundancy must fail: {other:?}"),
+                        }
+                        assert_eq!(repairs, 0, "[{ctx}] nothing repairable was repaired");
+                        continue;
+                    }
+                    res.unwrap_or_else(|e| panic!("[{ctx}] {e}"));
+                    assert_eq!(repairs, 1, "[{ctx}] the rotted unit is repaired once");
+                    let written = match call {
+                        Call::WriteBlock => a..a + 1,
+                        Call::WriteBlocks => a..a + 3,
+                        _ => 0..0,
+                    };
+                    let mut got = vec![0u8; UNIT];
+                    for addr in 0..blocks {
+                        store.read_block(addr, &mut got).unwrap();
+                        let salt = if written.contains(&addr) { NEW } else { SALT };
+                        assert_eq!(got, pattern(addr, salt), "[{ctx}] block {addr} afterwards");
+                    }
+                    let total = store.stats().integrity.checksum_repairs - repairs0;
+                    assert_eq!(total, 1, "[{ctx}] the repair held");
+                    if failed.is_empty() {
+                        store.verify_parity().unwrap_or_else(|e| panic!("[{ctx}] {e}"));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A degraded `read_blocks` that meets a rotted survivor repairs the
+/// one stripe that held it: over a P+Q array with one disk failed, a
+/// whole-array read decodes every degraded stripe once, and the one
+/// whose P unit is rotted (P is never requested, so only its decode
+/// reads it) is repaired — its live units read once more — and decoded
+/// again. Nothing else is read: the healthy requested blocks once, no
+/// other stripe repaired or decoded twice.
+#[test]
+fn degraded_batch_read_repairs_only_the_stripe_with_a_rotten_survivor() {
+    const SALT: u64 = 0xd15c;
+    for engine in [false, true] {
+        let store = pq_store(FaultConfig::quiet(SEED));
+        fill(&store, SALT);
+        if engine {
+            store.start_engine(EngineConfig::default());
+        }
+        let failed = 0;
+        store.fail_disk(failed).unwrap();
+        let (layout, map) = (store.layout(), store.stripe_map());
+        let blocks = store.blocks();
+        // Each degraded stripe — one with a lost data block — once,
+        // in address order, with its live unit count.
+        let mut degraded: Vec<((usize, usize), u64)> = Vec::new();
+        let mut healthy = 0u64;
+        for addr in 0..blocks {
+            let m = map.locate_full(addr);
+            if m.unit.disk as usize != failed {
+                healthy += 1;
+            } else if degraded.last().map(|d| d.0) != Some((m.copy, m.stripe)) {
+                let units = layout.stripes()[m.stripe].units();
+                let live = units.iter().filter(|u| u.disk as usize != failed).count() as u64;
+                degraded.push(((m.copy, m.stripe), live));
+            }
+        }
+        assert!(degraded.len() >= 4, "the read spans {} degraded stripes", degraded.len());
+        // Rot the P unit of a degraded stripe in the middle.
+        let ((copy, si), live) = degraded[degraded.len() / 2];
+        let p = layout.stripes()[si].units()[map.parity_slots(si).0];
+        let offset = p.offset as usize + copy * layout.size();
+        store.backend().corrupt_unit(store.physical_disk(p.disk as usize), offset).unwrap();
+
+        let t0 = store.stats();
+        let mut got = vec![0u8; blocks * UNIT];
+        store.read_blocks(0, &mut got).unwrap();
+        let now = store.stats();
+        let mut want = vec![0u8; UNIT];
+        for (addr, g) in got.chunks(UNIT).enumerate() {
+            fill_pattern(addr, SALT, &mut want);
+            assert_eq!(g, &want[..], "engine {engine}: block {addr}");
+        }
+        assert_eq!(now.integrity.checksum_repairs - t0.integrity.checksum_repairs, 1);
+        let decodes: u64 = degraded.iter().map(|d| d.1).sum();
+        assert_eq!(
+            now.io_totals().since(&t0.io_totals()).read_units,
+            healthy + decodes + live + live,
+            "engine {engine}: healthy blocks + one decode per degraded stripe + the rotted \
+             stripe's repair and its second decode"
+        );
+    }
+}
