@@ -842,6 +842,8 @@ pub struct FaultyBackend<B> {
     inner: B,
     cfg: FaultConfig,
     armed: std::sync::atomic::AtomicBool,
+    /// Every `flush` fails ([`FaultyBackend::fail_flushes`]).
+    failing_flushes: std::sync::atomic::AtomicBool,
     rng: std::sync::atomic::AtomicU64,
     /// Next-N-calls forced-transient budget ([`FaultyBackend::fail_next`]).
     forced_transients: std::sync::atomic::AtomicU64,
@@ -858,6 +860,7 @@ impl<B: Backend> FaultyBackend<B> {
             inner,
             cfg,
             armed: std::sync::atomic::AtomicBool::new(true),
+            failing_flushes: std::sync::atomic::AtomicBool::new(false),
             rng: std::sync::atomic::AtomicU64::new(splitmix64(cfg.seed)),
             forced_transients: std::sync::atomic::AtomicU64::new(0),
             injected_transients: std::sync::atomic::AtomicU64::new(0),
@@ -875,6 +878,13 @@ impl<B: Backend> FaultyBackend<B> {
     /// delegates cleanly — use around test setup).
     pub fn set_armed(&self, on: bool) {
         self.armed.store(on, Ordering::SeqCst);
+    }
+
+    /// Makes every `flush` fail (not transiently) while `on`, whether
+    /// or not the schedule is armed; the data calls are untouched. A
+    /// durability barrier then stops at its first step.
+    pub fn fail_flushes(&self, on: bool) {
+        self.failing_flushes.store(on, Ordering::SeqCst);
     }
 
     /// Forces the next `n` data-path calls to fail transiently,
@@ -1086,6 +1096,9 @@ impl<B: Backend> Backend for FaultyBackend<B> {
     }
 
     fn flush(&self) -> Result<(), StoreError> {
+        if self.failing_flushes.load(Ordering::SeqCst) {
+            return Err(StoreError::Io(std::io::Error::other("injected flush failure")));
+        }
         self.inner.flush()
     }
 
@@ -1257,6 +1270,12 @@ mod tests {
         b.read_unit(0, 0, &mut out).unwrap();
         assert_ne!(out, unit);
         assert_eq!(b.corruptions(), vec![(0, 0)]);
+        // Failing flushes fail every flush, not transiently, until
+        // cleared.
+        b.fail_flushes(true);
+        assert!(!crate::integrity::is_transient(&b.flush().unwrap_err()));
+        b.fail_flushes(false);
+        b.flush().unwrap();
         // Disarmed, the schedule is silent even with rates maxed.
         let mut cfg = FaultConfig::quiet(1);
         cfg.transient_rate = 1.0;

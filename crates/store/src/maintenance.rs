@@ -54,6 +54,7 @@ use std::time::{Duration, Instant};
 
 use crate::backend::Backend;
 use crate::error::StoreError;
+use crate::meta::Record;
 use crate::obs::Metrics;
 use crate::reshape::ReshapeReport;
 use crate::scrub::{ScrubConfig, ScrubJob, ScrubReport};
@@ -522,7 +523,7 @@ impl<B: Backend> Job<B> for ReshapeJob {
     /// Makes the live cursor durable, so the next driver (or a reopen)
     /// resumes here instead of at the last periodic checkpoint.
     fn checkpoint(&mut self, store: &BlockStore<B>) -> Result<(), StoreError> {
-        store.checkpoint_active_reshape()
+        store.persist(Record::Progress(&store.state_read()))
     }
 
     fn into_report(self) -> ReshapeDriverReport {

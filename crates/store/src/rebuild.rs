@@ -290,8 +290,9 @@ impl Rebuilder {
         let per_disk_reads: Vec<u64> = (progress.per_disk_reads.iter().enumerate())
             .map(|(d, &r)| if also_failed.contains(&d) { 0 } else { r })
             .collect();
+        // Flips the redirect, destages the cache and makes the spare
+        // durable before the document names it (one backend flush).
         store.complete_rebuild(failed, spare)?;
-        store.flush()?;
         Ok(RebuildReport {
             failed_disk: failed,
             spare_disk: spare,

@@ -50,14 +50,18 @@
 //!
 //! File-backed stores persist a [`ReshapeState`] as the `reshape`
 //! section of `store.json`: at begin, at every `checkpoint_every`-th
-//! batch boundary (cursor only advances in the document *after* the
-//! batch's writes landed, so a resumed migration only ever
-//! re-copies), and at every commit slide chunk. Every one of those
-//! documents also carries the `scrub` section, so the scrubber's
-//! lifetime pass count survives the reshape.
+//! batch boundary, when a driver stops, at every commit slide chunk,
+//! and in every `flush` meanwhile. Each goes through the store's one
+//! durability barrier, which syncs the data and the checksums before
+//! it replaces the document: the cursor and the slide watermark a
+//! document records are never ahead of what is on the medium, so a
+//! resumed migration only ever re-copies and a resumed slide only ever
+//! re-slides. Every one of those documents also carries the `scrub`
+//! section, so the scrubber's lifetime pass count survives the
+//! reshape.
 //!
 //! That document is the only source of a reshape's runtime. `begin`
-//! persists it and then installs the runtime from it;
+//! installs the runtime from it and then persists it;
 //! [`crate::open_file_store`] installs the runtime from the persisted
 //! one, at its cursor and slide watermark, after the same checks (a
 //! document on disk is outside input). A `phase = "migrate"` document
@@ -74,12 +78,13 @@
 //! mapped disk's target region down from the scratch rows to row 0 in
 //! watermarked chunks of at most `min(scratch_base, 4096)` rows (so a
 //! chunk's write never overlaps the scratch rows a resumed slide would
-//! re-read; each transfer is retried on transient errors), drops the
-//! checksum table together with its base and journal on disk (they
-//! describe source-world units), persists the final metadata, target
-//! mapping included, trims the backend to `U_tgt`, and swaps the
-//! in-memory world: target layout, redirect table, remapped failure
-//! set, raised capacity, bumped epoch.
+//! re-read; each transfer is retried on transient errors), clears the
+//! checksum table (it describes source-world units), persists the
+//! final metadata, target mapping included, through the barrier —
+//! which writes the cleared table as a fresh checksum base before the
+//! document — trims the backend to `U_tgt`, and swaps the in-memory
+//! world: target layout, redirect table, remapped failure set, raised
+//! capacity, bumped epoch.
 
 use crate::backend::Backend;
 use crate::cache::{key_parts, stripe_key, FlushSnapshot};
@@ -88,7 +93,7 @@ use crate::engine::Priority;
 use crate::error::StoreError;
 use crate::io::Run;
 use crate::maintenance::{ReshapeDriverConfig, ReshapeJob};
-use crate::meta::{slots_u32, ReshapeState};
+use crate::meta::{slots_u32, Record, ReshapeState};
 use crate::obs::{Event, OpKind, ReshapeProgressSnapshot};
 use crate::scheme::{FailureSet, ParityScheme};
 use crate::store::{
@@ -98,7 +103,7 @@ use crate::store::{
 use pdl_core::{
     relayout_cost, DoubleParityLayout, LayoutSpec, ReshapeMethod, ReshapePlan, StripeUnit,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -233,6 +238,9 @@ pub(crate) struct ReshapeRuntime {
     /// commit retries from where it stopped instead of re-reading
     /// scratch rows its own writes already clobbered.
     pub(crate) slide_done: AtomicU64,
+    /// Whether the commit has begun (set before its first slide): the
+    /// document's phase from then on is `"commit"`, whoever writes it.
+    pub(crate) committing: AtomicBool,
     /// Per-target-stripe lock table serializing dual writes; disjoint
     /// from the store's source lock table and always taken after it.
     pub(crate) tgt_locks: StripeLockTable,
@@ -260,6 +268,18 @@ impl ReshapeRuntime {
             disk: self.doc.tgt_redirect[u.disk as usize],
             offset: self.doc.scratch_base + u.offset as usize,
             checked: false,
+        }
+    }
+
+    /// The document a checkpoint records: the installed one at the
+    /// live phase, cursor and slide watermark.
+    pub(crate) fn checkpoint(&self) -> ReshapeState {
+        let phase = if self.committing.load(Ordering::Acquire) { "commit" } else { "migrate" };
+        ReshapeState {
+            phase: phase.into(),
+            cursor: self.cursor.load(Ordering::Acquire),
+            slide_done: self.slide_done.load(Ordering::Acquire),
+            ..self.doc.clone()
         }
     }
 
@@ -489,9 +509,10 @@ impl<B: Backend> BlockStore<B> {
             checkpoint_every: opts.checkpoint_every.max(1),
         };
         // Grow under the exclusive guard (no I/O in flight). If the
-        // begin-state persist then fails, shrink back so a retried
-        // begin doesn't stack scratch regions; a crash in between
-        // leaves longer files that the trimming open self-heals.
+        // install or the begin-state persist then fails, uninstall and
+        // shrink back so a retried begin doesn't stack scratch
+        // regions; a crash in between leaves longer files that the
+        // trimming open self-heals.
         self.backend.set_units_per_disk(grown_units)?;
         // Stripe indices change meaning across worlds: any in-flight
         // scrub pass restarts from zero (it also yields while the
@@ -499,11 +520,14 @@ impl<B: Backend> BlockStore<B> {
         // document is built, so no reshape-era document carries a
         // source-world cursor.
         self.scrub_cursor.store(0, Ordering::Release);
-        if let Err(e) = self.persist_meta(&st.world, &st.redirect, Some(doc.clone())) {
+        let begun = self
+            .install_reshape(st, &doc, Some(plan.method))
+            .and_then(|()| self.persist(Record::Progress(st)));
+        if let Err(e) = begun {
+            st.reshape = None;
             let _ = self.backend.set_units_per_disk(scratch_base);
             return Err(e);
         }
-        self.install_reshape(st, &doc, Some(plan.method))?;
         let epoch = st.epoch;
         self.events.emit(|| Event::ReshapeBegan {
             from_v: from_v as u32,
@@ -609,6 +633,7 @@ impl<B: Backend> BlockStore<B> {
             cursor: AtomicU64::new(doc.cursor),
             units_done: AtomicU64::new(0),
             slide_done: AtomicU64::new(doc.slide_done),
+            committing: AtomicBool::new(doc.phase == "commit"),
             tgt_locks: StripeLockTable::new(),
             step: Mutex::new(StepState::default()),
             from_v: src.v(),
@@ -780,7 +805,7 @@ impl<B: Backend> BlockStore<B> {
             step.batches_since_checkpoint = 0;
             // Under the state guard taken above, so no commit has
             // replaced this reshape's document since.
-            self.persist_reshape(&st, rs, "migrate")?;
+            self.persist(Record::Progress(&st))?;
         }
         drop(st);
         self.metrics.record_op(
@@ -895,35 +920,6 @@ impl<B: Backend> BlockStore<B> {
         res
     }
 
-    /// Durably checkpoints the active reshape at its *current* cursor
-    /// (a no-op when none is active, or for memory-backed stores) —
-    /// the reshape driver's stop path, so a later driver resumes at
-    /// the stop point instead of the last periodic checkpoint.
-    pub(crate) fn checkpoint_active_reshape(&self) -> Result<(), StoreError> {
-        let st = self.state_read();
-        st.reshape.as_ref().map_or(Ok(()), |rs| self.persist_reshape(&st, rs, "migrate"))
-    }
-
-    /// Durably replaces the document with `rs`'s, in `phase`, at the
-    /// runtime's live cursor and slide watermark. The caller holds a
-    /// state guard under which `rs` is the active reshape, so a commit
-    /// (which holds the guard exclusively throughout) never has its
-    /// final document overwritten by a stale checkpoint.
-    fn persist_reshape(
-        &self,
-        st: &ArrayState,
-        rs: &ReshapeRuntime,
-        phase: &str,
-    ) -> Result<(), StoreError> {
-        let doc = ReshapeState {
-            phase: phase.into(),
-            cursor: rs.cursor.load(Ordering::Acquire),
-            slide_done: rs.slide_done.load(Ordering::Acquire),
-            ..rs.doc.clone()
-        };
-        self.persist_meta(&st.world, &st.redirect, Some(doc))
-    }
-
     /// Commits a fully migrated reshape (see module docs for the
     /// crash windows). Errors with [`StoreError::ReshapeIncomplete`]
     /// if migration hasn't reached the end. On an injected or I/O
@@ -955,7 +951,8 @@ impl<B: Backend> BlockStore<B> {
         let tw = rs.target.clone();
         let u_tgt = tw.copies * tw.layout.size();
         let sb = rs.doc.scratch_base;
-        self.persist_reshape(&st, &rs, "commit")?;
+        rs.committing.store(true, Ordering::Release);
+        self.persist(Record::Progress(&st))?;
         // Slide the target region down: chunk ≤ scratch_base rows, so
         // a chunk's writes never clobber scratch rows a slide resumed
         // from the watermark would re-read.
@@ -973,7 +970,7 @@ impl<B: Backend> BlockStore<B> {
             }
             row += span.len() / us;
             rs.slide_done.store(row as u64, Ordering::Release);
-            self.persist_reshape(&st, &rs, "commit")?;
+            self.persist(Record::Progress(&st))?;
             chunks_done += 1;
             if opts.commit_fault_after_chunks == Some(chunks_done) {
                 return Err(StoreError::Corrupt("injected reshape commit fault".into()));
@@ -982,24 +979,22 @@ impl<B: Backend> BlockStore<B> {
         // The slide moved target-world bytes into rows whose recorded
         // checksums (if any) describe *source*-world units: sliding
         // the sums down would still leave every untouched tail row
-        // stale. Drop the whole table instead — unset sums are
+        // stale. Clear the whole table instead — unset sums are
         // re-adopted by the next scrub pass (or re-recorded by
         // writes), which trades one pass of verification for zero
-        // false mismatches — and its base and journal with it, before
-        // the committed document lands: a reopen of that document must
-        // not load source-world sums (when `U_tgt` equals the source
-        // rows their geometry matches), and a crash before it reopens
-        // into this commit, which loads none.
+        // false mismatches. The barrier writes the cleared table as a
+        // fresh base before the committed document lands: a reopen of
+        // that document must not load source-world sums (when `U_tgt`
+        // equals the source rows their geometry matches), and a crash
+        // before it reopens into this commit, which loads none. The
+        // trim comes last; a crash before it leaves long files that
+        // the trimming open heals.
         self.integrity.sums.resize_units(u_tgt);
         for d in 0..self.backend.disks() {
             self.integrity.sums.clear_disk(d);
         }
-        if let Some(dir) = &self.dir {
-            dir.drop_sums()?;
-        }
-        self.persist_meta(&tw, &rs.doc.tgt_redirect, None)?;
+        self.persist(Record::Committed(&tw, &rs.doc.tgt_redirect))?;
         self.backend.set_units_per_disk(u_tgt)?;
-        self.backend.flush()?;
         // Swap worlds. Failures survive the flip, remapped through the
         // surviving source disks (the identity on add; a removed failed
         // disk simply drops out); the new world's stale markers start

@@ -32,9 +32,10 @@
 //!   foreground [`BlockStore::scrub`] (which nobody could stop) fails
 //!   with [`StoreError::ReshapeInProgress`].
 //! - **Crash-resumable.** Every `checkpoint_stripes` stripes, at pass
-//!   end, and when stopped, the cursor and the lifetime pass count
-//!   are persisted in the `scrub` section of [`crate::StoreMeta`]
-//!   together with the checksum sidecar;
+//!   end, and when stopped, the store's durability barrier syncs the
+//!   repairs, persists the checksum sidecar and then records the
+//!   cursor and the lifetime pass count in the `scrub` section of
+//!   [`crate::StoreMeta`];
 //!   [`crate::meta::open_file_store`] restores both, and the next
 //!   pass resumes where the stopped or crashed one left off. The
 //!   section rides in every document the store writes, so it
@@ -47,8 +48,9 @@ use std::time::{Duration, Instant};
 use crate::backend::Backend;
 use crate::error::StoreError;
 use crate::maintenance::{Job, JobHandle, ScrubPacer, Step};
+use crate::meta::Record;
 use crate::obs::{Event, OpKind};
-use crate::store::{ArrayState, BlockStore};
+use crate::store::BlockStore;
 
 /// Tuning for a scrub pass.
 #[derive(Clone, Debug)]
@@ -162,7 +164,7 @@ impl<B: Backend> Job<B> for ScrubJob {
                 store.maint.paced_passes.fetch_add(1, Ordering::Relaxed);
             }
             store.scrub_cursor.store(0, Ordering::Release);
-            store.checkpoint_scrub(&st)?;
+            store.persist(Record::Progress(&st))?;
             self.report.completed = true;
             drop(st);
             let r = self.report;
@@ -199,7 +201,7 @@ impl<B: Backend> Job<B> for ScrubJob {
         self.report.stripes += end - cur;
         self.since_ckpt += end - cur;
         if self.cfg.checkpoint_stripes > 0 && self.since_ckpt >= self.cfg.checkpoint_stripes {
-            store.checkpoint_scrub(&st)?;
+            store.persist(Record::Progress(&st))?;
             self.since_ckpt = 0;
         }
         drop(st);
@@ -217,11 +219,7 @@ impl<B: Backend> Job<B> for ScrubJob {
     }
 
     fn checkpoint(&mut self, store: &BlockStore<B>) -> Result<(), StoreError> {
-        let st = store.state_read();
-        if st.reshape.is_none() {
-            store.checkpoint_scrub(&st)?;
-        }
-        Ok(())
+        store.persist(Record::Progress(&store.state_read()))
     }
 
     fn into_report(self) -> ScrubReport {
@@ -254,17 +252,5 @@ impl<B: Backend> BlockStore<B> {
     {
         let admitted = self.admit_scrub()?;
         Ok(self.spawn_job("pdl-scrub", admitted, ScrubJob::new(self, cfg, None)))
-    }
-
-    /// Durably records the scrub position: the store's metadata
-    /// document (whose `scrub` section carries the cursor and pass
-    /// count) plus the checksum sidecar. No-op for memory-backed
-    /// stores. Called with the array state guard held and no reshape
-    /// active — a reshape's own checkpoints carry the section while
-    /// one is.
-    fn checkpoint_scrub(&self, st: &ArrayState) -> Result<(), StoreError> {
-        debug_assert!(st.reshape.is_none());
-        self.persist_meta(&st.world, &st.redirect, None)?;
-        self.dir.as_ref().map_or(Ok(()), |dir| dir.persist_sums(&self.integrity))
     }
 }

@@ -79,6 +79,19 @@
 //! stripe unit's bytes go), so the spare is bit-exact when the
 //! redirect flips.
 //!
+//! ## Durability
+//!
+//! One barrier, `BlockStore::persist` in `meta.rs`, makes state
+//! durable, and every path that persists calls it: [`BlockStore::flush`],
+//! rebuild completion, and the reshape and scrub checkpoints. Two
+//! rules hold. The order is data → checksums → document: the backend
+//! is synced, then the checksum table is persisted, then `store.json`
+//! is replaced. And a document never names data that has not been
+//! synced, so a reopen after a crash never reads a spare, a migrated
+//! stripe or a slid row that did not reach the medium. A failed
+//! barrier leaves the document as it was; a failed rebuild completion
+//! also leaves the store degraded, so the rebuild can be retried.
+//!
 //! ## Decode policy
 //!
 //! Reconstruction always reads **every** surviving member of the
@@ -159,7 +172,7 @@ use crate::error::StoreError;
 use crate::integrity::{Integrity, RetryPolicy};
 use crate::io::{Io, Run};
 use crate::maintenance::MaintState;
-use crate::meta::ArrayDir;
+use crate::meta::{ArrayDir, Record};
 use crate::obs::{
     DiskStatSnapshot, Event, EventHub, EventSink, Metrics, OpKind, RebuildProgress, RebuildTracker,
     StatsSnapshot,
@@ -696,10 +709,10 @@ pub struct BlockStore<B> {
     pub(crate) events: EventHub,
     /// Live-progress state of the registered rebuild, if any.
     pub(crate) rb_tracker: RebuildTracker,
-    /// The array directory installed by the file-store constructors:
-    /// rebuild completions, reshape and scrub checkpoints persist the
-    /// document through it, and flushes the checksum table. `None`
-    /// for memory-backed stores (nothing survives the process anyway).
+    /// The array directory installed by the file-store constructors,
+    /// through which the durability barrier (`BlockStore::persist`)
+    /// persists the checksum table and the document. `None` for
+    /// memory-backed stores (nothing survives the process anyway).
     pub(crate) dir: Option<ArrayDir>,
     /// End-to-end integrity state: the per-physical-unit checksum
     /// table, the transient-retry policy, the per-disk health
@@ -1009,8 +1022,8 @@ impl<B: Backend> BlockStore<B> {
         // Flush-before-transition: the rebuild's chunk decodes assume
         // the backend holds every acknowledged write of the pre-
         // registration era; writes issued *after* registration are
-        // either flushed through the write-through path or reconciled
-        // by the post-completion flush.
+        // either flushed through the write-through path or destaged by
+        // the completion's drain.
         self.flush_cache_locked(&st)?;
         st.rebuilding = Some((failed, spare));
         st.epoch += 1;
@@ -1037,14 +1050,38 @@ impl<B: Backend> BlockStore<B> {
         self.events.emit(|| Event::RebuildAborted { epoch: st.epoch });
     }
 
+    /// Completes a registered rebuild: flips the redirect onto the
+    /// spare and clears the failure in memory, destages the cache by
+    /// the now-healthy routes, then runs the durability barrier — all
+    /// under the exclusive guard, so no in-flight op observes the new
+    /// redirect before the spare is synced and the document names it.
+    /// If the drain or the barrier fails, the failure and the redirect
+    /// are restored: the store stays degraded, the document still names
+    /// the failed disk, and a retried rebuild completes.
     pub(crate) fn complete_rebuild(&self, failed: usize, spare: usize) -> Result<(), StoreError> {
         let mut st = self.state_write();
         debug_assert_eq!(st.rebuilding, Some((failed, spare)), "completion matches registration");
-        st.redirect[failed] = spare;
+        let was = std::mem::replace(&mut st.redirect[failed], spare);
         st.failed.remove(failed);
         st.rebuilding = None;
         st.epoch += 1;
         self.rb_tracker.finish();
+        let destaged = self.cache.maybe_dirty();
+        let durable =
+            self.flush_cache_locked(&st).and_then(|()| self.persist(Record::Serving(&st)));
+        if let Err(e) = durable {
+            st.redirect[failed] = was;
+            st.failed.insert(failed);
+            if destaged {
+                // Destaged units of the failed disk landed on the spare
+                // only, so its old medium may be stale: stripe 0 stands
+                // witness unless a skipping write already recorded one.
+                st.world.stale[failed].fetch_max(1, Ordering::AcqRel);
+            }
+            st.epoch += 1;
+            self.events.emit(|| Event::RebuildAborted { epoch: st.epoch });
+            return Err(e);
+        }
         // The degraded window this rebuild serviced closes here (or
         // steps down from two erasures to one).
         self.metrics.degraded_transition(
@@ -1061,11 +1098,7 @@ impl<B: Backend> BlockStore<B> {
         // written through while it raced traffic): the medium is
         // fresh again.
         st.world.stale[failed].store(0, Ordering::Release);
-        // File-backed arrays record the new redirect in their document
-        // so a reopened store reads the spare, not the stale failed
-        // disk. Persisted under the exclusive guard: no in-flight op
-        // can observe the new redirect before it is durable.
-        self.persist_meta(&st.world, &st.redirect, None)
+        Ok(())
     }
 
     /// Marks a logical disk failed. Subsequent reads of its units are
@@ -1317,15 +1350,13 @@ impl<B: Backend> BlockStore<B> {
     }
 
     /// Flushes the write-back stripe cache (combined parity updates,
-    /// see [`crate::cache`]) and then the backend, so every
-    /// acknowledged write is durable on return.
+    /// see [`crate::cache`]) and then runs the durability barrier —
+    /// backend, checksums, document — so every acknowledged write is
+    /// durable on return.
     pub fn flush(&self) -> Result<(), StoreError> {
-        {
-            let st = self.state_read();
-            self.flush_cache_locked(&st)?;
-        }
-        self.backend.flush()?;
-        self.dir.as_ref().map_or(Ok(()), |dir| dir.persist_sums(&self.integrity))
+        let st = self.state_read();
+        self.flush_cache_locked(&st)?;
+        self.persist(Record::Serving(&st))
     }
 
     /// Restores the scrub position saved in a [`crate::StoreMeta`]'s `scrub`
