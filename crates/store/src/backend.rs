@@ -832,11 +832,12 @@ fn splitmix64(mut z: u64) -> u64 {
 ///   callers must survive);
 /// * **slow calls** sleep before proceeding (a stalling spindle).
 ///
-/// Targeted hooks — [`FaultyBackend::corrupt_unit`] and
-/// [`FaultyBackend::fail_next`] — inject one specific fault
-/// deterministically, for tests that need a fault *here, now* rather
-/// than a statistical schedule. [`FaultyBackend::set_armed`] pauses
-/// the whole schedule during test setup.
+/// Targeted hooks — [`FaultyBackend::corrupt_unit`],
+/// [`FaultyBackend::fail_next`] and [`FaultyBackend::hold_next_write`]
+/// — inject one specific fault deterministically, for tests that need
+/// a fault *here, now* rather than a statistical schedule.
+/// [`FaultyBackend::set_armed`] pauses the whole schedule during test
+/// setup.
 #[derive(Debug)]
 pub struct FaultyBackend<B> {
     inner: B,
@@ -851,6 +852,35 @@ pub struct FaultyBackend<B> {
     injected_torn: std::sync::atomic::AtomicU64,
     /// `(disk, offset)` of every silently corrupted unit.
     corruptions: Mutex<Vec<(usize, usize)>>,
+    /// The write hold ([`FaultyBackend::hold_next_write`]); `holding`
+    /// is set while one is armed or held, so other calls skip the lock.
+    hold: Mutex<WriteHold>,
+    hold_cv: std::sync::Condvar,
+    holding: std::sync::atomic::AtomicBool,
+    /// Read calls in progress (the write hold's view).
+    reading: AtomicUsize,
+}
+
+/// A read call in progress on a [`FaultyBackend`].
+struct Reading<'a>(&'a AtomicUsize);
+
+impl Drop for Reading<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// State of [`FaultyBackend::hold_next_write`].
+#[derive(Debug, Default)]
+struct WriteHold {
+    /// The disk whose next write is to be held, and for how long at most.
+    armed: Option<(usize, std::time::Duration)>,
+    /// Whether the armed write is held now.
+    held: bool,
+    /// A read was in progress while the write was held.
+    met_read: bool,
+    /// How the last held write was let go.
+    outcome: Option<bool>,
 }
 
 impl<B: Backend> FaultyBackend<B> {
@@ -866,6 +896,10 @@ impl<B: Backend> FaultyBackend<B> {
             injected_transients: std::sync::atomic::AtomicU64::new(0),
             injected_torn: std::sync::atomic::AtomicU64::new(0),
             corruptions: Mutex::new(Vec::new()),
+            hold: Mutex::new(WriteHold::default()),
+            hold_cv: std::sync::Condvar::new(),
+            holding: std::sync::atomic::AtomicBool::new(false),
+            reading: AtomicUsize::new(0),
         }
     }
 
@@ -891,6 +925,59 @@ impl<B: Backend> FaultyBackend<B> {
     /// regardless of rates (still requires the schedule armed).
     pub fn fail_next(&self, n: u64) {
         self.forced_transients.store(n, Ordering::SeqCst);
+    }
+
+    /// Holds the next write call to `disk` at its start until a read
+    /// call is in progress, or `timeout` passes, whichever comes first
+    /// (still requires the schedule armed): a causal probe of whether
+    /// the caller reads on while that write is in flight. See
+    /// [`FaultyBackend::held_write_met_a_read`].
+    pub fn hold_next_write(&self, disk: usize, timeout: std::time::Duration) {
+        let mut h = self.hold.lock().unwrap_or_else(|e| e.into_inner());
+        *h = WriteHold { armed: Some((disk, timeout)), ..WriteHold::default() };
+        self.holding.store(true, Ordering::SeqCst);
+    }
+
+    /// How the last held write was let go: `Some(true)` by a read,
+    /// `Some(false)` by its timeout, `None` while none has been.
+    pub fn held_write_met_a_read(&self) -> Option<bool> {
+        self.hold.lock().unwrap_or_else(|e| e.into_inner()).outcome
+    }
+
+    /// Counts a read call on `disk` in progress until the returned
+    /// guard drops, then rolls its pre-call faults.
+    fn read_call(&self, disk: usize) -> Result<Reading<'_>, StoreError> {
+        self.reading.fetch_add(1, Ordering::SeqCst);
+        let reading = Reading(&self.reading);
+        self.pre_call(disk, false)?;
+        Ok(reading)
+    }
+
+    /// The write hold's part of a call on `disk`: a read lets a held
+    /// write go; the armed write waits for one.
+    fn gate(&self, disk: usize, write: bool) {
+        if !self.holding.load(Ordering::SeqCst) {
+            return;
+        }
+        let mut h = self.hold.lock().unwrap_or_else(|e| e.into_inner());
+        if !write {
+            if h.held {
+                h.met_read = true;
+                self.hold_cv.notify_all();
+            }
+            return;
+        }
+        let Some((_, timeout)) = h.armed.filter(|&(d, _)| d == disk) else { return };
+        h.armed = None;
+        h.held = true;
+        h.met_read = self.reading.load(Ordering::SeqCst) > 0;
+        let (mut h, _) = self
+            .hold_cv
+            .wait_timeout_while(h, timeout, |h| !h.met_read)
+            .unwrap_or_else(|e| e.into_inner());
+        h.outcome = Some(h.met_read);
+        h.held = false;
+        self.holding.store(false, Ordering::SeqCst);
     }
 
     /// Deterministically corrupts the stored unit at `(disk, offset)`
@@ -933,12 +1020,14 @@ impl<B: Backend> FaultyBackend<B> {
         rate >= 1.0 || ((self.roll() >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < rate
     }
 
-    /// Rolls the pre-call faults (forced/scheduled transient, slow
-    /// stall). `Err` means the call fails before touching the medium.
-    fn pre_call(&self) -> Result<(), StoreError> {
+    /// Rolls the pre-call faults (write hold, forced/scheduled
+    /// transient, slow stall) for a call on `disk`. `Err` means the call
+    /// fails before touching the medium.
+    fn pre_call(&self, disk: usize, write: bool) -> Result<(), StoreError> {
         if !self.armed.load(Ordering::Relaxed) {
             return Ok(());
         }
+        self.gate(disk, write);
         let forced = self
             .forced_transients
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
@@ -1007,22 +1096,22 @@ impl<B: Backend> Backend for FaultyBackend<B> {
     }
 
     fn read_unit(&self, disk: usize, offset: usize, buf: &mut [u8]) -> Result<(), StoreError> {
-        self.pre_call()?;
+        let _reading = self.read_call(disk)?;
         self.inner.read_unit(disk, offset, buf)
     }
 
     fn write_unit(&self, disk: usize, offset: usize, buf: &[u8]) -> Result<(), StoreError> {
-        self.pre_call()?;
+        self.pre_call(disk, true)?;
         self.write_unit_corruptible(disk, offset, buf)
     }
 
     fn read_units(&self, disk: usize, offset: usize, buf: &mut [u8]) -> Result<(), StoreError> {
-        self.pre_call()?;
+        let _reading = self.read_call(disk)?;
         self.inner.read_units(disk, offset, buf)
     }
 
     fn write_units(&self, disk: usize, offset: usize, buf: &[u8]) -> Result<(), StoreError> {
-        self.pre_call()?;
+        self.pre_call(disk, true)?;
         let us = self.inner.unit_size();
         let units = buf.len().checked_div(us).unwrap_or(0);
         self.torn_or_full(
@@ -1047,7 +1136,7 @@ impl<B: Backend> Backend for FaultyBackend<B> {
         offset: usize,
         bufs: &mut [&mut [u8]],
     ) -> Result<(), StoreError> {
-        self.pre_call()?;
+        let _reading = self.read_call(disk)?;
         self.inner.read_units_scatter(disk, offset, bufs)
     }
 
@@ -1057,7 +1146,7 @@ impl<B: Backend> Backend for FaultyBackend<B> {
         offset: usize,
         bufs: &[&[u8]],
     ) -> Result<(), StoreError> {
-        self.pre_call()?;
+        self.pre_call(disk, true)?;
         let us = self.inner.unit_size();
         let units: usize = bufs.iter().map(|b| b.len() / us.max(1)).sum();
         self.torn_or_full(

@@ -205,19 +205,6 @@ impl ChecksumTable {
         }
     }
 
-    /// Records checksums for a contiguous span of units starting at
-    /// `(disk, start)`; `data` holds the units back to back.
-    pub fn record_span(&self, disk: usize, start: usize, data: &[u8], unit_size: usize) {
-        let t = self.disks.read().unwrap();
-        let Some(d) = t.get(disk) else { return };
-        for (i, unit) in data.chunks_exact(unit_size).enumerate() {
-            if let Some(slot) = d.sums.get(start + i) {
-                slot.store(Self::encode(xxh64(Self::SEED, unit)), Ordering::Relaxed);
-                d.mark_dirty(start + i);
-            }
-        }
-    }
-
     /// Verifies `data` against unit `(disk, offset)`'s recorded
     /// checksum. `true` when they match **or** no checksum is
     /// recorded yet.
@@ -789,12 +776,13 @@ mod tests {
         assert!(!t.check(0, 0, &b), "mismatch detected");
         t.record(0, 0, &b);
         assert!(t.check(0, 0, &b));
-        // Spans.
-        let two = [5u8, 5, 5, 5, 6, 6, 6, 6];
-        t.record_span(1, 1, &two, 4);
-        assert!(t.check(1, 1, &two[..4]));
-        assert!(t.check(1, 2, &two[4..]));
-        assert!(!t.check(1, 2, &two[..4]));
+        // Units are recorded one by one.
+        let (five, six) = ([5u8; 4], [6u8; 4]);
+        t.record(1, 1, &five);
+        t.record(1, 2, &six);
+        assert!(t.check(1, 1, &five));
+        assert!(t.check(1, 2, &six));
+        assert!(!t.check(1, 2, &five));
         // Wipe forgets.
         t.clear_disk(1);
         assert!(t.check(1, 1, &a));
@@ -808,7 +796,9 @@ mod tests {
         let t = ChecksumTable::new(2, 8);
         let units: Vec<[u8; 4]> = (0..6u8).map(|i| [i; 4]).collect();
         let span: Vec<u8> = units.iter().flat_map(|u| u.iter().copied()).collect();
-        t.record_span(0, 1, &span, 4);
+        for (i, unit) in units.iter().enumerate() {
+            t.record(0, 1 + i, unit);
+        }
         // The span as a batch: unit `i` sits at offset `1 + i`.
         fn batch(bytes: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
             bytes.chunks_exact(4).enumerate().map(|(i, u)| (1 + i, u))

@@ -33,7 +33,11 @@
 //!
 //! One call is one *round*: its runs are independent, and with the
 //! engine on they are in flight together, so the order in which they
-//! reach the media is unspecified. A round bounds latency; it is not
+//! reach the media is unspecified. A write round may be split in two:
+//! [`Io::submit_writes`] puts it on its way and [`Io::land`] redeems it
+//! later, so the caller can work while its queued runs land — the
+//! rebuild reads its next chunk meanwhile. [`Io::write_runs`] is the
+//! two back to back. A round bounds latency; it is not
 //! a durability promise — a crash part-way through a write round may
 //! leave any subset of its runs landed (ROADMAP item 1 owns that).
 //!
@@ -60,6 +64,30 @@ pub(crate) struct Run {
     pub(crate) disk: usize,
     pub(crate) first: usize,
     pub(crate) parts: Range<usize>,
+}
+
+/// Where one run of a routed round stands: issued inline (`None`),
+/// queued on the engine (its token), or failed.
+type Slot = Result<Option<Completion>, StoreError>;
+
+/// A write round put on its way by [`Io::submit_writes`] and not yet
+/// redeemed by [`Io::land`].
+#[must_use = "a submitted write round must be landed"]
+pub(crate) enum Writes {
+    /// Issued in order on the caller's thread (the engine is off): the
+    /// first `landed` runs reached the backend and the next one failed
+    /// with `err`, if any.
+    Issued { landed: usize, err: Option<StoreError> },
+    /// Routed through the engine: one slot per run.
+    Routed(Vec<Slot>),
+}
+
+impl Writes {
+    /// Whether a run is still queued on the engine. With the engine
+    /// off, or every run routed inline, the round landed at submit.
+    pub(crate) fn in_flight(&self) -> bool {
+        matches!(self, Writes::Routed(slots) if slots.iter().any(|slot| matches!(slot, Ok(Some(_)))))
+    }
 }
 
 /// The dispatcher for one store operation (see the [module docs](self)).
@@ -153,40 +181,81 @@ impl<B: Backend> Io<'_, B> {
         )
     }
 
-    /// Writes every run from its sources. `landed(i)` is called once
-    /// for each run whose write reached the backend — also when the
-    /// call as a whole fails — so the caller records exactly those
-    /// checksums.
+    /// Writes every run from its sources: [`Io::submit_writes`], then
+    /// [`Io::land`]. `landed(i)` is called once for each run whose
+    /// write reached the backend — also when the call as a whole fails
+    /// — so the caller records exactly those checksums.
     pub(crate) fn write_runs(
         &self,
         runs: &[Run],
         srcs: &[&[u8]],
         prio: Priority,
-        mut landed: impl FnMut(usize),
+        landed: impl FnMut(usize),
     ) -> Result<(), StoreError> {
-        let us = self.backend.unit_size();
-        self.dispatch(
-            runs,
-            &mut (),
-            |eng, run, _| {
-                eng.submit_write_gather(run.disk, run.first, srcs[run.parts.clone()].concat(), prio)
-            },
-            |run, _| {
-                self.integrity.retrying(run.disk, || match &srcs[run.parts.clone()] {
-                    [unit] if unit.len() == us => {
-                        self.backend.write_unit(run.disk, run.first, unit)
-                    }
-                    many => self.backend.write_units_gather(run.disk, run.first, many),
-                })
-            },
-            |i, _, _| landed(i),
-        )
+        let round = self.submit_writes(runs, srcs, prio);
+        self.land(round, runs, srcs, landed)
     }
 
-    /// The one route / submit / drain loop, over whatever buffer list
-    /// `ctx` the closures share. `done(i, ctx, payload)` runs for
-    /// every run `i` that succeeded, in run order, with the engine's
-    /// payload or `None` when the run was issued inline.
+    /// Submits a write round and returns with its queued runs still in
+    /// flight; runs issued inline (every run, with the engine off) have
+    /// landed by then. The caller keeps `runs` and `srcs` unchanged
+    /// until it hands the round to [`Io::land`], which issues from them
+    /// any run a stopping engine swept.
+    pub(crate) fn submit_writes(&self, runs: &[Run], srcs: &[&[u8]], prio: Priority) -> Writes {
+        let Some(eng) = &self.engine else {
+            let mut landed = 0;
+            let err = (runs.iter())
+                .try_for_each(|run| self.write_inline(run, srcs).map(|()| landed += 1))
+                .err();
+            return Writes::Issued { landed, err };
+        };
+        Writes::Routed(self.route(
+            eng,
+            runs,
+            &mut (),
+            |run, _| {
+                eng.submit_write_gather(run.disk, run.first, srcs[run.parts.clone()].concat(), prio)
+            },
+            |run, _| self.write_inline(run, srcs),
+        ))
+    }
+
+    /// Waits for every queued run of `round`, submitted from `runs` and
+    /// `srcs`, and reports the first error once none is in flight.
+    /// `landed(i)` is called in run order for each run that reached the
+    /// backend, as in [`Io::write_runs`].
+    pub(crate) fn land(
+        &self,
+        round: Writes,
+        runs: &[Run],
+        srcs: &[&[u8]],
+        mut landed: impl FnMut(usize),
+    ) -> Result<(), StoreError> {
+        match round {
+            Writes::Issued { landed: n, err } => {
+                (0..n).for_each(&mut landed);
+                err.map_or(Ok(()), Err)
+            }
+            Writes::Routed(slots) => {
+                let inline = |run: &Run, _: &mut ()| self.write_inline(run, srcs);
+                self.drain(runs, slots, &mut (), inline, |i, _, _| landed(i))
+            }
+        }
+    }
+
+    fn write_inline(&self, run: &Run, srcs: &[&[u8]]) -> Result<(), StoreError> {
+        let us = self.backend.unit_size();
+        self.integrity.retrying(run.disk, || match &srcs[run.parts.clone()] {
+            [unit] if unit.len() == us => self.backend.write_unit(run.disk, run.first, unit),
+            [span] => self.backend.write_units(run.disk, run.first, span),
+            many => self.backend.write_units_gather(run.disk, run.first, many),
+        })
+    }
+
+    /// One read round over whatever buffer list `ctx` the closures
+    /// share. `done(i, ctx, payload)` runs for every run `i` that
+    /// succeeded, in run order, with the engine's payload or `None`
+    /// when the run was issued inline.
     fn dispatch<C: ?Sized>(
         &self,
         runs: &[Run],
@@ -199,27 +268,56 @@ impl<B: Backend> Io<'_, B> {
             return (runs.iter().enumerate())
                 .try_for_each(|(i, run)| inline(run, ctx).map(|()| done(i, ctx, None)));
         };
-        // `Ok(None)` marks a run kept on this thread; every other run is
-        // submitted before any of those is issued, so the queued disks
-        // work while this thread serves the fast ones.
-        let mut routed: Vec<_> = (runs.iter())
-            .map(|run| {
-                if eng.serves_inline(run.disk) {
-                    Ok(None)
-                } else {
-                    submit(eng, run, ctx).map(Some)
-                }
-            })
-            .collect();
-        for (run, slot) in runs.iter().zip(&mut routed) {
+        let slots = self.route(eng, runs, ctx, |run, ctx| submit(eng, run, ctx), &inline);
+        self.drain(runs, slots, ctx, inline, done)
+    }
+
+    /// Puts every run of a round on its way through `eng`: one slot per
+    /// run, `Ok(None)` for a run issued inline, `Ok(Some(token))` for
+    /// one queued. Every queued run is submitted before any inline one
+    /// is issued, so the queued disks work while this thread serves the
+    /// fast ones.
+    fn route<C: ?Sized>(
+        &self,
+        eng: &Engine<B>,
+        runs: &[Run],
+        ctx: &mut C,
+        submit: impl Fn(&Run, &C) -> Result<Completion, StoreError>,
+        inline: impl Fn(&Run, &mut C) -> Result<(), StoreError>,
+    ) -> Vec<Slot> {
+        let mut slots: Vec<Slot> =
+            (runs.iter())
+                .map(|run| {
+                    if eng.serves_inline(run.disk) {
+                        Ok(None)
+                    } else {
+                        submit(run, ctx).map(Some)
+                    }
+                })
+                .collect();
+        for (run, slot) in runs.iter().zip(&mut slots) {
             if matches!(slot, Ok(None)) {
                 let t0 = Instant::now();
                 *slot = inline(run, ctx).map(|()| None);
                 eng.note_inline(run.disk, t0.elapsed().as_nanos() as u64);
             }
         }
+        slots
+    }
+
+    /// Waits for every token of a routed round, in run order, and
+    /// calls `done` for each run that succeeded; the first error is
+    /// reported only once every token has drained.
+    fn drain<C: ?Sized>(
+        &self,
+        runs: &[Run],
+        slots: Vec<Slot>,
+        ctx: &mut C,
+        inline: impl Fn(&Run, &mut C) -> Result<(), StoreError>,
+        mut done: impl FnMut(usize, &mut C, Option<Vec<u8>>),
+    ) -> Result<(), StoreError> {
         let mut first_err = None;
-        for (i, (run, slot)) in runs.iter().zip(routed).enumerate() {
+        for (i, (run, slot)) in runs.iter().zip(slots).enumerate() {
             let res = match slot.and_then(|token| token.map(Completion::wait).transpose()) {
                 // Refused (submit) or swept (wait) by a stopping
                 // engine: the run never reached the backend.

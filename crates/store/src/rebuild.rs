@@ -28,12 +28,32 @@
 //! per unit) plus its output stay cache-resident while the sweep runs
 //! over them.
 //!
+//! **The spare write stays in flight.** A worker is a depth-2
+//! pipeline: chunk i's spare write goes out through the store's I/O
+//! dispatcher, and while it lands the same worker locks, prefetches and
+//! sweeps chunk i+1, so the spare and the survivors work at once. Chunk
+//! i+1's write then goes out, so the spare has work queued, and only
+//! then does chunk i land — its checksums recorded for exactly what
+//! reached the spare, its units booked — and drop its guards. Each
+//! worker therefore owns two output buffers (2 × 256 KiB at most), and
+//! holds the guards of at most two chunks. With the engine off, or the
+//! spare served inline, the write has landed when it is submitted and a
+//! chunk runs start to finish before the next begins.
+//!
 //! Rebuilds take `&BlockStore` and may run **concurrently with live
 //! client traffic**: the rebuild registers itself in the store's
 //! failure-epoch state, each chunk holds its stripes' shard locks
-//! (shared) across prefetch → decode → spare write, and writes that
-//! race the rebuild are written through to the spare (see the store
-//! module docs), so the spare is bit-exact when the redirect flips.
+//! (shared) from before its prefetch until its spare write has landed,
+//! and writes that race the rebuild are written through to the spare
+//! (see the store module docs), so the spare is bit-exact when the
+//! redirect flips. The lock hand-off never blocks while a chunk's
+//! guards are held: chunk i+1's shards are tried all or nothing, and
+//! if one is contended chunk i lands and drops its guards before chunk
+//! i+1 locks as usual. Chunk i also lands before a stripe repair takes
+//! its exclusive lock and before an error returns, and every worker's
+//! last write lands before the rebuild completes or aborts — so no
+//! spare write lands after the redirect flips or the rebuild
+//! unregisters.
 //! Only one rebuild may run at a time
 //! ([`crate::StoreError::RebuildInProgress`]).
 //!
@@ -54,9 +74,8 @@
 //! client traffic).
 
 use crate::backend::Backend;
-use crate::codec::Scratch;
 use crate::error::StoreError;
-use crate::store::BlockStore;
+use crate::store::{BlockStore, RebuildWorker};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -250,13 +269,14 @@ impl Rebuilder {
                     // surviving stripe member the chunk's decodes need
                     // in coalesced per-disk runs (one vectored read
                     // per run), checks and folds each where it lies,
-                    // and lands the chunk on the spare with one
-                    // vectored write — all under the chunk's stripe
-                    // shard locks, so racing client writes serialize
-                    // per stripe.
-                    let mut buf = vec![0u8; chunk * shared.unit_size()];
-                    let mut scratch = Scratch::new(shared.unit_size());
-                    loop {
+                    // and sends the chunk to the spare as one write —
+                    // all under the chunk's stripe shard locks, so
+                    // racing client writes serialize per stripe. That
+                    // write may land while the worker reads its next
+                    // chunk.
+                    let mut worker =
+                        RebuildWorker::new(shared.unit_size(), chunk * shared.unit_size());
+                    let res = loop {
                         let at = next.fetch_add(chunk, Ordering::Relaxed);
                         // Poison-proof locking throughout: a panicking
                         // sibling worker poisons the mutex, and dying
@@ -266,15 +286,18 @@ impl Rebuilder {
                         if at >= units
                             || first_error.lock().unwrap_or_else(|e| e.into_inner()).is_some()
                         {
-                            return;
+                            break Ok(());
                         }
-                        let end = (at + chunk).min(units);
-                        let out = &mut buf[..(end - at) * shared.unit_size()];
-                        let res = shared.rebuild_chunk(failed, spare, at, out, &mut scratch);
-                        if let Err(e) = res {
-                            first_error.lock().unwrap_or_else(|e| e.into_inner()).get_or_insert(e);
-                            return;
+                        let n = chunk.min(units - at);
+                        if let Err(e) = shared.rebuild_chunk(&mut worker, failed, spare, at, n) {
+                            break Err(e);
                         }
+                    };
+                    // The worker's last spare write lands before it
+                    // ends, also after an error.
+                    let landed = shared.land_spare(&mut worker);
+                    if let Err(e) = res.and(landed) {
+                        first_error.lock().unwrap_or_else(|e| e.into_inner()).get_or_insert(e);
                     }
                 });
             }

@@ -117,7 +117,7 @@
 //! | [`BlockStore::fail_disk`] | — (degraded window opens) | `DiskFailed` |
 //! | [`BlockStore::restore_disk`] | — (degraded window closes) | `DiskRestored` |
 //! | rebuild begin/complete/abort | — (window closes on complete) | `RebuildBegan`/`RebuildCompleted`/`RebuildAborted` |
-//! | rebuild chunks ([`crate::Rebuilder`]) | `RebuildRead` + `SpareWrite` (timed per chunk) | — |
+//! | rebuild chunks ([`crate::Rebuilder`]) | `RebuildRead` (the prefetch, timed) + `SpareWrite` (timed from submit to landing) | — |
 //! | cache flush batches | `CacheFlush` (units = dirty units flushed) | `CacheFlush` |
 //!
 //! The four client calls run inside one envelope
@@ -135,11 +135,11 @@
 //!
 //! The P/Q algebra — the stripe invariant, its one `fold`, the erasure
 //! solver — lives in `codec.rs` and is named nowhere else. Client
-//! writes move every byte through `io.rs` in rounds; the two direct
-//! single-unit helpers here (`read_unit` / `write_unit`, keyed by
-//! physical `(disk, offset)`, retried; the write records checksums,
-//! the read is raw) serve only a healthy `read_block`, the parity
-//! scan, stripe repair and the rebuild's spare write.
+//! writes and the rebuild's spare writes move every byte through
+//! `io.rs` in rounds; the two direct single-unit helpers here
+//! (`read_unit` / `write_unit`, keyed by physical `(disk, offset)`,
+//! retried; the write records checksums, the read is raw) serve only a
+//! healthy `read_block`, the parity scan and stripe repair.
 //!
 //! There is one repair rule. Every path that reads checksummed units —
 //! `read_block`, both halves of `read_blocks`, the partial-stripe
@@ -170,7 +170,7 @@ use crate::codec::{self, Decode, Decoded, Role, Scratch, Syndromes};
 use crate::engine::Priority;
 use crate::error::StoreError;
 use crate::integrity::{Integrity, RetryPolicy};
-use crate::io::{Io, Run};
+use crate::io::{Io, Run, Writes};
 use crate::maintenance::MaintState;
 use crate::meta::{ArrayDir, Record};
 use crate::obs::{
@@ -209,7 +209,12 @@ const READ_GAP_BRIDGE: usize = 2;
 ///   while any writer still excludes them;
 /// * shard locks nest strictly inside the store's state read guard
 ///   and strictly outside the backend's per-disk locks, and no path
-///   acquires them in any other order.
+///   acquires them in any other order;
+/// * the one path that takes a second shard set while holding one — a
+///   rebuild worker handing off from a chunk whose spare write is in
+///   flight to the next chunk — takes it with
+///   [`StripeLockTable::try_lock_sorted_shared`], never waiting while
+///   it holds guards.
 ///
 /// Two distinct stripes may hash to one shard; that only coarsens the
 /// exclusion (false sharing of a lock), never breaks it.
@@ -263,6 +268,13 @@ impl StripeLockTable {
     fn lock_sorted_shared(&self, shards: &[usize]) -> Vec<RwLockReadGuard<'_, ()>> {
         debug_assert!(shards.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
         shards.iter().map(|&s| self.shards[s].read().unwrap()).collect()
+    }
+
+    /// [`StripeLockTable::lock_sorted_shared`] without blocking: every
+    /// guard, or none when a shard is held exclusive or has a writer
+    /// waiting for it.
+    fn try_lock_sorted_shared(&self, shards: &[usize]) -> Option<Vec<RwLockReadGuard<'_, ()>>> {
+        shards.iter().map(|&s| self.shards[s].try_read().ok()).collect()
     }
 }
 
@@ -636,6 +648,9 @@ pub(crate) fn sweep_repairing<T>(
     if !bad.any() {
         return Ok(out);
     }
+    // The discarded output goes first: it may hold the guards a
+    // repair's exclusive lock waits for.
+    drop(out);
     for &(copy, si) in &bad.stripes {
         repair(copy, si)?;
     }
@@ -645,6 +660,39 @@ pub(crate) fn sweep_repairing<T>(
         None => Ok(out),
         Some((disk, offset)) => Err(StoreError::ChecksumMismatch { disk, offset }),
     }
+}
+
+/// One rebuild worker's state from chunk to chunk: its decode scratch,
+/// its two chunk output buffers — one filling while the other may be
+/// in flight — and the chunk whose spare write has not landed yet (see
+/// [`BlockStore::rebuild_chunk`]).
+pub(crate) struct RebuildWorker<'s> {
+    scratch: Scratch,
+    free: Vec<Vec<u8>>,
+    pending: Option<SpareWrite<'s>>,
+}
+
+impl RebuildWorker<'_> {
+    /// A worker for chunks of at most `bytes` bytes of output.
+    pub(crate) fn new(unit_size: usize, bytes: usize) -> Self {
+        RebuildWorker {
+            scratch: Scratch::new(unit_size),
+            free: vec![vec![0; bytes], vec![0; bytes]],
+            pending: None,
+        }
+    }
+}
+
+/// A rebuilt chunk on its way to the spare: the write round, what it
+/// writes where, and the guards it holds until the round lands.
+struct SpareWrite<'s> {
+    round: Writes,
+    spare: usize,
+    start: usize,
+    out: Vec<u8>,
+    submitted: Instant,
+    guards: Vec<RwLockReadGuard<'s, ()>>,
+    st: RwLockReadGuard<'s, ArrayState>,
 }
 
 /// Outcome counters from replaying a [`Trace`] against the store.
@@ -916,6 +964,12 @@ impl<B: Backend> BlockStore<B> {
     /// Number of logical disks (the current layout's `v`).
     pub fn v(&self) -> usize {
         self.state_read().world.layout.v()
+    }
+
+    /// Whether physical unit `(disk, offset)` has a recorded checksum
+    /// — the sum a checked read of it verifies against.
+    pub fn checksum_recorded(&self, disk: usize, offset: usize) -> bool {
+        self.integrity.sums.recorded(disk, offset)
     }
 
     pub(crate) fn state_read(&self) -> RwLockReadGuard<'_, ArrayState> {
@@ -2011,21 +2065,12 @@ impl<B: Backend> BlockStore<B> {
         self.integrity.retrying(disk, || self.backend.read_unit(disk, offset, &mut *buf))
     }
 
-    /// The one direct write: `buf` (one unit, or a rebuild chunk's
-    /// span of them) lands at `at` under the transient-retry policy
-    /// and its checksums are recorded — a spare becomes the live
-    /// medium when its rebuild's redirect flips, so its sums must be
-    /// fresh by then.
+    /// The one direct write: the unit `buf` lands at `at` under the
+    /// transient-retry policy and its checksum is recorded.
     pub(crate) fn write_unit(&self, at: PhysUnit, buf: &[u8]) -> Result<(), StoreError> {
         let PhysUnit { disk, offset, .. } = at;
-        self.integrity.retrying(disk, || {
-            if buf.len() == self.unit_size {
-                self.backend.write_unit(disk, offset, buf)
-            } else {
-                self.backend.write_units(disk, offset, buf)
-            }
-        })?;
-        self.integrity.sums.record_span(disk, offset, buf, self.unit_size);
+        self.integrity.retrying(disk, || self.backend.write_unit(disk, offset, buf))?;
+        self.integrity.sums.record(disk, offset, buf);
         Ok(())
     }
 
@@ -2177,53 +2222,76 @@ impl<B: Backend> BlockStore<B> {
         Ok((fixed, fixed_parity))
     }
 
-    /// Batched rebuild primitive: reconstructs the `out.len() /
-    /// unit_size` consecutive units of `disk` starting at `start` and
-    /// lands them on physical disk `spare` with one vectored write.
-    /// Surviving members are prefetched in coalesced per-disk runs
-    /// (one vectored backend call per run) instead of one call per
-    /// stripe member, then swept once: each survivor is checked
-    /// against its checksum and folded into its target unit where it
-    /// lies in `cache`. The chunk's stripe shards are held *shared*
-    /// for the whole prefetch→sweep→spare-write sequence, so
-    /// concurrent writers (exclusive) are excluded stripe by stripe
-    /// and the spare write cannot clobber a write-through that
-    /// happened after the decode. `scratch` (its accumulators and its
-    /// prefetch cache) is caller-owned so worker threads reuse its
-    /// capacity across chunks.
-    pub(crate) fn rebuild_chunk(
-        &self,
+    /// Batched rebuild primitive: reconstructs the `n` consecutive
+    /// units of `disk` starting at `start` and puts them on their way
+    /// to physical disk `spare` as one write. Surviving members are
+    /// prefetched in coalesced per-disk runs (one vectored backend call
+    /// per run) instead of one call per stripe member, then swept once:
+    /// each survivor is checked against its checksum and folded into its
+    /// target unit where it lies in the prefetch. The chunk's stripe
+    /// shards are held *shared* from before the prefetch until its spare
+    /// write has landed, so concurrent writers (exclusive) are excluded
+    /// stripe by stripe and the spare write cannot clobber a
+    /// write-through that happened after the decode.
+    ///
+    /// The spare write may stay in flight past the return, in `w`: the
+    /// next chunk then takes its own guards without blocking, all or
+    /// none, prefetches and sweeps while the write lands, sends its own
+    /// write, and only then lands the earlier chunk. If a shard is
+    /// contended (or a failure transition waits for the state guard),
+    /// the earlier chunk lands and drops its guards first and this one
+    /// locks as usual — which is also the order whenever the write
+    /// landed at submit (engine off, or its disk served inline). The
+    /// earlier chunk also lands before a repair's exclusive lock; after
+    /// an error the caller lands whatever is left with
+    /// [`BlockStore::land_spare`].
+    pub(crate) fn rebuild_chunk<'s>(
+        &'s self,
+        w: &mut RebuildWorker<'s>,
         disk: usize,
         spare: usize,
         start: usize,
-        out: &mut [u8],
-        scratch: &mut Scratch,
+        n: usize,
     ) -> Result<(), StoreError> {
         let us = self.unit_size;
-        if out.is_empty() || !out.len().is_multiple_of(us) {
-            return Err(StoreError::BadBufferSize { expected: us, got: out.len() });
-        }
-        let n = out.len() / us;
-        let st = self.state_read();
-        let w = st.world.clone();
-        let size = w.layout.size();
+        // While the earlier chunk's write is in flight (only then is one
+        // pending), this chunk's guards are tried without blocking:
+        // blocking with the earlier chunk's held could deadlock against
+        // a writer's ordered acquisition, and `try_read` also fails while
+        // a failure transition waits for the state guard.
+        let st = match w.pending.as_ref().and_then(|_| self.state.try_read().ok()) {
+            Some(st) => st,
+            None => {
+                self.land_spare(w)?;
+                self.state_read()
+            }
+        };
+        let wd = st.world.clone();
+        let size = wd.layout.size();
         // Two-phase acquisition: every stripe this chunk decodes,
         // sorted by shard, locked shared before any byte is read.
-        let mut shards: Vec<usize> = (0..n)
-            .map(|i| {
-                let offset = start + i;
-                let r = w.layout.unit_ref(disk, offset % size);
+        let mut shards: Vec<usize> = (start..start + n)
+            .map(|offset| {
+                let r = wd.layout.unit_ref(disk, offset % size);
                 self.locks.shard_of(offset / size, r.stripe as usize)
             })
             .collect();
         sort_shard_set(&mut shards);
+        let mut handed =
+            w.pending.as_ref().and_then(|_| self.locks.try_lock_sorted_shared(&shards));
+        if handed.is_none() {
+            self.land_spare(w)?;
+        }
+        let RebuildWorker { scratch, free, pending } = w;
+        let mut out = free.pop().expect("one buffer filling, at most one in flight");
+        out.resize(n * us, 0);
         let logical = |pd: usize| st.redirect.iter().position(|&p| p == pd);
         // A corrupt survivor must never reach the spare: a sweep that
         // meets one discards the chunk's output, its stripe is
         // repaired in place (exclusive lock, after the shared guards
         // drop) and the chunk retried once.
-        let attempt = |bad: &mut Mismatches| -> Result<(), StoreError> {
-            let _guards = self.locks.lock_sorted_shared(&shards);
+        let attempt = |bad: &mut Mismatches| -> Result<_, StoreError> {
+            let guards = handed.take().unwrap_or_else(|| self.locks.lock_sorted_shared(&shards));
             let cache = &mut scratch.cache;
             // Gather every surviving stripe member the decodes below
             // will touch. Distinct target offsets live in distinct
@@ -2232,11 +2300,10 @@ impl<B: Backend> BlockStore<B> {
             // identical to the per-unit path — only the call count
             // drops.
             cache.wants.clear();
-            for i in 0..n {
-                let offset = start + i;
+            for offset in start..start + n {
                 let shift = (offset / size * size) as u32;
-                let r = w.layout.unit_ref(disk, offset % size);
-                for u in w.layout.stripes()[r.stripe as usize].units() {
+                let r = wd.layout.unit_ref(disk, offset % size);
+                for u in wd.layout.stripes()[r.stripe as usize].units() {
                     if u.disk as usize == disk || st.failed.contains(u.disk as usize) {
                         continue;
                     }
@@ -2256,10 +2323,10 @@ impl<B: Backend> BlockStore<B> {
             // disk through the two-erasure solve.
             for (i, unit) in out.chunks_exact_mut(us).enumerate() {
                 let offset = start + i;
-                let r = w.layout.unit_ref(disk, offset % size);
+                let r = wd.layout.unit_ref(disk, offset % size);
                 let (si, slot) = (r.stripe as usize, r.slot as usize);
                 let (lost, nlost) = self.lost_slots(&st, si, &[slot])?;
-                let (p_slot, q_slot) = w.smap.parity_slots(si);
+                let (p_slot, q_slot) = wd.smap.parity_slots(si);
                 let mut dec = match nlost {
                     1 => Decode::into_unit(unit, p_slot, q_slot, slot),
                     _ => Decode::new(
@@ -2282,29 +2349,77 @@ impl<B: Backend> BlockStore<B> {
                 self.rb_tracker.note_repair_reads(
                     scratch.cache.wants.iter().filter_map(|&(pd, _)| logical(pd as usize)),
                 );
-                return Ok(());
             }
-            self.write_unit(PhysUnit { disk: spare, offset: start, checked: false }, out)?;
-            self.metrics.record_op(
-                OpKind::SpareWrite,
-                n as u64,
-                (t0.elapsed().as_nanos() as u64).saturating_sub(prefetch_ns),
-            );
-            self.rb_tracker.add_done(n as u64);
-            Ok(())
+            Ok(guards)
         };
-        sweep_repairing(attempt, |copy, si| {
+        let guards = sweep_repairing(attempt, |copy, si| {
+            // The earlier chunk's guards may cover this stripe.
+            self.land_pending(pending, free)?;
             // The repair reads every live unit of the stripe: repair
             // work too.
             self.rb_tracker.note_repair_reads(
-                w.layout.stripes()[si]
+                wd.layout.stripes()[si]
                     .units()
                     .iter()
                     .map(|u| u.disk as usize)
                     .filter(|&d| !st.failed.contains(d)),
             );
             self.repair_stripe(&st, copy, si)
-        })
+        })?;
+        // This chunk's write goes out before the earlier chunk lands,
+        // so the spare has work queued while the worker waits for it;
+        // the earlier chunk's buffer is free again before the next
+        // chunk needs one.
+        let run = [Run { disk: spare, first: start, parts: 0..1 }];
+        let submitted = Instant::now();
+        let round = self.io().submit_writes(&run, &[&out], Priority::Maintenance);
+        let mut earlier =
+            pending.replace(SpareWrite { round, spare, start, out, submitted, guards, st });
+        self.land_pending(&mut earlier, free)?;
+        if !pending.as_ref().is_some_and(|p| p.round.in_flight()) {
+            self.land_pending(pending, free)?;
+        }
+        Ok(())
+    }
+
+    /// Lands the worker's in-flight spare write, if any (see
+    /// [`BlockStore::rebuild_chunk`]): a worker's last chunk lands here,
+    /// and so does whatever is in flight when a chunk fails.
+    pub(crate) fn land_spare(&self, w: &mut RebuildWorker<'_>) -> Result<(), StoreError> {
+        self.land_pending(&mut w.pending, &mut w.free)
+    }
+
+    /// Waits for `pending`'s spare write, records the checksums of
+    /// exactly the units that reached the spare — a spare becomes the
+    /// live medium when its rebuild's redirect flips, so its sums must
+    /// be fresh by then — books the chunk, and only then drops its
+    /// guards and frees its buffer.
+    fn land_pending(
+        &self,
+        pending: &mut Option<SpareWrite<'_>>,
+        free: &mut Vec<Vec<u8>>,
+    ) -> Result<(), StoreError> {
+        let Some(SpareWrite { round, spare, start, out, submitted, guards, st }) = pending.take()
+        else {
+            return Ok(());
+        };
+        let us = self.unit_size;
+        let run = [Run { disk: spare, first: start, parts: 0..1 }];
+        let landed = self.io().land(round, &run, &[&out], |_| {
+            for (i, unit) in out.chunks_exact(us).enumerate() {
+                self.integrity.sums.record(spare, start + i, unit);
+            }
+        });
+        if landed.is_ok() {
+            let n = (out.len() / us) as u64;
+            self.metrics.record_op(OpKind::SpareWrite, n, submitted.elapsed().as_nanos() as u64);
+            self.rb_tracker.add_done(n);
+        }
+        // Shard guards nest inside the state guard.
+        drop(guards);
+        drop(st);
+        free.push(out);
+        landed
     }
 
     /// Folds every survivor of stripe `si` of copy `copy` into `dec`
@@ -3257,5 +3372,60 @@ mod tests {
         let mut s = vec![5, 1, 5, 3, 1];
         sort_shard_set(&mut s);
         assert_eq!(s, [1, 3, 5]);
+    }
+
+    /// The rebuild's lock handoff under contention: a writer holds a
+    /// shard of chunk 2 exclusive while chunk 1's spare write is in
+    /// flight, so chunk 2's non-blocking try fails and the worker lands
+    /// chunk 1 before it blocks — chunk 1's units are done while the
+    /// writer still holds the shard. A worker that blocked on chunk 2
+    /// with chunk 1's guards held would leave them undone until then.
+    #[test]
+    fn rebuild_lands_its_chunk_before_blocking_on_a_contended_next_chunk() {
+        use crate::backend::MemBackend;
+        use crate::engine::EngineConfig;
+        use crate::rebuild::Rebuilder;
+        use std::time::{Duration, Instant};
+        const US: usize = 64;
+        const CHUNK: usize = 4;
+        let layout = pdl_core::RingLayout::for_v_k(9, 4).layout().clone();
+        let units = 2 * layout.size();
+        let store = BlockStore::new(layout, MemBackend::new(10, units, US)).unwrap();
+        let data: Vec<u8> = (0..store.blocks() * US).map(|i| (i % 233) as u8).collect();
+        store.write_blocks(0, &data).unwrap();
+        store.fail_disk(2).unwrap();
+        // The spare's first write queues (its disk is not yet timed),
+        // so chunk 1 is in flight when chunk 2 is tried.
+        store.start_engine(EngineConfig::default());
+        let w = store.state_read().world.clone();
+        let shard =
+            |offset: usize| store.locks.shard_of(0, w.layout.unit_ref(2, offset).stripe as usize);
+        let first: Vec<usize> = (0..CHUNK).map(shard).collect();
+        let contended = (CHUNK..2 * CHUNK)
+            .map(shard)
+            .find(|s| !first.contains(s))
+            .expect("chunk 2 has a shard chunk 1 does not");
+        let (writer, _) = store.locks.lock_one_counting(contended);
+        let landed = std::thread::scope(|s| {
+            let rebuild = s.spawn(|| Rebuilder::new(1).chunk_size(CHUNK).rebuild(&store, 9));
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let landed = loop {
+                if store.rebuild_progress().is_some_and(|p| p.units_done >= CHUNK as u64) {
+                    break true;
+                }
+                if Instant::now() > deadline {
+                    break false;
+                }
+                std::thread::yield_now();
+            };
+            drop(writer);
+            rebuild.join().expect("rebuild thread").unwrap();
+            landed
+        });
+        assert!(landed, "chunk 1 did not land while chunk 2 was contended");
+        let mut back = vec![0u8; data.len()];
+        store.read_blocks(0, &mut back).unwrap();
+        assert!(back == data, "the rebuilt store returns the original bytes");
+        store.verify_parity().unwrap();
     }
 }

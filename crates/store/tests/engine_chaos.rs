@@ -297,6 +297,68 @@ fn engine_torn_write_surfaces_error_without_leaking_tokens() {
     }
 }
 
+/// A torn spare write while the next chunk's prefetch is in flight.
+/// Armed, every call stalls and every multi-unit write tears, so the
+/// rebuild's first spare write fails on an engine worker while the
+/// worker reads its second chunk. The rebuild must fail with every
+/// token drained, leave the disk failed and its redirect unflipped,
+/// and record no checksum for the spare; disarmed, a retried rebuild
+/// heals the store bit-exact.
+fn torn_spare_case<B: Backend + 'static>(seed: u64, store: &BlockStore<FaultyBackend<B>>) {
+    const SPARE: usize = 7;
+    let blocks = store.blocks();
+    let data: Vec<u8> = (0..blocks * UNIT).map(|i| (i % 241) as u8).collect();
+    store.backend().set_armed(false);
+    store.write_blocks(0, &data).unwrap();
+    store.fail_disk(2).unwrap();
+    store.start_engine(EngineConfig::default());
+    store.backend().set_armed(true);
+    let rebuilder = Rebuilder::new(1).chunk_size(4);
+    assert!(rebuilder.rebuild(store, SPARE).is_err(), "[chaos seed {seed}] the tear must surface");
+    assert!(store.backend().injected_torn() > 0, "[chaos seed {seed}] the schedule must tear");
+    let eng = store.stats().engine.expect("engine running");
+    assert_drained(&eng, &format!("[chaos seed {seed}] torn spare write"));
+    assert!(eng.errors > 0, "[chaos seed {seed}] failures counted");
+    assert!(store.failed_disks().contains(2), "[chaos seed {seed}] the disk stays failed");
+    assert_eq!(store.physical_disk(2), 2, "[chaos seed {seed}] the redirect is unflipped");
+    assert_eq!(store.rebuilding(), None, "[chaos seed {seed}] the rebuild unregistered");
+    let units = store.backend().units_per_disk();
+    assert!(
+        (0..units).all(|off| !store.checksum_recorded(SPARE, off)),
+        "[chaos seed {seed}] a checksum was recorded for a spare write that did not land"
+    );
+
+    store.backend().set_armed(false);
+    rebuilder.rebuild(store, SPARE).unwrap();
+    let mut back = vec![0u8; blocks * UNIT];
+    store.read_blocks(0, &mut back).unwrap();
+    assert!(back == data, "[chaos seed {seed}] the retried rebuild returns the original bytes");
+    store.stop_engine();
+    store.verify_parity().unwrap();
+}
+
+#[test]
+fn engine_torn_spare_write_with_next_prefetch_in_flight_mem() {
+    let seeds = seeds_under_test();
+    record_seeds("torn_spare_mem", &seeds);
+    for seed in seeds {
+        torn_spare_case(seed, &xor_faulty_mem(FaultConfig { torn_rate: 1.0, ..stalling(seed) }));
+    }
+}
+
+#[test]
+fn engine_torn_spare_write_with_next_prefetch_in_flight_file() {
+    let seeds = seeds_under_test();
+    record_seeds("torn_spare_file", &seeds);
+    for seed in seeds {
+        let dir = std::env::temp_dir()
+            .join(format!("pdl-engine-torn-spare-{}-{seed}", std::process::id()));
+        let cfg = FaultConfig { torn_rate: 1.0, ..stalling(seed) };
+        torn_spare_case(seed, &xor_faulty_file(&dir, cfg));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// The warm-up trap: disks timed fast while the device stalls nowhere
 /// must leave the inline route within a few batches once every call
 /// stalls, and regain it once the stalls stop — each route times the

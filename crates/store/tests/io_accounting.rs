@@ -586,6 +586,7 @@ fn rebuild_batches_reads_without_changing_unit_counts() {
         store.write_blocks(0, &data).unwrap();
         store.fail_disk(2).unwrap();
         let before = store.stats();
+        let spare_writes = store.backend().write_calls(9);
         let report = Rebuilder::new(2).chunk_size(16).rebuild(&store, 9).unwrap();
         let expected = 3.0 / 8.0; // (k-1)/(v-1) for v=9, k=4
         assert!(
@@ -595,10 +596,11 @@ fn rebuild_batches_reads_without_changing_unit_counts() {
         );
         assert_eq!(report.read_imbalance(), 0.0, "per-disk unit counts perfectly balanced");
         let now = store.stats();
-        // Survivor reads go through the dispatcher (the maintenance
-        // lane, or inline once a disk is timed fast); the spare's
-        // writes are issued around it.
-        engine_accounts(&now, &before, survivor_read_calls(&now, &before, 2));
+        // Survivor reads and the spare's writes go through the
+        // dispatcher (the maintenance lane, or inline once a disk is
+        // timed fast).
+        let spare_writes = store.backend().write_calls(9) - spare_writes;
+        engine_accounts(&now, &before, survivor_read_calls(&now, &before, 2) + spare_writes);
         let units_per_disk = store.backend().units_per_disk() as u64;
         for d in 0..store.v() {
             if d == 2 {
@@ -616,6 +618,36 @@ fn rebuild_batches_reads_without_changing_unit_counts() {
         let mut out = vec![0u8; blocks * UNIT];
         store.read_blocks(0, &mut out).unwrap();
         assert_eq!(out, data, "rebuilt store returns the original bytes");
+    }
+}
+
+/// The rebuild's exact calls on the geometry the rebuild benchmark
+/// runs (ring v = 9, k = 4, 64 copies, 4 KiB units, one worker), engine
+/// off and on: 64-unit chunks read (k−1)/(v−1) = 768 units of every
+/// survivor in a fixed number of coalesced calls per disk, and land on
+/// the spare in one write call per chunk. Whether a chunk's spare write
+/// overlaps the next chunk's reads moves time, never I/O. The contents
+/// do not change the calls, so the array is left unwritten.
+#[test]
+fn rebuild_calls_are_exact_on_the_benchmark_geometry() {
+    const UNIT: usize = 4096;
+    for engine in ENGINE_MODES {
+        let layout = RingLayout::for_v_k(9, 4).layout().clone();
+        let backend = MemBackend::new(10, 64 * layout.size(), UNIT);
+        let store = with_engine(BlockStore::new(layout, backend).unwrap(), engine);
+        store.fail_disk(0).unwrap();
+        let b = store.backend();
+        let reads = |d: usize| (b.read_count(d), b.read_calls(d));
+        let before: Vec<_> = (1..10).map(reads).collect();
+        let spare_writes = b.write_calls(9);
+        Rebuilder::new(1).rebuild(&store, 9).unwrap();
+        let after: Vec<_> = (1..10).map(reads).collect();
+        let units: Vec<u64> = (0..8).map(|i| after[i].0 - before[i].0).collect();
+        let calls: Vec<u64> = (0..8).map(|i| after[i].1 - before[i].1).collect();
+        assert_eq!(units, [768; 8], "engine {engine}: (k-1)/(v-1) of every survivor");
+        assert_eq!(calls, [288, 384, 288, 352, 448, 320, 320, 544], "engine {engine}");
+        assert_eq!(after[8], before[8], "engine {engine}: the spare is never read");
+        assert_eq!(b.write_calls(9) - spare_writes, 32, "engine {engine}: one write per chunk");
     }
 }
 
@@ -638,6 +670,7 @@ fn racing_rebuild_live_read_distribution_matches_declustering() {
             store.fail_disk(2).unwrap();
             assert!(store.rebuild_progress().is_none(), "no progress before a rebuild registers");
             let before = store.stats();
+            let spare_writes = store.backend().write_calls(9);
 
             // Single worker + tiny chunks stretch the rebuild so the
             // polling loop below lands samples strictly mid-flight.
@@ -657,7 +690,8 @@ fn racing_rebuild_live_read_distribution_matches_declustering() {
                 "progress clears once the rebuild completes"
             );
             let now = store.stats();
-            engine_accounts(&now, &before, survivor_read_calls(&now, &before, 2));
+            let spare_writes = store.backend().write_calls(9) - spare_writes;
+            engine_accounts(&now, &before, survivor_read_calls(&now, &before, 2) + spare_writes);
             let captured =
                 samples.iter().any(|p| p.units_done >= 64 && p.units_done < p.units_total);
             if captured {

@@ -8,8 +8,9 @@ use std::sync::Arc;
 
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
-    stress, Backend, BlockStore, CachePolicy, Event, EventSink, MemBackend, OpKind, RebuildMode,
-    Rebuilder, StatsSnapshot, StoreError, StressConfig, TraceLog,
+    stress, Backend, BlockStore, CachePolicy, EngineConfig, Event, EventSink, FaultConfig,
+    FaultyBackend, MemBackend, OpKind, RebuildMode, Rebuilder, StatsSnapshot, StoreError,
+    StressConfig, TraceLog,
 };
 
 const UNIT: usize = 64;
@@ -101,6 +102,43 @@ fn degraded_windows_split_one_vs_two_erasures() {
     }
     let s3 = store.stats();
     assert_eq!(s3.degraded.one.ops, s2.degraded.one.ops, "healthy ops don't leak into windows");
+}
+
+/// A spare write is timed from its submit to its landing: on a device
+/// that stalls every call, each takes at least the stall, with the
+/// engine off (the write lands at submit) and on (it lands while the
+/// worker reads the next chunk). The stall sits just above 2^20 ns, so
+/// the latency histogram's bucket 20 starts within 0.05 % of it.
+#[test]
+fn spare_writes_are_timed_from_submit_to_landing() {
+    const STALL_US: u64 = 1_049;
+    for engine in [false, true] {
+        let layout = RingLayout::for_v_k(9, 4).layout().clone();
+        let mem = MemBackend::new(10, 2 * layout.size(), UNIT);
+        let stall = FaultConfig { slow_rate: 1.0, slow_us: STALL_US, ..FaultConfig::quiet(1) };
+        let store = BlockStore::new(layout, FaultyBackend::new(mem, stall)).unwrap();
+        store.backend().set_armed(false);
+        store.write_blocks(0, &vec![3u8; store.blocks() * UNIT]).unwrap();
+        store.fail_disk(2).unwrap();
+        if engine {
+            store.start_engine(EngineConfig::default());
+        }
+        store.backend().set_armed(true);
+        let calls = store.backend().write_calls(9);
+        Rebuilder::new(1).chunk_size(16).rebuild(&store, 9).unwrap();
+        let calls = store.backend().write_calls(9) - calls;
+        let s = store.stats();
+        let spare = s.op(OpKind::SpareWrite).unwrap();
+        assert_eq!((spare.ops, calls), (4, 4), "engine {engine}: one write per 16-unit chunk");
+        let floor = (STALL_US * 1_000).ilog2() as usize;
+        let hist = &spare.latency_log2_ns;
+        assert_eq!(hist.iter().sum::<u64>(), calls, "engine {engine}: every spare write timed");
+        assert_eq!(
+            hist[..floor].iter().sum::<u64>(),
+            0,
+            "engine {engine}: a spare write timed shorter than the stall: {hist:?}"
+        );
+    }
 }
 
 /// A rebuild closes the degraded window and its chunked I/O shows up

@@ -5,12 +5,14 @@
 //! per-disk runs of one batched call once the async engine is on, and
 //! across the accesses of one small write's read round and of its
 //! write round. The bounds asserted are well short of what full
-//! overlap gives.
+//! overlap gives. A rebuild's overlap of a chunk's spare write with
+//! the next chunk's reads is checked causally instead: the write is
+//! held until such a read begins.
 
 use std::time::{Duration, Instant};
 
 use pdl_core::RingLayout;
-use pdl_store::{BlockStore, EngineConfig, FaultConfig, FaultyBackend, MemBackend};
+use pdl_store::{BlockStore, EngineConfig, FaultConfig, FaultyBackend, MemBackend, Rebuilder};
 
 const UNIT: usize = 64;
 /// How long every backend call of [`stalling_store`] sleeps.
@@ -123,4 +125,40 @@ fn engine_lands_an_unaligned_batch_in_two_rounds() {
     let took = start_at.elapsed();
     store.stop_engine();
     assert!(took <= 10 * 4 * STALL, "ten unaligned batches took {took:?}: over four stalls each");
+}
+
+/// A rebuild worker reads its next chunk while a chunk's spare write
+/// lands: the first spare write is held until a read is in progress,
+/// and only the second chunk's prefetch can be reading then (the first
+/// chunk's reads all landed before its write went out).
+/// Every call stalls 5 ms, so the reads queue and a read the worker
+/// started before the held write began is still in progress when it
+/// does. A worker that waited for the write first would leave it held
+/// until the 5 s timeout: the check is causal, the timeout only ends a
+/// failing run.
+#[test]
+fn rebuild_reads_the_next_chunk_while_the_spare_write_lands() {
+    let layout = RingLayout::for_v_k(9, 4).layout().clone();
+    let mem = MemBackend::new(10, 2 * layout.size(), UNIT);
+    let stall = FaultConfig { slow_rate: 1.0, slow_us: 5_000, ..FaultConfig::quiet(1) };
+    let store = BlockStore::new(layout, FaultyBackend::new(mem, stall)).unwrap();
+    let data: Vec<u8> = (0..store.blocks() * UNIT).map(|i| (i % 239) as u8).collect();
+    store.backend().set_armed(false);
+    store.write_blocks(0, &data).unwrap();
+    store.fail_disk(2).unwrap();
+    store.start_engine(EngineConfig::default());
+    store.backend().set_armed(true);
+    store.backend().hold_next_write(9, Duration::from_secs(5));
+    Rebuilder::new(1).chunk_size(16).rebuild(&store, 9).unwrap();
+    assert_eq!(
+        store.backend().held_write_met_a_read(),
+        Some(true),
+        "the first spare write was held until its timeout: nothing read past it"
+    );
+    store.backend().set_armed(false);
+    store.stop_engine();
+    let mut back = vec![0u8; data.len()];
+    store.read_blocks(0, &mut back).unwrap();
+    assert!(back == data, "the rebuilt store returns the original bytes");
+    store.verify_parity().unwrap();
 }
