@@ -136,15 +136,17 @@ impl CachePolicy {
 
     /// Stable encoding used by persisted metadata and the `PDL_CACHE`
     /// environment override: `writethrough` or `writeback[:N]`.
-    pub fn encode(self) -> String {
+    pub(crate) fn encode(self) -> String {
         match self {
             CachePolicy::WriteThrough => "writethrough".to_string(),
             CachePolicy::WriteBack { max_dirty } => format!("writeback:{max_dirty}"),
         }
     }
 
-    /// Parses [`CachePolicy::encode`] (plus the bare `writeback`
-    /// shorthand for the default budget); `None` for unknown names.
+    /// Parses a policy name as `store.json` persists it —
+    /// `writethrough` or `writeback:<max_dirty>` — plus the bare
+    /// `writeback` shorthand for the default budget; `None` for
+    /// unknown names.
     pub fn decode(name: &str) -> Option<CachePolicy> {
         match name {
             "writethrough" | "" => Some(CachePolicy::WriteThrough),

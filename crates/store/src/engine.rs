@@ -272,8 +272,8 @@ struct Inner<B> {
 ///
 /// Construct with [`Engine::start`]; submit with
 /// [`Engine::submit_read_units`] / [`Engine::submit_write_gather`];
-/// redeem the returned [`Completion`] tokens. See the
-/// [module docs](self) for the scheduling model.
+/// redeem the returned [`Completion`] tokens. The README's "Async
+/// engine" section describes the scheduling model.
 pub struct Engine<B> {
     inner: Arc<Inner<B>>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -480,7 +480,7 @@ impl<B> Engine<B> {
 
     /// Point-in-time engine statistics for
     /// [`crate::StatsSnapshot`].
-    pub fn snapshot(&self) -> EngineStatsSnapshot {
+    pub(crate) fn snapshot(&self) -> EngineStatsSnapshot {
         let inner = &self.inner;
         EngineStatsSnapshot {
             workers: inner.cfg.workers,
@@ -714,7 +714,7 @@ fn execute<B: Backend>(inner: &Inner<B>, disk: usize, req: Request) {
 /// dispatcher in `io.rs`, never directly.
 impl<B: Backend> BlockStore<B> {
     /// Whether the async I/O engine is currently running.
-    pub fn engine_running(&self) -> bool {
+    pub(crate) fn engine_running(&self) -> bool {
         self.engine_on.load(Ordering::Acquire)
     }
 
@@ -729,8 +729,8 @@ impl<B: Backend> BlockStore<B> {
         self.engine.read().unwrap().clone()
     }
 
-    /// Starts the submit-and-complete async I/O engine (see the
-    /// [module docs](self)) and measures its hand-off cost. Multi-run
+    /// Starts the submit-and-complete async I/O engine (see
+    /// [`Engine`]) and measures its hand-off cost. Multi-run
     /// transfers then submit at once every per-disk run whose disk is
     /// slower than that hand-off (or not yet timed), and issue the rest
     /// on the calling thread meanwhile, so the engine costs little on a
@@ -816,8 +816,8 @@ pub struct EngineStatsSnapshot {
     /// Maintenance requests that waited behind client work — the
     /// queue-tier arbitration counter.
     pub maintenance_deferred: u64,
-    /// Submission→dequeue wait, log2-ns buckets (see
-    /// [`LatencyHistogram`]).
+    /// Submission→dequeue wait, log2-ns buckets (bucket `i` counts
+    /// waits in `[2^i, 2^(i+1))` ns).
     pub queue_wait_log2_ns: Vec<u64>,
     /// Per-disk queue gauges.
     pub disks: Vec<EngineDiskSnapshot>,

@@ -7,28 +7,29 @@
 //! later. Parity declustering's value — the paper's `(k−1)/(v−1)`
 //! rebuild-load claim — depends on catching those errors **before** a
 //! second failure makes them unrecoverable, so this module gives the
-//! store the substrate the scrubber ([`crate::scrub`]) and the read
-//! paths build on:
+//! store the substrate the scrubber and the read paths build on:
 //!
 //! * [`xxh64`] — a local XXH64 implementation (like `gf256`, written
 //!   here rather than pulled in as a dependency), hashing a 512-byte
 //!   unit in tens of nanoseconds;
-//! * [`ChecksumTable`] — one 64-bit checksum per *physical* unit,
+//! * a checksum table — one 64-bit checksum per *physical* unit,
 //!   updated on every backend write the store issues and verified on
-//!   the consume-as-is read paths. Unwritten units carry
-//!   [`ChecksumTable::UNSET`] and are skipped, so a freshly created
-//!   (zero-filled) store pays nothing until first write;
+//!   the consume-as-is read paths. Unwritten units carry an "unset"
+//!   sentinel and are skipped, so a freshly created (zero-filled)
+//!   store pays nothing until first write;
 //! * [`RetryPolicy`] — bounded retry with linear backoff for
-//!   transient backend errors ([`is_transient`]);
-//! * [`HealthMonitor`] — per-disk error/repair/retry counters feeding
+//!   transient backend errors (`ErrorKind::Interrupted`);
+//! * a health monitor — per-disk error/repair/retry counters feeding
 //!   a configurable auto-fail threshold. Crossing it queues the disk
 //!   for [`crate::BlockStore::fail_disk`] at the next op epilogue
 //!   (deferred: the counters are bumped under read guards that the
 //!   failure transition itself needs exclusively).
 //!
+//! [`Integrity`] bundles them; every store owns one, and the async
+//! [`crate::Engine`] is started with it.
+//!
 //! Checksums are authoritative in memory; file-backed stores persist
-//! the table as a sidecar (`checksums.bin`, see
-//! [`ChecksumTable::to_bytes`]) on flush and scrub checkpoints. A
+//! the table as a sidecar ([`crate::SUMS_FILE`]) on flush and scrub checkpoints. A
 //! crash can therefore leave sums *stale* relative to data that made
 //! it to disk — the read path treats any mismatch as an erasure and
 //! repairs through parity, which rewrites bytes identical to what is
@@ -129,12 +130,12 @@ pub fn xxh64(seed: u64, data: &[u8]) -> u64 {
 /// always distinguishable.
 ///
 /// Each column also carries a *dirty bitmap* (one bit per unit, set
-/// by every [`ChecksumTable::record`]) so the persister can append
-/// only changed entries to an incremental sidecar log
-/// ([`ChecksumTable::drain_dirty`]) instead of rewriting the whole
-/// table on every flush.
+/// by every [`ChecksumTable::record`]) so the array directory's
+/// durability barrier can append only changed entries to an
+/// incremental sidecar log ([`ChecksumTable::drain_dirty`]) instead of
+/// rewriting the whole table on every flush.
 #[derive(Debug)]
-pub struct ChecksumTable {
+pub(crate) struct ChecksumTable {
     disks: RwLock<Vec<Column>>,
 }
 
@@ -164,18 +165,18 @@ impl Column {
 
 impl ChecksumTable {
     /// The "no checksum recorded" sentinel: verification is skipped.
-    pub const UNSET: u64 = 0;
+    pub(crate) const UNSET: u64 = 0;
 
     /// Seed for every unit hash (arbitrary, fixed for persistence).
-    pub const SEED: u64 = 0x70646c5f73756d73; // "pdl_sums"
+    pub(crate) const SEED: u64 = 0x70646c5f73756d73; // "pdl_sums"
 
     /// A table of `disks × units` unset entries.
-    pub fn new(disks: usize, units: usize) -> Self {
+    pub(crate) fn new(disks: usize, units: usize) -> Self {
         ChecksumTable { disks: RwLock::new((0..disks).map(|_| Column::new(units)).collect()) }
     }
 
     /// The table's geometry as `(disks, units_per_disk)`.
-    pub fn geometry(&self) -> (usize, usize) {
+    pub(crate) fn geometry(&self) -> (usize, usize) {
         let t = self.disks.read().unwrap();
         (t.len(), t.first().map(|d| d.sums.len()).unwrap_or(0))
     }
@@ -183,7 +184,7 @@ impl ChecksumTable {
     /// Maps a computed hash into the stored encoding (never the
     /// sentinel).
     #[inline]
-    pub fn encode(h: u64) -> u64 {
+    pub(crate) fn encode(h: u64) -> u64 {
         if h == Self::UNSET {
             1
         } else {
@@ -196,7 +197,7 @@ impl ChecksumTable {
     /// without a matching [`ChecksumTable::resize_units`]) are
     /// ignored defensively.
     #[inline]
-    pub fn record(&self, disk: usize, offset: usize, data: &[u8]) {
+    pub(crate) fn record(&self, disk: usize, offset: usize, data: &[u8]) {
         let t = self.disks.read().unwrap();
         let Some(d) = t.get(disk) else { return };
         if let Some(slot) = d.sums.get(offset) {
@@ -209,7 +210,7 @@ impl ChecksumTable {
     /// checksum. `true` when they match **or** no checksum is
     /// recorded yet.
     #[inline]
-    pub fn check(&self, disk: usize, offset: usize, data: &[u8]) -> bool {
+    pub(crate) fn check(&self, disk: usize, offset: usize, data: &[u8]) -> bool {
         let t = self.disks.read().unwrap();
         match t.get(disk).and_then(|d| d.sums.get(offset)) {
             Some(slot) => {
@@ -226,7 +227,7 @@ impl ChecksumTable {
     /// appended to `bad`; units with no recorded checksum pass, as in
     /// [`ChecksumTable::check`]. Returns `true` when every unit
     /// passed.
-    pub fn check_many<'a>(
+    pub(crate) fn check_many<'a>(
         &self,
         disk: usize,
         units: impl IntoIterator<Item = (usize, &'a [u8])>,
@@ -247,7 +248,7 @@ impl ChecksumTable {
     }
 
     /// Whether unit `(disk, offset)` has a recorded checksum.
-    pub fn recorded(&self, disk: usize, offset: usize) -> bool {
+    pub(crate) fn recorded(&self, disk: usize, offset: usize) -> bool {
         let t = self.disks.read().unwrap();
         t.get(disk).and_then(|d| d.sums.get(offset)).map(|s| s.load(Ordering::Relaxed))
             != Some(Self::UNSET)
@@ -256,7 +257,7 @@ impl ChecksumTable {
     /// Stores a raw (already encoded) sum without touching the dirty
     /// bitmap — the sidecar-log replay path, which must not re-dirty
     /// entries it just read back from disk.
-    pub fn set_raw(&self, disk: usize, offset: usize, sum: u64) {
+    pub(crate) fn set_raw(&self, disk: usize, offset: usize, sum: u64) {
         let t = self.disks.read().unwrap();
         if let Some(slot) = t.get(disk).and_then(|d| d.sums.get(offset)) {
             slot.store(sum, Ordering::Relaxed);
@@ -271,7 +272,7 @@ impl ChecksumTable {
     /// may be captured at its newer value and persisted again next
     /// drain; the sidecar is best-effort and self-healing, so
     /// over-persisting is harmless.)
-    pub fn drain_dirty(&self, mut f: impl FnMut(usize, usize, u64)) {
+    pub(crate) fn drain_dirty(&self, mut f: impl FnMut(usize, usize, u64)) {
         let t = self.disks.read().unwrap();
         for (disk, col) in t.iter().enumerate() {
             for (wi, word) in col.dirty.iter().enumerate() {
@@ -290,7 +291,7 @@ impl ChecksumTable {
 
     /// Forgets every checksum on `disk` (its medium was wiped or
     /// replaced underneath the store).
-    pub fn clear_disk(&self, disk: usize) {
+    pub(crate) fn clear_disk(&self, disk: usize) {
         let t = self.disks.read().unwrap();
         if let Some(d) = t.get(disk) {
             for (offset, slot) in d.sums.iter().enumerate() {
@@ -303,7 +304,7 @@ impl ChecksumTable {
     /// Resizes every disk's column to `units` entries, preserving the
     /// common prefix (reshape grow/trim). Callers hold the store's
     /// exclusive state guard, so no data-path lookups race the swap.
-    pub fn resize_units(&self, units: usize) {
+    pub(crate) fn resize_units(&self, units: usize) {
         let mut t = self.disks.write().unwrap();
         for d in t.iter_mut() {
             let next = Column::new(units);
@@ -318,7 +319,7 @@ impl ChecksumTable {
 
     /// Serializes the table for the sidecar file: a fixed header
     /// (magic, geometry) followed by raw little-endian entries.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let t = self.disks.read().unwrap();
         let disks = t.len();
         let units = t.first().map(|d| d.sums.len()).unwrap_or(0);
@@ -339,7 +340,7 @@ impl ChecksumTable {
     /// verification skipped until rewritten or adopted by a scrub)
     /// when the bytes are malformed or the geometry disagrees, so a
     /// stale sidecar can never fail an open.
-    pub fn load_bytes(&self, bytes: &[u8]) -> bool {
+    pub(crate) fn load_bytes(&self, bytes: &[u8]) -> bool {
         let t = self.disks.read().unwrap();
         let disks = t.len();
         let units = t.first().map(|d| d.sums.len()).unwrap_or(0);
@@ -381,7 +382,7 @@ impl Default for RetryPolicy {
 /// Whether `e` is a transient backend error worth retrying: the
 /// kinds a real device driver surfaces for recoverable hiccups
 /// (interrupted call, momentary unavailability, timeout).
-pub fn is_transient(e: &StoreError) -> bool {
+pub(crate) fn is_transient(e: &StoreError) -> bool {
     use std::io::ErrorKind;
     match e {
         StoreError::Io(io) => matches!(
@@ -400,7 +401,7 @@ pub fn is_transient(e: &StoreError) -> bool {
 /// the queue at op epilogues ([`crate::BlockStore`] calls
 /// `apply_pending_health` after its guards drop).
 #[derive(Debug)]
-pub struct HealthMonitor {
+pub(crate) struct HealthMonitor {
     /// Hard (post-retry) backend errors per physical disk.
     errors: Vec<AtomicU64>,
     /// Checksum repairs whose corrupt unit lived on this disk.
@@ -434,7 +435,7 @@ pub struct HealthMonitor {
 
 impl HealthMonitor {
     /// A monitor for `disks` physical disks, auto-fail disabled.
-    pub fn new(disks: usize) -> Self {
+    pub(crate) fn new(disks: usize) -> Self {
         let zeros = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
         HealthMonitor {
             errors: zeros(disks),
@@ -452,7 +453,7 @@ impl HealthMonitor {
     }
 
     /// Sets the auto-fail threshold (`0` disables).
-    pub fn set_threshold(&self, n: u64) {
+    pub(crate) fn set_threshold(&self, n: u64) {
         self.threshold.store(n, Ordering::Relaxed);
     }
 
@@ -464,7 +465,7 @@ impl HealthMonitor {
     /// while the same errors spread across many windows do not.
     /// `threshold == 0` disables (the default); `window_ms` is
     /// clamped to at least 1.
-    pub fn set_rate_policy(&self, threshold: u64, window_ms: u64) {
+    pub(crate) fn set_rate_policy(&self, threshold: u64, window_ms: u64) {
         self.rate_window_ms.store(window_ms.max(1), Ordering::Relaxed);
         self.rate_threshold.store(threshold, Ordering::Relaxed);
     }
@@ -521,7 +522,7 @@ impl HealthMonitor {
 
     /// The auto-fail score of `disk`: hard errors plus checksum
     /// repairs.
-    pub fn score(&self, disk: usize) -> u64 {
+    pub(crate) fn score(&self, disk: usize) -> u64 {
         match (self.errors.get(disk), self.repairs.get(disk)) {
             (Some(e), Some(r)) => e.load(Ordering::Relaxed) + r.load(Ordering::Relaxed),
             _ => 0,
@@ -529,7 +530,7 @@ impl HealthMonitor {
     }
 
     /// Counts one hard (post-retry) error on `disk`.
-    pub fn note_error(&self, disk: usize) {
+    pub(crate) fn note_error(&self, disk: usize) {
         if let Some(c) = self.errors.get(disk) {
             c.fetch_add(1, Ordering::Relaxed);
         }
@@ -538,7 +539,7 @@ impl HealthMonitor {
     }
 
     /// Counts one checksum repair whose corrupt unit lived on `disk`.
-    pub fn note_repair(&self, disk: usize) {
+    pub(crate) fn note_repair(&self, disk: usize) {
         if let Some(c) = self.repairs.get(disk) {
             c.fetch_add(1, Ordering::Relaxed);
         }
@@ -547,14 +548,14 @@ impl HealthMonitor {
     }
 
     /// Counts one transient error absorbed by retry on `disk`.
-    pub fn note_retry(&self, disk: usize) {
+    pub(crate) fn note_retry(&self, disk: usize) {
         if let Some(c) = self.retries.get(disk) {
             c.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Drains the auto-fail queue (the store applies it).
-    pub fn take_pending(&self) -> Vec<usize> {
+    pub(crate) fn take_pending(&self) -> Vec<usize> {
         let mut p = Self::locked(&self.pending);
         self.pending_len.store(0, Ordering::Relaxed);
         std::mem::take(&mut *p)
@@ -563,7 +564,7 @@ impl HealthMonitor {
     /// Queues a disk for auto-fail (once) — a threshold crossing, or
     /// an auto-fail that could not be applied yet (reshape active,
     /// failure budget exhausted).
-    pub fn requeue(&self, disk: usize) {
+    pub(crate) fn requeue(&self, disk: usize) {
         let mut p = Self::locked(&self.pending);
         if !p.contains(&disk) {
             p.push(disk);
@@ -576,12 +577,12 @@ impl HealthMonitor {
     /// publishes no other data — a caller that sees it nonzero takes
     /// the queue's lock to drain, and one that misses a racing push
     /// leaves it to the next epilogue.
-    pub fn has_pending(&self) -> bool {
+    pub(crate) fn has_pending(&self) -> bool {
         self.pending_len.load(Ordering::Relaxed) != 0
     }
 
     /// Records that the policy auto-failed `disk`.
-    pub fn note_auto_failed(&self, disk: usize) {
+    pub(crate) fn note_auto_failed(&self, disk: usize) {
         let mut a = Self::locked(&self.auto_failed);
         if !a.contains(&disk) {
             a.push(disk);
@@ -589,7 +590,7 @@ impl HealthMonitor {
     }
 
     /// Per-disk health rows for [`crate::StatsSnapshot`].
-    pub fn snapshot(&self) -> Vec<DiskHealthSnapshot> {
+    pub(crate) fn snapshot(&self) -> Vec<DiskHealthSnapshot> {
         let auto = Self::locked(&self.auto_failed).clone();
         (0..self.errors.len())
             .map(|d| DiskHealthSnapshot {
@@ -646,19 +647,19 @@ pub struct IntegrityStatsSnapshot {
 #[derive(Debug)]
 pub struct Integrity {
     /// Per-unit checksums (physical geometry).
-    pub sums: ChecksumTable,
+    pub(crate) sums: ChecksumTable,
     /// Per-disk health + auto-fail queue.
-    pub health: HealthMonitor,
+    pub(crate) health: HealthMonitor,
     /// Retry count for transient errors.
-    pub max_retries: AtomicU32,
+    pub(crate) max_retries: AtomicU32,
     /// Linear backoff step (µs) between retries.
-    pub backoff_us: AtomicU64,
+    pub(crate) backoff_us: AtomicU64,
     /// Units rewritten by read-repair or scrub (data or parity decode).
-    pub checksum_repairs: AtomicU64,
+    pub(crate) checksum_repairs: AtomicU64,
     /// Parity units recomputed from verified data by the scrubber.
-    pub parity_repairs: AtomicU64,
+    pub(crate) parity_repairs: AtomicU64,
     /// Completed scrub passes.
-    pub scrub_passes: AtomicU64,
+    pub(crate) scrub_passes: AtomicU64,
 }
 
 impl Integrity {
@@ -678,7 +679,7 @@ impl Integrity {
     }
 
     /// The current retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
+    pub(crate) fn retry_policy(&self) -> RetryPolicy {
         RetryPolicy {
             max_retries: self.max_retries.load(Ordering::Relaxed),
             backoff_us: self.backoff_us.load(Ordering::Relaxed),
@@ -688,7 +689,7 @@ impl Integrity {
     /// Runs `f` with bounded retry on transient errors, counting
     /// retries (and the final hard error, if any) against physical
     /// `disk`'s health.
-    pub fn retrying<T>(
+    pub(crate) fn retrying<T>(
         &self,
         disk: usize,
         mut f: impl FnMut() -> Result<T, StoreError>,
@@ -717,7 +718,7 @@ impl Integrity {
 
     /// Integrity totals for [`crate::StatsSnapshot`] (`scrub_cursor`
     /// is owned by the store and patched in by the caller).
-    pub fn snapshot(&self) -> IntegrityStatsSnapshot {
+    pub(crate) fn snapshot(&self) -> IntegrityStatsSnapshot {
         let health = self.health.snapshot();
         IntegrityStatsSnapshot {
             checksum_repairs: self.checksum_repairs.load(Ordering::Relaxed),

@@ -336,8 +336,9 @@ impl<B: Backend> Io<'_, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{FaultConfig, FaultyBackend, MemBackend};
+    use crate::backend::MemBackend;
     use crate::engine::{EngineConfig, EngineDiskSnapshot};
+    use crate::support::faulty::{FaultConfig, FaultyBackend};
     use std::time::Duration;
 
     const US: usize = 16;

@@ -31,12 +31,14 @@
 //!   into single vectored backend calls, degraded batch reads decode
 //!   each lost stripe once, and a per-store scratch pool keeps the
 //!   steady state allocation-free;
-//! * a **write-back stripe cache** ([`cache`], opt-in via
-//!   [`CachePolicy`]) that combines small writes per stripe: dirty
-//!   units accumulate with zero backend I/O and flush as one
-//!   combined parity update (fully dirty stripes take the zero-read
-//!   full-stripe path), with flush-before-transition ordering around
-//!   failures and rebuilds and the policy persisted in [`StoreMeta`];
+//! * a **write-back stripe cache** (opt-in via [`CachePolicy`]) that
+//!   combines small writes per stripe: dirty units accumulate with
+//!   zero backend I/O and flush as one combined parity update (fully
+//!   dirty stripes take the zero-read full-stripe path), with
+//!   flush-before-transition ordering around failures and rebuilds
+//!   and the policy persisted in [`StoreMeta`] — the README's "Cache
+//!   semantics (write-back)" section gives the ordering and
+//!   durability rules;
 //! * fault injection ([`BlockStore::fail_disk`], capped by the
 //!   scheme's tolerance and tracked in a [`FailureSet`]) and
 //!   **degraded reads** that erasure-decode lost units from surviving
@@ -58,21 +60,17 @@
 //!   per stripe with deadlock-free ordered acquisition, the failure
 //!   state sits behind an `RwLock` epoch so `fail_disk`/
 //!   `restore_disk`/rebuilds coordinate with in-flight I/O, and a
-//!   rebuild can race live writes (write-through to the spare). See
-//!   the [`store`] module docs for the full model;
-//! * a seeded multi-threaded **stress harness** ([`stress`]) driving
-//!   N verified client threads of mixed traffic — optionally degraded
-//!   or racing a live rebuild — used by the concurrency tests and the
-//!   CI matrix;
-//! * **first-class observability** ([`obs`]) — a lock-light
-//!   [`Metrics`] registry (per-op-kind counters + sampled log2
-//!   latency histograms) owned by every store, a pluggable
-//!   [`EventSink`] with a bundled ring-buffer [`TraceLog`], live
-//!   [`RebuildProgress`] snapshots (the (k−1)/(v−1) read
-//!   distribution observable *during* a racing rebuild),
-//!   degraded-window accounting split by erasure count, and a serde
-//!   [`StatsSnapshot`] from [`BlockStore::stats`] that the stress
-//!   harness dumps as `stats.json`.
+//!   rebuild can race live writes (write-through to the spare). The
+//!   README's "Concurrency" section gives the locking model;
+//! * **first-class observability** — a lock-light metrics registry
+//!   (per-op-kind counters + sampled log2 latency histograms) owned
+//!   by every store, a pluggable [`EventSink`] with a bundled
+//!   ring-buffer [`TraceLog`], live [`RebuildProgress`] snapshots
+//!   (the (k−1)/(v−1) read distribution observable *during* a racing
+//!   rebuild), degraded-window accounting split by erasure count, and
+//!   a serde [`StatsSnapshot`] from [`BlockStore::stats`] that
+//!   [`render_stats`] prints as text. The README's "Observability"
+//!   section walks through it.
 //!
 //! ## Fault-tolerance levels
 //!
@@ -135,32 +133,36 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
-pub mod cache;
+// Lets the test support module, which the integration tests share,
+// name this crate as they do.
+extern crate self as pdl_store;
+
+mod backend;
+mod cache;
 mod codec;
-pub mod engine;
-pub mod error;
+mod engine;
+mod error;
 pub mod integrity;
 mod io;
-pub mod maintenance;
-pub mod meta;
-pub mod obs;
-pub mod rebuild;
-pub mod reshape;
-pub mod scheme;
-pub mod scrub;
-pub mod store;
-pub mod stress;
+mod maintenance;
+mod meta;
+mod obs;
+mod rebuild;
+mod reshape;
+mod scheme;
+mod scrub;
+mod store;
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod support;
 
-pub use backend::{Backend, FaultConfig, FaultyBackend, FileBackend, MemBackend};
+pub use backend::{Backend, FileBackend, MemBackend};
 pub use cache::CachePolicy;
 pub use engine::{
     Completion, DiskQueue, Engine, EngineConfig, EngineDiskSnapshot, EngineStatsSnapshot, Priority,
 };
 pub use error::StoreError;
-pub use integrity::{
-    xxh64, ChecksumTable, DiskHealthSnapshot, IntegrityStatsSnapshot, RetryPolicy,
-};
+pub use integrity::{xxh64, DiskHealthSnapshot, IntegrityStatsSnapshot, RetryPolicy};
 pub use maintenance::{
     ContinuousScrubConfig, ContinuousScrubReport, JobHandle, MaintenanceStateSnapshot,
     ReshapeDriverConfig, ReshapeDriverReport,
@@ -170,9 +172,9 @@ pub use meta::{
     ScrubState, StoreMeta, META_FILE, META_VERSION, SUMS_FILE, SUMS_LOG_FILE,
 };
 pub use obs::{
-    render_stats, CacheStatsSnapshot, DegradedSnapshot, DiskCounters, DiskStatSnapshot, Event,
-    EventSink, IoTotals, LatencyHistogram, Metrics, OpKind, OpStatSnapshot, RebuildProgress,
-    ReshapeProgressSnapshot, StatsSnapshot, TraceLog, WindowSnapshot,
+    render_stats, CacheStatsSnapshot, DegradedSnapshot, DiskStatSnapshot, Event, EventSink,
+    IoTotals, OpKind, OpStatSnapshot, RebuildProgress, ReshapeProgressSnapshot, StatsSnapshot,
+    TraceLog, WindowSnapshot,
 };
 pub use pdl_core::{AddrRef, StripeMap};
 pub use rebuild::{RebuildReport, Rebuilder};
@@ -180,4 +182,3 @@ pub use reshape::{CopiesPolicy, ReshapeOptions, ReshapeReport};
 pub use scheme::{FailureSet, ParityScheme};
 pub use scrub::{ScrubConfig, ScrubReport};
 pub use store::{fill_pattern, BlockStore, ReplayStats};
-pub use stress::{RebuildMode, StressConfig, StressReport};

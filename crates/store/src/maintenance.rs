@@ -648,7 +648,7 @@ impl<B: Backend> BlockStore<B> {
     /// pumps [`BlockStore::reshape_step`] with the configured pacing
     /// and commits when migration finishes. Requires a reshape begun
     /// via [`BlockStore::begin_add_disks`] /
-    /// [`BlockStore::begin_remove_disks`] (errors with
+    /// [`BlockStore::begin_remove_disks_with`] (errors with
     /// [`StoreError::NoActiveReshape`] otherwise); errors with
     /// [`StoreError::ReshapeDriverInProgress`] if a driver is already
     /// attached.

@@ -66,8 +66,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 /// The durable image of an in-flight reshape — the `reshape` section
-/// of [`StoreMeta`] — so a crash mid-reshape resumes on reopen (see
-/// the [`crate::reshape`] module docs for the protocol).
+/// of [`StoreMeta`] — so a crash mid-reshape resumes on reopen (the
+/// README's "Reshaping" section describes the protocol).
 ///
 /// The store reopens on the **source** geometry (backend at
 /// `grown_units` units per disk) with the migration runtime installed
@@ -147,11 +147,12 @@ pub struct StoreMeta {
     /// `v + spares`: the identity until a rebuild moves a logical disk
     /// onto a spare.
     pub redirect: Vec<usize>,
-    /// Parity scheme name (see [`ParityScheme::name`]).
+    /// Parity scheme name: `xor` or `pq`.
     pub scheme: String,
     /// Per-stripe `(P, Q)` slot pairs under P+Q; empty under XOR.
     pub parity_slots: Vec<(u32, u32)>,
-    /// Cache policy name (see [`CachePolicy::encode`]).
+    /// Cache policy name: `writethrough` or `writeback:<max_dirty>`
+    /// (see [`CachePolicy::decode`]).
     pub cache_policy: String,
     /// In-flight reshape checkpoint; `None` on committed (and
     /// never-reshaped) arrays.
@@ -167,7 +168,7 @@ pub struct StoreMeta {
 pub const META_FILE: &str = "store.json";
 
 /// File name of the checksum-table sidecar inside an array directory
-/// (see [`crate::ChecksumTable::to_bytes`]). Written by the durability
+/// (one checksum per physical unit). Written by the durability
 /// barrier, after the data and before `store.json`; a missing, stale,
 /// or malformed sidecar never
 /// fails an open — the table just starts unset and is re-adopted by
@@ -189,7 +190,7 @@ pub(crate) fn slots_u32(slots: &[(usize, usize)]) -> Vec<(u32, u32)> {
 
 impl StoreMeta {
     /// Captures the metadata of an XOR store configuration.
-    pub fn new(layout: &Layout, unit_size: usize, copies: usize, spares: usize) -> Self {
+    pub(crate) fn new(layout: &Layout, unit_size: usize, copies: usize, spares: usize) -> Self {
         StoreMeta {
             version: META_VERSION,
             unit_size,
@@ -205,25 +206,15 @@ impl StoreMeta {
         }
     }
 
-    /// Captures the metadata of a P+Q store configuration, including
-    /// the exact parity-slot assignment.
-    pub fn new_pq(dp: &DoubleParityLayout, unit_size: usize, copies: usize, spares: usize) -> Self {
-        StoreMeta {
-            scheme: ParityScheme::PQ.name().to_string(),
-            parity_slots: slots_u32(dp.all_parity_slots()),
-            ..StoreMeta::new(dp.layout(), unit_size, copies, spares)
-        }
-    }
-
     /// Sets the persisted cache policy (builder style): a reopened
     /// store installs it automatically.
-    pub fn with_cache_policy(mut self, policy: CachePolicy) -> Self {
+    pub(crate) fn with_cache_policy(mut self, policy: CachePolicy) -> Self {
         self.cache_policy = policy.encode();
         self
     }
 
     /// The cache policy this document describes.
-    pub fn parsed_cache_policy(&self) -> Result<CachePolicy, StoreError> {
+    pub(crate) fn parsed_cache_policy(&self) -> Result<CachePolicy, StoreError> {
         CachePolicy::decode(&self.cache_policy).ok_or_else(|| {
             StoreError::Corrupt(format!("unknown cache policy `{}`", self.cache_policy))
         })
@@ -287,18 +278,18 @@ impl StoreMeta {
     }
 
     /// The parity scheme this document describes.
-    pub fn parsed_scheme(&self) -> Result<ParityScheme, StoreError> {
+    pub(crate) fn parsed_scheme(&self) -> Result<ParityScheme, StoreError> {
         ParityScheme::from_name(&self.scheme)
             .ok_or_else(|| StoreError::Corrupt(format!("unknown parity scheme `{}`", self.scheme)))
     }
 
     /// Reconstructs the layout (revalidating it).
-    pub fn layout(&self) -> Result<Layout, StoreError> {
+    pub(crate) fn layout(&self) -> Result<Layout, StoreError> {
         self.layout.to_layout().map_err(|e| StoreError::Corrupt(format!("layout: {e}")))
     }
 
     /// Reconstructs the double-parity assignment (P+Q documents only).
-    pub fn double_parity_layout(&self) -> Result<DoubleParityLayout, StoreError> {
+    pub(crate) fn double_parity_layout(&self) -> Result<DoubleParityLayout, StoreError> {
         let layout = self.layout()?;
         let slots: Vec<(usize, usize)> =
             self.parity_slots.iter().map(|&(p, q)| (p as usize, q as usize)).collect();
@@ -709,8 +700,8 @@ pub fn update_cache_policy(dir: impl AsRef<Path>, policy: CachePolicy) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{FaultConfig, FaultyBackend};
     use crate::store::fill_pattern;
+    use crate::support::faulty::{FaultConfig, FaultyBackend};
     use pdl_core::RingLayout;
 
     #[test]
@@ -741,7 +732,11 @@ mod tests {
     fn pq_meta_roundtrips_slots() {
         let rl = RingLayout::for_v_k(9, 4);
         let dp = DoubleParityLayout::new(rl.layout().clone()).unwrap();
-        let meta = StoreMeta::new_pq(&dp, 128, 1, 2);
+        let meta = StoreMeta {
+            scheme: ParityScheme::PQ.name().to_string(),
+            parity_slots: slots_u32(dp.all_parity_slots()),
+            ..StoreMeta::new(dp.layout(), 128, 1, 2)
+        };
         let back = StoreMeta::from_json(&meta.to_json()).unwrap();
         assert_eq!(back.parsed_scheme().unwrap(), ParityScheme::PQ);
         let dp2 = back.double_parity_layout().unwrap();
@@ -876,7 +871,7 @@ mod tests {
         let store = open_file_store(&dir).unwrap();
         assert_eq!(store.scheme(), ParityScheme::PQ);
         assert_eq!(store.fault_tolerance(), 2);
-        assert_eq!(store.pq_parity_slots().unwrap(), &slots[..]);
+        assert_eq!(store.state_read().world.pq_slots.as_deref().unwrap(), &slots[..]);
         let mut out = vec![0u8; 64];
         store.read_block(3, &mut out).unwrap();
         assert!(out.iter().all(|&b| b == 0x5c));

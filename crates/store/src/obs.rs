@@ -92,7 +92,7 @@ impl OpKind {
     }
 
     /// Stable snake_case name used in [`StatsSnapshot`].
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             OpKind::Read => "read",
             OpKind::Write => "write",
@@ -123,13 +123,13 @@ impl LatencyHistogram {
     pub const BUCKETS: usize = 32;
 
     /// Records one latency observation.
-    pub fn record(&self, ns: u64) {
+    pub(crate) fn record(&self, ns: u64) {
         let b = (63 - (ns | 1).leading_zeros() as usize).min(Self::BUCKETS - 1);
         self.buckets[b].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Copies the bucket counts out.
-    pub fn snapshot(&self) -> Vec<u64> {
+    pub(crate) fn snapshot(&self) -> Vec<u64> {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
     }
 }
@@ -341,7 +341,7 @@ impl Metrics {
     /// load+store — the whole begin/finish pair performs **no atomic
     /// RMW** on the unsampled hot path. `force_timing` (set when an
     /// event sink wants span durations) samples unconditionally.
-    pub fn begin(&self, kind: OpKind, force_timing: bool) -> OpTimer {
+    pub(crate) fn begin(&self, kind: OpKind, force_timing: bool) -> OpTimer {
         let counts = self.my_counts();
         let sampled = force_timing || counts.ops(kind).is_multiple_of(Self::SAMPLE_EVERY);
         OpTimer { kind, start: sampled.then(Instant::now), counts: counts as *const ThreadCounts }
@@ -352,7 +352,7 @@ impl Metrics {
     /// that error between `begin` and `finish` are not counted.
     /// Returns the elapsed nanoseconds when timed (for event-span
     /// emission).
-    pub fn finish(&self, t: OpTimer, units: u64) -> Option<u64> {
+    pub(crate) fn finish(&self, t: OpTimer, units: u64) -> Option<u64> {
         // Stashed by `begin` on this thread; `&self` keeps the
         // backing allocation (owned by `self.threads`) alive.
         unsafe { &*t.counts }.bump(t.kind, units.wrapping_sub(1));
@@ -366,14 +366,14 @@ impl Metrics {
     /// Records a whole op in one call (unconditionally timed) — used
     /// by the chunked paths (rebuild chunks, cache flush batches)
     /// where per-op timing is cheap relative to the work.
-    pub fn record_op(&self, kind: OpKind, units: u64, ns: u64) {
+    pub(crate) fn record_op(&self, kind: OpKind, units: u64, ns: u64) {
         self.my_counts().bump(kind, units.wrapping_sub(1));
         self.hist[kind.idx()].record(ns);
     }
 
     /// Adds units to a kind without opening an op — e.g. the degraded
     /// share of a batched read, accounted alongside the batch's span.
-    pub fn add_units(&self, kind: OpKind, units: u64) {
+    pub(crate) fn add_units(&self, kind: OpKind, units: u64) {
         if units > 0 {
             self.my_counts().add_extra(kind, units);
         }
@@ -381,7 +381,7 @@ impl Metrics {
 
     /// Ops recorded across every kind and thread — the
     /// degraded-window op clock.
-    pub fn total_ops(&self) -> u64 {
+    pub(crate) fn total_ops(&self) -> u64 {
         let threads = self.threads.lock().unwrap();
         OpKind::ALL.iter().map(|&k| threads.iter().map(|t| t.ops(k)).sum::<u64>()).sum()
     }
@@ -390,7 +390,7 @@ impl Metrics {
     /// across all threads — excludes maintenance kinds (rebuild,
     /// reshape, scrub), so maintenance pacing can measure foreground
     /// load without counting itself.
-    pub fn client_ops(&self) -> u64 {
+    pub(crate) fn client_ops(&self) -> u64 {
         const CLIENT: [OpKind; 4] =
             [OpKind::Read, OpKind::Write, OpKind::DegradedRead, OpKind::DegradedWrite];
         let threads = self.threads.lock().unwrap();
@@ -398,7 +398,7 @@ impl Metrics {
     }
 
     /// Counts one contended stripe-shard lock acquisition.
-    pub fn note_lock_contention(&self) {
+    pub(crate) fn note_lock_contention(&self) {
         self.lock_contention.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -406,7 +406,7 @@ impl Metrics {
     /// degraded-window clock. Called under the store's exclusive
     /// state guard; `total_ops` is the registry's op clock at the
     /// transition.
-    pub fn degraded_transition(&self, before: usize, after: usize, total_ops: u64) {
+    pub(crate) fn degraded_transition(&self, before: usize, after: usize, total_ops: u64) {
         debug_assert!(before <= 2 && after <= 2 && before != after);
         let now = Instant::now();
         let mut clk = self.degraded.lock().unwrap();
@@ -472,8 +472,10 @@ impl Metrics {
 
 /// A structured store event, emitted to the installed [`EventSink`].
 ///
-/// Which operation emits which events is documented on
-/// [`crate::store`] (module docs, "Observability" section).
+/// While a sink is installed, every public store operation emits an
+/// `OpBegin`/`OpEnd` span; failures, restores, rebuilds, reshapes,
+/// cache flushes, lock contention, repairs and scrubs emit the
+/// variants named after them.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Event {
     /// An op span opened: `addr`/`blocks` locate the request, `stripe`
@@ -645,11 +647,6 @@ impl TraceLog {
     /// A copy of the retained events, oldest first.
     pub fn events(&self) -> Vec<Event> {
         self.inner.lock().unwrap().buf.iter().cloned().collect()
-    }
-
-    /// Drops the retained events (the recorded count is kept).
-    pub fn clear(&self) {
-        self.inner.lock().unwrap().buf.clear();
     }
 }
 
@@ -847,7 +844,7 @@ pub struct DiskCounters {
 
 impl DiskCounters {
     /// Zeroed counters for `disks` disks.
-    pub fn new(disks: usize) -> Self {
+    pub(crate) fn new(disks: usize) -> Self {
         let zeros = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
         DiskCounters {
             reads: zeros(disks),
@@ -858,39 +855,39 @@ impl DiskCounters {
     }
 
     /// Records one read call transferring `units` units.
-    pub fn add_read(&self, disk: usize, units: u64) {
+    pub(crate) fn add_read(&self, disk: usize, units: u64) {
         self.reads[disk].fetch_add(units, Ordering::Relaxed);
         self.read_calls[disk].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one write call transferring `units` units.
-    pub fn add_write(&self, disk: usize, units: u64) {
+    pub(crate) fn add_write(&self, disk: usize, units: u64) {
         self.writes[disk].fetch_add(units, Ordering::Relaxed);
         self.write_calls[disk].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Units read from `disk`.
-    pub fn read_units(&self, disk: usize) -> u64 {
+    pub(crate) fn read_units(&self, disk: usize) -> u64 {
         self.reads[disk].load(Ordering::Relaxed)
     }
 
     /// Units written to `disk`.
-    pub fn write_units(&self, disk: usize) -> u64 {
+    pub(crate) fn write_units(&self, disk: usize) -> u64 {
         self.writes[disk].load(Ordering::Relaxed)
     }
 
     /// Read calls served by `disk`.
-    pub fn read_calls(&self, disk: usize) -> u64 {
+    pub(crate) fn read_calls(&self, disk: usize) -> u64 {
         self.read_calls[disk].load(Ordering::Relaxed)
     }
 
     /// Write calls served by `disk`.
-    pub fn write_calls(&self, disk: usize) -> u64 {
+    pub(crate) fn write_calls(&self, disk: usize) -> u64 {
         self.write_calls[disk].load(Ordering::Relaxed)
     }
 
     /// Zeroes every counter.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         for c in
             self.reads.iter().chain(&self.writes).chain(&self.read_calls).chain(&self.write_calls)
         {
@@ -902,14 +899,14 @@ impl DiskCounters {
 /// Per-kind counters in a [`StatsSnapshot`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct OpStatSnapshot {
-    /// [`OpKind::name`] of the kind.
+    /// Snake-case name of the [`OpKind`] (`read`, `degraded_read`, …).
     pub kind: String,
     /// Operations recorded.
     pub ops: u64,
     /// Units (blocks) moved.
     pub units: u64,
-    /// Log2 latency bucket counts (see [`LatencyHistogram`]);
-    /// sampled 1-in-[`Metrics::SAMPLE_EVERY`] unless a sink forced
+    /// Log2 latency bucket counts (bucket `i` counts ops that took
+    /// `[2^i, 2^(i+1))` ns); sampled 1 in 64 unless a sink forced
     /// timing.
     pub latency_log2_ns: Vec<u64>,
 }

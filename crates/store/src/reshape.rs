@@ -384,11 +384,11 @@ impl<B: Backend> BlockStore<B> {
     }
 
     /// Starts a remove-disks reshape with default options.
-    pub fn begin_remove_disks(&self, logical: &[usize]) -> Result<(), StoreError> {
+    pub(crate) fn begin_remove_disks(&self, logical: &[usize]) -> Result<(), StoreError> {
         self.begin_remove_disks_with(logical, &ReshapeOptions::default())
     }
 
-    /// [`BlockStore::begin_remove_disks`] with explicit
+    /// Starts a remove-disks reshape with explicit
     /// [`ReshapeOptions`]. Removing a currently *failed* disk is
     /// allowed — its units are decoded from parity during migration.
     pub fn begin_remove_disks_with(

@@ -32,7 +32,7 @@ pub enum ParityScheme {
 
 impl ParityScheme {
     /// Maximum number of concurrently failed disks the scheme decodes.
-    pub fn fault_tolerance(self) -> usize {
+    pub(crate) fn fault_tolerance(self) -> usize {
         match self {
             ParityScheme::Xor => 1,
             ParityScheme::PQ => 2,
@@ -40,12 +40,12 @@ impl ParityScheme {
     }
 
     /// Parity units per stripe (`1` for XOR, `2` for P+Q).
-    pub fn parity_per_stripe(self) -> usize {
+    pub(crate) fn parity_per_stripe(self) -> usize {
         self.fault_tolerance()
     }
 
     /// Stable lowercase name used by persisted metadata.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ParityScheme::Xor => "xor",
             ParityScheme::PQ => "pq",
@@ -53,7 +53,7 @@ impl ParityScheme {
     }
 
     /// Parses [`ParityScheme::name`] back; `None` for unknown names.
-    pub fn from_name(name: &str) -> Option<Self> {
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
         match name {
             "xor" => Some(ParityScheme::Xor),
             "pq" => Some(ParityScheme::PQ),
@@ -71,7 +71,7 @@ pub struct FailureSet {
 
 impl FailureSet {
     /// No failures.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FailureSet::default()
     }
 
@@ -96,12 +96,12 @@ impl FailureSet {
     }
 
     /// Iterates the failed disks, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.disks.iter().copied()
     }
 
     /// The lowest-numbered failed disk, if any.
-    pub fn first(&self) -> Option<usize> {
+    pub(crate) fn first(&self) -> Option<usize> {
         self.disks.first().copied()
     }
 

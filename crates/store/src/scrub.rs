@@ -64,7 +64,8 @@ pub struct ScrubConfig {
     pub sleep_us: u64,
     /// Stripes between durable cursor checkpoints (`store.json` plus
     /// the checksum sidecar). `0` checkpoints only at pass end.
-    /// Ignored for memory-backed stores (no persister installed).
+    /// Ignored for stores without an array directory (memory-backed
+    /// stores have nothing to checkpoint).
     pub checkpoint_stripes: u64,
 }
 

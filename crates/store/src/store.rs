@@ -723,7 +723,7 @@ pub struct ReplayStats {
 /// All operations — including writes — take `&self`: share a store
 /// across threads with `std::thread::scope` or an `Arc` and issue
 /// traffic from every thread at once. Synchronization is internal
-/// (see the [module docs](self) for the locking model).
+/// (the README's "Concurrency" section describes the locking model).
 #[derive(Debug)]
 pub struct BlockStore<B> {
     pub(crate) scheme: ParityScheme,
@@ -932,14 +932,6 @@ impl<B: Backend> BlockStore<B> {
         self.state_read().world.smap.clone()
     }
 
-    /// The per-stripe `(P, Q)` slot pairs under [`ParityScheme::PQ`],
-    /// `None` under XOR. This is the assignment persisted by
-    /// [`crate::StoreMeta`] so a reopened store decodes with the exact
-    /// parity placement it was created with.
-    pub fn pq_parity_slots(&self) -> Option<Vec<(usize, usize)>> {
-        self.state_read().world.pq_slots.clone()
-    }
-
     /// The backend (e.g. to inspect IO counters).
     pub fn backend(&self) -> &B {
         &self.backend
@@ -948,11 +940,6 @@ impl<B: Backend> BlockStore<B> {
     /// Bytes per logical block.
     pub fn unit_size(&self) -> usize {
         self.unit_size
-    }
-
-    /// Layout copies tiled down the disks (the current world's).
-    pub fn copies(&self) -> usize {
-        self.state_read().world.copies
     }
 
     /// Store capacity in logical data blocks. Never shrinks; a
@@ -1270,16 +1257,10 @@ impl<B: Backend> BlockStore<B> {
         self.backend.reset_counters();
     }
 
-    /// The store's metrics registry — per-op-kind counters, sampled
-    /// latency histograms, and the degraded-window clock. Always on.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
     /// Installs (or, with `None`, removes) the structured-event sink.
     /// While a sink is installed every public op emits
     /// `OpBegin`/`OpEnd` spans (forcing per-op timing) and the
-    /// failure/rebuild/cache events of the [module docs](self) table;
+    /// failure/rebuild/cache events listed on [`crate::Event`];
     /// with no sink the data path pays one relaxed load. The bundled
     /// sink is [`crate::TraceLog`]; tests plug in their own.
     pub fn set_event_sink(&self, sink: Option<Arc<dyn EventSink>>) {
@@ -1312,11 +1293,6 @@ impl<B: Backend> BlockStore<B> {
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
         self.integrity.max_retries.store(policy.max_retries, Ordering::Relaxed);
         self.integrity.backoff_us.store(policy.backoff_us, Ordering::Relaxed);
-    }
-
-    /// The installed [`RetryPolicy`].
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.integrity.retry_policy()
     }
 
     /// Applies queued auto-fail decisions from the health monitor.
@@ -1404,7 +1380,7 @@ impl<B: Backend> BlockStore<B> {
     }
 
     /// Flushes the write-back stripe cache (combined parity updates,
-    /// see [`crate::cache`]) and then runs the durability barrier —
+    /// see [`CachePolicy::WriteBack`]) and then runs the durability barrier —
     /// backend, checksums, document — so every acknowledged write is
     /// durable on return.
     pub fn flush(&self) -> Result<(), StoreError> {
@@ -2655,8 +2631,8 @@ impl<B: Backend> BlockStore<B> {
     /// Under [`CachePolicy::WriteBack`] the write performs **no
     /// backend I/O**: the bytes land in the stripe cache and the
     /// parity maintenance is deferred to the stripe's flush, which
-    /// combines every cached write into one parity update (see
-    /// [`crate::cache`]).
+    /// combines every cached write into one parity update (the
+    /// README's "Cache semantics" section gives the flush ordering).
     pub fn write_block(&self, addr: usize, data: &[u8]) -> Result<(), StoreError> {
         self.check_addr(addr)?;
         self.check_block_buf(data.len())?;

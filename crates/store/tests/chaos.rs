@@ -18,13 +18,14 @@
 //! `target/chaos/<name>.seed` before each leg (CI uploads them on
 //! failure) and `PDL_CHAOS_SEED=<n>` replays exactly one seed.
 
+mod support;
+
 use pdl_core::{DoubleParityLayout, RingLayout};
-use pdl_store::{
-    stress, Backend, BlockStore, CachePolicy, FaultConfig, FaultyBackend, FileBackend, MemBackend,
-    RebuildMode, ScrubConfig, StressConfig,
-};
+use pdl_store::{Backend, BlockStore, CachePolicy, FileBackend, MemBackend, ScrubConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
+use support::faulty::{FaultConfig, FaultyBackend};
+use support::stress::{self, RebuildMode, StressConfig};
 
 const UNIT: usize = 64;
 const COPIES: usize = 2;

@@ -1,6 +1,6 @@
 //! Concurrency suite: many client threads against one `BlockStore`
 //! through `&self`, driven by the seeded stress harness
-//! (`pdl_store::stress`) plus targeted same-stripe contention tests.
+//! (`tests/support/stress.rs`) plus targeted same-stripe contention tests.
 //!
 //! Reproducibility mirrors the fault-injection harness: every
 //! schedule derives from a seed written to `target/stress/<name>.seed`
@@ -9,10 +9,12 @@
 //! `PDL_STRESS_OPS` reshape the run (the CI concurrency matrix sets
 //! the thread count to 2/4/8).
 
+mod support;
+
 use pdl_core::{DoubleParityLayout, RingLayout};
-use pdl_store::stress::{self, RebuildMode, StressConfig};
 use pdl_store::{Backend, BlockStore, CachePolicy, FileBackend, MemBackend, Rebuilder, StoreError};
 use std::path::PathBuf;
+use support::stress::{self, RebuildMode, StressConfig};
 
 const UNIT: usize = 64;
 const COPIES: usize = 8;

@@ -15,14 +15,18 @@
 //! `target/chaos/engine_<name>.seed` before each leg and
 //! `PDL_CHAOS_SEED=<n>` replays exactly one seed.
 
+mod support;
+
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
-    stress, Backend, BlockStore, EngineConfig, EngineStatsSnapshot, FaultConfig, FaultyBackend,
-    FileBackend, MemBackend, RebuildMode, Rebuilder, RetryPolicy, ScrubConfig, StressConfig,
+    Backend, BlockStore, EngineConfig, EngineStatsSnapshot, FileBackend, MemBackend, Rebuilder,
+    RetryPolicy, ScrubConfig,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+use support::faulty::{FaultConfig, FaultyBackend};
+use support::stress::{self, RebuildMode, StressConfig};
 
 const UNIT: usize = 64;
 const COPIES: usize = 2;

@@ -10,14 +10,16 @@
 //! parity-consistent old-or-new state, and the health monitor
 //! auto-fails a decaying disk so a rebuild can restore redundancy.
 
+mod support;
+
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
     fill_pattern, open_file_store, Backend, BlockStore, CachePolicy, EngineConfig, Event,
-    EventSink, FaultConfig, FaultyBackend, MemBackend, Rebuilder, RetryPolicy, ScrubConfig,
-    StoreError,
+    EventSink, MemBackend, Rebuilder, RetryPolicy, ScrubConfig, StoreError,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use support::faulty::{FaultConfig, FaultyBackend};
 
 const UNIT: usize = 64;
 const COPIES: usize = 2;

@@ -10,17 +10,20 @@
 //! derive from a seed recorded to `target/stress/<name>.seed` before
 //! the run, and `PDL_STRESS_SEED` / `PDL_STRESS_THREADS` replay one.
 
+mod support;
+
 use pdl_core::RingLayout;
-use pdl_store::stress::{self, RebuildMode, StressConfig};
 use pdl_store::{
     create_file_store, fill_pattern, open_file_store, Backend, BlockStore, ContinuousScrubConfig,
-    FaultConfig, FaultyBackend, FileBackend, MemBackend, ReshapeDriverConfig, ReshapeOptions,
-    ScrubConfig, StoreError, SUMS_FILE, SUMS_LOG_FILE,
+    FileBackend, MemBackend, ReshapeDriverConfig, ReshapeOptions, ScrubConfig, StoreError,
+    SUMS_FILE, SUMS_LOG_FILE,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use support::faulty::{FaultConfig, FaultyBackend};
+use support::stress::{self, RebuildMode, StressConfig};
 
 const UNIT: usize = 64;
 const COPIES: usize = 8;
@@ -156,11 +159,21 @@ fn maintenance_scrub_continuous_file() {
     with_xor_store_file("scrub-cont", |store| scrub_continuous_case(Arc::new(store)));
 }
 
-/// The background reshape driver as fire-and-forget capacity growth:
-/// `add_disks_background` begins the reshape and drives it to commit
-/// while a writer keeps re-salting a region; the grown array must be
-/// bit-exact and the scheduler must refuse a second driver.
-fn reshape_driver_case<B: Backend + 'static>(store: Arc<BlockStore<B>>) {
+/// Which way a background reshape resizes the array.
+#[derive(Clone, Copy)]
+enum Resize {
+    /// `add_disks_background` onto one unmapped spare.
+    Grow,
+    /// `remove_disks_background` of the highest logical disk.
+    Shrink,
+}
+
+/// The background reshape driver as fire-and-forget capacity growth
+/// or shrink: `add_disks_background` / `remove_disks_background`
+/// begins the reshape and drives it to commit while a writer keeps
+/// re-salting a region; the resized array must be bit-exact and the
+/// scheduler must refuse a second driver.
+fn reshape_driver_case<B: Backend + 'static>(store: Arc<BlockStore<B>>, resize: Resize) {
     let salt = 0xd21fe2u64;
     prefill(&store, salt);
     let salts: Vec<AtomicU64> = (0..store.blocks()).map(|_| AtomicU64::new(salt)).collect();
@@ -173,10 +186,12 @@ fn reshape_driver_case<B: Backend + 'static>(store: Arc<BlockStore<B>>) {
         "a driver without a begun reshape is refused (and must not wedge the slot)"
     );
 
-    let joining = vec![spares(&store)[0]];
-    let handle = store
-        .add_disks_background(&joining, ReshapeDriverConfig { batches_per_step: 1, sleep_us: 100 })
-        .unwrap();
+    let v = store.v();
+    let cfg = ReshapeDriverConfig { batches_per_step: 1, sleep_us: 100 };
+    let (handle, to_v) = match resize {
+        Resize::Grow => (store.add_disks_background(&[spares(&store)[0]], cfg).unwrap(), v + 1),
+        Resize::Shrink => (store.remove_disks_background(&[v - 1], cfg).unwrap(), v - 1),
+    };
     assert!(
         matches!(
             store.drive_reshape(&ReshapeDriverConfig::default()),
@@ -208,11 +223,11 @@ fn reshape_driver_case<B: Backend + 'static>(store: Arc<BlockStore<B>>) {
         let report = handle.join().unwrap();
         stop.store(true, Ordering::Release);
         let commit = report.report.expect("a never-stopped driver runs to commit");
-        assert_eq!(commit.to_v, 10);
+        assert_eq!(commit.to_v, to_v);
         assert!(report.steps > 0);
     });
 
-    assert_eq!(store.v(), 10, "the driver committed the grow");
+    assert_eq!(store.v(), to_v, "the driver committed the reshape");
     assert!(!store.reshaping());
     let m = store.stats().maintenance;
     assert_eq!(m.driver_runs, 1);
@@ -226,19 +241,29 @@ fn reshape_driver_case<B: Backend + 'static>(store: Arc<BlockStore<B>>) {
     for (addr, s) in salts.iter().enumerate() {
         store.read_block(addr, &mut got).unwrap();
         fill_pattern(addr, s.load(Ordering::Acquire), &mut want);
-        assert_eq!(got, want, "block {addr} not bit-exact after background grow");
+        assert_eq!(got, want, "block {addr} not bit-exact after the background reshape");
     }
     store.verify_parity().unwrap();
 }
 
 #[test]
 fn maintenance_reshape_driver_mem() {
-    reshape_driver_case(Arc::new(xor_store_mem()));
+    reshape_driver_case(Arc::new(xor_store_mem()), Resize::Grow);
 }
 
 #[test]
 fn maintenance_reshape_driver_file() {
-    with_xor_store_file("driver", |store| reshape_driver_case(Arc::new(store)));
+    with_xor_store_file("driver", |store| reshape_driver_case(Arc::new(store), Resize::Grow));
+}
+
+#[test]
+fn maintenance_remove_disks_background_mem() {
+    reshape_driver_case(Arc::new(xor_store_mem()), Resize::Shrink);
+}
+
+#[test]
+fn maintenance_remove_disks_background_file() {
+    with_xor_store_file("shrink", |store| reshape_driver_case(Arc::new(store), Resize::Shrink));
 }
 
 /// Both maintenance tasks racing full client traffic: the stress

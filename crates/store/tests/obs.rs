@@ -3,15 +3,18 @@
 //! observed through the public store API the way a monitoring agent
 //! would.
 
+mod support;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
-    stress, Backend, BlockStore, CachePolicy, EngineConfig, Event, EventSink, FaultConfig,
-    FaultyBackend, MemBackend, OpKind, RebuildMode, Rebuilder, StatsSnapshot, StoreError,
-    StressConfig, TraceLog,
+    Backend, BlockStore, CachePolicy, EngineConfig, Event, EventSink, MemBackend, OpKind,
+    Rebuilder, StatsSnapshot, StoreError, TraceLog,
 };
+use support::faulty::{FaultConfig, FaultyBackend};
+use support::stress::{self, RebuildMode, StressConfig};
 
 const UNIT: usize = 64;
 

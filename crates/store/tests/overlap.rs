@@ -9,10 +9,13 @@
 //! the next chunk's reads is checked causally instead: the write is
 //! held until such a read begins.
 
+mod support;
+
 use std::time::{Duration, Instant};
 
 use pdl_core::RingLayout;
-use pdl_store::{BlockStore, EngineConfig, FaultConfig, FaultyBackend, MemBackend, Rebuilder};
+use pdl_store::{BlockStore, EngineConfig, MemBackend, Rebuilder};
+use support::faulty::{FaultConfig, FaultyBackend};
 
 const UNIT: usize = 64;
 /// How long every backend call of [`stalling_store`] sleeps.

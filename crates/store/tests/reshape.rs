@@ -9,15 +9,18 @@
 //! (k−1)/(v−1) rebuild balance on the target layout, clean parity,
 //! and vectored-I/O accounting pins on the migration engine.
 
+mod support;
+
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
     create_file_store, create_file_store_pq, fill_pattern, open_file_store, Backend, BlockStore,
-    CachePolicy, CopiesPolicy, FaultConfig, FaultyBackend, FileBackend, MemBackend, Rebuilder,
-    ReshapeOptions, ReshapeState, ScrubConfig, StoreError, StoreMeta, META_FILE,
+    CachePolicy, CopiesPolicy, FileBackend, MemBackend, Rebuilder, ReshapeOptions, ReshapeState,
+    ScrubConfig, StoreError, StoreMeta, META_FILE,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
+use support::faulty::{FaultConfig, FaultyBackend};
 
 const UNIT: usize = 64;
 
