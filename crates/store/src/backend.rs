@@ -904,6 +904,18 @@ mod tests {
         assert!(!crate::integrity::is_transient(&b.flush().unwrap_err()));
         b.fail_flushes(false);
         b.flush().unwrap();
+        // A counted fault lets `n` calls through, fails the next one
+        // before it lands, not transiently, and then disarms.
+        b.fail_flush_after(1);
+        b.flush().unwrap();
+        assert!(!crate::integrity::is_transient(&b.flush().unwrap_err()));
+        b.flush().unwrap();
+        b.fail_write_after(1);
+        b.write_unit(0, 1, &unit).unwrap();
+        assert!(!crate::integrity::is_transient(&b.write_unit(0, 2, &unit).unwrap_err()));
+        b.read_unit(0, 2, &mut out).unwrap();
+        assert_eq!(out, vec![0u8; 32], "the failed write never reached the medium");
+        b.write_unit(0, 2, &unit).unwrap();
         // Disarmed, the schedule is silent even with rates maxed.
         let mut cfg = FaultConfig::quiet(1);
         cfg.transient_rate = 1.0;

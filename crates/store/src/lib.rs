@@ -178,7 +178,7 @@ pub use obs::{
 };
 pub use pdl_core::{AddrRef, StripeMap};
 pub use rebuild::{RebuildReport, Rebuilder};
-pub use reshape::{CopiesPolicy, ReshapeOptions, ReshapeReport};
+pub use reshape::ReshapeReport;
 pub use scheme::{FailureSet, ParityScheme};
 pub use scrub::{ScrubConfig, ScrubReport};
 pub use store::{fill_pattern, BlockStore, ReplayStats};

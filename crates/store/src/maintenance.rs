@@ -1,12 +1,13 @@
 //! Background maintenance: one runner that every long-running store
-//! job — one-shot scrub, continuous scrub, the reshape driver, and
-//! the blocking [`BlockStore::finish_reshape`] — is pumped by.
+//! job — one-shot scrub, continuous scrub, and the reshape driver,
+//! which the blocking [`BlockStore::add_disks`] and
+//! [`BlockStore::remove_disks`] run too — is pumped by.
 //!
 //! # The runner
 //!
 //! A job is a small state machine behind the crate-private `Job`
 //! interface: `step` does one bounded piece of work (a scrub batch, a
-//! few migration batches) and says what happens next — `Done`,
+//! migration batch) and says what happens next — `Done`,
 //! `Again` after a sleep, or `Yield` — and `checkpoint` makes the
 //! job's progress durable when it is stopped. Everything else exists
 //! exactly once, here:
@@ -192,22 +193,19 @@ impl Drop for Admitted {
     }
 }
 
-/// Tuning for the background reshape driver.
-#[derive(Clone, Debug)]
+/// Tuning for a reshape driver ([`BlockStore::drive_reshape`],
+/// [`BlockStore::start_reshape_driver`]). The default — one target
+/// copy per step, no sleep — is what [`BlockStore::add_disks`] and
+/// [`BlockStore::remove_disks`] drive with.
+#[derive(Clone, Debug, Default)]
 pub struct ReshapeDriverConfig {
-    /// Migration batches pumped per [`BlockStore::reshape_step`] call
-    /// (each batch is `ReshapeOptions::batch_stripes` target stripes).
-    /// Clamped to at least 1.
-    pub batches_per_step: usize,
+    /// Target stripes migrated per step, each step one
+    /// [`BlockStore::reshape_step`] batch ending in one checkpoint.
+    /// `0` means one full target copy.
+    pub stripes_per_step: usize,
     /// Microseconds slept between steps — the rate limit. `0` drives
     /// the migration flat out.
     pub sleep_us: u64,
-}
-
-impl Default for ReshapeDriverConfig {
-    fn default() -> Self {
-        ReshapeDriverConfig { batches_per_step: 1, sleep_us: 0 }
-    }
 }
 
 /// What a reshape driver run did.
@@ -290,9 +288,11 @@ pub(crate) struct MaintState {
     reshape_driver_active: Arc<AtomicBool>,
     /// Steps a scrubber parked because a reshape was active.
     pub(crate) scrub_yields: AtomicU64,
-    /// Reshape driver runs that reached commit.
+    /// Reshape driver runs that reached commit (blocking reshapes
+    /// included).
     driver_runs: AtomicU64,
-    /// `reshape_step` calls made by drivers.
+    /// `reshape_step` calls made by drivers (blocking reshapes
+    /// included).
     driver_steps: AtomicU64,
     /// Driver runs that attached to a non-zero migration cursor.
     driver_resumes: AtomicU64,
@@ -338,9 +338,12 @@ pub struct MaintenanceStateSnapshot {
     /// Steps a scrubber parked because a reshape was active (the one
     /// arbitration rule: scrub yields to reshape).
     pub scrub_yields: u64,
-    /// Reshape driver runs that reached commit.
+    /// Reshape driver runs that reached commit. The blocking
+    /// [`BlockStore::add_disks`] and [`BlockStore::remove_disks`] run a
+    /// driver too, so they count here.
     pub driver_runs: u64,
-    /// `reshape_step` calls made by drivers.
+    /// `reshape_step` calls made by drivers, blocking reshapes
+    /// included.
     pub driver_steps: u64,
     /// Driver runs that attached to a non-zero (resumed) cursor.
     pub driver_resumes: u64,
@@ -468,13 +471,11 @@ impl ScrubPacer {
     }
 }
 
-/// Pumps the active reshape to its commit: the reshape driver's job,
-/// and — with `driver` off, so it claims no slot and moves no
-/// `driver_*` counter — [`BlockStore::finish_reshape`]'s.
+/// Pumps the active reshape to its commit: every driver's job,
+/// foreground or background.
 pub(crate) struct ReshapeJob {
-    batches: usize,
+    stripes: usize,
     sleep: Duration,
-    driver: bool,
     report: ReshapeDriverReport,
 }
 
@@ -483,19 +484,17 @@ impl ReshapeJob {
     pub(crate) fn attach<B: Backend>(
         store: &BlockStore<B>,
         cfg: &ReshapeDriverConfig,
-        driver: bool,
     ) -> Result<Self, StoreError> {
         let resumed_from = match &store.state_read().reshape {
             Some(rs) => rs.cursor.load(Ordering::Acquire),
             None => return Err(StoreError::NoActiveReshape),
         };
-        if driver && resumed_from > 0 {
+        if resumed_from > 0 {
             store.maint.driver_resumes.fetch_add(1, Ordering::Relaxed);
         }
         Ok(ReshapeJob {
-            batches: cfg.batches_per_step.max(1),
+            stripes: cfg.stripes_per_step,
             sleep: Duration::from_micros(cfg.sleep_us),
-            driver,
             report: ReshapeDriverReport { resumed_from, steps: 0, report: None },
         })
     }
@@ -505,23 +504,19 @@ impl<B: Backend> Job<B> for ReshapeJob {
     type Report = ReshapeDriverReport;
 
     fn step(&mut self, store: &BlockStore<B>) -> Result<Step, StoreError> {
-        let done = store.reshape_step(self.batches)?;
+        let done = store.reshape_step(self.stripes)?;
         self.report.steps += 1;
-        if self.driver {
-            store.maint.driver_steps.fetch_add(1, Ordering::Relaxed);
-        }
+        store.maint.driver_steps.fetch_add(1, Ordering::Relaxed);
         if !done {
             return Ok(Step::Again { sleep: self.sleep });
         }
         self.report.report = Some(store.complete_reshape()?);
-        if self.driver {
-            store.maint.driver_runs.fetch_add(1, Ordering::Relaxed);
-        }
+        store.maint.driver_runs.fetch_add(1, Ordering::Relaxed);
         Ok(Step::Done)
     }
 
     /// Makes the live cursor durable, so the next driver (or a reopen)
-    /// resumes here instead of at the last periodic checkpoint.
+    /// resumes here.
     fn checkpoint(&mut self, store: &BlockStore<B>) -> Result<(), StoreError> {
         store.persist(Record::Progress(&store.state_read()))
     }
@@ -648,7 +643,7 @@ impl<B: Backend> BlockStore<B> {
     /// pumps [`BlockStore::reshape_step`] with the configured pacing
     /// and commits when migration finishes. Requires a reshape begun
     /// via [`BlockStore::begin_add_disks`] /
-    /// [`BlockStore::begin_remove_disks_with`] (errors with
+    /// [`BlockStore::begin_remove_disks`] (errors with
     /// [`StoreError::NoActiveReshape`] otherwise); errors with
     /// [`StoreError::ReshapeDriverInProgress`] if a driver is already
     /// attached.
@@ -657,7 +652,7 @@ impl<B: Backend> BlockStore<B> {
         cfg: &ReshapeDriverConfig,
     ) -> Result<ReshapeDriverReport, StoreError> {
         let _admitted = self.admit_driver()?;
-        self.run_job(ReshapeJob::attach(self, cfg, true)?, None)
+        self.run_job(ReshapeJob::attach(self, cfg)?, None)
     }
 
     /// Starts a background reshape driver and returns a handle to
@@ -671,36 +666,7 @@ impl<B: Backend> BlockStore<B> {
         B: 'static,
     {
         let admitted = self.admit_driver()?;
-        Ok(self.spawn_job("pdl-reshape", admitted, ReshapeJob::attach(self, &cfg, true)?))
-    }
-
-    /// Fire-and-forget capacity expansion: begins the add-disks
-    /// reshape and attaches a background driver. Client traffic keeps
-    /// flowing (dual-write window) while the driver migrates.
-    pub fn add_disks_background(
-        self: &Arc<Self>,
-        new_physical: &[usize],
-        cfg: ReshapeDriverConfig,
-    ) -> Result<JobHandle<ReshapeDriverReport>, StoreError>
-    where
-        B: 'static,
-    {
-        self.begin_add_disks(new_physical)?;
-        self.start_reshape_driver(cfg)
-    }
-
-    /// Fire-and-forget shrink: begins the remove-disks reshape and
-    /// attaches a background driver.
-    pub fn remove_disks_background(
-        self: &Arc<Self>,
-        logical: &[usize],
-        cfg: ReshapeDriverConfig,
-    ) -> Result<JobHandle<ReshapeDriverReport>, StoreError>
-    where
-        B: 'static,
-    {
-        self.begin_remove_disks(logical)?;
-        self.start_reshape_driver(cfg)
+        Ok(self.spawn_job("pdl-reshape", admitted, ReshapeJob::attach(self, &cfg)?))
     }
 
     /// Runs one load-aware paced scrub pass on the calling thread:

@@ -106,10 +106,6 @@ pub struct ReshapeState {
     pub grown_units: usize,
     /// Logical capacity after the commit.
     pub capacity_after: usize,
-    /// Migration batch size in target stripes.
-    pub batch_stripes: usize,
-    /// Batches between persisted checkpoints.
-    pub checkpoint_every: usize,
 }
 
 /// The durable image of the scrubber's progress — the `scrub` section
@@ -647,8 +643,8 @@ fn install_document(
 /// rows, and installs the reshape runtime from that section — after
 /// the same checks a live begin's document passes; a malformed one is
 /// refused as [`StoreError::Corrupt`] before any disk is written. A
-/// `"migrate"` document resumes at the persisted cursor (finish with
-/// [`BlockStore::finish_reshape`] or step it incrementally). A
+/// `"migrate"` document resumes at the persisted cursor (finish it
+/// with [`BlockStore::drive_reshape`] or step it incrementally). A
 /// `"commit"` document runs [`BlockStore::complete_reshape`], the live
 /// commit, from the persisted slide watermark before the open returns
 /// the committed target-geometry array. The `scrub` section is
@@ -898,8 +894,6 @@ mod tests {
             scratch_base: 2 * src.layout().size(),
             grown_units: 2 * src.layout().size() + 2 * tgt.layout().size(),
             capacity_after: 100,
-            batch_stripes: 7,
-            checkpoint_every: 1,
         };
         let scrub = ScrubState { cursor: 0, passes: 3 };
         let base = StoreMeta::new(src.layout(), 64, 2, 2);
@@ -957,6 +951,22 @@ mod tests {
         store
     }
 
+    /// Reads every block of `store` — the pattern `faulty_file_store`
+    /// wrote into the first `blocks` addresses, zeroes past them — and
+    /// verifies parity.
+    fn assert_bit_exact<B: Backend>(store: &BlockStore<B>, blocks: usize, ctx: &str) {
+        let (mut got, mut want) = (vec![0u8; 64], vec![0u8; 64]);
+        for addr in 0..store.blocks() {
+            want.fill(0);
+            if addr < blocks {
+                fill_pattern(addr, 36, &mut want);
+            }
+            store.read_block(addr, &mut got).unwrap_or_else(|e| panic!("{ctx}: block {addr}: {e}"));
+            assert!(got == want, "{ctx}: block {addr}");
+        }
+        store.verify_parity().unwrap_or_else(|e| panic!("{ctx}: parity: {e}"));
+    }
+
     /// Every checkpoint goes through the one barrier: data, then sums,
     /// then `store.json`. With the backend's flushes failing, a rebuild,
     /// a checkpointing reshape step, a scrub pass and a reshape commit
@@ -967,9 +977,7 @@ mod tests {
     #[test]
     fn every_checkpoint_syncs_what_it_names() {
         use crate::rebuild::Rebuilder;
-        use crate::reshape::ReshapeOptions;
         use crate::scrub::ScrubConfig;
-        let opts = ReshapeOptions { batch_stripes: 1, checkpoint_every: 1, ..Default::default() };
         for (v, k, pq) in [(7, 3, false), (9, 4, true)] {
             for leg in ["rebuild", "reshape_step", "scrub", "complete_reshape"] {
                 let name = format!("{} v={v} k={k} {leg}", if pq { "P+Q" } else { "XOR" });
@@ -983,9 +991,9 @@ mod tests {
                         store.fail_disk(2).unwrap();
                         store.backend().wipe_disk(2).unwrap();
                     }
-                    "reshape_step" => store.begin_add_disks_with(&[v], &opts).unwrap(),
+                    "reshape_step" => store.begin_add_disks(&[v]).unwrap(),
                     "complete_reshape" => {
-                        store.begin_add_disks_with(&[v], &opts).unwrap();
+                        store.begin_add_disks(&[v]).unwrap();
                         while !store.reshape_step(1).unwrap() {}
                     }
                     _ => {}
@@ -1008,19 +1016,126 @@ mod tests {
                 store.backend().fail_flushes(false);
                 call().unwrap_or_else(|e| panic!("{name}: retry failed: {e}"));
                 drop(store);
-                let store = open_file_store(&dir).unwrap();
-                let (mut got, mut want) = (vec![0u8; 64], vec![0u8; 64]);
-                for addr in 0..store.blocks() {
-                    want.fill(0);
-                    if addr < blocks {
-                        fill_pattern(addr, 36, &mut want);
-                    }
-                    store.read_block(addr, &mut got).unwrap();
-                    assert!(got == want, "{name}: block {addr} after reopen");
-                }
-                store.verify_parity().unwrap_or_else(|e| panic!("{name}: parity: {e}"));
+                assert_bit_exact(&open_file_store(&dir).unwrap(), blocks, &name);
                 std::fs::remove_dir_all(&dir).unwrap();
             }
+        }
+    }
+
+    /// The files that define an array, by name: every disk medium and
+    /// `store.json` (the checksum sidecar is best-effort and left out).
+    fn array_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.starts_with("disk-") || name == META_FILE)
+            .map(|name| {
+                let bytes = std::fs::read(dir.join(&name)).unwrap();
+                (name, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// A [`faulty_file_store`], scrubbed once, whose add of one disk
+    /// has migrated every stripe and waits for its commit.
+    fn migrated_add(
+        dir: &Path,
+        v: usize,
+        k: usize,
+        pq: bool,
+    ) -> BlockStore<FaultyBackend<FileBackend>> {
+        use crate::scrub::ScrubConfig;
+        let store = faulty_file_store(dir, v, k, pq);
+        assert!(store.scrub(&ScrubConfig::default()).unwrap().completed);
+        store.begin_add_disks(&[v]).unwrap();
+        while !store.reshape_step(0).unwrap() {}
+        store
+    }
+
+    /// A reshape commit cut by a failed flush at any of its barriers —
+    /// the `committing` document, each slide chunk, the committed
+    /// document — and then dropped (the crash) resumes on reopen: the
+    /// open runs the commit from the persisted watermark (or, cut
+    /// before the `committing` document landed, reopens mid-reshape at
+    /// the final cursor for `complete_reshape` to run). Either way the
+    /// disk files and `store.json` end byte-identical to an
+    /// uninterrupted commit's, every block reads bit-exact, parity
+    /// verifies, and the scrub history survives.
+    #[test]
+    fn commit_resumes_from_every_barrier_file() {
+        for (v, k, pq) in [(7, 3, false), (9, 4, true)] {
+            let scheme = if pq { "P+Q" } else { "XOR" };
+            let tmp = |leg: &str| {
+                let dir = std::env::temp_dir()
+                    .join(format!("pdl-meta-commit-{}-{v}-{leg}", std::process::id()));
+                let _ = std::fs::remove_dir_all(&dir);
+                dir
+            };
+            let twin_dir = tmp("twin");
+            let twin = migrated_add(&twin_dir, v, k, pq);
+            let blocks = twin.blocks();
+            twin.complete_reshape().unwrap();
+            drop(twin);
+            let committed = array_files(&twin_dir);
+            std::fs::remove_dir_all(&twin_dir).unwrap();
+            let mut barrier = 0;
+            loop {
+                let ctx = format!("{scheme} v={v} k={k} barrier {barrier}");
+                let dir = tmp("cut");
+                let store = migrated_add(&dir, v, k, pq);
+                store.backend().fail_flush_after(barrier);
+                if store.complete_reshape().is_ok() {
+                    break; // past the last barrier: nothing was cut
+                }
+                drop(store); // the crash
+                let json = std::fs::read_to_string(dir.join(META_FILE)).unwrap();
+                let rs = StoreMeta::from_json(&json).unwrap().reshape.expect("reshape persisted");
+                assert_eq!(rs.phase == "commit", barrier > 0, "{ctx}: phase {}", rs.phase);
+                let re = open_file_store(&dir).unwrap();
+                if barrier == 0 {
+                    assert!(re.reshaping(), "{ctx}: reopened at the final cursor");
+                    re.complete_reshape().unwrap();
+                }
+                assert!(!re.reshaping(), "{ctx}: the commit ran");
+                assert_eq!(re.v(), v + 1, "{ctx}");
+                assert!(
+                    array_files(&dir) == committed,
+                    "{ctx}: files differ from the live commit's"
+                );
+                assert_eq!(re.stats().integrity.scrub_passes, 1, "{ctx}: the scrub pass survives");
+                assert_bit_exact(&re, blocks, &ctx);
+                drop(re);
+                std::fs::remove_dir_all(&dir).unwrap();
+                barrier += 1;
+            }
+            assert!(barrier >= 4, "{scheme}: {barrier} barriers; want several slide chunks");
+        }
+    }
+
+    /// A commit drops every checksum, and nothing may load the source
+    /// world's sums over the target world afterwards: reopened without
+    /// a flush — after the live commit, or after one cut at its second
+    /// slide chunk's barrier — every block reads clean.
+    #[test]
+    fn commit_leaves_no_stale_checksums_file() {
+        for cut in [None, Some(2)] {
+            let dir = std::env::temp_dir()
+                .join(format!("pdl-meta-stalesums-{}-{cut:?}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = migrated_add(&dir, 7, 3, false); // flushed: a checksum base
+            let blocks = store.blocks();
+            if let Some(n) = cut {
+                store.backend().fail_flush_after(n);
+            }
+            assert_eq!(store.complete_reshape().is_err(), cut.is_some());
+            drop(store); // no flush
+            let re = open_file_store(&dir).unwrap();
+            assert_eq!(re.v(), 8);
+            assert_bit_exact(&re, blocks, &format!("cut {cut:?}"));
+            drop(re);
+            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 

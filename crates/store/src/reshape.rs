@@ -2,6 +2,21 @@
 //! disk count, migrating every stripe to the target layout while
 //! client traffic keeps flowing.
 //!
+//! # One lifecycle
+//!
+//! A reshape is begun in one direction —
+//! [`BlockStore::begin_add_disks`] or [`BlockStore::begin_remove_disks`]
+//! — then stepped with [`BlockStore::reshape_step`], where a step of
+//! `n` target stripes is one migration batch under one lock set ending
+//! in one checkpoint, and committed with
+//! [`BlockStore::complete_reshape`]. A driver pumps the steps and the
+//! commit: [`BlockStore::drive_reshape`] on the calling thread,
+//! [`BlockStore::start_reshape_driver`] on a background one.
+//! [`BlockStore::add_disks`] and [`BlockStore::remove_disks`] are a
+//! begin plus the foreground driver. The target copy count has one
+//! rule: an add keeps the source's, a remove grows it just enough to
+//! keep the capacity.
+//!
 //! # The scratch-region discipline
 //!
 //! [`BlockStore::begin_add_disks`] / [`BlockStore::begin_remove_disks`]
@@ -49,11 +64,11 @@
 //! # Durability and crash resume
 //!
 //! File-backed stores persist a [`ReshapeState`] as the `reshape`
-//! section of `store.json`: at begin, at every `checkpoint_every`-th
-//! batch boundary, when a driver stops, at every commit slide chunk,
-//! and in every `flush` meanwhile. Each goes through the store's one
-//! durability barrier, which syncs the data and the checksums before
-//! it replaces the document: the cursor and the slide watermark a
+//! section of `store.json`: at begin, at the end of every step (one
+//! step is one batch), when a driver stops, at every commit slide
+//! chunk, and in every `flush` meanwhile. Each goes through the store's
+//! one durability barrier, which syncs the data and the checksums
+//! before it replaces the document: the cursor and the slide watermark a
 //! document records are never ahead of what is on the medium, so a
 //! resumed migration only ever re-copies and a resumed slide only ever
 //! re-slides. Every one of those documents also carries the `scrub`
@@ -92,7 +107,7 @@ use crate::codec::{self, Decoded, Role, Scratch, Syndromes};
 use crate::engine::Priority;
 use crate::error::StoreError;
 use crate::io::Run;
-use crate::maintenance::{ReshapeDriverConfig, ReshapeJob};
+use crate::maintenance::ReshapeDriverConfig;
 use crate::meta::{slots_u32, Record, ReshapeState};
 use crate::obs::{Event, OpKind, ReshapeProgressSnapshot};
 use crate::scheme::{FailureSet, ParityScheme};
@@ -123,51 +138,6 @@ impl ReshapeKind {
             ReshapeKind::Remove => "remove",
         }
     }
-}
-
-/// How many layout copies the target world of a reshape gets.
-///
-/// The copy count is the capacity knob: the target address space is
-/// `copies × data_units_per_copy(target)`. `Auto` reproduces the
-/// historical behavior; the other policies let an add-disks reshape
-/// *grow into* the new spindles instead of merely spreading the same
-/// bytes thinner.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CopiesPolicy {
-    /// Add keeps the source copy count (capacity grows only by the
-    /// wider layout); remove grows copies just enough to preserve
-    /// capacity (`ceil(cap_src / dpc_tgt)`).
-    #[default]
-    Auto,
-    /// Scale the copy count so per-disk usage stays roughly constant:
-    /// `copies_tgt = max(auto, ceil(copies_src × size_src /
-    /// size_tgt))`. Growing 9→10 disks with this policy climbs the
-    /// capacity stairway instead of shrinking each disk's share.
-    PreservePerDiskUsage,
-    /// Exactly this many copies. Rejected with
-    /// [`StoreError::Geometry`] if the target address space would not
-    /// cover the source capacity (or `n` is zero).
-    Exact(usize),
-}
-
-/// Tuning and test knobs for a reshape.
-#[derive(Clone, Debug, Default)]
-pub struct ReshapeOptions {
-    /// Target stripes migrated per batch (and therefore per
-    /// checkpointable unit of progress). `0` means one full target
-    /// copy per batch — the fewest-backend-calls default.
-    pub batch_stripes: usize,
-    /// Persist a migration checkpoint every this many batches
-    /// (file-backed stores only). `0` means every batch.
-    pub checkpoint_every: usize,
-    /// Target-world copy count policy (capacity of the reshaped
-    /// array). See [`CopiesPolicy`].
-    pub target_copies: CopiesPolicy,
-    /// Test hook: fail the commit with [`StoreError::Corrupt`] after
-    /// this many slide chunks have been written (and watermarked).
-    /// The store must then be retried ([`BlockStore::complete_reshape`]
-    /// resumes the slide at the watermark) or reopened from disk.
-    pub commit_fault_after_chunks: Option<usize>,
 }
 
 /// Summary of a completed reshape.
@@ -207,7 +177,6 @@ pub struct ReshapeReport {
 /// [`BlockStore::reshape_step`] callers and keeps batch buffers warm.
 #[derive(Debug, Default)]
 pub(crate) struct StepState {
-    batches_since_checkpoint: usize,
     src_data: Vec<u8>,
     ucache: UnitCache,
 }
@@ -219,9 +188,9 @@ pub(crate) struct StepState {
 #[derive(Debug)]
 pub(crate) struct ReshapeRuntime {
     /// The document the runtime was installed from: kind, target
-    /// mapping, scratch geometry, capacity after the commit, batch
-    /// cadence and removed disks. Checkpoints write it back with the
-    /// live `cursor` and `slide_done` below.
+    /// mapping, scratch geometry, capacity after the commit and removed
+    /// disks. Checkpoints write it back with the live `cursor` and
+    /// `slide_done` below.
     pub(crate) doc: ReshapeState,
     /// The target world being assembled in the scratch region.
     pub(crate) target: Arc<World>,
@@ -325,34 +294,38 @@ impl<B: Backend> BlockStore<B> {
     /// (which must exist, be currently unmapped, and be distinct),
     /// blocking until the migration completes and commits. Racing
     /// reads and writes are safe throughout. Equivalent to
-    /// [`BlockStore::begin_add_disks`] + [`BlockStore::finish_reshape`].
+    /// [`BlockStore::begin_add_disks`] + [`BlockStore::drive_reshape`]
+    /// with the default [`ReshapeDriverConfig`].
     pub fn add_disks(&self, new_physical: &[usize]) -> Result<ReshapeReport, StoreError> {
         self.begin_add_disks(new_physical)?;
-        self.finish_reshape()
+        self.drive_to_commit()
     }
 
     /// Shrinks the array by the listed **logical** disks, blocking
     /// until the migration completes and commits. Capacity is
     /// preserved (the target world grows extra layout copies as
-    /// needed); the freed physical disks become spares.
+    /// needed); the freed physical disks become spares. Equivalent to
+    /// [`BlockStore::begin_remove_disks`] + [`BlockStore::drive_reshape`]
+    /// with the default [`ReshapeDriverConfig`].
     pub fn remove_disks(&self, logical: &[usize]) -> Result<ReshapeReport, StoreError> {
         self.begin_remove_disks(logical)?;
-        self.finish_reshape()
+        self.drive_to_commit()
     }
 
-    /// Starts an add-disks reshape with default options; drive it
-    /// with [`BlockStore::reshape_step`] and
-    /// [`BlockStore::complete_reshape`].
+    /// Pumps the reshape just begun to its commit on the calling
+    /// thread, like any other driver.
+    fn drive_to_commit(&self) -> Result<ReshapeReport, StoreError> {
+        let run = self.drive_reshape(&ReshapeDriverConfig::default())?;
+        Ok(run.report.expect("a driver nobody can stop runs to the commit"))
+    }
+
+    /// Starts an add-disks reshape onto the listed **physical** disks;
+    /// drive it with [`BlockStore::reshape_step`] and
+    /// [`BlockStore::complete_reshape`], or with a driver
+    /// ([`BlockStore::drive_reshape`],
+    /// [`BlockStore::start_reshape_driver`]). The target world keeps
+    /// the source copy count, so capacity grows with the wider layout.
     pub fn begin_add_disks(&self, new_physical: &[usize]) -> Result<(), StoreError> {
-        self.begin_add_disks_with(new_physical, &ReshapeOptions::default())
-    }
-
-    /// [`BlockStore::begin_add_disks`] with explicit [`ReshapeOptions`].
-    pub fn begin_add_disks_with(
-        &self,
-        new_physical: &[usize],
-        opts: &ReshapeOptions,
-    ) -> Result<(), StoreError> {
         let mut st = self.state_write();
         self.check_reshape_allowed(&st)?;
         if new_physical.is_empty() {
@@ -380,22 +353,15 @@ impl<B: Backend> BlockStore<B> {
             .map_err(|e| StoreError::Geometry(e.to_string()))?;
         let mut tgt_redirect = st.redirect.clone();
         tgt_redirect.extend_from_slice(new_physical);
-        self.begin_reshape_locked(&mut st, ReshapeKind::Add, plan, tgt_redirect, Vec::new(), opts)
+        self.begin_reshape_locked(&mut st, ReshapeKind::Add, plan, tgt_redirect, Vec::new())
     }
 
-    /// Starts a remove-disks reshape with default options.
-    pub(crate) fn begin_remove_disks(&self, logical: &[usize]) -> Result<(), StoreError> {
-        self.begin_remove_disks_with(logical, &ReshapeOptions::default())
-    }
-
-    /// Starts a remove-disks reshape with explicit
-    /// [`ReshapeOptions`]. Removing a currently *failed* disk is
-    /// allowed — its units are decoded from parity during migration.
-    pub fn begin_remove_disks_with(
-        &self,
-        logical: &[usize],
-        opts: &ReshapeOptions,
-    ) -> Result<(), StoreError> {
+    /// Starts a remove-disks reshape of the listed **logical** disks;
+    /// drive it as [`BlockStore::begin_add_disks`] says. The target
+    /// world gets just enough layout copies to keep the capacity.
+    /// Removing a currently *failed* disk is allowed — its units are
+    /// decoded from parity during migration.
+    pub fn begin_remove_disks(&self, logical: &[usize]) -> Result<(), StoreError> {
         let mut st = self.state_write();
         self.check_reshape_allowed(&st)?;
         let plan = pdl_core::plan_remove(&st.world.layout, logical)
@@ -409,7 +375,6 @@ impl<B: Backend> BlockStore<B> {
             plan,
             tgt_redirect,
             logical.to_vec(),
-            opts,
         )
     }
 
@@ -430,7 +395,6 @@ impl<B: Backend> BlockStore<B> {
         plan: ReshapePlan,
         tgt_redirect: Vec<usize>,
         removed: Vec<usize>,
-        opts: &ReshapeOptions,
     ) -> Result<(), StoreError> {
         let tgt_layout = plan.layout;
         let target_parity_slots = match self.scheme {
@@ -450,33 +414,12 @@ impl<B: Backend> BlockStore<B> {
         let cap_src = self.capacity.load(Ordering::Acquire);
         let parity_per = self.scheme.parity_per_stripe();
         let dpc_tgt: usize = tgt_layout.stripes().iter().map(|s| s.len() - parity_per).sum();
-        let auto_copies = match kind {
-            ReshapeKind::Add => st.world.copies,
-            ReshapeKind::Remove => cap_src.div_ceil(dpc_tgt),
-        };
-        let copies_tgt = match opts.target_copies {
-            CopiesPolicy::Auto => auto_copies,
-            CopiesPolicy::PreservePerDiskUsage => {
-                let src_units = st.world.copies * st.world.layout.size();
-                auto_copies.max(src_units.div_ceil(tgt_layout.size())).max(1)
-            }
-            CopiesPolicy::Exact(n) => {
-                if n == 0 || n * dpc_tgt < cap_src {
-                    return Err(StoreError::Geometry(format!(
-                        "target copy count {n} covers {} blocks; source capacity is {cap_src}",
-                        n * dpc_tgt
-                    )));
-                }
-                n
-            }
-        };
-        let capacity_after = match kind {
-            ReshapeKind::Add => copies_tgt * dpc_tgt,
-            ReshapeKind::Remove => cap_src.max(
-                // A policy that grew the copy count past Auto's
-                // minimum exposes the extra room it paid for.
-                if copies_tgt > auto_copies { copies_tgt * dpc_tgt } else { cap_src },
-            ),
+        // Add keeps the source copy count (capacity grows only by the
+        // wider layout); remove grows it just enough to keep the
+        // source capacity.
+        let (copies_tgt, capacity_after) = match kind {
+            ReshapeKind::Add => (st.world.copies, st.world.copies * dpc_tgt),
+            ReshapeKind::Remove => (cap_src.div_ceil(dpc_tgt), cap_src),
         };
         let scratch_base = self.backend.units_per_disk();
         let u_tgt = copies_tgt * tgt_layout.size();
@@ -501,12 +444,6 @@ impl<B: Backend> BlockStore<B> {
             scratch_base,
             grown_units,
             capacity_after,
-            batch_stripes: if opts.batch_stripes == 0 {
-                tgt_layout.b()
-            } else {
-                opts.batch_stripes
-            },
-            checkpoint_every: opts.checkpoint_every.max(1),
         };
         // Grow under the exclusive guard (no I/O in flight). If the
         // install or the begin-state persist then fails, uninstall and
@@ -623,11 +560,6 @@ impl<B: Backend> BlockStore<B> {
             replanned.map_or(ReshapeMethod::Regenerated, |p| p.method)
         });
         let moved_fraction = relayout_cost(&st.world.smap, &target.smap);
-        let doc = ReshapeState {
-            batch_stripes: doc.batch_stripes.max(1),
-            checkpoint_every: doc.checkpoint_every.max(1),
-            ..doc.clone()
-        };
         st.reshape = Some(Arc::new(ReshapeRuntime {
             total,
             cursor: AtomicU64::new(doc.cursor),
@@ -641,18 +573,21 @@ impl<B: Backend> BlockStore<B> {
             method,
             moved_fraction,
             started: Instant::now(),
-            doc,
+            doc: doc.clone(),
             target,
         }));
         st.epoch += 1;
         Ok(())
     }
 
-    /// Runs up to `max_batches` migration batches (at least one).
-    /// Returns `true` once every migratable target stripe has been
-    /// copied — then call [`BlockStore::complete_reshape`]. Callers
-    /// from several threads serialize on the runtime's step mutex.
-    pub fn reshape_step(&self, max_batches: usize) -> Result<bool, StoreError> {
+    /// Migrates the next `stripes` target stripes — `0` means one
+    /// full target copy, the fewest-backend-calls width — as one batch
+    /// under one lock set, ending (file-backed stores) in one
+    /// checkpoint. Returns `true` once every migratable target stripe
+    /// has been copied — then call [`BlockStore::complete_reshape`].
+    /// Callers from several threads serialize on the runtime's step
+    /// mutex.
+    pub fn reshape_step(&self, stripes: usize) -> Result<bool, StoreError> {
         let rs = {
             let st = self.state_read();
             match &st.reshape {
@@ -661,34 +596,19 @@ impl<B: Backend> BlockStore<B> {
             }
         };
         let mut step = rs.step.lock().unwrap();
-        let mut done = rs.cursor.load(Ordering::Acquire) >= rs.total;
-        for _ in 0..max_batches.max(1) {
-            if done {
-                break;
-            }
-            done = self.migrate_batch(&rs, &mut step)?;
-        }
-        Ok(done)
+        self.migrate_batch(&rs, &mut step, stripes)
     }
 
-    /// Drives the active reshape to completion: migrates every batch,
-    /// then commits. Blocking convenience over
-    /// [`BlockStore::reshape_step`] + [`BlockStore::complete_reshape`],
-    /// pumped by the maintenance runner like a reshape driver but
-    /// claiming no driver slot.
-    pub fn finish_reshape(&self) -> Result<ReshapeReport, StoreError> {
-        let cfg = ReshapeDriverConfig { batches_per_step: 8, sleep_us: 0 };
-        let run = self.run_job(ReshapeJob::attach(self, &cfg, false)?, None)?;
-        Ok(run.report.expect("a pump nobody can stop runs to the commit"))
-    }
-
-    /// One migration batch: flush covered cache entries, band-read the
+    /// One migration batch of `stripes` target stripes (`0`: one
+    /// target copy): flush covered cache entries, band-read the
     /// covered source stripes, decode lost units, assemble and write
-    /// the target stripes at the scratch rows, advance the cursor.
+    /// the target stripes at the scratch rows, advance the cursor and
+    /// checkpoint it.
     fn migrate_batch(
         &self,
         rs: &Arc<ReshapeRuntime>,
         step: &mut StepState,
+        stripes: usize,
     ) -> Result<bool, StoreError> {
         let t0 = rs.cursor.load(Ordering::Acquire);
         if t0 >= rs.total {
@@ -705,7 +625,8 @@ impl<B: Backend> BlockStore<B> {
         }
         let w = st.world.clone();
         let cap_src = self.capacity.load(Ordering::Acquire);
-        let t1 = (t0 + rs.doc.batch_stripes as u64).min(rs.total);
+        let width = if stripes == 0 { rs.target.layout.b() } else { stripes };
+        let t1 = (t0 + width as u64).min(rs.total);
         let lo_addr = rs.lo(t0);
         let hi_addr = rs.lo(t1);
         // Source stripes covering the batch's address range, and
@@ -744,7 +665,7 @@ impl<B: Backend> BlockStore<B> {
         }
         // Band-read every surviving unit (data + parity) of the
         // covered stripes: one coalesced vectored call per disk.
-        let StepState { src_data, ucache, .. } = step;
+        let StepState { src_data, ucache } = step;
         ucache.wants.clear();
         for &key in &src_keys {
             let (copy, si) = key_parts(key);
@@ -800,13 +721,9 @@ impl<B: Backend> BlockStore<B> {
         // resumed migration may re-copy (idempotent) but never skips.
         rs.cursor.store(t1, Ordering::Release);
         drop(guards);
-        step.batches_since_checkpoint += 1;
-        if step.batches_since_checkpoint >= rs.doc.checkpoint_every {
-            step.batches_since_checkpoint = 0;
-            // Under the state guard taken above, so no commit has
-            // replaced this reshape's document since.
-            self.persist(Record::Progress(&st))?;
-        }
+        // Under the state guard taken above, so no commit has replaced
+        // this reshape's document since.
+        self.persist(Record::Progress(&st))?;
         drop(st);
         self.metrics.record_op(
             OpKind::ReshapeCopy,
@@ -922,18 +839,9 @@ impl<B: Backend> BlockStore<B> {
 
     /// Commits a fully migrated reshape (see module docs for the
     /// crash windows). Errors with [`StoreError::ReshapeIncomplete`]
-    /// if migration hasn't reached the end. On an injected or I/O
-    /// fault mid-commit, retrying resumes the slide at the watermark.
+    /// if migration hasn't reached the end. On an I/O fault mid-commit,
+    /// retrying resumes the slide at the watermark.
     pub fn complete_reshape(&self) -> Result<ReshapeReport, StoreError> {
-        self.complete_reshape_with(&ReshapeOptions::default())
-    }
-
-    /// [`BlockStore::complete_reshape`] with options (the commit fault
-    /// hook lives there; batch/checkpoint knobs are ignored here).
-    pub fn complete_reshape_with(
-        &self,
-        opts: &ReshapeOptions,
-    ) -> Result<ReshapeReport, StoreError> {
         let mut st = self.state_write();
         let rs = match &st.reshape {
             Some(rs) => rs.clone(),
@@ -960,7 +868,6 @@ impl<B: Backend> BlockStore<B> {
         let mut buf = vec![0u8; chunk_rows * us];
         let io = self.io();
         let mut row = rs.slide_done.load(Ordering::Acquire) as usize;
-        let mut chunks_done = 0usize;
         while row < u_tgt {
             let span = &mut buf[..chunk_rows.min(u_tgt - row) * us];
             for &disk in &rs.doc.tgt_redirect {
@@ -971,10 +878,6 @@ impl<B: Backend> BlockStore<B> {
             row += span.len() / us;
             rs.slide_done.store(row as u64, Ordering::Release);
             self.persist(Record::Progress(&st))?;
-            chunks_done += 1;
-            if opts.commit_fault_after_chunks == Some(chunks_done) {
-                return Err(StoreError::Corrupt("injected reshape commit fault".into()));
-            }
         }
         // The slide moved target-world bytes into rows whose recorded
         // checksums (if any) describe *source*-world units: sliding
@@ -1037,7 +940,7 @@ impl<B: Backend> BlockStore<B> {
 
 #[cfg(test)]
 mod tests {
-    use crate::backend::MemBackend;
+    use crate::backend::{Backend, MemBackend};
     use crate::store::{fill_pattern, BlockStore};
     use pdl_core::RingLayout;
 
@@ -1096,34 +999,22 @@ mod tests {
     }
 
     #[test]
-    fn add_disk_copies_policy_stairway() {
-        use crate::reshape::{CopiesPolicy, ReshapeOptions};
-        // The 9→10 stairway: growing a 9-disk array by one disk under
-        // `Auto` keeps the copy count (capacity steps up only by the
-        // wider layout); `Exact(2)` climbs a full copy step. Either
-        // way every pre-reshape block must survive bit-exact.
-        let store = filled_store(9, 4, 1, 1);
+    fn add_disk_stairway_keeps_the_copy_count() {
+        // The 9→10 stairway: growing a two-copy 9-disk array by one
+        // disk keeps two layout copies, so capacity steps up only by
+        // the wider layout. Every pre-reshape block survives bit-exact.
+        let store = filled_store(9, 4, 1, 2);
         let before = store.blocks();
-        assert!(
-            store
-                .begin_add_disks_with(
-                    &[9],
-                    &ReshapeOptions { target_copies: CopiesPolicy::Exact(0), ..Default::default() }
-                )
-                .is_err(),
-            "zero copies cannot cover the source capacity"
-        );
-        let opts = ReshapeOptions { target_copies: CopiesPolicy::Exact(2), ..Default::default() };
-        store.begin_add_disks_with(&[9], &opts).unwrap();
-        let report = store.finish_reshape().unwrap();
+        let report = store.add_disks(&[9]).unwrap();
         assert_eq!((report.from_v, report.to_v), (9, 10));
-        assert!(
-            report.capacity_after >= 2 * before,
-            "two copies at v=10 at least double a one-copy v=9 array \
-             ({} -> {})",
-            before,
-            report.capacity_after
-        );
+        let (copies, size) = {
+            let st = store.state_read();
+            (st.world.copies, st.world.layout.size())
+        };
+        assert_eq!(copies, 2, "add keeps the source copy count");
+        assert_eq!(store.backend().units_per_disk(), 2 * size);
+        assert_eq!(store.blocks(), report.capacity_after);
+        assert!(report.capacity_after > before, "the wider layout grows capacity");
         let (mut buf, mut want) = (vec![0u8; 64], vec![0u8; 64]);
         for addr in 0..before {
             fill_pattern(addr, 7, &mut want);
@@ -1131,19 +1022,6 @@ mod tests {
             assert_eq!(buf, want, "block {addr} after stairway add");
         }
         store.verify_parity().unwrap();
-
-        // PreservePerDiskUsage never yields less capacity than Auto.
-        let auto = filled_store(9, 4, 1, 2);
-        let auto_cap = auto.add_disks(&[9]).unwrap().capacity_after;
-        let keep = filled_store(9, 4, 1, 2);
-        let keep_opts = ReshapeOptions {
-            target_copies: CopiesPolicy::PreservePerDiskUsage,
-            ..Default::default()
-        };
-        keep.begin_add_disks_with(&[9], &keep_opts).unwrap();
-        let keep_cap = keep.finish_reshape().unwrap().capacity_after;
-        assert!(keep_cap >= auto_cap, "preserve ({keep_cap}) >= auto ({auto_cap})");
-        keep.verify_parity().unwrap();
     }
 
     #[test]

@@ -15,8 +15,8 @@ mod support;
 use pdl_core::RingLayout;
 use pdl_store::{
     create_file_store, fill_pattern, open_file_store, Backend, BlockStore, ContinuousScrubConfig,
-    FileBackend, MemBackend, ReshapeDriverConfig, ReshapeOptions, ScrubConfig, StoreError,
-    SUMS_FILE, SUMS_LOG_FILE,
+    FileBackend, MemBackend, ReshapeDriverConfig, ScrubConfig, StoreError, SUMS_FILE,
+    SUMS_LOG_FILE,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -162,17 +162,16 @@ fn maintenance_scrub_continuous_file() {
 /// Which way a background reshape resizes the array.
 #[derive(Clone, Copy)]
 enum Resize {
-    /// `add_disks_background` onto one unmapped spare.
+    /// `begin_add_disks` onto one unmapped spare.
     Grow,
-    /// `remove_disks_background` of the highest logical disk.
+    /// `begin_remove_disks` of the highest logical disk.
     Shrink,
 }
 
 /// The background reshape driver as fire-and-forget capacity growth
-/// or shrink: `add_disks_background` / `remove_disks_background`
-/// begins the reshape and drives it to commit while a writer keeps
-/// re-salting a region; the resized array must be bit-exact and the
-/// scheduler must refuse a second driver.
+/// or shrink: a begun reshape that `start_reshape_driver` drives to
+/// commit while a writer keeps re-salting a region; the resized array
+/// must be bit-exact and the scheduler must refuse a second driver.
 fn reshape_driver_case<B: Backend + 'static>(store: Arc<BlockStore<B>>, resize: Resize) {
     let salt = 0xd21fe2u64;
     prefill(&store, salt);
@@ -187,11 +186,18 @@ fn reshape_driver_case<B: Backend + 'static>(store: Arc<BlockStore<B>>, resize: 
     );
 
     let v = store.v();
-    let cfg = ReshapeDriverConfig { batches_per_step: 1, sleep_us: 100 };
-    let (handle, to_v) = match resize {
-        Resize::Grow => (store.add_disks_background(&[spares(&store)[0]], cfg).unwrap(), v + 1),
-        Resize::Shrink => (store.remove_disks_background(&[v - 1], cfg).unwrap(), v - 1),
+    let to_v = match resize {
+        Resize::Grow => {
+            store.begin_add_disks(&[spares(&store)[0]]).unwrap();
+            v + 1
+        }
+        Resize::Shrink => {
+            store.begin_remove_disks(&[v - 1]).unwrap();
+            v - 1
+        }
     };
+    let cfg = ReshapeDriverConfig { stripes_per_step: 0, sleep_us: 100 };
+    let handle = store.start_reshape_driver(cfg).unwrap();
     assert!(
         matches!(
             store.drive_reshape(&ReshapeDriverConfig::default()),
@@ -257,12 +263,12 @@ fn maintenance_reshape_driver_file() {
 }
 
 #[test]
-fn maintenance_remove_disks_background_mem() {
+fn maintenance_shrink_reshape_driver_mem() {
     reshape_driver_case(Arc::new(xor_store_mem()), Resize::Shrink);
 }
 
 #[test]
-fn maintenance_remove_disks_background_file() {
+fn maintenance_shrink_reshape_driver_file() {
     with_xor_store_file("shrink", |store| reshape_driver_case(Arc::new(store), Resize::Shrink));
 }
 
@@ -329,14 +335,9 @@ fn maintenance_driver_resumes_at_persisted_cursor_file() {
             })
             .unwrap();
         let joining = vec![spares(&*store)[0]];
-        store
-            .begin_add_disks_with(
-                &joining,
-                &ReshapeOptions { batch_stripes: 1, checkpoint_every: 1, ..Default::default() },
-            )
-            .unwrap();
+        store.begin_add_disks(&joining).unwrap();
         let driver = store
-            .start_reshape_driver(ReshapeDriverConfig { batches_per_step: 1, sleep_us: 1500 })
+            .start_reshape_driver(ReshapeDriverConfig { stripes_per_step: 1, sleep_us: 1500 })
             .unwrap();
 
         let region = store.blocks() / 4;
@@ -385,7 +386,7 @@ fn maintenance_driver_resumes_at_persisted_cursor_file() {
         );
 
         let driver2 = reopened
-            .start_reshape_driver(ReshapeDriverConfig { batches_per_step: 4, sleep_us: 0 })
+            .start_reshape_driver(ReshapeDriverConfig { stripes_per_step: 4, sleep_us: 0 })
             .unwrap();
         let rep2 = driver2.join().unwrap();
         assert_eq!(rep2.resumed_from, resumed, "seed {seed:x}: driver attached at the checkpoint");

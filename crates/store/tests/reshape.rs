@@ -2,19 +2,21 @@
 //! a shadow model (reads/writes/fail/restore concurrent with
 //! `add_disks`/`remove_disks` at 2/4/8 threads, mem + file backends,
 //! XOR and P+Q), crash-resume from every persisted migration
-//! checkpoint, commit-crash recovery (in-memory retry, and a reopen
-//! after every slide chunk that must match an uninterrupted commit
-//! byte for byte), no stale checksums after a commit, refusal of
-//! malformed `reshape` sections, and post-reshape invariants: the
-//! (k−1)/(v−1) rebuild balance on the target layout, clean parity,
-//! and vectored-I/O accounting pins on the migration engine.
+//! checkpoint, an in-memory retry of a commit cut mid-slide, the
+//! reopen of a document in the older shape, live progress counts,
+//! refusal of malformed `reshape` sections, and post-reshape
+//! invariants: the (k−1)/(v−1) rebuild balance on the target layout,
+//! clean parity, and vectored-I/O accounting pins on the migration
+//! engine. A commit cut at each of its barriers and reopened is
+//! covered by the crate's unit tests (`meta.rs`), which can put a
+//! faulty backend under an array directory.
 
 mod support;
 
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
     create_file_store, create_file_store_pq, fill_pattern, open_file_store, Backend, BlockStore,
-    CachePolicy, CopiesPolicy, FileBackend, MemBackend, Rebuilder, ReshapeOptions, ReshapeState,
+    CachePolicy, FileBackend, MemBackend, Rebuilder, ReshapeDriverConfig, ReshapeState,
     ScrubConfig, StoreError, StoreMeta, META_FILE,
 };
 use std::path::{Path, PathBuf};
@@ -238,7 +240,7 @@ fn racing_add_differential_xor_mem() {
     assert_eq!(store.backend().injected_transients(), 1);
     assert_eq!(store.stats().integrity.transient_retries, 1);
     // The commit slide's first transfer meets one too: retried as well.
-    while !store.reshape_step(8).unwrap() {}
+    while !store.reshape_step(0).unwrap() {}
     store.backend().fail_next(1);
     store.complete_reshape().expect("a transient during the commit slide is absorbed");
     assert_eq!(store.backend().injected_transients(), 2);
@@ -337,10 +339,9 @@ fn crash_resume_at_every_checkpoint_file() {
     prefill(&store, seed);
     assert!(store.scrub(&ScrubConfig::default()).unwrap().completed);
     assert_eq!(store.stats().integrity.scrub_passes, 1);
-    let opts = ReshapeOptions { batch_stripes: 7, checkpoint_every: 1, ..Default::default() };
-    store.begin_add_disks_with(&[5], &opts).unwrap();
+    store.begin_add_disks(&[5]).unwrap();
     // Snapshot 0 is the begin checkpoint (cursor 0); one more follows
-    // every batch.
+    // every step of 7 stripes.
     let mut snaps: Vec<PathBuf> = Vec::new();
     let take_snapshot = |snaps: &mut Vec<PathBuf>| {
         let s = tmp_dir(&format!("ckpt-snap{}", snaps.len()));
@@ -349,7 +350,7 @@ fn crash_resume_at_every_checkpoint_file() {
     };
     take_snapshot(&mut snaps);
     loop {
-        let done = store.reshape_step(1).unwrap();
+        let done = store.reshape_step(7).unwrap();
         take_snapshot(&mut snaps);
         if done {
             break;
@@ -376,8 +377,9 @@ fn crash_resume_at_every_checkpoint_file() {
         if cursor > 0 && progress.stripes_done < progress.stripes_total {
             saw_midway = true;
         }
-        let rep = re.finish_reshape().unwrap();
-        assert_eq!(rep.to_v, 6);
+        let run = re.drive_reshape(&ReshapeDriverConfig::default()).unwrap();
+        assert_eq!(run.resumed_from, cursor, "the driver attached at the checkpoint");
+        assert_eq!(run.report.expect("a driver nobody stops commits").to_v, 6);
         assert_eq!(re.v(), 6);
         re.flush().unwrap();
         drop(re);
@@ -407,21 +409,97 @@ fn crash_resume_at_every_checkpoint_file() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A commit interrupted in-process (injected fault mid-slide) retries
-/// from the watermark in memory — never re-reading scratch rows its
-/// own first attempt already slid over.
+/// A step of `n` stripes moves the live cursor by exactly `n`: with
+/// `reshape_step(1)` the progress in `stats()` counts every stripe, and
+/// at the end it agrees with the commit's report. XOR and P+Q.
+#[test]
+fn reshape_progress_counts_every_stripe_mem() {
+    for store in [xor_store_mem(5, 3, 2, 1), pq_store_mem(9, 4, 1, 1)] {
+        let scheme = store.scheme();
+        prefill(&store, 0x9e0);
+        store.begin_add_disks(&[first_spare(&store)]).unwrap();
+        let mut last = store.stats().reshape.expect("an active reshape shows in stats");
+        assert_eq!((last.stripes_done, last.units_copied), (0, 0), "{scheme:?}");
+        loop {
+            let done = store.reshape_step(1).unwrap();
+            let now = store.stats().reshape.expect("active until the commit");
+            assert_eq!(now.stripes_done, last.stripes_done + 1, "{scheme:?}: one stripe a step");
+            assert!(now.units_copied > last.units_copied, "{scheme:?}: a stripe writes units");
+            last = now;
+            if done {
+                break;
+            }
+        }
+        assert_eq!(last.stripes_done, last.stripes_total, "{scheme:?}");
+        let report = store.complete_reshape().unwrap();
+        assert_eq!(last.stripes_total, report.stripes_migrated, "{scheme:?}");
+        assert_eq!(last.units_copied, report.units_copied, "{scheme:?}");
+        store.verify_parity().unwrap();
+    }
+}
+
+/// A `store.json` written before a reshape step became one batch
+/// carries two more fields at the end of its `reshape` section,
+/// `batch_stripes` and `checkpoint_every`. Such a mid-migrate document
+/// still opens, and a driver resumes at its cursor and commits
+/// bit-exact with clean parity.
+#[test]
+fn older_reshape_section_still_resumes_file() {
+    let dir = tmp_dir("oldshape");
+    let layout = RingLayout::for_v_k(5, 3).layout().clone();
+    let store = create_file_store(&dir, layout, UNIT, 2, 2).unwrap();
+    let seed = 0x01d5_u64;
+    let blocks = store.blocks();
+    prefill(&store, seed);
+    store.begin_add_disks(&[5]).unwrap();
+    assert!(!store.reshape_step(7).unwrap());
+    drop(store); // the crash
+    let path = dir.join(META_FILE);
+    let json = std::fs::read_to_string(&path).unwrap();
+    let section = json.find("\"reshape\":{").expect("a reshape section");
+    let field = section + json[section..].find("\"capacity_after\":").unwrap();
+    let end = field + json[field..].find('}').unwrap();
+    let older =
+        format!("{},\"batch_stripes\":7,\"checkpoint_every\":1{}", &json[..end], &json[end..]);
+    std::fs::write(&path, &older).unwrap();
+    let re = open_file_store(&dir).unwrap();
+    assert!(re.reshaping(), "the older document resumes the migration");
+    let run = re.drive_reshape(&ReshapeDriverConfig::default()).unwrap();
+    assert_eq!(run.resumed_from, 7, "resumed at the document's cursor");
+    assert_eq!(run.report.expect("a driver nobody stops commits").to_v, 6);
+    let (mut got, mut want) = (vec![0u8; UNIT], vec![0u8; UNIT]);
+    for addr in 0..re.blocks() {
+        want.fill(0);
+        if addr < blocks {
+            fill_pattern(addr, seed, &mut want);
+        }
+        re.read_block(addr, &mut got).unwrap();
+        assert_eq!(got, want, "block {addr} after the resumed reshape");
+    }
+    re.verify_parity().unwrap();
+    drop(re);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A commit cut in-process (a failed write mid-slide) retries from
+/// the watermark in memory — never re-reading scratch rows its own
+/// first attempt already slid over.
 #[test]
 fn commit_fault_in_memory_retry_mem() {
-    let store = xor_store_mem(5, 3, 2, 2);
+    let layout = RingLayout::for_v_k(5, 3).layout().clone();
+    let mem = MemBackend::new(5 + 2, 2 * layout.size(), UNIT);
+    let store = BlockStore::new(layout, FaultyBackend::new(mem, FaultConfig::quiet(3))).unwrap();
     let seed = 0x1e77_u64;
     let blocks = store.blocks();
     prefill(&store, seed);
     store.begin_add_disks(&[5]).unwrap();
-    while !store.reshape_step(8).unwrap() {}
+    while !store.reshape_step(0).unwrap() {}
     assert_eq!(store.blocks(), blocks, "capacity flips only at commit");
-    let opts = ReshapeOptions { commit_fault_after_chunks: Some(1), ..Default::default() };
-    let err = store.complete_reshape_with(&opts).unwrap_err();
-    assert!(matches!(err, StoreError::Corrupt(_)), "injected fault surfaces");
+    // One slide chunk writes one run to each of the six target disks:
+    // the seventh write is the second chunk's first.
+    store.backend().fail_write_after(6);
+    let err = store.complete_reshape().unwrap_err();
+    assert!(matches!(err, StoreError::Io(_)), "the failed write surfaces: {err}");
     assert!(store.reshaping(), "faulted commit leaves the reshape active");
     let report = store.complete_reshape().unwrap();
     assert_eq!(report.to_v, 6);
@@ -452,113 +530,6 @@ fn array_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
-/// A scrubbed v=5 file store whose add of disk 5 has migrated every
-/// batch and waits for its commit.
-fn migrated_add_file(dir: &Path, seed: u64) -> BlockStore<FileBackend> {
-    let layout = RingLayout::for_v_k(5, 3).layout().clone();
-    let store = create_file_store(dir, layout, UNIT, 2, 2).unwrap();
-    prefill(&store, seed);
-    assert!(store.scrub(&ScrubConfig::default()).unwrap().completed);
-    store.begin_add_disks(&[5]).unwrap();
-    while !store.reshape_step(8).unwrap() {}
-    store
-}
-
-/// A commit interrupted by a crash (process gone, `phase = "commit"`
-/// on disk) after any number of its slide chunks reopens into the live
-/// commit, which resumes at the persisted watermark and leaves every
-/// disk file and `store.json` byte-identical to an uninterrupted
-/// commit's.
-#[test]
-fn commit_fault_reopen_redo_file() {
-    const CHUNKS: usize = 5;
-    let seed = 0xd00d_u64;
-    let twin_dir = tmp_dir("commit-twin");
-    let twin = migrated_add_file(&twin_dir, seed);
-    let blocks = twin.blocks();
-    twin.complete_reshape().unwrap();
-    drop(twin);
-    let committed = array_files(&twin_dir);
-    std::fs::remove_dir_all(&twin_dir).unwrap();
-    for c in 1..=CHUNKS {
-        let dir = tmp_dir("commit");
-        let store = migrated_add_file(&dir, seed);
-        let opts = ReshapeOptions { commit_fault_after_chunks: Some(c), ..Default::default() };
-        store.complete_reshape_with(&opts).unwrap_err();
-        drop(store); // the crash
-        let json = std::fs::read_to_string(dir.join(META_FILE)).unwrap();
-        let rs = StoreMeta::from_json(&json).unwrap().reshape.expect("commit watermark persisted");
-        assert_eq!(rs.phase, "commit");
-        let u_tgt = (rs.grown_units - rs.scratch_base) as u64;
-        assert_eq!(rs.slide_done == u_tgt, c == CHUNKS, "chunk {c} of {CHUNKS}");
-        let re = open_file_store(&dir).unwrap();
-        assert!(!re.reshaping(), "chunk {c}: reopen ran the commit");
-        assert_eq!(re.v(), 6);
-        assert!(
-            array_files(&dir) == committed,
-            "chunk {c}: the reopened commit left other files than the live one"
-        );
-        assert_eq!(re.stats().integrity.scrub_passes, 1, "chunk {c}: the commit keeps the scrub");
-        assert!(re.blocks() > blocks);
-        let mut got = vec![0u8; UNIT];
-        let mut want = vec![0u8; UNIT];
-        for addr in 0..blocks {
-            re.read_block(addr, &mut got).unwrap();
-            fill_pattern(addr, seed, &mut want);
-            assert_eq!(got, want, "chunk {c}: block {addr} corrupted by the resumed commit");
-        }
-        re.verify_parity().unwrap();
-        drop(re);
-        // Stability: a second reopen sees a plain committed array.
-        let re2 = open_file_store(&dir).unwrap();
-        assert_eq!(re2.v(), 6);
-        assert!(!re2.reshaping());
-        re2.verify_parity().unwrap();
-        drop(re2);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
-/// A commit whose target rows equal the source rows (`U_tgt == 36`
-/// both sides) keeps the checksum table's geometry, so the source
-/// world's base on disk would load over the target world. Reopening
-/// without a flush — after the live commit, or after one that crashed
-/// mid-slide — must read every block clean.
-#[test]
-fn equal_geometry_commit_leaves_no_stale_checksums_file() {
-    for fault in [None, Some(1)] {
-        let dir = tmp_dir("stalesums");
-        let layout = RingLayout::for_v_k(4, 3).layout().clone();
-        let store = create_file_store(&dir, layout, UNIT, 4, 1).unwrap();
-        let seed = 0x5a1e_u64;
-        assert_eq!((store.blocks(), store.backend().units_per_disk()), (96, 36));
-        prefill(&store, seed);
-        store.flush().unwrap(); // the source world's checksum base
-        let opts = ReshapeOptions {
-            target_copies: CopiesPolicy::Exact(1),
-            commit_fault_after_chunks: fault,
-            ..Default::default()
-        };
-        store.begin_add_disks_with(&[4], &opts).unwrap();
-        assert_eq!(store.backend().units_per_disk(), 36 + 36);
-        while !store.reshape_step(8).unwrap() {}
-        assert_eq!(store.complete_reshape_with(&opts).is_err(), fault.is_some());
-        drop(store); // no flush
-        let re = open_file_store(&dir).unwrap();
-        assert_eq!((re.v(), re.backend().units_per_disk()), (5, 36));
-        let (mut got, mut want) = (vec![0u8; UNIT], vec![0u8; UNIT]);
-        for addr in 0..96 {
-            re.read_block(addr, &mut got)
-                .unwrap_or_else(|e| panic!("fault {fault:?}: block {addr}: {e}"));
-            fill_pattern(addr, seed, &mut want);
-            assert_eq!(got, want, "fault {fault:?}: block {addr}");
-        }
-        re.verify_parity().unwrap();
-        drop(re);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
 /// A `reshape` section is outside input: one malformed field, in a
 /// mid-migrate or a mid-commit document, is refused as `Corrupt` by the
 /// open, which writes nothing first.
@@ -569,21 +540,22 @@ fn malformed_reshape_sections_are_refused_file() {
     let store = create_file_store_pq(&dir, dp, UNIT, 1, 2).unwrap();
     let disks = store.backend().disks();
     prefill(&store, 0xbad5);
-    let opts = ReshapeOptions {
-        batch_stripes: 2,
-        commit_fault_after_chunks: Some(1),
-        ..Default::default()
-    };
-    store.begin_remove_disks_with(&[8], &opts).unwrap();
-    assert!(!store.reshape_step(1).unwrap());
+    store.begin_remove_disks(&[8]).unwrap();
+    assert!(!store.reshape_step(2).unwrap());
     let migrate = tmp_dir("malformed-migrate");
     snapshot_dir(&dir, &migrate);
-    while !store.reshape_step(8).unwrap() {}
-    store.complete_reshape_with(&opts).unwrap_err();
+    while !store.reshape_step(0).unwrap() {}
+    drop(store);
+    // The commit's first barrier records exactly this document with
+    // its phase turned to "commit": the mid-commit crash image before
+    // any slide chunk.
     let commit = tmp_dir("malformed-commit");
     snapshot_dir(&dir, &commit);
-    drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
+    let json = std::fs::read_to_string(commit.join(META_FILE)).unwrap();
+    let mut meta = StoreMeta::from_json(&json).unwrap();
+    meta.reshape.as_mut().unwrap().phase = "commit".into();
+    std::fs::write(commit.join(META_FILE), meta.to_json()).unwrap();
     let (_, total) = persisted_reshape_cursor(&commit).unwrap();
     type Edit = dyn Fn(&mut ReshapeState);
     let rows: [(&str, &Edit); 9] = [
@@ -669,10 +641,10 @@ fn moved_fraction_is_measured_on_the_store_maps_mem() {
     }
 }
 
-/// Satellite 3b: migration I/O is vectored — with one batch covering
-/// one full target copy (the default), the engine issues at most one
-/// read call per source disk and one write call per target disk — and
-/// the per-disk unit counters only ever grow.
+/// Satellite 3b: migration I/O is vectored — with one step covering
+/// one full target copy (`reshape_step(0)`), the engine issues at most
+/// one read call per source disk and one write call per target disk —
+/// and the per-disk unit counters only ever grow.
 #[test]
 fn migration_io_vectored_and_monotone_mem() {
     let store = xor_store_mem(5, 3, 1, 1);
@@ -681,8 +653,8 @@ fn migration_io_vectored_and_monotone_mem() {
     let before_writes: Vec<u64> = (0..6).map(|p| store.backend().write_count(p)).collect();
     store.begin_add_disks(&[5]).unwrap();
     store.reset_counters();
-    let done = store.reshape_step(1).unwrap();
-    assert!(done, "one default batch covers the whole single-copy migration");
+    let done = store.reshape_step(0).unwrap();
+    assert!(done, "one full-copy step covers the whole single-copy migration");
     for p in 0..5 {
         assert!(
             store.backend().read_calls(p) <= 1,

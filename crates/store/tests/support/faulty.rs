@@ -45,6 +45,20 @@ impl FaultConfig {
     }
 }
 
+/// A counted fault's "nothing armed" value.
+const DISARMED: u64 = u64::MAX;
+
+/// Counts one call against a counted fault: `true` when this call is
+/// the one to fail, which disarms the fault.
+fn counted_fault(left: &std::sync::atomic::AtomicU64) -> bool {
+    let was = left.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| match n {
+        DISARMED => None,
+        0 => Some(DISARMED),
+        n => Some(n - 1),
+    });
+    was == Ok(0)
+}
+
 fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
@@ -68,9 +82,11 @@ fn splitmix64(mut z: u64) -> u64 {
 /// * **slow calls** sleep before proceeding (a stalling spindle).
 ///
 /// Targeted hooks — [`FaultyBackend::corrupt_unit`],
-/// [`FaultyBackend::fail_next`] and [`FaultyBackend::hold_next_write`]
-/// — inject one specific fault deterministically, for tests that need
-/// a fault *here, now* rather than a statistical schedule.
+/// [`FaultyBackend::fail_next`], [`FaultyBackend::hold_next_write`] and
+/// the counted [`FaultyBackend::fail_flush_after`] /
+/// [`FaultyBackend::fail_write_after`] — inject one specific fault
+/// deterministically, for tests that need a fault *here, now* rather
+/// than a statistical schedule.
 /// [`FaultyBackend::set_armed`] pauses the whole schedule during test
 /// setup.
 #[derive(Debug)]
@@ -80,6 +96,12 @@ pub struct FaultyBackend<B> {
     armed: std::sync::atomic::AtomicBool,
     /// Every `flush` fails ([`FaultyBackend::fail_flushes`]).
     failing_flushes: std::sync::atomic::AtomicBool,
+    /// Flushes, and write calls, let through before one fails
+    /// ([`FaultyBackend::fail_flush_after`],
+    /// [`FaultyBackend::fail_write_after`]); [`DISARMED`] when none is
+    /// to fail.
+    flushes_left: std::sync::atomic::AtomicU64,
+    writes_left: std::sync::atomic::AtomicU64,
     rng: std::sync::atomic::AtomicU64,
     /// Next-N-calls forced-transient budget ([`FaultyBackend::fail_next`]).
     forced_transients: std::sync::atomic::AtomicU64,
@@ -126,6 +148,8 @@ impl<B: Backend> FaultyBackend<B> {
             cfg,
             armed: std::sync::atomic::AtomicBool::new(true),
             failing_flushes: std::sync::atomic::AtomicBool::new(false),
+            flushes_left: std::sync::atomic::AtomicU64::new(DISARMED),
+            writes_left: std::sync::atomic::AtomicU64::new(DISARMED),
             rng: std::sync::atomic::AtomicU64::new(splitmix64(cfg.seed)),
             forced_transients: std::sync::atomic::AtomicU64::new(0),
             injected_transients: std::sync::atomic::AtomicU64::new(0),
@@ -154,6 +178,21 @@ impl<B: Backend> FaultyBackend<B> {
     /// durability barrier then stops at its first step.
     pub fn fail_flushes(&self, on: bool) {
         self.failing_flushes.store(on, Ordering::SeqCst);
+    }
+
+    /// Lets the next `n` flushes through, then fails the one after,
+    /// once and not transiently, whether or not the schedule is armed:
+    /// the durability barrier `n` from now, counting from 0, stops at
+    /// its first step.
+    pub fn fail_flush_after(&self, n: u64) {
+        self.flushes_left.store(n, Ordering::SeqCst);
+    }
+
+    /// Lets the next `n` write calls through, then fails the one after
+    /// before it touches the medium, once and not transiently, whether
+    /// or not the schedule is armed.
+    pub fn fail_write_after(&self, n: u64) {
+        self.writes_left.store(n, Ordering::SeqCst);
     }
 
     /// Forces the next `n` data-path calls to fail transiently,
@@ -255,10 +294,13 @@ impl<B: Backend> FaultyBackend<B> {
         rate >= 1.0 || ((self.roll() >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < rate
     }
 
-    /// Rolls the pre-call faults (write hold, forced/scheduled
-    /// transient, slow stall) for a call on `disk`. `Err` means the call
-    /// fails before touching the medium.
+    /// Rolls the pre-call faults (counted write failure, write hold,
+    /// forced/scheduled transient, slow stall) for a call on `disk`.
+    /// `Err` means the call fails before touching the medium.
     fn pre_call(&self, disk: usize, write: bool) -> Result<(), StoreError> {
+        if write && counted_fault(&self.writes_left) {
+            return Err(StoreError::Io(std::io::Error::other("injected write failure")));
+        }
         if !self.armed.load(Ordering::Relaxed) {
             return Ok(());
         }
@@ -420,7 +462,7 @@ impl<B: Backend> Backend for FaultyBackend<B> {
     }
 
     fn flush(&self) -> Result<(), StoreError> {
-        if self.failing_flushes.load(Ordering::SeqCst) {
+        if self.failing_flushes.load(Ordering::SeqCst) || counted_fault(&self.flushes_left) {
             return Err(StoreError::Io(std::io::Error::other("injected flush failure")));
         }
         self.inner.flush()

@@ -25,8 +25,8 @@
 
 use pdl_store::{
     fill_pattern, Backend, BlockStore, CachePolicy, ContinuousScrubConfig, ContinuousScrubReport,
-    EngineConfig, RebuildProgress, RebuildReport, Rebuilder, ReshapeDriverConfig, ReshapeOptions,
-    ReshapeReport, StatsSnapshot, StoreError,
+    EngineConfig, RebuildProgress, RebuildReport, Rebuilder, ReshapeDriverConfig, ReshapeReport,
+    StatsSnapshot, StoreError,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -369,15 +369,14 @@ pub fn run<B: Backend + 'static>(
                 let v = store.v();
                 store.remove_disks(&(v - removed..v).collect::<Vec<_>>())
             })),
-            // Reshape driver: fine-grained batches so migration, dual
+            // Reshape driver: one-stripe steps so migration, dual
             // writes, scrub yields, and the commit flip all interleave
             // with the traffic many times over.
             RebuildMode::BackgroundMaintenance { added } => Some(s.spawn(move || {
                 std::thread::sleep(Duration::from_millis(2));
-                let opts = ReshapeOptions { batch_stripes: 1, ..ReshapeOptions::default() };
-                store.begin_add_disks_with(&unmapped_spares(store, added, cfg.seed), &opts)?;
+                store.begin_add_disks(&unmapped_spares(store, added, cfg.seed))?;
                 let run = store
-                    .drive_reshape(&ReshapeDriverConfig { batches_per_step: 1, sleep_us: 200 })?;
+                    .drive_reshape(&ReshapeDriverConfig { stripes_per_step: 1, sleep_us: 200 })?;
                 Ok(run.report.expect("a never-stopped driver runs to commit"))
             })),
             _ => None,
