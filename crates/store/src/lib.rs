@@ -164,8 +164,7 @@ pub use engine::{
 pub use error::StoreError;
 pub use integrity::{xxh64, DiskHealthSnapshot, IntegrityStatsSnapshot, RetryPolicy};
 pub use maintenance::{
-    ContinuousScrubConfig, ContinuousScrubReport, JobHandle, MaintenanceStateSnapshot,
-    ReshapeDriverConfig, ReshapeDriverReport,
+    JobHandle, MaintenanceStateSnapshot, ReshapeDriverConfig, ReshapeDriverReport,
 };
 pub use meta::{
     create_file_store, create_file_store_pq, open_file_store, update_cache_policy, ReshapeState,
@@ -180,5 +179,5 @@ pub use pdl_core::{AddrRef, StripeMap};
 pub use rebuild::{RebuildReport, Rebuilder};
 pub use reshape::ReshapeReport;
 pub use scheme::{FailureSet, ParityScheme};
-pub use scrub::{ScrubConfig, ScrubReport};
+pub use scrub::ScrubReport;
 pub use store::{fill_pattern, BlockStore, ReplayStats};

@@ -1,7 +1,8 @@
 //! Background maintenance: one runner that every long-running store
-//! job — one-shot scrub, continuous scrub, and the reshape driver,
-//! which the blocking [`BlockStore::add_disks`] and
-//! [`BlockStore::remove_disks`] run too — is pumped by.
+//! job is pumped by — the scrub (one foreground pass, or paced passes
+//! back to back in the background; see [`crate::scrub`]) and the
+//! reshape driver, which the blocking [`BlockStore::add_disks`] and
+//! [`BlockStore::remove_disks`] run too.
 //!
 //! # The runner
 //!
@@ -15,13 +16,13 @@
 //! - **one pump loop** (`pump`): stop requested → `checkpoint` →
 //!   return; otherwise `step`, then a stop-aware sleep (a stop lands
 //!   within about a millisecond however long the pacing sleep or the
-//!   continuous scrub's idle interval is);
+//!   rest between background scrub passes is);
 //! - **one admission helper** (`Admitted::claim`): a compare-and-swap
 //!   on the job family's flag, released by the one drop guard however
 //!   the job ends — return, error, or panic — so a failed job never
-//!   wedges its slot. A second scrub of any flavor
-//!   is refused with [`StoreError::ScrubInProgress`], a second
-//!   reshape driver with [`StoreError::ReshapeDriverInProgress`];
+//!   wedges its slot. A second scrub is refused with
+//!   [`StoreError::ScrubInProgress`], a second reshape driver with
+//!   [`StoreError::ReshapeDriverInProgress`];
 //! - **one thread spawn** for background jobs. The thread holds only
 //!   a [`Weak`] store reference and upgrades it per step, so dropping
 //!   every strong `Arc` ends the job instead of leaking the store;
@@ -39,8 +40,8 @@
 //! [`StoreError::ReshapeInProgress`] instead of parking its caller.)
 //! Nothing else is arbitrated: neither job blocks the other's
 //! admission, and clients outrank both through pacing alone — the
-//! reshape driver by its configured sleep, the scrubber by the
-//! `ScrubPacer`'s load budget. Every pacing decision is published in
+//! reshape driver by its configured sleep, the background scrubber by
+//! its pacer's load budget. What the jobs did is counted in
 //! [`MaintenanceStateSnapshot`] (via [`BlockStore::stats`]).
 //!
 //! [`crate::Rebuilder`] is deliberately *not* a job: it is a scoped
@@ -56,9 +57,7 @@ use std::time::{Duration, Instant};
 use crate::backend::Backend;
 use crate::error::StoreError;
 use crate::meta::Record;
-use crate::obs::Metrics;
 use crate::reshape::ReshapeReport;
-use crate::scrub::{ScrubConfig, ScrubJob, ScrubReport};
 use crate::store::BlockStore;
 
 /// What a job's `step` asks the runner to do next.
@@ -140,7 +139,6 @@ where
 }
 
 /// Handle to a background maintenance job ([`BlockStore::start_scrub`],
-/// [`BlockStore::start_continuous_scrub`],
 /// [`BlockStore::start_reshape_driver`]).
 #[derive(Debug)]
 pub struct JobHandle<R> {
@@ -222,56 +220,6 @@ pub struct ReshapeDriverReport {
     pub report: Option<ReshapeReport>,
 }
 
-/// Tuning for load-aware (paced) and continuous scrubbing.
-#[derive(Clone, Debug)]
-pub struct ContinuousScrubConfig {
-    /// Per-pass tuning. `stripes_per_step` seeds the pacer's step
-    /// width; `sleep_us` is a floor under the pacer's adaptive sleep.
-    pub pass: ScrubConfig,
-    /// Milliseconds to idle between a completed pass and the
-    /// auto-restarted next one.
-    pub idle_ms: u64,
-    /// Fraction of wall-clock time the scrubber may consume while
-    /// clients are active (`0.2` = scrub at most ~20% duty cycle).
-    /// Values are clamped to at least 0.01. When the store is idle
-    /// the budget is ignored and the scrub runs flat out.
-    pub load_budget: f64,
-}
-
-impl Default for ContinuousScrubConfig {
-    fn default() -> Self {
-        ContinuousScrubConfig { pass: ScrubConfig::default(), idle_ms: 1000, load_budget: 0.2 }
-    }
-}
-
-/// Accumulated totals across every pass of a continuous scrub run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ContinuousScrubReport {
-    /// Full passes completed.
-    pub passes: u64,
-    /// Stripes verified across all passes (including a final partial
-    /// pass).
-    pub stripes: u64,
-    /// Units rewritten for checksum mismatches, summed over passes.
-    pub checksum_repairs: u64,
-    /// Parity units recomputed, summed over passes.
-    pub parity_repairs: u64,
-    /// Times the scrubber woke from the idle interval to start
-    /// another pass.
-    pub idle_restarts: u64,
-}
-
-impl ContinuousScrubReport {
-    fn absorb(&mut self, pass: &ScrubReport) {
-        self.stripes += pass.stripes;
-        self.checksum_repairs += pass.checksum_repairs;
-        self.parity_repairs += pass.parity_repairs;
-        if pass.completed {
-            self.passes += 1;
-        }
-    }
-}
-
 /// Live maintenance state owned by the store: the admission flags
 /// (each behind its own `Arc`, so an [`Admitted`] guard can move to a
 /// job thread that holds the store only weakly) plus lock-free
@@ -279,11 +227,8 @@ impl ContinuousScrubReport {
 /// [`BlockStore::stats`].
 #[derive(Debug, Default)]
 pub(crate) struct MaintState {
-    /// A scrub of any flavor — foreground, background, paced, or
-    /// continuous — is running.
+    /// A scrub — a foreground pass or a background loop — is running.
     scrub_active: Arc<AtomicBool>,
-    /// A continuous scrub loop is running (implies `scrub_active`).
-    continuous_scrub_active: Arc<AtomicBool>,
     /// A reshape driver is running.
     reshape_driver_active: Arc<AtomicBool>,
     /// Steps a scrubber parked because a reshape was active.
@@ -296,33 +241,20 @@ pub(crate) struct MaintState {
     driver_steps: AtomicU64,
     /// Driver runs that attached to a non-zero migration cursor.
     driver_resumes: AtomicU64,
-    /// Scrub passes completed under pacing (continuous or
-    /// [`BlockStore::scrub_paced`]).
-    pub(crate) paced_passes: AtomicU64,
-    /// Scrub passes completed by continuous-scrub loops.
-    continuous_passes: AtomicU64,
-    /// Idle intervals after which a continuous scrub restarted.
-    idle_restarts: AtomicU64,
-    /// Latest pacer step width (stripes per batch).
-    paced_step: AtomicU64,
-    /// Latest pacer inter-batch sleep in microseconds.
-    paced_sleep_us: AtomicU64,
+    /// Rests after which a background scrub started its next pass.
+    pub(crate) idle_restarts: AtomicU64,
 }
 
 impl MaintState {
     pub(crate) fn snapshot(&self) -> MaintenanceStateSnapshot {
         MaintenanceStateSnapshot {
-            continuous_scrub_active: self.continuous_scrub_active.load(Ordering::Acquire),
+            scrub_active: self.scrub_active.load(Ordering::Acquire),
             reshape_driver_active: self.reshape_driver_active.load(Ordering::Acquire),
             scrub_yields: self.scrub_yields.load(Ordering::Relaxed),
             driver_runs: self.driver_runs.load(Ordering::Relaxed),
             driver_steps: self.driver_steps.load(Ordering::Relaxed),
             driver_resumes: self.driver_resumes.load(Ordering::Relaxed),
-            paced_passes: self.paced_passes.load(Ordering::Relaxed),
-            continuous_passes: self.continuous_passes.load(Ordering::Relaxed),
             idle_restarts: self.idle_restarts.load(Ordering::Relaxed),
-            paced_step: self.paced_step.load(Ordering::Relaxed),
-            paced_sleep_us: self.paced_sleep_us.load(Ordering::Relaxed),
         }
     }
 }
@@ -331,8 +263,9 @@ impl MaintState {
 /// [`crate::StatsSnapshot`].
 #[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize, PartialEq, Eq)]
 pub struct MaintenanceStateSnapshot {
-    /// A continuous scrub loop is running.
-    pub continuous_scrub_active: bool,
+    /// A scrub — a foreground pass or a background loop — holds the
+    /// scrub slot.
+    pub scrub_active: bool,
     /// A background reshape driver is running.
     pub reshape_driver_active: bool,
     /// Steps a scrubber parked because a reshape was active (the one
@@ -347,128 +280,10 @@ pub struct MaintenanceStateSnapshot {
     pub driver_steps: u64,
     /// Driver runs that attached to a non-zero (resumed) cursor.
     pub driver_resumes: u64,
-    /// Scrub passes completed under load-aware pacing.
-    pub paced_passes: u64,
-    /// Scrub passes completed by continuous-scrub loops.
-    pub continuous_passes: u64,
-    /// Idle intervals after which a continuous scrub restarted.
+    /// Rests after which a background scrub started its next pass.
+    /// (Finished passes, foreground or background, are
+    /// [`crate::IntegrityStatsSnapshot::scrub_passes`].)
     pub idle_restarts: u64,
-    /// Latest pacer step width (stripes per batch).
-    pub paced_step: u64,
-    /// Latest pacer inter-batch sleep in microseconds.
-    pub paced_sleep_us: u64,
-}
-
-/// Adaptive scrub pacing: widens batches when the store is idle,
-/// narrows them and inserts sleeps when clients are active.
-///
-/// The client op rate is sampled from [`Metrics::client_ops`].
-#[derive(Debug)]
-pub(crate) struct ScrubPacer {
-    budget: f64,
-    last_check: Instant,
-    last_ops: u64,
-    busy: bool,
-    /// Current step width in stripes.
-    pub(crate) step: usize,
-    sleep_us: u64,
-    /// EWMA of per-stripe scrub cost in nanoseconds.
-    per_stripe_ns: f64,
-}
-
-/// Narrowest step the pacer shrinks to under load.
-const MIN_STEP: usize = 1;
-/// Widest step the pacer grows to when idle.
-const MAX_STEP: usize = 256;
-/// Client ops/sec below which the store counts as idle.
-const IDLE_OPS_PER_SEC: f64 = 50.0;
-/// Cap on the pacer's inter-batch sleep.
-const MAX_SLEEP_US: u64 = 20_000;
-/// Target duration of one scrub burst while throttled. The cycle
-/// granularity matters as much as the duty ratio: micro-bursts with
-/// micro-sleeps spend more CPU on context switches than on scrubbing
-/// (measured ~25% client loss at a 10% budget on a single-core host),
-/// while over-long bursts stream enough data to evict the clients'
-/// working set from cache on every cycle. ~250µs bursts sit between
-/// the two failure modes: switch overhead is amortized to noise and
-/// a burst touches well under a megabyte.
-const TARGET_BURST_NS: f64 = 250_000.0;
-
-impl ScrubPacer {
-    pub(crate) fn new(cfg: &ContinuousScrubConfig) -> Self {
-        ScrubPacer {
-            budget: cfg.load_budget.clamp(0.01, 1.0),
-            last_check: Instant::now(),
-            last_ops: 0,
-            // Presume loaded until the first rate sample proves
-            // otherwise: starting flat-out would let the opening
-            // burst (or, on a single core, the whole pass — the
-            // clients may not have been scheduled yet) evade the
-            // budget. One throttled cycle on a truly idle store
-            // costs at most `MAX_SLEEP_US`.
-            busy: true,
-            step: cfg.pass.stripes_per_step.clamp(MIN_STEP, MAX_STEP),
-            sleep_us: 0,
-            per_stripe_ns: 0.0,
-        }
-    }
-
-    /// Re-arms the rate sampler for a new pass, back to the
-    /// presumed-loaded state.
-    pub(crate) fn reset_pass(&mut self, metrics: &Metrics) {
-        self.last_check = Instant::now();
-        self.last_ops = metrics.client_ops();
-        self.busy = true;
-    }
-
-    /// Called after each scrub batch: updates the cost model, samples
-    /// the client op rate, and returns `(next_step, sleep_us)` for
-    /// the next batch. Publishes both into `maint` for observability.
-    pub(crate) fn pace(
-        &mut self,
-        metrics: &Metrics,
-        maint: &MaintState,
-        batch_ns: u64,
-        batch_stripes: u64,
-    ) -> (usize, u64) {
-        if batch_stripes > 0 {
-            let cost = batch_ns as f64 / batch_stripes as f64;
-            self.per_stripe_ns = if self.per_stripe_ns == 0.0 {
-                cost
-            } else {
-                self.per_stripe_ns * 0.7 + cost * 0.3
-            };
-        }
-        // Sample the client op rate at most once per millisecond so a
-        // fast batch loop doesn't divide by near-zero intervals.
-        let now = Instant::now();
-        let dt = now.duration_since(self.last_check);
-        if dt >= Duration::from_millis(1) {
-            let ops = metrics.client_ops();
-            let rate = (ops.saturating_sub(self.last_ops)) as f64 / dt.as_secs_f64();
-            self.busy = rate >= IDLE_OPS_PER_SEC;
-            self.last_ops = ops;
-            self.last_check = now;
-        }
-        if !self.busy || self.budget >= 1.0 {
-            self.step = (self.step * 2).clamp(MIN_STEP, MAX_STEP);
-            self.sleep_us = 0;
-        } else {
-            // Duty-cycle throttle in coarse bursts: size the step so
-            // one burst lasts about [`TARGET_BURST_NS`], then sleep
-            // long enough that scrub time is `budget` of the
-            // scrub+sleep window (the sleep is computed from the
-            // burst just measured, so a mis-sized step self-corrects
-            // one cycle later).
-            let per = self.per_stripe_ns.max(1.0);
-            self.step = ((TARGET_BURST_NS / per) as usize).clamp(MIN_STEP, MAX_STEP);
-            let sleep_ns = batch_ns as f64 * (1.0 - self.budget) / self.budget;
-            self.sleep_us = ((sleep_ns / 1_000.0) as u64).min(MAX_SLEEP_US);
-        }
-        maint.paced_step.store(self.step as u64, Ordering::Relaxed);
-        maint.paced_sleep_us.store(self.sleep_us, Ordering::Relaxed);
-        (self.step, self.sleep_us)
-    }
 }
 
 /// Pumps the active reshape to its commit: every driver's job,
@@ -526,73 +341,8 @@ impl<B: Backend> Job<B> for ReshapeJob {
     }
 }
 
-/// Pass after pass of paced scrubbing with an idle interval between
-/// them: a [`ScrubJob`] restarted each time it reports `Done`.
-struct ContinuousScrubJob {
-    pass: ScrubJob,
-    idle: Duration,
-    /// The last pass completed and was absorbed; the next step opens
-    /// a new one.
-    idling: bool,
-    report: ContinuousScrubReport,
-    /// Advertises the loop in stats for as long as the job lives.
-    _advertised: Admitted,
-}
-
-impl ContinuousScrubJob {
-    fn new<B: Backend>(
-        store: &BlockStore<B>,
-        cfg: &ContinuousScrubConfig,
-    ) -> Result<Self, StoreError> {
-        Ok(ContinuousScrubJob {
-            _advertised: Admitted::claim(
-                &store.maint.continuous_scrub_active,
-                StoreError::ScrubInProgress,
-            )?,
-            pass: ScrubJob::new(store, cfg.pass.clone(), Some(ScrubPacer::new(cfg))),
-            idle: Duration::from_millis(cfg.idle_ms),
-            idling: false,
-            report: ContinuousScrubReport::default(),
-        })
-    }
-}
-
-impl<B: Backend> Job<B> for ContinuousScrubJob {
-    type Report = ContinuousScrubReport;
-
-    fn step(&mut self, store: &BlockStore<B>) -> Result<Step, StoreError> {
-        if self.idling {
-            self.idling = false;
-            self.report.idle_restarts += 1;
-            store.maint.idle_restarts.fetch_add(1, Ordering::Relaxed);
-            self.pass.begin_pass(store);
-        }
-        match self.pass.step(store)? {
-            Step::Done => {
-                self.report.absorb(&self.pass.report);
-                store.maint.continuous_passes.fetch_add(1, Ordering::Relaxed);
-                self.idling = true;
-                Ok(Step::Again { sleep: self.idle })
-            }
-            other => Ok(other),
-        }
-    }
-
-    fn checkpoint(&mut self, store: &BlockStore<B>) -> Result<(), StoreError> {
-        self.pass.checkpoint(store)
-    }
-
-    fn into_report(mut self) -> ContinuousScrubReport {
-        if !self.idling {
-            // Stopped mid-pass: count the partial pass's work too.
-            self.report.absorb(&self.pass.report);
-        }
-        self.report
-    }
-}
-
 impl<B: Backend> BlockStore<B> {
-    /// Claims the scrub slot: one scrub of any flavor at a time.
+    /// Claims the scrub slot: one scrub at a time.
     pub(crate) fn admit_scrub(&self) -> Result<Admitted, StoreError> {
         Admitted::claim(&self.maint.scrub_active, StoreError::ScrubInProgress)
     }
@@ -602,14 +352,10 @@ impl<B: Backend> BlockStore<B> {
         Admitted::claim(&self.maint.reshape_driver_active, StoreError::ReshapeDriverInProgress)
     }
 
-    /// Pumps `job` on the calling thread until it is done or `stop`
-    /// is raised.
-    pub(crate) fn run_job<J: Job<B>>(
-        &self,
-        mut job: J,
-        stop: Option<&AtomicBool>,
-    ) -> Result<J::Report, StoreError> {
-        pump(|| Some(self), &mut job, stop)?;
+    /// Pumps `job` on the calling thread until it is done; nobody can
+    /// stop it, so a `Yield` fails it.
+    pub(crate) fn run_job<J: Job<B>>(&self, mut job: J) -> Result<J::Report, StoreError> {
+        pump(|| Some(self), &mut job, None)?;
         Ok(job.into_report())
     }
 
@@ -652,7 +398,7 @@ impl<B: Backend> BlockStore<B> {
         cfg: &ReshapeDriverConfig,
     ) -> Result<ReshapeDriverReport, StoreError> {
         let _admitted = self.admit_driver()?;
-        self.run_job(ReshapeJob::attach(self, cfg)?, None)
+        self.run_job(ReshapeJob::attach(self, cfg)?)
     }
 
     /// Starts a background reshape driver and returns a handle to
@@ -667,42 +413,6 @@ impl<B: Backend> BlockStore<B> {
     {
         let admitted = self.admit_driver()?;
         Ok(self.spawn_job("pdl-reshape", admitted, ReshapeJob::attach(self, &cfg)?))
-    }
-
-    /// Runs one load-aware paced scrub pass on the calling thread:
-    /// like [`BlockStore::scrub`], but batch width and inter-batch
-    /// sleep adapt to the client op rate per `cfg`'s budget. Same
-    /// admission errors as `scrub`.
-    pub fn scrub_paced(&self, cfg: &ContinuousScrubConfig) -> Result<ScrubReport, StoreError> {
-        let _admitted = self.admit_scrub()?;
-        let pacer = Some(ScrubPacer::new(cfg));
-        self.run_job(ScrubJob::new(self, cfg.pass.clone(), pacer), None)
-    }
-
-    /// Runs the continuous scrub loop on the calling thread until
-    /// `stop` is raised: paced pass, idle interval, paced pass, …
-    /// Errors with [`StoreError::ScrubInProgress`] if any scrub is
-    /// already running.
-    pub fn run_continuous_scrub(
-        &self,
-        cfg: &ContinuousScrubConfig,
-        stop: &AtomicBool,
-    ) -> Result<ContinuousScrubReport, StoreError> {
-        let _admitted = self.admit_scrub()?;
-        self.run_job(ContinuousScrubJob::new(self, cfg)?, Some(stop))
-    }
-
-    /// Starts a continuous scrub on a background thread and returns a
-    /// handle to stop or join it.
-    pub fn start_continuous_scrub(
-        self: &Arc<Self>,
-        cfg: ContinuousScrubConfig,
-    ) -> Result<JobHandle<ContinuousScrubReport>, StoreError>
-    where
-        B: 'static,
-    {
-        let admitted = self.admit_scrub()?;
-        Ok(self.spawn_job("pdl-scrub-cont", admitted, ContinuousScrubJob::new(self, &cfg)?))
     }
 }
 
@@ -754,9 +464,9 @@ mod tests {
         }
     }
 
-    /// (a) A stop lands mid-sleep — a minute-long pacing sleep or a
-    /// minute-long idle interval — within milliseconds, and the job is
-    /// checkpointed exactly once.
+    /// (a) A stop lands mid-sleep — a minute-long pacing sleep, or a
+    /// background scrub's rest between passes — within milliseconds,
+    /// and the job is checkpointed exactly once.
     #[test]
     fn stop_cuts_a_long_sleep_short_and_checkpoints_once() {
         let store = store();
@@ -770,14 +480,13 @@ mod tests {
         assert!(t.elapsed() < Duration::from_secs(5), "stop waited out the sleep");
         assert_eq!(checkpoints.load(Ordering::Acquire), 1);
 
-        let cfg = ContinuousScrubConfig { idle_ms: 60_000, ..ContinuousScrubConfig::default() };
-        let handle = store.start_continuous_scrub(cfg).unwrap();
-        wait_until("the first pass", || store.stats().maintenance.continuous_passes == 1);
+        let handle = store.start_scrub().unwrap();
+        wait_until("the first pass", || store.stats().integrity.scrub_passes == 1);
         let t = Instant::now();
         handle.stop();
         let report = handle.join().unwrap();
-        assert!(t.elapsed() < Duration::from_secs(5), "stop waited out the idle interval");
-        assert_eq!((report.passes, report.idle_restarts), (1, 0));
+        assert!(t.elapsed() < Duration::from_secs(5), "stop waited out the rest");
+        assert!(report.completed && report.passes >= 1);
     }
 
     /// (b) A job that fails or panics frees its slot: `join` surfaces
@@ -788,19 +497,19 @@ mod tests {
         let failing = Scripted::new(|_| Err(StoreError::Corrupt("scripted failure".into())));
         let handle = store.spawn_job("test-failing", store.admit_scrub().unwrap(), failing);
         assert!(matches!(handle.join(), Err(StoreError::Corrupt(m)) if m == "scripted failure"));
-        assert!(store.scrub(&ScrubConfig::default()).unwrap().completed, "slot free after Err");
+        assert!(store.scrub().unwrap().completed, "slot free after Err");
 
         let panicking = Scripted::new(|_| panic!("scripted panic"));
         let handle = store.spawn_job("test-panicking", store.admit_scrub().unwrap(), panicking);
         let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.join()));
         let payload = raised.expect_err("join re-raises the job's panic");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"scripted panic"));
-        assert!(store.scrub(&ScrubConfig::default()).unwrap().completed, "slot free after panic");
+        assert!(store.scrub().unwrap().completed, "slot free after panic");
 
         // The foreground path releases through the same guard.
         let admitted = store.admit_driver().unwrap();
         let failing = Scripted::new(|_| Err(StoreError::NoActiveReshape));
-        assert!(store.run_job(failing, None).is_err());
+        assert!(store.run_job(failing).is_err());
         drop(admitted);
         drop(store.admit_driver().expect("driver slot free again"));
     }
@@ -815,15 +524,8 @@ mod tests {
         let job = Scripted::new(busy);
         let steps = job.steps.clone();
         let handle = store.spawn_job("test-scrub", store.admit_scrub().unwrap(), job);
-        assert!(matches!(store.scrub(&ScrubConfig::default()), Err(StoreError::ScrubInProgress)));
-        assert!(matches!(
-            store.start_scrub(ScrubConfig::default()),
-            Err(StoreError::ScrubInProgress)
-        ));
-        assert!(matches!(
-            store.start_continuous_scrub(ContinuousScrubConfig::default()),
-            Err(StoreError::ScrubInProgress)
-        ));
+        assert!(matches!(store.scrub(), Err(StoreError::ScrubInProgress)));
+        assert!(matches!(store.start_scrub(), Err(StoreError::ScrubInProgress)));
         let seen = steps.load(Ordering::Acquire);
         wait_until("the scrub-slot job to keep stepping", || steps.load(Ordering::Acquire) > seen);
         handle.stop();
@@ -841,7 +543,7 @@ mod tests {
             Err(StoreError::ReshapeDriverInProgress)
         ));
         // The two slots are independent: a scrub is admitted meanwhile.
-        assert!(store.scrub(&ScrubConfig::default()).unwrap().completed);
+        assert!(store.scrub().unwrap().completed);
         let seen = steps.load(Ordering::Acquire);
         wait_until("the driver-slot job to keep stepping", || steps.load(Ordering::Acquire) > seen);
         handle.stop();
@@ -864,13 +566,8 @@ mod tests {
         assert_eq!(checkpoints.load(Ordering::Acquire), 0);
 
         let store = self::store();
-        let handle = store
-            .start_continuous_scrub(ContinuousScrubConfig {
-                idle_ms: 1,
-                ..ContinuousScrubConfig::default()
-            })
-            .unwrap();
-        wait_until("a continuous pass", || store.stats().maintenance.continuous_passes >= 1);
+        let handle = store.start_scrub().unwrap();
+        wait_until("a background pass", || store.stats().integrity.scrub_passes >= 1);
         drop(store);
         wait_until("the orphaned scrubber to end", || handle.is_finished());
         assert!(handle.join().unwrap().passes >= 1);

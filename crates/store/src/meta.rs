@@ -457,9 +457,9 @@ impl ArrayDir {
     /// Persists the checksum table: the barrier's second step
     /// ([`BlockStore::persist`]), which holds `j`.
     ///
-    /// Rather than rewriting the whole table every time (continuous
-    /// scrubbing would turn that into continuous full-table
-    /// rewrites), entries dirtied since the last persist are appended
+    /// Rather than rewriting the whole table every time (a background
+    /// scrub would turn that into back-to-back full-table rewrites),
+    /// entries dirtied since the last persist are appended
     /// as one self-checksummed record to the journal: `"PSL1" + disks
     /// u32 + units u32 + count u32 + count × (disk u32, offset u32,
     /// sum u64) + xxh64(entries)`. The base is rewritten whole (tmp +
@@ -977,7 +977,6 @@ mod tests {
     #[test]
     fn every_checkpoint_syncs_what_it_names() {
         use crate::rebuild::Rebuilder;
-        use crate::scrub::ScrubConfig;
         for (v, k, pq) in [(7, 3, false), (9, 4, true)] {
             for leg in ["rebuild", "reshape_step", "scrub", "complete_reshape"] {
                 let name = format!("{} v={v} k={k} {leg}", if pq { "P+Q" } else { "XOR" });
@@ -1002,7 +1001,7 @@ mod tests {
                     match leg {
                         "rebuild" => Rebuilder::new(2).rebuild(&store, v).map(drop),
                         "reshape_step" => store.reshape_step(1).map(drop),
-                        "scrub" => store.scrub(&ScrubConfig::default()).map(drop),
+                        "scrub" => store.scrub().map(drop),
                         _ => store.complete_reshape().map(drop),
                     }
                 };
@@ -1020,6 +1019,34 @@ mod tests {
                 std::fs::remove_dir_all(&dir).unwrap();
             }
         }
+    }
+
+    /// A foreground scrub over `n` stripes goes through the barrier
+    /// exactly ⌊n/512⌋ + 1 times — every 512 stripes, and once at pass
+    /// end. The counted flush fault lets that many barriers through and
+    /// fails the next flush: the scrub succeeds, and the flush after it
+    /// is the one that fails.
+    #[test]
+    fn scrub_checkpoints_every_512_stripes_and_at_pass_end() {
+        let dir = std::env::temp_dir().join(format!("pdl-meta-scrub-ckpt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let layout = RingLayout::for_v_k(7, 3).layout().clone();
+        let copies = 1300usize.div_ceil(layout.stripes().len());
+        let n = (copies * layout.stripes().len()) as u64;
+        assert!(
+            n > 1024 && !n.is_multiple_of(512),
+            "{n} stripes: more than two checkpoints and a tail"
+        );
+        let file = FileBackend::create(&dir, 7 + 2, copies * layout.size(), 64).unwrap();
+        let backend = FaultyBackend::new(file, FaultConfig::quiet(36));
+        let store = attach(BlockStore::new(layout, backend).unwrap(), ArrayDir::new(&dir)).unwrap();
+        let barriers = n / 512 + 1;
+        store.backend().fail_flush_after(barriers);
+        let report = store.scrub().unwrap();
+        assert_eq!((report.stripes, report.passes), (n, 1));
+        assert!(store.flush().is_err(), "the scrub went through fewer than {barriers} barriers");
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The files that define an array, by name: every disk medium and
@@ -1046,9 +1073,8 @@ mod tests {
         k: usize,
         pq: bool,
     ) -> BlockStore<FaultyBackend<FileBackend>> {
-        use crate::scrub::ScrubConfig;
         let store = faulty_file_store(dir, v, k, pq);
-        assert!(store.scrub(&ScrubConfig::default()).unwrap().completed);
+        assert!(store.scrub().unwrap().completed);
         store.begin_add_disks(&[v]).unwrap();
         while !store.reshape_step(0).unwrap() {}
         store

@@ -1020,9 +1020,8 @@ pub struct StatsSnapshot {
     /// Integrity-subsystem totals: repairs, retries, scrub state, and
     /// per-disk health.
     pub integrity: crate::integrity::IntegrityStatsSnapshot,
-    /// Background-maintenance scheduler state: reshape driver and
-    /// continuous-scrub activity, pacing decisions, and arbitration
-    /// counters.
+    /// Maintenance-runner state: scrub and reshape-driver activity,
+    /// driver, restart and arbitration counters.
     pub maintenance: crate::maintenance::MaintenanceStateSnapshot,
     /// Async I/O engine state — per-disk queue-depth gauges, EWMA
     /// service times, the queue-wait histogram, and the queue-tier
@@ -1175,15 +1174,11 @@ pub fn render_stats(s: &StatsSnapshot) -> String {
     let m = &s.maintenance;
     let _ = writeln!(
         out,
-        "maintenance: scrub {}{} ({} paced pass(es), {} yield(s), {} idle restart(s), step {}, \
-         sleep {}us); driver {} ({} run(s), {} step(s), {} resume(s))",
-        if m.continuous_scrub_active { "continuous" } else { "idle" },
-        if m.continuous_scrub_active { " ACTIVE" } else { "" },
-        m.paced_passes,
+        "maintenance: scrub {} ({} yield(s), {} idle restart(s)); driver {} ({} run(s), {} \
+         step(s), {} resume(s))",
+        if m.scrub_active { "ACTIVE" } else { "idle" },
         m.scrub_yields,
         m.idle_restarts,
-        m.paced_step,
-        m.paced_sleep_us,
         if m.reshape_driver_active { "ACTIVE" } else { "idle" },
         m.driver_runs,
         m.driver_steps,
@@ -1377,8 +1372,8 @@ mod tests {
                 }],
             },
             maintenance: crate::maintenance::MaintenanceStateSnapshot {
-                continuous_scrub_active: true,
-                paced_passes: 3,
+                scrub_active: true,
+                idle_restarts: 3,
                 scrub_yields: 2,
                 driver_runs: 1,
                 ..Default::default()
@@ -1421,8 +1416,8 @@ mod tests {
         assert!(text.contains("rebuild: disk 1"));
         assert!(text.contains("reshape: add -> v=9"));
         assert!(text.contains("integrity: 2 checksum repair(s)"));
-        assert_eq!(back.maintenance.paced_passes, 3);
-        assert!(text.contains("maintenance: scrub continuous ACTIVE (3 paced pass(es)"));
+        assert_eq!(back.maintenance.idle_restarts, 3);
+        assert!(text.contains("maintenance: scrub ACTIVE (2 yield(s), 3 idle restart(s))"));
         let eng = back.engine.as_ref().unwrap();
         assert_eq!(eng.client_submitted, 40);
         assert_eq!(eng.maintenance_deferred, 2);

@@ -21,7 +21,7 @@
 mod support;
 
 use pdl_core::{DoubleParityLayout, RingLayout};
-use pdl_store::{Backend, BlockStore, CachePolicy, FileBackend, MemBackend, ScrubConfig};
+use pdl_store::{Backend, BlockStore, CachePolicy, FileBackend, MemBackend};
 use std::path::PathBuf;
 use std::sync::Arc;
 use support::faulty::{FaultConfig, FaultyBackend};
@@ -62,28 +62,28 @@ fn hostile(seed: u64) -> FaultConfig {
     FaultConfig { corrupt_rate: 0.0008, ..noisy(seed) }
 }
 
-fn xor_faulty_mem(cfg: FaultConfig) -> BlockStore<FaultyBackend<MemBackend>> {
+fn xor_faulty_mem(cfg: FaultConfig) -> Arc<BlockStore<FaultyBackend<MemBackend>>> {
     let layout = RingLayout::for_v_k(7, 3).layout().clone();
     let mem = MemBackend::new(7 + 2, COPIES * layout.size(), UNIT);
-    BlockStore::new(layout, FaultyBackend::new(mem, cfg)).unwrap()
+    Arc::new(BlockStore::new(layout, FaultyBackend::new(mem, cfg)).unwrap())
 }
 
-fn pq_faulty_mem(cfg: FaultConfig) -> BlockStore<FaultyBackend<MemBackend>> {
+fn pq_faulty_mem(cfg: FaultConfig) -> Arc<BlockStore<FaultyBackend<MemBackend>>> {
     let dp = DoubleParityLayout::new(RingLayout::for_v_k(9, 4).layout().clone()).unwrap();
     let mem = MemBackend::new(9 + 2, COPIES * dp.layout().size(), UNIT);
-    BlockStore::new_pq(dp, FaultyBackend::new(mem, cfg)).unwrap()
+    Arc::new(BlockStore::new_pq(dp, FaultyBackend::new(mem, cfg)).unwrap())
 }
 
-fn xor_faulty_file(dir: &PathBuf, cfg: FaultConfig) -> BlockStore<FaultyBackend<FileBackend>> {
+fn xor_faulty_file(dir: &PathBuf, cfg: FaultConfig) -> Arc<BlockStore<FaultyBackend<FileBackend>>> {
     let layout = RingLayout::for_v_k(7, 3).layout().clone();
     let fb = FileBackend::create(dir, 7 + 2, COPIES * layout.size(), UNIT).unwrap();
-    BlockStore::new(layout, FaultyBackend::new(fb, cfg)).unwrap()
+    Arc::new(BlockStore::new(layout, FaultyBackend::new(fb, cfg)).unwrap())
 }
 
-fn pq_faulty_file(dir: &PathBuf, cfg: FaultConfig) -> BlockStore<FaultyBackend<FileBackend>> {
+fn pq_faulty_file(dir: &PathBuf, cfg: FaultConfig) -> Arc<BlockStore<FaultyBackend<FileBackend>>> {
     let dp = DoubleParityLayout::new(RingLayout::for_v_k(9, 4).layout().clone()).unwrap();
     let fb = FileBackend::create(dir, 9 + 2, COPIES * dp.layout().size(), UNIT).unwrap();
-    BlockStore::new_pq(dp, FaultyBackend::new(fb, cfg)).unwrap()
+    Arc::new(BlockStore::new_pq(dp, FaultyBackend::new(fb, cfg)).unwrap())
 }
 
 fn stress_cfg(seed: u64, spare: usize) -> StressConfig {
@@ -121,8 +121,8 @@ fn chaos_xor_mem() {
 fn quiesce_and_prove_clean<B: Backend>(store: &BlockStore<FaultyBackend<B>>, seed: u64) {
     store.backend().set_armed(false);
     store.flush().unwrap();
-    store.scrub(&ScrubConfig::default()).unwrap();
-    let clean = store.scrub(&ScrubConfig::default()).unwrap();
+    store.scrub().unwrap();
+    let clean = store.scrub().unwrap();
     assert_eq!(
         (clean.checksum_repairs, clean.parity_repairs),
         (0, 0),
@@ -197,10 +197,8 @@ fn chaos_scrub_races_live_traffic_and_live_rot() {
     let seeds = seeds_under_test();
     record_seeds("scrub_stress", &seeds);
     for seed in seeds {
-        let store = Arc::new(xor_faulty_mem(noisy(seed)));
-        let handle = store
-            .start_scrub(ScrubConfig { stripes_per_step: 4, sleep_us: 100, checkpoint_stripes: 0 })
-            .unwrap();
+        let store = xor_faulty_mem(noisy(seed));
+        let handle = store.start_scrub().unwrap();
 
         // The rot thread: one unit of one disk at a time (a disk
         // appears at most once per stripe, so single-parity decode
@@ -228,6 +226,13 @@ fn chaos_scrub_races_live_traffic_and_live_rot() {
         let report = stress::run(&store, &cfg).unwrap();
         assert!(report.reads + report.writes > 0, "[chaos seed {seed}] traffic ran");
         rot.join().unwrap();
+        // The loop runs until stopped: stop it once a pass is done.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while store.stats().integrity.scrub_passes < 1 {
+            assert!(std::time::Instant::now() < deadline, "[chaos seed {seed}] no pass finished");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        handle.stop();
         let scrub = handle.join().unwrap();
         assert!(scrub.completed, "[chaos seed {seed}] scrub pass finished under traffic");
         assert!(

@@ -14,6 +14,7 @@ mod support;
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{Backend, BlockStore, CachePolicy, FileBackend, MemBackend, Rebuilder, StoreError};
 use std::path::PathBuf;
+use std::sync::Arc;
 use support::stress::{self, RebuildMode, StressConfig};
 
 const UNIT: usize = 64;
@@ -36,7 +37,7 @@ fn record_seed(name: &str, seed: u64) {
 /// these as artifacts on every run, pass or fail.
 fn run_recorded<B: Backend + 'static>(
     name: &str,
-    store: &BlockStore<B>,
+    store: &Arc<BlockStore<B>>,
     cfg: &StressConfig,
 ) -> stress::StressReport {
     let report = stress::run(store, cfg).unwrap();
@@ -63,25 +64,25 @@ fn with_default_threads(mut cfg: StressConfig, threads: usize) -> StressConfig {
     cfg
 }
 
-fn xor_store_mem() -> BlockStore<MemBackend> {
+fn xor_store_mem() -> Arc<BlockStore<MemBackend>> {
     let layout = RingLayout::for_v_k(9, 4).layout().clone();
     let backend = MemBackend::new(9 + 2, COPIES * layout.size(), UNIT);
-    BlockStore::new(layout, backend).unwrap()
+    Arc::new(BlockStore::new(layout, backend).unwrap())
 }
 
-fn pq_store_mem() -> BlockStore<MemBackend> {
+fn pq_store_mem() -> Arc<BlockStore<MemBackend>> {
     let dp = DoubleParityLayout::new(RingLayout::for_v_k(9, 4).layout().clone()).unwrap();
     let backend = MemBackend::new(9 + 3, COPIES * dp.layout().size(), UNIT);
-    BlockStore::new_pq(dp, backend).unwrap()
+    Arc::new(BlockStore::new_pq(dp, backend).unwrap())
 }
 
 /// Runs `f` with a file-backed XOR store in a fresh temp dir.
-fn with_xor_store_file(name: &str, f: impl FnOnce(BlockStore<FileBackend>)) {
+fn with_xor_store_file(name: &str, f: impl FnOnce(Arc<BlockStore<FileBackend>>)) {
     let dir = std::env::temp_dir().join(format!("pdl-conc-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let layout = RingLayout::for_v_k(9, 4).layout().clone();
     let backend = FileBackend::create(&dir, 9 + 2, COPIES * layout.size(), UNIT).unwrap();
-    f(BlockStore::new(layout, backend).unwrap());
+    f(Arc::new(BlockStore::new(layout, backend).unwrap()));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

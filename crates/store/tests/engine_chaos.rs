@@ -20,10 +20,11 @@ mod support;
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
     Backend, BlockStore, EngineConfig, EngineStatsSnapshot, FileBackend, MemBackend, Rebuilder,
-    RetryPolicy, ScrubConfig,
+    RetryPolicy,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use support::faulty::{FaultConfig, FaultyBackend};
 use support::stress::{self, RebuildMode, StressConfig};
@@ -92,7 +93,7 @@ fn engine_stress_case(
     let seeds = seeds_under_test();
     record_seeds(name, &seeds);
     for seed in seeds {
-        let store = make(noisy(seed));
+        let store = Arc::new(make(noisy(seed)));
         let cfg = StressConfig {
             threads: 3,
             ops_per_thread: 250,
@@ -135,7 +136,7 @@ fn engine_chaos_transients_under_racing_rebuild_file() {
     for seed in seeds {
         let dir =
             std::env::temp_dir().join(format!("pdl-engine-chaos-{}-{seed}", std::process::id()));
-        let store = xor_faulty_file(&dir, noisy(seed));
+        let store = Arc::new(xor_faulty_file(&dir, noisy(seed)));
         let cfg = StressConfig {
             threads: 3,
             ops_per_thread: 250,
@@ -174,13 +175,13 @@ fn engine_scrub_burst_repairs_planted_corruption() {
         store.backend().corrupt_unit(0, 3).unwrap();
         store.backend().corrupt_unit(1, 10).unwrap();
         store.start_engine(EngineConfig::default());
-        let report = store.scrub(&ScrubConfig::default()).unwrap();
+        let report = store.scrub().unwrap();
         assert!(
             report.checksum_repairs >= 2,
             "[chaos seed {seed}] both planted corruptions repaired (got {})",
             report.checksum_repairs
         );
-        let clean = store.scrub(&ScrubConfig::default()).unwrap();
+        let clean = store.scrub().unwrap();
         assert_eq!(
             (clean.checksum_repairs, clean.parity_repairs),
             (0, 0),
@@ -273,7 +274,7 @@ fn engine_torn_write_surfaces_error_without_leaking_tokens() {
             }),
             ("scrub stripe", &|| {
                 fail_one();
-                store.scrub(&ScrubConfig::default()).is_err()
+                store.scrub().is_err()
             }),
             ("rebuild prefetch chunk", &|| {
                 store.fail_disk(2).unwrap();

@@ -15,7 +15,7 @@ mod support;
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
     fill_pattern, open_file_store, Backend, BlockStore, CachePolicy, EngineConfig, Event,
-    EventSink, MemBackend, Rebuilder, RetryPolicy, ScrubConfig, StoreError,
+    EventSink, MemBackend, Rebuilder, RetryPolicy, StoreError,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,7 +103,7 @@ fn scrub_repairs_every_injected_latent_error_xor() {
     let injected = store.backend().corruptions().len() as u64;
     assert!(injected > 10, "seed must inject a meaningful batch, got {injected}");
 
-    let report = store.scrub(&ScrubConfig::default()).unwrap();
+    let report = store.scrub().unwrap();
     assert!(report.completed);
     assert_eq!(
         report.checksum_repairs, injected,
@@ -117,7 +117,7 @@ fn scrub_repairs_every_injected_latent_error_xor() {
     sweep(&store, SEED, "xor post-scrub");
     store.verify_parity().unwrap();
     // A second pass finds a clean array.
-    let again = store.scrub(&ScrubConfig::default()).unwrap();
+    let again = store.scrub().unwrap();
     assert_eq!((again.checksum_repairs, again.parity_repairs), (0, 0));
     assert_eq!(store.stats().integrity.scrub_passes, 2);
 }
@@ -144,7 +144,7 @@ fn scrub_repairs_latent_errors_while_degraded_pq() {
     store.backend().wipe_disk(store.physical_disk(5)).unwrap();
     store.fail_disk(5).unwrap();
 
-    let report = store.scrub(&ScrubConfig::default()).unwrap();
+    let report = store.scrub().unwrap();
     assert!(report.completed);
     assert_eq!(
         report.checksum_repairs, injected,
@@ -174,7 +174,7 @@ fn scrub_repair_reads_are_declustered() {
     }
     let before: Vec<u64> =
         (0..store.v()).map(|d| store.backend().read_count(store.physical_disk(d))).collect();
-    let report = store.scrub(&ScrubConfig::default()).unwrap();
+    let report = store.scrub().unwrap();
     assert_eq!(report.checksum_repairs, units as u64, "whole disk repaired");
     let deltas: Vec<u64> = (0..store.v())
         .map(|d| store.backend().read_count(store.physical_disk(d)) - before[d])
@@ -192,17 +192,21 @@ fn scrub_repair_reads_are_declustered() {
 }
 
 /// Crash-resume proof on a real file store: a background scrub is
-/// stopped mid-pass (its cursor checkpoints into `store.json` v4),
-/// the store is closed and reopened, and the next pass must resume
-/// from the persisted cursor — not restart — and still repair every
-/// remaining corruption.
+/// stopped mid-pass (the stop checkpoints its cursor into
+/// `store.json`), the store is closed and reopened, and the next pass
+/// must resume from the persisted cursor — not restart — and still
+/// repair every remaining corruption.
 #[test]
 fn crashed_scrub_resumes_at_persisted_cursor() {
     let dir = std::env::temp_dir().join(format!("pdl-scrub-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let layout = RingLayout::for_v_k(7, 3).layout().clone();
-    {
-        let store = pdl_store::create_file_store(&dir, layout, UNIT, COPIES, 1).unwrap();
+    // Enough copies that a pass far outlasts the stop: the loop's
+    // first step is 64 stripes, and a stop lands a few steps later.
+    let copies = 8192usize.div_ceil(layout.stripes().len());
+    let total = (copies * layout.stripes().len()) as u64;
+    let stopped_at = {
+        let store = pdl_store::create_file_store(&dir, layout, UNIT, copies, 1).unwrap();
         fill(&store, SEED);
         store.flush().unwrap();
         // Latent errors through the backend (no checksum updates).
@@ -214,12 +218,10 @@ fn crashed_scrub_resumes_at_persisted_cursor() {
             store.backend().write_unit(pd, off, &buf).unwrap();
         }
 
-        // Scrub slowly in the background, checkpointing every few
-        // stripes, and "crash" (stop) partway through the pass.
+        // Scrub in the background and "crash" (stop) partway through
+        // the pass; the stop checkpoints the cursor.
         let store = Arc::new(store);
-        let handle = store
-            .start_scrub(ScrubConfig { stripes_per_step: 2, sleep_us: 300, checkpoint_stripes: 2 })
-            .unwrap();
+        let handle = store.start_scrub().unwrap();
         while store.stats().integrity.scrub_cursor < 8 {
             std::thread::yield_now();
         }
@@ -227,20 +229,22 @@ fn crashed_scrub_resumes_at_persisted_cursor() {
         let partial = handle.join().unwrap();
         assert!(!partial.completed, "the pass must have been interrupted");
         assert!(partial.stripes > 0, "the pass must have made progress");
-    }
+        store.stats().integrity.scrub_cursor
+    };
 
-    // Reopen: the persisted v4 cursor comes back…
+    // Reopen: the cursor the stop persisted comes back…
     let store = open_file_store(&dir).unwrap();
     let resumed_at = store.stats().integrity.scrub_cursor;
     assert!(resumed_at >= 8, "persisted cursor survives reopen, got {resumed_at}");
+    assert_eq!(resumed_at, stopped_at, "the stop checkpointed the live cursor");
     // …and the next pass resumes there instead of restarting.
-    let report = store.scrub(&ScrubConfig::default()).unwrap();
+    let report = store.scrub().unwrap();
     assert_eq!(report.resumed_from, resumed_at);
     assert!(report.completed);
-    let total = (COPIES * RingLayout::for_v_k(7, 3).layout().stripes().len()) as u64;
+    assert_eq!(report.passes, 1);
     assert_eq!(report.stripes, total - resumed_at, "only the unscanned tail is walked");
     // One more full pass from zero proves the whole array is clean.
-    let clean = store.scrub(&ScrubConfig::default()).unwrap();
+    let clean = store.scrub().unwrap();
     assert_eq!((clean.checksum_repairs, clean.parity_repairs), (0, 0));
     sweep(&store, SEED, "post-resume");
     store.verify_parity().unwrap();
@@ -283,7 +287,7 @@ fn torn_writes_self_heal_to_old_or_new() {
     assert!(store.backend().injected_transients() >= 4);
 
     // Scrub re-establishes parity consistency over whatever landed.
-    store.scrub(&ScrubConfig::default()).unwrap();
+    store.scrub().unwrap();
     store.verify_parity().unwrap();
     let mut got = vec![0u8; UNIT];
     let mut old = vec![0u8; UNIT];
@@ -336,7 +340,7 @@ fn health_monitor_auto_fails_decaying_disk_and_rebuild_recovers() {
     store.verify_parity().unwrap();
     // The replacement spare now serves reads with recorded checksums:
     // a clean scrub confirms end-to-end integrity survived the cycle.
-    let report = store.scrub(&ScrubConfig::default()).unwrap();
+    let report = store.scrub().unwrap();
     assert_eq!(report.checksum_repairs, 0, "rebuilt data carries fresh checksums");
     store.verify_parity().unwrap();
 }

@@ -1,5 +1,5 @@
 //! Background-maintenance suite: the store-owned reshape driver and
-//! continuous load-aware scrubbing, alone and racing each other under
+//! the background (paced, pass after pass) scrubber, alone and racing each other under
 //! client traffic (the CI maintenance matrix runs the `${mode}_${backend}`
 //! tests at 2/4/8 threads under both cache policies), plus the
 //! kill-and-reopen battery proving a stopped driver resumes at the
@@ -14,9 +14,8 @@ mod support;
 
 use pdl_core::RingLayout;
 use pdl_store::{
-    create_file_store, fill_pattern, open_file_store, Backend, BlockStore, ContinuousScrubConfig,
-    FileBackend, MemBackend, ReshapeDriverConfig, ScrubConfig, StoreError, SUMS_FILE,
-    SUMS_LOG_FILE,
+    create_file_store, fill_pattern, open_file_store, Backend, BlockStore, FileBackend, MemBackend,
+    ReshapeDriverConfig, StoreError, SUMS_FILE, SUMS_LOG_FILE,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -101,51 +100,58 @@ fn wait_for<B: Backend>(
     }
 }
 
-/// The continuous scrubber on an idle store: passes complete back to
-/// back, the idle interval fires auto-restarts, a second scrub of any
-/// flavor is refused while the loop owns the slot, and the
-/// accumulated report agrees with the scheduler counters.
+/// The background scrubber on an idle store: passes complete back to
+/// back, each rest ends in a restart, a second scrub is refused while
+/// the loop owns the slot, and the report agrees with the store's
+/// counters.
 fn scrub_continuous_case<B: Backend + 'static>(store: Arc<BlockStore<B>>) {
     prefill(&store, 0x5eed);
-    let cfg = ContinuousScrubConfig { idle_ms: 5, ..ContinuousScrubConfig::default() };
-    let handle = store.start_continuous_scrub(cfg.clone()).unwrap();
+    let handle = store.start_scrub().unwrap();
 
-    // Auto-restart satellite: at least one full pass, one idle wait,
-    // and one restarted pass must be observable from stats alone.
-    wait_for(&store, Duration::from_secs(30), "two continuous passes", |s| {
-        s.maintenance.continuous_passes >= 2 && s.maintenance.idle_restarts >= 1
+    // At least one full pass, one rest, and one restarted pass must be
+    // observable from stats alone.
+    wait_for(&store, Duration::from_secs(30), "two background passes", |s| {
+        s.integrity.scrub_passes >= 2 && s.maintenance.idle_restarts >= 1
     });
     let live = store.stats();
-    assert!(live.maintenance.continuous_scrub_active, "loop advertises itself in stats");
+    assert!(live.maintenance.scrub_active, "loop advertises itself in stats");
     assert!(
-        matches!(store.scrub(&ScrubConfig::default()), Err(StoreError::ScrubInProgress)),
+        matches!(store.scrub(), Err(StoreError::ScrubInProgress)),
         "foreground scrub admission is refused while the loop runs"
     );
     assert!(
-        matches!(store.start_continuous_scrub(cfg), Err(StoreError::ScrubInProgress)),
-        "a second continuous loop is refused"
+        matches!(store.start_scrub(), Err(StoreError::ScrubInProgress)),
+        "a second background loop is refused"
     );
 
     handle.stop();
     let report = handle.join().unwrap();
     assert!(report.passes >= 2, "expected >=2 completed passes, got {}", report.passes);
-    assert!(report.idle_restarts >= 1, "idle interval never fired a restart");
+    assert!(report.completed);
     assert!(report.stripes > 0);
     assert_eq!(report.checksum_repairs, 0, "clean store needs no repairs");
     assert_eq!(report.parity_repairs, 0);
 
     let after = store.stats();
-    assert!(!after.maintenance.continuous_scrub_active, "flag cleared on join");
-    assert!(after.maintenance.continuous_passes >= report.passes);
-    // The slot is free again: a foreground paced pass runs clean.
-    let pass = store
-        .scrub_paced(&ContinuousScrubConfig::default())
-        .expect("slot released after the loop stopped");
+    assert!(!after.maintenance.scrub_active, "flag cleared on join");
+    assert_eq!(after.integrity.scrub_passes, report.passes, "every pass was the loop's");
+    // Every pass but the first opened after a rest; a pass opened
+    // after the last rest may have been cut by the stop.
+    let restarts = after.maintenance.idle_restarts;
+    assert!(
+        restarts == report.passes - 1 || restarts == report.passes,
+        "{restarts} restarts for {} passes",
+        report.passes
+    );
+    // The slot is free again: a foreground pass runs clean.
+    let pass = store.scrub().expect("slot released after the loop stopped");
     assert!(pass.completed);
+    assert_eq!(pass.passes, 1);
     assert_eq!(pass.checksum_repairs, 0);
-    let done = store.stats().maintenance;
-    assert_eq!(done.paced_passes, after.maintenance.paced_passes + 1, "one pass per call");
-    assert_eq!(done.scrub_yields, 0, "no reshape ran, so no scrub ever yielded to one");
+    let done = store.stats();
+    assert_eq!(done.integrity.scrub_passes, report.passes + 1, "one pass per call");
+    assert_eq!(done.maintenance.idle_restarts, restarts, "a foreground pass never rests");
+    assert_eq!(done.maintenance.scrub_yields, 0, "no reshape ran, so no scrub ever yielded to one");
     store.verify_parity().unwrap();
 }
 
@@ -273,11 +279,11 @@ fn maintenance_shrink_reshape_driver_file() {
 }
 
 /// Both maintenance tasks racing full client traffic: the stress
-/// harness's `BackgroundMaintenance` mode runs a continuous scrubber
-/// *and* a background add-disks driver under the seeded mixed
-/// workload. The reshape must commit, the scrubber must have run, and
-/// the array must verify.
-fn both_racing_case<B: Backend + 'static>(name: &str, store: &BlockStore<B>) {
+/// harness's `BackgroundMaintenance` mode runs a background scrubber
+/// *and* an add-disks driver under the seeded mixed workload. The
+/// reshape must commit, the scrubber must have run, and the array
+/// must verify.
+fn both_racing_case<B: Backend + 'static>(name: &str, store: &Arc<BlockStore<B>>) {
     let cfg = with_default_threads(base_config(name), 8);
     let cfg = StressConfig { rebuild: RebuildMode::BackgroundMaintenance { added: 1 }, ..cfg };
     let report = stress::run(store, &cfg).unwrap();
@@ -287,29 +293,28 @@ fn both_racing_case<B: Backend + 'static>(name: &str, store: &BlockStore<B>) {
 
     let reshape = report.reshape.as_ref().expect("background driver committed the reshape");
     assert_eq!(reshape.to_v, 10);
-    let scrub = report.scrub.as_ref().expect("continuous scrubber ran");
+    let scrub = report.scrub.as_ref().expect("background scrubber ran");
     assert!(scrub.stripes > 0 || scrub.passes > 0, "scrubber did some work");
     assert_eq!(report.stats.maintenance.driver_runs, 1);
     assert!(!report.stats.maintenance.reshape_driver_active);
-    assert!(!report.stats.maintenance.continuous_scrub_active);
+    assert!(!report.stats.maintenance.scrub_active);
     assert_eq!(store.v(), 10);
     store.verify_parity().unwrap();
 }
 
 #[test]
 fn maintenance_both_racing_mem() {
-    let store = xor_store_mem();
-    both_racing_case("maint_both_racing_mem", &store);
+    both_racing_case("maint_both_racing_mem", &Arc::new(xor_store_mem()));
 }
 
 #[test]
 fn maintenance_both_racing_file() {
     with_xor_store_file("both-racing", |store| {
-        both_racing_case("maint_both_racing_file", &store);
+        both_racing_case("maint_both_racing_file", &Arc::new(store));
     });
 }
 
-/// The acceptance battery: a file store running a continuous scrub, a
+/// The acceptance battery: a file store running a background scrub, a
 /// background add-disks driver, and live writes is stopped mid-flight
 /// (the driver checkpoints its cursor) and dropped — the kill. The
 /// reopened store must resume the reshape at the persisted cursor
@@ -327,13 +332,7 @@ fn maintenance_driver_resumes_at_persisted_cursor_file() {
         prefill(&store, seed);
         let salts: Vec<AtomicU64> = (0..store.blocks()).map(|_| AtomicU64::new(seed)).collect();
 
-        let scrub = store
-            .start_continuous_scrub(ContinuousScrubConfig {
-                idle_ms: 1,
-                load_budget: 0.3,
-                ..ContinuousScrubConfig::default()
-            })
-            .unwrap();
+        let scrub = store.start_scrub().unwrap();
         let joining = vec![spares(&*store)[0]];
         store.begin_add_disks(&joining).unwrap();
         let driver = store
@@ -407,8 +406,8 @@ fn maintenance_driver_resumes_at_persisted_cursor_file() {
             fill_pattern(addr, s.load(Ordering::Acquire), &mut want);
             assert_eq!(got, want, "seed {seed:x}: block {addr} not bit-exact after resume");
         }
-        reopened.scrub(&ScrubConfig::default()).unwrap();
-        let clean = reopened.scrub(&ScrubConfig::default()).unwrap();
+        reopened.scrub().unwrap();
+        let clean = reopened.scrub().unwrap();
         assert_eq!(clean.checksum_repairs, 0, "seed {seed:x}: second scrub is clean");
         assert_eq!(clean.parity_repairs, 0);
         reopened.verify_parity().unwrap();
@@ -521,7 +520,7 @@ fn maintenance_torn_sums_log_crash_window_file() {
     // Replay proof: if the reopened table still held the base's stale
     // sums for the rewritten blocks, the scrub would "repair" them.
     let store = open_file_store(&dir).unwrap();
-    let report = store.scrub(&ScrubConfig::default()).unwrap();
+    let report = store.scrub().unwrap();
     assert_eq!(report.checksum_repairs, 0, "log replay restored the fresh sums");
     for addr in 0..8 {
         store.read_block(addr, &mut buf).unwrap();
@@ -545,7 +544,7 @@ fn maintenance_torn_sums_log_crash_window_file() {
         f.write_all(garbage).unwrap();
         drop(f);
         let store = open_file_store(&dir).unwrap();
-        let report = store.scrub(&ScrubConfig::default()).unwrap();
+        let report = store.scrub().unwrap();
         assert_eq!(report.checksum_repairs, 0, "torn tail ignored, complete prefix still applied");
         store.verify_parity().unwrap();
         drop(store);

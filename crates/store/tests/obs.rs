@@ -286,12 +286,96 @@ fn parity_mismatch_reports_stripe_context() {
     }
 }
 
+/// The scrub events in `log`: the cursor of every `ScrubStarted`, and
+/// the number and summed `(stripes, checksum, parity)` counts of the
+/// `ScrubCompleted`s. Panics if the log dropped any event.
+fn scrub_events(log: &TraceLog) -> (Vec<u64>, u64, (u64, u64, u64)) {
+    let events = log.events();
+    assert_eq!(log.recorded(), events.len() as u64, "the trace log dropped events");
+    let (mut starts, mut completed, mut sums) = (Vec::new(), 0, (0, 0, 0));
+    for e in events {
+        match e {
+            Event::ScrubStarted { cursor } => starts.push(cursor),
+            Event::ScrubCompleted { stripes, checksum_repairs, parity_repairs } => {
+                completed += 1;
+                sums = (sums.0 + stripes, sums.1 + checksum_repairs, sums.2 + parity_repairs);
+            }
+            _ => {}
+        }
+    }
+    (starts, completed, sums)
+}
+
+/// Flips a byte of unit `offset` on logical disk `disk`'s medium,
+/// behind the checksum table's back.
+fn rot(store: &BlockStore<MemBackend>, disk: usize, offset: usize) {
+    let pd = store.physical_disk(disk);
+    let mut buf = vec![0u8; UNIT];
+    store.backend().read_unit(pd, offset, &mut buf).unwrap();
+    buf[0] ^= 0xa5;
+    store.backend().write_unit(pd, offset, &buf).unwrap();
+}
+
+/// Every scrub pass is bracketed by events: one `ScrubStarted` per
+/// pass, the first at the report's `resumed_from`, and one
+/// `ScrubCompleted` per finished pass, whose counts sum to the
+/// `ScrubReport`'s — for one foreground pass, and for a background
+/// loop stopped after two passes.
+#[test]
+fn scrub_events_bracket_every_pass() {
+    let store = Arc::new(ring_store(7, 3, 8));
+    fill(&store);
+    let total = (8 * RingLayout::for_v_k(7, 3).layout().stripes().len()) as u64;
+
+    let log = Arc::new(TraceLog::with_capacity(1 << 16));
+    store.set_event_sink(Some(log.clone()));
+    for offset in [0, 5, 10] {
+        rot(&store, 3, offset);
+    }
+    let fg = store.scrub().unwrap();
+    assert_eq!((fg.passes, fg.stripes, fg.checksum_repairs), (1, total, 3));
+    let (starts, completed, sums) = scrub_events(&log);
+    assert_eq!(starts, vec![fg.resumed_from]);
+    assert_eq!(completed, 1);
+    assert_eq!(sums, (fg.stripes, fg.checksum_repairs, fg.parity_repairs));
+
+    let log = Arc::new(TraceLog::with_capacity(1 << 16));
+    store.set_event_sink(Some(log.clone()));
+    for offset in [1, 6] {
+        rot(&store, 3, offset);
+    }
+    let handle = store.start_scrub().unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while store.stats().integrity.scrub_passes < 1 + 2 {
+        assert!(std::time::Instant::now() < deadline, "timed out waiting for two passes");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    handle.stop();
+    let bg = handle.join().unwrap();
+    assert!(bg.passes >= 2 && bg.completed, "{bg:?}");
+    assert_eq!(bg.checksum_repairs, 2, "the rot is repaired once, by the first pass");
+    let (starts, completed, sums) = scrub_events(&log);
+    assert!(starts.len() as u64 >= bg.passes, "a ScrubStarted per pass: {starts:?}");
+    assert_eq!(starts[0], bg.resumed_from);
+    assert!(starts[1..].iter().all(|&c| c == 0), "later passes start from the top: {starts:?}");
+    assert_eq!(completed, bg.passes);
+    assert_eq!((sums.1, sums.2), (bg.checksum_repairs, bg.parity_repairs));
+    // A pass the stop cut short started but did not complete; its
+    // stripes are in the report only.
+    match starts.len() as u64 - bg.passes {
+        0 => assert_eq!(sums.0, bg.stripes),
+        1 => assert!(sums.0 <= bg.stripes && bg.stripes - sums.0 < total),
+        extra => panic!("{extra} passes started but never completed"),
+    }
+    store.set_event_sink(None);
+}
+
 /// The stress harness carries a stats snapshot describing its own
 /// workload and (racing mode) live rebuild-progress samples, and its
 /// `stats.json` payload parses back.
 #[test]
 fn stress_report_carries_stats_snapshot() {
-    let store = ring_store(9, 4, 64);
+    let store = Arc::new(ring_store(9, 4, 64));
     let cfg = StressConfig {
         threads: 3,
         ops_per_thread: 300,

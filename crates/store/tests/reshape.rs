@@ -16,8 +16,8 @@ mod support;
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
     create_file_store, create_file_store_pq, fill_pattern, open_file_store, Backend, BlockStore,
-    CachePolicy, FileBackend, MemBackend, Rebuilder, ReshapeDriverConfig, ReshapeState,
-    ScrubConfig, StoreError, StoreMeta, META_FILE,
+    CachePolicy, FileBackend, MemBackend, Rebuilder, ReshapeDriverConfig, ReshapeState, StoreError,
+    StoreMeta, META_FILE,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -337,7 +337,7 @@ fn crash_resume_at_every_checkpoint_file() {
     let seed = 0xc4a5_u64;
     let blocks = store.blocks();
     prefill(&store, seed);
-    assert!(store.scrub(&ScrubConfig::default()).unwrap().completed);
+    assert!(store.scrub().unwrap().completed);
     assert_eq!(store.stats().integrity.scrub_passes, 1);
     store.begin_add_disks(&[5]).unwrap();
     // Snapshot 0 is the begin checkpoint (cursor 0); one more follows

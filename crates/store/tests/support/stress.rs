@@ -24,14 +24,13 @@
 //! and every panic message carries the seed.
 
 use pdl_store::{
-    fill_pattern, Backend, BlockStore, CachePolicy, ContinuousScrubConfig, ContinuousScrubReport,
-    EngineConfig, RebuildProgress, RebuildReport, Rebuilder, ReshapeDriverConfig, ReshapeReport,
-    StatsSnapshot, StoreError,
+    fill_pattern, Backend, BlockStore, CachePolicy, EngineConfig, RebuildProgress, RebuildReport,
+    Rebuilder, ReshapeDriverConfig, ReshapeReport, ScrubReport, StatsSnapshot, StoreError,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How (and whether) a rebuild participates in a stress run.
@@ -67,9 +66,9 @@ pub enum RebuildMode {
         /// How many of the highest-numbered logical disks leave.
         removed: usize,
     },
-    /// The full background-maintenance gauntlet: a *continuous*
-    /// paced scrub ([`BlockStore::run_continuous_scrub`]) runs for
-    /// the whole client phase while a background reshape *driver*
+    /// The full background-maintenance gauntlet: a background scrub
+    /// ([`BlockStore::start_scrub`], paced passes back to back) runs
+    /// for the whole client phase while a reshape *driver*
     /// ([`BlockStore::drive_reshape`]) grows the array — scrub
     /// yields to reshape, both pace against the live traffic, and
     /// the final sweep still demands bit-exact content.
@@ -179,9 +178,9 @@ pub struct StressReport {
     pub rebuild: Option<RebuildReport>,
     /// The reshape's report, when a racing reshape mode ran.
     pub reshape: Option<ReshapeReport>,
-    /// The continuous scrubber's accumulated report, when
+    /// The background scrubber's report, when
     /// [`RebuildMode::BackgroundMaintenance`] ran.
-    pub scrub: Option<ContinuousScrubReport>,
+    pub scrub: Option<ScrubReport>,
     /// The store's observability snapshot, taken after the traffic
     /// (and any rebuild and cache drain) but before the verification
     /// sweep — so its counters describe the workload, not the checker.
@@ -223,16 +222,19 @@ struct ThreadTally {
 
 /// Drives `cfg.threads` client threads of seeded mixed traffic
 /// against `store`, then sweeps the whole store verifying every block
-/// bit-for-bit and (on a healthy array) the parity invariants.
+/// bit-for-bit and (on a healthy array) the parity invariants. The
+/// store is shared because [`RebuildMode::BackgroundMaintenance`]
+/// starts a background scrub on it.
 ///
 /// # Panics
 ///
 /// Panics — with the seed in the message — on any content mismatch,
 /// so test and CI failures are replayable via `PDL_STRESS_SEED`.
 pub fn run<B: Backend + 'static>(
-    store: &BlockStore<B>,
+    shared: &Arc<BlockStore<B>>,
     cfg: &StressConfig,
 ) -> Result<StressReport, StoreError> {
+    let store: &BlockStore<B> = shared;
     let blocks = store.blocks();
     let unit = store.unit_size();
     store.set_cache_policy(cfg.cache)?;
@@ -308,14 +310,19 @@ pub fn run<B: Backend + 'static>(
 
     let progress_samples: Mutex<Vec<RebuildProgress>> = Mutex::new(Vec::new());
     let rebuild_done = AtomicBool::new(false);
-    let scrub_stop = AtomicBool::new(false);
+    // Background scrub: paced passes from before the first client op
+    // until it is told to stop, below.
+    let scrubber = match cfg.rebuild {
+        RebuildMode::BackgroundMaintenance { .. } => Some(shared.start_scrub()?),
+        _ => None,
+    };
     // Racing work runs on scoped threads that *return* their results;
     // joining one re-raises its own panic payload — the message that
     // names the failing seed — instead of a secondhand one.
     fn join<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
         h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
     }
-    let (tallies, rebuild, reshape, scrub) = std::thread::scope(|s| {
+    let (tallies, rebuild, reshape) = std::thread::scope(|s| {
         let rebuild_thread = match cfg.rebuild {
             RebuildMode::Racing { spare } => {
                 // Poll live rebuild progress while the rebuild overlaps
@@ -343,20 +350,6 @@ pub fn run<B: Backend + 'static>(
             }
             _ => None,
         };
-        // Continuous scrub: paced passes from before the first client
-        // op until it is told to stop, below.
-        let scrub_thread =
-            matches!(cfg.rebuild, RebuildMode::BackgroundMaintenance { .. }).then(|| {
-                let scrub_stop = &scrub_stop;
-                s.spawn(move || {
-                    let cfg = ContinuousScrubConfig {
-                        idle_ms: 1,
-                        load_budget: 0.3,
-                        ..ContinuousScrubConfig::default()
-                    };
-                    store.run_continuous_scrub(&cfg, scrub_stop)
-                })
-            });
         // Reshape modes: the whole reshape — begin, migration batches,
         // commit flip — starts 2 ms in, so it races in-flight writes.
         let reshape_thread = match cfg.rebuild {
@@ -392,13 +385,13 @@ pub fn run<B: Backend + 'static>(
             .collect();
         let tallies: Vec<ThreadTally> = handles.into_iter().map(join).collect();
         let reshape = reshape_thread.map(join);
-        if let (Some(scrubber), Some(Ok(_))) = (&scrub_thread, &reshape) {
+        if let (Some(scrubber), Some(Ok(_))) = (&scrubber, &reshape) {
             // Stop the scrubber by order, not by luck. It legitimately
             // parks for the whole reshape, so when the clients finish
             // before the commit it may not have verified a stripe yet.
             // The reshape is committed (joined above): give the
             // scrubber one post-commit batch — its cursor or pass
-            // count moves — before raising the stop flag. Bounded, and
+            // count moves — before it is stopped below. Bounded, and
             // cut short if the scrubber already ended on an error.
             let scrub_pos = || {
                 let s = store.stats().integrity;
@@ -412,11 +405,14 @@ pub fn run<B: Backend + 'static>(
                 std::thread::sleep(Duration::from_micros(200));
             }
         }
-        // Release the continuous scrubber *inside* the scope — the
-        // scope's implicit join would otherwise wait on a loop that
-        // only stops when told to.
-        scrub_stop.store(true, Ordering::Release);
-        (tallies, rebuild_thread.map(join), reshape, scrub_thread.map(join))
+        (tallies, rebuild_thread.map(join), reshape)
+    });
+    // The scrubber loops until told to stop; its stop checkpoints.
+    let scrub = scrubber.map(|h| {
+        h.stop();
+        h.join().unwrap_or_else(|e| {
+            panic!("[stress seed {} threads {threads}] background scrub: {e}", cfg.seed)
+        })
     });
 
     let rebuild = match (rebuild, cfg.rebuild) {
@@ -426,11 +422,6 @@ pub fn run<B: Backend + 'static>(
     };
     let reshape = reshape.map(|r| {
         r.unwrap_or_else(|e| panic!("[stress seed {} threads {threads}] reshape: {e}", cfg.seed))
-    });
-    let scrub = scrub.map(|r| {
-        r.unwrap_or_else(|e| {
-            panic!("[stress seed {} threads {threads}] continuous scrub: {e}", cfg.seed)
-        })
     });
 
     // Drain the write-back cache off the clock: the final sweep then
