@@ -41,8 +41,10 @@
 //! a durability promise — a crash part-way through a write round may
 //! leave any subset of its runs landed (ROADMAP item 1 owns that).
 //!
-//! Run formation (sorting, gap bridging, adjacency) and checksum
-//! verification, repair and recording stay with the callers.
+//! [`Io`] is the only writer to a backend, and [`Io::land`] the only
+//! recorder of a write's checksums. Run formation (sorting, gap
+//! bridging, adjacency) and checksum verification and repair stay with
+//! the callers.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -182,18 +184,15 @@ impl<B: Backend> Io<'_, B> {
     }
 
     /// Writes every run from its sources: [`Io::submit_writes`], then
-    /// [`Io::land`]. `landed(i)` is called once for each run whose
-    /// write reached the backend — also when the call as a whole fails
-    /// — so the caller records exactly those checksums.
+    /// [`Io::land`].
     pub(crate) fn write_runs(
         &self,
         runs: &[Run],
         srcs: &[&[u8]],
         prio: Priority,
-        landed: impl FnMut(usize),
     ) -> Result<(), StoreError> {
         let round = self.submit_writes(runs, srcs, prio);
-        self.land(round, runs, srcs, landed)
+        self.land(round, runs, srcs)
     }
 
     /// Submits a write round and returns with its queued runs still in
@@ -221,24 +220,31 @@ impl<B: Backend> Io<'_, B> {
     }
 
     /// Waits for every queued run of `round`, submitted from `runs` and
-    /// `srcs`, and reports the first error once none is in flight.
-    /// `landed(i)` is called in run order for each run that reached the
-    /// backend, as in [`Io::write_runs`].
+    /// `srcs`, and reports the first error once none is in flight. It
+    /// records the checksum of every unit of every run that reached the
+    /// backend, in run order, also when another run fails the call.
     pub(crate) fn land(
         &self,
         round: Writes,
         runs: &[Run],
         srcs: &[&[u8]],
-        mut landed: impl FnMut(usize),
     ) -> Result<(), StoreError> {
+        let us = self.backend.unit_size();
+        let record = |i: usize| {
+            let run = &runs[i];
+            let units = srcs[run.parts.clone()].iter().flat_map(|src| src.chunks_exact(us));
+            for (t, unit) in units.enumerate() {
+                self.integrity.sums.record(run.disk, run.first + t, unit);
+            }
+        };
         match round {
-            Writes::Issued { landed: n, err } => {
-                (0..n).for_each(&mut landed);
+            Writes::Issued { landed, err } => {
+                (0..landed).for_each(record);
                 err.map_or(Ok(()), Err)
             }
             Writes::Routed(slots) => {
                 let inline = |run: &Run, _: &mut ()| self.write_inline(run, srcs);
-                self.drain(runs, slots, &mut (), inline, |i, _, _| landed(i))
+                self.drain(runs, slots, &mut (), inline, |i, _, _| record(i))
             }
         }
     }
@@ -352,9 +358,9 @@ mod tests {
     }
 
     /// Writes three runs (one unit, a three-source gather, one
-    /// two-unit source), reads them back as a unit, a scatter with a
-    /// discarded hole and a span, and checks every buffer got its own
-    /// bytes.
+    /// two-unit source) and checks every unit's sum was recorded, then
+    /// reads them back as a unit, a scatter with a discarded hole and a
+    /// span, and checks every buffer got its own bytes.
     fn roundtrip<B: Backend>(io: &Io<'_, B>) {
         let unit = |tag: u8| vec![tag; US];
         let (a, b, c, d) = (unit(1), unit(2), unit(3), [unit(4), unit(5)].concat());
@@ -363,9 +369,22 @@ mod tests {
             Run { disk: 1, first: 0, parts: 1..4 },
             Run { disk: 2, first: 6, parts: 4..5 },
         ];
+        (0..3).for_each(|disk| io.integrity.sums.clear_disk(disk));
+        io.write_runs(&runs, &[&a, &b, &c, &a, &d], Priority::Client).unwrap();
+        let units = [
+            (0, 3, &a[..]),
+            (1, 0, &b),
+            (1, 1, &c),
+            (1, 2, &a),
+            (2, 6, &d[..US]),
+            (2, 7, &d[US..]),
+        ];
+        for (disk, offset, unit) in units {
+            let sums = &io.integrity.sums;
+            assert!(sums.recorded(disk, offset), "unit ({disk}, {offset}) has no sum");
+            assert!(sums.check(disk, offset, unit), "unit ({disk}, {offset}) has another's sum");
+        }
         let mut landed = Vec::new();
-        io.write_runs(&runs, &[&a, &b, &c, &a, &d], Priority::Client, |i| landed.push(i)).unwrap();
-        assert_eq!(landed, [0, 1, 2], "every run lands, in submission order");
         let mut got = [unit(0), unit(0), unit(0), unit(0), vec![0; 2 * US]];
         let mut bufs: Vec<&mut [u8]> = got.iter_mut().map(Vec::as_mut_slice).collect();
         io.read_runs(&runs, &mut bufs, Priority::Maintenance, |i, bufs| {
@@ -373,7 +392,7 @@ mod tests {
             assert_eq!(bufs[runs[i].parts.start][0], [1, 2, 4][i], "run {i} is in place when told");
         })
         .unwrap();
-        assert_eq!(landed, [0, 1, 2, 0, 1, 2]);
+        assert_eq!(landed, [0, 1, 2], "every run lands, in run order");
         // The first two runs again, into one staging buffer: run 1's
         // three units follow run 0's one.
         let mut staged = vec![0; 4 * US];
@@ -414,6 +433,48 @@ mod tests {
         assert_eq!(eng.snapshot().completed, 8, "nothing ran on the stopped engine");
     }
 
+    /// A write round one of whose runs fails records the sums of
+    /// exactly the runs that reached the medium: with the engine off
+    /// the runs before the failure, with it on (every run queued) the
+    /// two that did not fail, whichever fails first.
+    #[test]
+    fn a_failed_write_round_records_exactly_the_runs_that_landed() {
+        for engine in [false, true] {
+            let backend = stalling(3, 1);
+            let integrity = Arc::new(Integrity::new(3, 8));
+            let eng = engine.then(|| {
+                Engine::start(backend.clone(), integrity.clone(), EngineConfig::default())
+            });
+            let io = Io { backend: &*backend, integrity: &integrity, engine: eng.clone() };
+            let (unit, span) = (vec![1; US], vec![2; 3 * US]);
+            let srcs: [&[u8]; 3] = [&unit, &span, &unit];
+            let runs = [
+                Run { disk: 0, first: 1, parts: 0..1 },
+                Run { disk: 1, first: 2, parts: 1..2 },
+                Run { disk: 2, first: 4, parts: 2..3 },
+            ];
+            backend.fail_write_after(1);
+            assert!(io.write_runs(&runs, &srcs, Priority::Client).is_err());
+            let mut landed = 0;
+            for run in &runs {
+                let src = srcs[run.parts.start];
+                let mut got = vec![0; src.len()];
+                backend.inner().read_units(run.disk, run.first, &mut got).unwrap();
+                landed += usize::from(got == src);
+                for (t, unit) in src.chunks_exact(US).enumerate() {
+                    let offset = run.first + t;
+                    let sums = &integrity.sums;
+                    assert_eq!(sums.recorded(run.disk, offset), got == src, "engine {engine}");
+                    assert!(sums.check(run.disk, offset, unit), "engine {engine}");
+                }
+            }
+            assert_eq!(landed, if engine { 2 } else { 1 }, "engine {engine}");
+            if let Some(eng) = eng {
+                eng.stop();
+            }
+        }
+    }
+
     /// The route tests seed a one-second hand-off: a disk timed at half
     /// of it is fast, one timed at ten times it is slow, and neither
     /// changes side from what a few memory calls add to its EWMA.
@@ -430,7 +491,7 @@ mod tests {
         let io = Io { backend: &*backend, integrity: &integrity, engine: Some(eng.clone()) };
         let run = [Run { disk: 0, first: 2, parts: 0..1 }];
         for _ in 0..calls {
-            io.write_runs(&run, &[&[7; US]], Priority::Client, |_| {}).unwrap();
+            io.write_runs(&run, &[&[7; US]], Priority::Client).unwrap();
         }
         assert_eq!(backend.write_calls(0), calls, "one backend call per run on either route");
         eng.snapshot().disks.remove(0)

@@ -1165,6 +1165,40 @@ mod tests {
         }
     }
 
+    /// A commit that began and failed — at its first slide chunk's
+    /// barrier — has slid target rows over the source world, so every
+    /// client call is refused until the retried commit lands: a read
+    /// would serve overwritten rows, and a cached write would leave the
+    /// retry a source stripe to drain that no longer exists. The retry
+    /// then succeeds, and every block reads bit-exact with parity
+    /// verifying, live and reopened.
+    #[test]
+    fn a_failed_commit_refuses_client_io_until_its_retry() {
+        let dir =
+            std::env::temp_dir().join(format!("pdl-meta-commit-fence-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = migrated_add(&dir, 7, 3, false);
+        store.set_cache_policy(CachePolicy::WriteBack { max_dirty: 64 }).unwrap();
+        let blocks = store.blocks();
+        store.backend().fail_flush_after(1);
+        assert!(store.complete_reshape().is_err(), "the first slide chunk's barrier fails");
+        assert!(store.reshaping());
+        let fenced = |res: Result<(), StoreError>, call: &str| {
+            assert!(matches!(res, Err(StoreError::ReshapeInProgress)), "{call}: {res:?}");
+        };
+        let mut buf = vec![0u8; 2 * 64];
+        fenced(store.read_block(0, &mut buf[..64]), "read_block");
+        fenced(store.read_blocks(0, &mut buf), "read_blocks");
+        fenced(store.write_block(0, &[0xee; 64]), "write_block");
+        fenced(store.write_blocks(0, &[0xee; 2 * 64]), "write_blocks");
+        store.complete_reshape().unwrap();
+        assert_eq!(store.v(), 8);
+        assert_bit_exact(&store, blocks, "retried commit");
+        drop(store);
+        assert_bit_exact(&open_file_store(&dir).unwrap(), blocks, "reopened");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// A crash can tear `store.json` three ways: a leftover `.tmp`
     /// from a write that never renamed, a truncated document, or
     /// garbage bytes. The first must be ignored (the committed

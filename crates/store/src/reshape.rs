@@ -35,17 +35,15 @@
 //!
 //! * **Reads are source-authoritative.** No read path consults the
 //!   target world; the source stays fully fresh until the commit
-//!   swaps worlds, so reads need no migration cursor at all.
+//!   slides over it, so reads need no migration cursor at all. A
+//!   commit that began and failed refuses client calls
+//!   ([`StoreError::ReshapeInProgress`]) until its retry lands.
 //! * **Writes are dual, unconditionally.** Every acknowledged write
 //!   during an active reshape also lands in the target world
-//!   (`BlockStore::dual_write`): under the reshape's own per-stripe
-//!   lock table, the target data unit is read, the delta folded into
-//!   the target P (and Q), and the new bytes written — each unit
-//!   through the store's two single-unit helpers, so a transient
-//!   backend error is retried exactly as on every other path.
-//!   Re-applying the same value is a no-op (delta = 0), so dual writes
-//!   are **idempotent** and the writer never needs to know whether the
-//!   migration has passed its address yet.
+//!   (`BlockStore::dual_write`, under the reshape's own per-stripe
+//!   lock table: one read round, one write round). Re-applying the
+//!   same value writes nothing, so the writer never needs to know
+//!   whether the migration has passed its address yet.
 //! * **Migration batches need no target locks.** A batch covers the
 //!   target stripes `[t0, t1)`, whose data ranges are exactly the
 //!   contiguous logical addresses `[lo(t0), lo(t1))`; the batch holds
@@ -208,7 +206,8 @@ pub(crate) struct ReshapeRuntime {
     /// scratch rows its own writes already clobbered.
     pub(crate) slide_done: AtomicU64,
     /// Whether the commit has begun (set before its first slide): the
-    /// document's phase from then on is `"commit"`, whoever writes it.
+    /// document's phase from then on is `"commit"`, whoever writes it,
+    /// and client calls are refused (`BlockStore::client_op`).
     pub(crate) committing: AtomicBool,
     /// Per-target-stripe lock table serializing dual writes; disjoint
     /// from the store's source lock table and always taken after it.
@@ -790,51 +789,49 @@ impl<B: Backend> BlockStore<B> {
     }
 
     /// Mirrors an acknowledged write into the target world: under the
-    /// reshape's own stripe lock, fold the delta into target P (and
-    /// Q), then write the new bytes. Re-applying a value that landed
-    /// whole is a no-op (its delta is zero), so writers never consult
-    /// the migration cursor. It is *not* idempotent over a part-failed
-    /// call: if the P write lands and the data write fails, a client
-    /// retry reads the old data again and folds the same delta into P
-    /// a second time, leaving P at its old value beside the new data.
-    /// This is the store's second parity-delta site, beside the delta
-    /// route of `update_partial_stripe` (ROADMAP item 1). Called with
-    /// the source stripe's shard lock held (write path) — lock order
-    /// `source shard → target shard`.
+    /// reshape's own stripe lock, read the target data unit, P (and Q)
+    /// raw in one round, fold the delta into the parities, then write
+    /// them and the new bytes in one round. Re-applying a value that
+    /// landed whole writes nothing (its delta is zero). It is
+    /// *not* idempotent over a part-failed call: if the P write lands
+    /// and the data write fails, a client retry reads the old data
+    /// again and folds the same delta into P a second time, leaving P
+    /// at its old value beside the new data. This is the store's
+    /// second parity-delta site, beside the delta route of
+    /// `update_partial_stripe` (ROADMAP item 1). Called with the source
+    /// stripe's shard lock held (write path) — lock order `source shard
+    /// → target shard`.
     pub(crate) fn dual_write(
         &self,
         rs: &ReshapeRuntime,
         addr: usize,
         data: &[u8],
     ) -> Result<(), StoreError> {
-        let tw = &rs.target;
+        let (tw, us) = (&rs.target, self.unit_size);
         let m = tw.smap.locate_full(addr);
         let shard = rs.tgt_locks.shard_of(m.copy, m.stripe);
         let (_guard, _) = rs.tgt_locks.lock_one_counting(shard);
-        let mut s = self.scratch.get();
-        let res = (|| {
-            let (delta, par) = (s.acc_p.as_mut_slice(), s.acc_q.as_mut_slice());
-            let d_at = rs.place(m.unit);
-            self.read_unit(d_at, delta)?;
-            codec::delta(delta, data);
-            if codec::is_zero(delta) {
-                return Ok(()); // same value: nothing to fold or write
-            }
-            let (p_slot, q_slot) = tw.smap.parity_slots(m.stripe);
-            let parity_at = |slot: usize| rs.place(tw.unit(m.copy, m.stripe, slot));
-            let p_at = parity_at(p_slot);
-            self.read_unit(p_at, par)?;
-            Syndromes { p: Some(&mut *par), q: None }.fold(Role::Data(m.slot), delta);
-            self.write_unit(p_at, par)?;
-            if let Some(q_at) = q_slot.map(parity_at) {
-                self.read_unit(q_at, par)?;
-                Syndromes { p: None, q: Some(&mut *par) }.fold(Role::Data(m.slot), delta);
-                self.write_unit(q_at, par)?;
-            }
-            self.write_unit(d_at, data)
-        })();
-        self.scratch.put(s);
-        res
+        // The target units laid out `[P][Q][data]` (no Q under XOR).
+        let (p_slot, q_slot) = tw.smap.parity_slots(m.stripe);
+        let runs: Vec<Run> = (std::iter::once(p_slot).chain(q_slot).chain([m.slot]))
+            .enumerate()
+            .map(|(i, slot)| {
+                let at = rs.place(tw.unit(m.copy, m.stripe, slot));
+                Run { disk: at.disk, first: at.offset, parts: i..i + 1 }
+            })
+            .collect();
+        let io = self.io();
+        let mut units = vec![0u8; runs.len() * us];
+        io.read_into(&runs, &mut units, Priority::Client, |_, _| {})?;
+        let (parity, delta) = units.split_at_mut((runs.len() - 1) * us);
+        codec::delta(delta, data);
+        if codec::is_zero(delta) {
+            return Ok(()); // same value: nothing to fold or write
+        }
+        let (p, q) = parity.split_at_mut(us);
+        Syndromes { p: Some(p), q: q_slot.map(|_| q) }.fold(Role::Data(m.slot), delta);
+        let srcs: Vec<&[u8]> = parity.chunks_exact(us).chain([data]).collect();
+        io.write_runs(&runs, &srcs, Priority::Client)
     }
 
     /// Commits a fully migrated reshape (see module docs for the
@@ -873,16 +870,16 @@ impl<B: Backend> BlockStore<B> {
             for &disk in &rs.doc.tgt_redirect {
                 let run = |first| [Run { disk, first, parts: 0..1 }];
                 io.read_runs(&run(sb + row), &mut [&mut *span], Priority::Maintenance, |_, _| {})?;
-                io.write_runs(&run(row), &[&*span], Priority::Maintenance, |_| {})?;
+                io.write_runs(&run(row), &[&*span], Priority::Maintenance)?;
             }
             row += span.len() / us;
             rs.slide_done.store(row as u64, Ordering::Release);
             self.persist(Record::Progress(&st))?;
         }
-        // The slide moved target-world bytes into rows whose recorded
-        // checksums (if any) describe *source*-world units: sliding
-        // the sums down would still leave every untouched tail row
-        // stale. Clear the whole table instead — unset sums are
+        // The slide's landings recorded the sums of the rows it wrote,
+        // but only rows inside the source-sized table, and rows past
+        // `U_tgt` keep sums that describe *source*-world units. Clear
+        // the whole table instead — unset sums are
         // re-adopted by the next scrub pass (or re-recorded by
         // writes), which trades one pass of verification for zero
         // false mismatches. The barrier writes the cleared table as a

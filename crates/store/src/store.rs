@@ -134,12 +134,14 @@
 //! ## Where the pieces live
 //!
 //! The P/Q algebra — the stripe invariant, its one `fold`, the erasure
-//! solver — lives in `codec.rs` and is named nowhere else. Client
-//! writes and the rebuild's spare writes move every byte through
-//! `io.rs` in rounds; the two direct single-unit helpers here
-//! (`read_unit` / `write_unit`, keyed by physical `(disk, offset)`,
-//! retried; the write records checksums, the read is raw) serve only a
-//! healthy `read_block`, the parity scan and stripe repair.
+//! solver — lives in `codec.rs` and is named nowhere else. Every
+//! backend write moves through `io.rs` in rounds — client writes, the
+//! rebuild's spare writes, stripe repair, the reshape's dual writes,
+//! migration and commit slide — and `Io::land` records the checksum of
+//! every unit that reached the backend; repair's adoption of unset sums
+//! is the only other record. The one direct single-unit helper here,
+//! `read_unit` (keyed by physical `(disk, offset)`, retried, raw),
+//! serves a healthy `read_block` and the parity scan.
 //!
 //! There is one repair rule. Every path that reads checksummed units —
 //! `read_block`, both halves of `read_blocks`, the partial-stripe
@@ -1856,7 +1858,7 @@ impl<B: Backend> BlockStore<B> {
                 srcs[n] = src.bytes(parity, data, us);
                 n += 1;
             });
-            self.write_recorded(&runs[..n], &srcs[..n])
+            self.io().write_runs(&runs[..n], &srcs[..n], Priority::Client)
         })();
         if let Some((_, s)) = dec {
             self.scratch.put(s);
@@ -2006,18 +2008,6 @@ impl<B: Backend> BlockStore<B> {
         }
     }
 
-    /// Writes every run through the dispatcher straight from `srcs`
-    /// and records the checksums of exactly the runs that landed, also
-    /// when another run's failure fails the call.
-    fn write_recorded(&self, runs: &[Run], srcs: &[&[u8]]) -> Result<(), StoreError> {
-        self.io().write_runs(runs, srcs, Priority::Client, |i| {
-            let run = &runs[i];
-            for (t, unit) in srcs[run.parts.clone()].iter().enumerate() {
-                self.integrity.sums.record(run.disk, run.first + t, unit);
-            }
-        })
-    }
-
     fn check_addr(&self, addr: usize) -> Result<(), StoreError> {
         if addr >= self.blocks() {
             return Err(StoreError::AddressOutOfRange { addr, blocks: self.blocks() });
@@ -2035,19 +2025,10 @@ impl<B: Backend> BlockStore<B> {
     /// The one direct single-unit read, retried on transient errors
     /// and raw: a caller that must verify the unit checks it itself
     /// (`read_block` notes a mismatch for its sweep; the parity scan
-    /// and the reshape's target rows take the bytes as they are).
+    /// takes the bytes as they are).
     pub(crate) fn read_unit(&self, at: PhysUnit, buf: &mut [u8]) -> Result<(), StoreError> {
         let PhysUnit { disk, offset, .. } = at;
         self.integrity.retrying(disk, || self.backend.read_unit(disk, offset, &mut *buf))
-    }
-
-    /// The one direct write: the unit `buf` lands at `at` under the
-    /// transient-retry policy and its checksum is recorded.
-    pub(crate) fn write_unit(&self, at: PhysUnit, buf: &[u8]) -> Result<(), StoreError> {
-        let PhysUnit { disk, offset, .. } = at;
-        self.integrity.retrying(disk, || self.backend.write_unit(disk, offset, buf))?;
-        self.integrity.sums.record(disk, offset, buf);
-        Ok(())
     }
 
     /// Verifies one stripe and repairs what it can, **under the
@@ -2112,8 +2093,9 @@ impl<B: Backend> BlockStore<B> {
             return Err(StoreError::ChecksumMismatch { disk: pd, offset: off });
         }
         let t0 = Instant::now();
-        let mut fixed = 0u32;
-        let mut fixed_parity = 0u32;
+        // Every repaired or recomputed unit is copied into `bytes`
+        // first, then the stripe's rewrites go out as one round.
+        let mut rewrites: Vec<usize> = Vec::new();
         if !mismatched.is_empty() {
             // Decode the mismatched units (the failed disks ride
             // along in the lost set but have no medium to rewrite)
@@ -2129,19 +2111,9 @@ impl<B: Backend> BlockStore<B> {
                     }
                 }
                 let solved = dec.solve();
-                for slot in solved.slots() {
-                    if !mismatched.contains(&slot) {
-                        continue; // a failed disk's unit: no medium
-                    }
-                    let (pd, off) = phys(slot);
-                    let repaired = solved.get(&scratch, slot)?;
-                    self.write_unit(PhysUnit { disk: pd, offset: off, checked: true }, repaired)?;
-                    bytes[slot * us..(slot + 1) * us].copy_from_slice(repaired);
-                    self.integrity.checksum_repairs.fetch_add(1, Ordering::Relaxed);
-                    self.integrity.health.note_repair(pd);
-                    self.events
-                        .emit(|| Event::ChecksumRepair { disk: pd as u32, offset: off as u64 });
-                    fixed += 1;
+                for slot in solved.slots().filter(|slot| mismatched.contains(slot)) {
+                    bytes[slot * us..(slot + 1) * us].copy_from_slice(solved.get(&scratch, slot)?);
+                    rewrites.push(slot);
                 }
                 Ok(())
             })();
@@ -2161,23 +2133,35 @@ impl<B: Backend> BlockStore<B> {
                     syn.fold(Role::Data(slot), val);
                 }
             }
-            let mut fix = |slot: usize, acc: &[u8]| -> Result<(), StoreError> {
-                if &bytes[slot * us..(slot + 1) * us] == acc {
-                    return Ok(());
+            for (slot, acc) in
+                std::iter::once((p_slot, &acc_p)).chain(q_slot.map(|qs| (qs, &acc_q)))
+            {
+                let unit = &mut bytes[slot * us..(slot + 1) * us];
+                if unit != acc.as_slice() {
+                    unit.copy_from_slice(acc);
+                    rewrites.push(slot);
                 }
-                let (pd, off) = phys(slot);
-                self.write_unit(PhysUnit { disk: pd, offset: off, checked: true }, acc)?;
-                bytes[slot * us..(slot + 1) * us].copy_from_slice(acc);
-                self.integrity.parity_repairs.fetch_add(1, Ordering::Relaxed);
-                self.integrity.health.note_repair(pd);
-                self.events.emit(|| Event::ChecksumRepair { disk: pd as u32, offset: off as u64 });
-                fixed_parity += 1;
-                Ok(())
-            };
-            fix(p_slot, &acc_p)?;
-            if let Some(qs) = q_slot {
-                fix(qs, &acc_q)?;
             }
+        }
+        let n = rewrites.len() as u32;
+        let (fixed, fixed_parity) = if mismatched.is_empty() { (0, n) } else { (n, 0) };
+        if n > 0 {
+            let runs: Vec<Run> = (rewrites.iter())
+                .map(|&slot| {
+                    let (disk, first) = phys(slot);
+                    Run { disk, first, parts: slot..slot + 1 }
+                })
+                .collect();
+            let srcs: Vec<&[u8]> = bytes.chunks_exact(us).collect();
+            self.io().write_runs(&runs, &srcs, Priority::Maintenance)?;
+            self.integrity.checksum_repairs.fetch_add(fixed as u64, Ordering::Relaxed);
+            self.integrity.parity_repairs.fetch_add(fixed_parity as u64, Ordering::Relaxed);
+            for run in &runs {
+                self.integrity.health.note_repair(run.disk);
+                let (disk, offset) = (run.disk as u32, run.first as u64);
+                self.events.emit(|| Event::ChecksumRepair { disk, offset });
+            }
+            self.metrics.record_op(OpKind::RepairWrite, n as u64, t0.elapsed().as_nanos() as u64);
         }
         if nfailed == 0 {
             // The stripe is now internally consistent: adopt sums for
@@ -2187,13 +2171,6 @@ impl<B: Backend> BlockStore<B> {
                 let (pd, off) = phys(slot);
                 self.integrity.sums.record(pd, off, &bytes[slot * us..(slot + 1) * us]);
             }
-        }
-        if fixed + fixed_parity > 0 {
-            self.metrics.record_op(
-                OpKind::RepairWrite,
-                (fixed + fixed_parity) as u64,
-                t0.elapsed().as_nanos() as u64,
-            );
         }
         Ok((fixed, fixed_parity))
     }
@@ -2365,11 +2342,11 @@ impl<B: Backend> BlockStore<B> {
         self.land_pending(&mut w.pending, &mut w.free)
     }
 
-    /// Waits for `pending`'s spare write, records the checksums of
-    /// exactly the units that reached the spare — a spare becomes the
-    /// live medium when its rebuild's redirect flips, so its sums must
-    /// be fresh by then — books the chunk, and only then drops its
-    /// guards and frees its buffer.
+    /// Waits for `pending`'s spare write — its landing records the
+    /// checksums of exactly the units that reached the spare, which
+    /// becomes the live medium when its rebuild's redirect flips —
+    /// books the chunk, and only then drops its guards and frees its
+    /// buffer.
     fn land_pending(
         &self,
         pending: &mut Option<SpareWrite<'_>>,
@@ -2381,11 +2358,7 @@ impl<B: Backend> BlockStore<B> {
         };
         let us = self.unit_size;
         let run = [Run { disk: spare, first: start, parts: 0..1 }];
-        let landed = self.io().land(round, &run, &[&out], |_| {
-            for (i, unit) in out.chunks_exact(us).enumerate() {
-                self.integrity.sums.record(spare, start + i, unit);
-            }
-        });
+        let landed = self.io().land(round, &run, &[&out]);
         if landed.is_ok() {
             let n = (out.len() / us) as u64;
             self.metrics.record_op(OpKind::SpareWrite, n, submitted.elapsed().as_nanos() as u64);
@@ -2513,6 +2486,10 @@ impl<B: Backend> BlockStore<B> {
     /// are applied on **every** exit, `Ok` or `Err`. `body` returns how
     /// many of the call's `blocks` a `Read` span served by stripe
     /// decode: those are accounted as `DegradedRead` units instead.
+    ///
+    /// While a reshape commit that began and failed awaits its retry,
+    /// every call is refused with [`StoreError::ReshapeInProgress`]
+    /// before the envelope opens: the slide overwrote source rows.
     #[inline]
     fn client_op(
         &self,
@@ -2522,6 +2499,9 @@ impl<B: Backend> BlockStore<B> {
         blocks: usize,
         body: impl FnOnce(&ArrayState) -> Result<u64, StoreError>,
     ) -> Result<(), StoreError> {
+        if st.reshape.as_ref().is_some_and(|rs| rs.committing.load(Ordering::Acquire)) {
+            return Err(StoreError::ReshapeInProgress);
+        }
         let t = self.metrics.begin(kind, self.events.active());
         self.events.emit(|| {
             let m = st.world.smap.locate_full(addr);
@@ -3210,7 +3190,7 @@ impl<B: Backend> BlockStore<B> {
                 i = j;
             }
         }
-        self.write_recorded(&runs, &srcs)
+        self.io().write_runs(&runs, &srcs, Priority::Client)
     }
 
     /// Replays a [`Trace`] (block-granular ops plus fail/restore/

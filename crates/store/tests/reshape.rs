@@ -16,8 +16,8 @@ mod support;
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
     create_file_store, create_file_store_pq, fill_pattern, open_file_store, Backend, BlockStore,
-    CachePolicy, FileBackend, MemBackend, Rebuilder, ReshapeDriverConfig, ReshapeState, StoreError,
-    StoreMeta, META_FILE,
+    CachePolicy, FileBackend, MemBackend, ParityScheme, Rebuilder, ReshapeDriverConfig,
+    ReshapeState, StoreError, StoreMeta, META_FILE,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -733,5 +733,69 @@ fn reshape_repairs_a_corrupt_source_unit_before_migrating_it() {
             store.verify_parity().unwrap();
             assert_eq!(store.stats().integrity.checksum_repairs, 2, "{ctx}: one repair per rot");
         }
+    }
+}
+
+/// A dual write is one raw read round and one write round over the
+/// target data unit and its parities. With a write-back cache holding
+/// the source side of the write, a nonzero delta costs exactly one
+/// read call and one write call on each target unit's disk — 3 + 3
+/// under P+Q, 2 + 2 under XOR — and rewriting the same value reads
+/// the same units and writes nothing. After the commit those disks
+/// are exactly the ones holding the address's stripe.
+#[test]
+fn dual_write_is_one_read_round_and_one_write_round_mem() {
+    for store in [xor_store_mem(7, 3, 1, 1), pq_store_mem(9, 4, 1, 1)] {
+        let ctx = format!("{:?}", store.scheme());
+        let n = if store.scheme() == ParityScheme::PQ { 3 } else { 2 };
+        prefill(&store, 0xd0a1);
+        store.set_cache_policy(CachePolicy::WriteBack { max_dirty: 1 << 16 }).unwrap();
+        let v = store.v();
+        store.begin_add_disks(&[v]).unwrap();
+        let disks = store.backend().disks();
+        let calls = |store: &BlockStore<MemBackend>| -> (Vec<u64>, Vec<u64>) {
+            let b = store.backend();
+            (
+                (0..disks).map(|p| b.read_calls(p)).collect(),
+                (0..disks).map(|p| b.write_calls(p)).collect(),
+            )
+        };
+        let (addr, new) = (5, vec![0x5a; UNIT]);
+        store.reset_counters();
+        store.write_block(addr, &new).unwrap();
+        let (reads, writes) = calls(&store);
+        let touched: Vec<usize> = (0..disks).filter(|&p| reads[p] > 0).collect();
+        assert_eq!(touched.len(), n, "{ctx}: reads {reads:?}");
+        for &p in &touched {
+            assert_eq!((reads[p], writes[p]), (1, 1), "{ctx}: disk {p}");
+        }
+        assert_eq!(writes.iter().sum::<u64>(), n as u64, "{ctx}: writes {writes:?}");
+
+        store.reset_counters();
+        store.write_block(addr, &new).unwrap();
+        let (reads, writes) = calls(&store);
+        assert_eq!(
+            (0..disks).filter(|&p| reads[p] > 0).collect::<Vec<_>>(),
+            touched,
+            "{ctx}: the same value reads the same units"
+        );
+        assert_eq!(reads.iter().sum::<u64>(), n as u64, "{ctx}: reads {reads:?}");
+        assert_eq!(writes.iter().sum::<u64>(), 0, "{ctx}: a zero delta writes nothing");
+
+        while !store.reshape_step(0).unwrap() {}
+        store.complete_reshape().unwrap();
+        let (map, layout) = (store.stripe_map(), store.layout());
+        let m = map.locate_full(addr);
+        let (p_slot, q_slot) = map.parity_slots(m.stripe);
+        let units = layout.stripes()[m.stripe].units();
+        let mut stripe_disks: Vec<usize> = (std::iter::once(m.slot).chain([p_slot]).chain(q_slot))
+            .map(|slot| store.physical_disk(units[slot].disk as usize))
+            .collect();
+        stripe_disks.sort_unstable();
+        assert_eq!(stripe_disks, touched, "{ctx}: one call per target unit's disk");
+        let mut got = vec![0u8; UNIT];
+        store.read_block(addr, &mut got).unwrap();
+        assert_eq!(got, new, "{ctx}");
+        store.verify_parity().unwrap();
     }
 }
