@@ -27,16 +27,9 @@
 //!   (`BlockStore::update_partial_stripe`, the same update a
 //!   write-through write makes): the dirty units and the parity are
 //!   written **once**, however many client writes the entry absorbed,
-//!   at most one backend call per touched disk. A flush batch's
+//!   by whichever of its routes reads fewer units. A flush batch's
 //!   partially dirty stripes read in one shared round, and their
-//!   writes join the batch's write plan. A healthy stripe pays
-//!   whichever is fewer reads — the delta route (old dirty units and
-//!   old parity, `m + p`; it also takes ties, touching fewer disks) or
-//!   the reconstruct route (the clean units, `k_data − m`, parity
-//!   recomputed fresh); a degraded stripe (a member disk failed or
-//!   rebuilding) takes the per-unit route, which maintains every
-//!   surviving parity, marks skipped media stale, and writes through
-//!   to a racing rebuild's spare.
+//!   writes join the batch's write plan.
 //!
 //! An errored flush re-queues its stripes, and `StripeCache::requeue`
 //! marks each entry: a marked entry of a healthy stripe always flushes
@@ -98,7 +91,13 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::obs::CacheStatsSnapshot;
+use crate::backend::Backend;
+use crate::error::StoreError;
+use crate::obs::{CacheStatsSnapshot, Event, OpKind};
+use crate::store::{sort_shard_set, ArrayState, BlockStore};
+use crate::write::{PartialStripe, WritePlan};
+use pdl_core::AddrRef;
+use std::time::Instant;
 
 /// When (and whether) writes are combined in the stripe cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -204,7 +203,7 @@ pub(crate) fn key_parts(key: u64) -> (usize, usize) {
 /// on the write hot path, where SipHash's per-lookup cost is pure
 /// overhead for an 8-byte key the store already distributes well.
 #[derive(Default)]
-pub(crate) struct StripeKeyHasher(u64);
+struct StripeKeyHasher(u64);
 
 impl Hasher for StripeKeyHasher {
     fn finish(&self) -> u64 {
@@ -343,7 +342,7 @@ impl StripeCache {
     }
 
     /// True when the dirty count exceeds the write-back budget.
-    pub(crate) fn over_limit(&self) -> bool {
+    fn over_limit(&self) -> bool {
         self.dirty.load(Ordering::Acquire) > self.max_dirty.load(Ordering::Acquire)
     }
 
@@ -405,7 +404,7 @@ impl StripeCache {
     /// readers keep hitting it during the flush's backend writes).
     /// Returns false — touching neither buffer — when the entry does
     /// not exist.
-    pub(crate) fn snapshot_append(
+    fn snapshot_append(
         &self,
         shard: usize,
         key: u64,
@@ -440,14 +439,14 @@ impl StripeCache {
     /// Pops the oldest dirty stripe key, or `None` when the queue is
     /// empty. The entry may already be gone (superseded by a
     /// full-stripe overwrite); callers skip such keys.
-    pub(crate) fn pop_dirty(&self) -> Option<u64> {
+    fn pop_dirty(&self) -> Option<u64> {
         self.queue.lock().unwrap().pop_front()
     }
 
     /// Current dirty-queue length — the drain bound for a full
     /// flush, so a flush racing live write-back traffic terminates
     /// after the stripes that were queued when it began.
-    pub(crate) fn queue_len(&self) -> usize {
+    fn queue_len(&self) -> usize {
         self.queue.lock().unwrap().len()
     }
 
@@ -473,13 +472,13 @@ impl StripeCache {
     }
 
     /// Accounts `n` stripes flushed by budget-driven eviction.
-    pub(crate) fn note_evictions(&self, n: u64) {
+    fn note_evictions(&self, n: u64) {
         self.stats.evictions.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Accounts a completed flush batch: `stripes` stripes carrying
     /// `units` dirty units written out combined.
-    pub(crate) fn note_flush(&self, stripes: u64, units: u64) {
+    fn note_flush(&self, stripes: u64, units: u64) {
         self.stats.flushed_stripes.fetch_add(stripes, Ordering::Relaxed);
         self.stats.flushed_units.fetch_add(units, Ordering::Relaxed);
     }
@@ -496,6 +495,236 @@ impl StripeCache {
             flushed_units: self.stats.flushed_units.load(Ordering::Relaxed),
             dirty_stripes: self.dirty.load(Ordering::Acquire) as u64,
         }
+    }
+}
+
+impl<B: Backend> BlockStore<B> {
+    /// The cache coordinates of a resolved address: `(shard, packed
+    /// key, data-slot index within the stripe's cache entry, data
+    /// units in the stripe)`. Shard ids are the lock table's, so the
+    /// cache is sharded by the same `(copy, stripe)` key as the
+    /// stripe locks.
+    pub(crate) fn cache_coords(
+        &self,
+        st: &ArrayState,
+        m: &AddrRef,
+        addr: usize,
+    ) -> (usize, u64, usize, usize) {
+        let (lo, k_data) = st.world.smap.stripe_data_range(m.stripe);
+        let j = addr - m.copy * st.world.smap.data_units_per_copy() - lo;
+        (self.locks.shard_of(m.copy, m.stripe), stripe_key(m.copy, m.stripe), j, k_data)
+    }
+
+    /// Stripes a full cache drain flushes under one ordered shard
+    /// acquisition (and one combined write plan).
+    const FLUSH_BATCH: usize = 128;
+
+    /// Drains every stripe that was dirty **when the flush began**,
+    /// in batches of [`Self::FLUSH_BATCH`] **address-sorted**
+    /// stripes: fully dirty stripes accumulate into one combined
+    /// write plan, so adjacent hot stripes coalesce into per-disk
+    /// gather writes instead of one backend call per unit. The drain
+    /// is bounded by the queue length at entry — stripes dirtied by
+    /// writers racing the flush stay queued for the next one, so a
+    /// flush under sustained write-back traffic terminates. The
+    /// caller holds a state guard — shared for explicit flushes,
+    /// **exclusive** inside failure-state transitions, where no
+    /// client I/O is in flight (and the drain is therefore complete,
+    /// not just a snapshot).
+    pub(crate) fn flush_cache_locked(&self, st: &ArrayState) -> Result<(), StoreError> {
+        if !self.cache.maybe_dirty() {
+            return Ok(());
+        }
+        let mut budget = self.cache.queue_len();
+        let mut snap = FlushSnapshot::default();
+        let mut plan = WritePlan::new(self.backend.disks());
+        let mut staged: Vec<u8> = Vec::new();
+        let mut keys: Vec<u64> = Vec::with_capacity(Self::FLUSH_BATCH);
+        while budget > 0 {
+            keys.clear();
+            while keys.len() < Self::FLUSH_BATCH.min(budget) {
+                match self.cache.pop_dirty() {
+                    Some(k) => keys.push(k),
+                    None => break,
+                }
+            }
+            if keys.is_empty() {
+                return Ok(());
+            }
+            budget -= keys.len();
+            // Address order: the packed key sorts by (copy, stripe),
+            // which is physical-offset order per disk — the flush
+            // walks the media sequentially.
+            keys.sort_unstable();
+            keys.dedup();
+            self.flush_batch(st, &keys, &mut snap, &mut plan, &mut staged)?;
+        }
+        Ok(())
+    }
+
+    /// Flushes one sorted batch of cached stripes under a single
+    /// two-phase ordered shard acquisition. Fully dirty stripes plan
+    /// into one combined gather plan; partially dirty ones read in one
+    /// shared round and join it (`update_partial_stripes`). The plan
+    /// is flushed at the end and every entry removed only after the
+    /// backend writes land. On error
+    /// every key of the batch is re-queued (and its entry marked, so
+    /// its retry takes the idempotent route) — already-flushed entries
+    /// are gone and skip harmlessly on the retry.
+    fn flush_batch(
+        &self,
+        st: &ArrayState,
+        keys: &[u64],
+        snap: &mut FlushSnapshot,
+        plan: &mut WritePlan,
+        staged: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
+        let mut shards: Vec<usize> = keys
+            .iter()
+            .map(|&k| {
+                let (copy, si) = key_parts(k);
+                self.locks.shard_of(copy, si)
+            })
+            .collect();
+        sort_shard_set(&mut shards);
+        let _guards = self.locks.lock_sorted(&shards);
+        self.flush_batch_locked(st, keys, snap, plan, staged)
+    }
+
+    /// [`BlockStore::flush_batch`] with the batch's shard locks
+    /// **already held** by the caller — the reshape migration flushes
+    /// covered stripes under the exclusive shard locks it holds for
+    /// the whole batch copy.
+    pub(crate) fn flush_batch_locked(
+        &self,
+        st: &ArrayState,
+        keys: &[u64],
+        snap: &mut FlushSnapshot,
+        plan: &mut WritePlan,
+        staged: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
+        plan.reset();
+        staged.clear();
+        let us = self.unit_size;
+        let t0 = Instant::now();
+        let mut flushed_stripes = 0u32;
+        let mut flushed_units = 0u32;
+        let res = (|| -> Result<(), StoreError> {
+            let mut planned: Vec<u64> = Vec::new();
+            let mut partials: Vec<PartialStripe> = Vec::new();
+            let mut dirty: Vec<(usize, usize)> = Vec::new();
+            for &key in keys {
+                let (copy, si) = key_parts(key);
+                let shard = self.locks.shard_of(copy, si);
+                // The entry's data units land in `staged` at `base`
+                // (one copy, entry left in place for readers); the
+                // plan records indices into `staged`, so later
+                // appends never invalidate earlier planning.
+                let base = staged.len() / us;
+                if !self.cache.snapshot_append(shard, key, snap, staged) {
+                    continue; // discarded by a full-stripe overwrite
+                }
+                flushed_stripes += 1;
+                flushed_units += snap.ndirty as u32;
+                let (lo, k_data) = st.world.smap.stripe_data_range(si);
+                let start = copy * st.world.smap.data_units_per_copy() + lo;
+                if snap.ndirty == k_data {
+                    // Fully dirty: zero-read full-stripe planning into
+                    // the combined plan.
+                    let stripe_bytes = &staged[base * us..(base + k_data) * us];
+                    self.plan_stripe(&st.world, start, stripe_bytes, base, plan, |u| {
+                        self.place(st, u, copy, si)
+                    });
+                } else {
+                    let units = dirty.len()..dirty.len() + snap.ndirty;
+                    dirty.extend((0..k_data).filter(|&j| snap.dirty[j]).map(|j| (j, base + j)));
+                    let requeued = snap.requeued;
+                    partials.push(PartialStripe { copy, si, units, requeued });
+                }
+                planned.push(key);
+                // An entry re-queued by a failed flush lands on its own
+                // (with what was planned before it): entries that keep
+                // failing cannot hold the rest of the batch back.
+                if snap.requeued {
+                    self.land_flush(st, &mut planned, &mut partials, &mut dirty, plan, staged)?;
+                }
+            }
+            self.land_flush(st, &mut planned, &mut partials, &mut dirty, plan, staged)
+        })();
+        if res.is_err() {
+            for &key in keys {
+                let (copy, si) = key_parts(key);
+                self.cache.requeue(self.locks.shard_of(copy, si), key);
+            }
+        } else if flushed_stripes > 0 {
+            self.cache.note_flush(flushed_stripes as u64, flushed_units as u64);
+            self.metrics.record_op(
+                OpKind::CacheFlush,
+                flushed_units as u64,
+                t0.elapsed().as_nanos() as u64,
+            );
+            self.events.emit(|| Event::CacheFlush {
+                stripes: flushed_stripes,
+                dirty_units: flushed_units,
+            });
+        }
+        res
+    }
+
+    /// Lands the `planned` stripes of a flush batch: the partially
+    /// dirty ones read in one round and join `plan`, the plan is
+    /// written, and every planned entry is removed once its writes
+    /// have landed. Leaves the lists and the plan empty.
+    fn land_flush(
+        &self,
+        st: &ArrayState,
+        planned: &mut Vec<u64>,
+        partials: &mut Vec<PartialStripe>,
+        dirty: &mut Vec<(usize, usize)>,
+        plan: &mut WritePlan,
+        staged: &[u8],
+    ) -> Result<(), StoreError> {
+        self.update_partial_stripes(st, partials, dirty, staged, plan)?;
+        self.flush_write_plan(plan, staged)?;
+        for key in planned.drain(..) {
+            let (copy, si) = key_parts(key);
+            self.cache.remove_flushed(self.locks.shard_of(copy, si), key);
+        }
+        partials.clear();
+        dirty.clear();
+        plan.reset();
+        Ok(())
+    }
+
+    /// Most victim stripes one write evicts — enough to outpace the
+    /// single stripe a write can dirty, while bounding any one
+    /// caller's eviction work when many writers push the cache over
+    /// budget at once.
+    const EVICT_MAX: usize = 8;
+
+    /// Oldest-first eviction until the dirty count is back under the
+    /// write-back budget (or this call's [`Self::EVICT_MAX`] work
+    /// bound is spent — backpressure is shared across writers, not
+    /// absorbed by whoever shows up first). Runs on the write path
+    /// **after** the triggering stripe's shard lock is released —
+    /// one victim stripe is flushed at a time, so eviction never
+    /// holds two shard locks and cannot deadlock with concurrent
+    /// writers.
+    pub(crate) fn evict_over_limit(&self, st: &ArrayState) -> Result<(), StoreError> {
+        if !self.cache.over_limit() {
+            return Ok(());
+        }
+        let mut snap = FlushSnapshot::default();
+        let mut plan = WritePlan::new(self.backend.disks());
+        let mut staged: Vec<u8> = Vec::new();
+        let mut evicted = 0usize;
+        while evicted < Self::EVICT_MAX && self.cache.over_limit() {
+            let Some(key) = self.cache.pop_dirty() else { break };
+            self.flush_batch(st, &[key], &mut snap, &mut plan, &mut staged)?;
+            evicted += 1;
+        }
+        self.cache.note_evictions(evicted as u64);
+        Ok(())
     }
 }
 

@@ -36,7 +36,7 @@
 //! whichever side they do not need.
 
 use crate::error::StoreError;
-use crate::store::UnitCache;
+use crate::repair::UnitCache;
 use pdl_algebra::gf256::{self, xor_slice};
 
 /// What a stripe unit contributes to the invariant (see the

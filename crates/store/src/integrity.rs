@@ -247,11 +247,13 @@ impl ChecksumTable {
         bad.len() == before
     }
 
-    /// Whether unit `(disk, offset)` has a recorded checksum.
+    /// Whether unit `(disk, offset)` has a recorded checksum. A unit
+    /// past the table has none: [`ChecksumTable::record`] drops it.
     pub(crate) fn recorded(&self, disk: usize, offset: usize) -> bool {
         let t = self.disks.read().unwrap();
-        t.get(disk).and_then(|d| d.sums.get(offset)).map(|s| s.load(Ordering::Relaxed))
-            != Some(Self::UNSET)
+        t.get(disk)
+            .and_then(|d| d.sums.get(offset))
+            .is_some_and(|s| s.load(Ordering::Relaxed) != Self::UNSET)
     }
 
     /// Stores a raw (already encoded) sum without touching the dirty
@@ -734,6 +736,21 @@ impl Integrity {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A unit past the table, by offset or by disk, has no recorded
+    /// sum: `record` drops its sum, and `recorded` says so.
+    #[test]
+    fn units_past_the_table_read_as_unrecorded() {
+        let t = ChecksumTable::new(2, 4);
+        let unit = [7u8; 16];
+        for (disk, offset) in [(0, 4), (1, 100), (2, 0), (5, 3)] {
+            t.record(disk, offset, &unit);
+            assert!(!t.recorded(disk, offset), "({disk}, {offset}) is past a 2 × 4 table");
+        }
+        assert!(!t.recorded(1, 3), "an in-table unit starts unrecorded");
+        t.record(1, 3, &unit);
+        assert!(t.recorded(1, 3), "an in-table unit is recorded once written");
+    }
 
     /// Published XXH64 reference vectors (xxhash's own sanity table:
     /// the byte sequence is `2654435761^n`-generated, same as the

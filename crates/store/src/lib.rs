@@ -52,9 +52,6 @@
 //!   `pdl-core` [`pdl_core::LayoutSpec`] codec) including the parity
 //!   scheme and P+Q slot assignment, so file-backed arrays reopen
 //!   with their exact geometry;
-//! * trace replay ([`BlockStore::replay`]) of [`pdl_sim::Trace`]
-//!   workloads — block ops *and* fail/restore/rebuild fault events —
-//!   so simulator scenarios run against real bytes;
 //! * **concurrency** — every operation (writes included) takes
 //!   `&self`: a stripe-sharded lock table serializes parity updates
 //!   per stripe with deadlock-free ordered acquisition, the failure
@@ -147,11 +144,15 @@ mod io;
 mod maintenance;
 mod meta;
 mod obs;
+mod read;
 mod rebuild;
+mod repair;
 mod reshape;
 mod scheme;
 mod scrub;
 mod store;
+mod write;
+
 #[cfg(test)]
 #[path = "../tests/support/mod.rs"]
 mod support;
@@ -180,4 +181,4 @@ pub use rebuild::{RebuildReport, Rebuilder};
 pub use reshape::ReshapeReport;
 pub use scheme::{FailureSet, ParityScheme};
 pub use scrub::ScrubReport;
-pub use store::{fill_pattern, BlockStore, ReplayStats};
+pub use store::BlockStore;

@@ -447,7 +447,7 @@ impl ArrayDir {
     fn load_sums(&self, sums: &ChecksumTable) {
         let base_ok = std::fs::read(self.path.join(SUMS_FILE)).is_ok_and(|b| sums.load_bytes(&b));
         let (log_len, whole) = match std::fs::read(self.path.join(SUMS_LOG_FILE)) {
-            Ok(bytes) => (bytes.len() as u64, Self::replay(sums, &bytes) == bytes.len()),
+            Ok(bytes) => (bytes.len() as u64, Self::replay_journal(sums, &bytes) == bytes.len()),
             Err(_) => (0, true),
         };
         let base = (base_ok && whole).then(|| sums.geometry());
@@ -537,7 +537,7 @@ impl ArrayDir {
     /// mid-append); records whose geometry header disagrees with the
     /// table (written before a reshape changed the world) are skipped,
     /// not applied.
-    fn replay(sums: &ChecksumTable, bytes: &[u8]) -> usize {
+    fn replay_journal(sums: &ChecksumTable, bytes: &[u8]) -> usize {
         let (disks, units) = sums.geometry();
         let mut at = 0usize;
         while bytes.len() - at >= 24 {
@@ -668,7 +668,7 @@ pub fn open_file_store(dir: impl AsRef<Path>) -> Result<BlockStore<FileBackend>,
         // or between a commit's final metadata write and its trim.
         None => FileBackend::open_trimming(&dir.path, disks, meta.copies * layout.size(), us)?,
     };
-    let mut store = BlockStore::build_resuming(layout, pq_slots, backend, meta.copies)?;
+    let mut store = BlockStore::build(layout, pq_slots, backend, Some(meta.copies))?;
     // A reopened reshape starts without sums: its commit drops them
     // anyway, and until then writes record them afresh.
     if meta.reshape.is_none() {
@@ -696,8 +696,8 @@ pub fn update_cache_policy(dir: impl AsRef<Path>, policy: CachePolicy) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::fill_pattern;
     use crate::support::faulty::{FaultConfig, FaultyBackend};
+    use crate::support::fill_pattern;
     use pdl_core::RingLayout;
 
     #[test]

@@ -74,10 +74,16 @@
 //! client traffic).
 
 use crate::backend::Backend;
+use crate::codec::{Decode, Scratch};
+use crate::engine::Priority;
 use crate::error::StoreError;
-use crate::store::{BlockStore, RebuildWorker};
+use crate::io::{Run, Writes};
+use crate::meta::Record;
+use crate::obs::{Event, OpKind};
+use crate::repair::{sweep_repairing, Mismatches};
+use crate::store::{sort_shard_set, ArrayState, BlockStore};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 /// What a completed rebuild phase did, and to whom.
@@ -264,16 +270,8 @@ impl Rebuilder {
         std::thread::scope(|s| {
             for _ in 0..self.workers {
                 s.spawn(|| {
-                    // Each worker claims a chunk of consecutive spare
-                    // offsets; `rebuild_chunk` prefetches every
-                    // surviving stripe member the chunk's decodes need
-                    // in coalesced per-disk runs (one vectored read
-                    // per run), checks and folds each where it lies,
-                    // and sends the chunk to the spare as one write —
-                    // all under the chunk's stripe shard locks, so
-                    // racing client writes serialize per stripe. That
-                    // write may land while the worker reads its next
-                    // chunk.
+                    // Each worker claims chunks of consecutive spare
+                    // offsets (see `rebuild_chunk`).
                     let mut worker =
                         RebuildWorker::new(shared.unit_size(), chunk * shared.unit_size());
                     let res = loop {
@@ -295,7 +293,7 @@ impl Rebuilder {
                     };
                     // The worker's last spare write lands before it
                     // ends, also after an error.
-                    let landed = shared.land_spare(&mut worker);
+                    let landed = shared.land_pending(&mut worker.pending, &mut worker.free);
                     if let Err(e) = res.and(landed) {
                         first_error.lock().unwrap_or_else(|e| e.into_inner()).get_or_insert(e);
                     }
@@ -325,5 +323,375 @@ impl Rebuilder {
             workers: self.workers,
             elapsed: start.elapsed(),
         })
+    }
+}
+
+/// One rebuild worker's state from chunk to chunk: its decode scratch,
+/// its two chunk output buffers — one filling while the other may be
+/// in flight — and the chunk whose spare write has not landed yet (see
+/// [`BlockStore::rebuild_chunk`]).
+struct RebuildWorker<'s> {
+    scratch: Scratch,
+    free: Vec<Vec<u8>>,
+    pending: Option<SpareWrite<'s>>,
+}
+
+impl RebuildWorker<'_> {
+    /// A worker for chunks of at most `bytes` bytes of output.
+    fn new(unit_size: usize, bytes: usize) -> Self {
+        RebuildWorker {
+            scratch: Scratch::new(unit_size),
+            free: vec![vec![0; bytes], vec![0; bytes]],
+            pending: None,
+        }
+    }
+}
+
+/// A rebuilt chunk on its way to the spare: the write round, what it
+/// writes where, and the guards it holds until the round lands.
+struct SpareWrite<'s> {
+    round: Writes,
+    spare: usize,
+    start: usize,
+    out: Vec<u8>,
+    submitted: Instant,
+    guards: Vec<RwLockReadGuard<'s, ()>>,
+    st: RwLockReadGuard<'s, ArrayState>,
+}
+
+impl<B: Backend> BlockStore<B> {
+    /// Registers a rebuild of `failed` onto physical `spare`,
+    /// validating both under the exclusive state guard (so two
+    /// rebuilds cannot race each other, and the spare cannot be
+    /// concurrently mapped). Pairs with `complete_rebuild` or
+    /// `abort_rebuild`.
+    fn begin_rebuild(&self, failed: usize, spare: usize) -> Result<(), StoreError> {
+        let mut st = self.state_write();
+        if let Some((d, _)) = st.rebuilding {
+            return Err(StoreError::RebuildInProgress(d));
+        }
+        if st.reshape.is_some() {
+            return Err(StoreError::ReshapeInProgress);
+        }
+        if !st.failed.contains(failed) {
+            return Err(StoreError::NotFailed(failed));
+        }
+        if spare >= self.backend.disks() || st.redirect.contains(&spare) {
+            return Err(StoreError::InvalidSpare(spare));
+        }
+        // Flush-before-transition: the rebuild's chunk decodes assume
+        // the backend holds every acknowledged write of the pre-
+        // registration era; writes issued *after* registration are
+        // either flushed through the write-through path or destaged by
+        // the completion's drain.
+        self.flush_cache_locked(&st)?;
+        st.rebuilding = Some((failed, spare));
+        st.epoch += 1;
+        // Arm live progress: units-per-disk to reconstruct, and the
+        // per-logical-disk read counts to diff against (the rebuild's
+        // read-distribution baseline).
+        let baseline =
+            (0..st.world.layout.v()).map(|d| self.backend.read_count(st.redirect[d])).collect();
+        self.rb_tracker.start(failed, spare, self.backend.units_per_disk() as u64, baseline);
+        self.events.emit(|| Event::RebuildBegan {
+            disk: failed as u32,
+            spare: spare as u32,
+            epoch: st.epoch,
+        });
+        Ok(())
+    }
+
+    /// Unregisters a failed rebuild attempt; the store stays degraded.
+    fn abort_rebuild(&self) {
+        let mut st = self.state_write();
+        st.rebuilding = None;
+        st.epoch += 1;
+        self.rb_tracker.finish();
+        self.events.emit(|| Event::RebuildAborted { epoch: st.epoch });
+    }
+
+    /// Completes a registered rebuild: flips the redirect onto the
+    /// spare and clears the failure in memory, destages the cache by
+    /// the now-healthy routes, then runs the durability barrier — all
+    /// under the exclusive guard, so no in-flight op observes the new
+    /// redirect before the spare is synced and the document names it.
+    /// If the drain or the barrier fails, the failure and the redirect
+    /// are restored: the store stays degraded, the document still names
+    /// the failed disk, and a retried rebuild completes.
+    fn complete_rebuild(&self, failed: usize, spare: usize) -> Result<(), StoreError> {
+        let mut st = self.state_write();
+        debug_assert_eq!(st.rebuilding, Some((failed, spare)), "completion matches registration");
+        let was = std::mem::replace(&mut st.redirect[failed], spare);
+        st.failed.remove(failed);
+        st.rebuilding = None;
+        st.epoch += 1;
+        self.rb_tracker.finish();
+        let destaged = self.cache.maybe_dirty();
+        let durable =
+            self.flush_cache_locked(&st).and_then(|()| self.persist(Record::Serving(&st)));
+        if let Err(e) = durable {
+            st.redirect[failed] = was;
+            st.failed.insert(failed);
+            if destaged {
+                // Destaged units of the failed disk landed on the spare
+                // only, so its old medium may be stale: stripe 0 stands
+                // witness unless a skipping write already recorded one.
+                st.world.stale[failed].fetch_max(1, Ordering::AcqRel);
+            }
+            st.epoch += 1;
+            self.events.emit(|| Event::RebuildAborted { epoch: st.epoch });
+            return Err(e);
+        }
+        // The degraded window this rebuild serviced closes here (or
+        // steps down from two erasures to one).
+        self.metrics.degraded_transition(
+            st.failed.len() + 1,
+            st.failed.len(),
+            self.metrics.total_ops(),
+        );
+        self.events.emit(|| Event::RebuildCompleted {
+            disk: failed as u32,
+            spare: spare as u32,
+            epoch: st.epoch,
+        });
+        // The spare carries a full reconstruction (plus any writes
+        // written through while it raced traffic): the medium is
+        // fresh again.
+        st.world.stale[failed].store(0, Ordering::Release);
+        Ok(())
+    }
+
+    /// One chunk (see the [module docs](self)): reconstructs the `n`
+    /// consecutive units of `disk` starting at `start` and puts them on
+    /// their way to physical disk `spare` as one write, which may stay
+    /// in flight past the return, in `w`. The chunk's stripe shards
+    /// are held *shared* from before the prefetch until that write has
+    /// landed, so the spare write cannot clobber a write-through that
+    /// happened after the decode. After an error the caller lands
+    /// whatever is left with [`BlockStore::land_pending`].
+    fn rebuild_chunk<'s>(
+        &'s self,
+        w: &mut RebuildWorker<'s>,
+        disk: usize,
+        spare: usize,
+        start: usize,
+        n: usize,
+    ) -> Result<(), StoreError> {
+        let us = self.unit_size;
+        // While the earlier chunk's write is in flight (only then is one
+        // pending), this chunk's guards are tried without blocking:
+        // blocking with the earlier chunk's held could deadlock against
+        // a writer's ordered acquisition, and `try_read` also fails while
+        // a failure transition waits for the state guard.
+        let st = match w.pending.as_ref().and_then(|_| self.state.try_read().ok()) {
+            Some(st) => st,
+            None => {
+                self.land_pending(&mut w.pending, &mut w.free)?;
+                self.state_read()
+            }
+        };
+        let wd = st.world.clone();
+        let size = wd.layout.size();
+        // Two-phase acquisition: every stripe this chunk decodes,
+        // sorted by shard, locked shared before any byte is read.
+        let mut shards: Vec<usize> = (start..start + n)
+            .map(|offset| {
+                let r = wd.layout.unit_ref(disk, offset % size);
+                self.locks.shard_of(offset / size, r.stripe as usize)
+            })
+            .collect();
+        sort_shard_set(&mut shards);
+        let mut handed =
+            w.pending.as_ref().and_then(|_| self.locks.try_lock_sorted_shared(&shards));
+        if handed.is_none() {
+            self.land_pending(&mut w.pending, &mut w.free)?;
+        }
+        let RebuildWorker { scratch, free, pending } = w;
+        let mut out = free.pop().expect("one buffer filling, at most one in flight");
+        out.resize(n * us, 0);
+        let logical = |pd: usize| st.redirect.iter().position(|&p| p == pd);
+        // A corrupt survivor must never reach the spare: a sweep that
+        // meets one discards the chunk's output, its stripe is
+        // repaired in place (exclusive lock, after the shared guards
+        // drop) and the chunk retried once.
+        let attempt = |bad: &mut Mismatches| -> Result<_, StoreError> {
+            let guards = handed.take().unwrap_or_else(|| self.locks.lock_sorted_shared(&shards));
+            let cache = &mut scratch.cache;
+            // Gather every surviving stripe member the decodes below
+            // will touch. Distinct target offsets live in distinct
+            // stripes, and stripes never share units, so the want-list
+            // is duplicate-free and the per-disk unit counts stay
+            // identical to the per-unit path — only the call count
+            // drops.
+            cache.wants.clear();
+            for offset in start..start + n {
+                let shift = (offset / size * size) as u32;
+                let r = wd.layout.unit_ref(disk, offset % size);
+                for u in wd.layout.stripes()[r.stripe as usize].units() {
+                    if u.disk as usize == disk || st.failed.contains(u.disk as usize) {
+                        continue;
+                    }
+                    cache.push_want(st.redirect[u.disk as usize] as u32, u.offset + shift);
+                }
+            }
+            let t0 = Instant::now();
+            cache.fill(&self.io(), us, Priority::Maintenance)?;
+            // The chunk's surviving-member prefetch *is* the rebuild
+            // read load; timed unconditionally (chunks are large, the
+            // two Instant reads vanish against the vectored I/O).
+            let prefetch_ns = t0.elapsed().as_nanos() as u64;
+            self.metrics.record_op(OpKind::RebuildRead, cache.wants.len() as u64, prefetch_ns);
+            // One sweep: each target unit's survivors are checked, then
+            // folded while still in cache — a single erasure straight
+            // into the output unit, a stripe crossing a second failed
+            // disk through the two-erasure solve.
+            for (i, unit) in out.chunks_exact_mut(us).enumerate() {
+                let offset = start + i;
+                let r = wd.layout.unit_ref(disk, offset % size);
+                let (si, slot) = (r.stripe as usize, r.slot as usize);
+                let (lost, nlost) = self.lost_slots(&st, si, &[slot])?;
+                let (p_slot, q_slot) = wd.smap.parity_slots(si);
+                let mut dec = match nlost {
+                    1 => Decode::into_unit(unit, p_slot, q_slot, slot),
+                    _ => Decode::new(
+                        &mut scratch.acc_p,
+                        &mut scratch.acc_q,
+                        p_slot,
+                        q_slot,
+                        &lost[..nlost],
+                    ),
+                };
+                self.fold_checked(&st, offset / size, si, &mut dec, &scratch.cache, bad)?;
+                let solved = dec.solve();
+                if nlost > 1 {
+                    unit.copy_from_slice(solved.get(scratch, slot)?);
+                }
+            }
+            if bad.any() {
+                // The discarded prefetch is repair work, not
+                // reconstruction load.
+                self.rb_tracker.note_repair_reads(
+                    scratch.cache.wants.iter().filter_map(|&(pd, _)| logical(pd as usize)),
+                );
+            }
+            Ok(guards)
+        };
+        let guards = sweep_repairing(attempt, |copy, si| {
+            // The earlier chunk's guards may cover this stripe.
+            self.land_pending(pending, free)?;
+            // The repair reads every live unit of the stripe: repair
+            // work too.
+            self.rb_tracker.note_repair_reads(
+                wd.layout.stripes()[si]
+                    .units()
+                    .iter()
+                    .map(|u| u.disk as usize)
+                    .filter(|&d| !st.failed.contains(d)),
+            );
+            self.repair_stripe(&st, copy, si)
+        })?;
+        // This chunk's write goes out before the earlier chunk lands,
+        // so the spare has work queued while the worker waits for it;
+        // the earlier chunk's buffer is free again before the next
+        // chunk needs one.
+        let run = [Run { disk: spare, first: start, parts: 0..1 }];
+        let submitted = Instant::now();
+        let round = self.io().submit_writes(&run, &[&out], Priority::Maintenance);
+        let mut earlier =
+            pending.replace(SpareWrite { round, spare, start, out, submitted, guards, st });
+        self.land_pending(&mut earlier, free)?;
+        if !pending.as_ref().is_some_and(|p| p.round.in_flight()) {
+            self.land_pending(pending, free)?;
+        }
+        Ok(())
+    }
+
+    /// Waits for `pending`'s spare write, if any — a worker's last
+    /// chunk lands here, and so does whatever is in flight when a chunk
+    /// fails. Its landing records the checksums of exactly the units
+    /// that reached the spare, which becomes the live medium when its
+    /// rebuild's redirect flips; then the chunk is booked, and only
+    /// then are its guards dropped and its buffer freed.
+    fn land_pending(
+        &self,
+        pending: &mut Option<SpareWrite<'_>>,
+        free: &mut Vec<Vec<u8>>,
+    ) -> Result<(), StoreError> {
+        let Some(SpareWrite { round, spare, start, out, submitted, guards, st }) = pending.take()
+        else {
+            return Ok(());
+        };
+        let us = self.unit_size;
+        let run = [Run { disk: spare, first: start, parts: 0..1 }];
+        let landed = self.io().land(round, &run, &[&out]);
+        if landed.is_ok() {
+            let n = (out.len() / us) as u64;
+            self.metrics.record_op(OpKind::SpareWrite, n, submitted.elapsed().as_nanos() as u64);
+            self.rb_tracker.add_done(n);
+        }
+        // Shard guards nest inside the state guard.
+        drop(guards);
+        drop(st);
+        free.push(out);
+        landed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The rebuild's lock handoff under contention: a writer holds a
+    /// shard of chunk 2 exclusive while chunk 1's spare write is in
+    /// flight, so chunk 2's non-blocking try fails and the worker lands
+    /// chunk 1 before it blocks — chunk 1's units are done while the
+    /// writer still holds the shard. A worker that blocked on chunk 2
+    /// with chunk 1's guards held would leave them undone until then.
+    #[test]
+    fn rebuild_lands_its_chunk_before_blocking_on_a_contended_next_chunk() {
+        use crate::backend::MemBackend;
+        use crate::engine::EngineConfig;
+        use std::time::Duration;
+        const US: usize = 64;
+        const CHUNK: usize = 4;
+        let layout = pdl_core::RingLayout::for_v_k(9, 4).layout().clone();
+        let units = 2 * layout.size();
+        let store = BlockStore::new(layout, MemBackend::new(10, units, US)).unwrap();
+        let data: Vec<u8> = (0..store.blocks() * US).map(|i| (i % 233) as u8).collect();
+        store.write_blocks(0, &data).unwrap();
+        store.fail_disk(2).unwrap();
+        // The spare's first write queues (its disk is not yet timed),
+        // so chunk 1 is in flight when chunk 2 is tried.
+        store.start_engine(EngineConfig::default());
+        let w = store.state_read().world.clone();
+        let shard =
+            |offset: usize| store.locks.shard_of(0, w.layout.unit_ref(2, offset).stripe as usize);
+        let first: Vec<usize> = (0..CHUNK).map(shard).collect();
+        let contended = (CHUNK..2 * CHUNK)
+            .map(shard)
+            .find(|s| !first.contains(s))
+            .expect("chunk 2 has a shard chunk 1 does not");
+        let (writer, _) = store.locks.lock_one_counting(contended);
+        let landed = std::thread::scope(|s| {
+            let rebuild = s.spawn(|| Rebuilder::new(1).chunk_size(CHUNK).rebuild(&store, 9));
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let landed = loop {
+                if store.rebuild_progress().is_some_and(|p| p.units_done >= CHUNK as u64) {
+                    break true;
+                }
+                if Instant::now() > deadline {
+                    break false;
+                }
+                std::thread::yield_now();
+            };
+            drop(writer);
+            rebuild.join().expect("rebuild thread").unwrap();
+            landed
+        });
+        assert!(landed, "chunk 1 did not land while chunk 2 was contended");
+        let mut back = vec![0u8; data.len()];
+        store.read_blocks(0, &mut back).unwrap();
+        assert!(back == data, "the rebuilt store returns the original bytes");
+        store.verify_parity().unwrap();
     }
 }

@@ -108,11 +108,10 @@ use crate::io::Run;
 use crate::maintenance::ReshapeDriverConfig;
 use crate::meta::{slots_u32, Record, ReshapeState};
 use crate::obs::{Event, OpKind, ReshapeProgressSnapshot};
+use crate::repair::{sweep_repairing, Mismatches, UnitCache};
 use crate::scheme::{FailureSet, ParityScheme};
-use crate::store::{
-    sort_shard_set, sweep_repairing, ArrayState, BlockStore, Mismatches, PhysUnit, StripeLockTable,
-    UnitCache, World, WritePlan,
-};
+use crate::store::{sort_shard_set, ArrayState, BlockStore, PhysUnit, StripeLockTable, World};
+use crate::write::WritePlan;
 use pdl_core::{
     relayout_cost, DoubleParityLayout, LayoutSpec, ReshapeMethod, ReshapePlan, StripeUnit,
 };
@@ -707,8 +706,8 @@ impl<B: Backend> BlockStore<B> {
                 let start = (t / ns) as usize * tw.smap.data_units_per_copy() + lo;
                 let base = start - lo_addr;
                 let stripe_data = &src_data[base * us..(base + k_data) * us];
-                units_planned += self
-                    .plan_stripe(tw, start, stripe_data, base, &mut plan, |u| Some(rs.place(u)));
+                self.plan_stripe(tw, start, stripe_data, base, &mut plan, |u| Some(rs.place(u)));
+                units_planned += k_data + self.scheme.parity_per_stripe();
             }
             self.flush_write_plan(&mut plan, src_data)?;
             Ok(units_planned)
@@ -938,7 +937,8 @@ impl<B: Backend> BlockStore<B> {
 #[cfg(test)]
 mod tests {
     use crate::backend::{Backend, MemBackend};
-    use crate::store::{fill_pattern, BlockStore};
+    use crate::store::BlockStore;
+    use crate::support::fill_pattern;
     use pdl_core::RingLayout;
 
     fn filled_store(v: usize, k: usize, spares: usize, copies: usize) -> BlockStore<MemBackend> {

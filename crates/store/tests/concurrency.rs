@@ -448,7 +448,7 @@ fn same_stripe_rmw_keeps_parity_mem() {
             s.spawn(move || {
                 let mut block = vec![0u8; UNIT];
                 for r in 0..rounds {
-                    pdl_store::fill_pattern(
+                    support::fill_pattern(
                         addr,
                         seed ^ (((t as u64) << 32) | (r as u64 + 1)),
                         &mut block,
@@ -468,7 +468,7 @@ fn same_stripe_rmw_keeps_parity_mem() {
     let mut want = vec![0u8; UNIT];
     for (t, &addr) in addrs.iter().enumerate() {
         store.read_block(addr, &mut got).unwrap();
-        pdl_store::fill_pattern(addr, cfg.seed ^ (((t as u64) << 32) | rounds as u64), &mut want);
+        support::fill_pattern(addr, cfg.seed ^ (((t as u64) << 32) | rounds as u64), &mut want);
         assert_eq!(got, want, "seed {}: block {addr} lost its last write", cfg.seed);
     }
 }
@@ -486,7 +486,7 @@ fn same_stripe_rmw_keeps_parity_file() {
                 s.spawn(move || {
                     let mut block = vec![0u8; UNIT];
                     for r in 0..rounds {
-                        pdl_store::fill_pattern(
+                        support::fill_pattern(
                             addr,
                             seed ^ (((t as u64) << 32) | (r as u64 + 1)),
                             &mut block,
@@ -515,7 +515,7 @@ fn degraded_reads_race_same_stripe_writes_mem() {
     // reachable through the decode.
     let mut block = vec![0u8; UNIT];
     for &addr in &addrs {
-        pdl_store::fill_pattern(addr, cfg.seed, &mut block);
+        support::fill_pattern(addr, cfg.seed, &mut block);
         store.write_block(addr, &block).unwrap();
     }
     let lost_addr = addrs[0];
@@ -537,7 +537,7 @@ fn degraded_reads_race_same_stripe_writes_mem() {
             s.spawn(move || {
                 let mut block = vec![0u8; UNIT];
                 for r in 0..rounds {
-                    pdl_store::fill_pattern(
+                    support::fill_pattern(
                         addr,
                         seed ^ (((t as u64) << 32) | (r as u64 + 1)),
                         &mut block,
@@ -552,7 +552,7 @@ fn degraded_reads_race_same_stripe_writes_mem() {
             s.spawn(move || {
                 let mut got = vec![0u8; UNIT];
                 let mut want = vec![0u8; UNIT];
-                pdl_store::fill_pattern(lost_addr, seed, &mut want);
+                support::fill_pattern(lost_addr, seed, &mut want);
                 for i in 0..rounds {
                     store.read_block(lost_addr, &mut got).unwrap();
                     assert_eq!(

@@ -11,12 +11,15 @@
 //! assertion message carries the seed, and `PDL_FAULT_SEED=<n>`
 //! replays exactly one seed.
 
+mod support;
+
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_sim::{Trace, TraceOp, Workload};
 use pdl_store::{Backend, BlockStore, CachePolicy, MemBackend, Rebuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::path::PathBuf;
+use support::replay::replay;
 
 const UNIT: usize = 64;
 const COPIES: usize = 2;
@@ -312,7 +315,7 @@ fn fault_events_replay_from_trace_mem() {
         .then(TraceOp::Rebuild { spare: 10 })
         .then(TraceOp::Fail { disk: 0 })
         .then(TraceOp::Restore { disk: 0 });
-    let stats = store.replay(&trace).unwrap();
+    let stats = replay(&store, &trace).unwrap();
     assert_eq!(stats.reads + stats.writes, 240);
     assert_eq!(stats.disks_failed, 3);
     assert_eq!(stats.rebuilds, 2);
@@ -323,7 +326,7 @@ fn fault_events_replay_from_trace_mem() {
     // Determinism: the same trace on a fresh store produces the same
     // stats and identical content.
     let other = pq_store_mem();
-    let stats2 = other.replay(&trace).unwrap();
+    let stats2 = replay(&other, &trace).unwrap();
     assert_eq!(stats, stats2);
     let mut a = vec![0u8; UNIT];
     let mut b = vec![0u8; UNIT];

@@ -14,12 +14,13 @@ mod support;
 
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
-    fill_pattern, open_file_store, Backend, BlockStore, CachePolicy, EngineConfig, Event,
-    EventSink, MemBackend, Rebuilder, RetryPolicy, StoreError,
+    open_file_store, Backend, BlockStore, CachePolicy, EngineConfig, Event, EventSink, MemBackend,
+    Rebuilder, RetryPolicy, StoreError,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use support::faulty::{FaultConfig, FaultyBackend};
+use support::fill_pattern;
 
 const UNIT: usize = 64;
 const COPIES: usize = 2;

@@ -14,7 +14,7 @@ mod support;
 
 use pdl_core::RingLayout;
 use pdl_store::{
-    create_file_store, fill_pattern, open_file_store, Backend, BlockStore, FileBackend, MemBackend,
+    create_file_store, open_file_store, Backend, BlockStore, FileBackend, MemBackend,
     ReshapeDriverConfig, StoreError, SUMS_FILE, SUMS_LOG_FILE,
 };
 use std::path::PathBuf;
@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use support::faulty::{FaultConfig, FaultyBackend};
+use support::fill_pattern;
 use support::stress::{self, RebuildMode, StressConfig};
 
 const UNIT: usize = 64;

@@ -14,7 +14,7 @@ mod support;
 use std::time::{Duration, Instant};
 
 use pdl_core::RingLayout;
-use pdl_store::{BlockStore, EngineConfig, MemBackend, Rebuilder};
+use pdl_store::{BlockStore, EngineConfig, EngineStatsSnapshot, MemBackend, Rebuilder};
 use support::faulty::{FaultConfig, FaultyBackend};
 
 const UNIT: usize = 64;
@@ -27,6 +27,18 @@ fn stalling_store() -> BlockStore<FaultyBackend<MemBackend>> {
     let stall =
         FaultConfig { slow_rate: 1.0, slow_us: STALL.as_micros() as u64, ..FaultConfig::quiet(1) };
     BlockStore::new(layout, FaultyBackend::new(mem, stall)).unwrap()
+}
+
+/// The engine's routing at stop: its hand-off threshold and, per disk,
+/// the calls it served inline and its service-time estimate — what a
+/// failed overlap bound needs to tell a disk routed inline from one
+/// that queued and still did not overlap.
+fn routing(snap: Option<EngineStatsSnapshot>) -> String {
+    let Some(s) = snap else { return "no engine snapshot".into() };
+    let disks: Vec<String> = (s.disks.iter())
+        .map(|d| format!("{}: inline {} ewma {} us", d.disk, d.inline, d.ewma_service_us))
+        .collect();
+    format!("handoff {} us; disks [{}]", s.handoff_us, disks.join(", "))
 }
 
 /// Wall time of 100 single-block reads split evenly over `threads`
@@ -76,8 +88,11 @@ fn engine_overlaps_the_runs_of_one_batched_read() {
     assert!(touched >= 4, "the 8-block read spans {touched} disks");
     store.start_engine(EngineConfig::default());
     let queued = ten_reads();
-    store.stop_engine();
-    assert!(queued * 2 <= inline, "engine on {queued:?}, off {inline:?}: runs did not overlap");
+    let routed = routing(store.stop_engine());
+    assert!(
+        queued * 2 <= inline,
+        "engine on {queued:?}, off {inline:?}: runs did not overlap ({routed})"
+    );
 }
 
 /// A small write reads the old unit and the old parity, then writes
@@ -99,10 +114,10 @@ fn engine_overlaps_each_round_of_a_small_write() {
     let inline = ten_writes();
     store.start_engine(EngineConfig::default());
     let queued = ten_writes();
-    store.stop_engine();
+    let routed = routing(store.stop_engine());
     assert!(
         queued * 4 <= inline * 3,
-        "engine on {queued:?}, off {inline:?}: rounds did not overlap"
+        "engine on {queued:?}, off {inline:?}: rounds did not overlap ({routed})"
     );
 }
 

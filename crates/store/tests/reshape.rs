@@ -15,14 +15,15 @@ mod support;
 
 use pdl_core::{DoubleParityLayout, RingLayout};
 use pdl_store::{
-    create_file_store, create_file_store_pq, fill_pattern, open_file_store, Backend, BlockStore,
-    CachePolicy, FileBackend, MemBackend, ParityScheme, Rebuilder, ReshapeDriverConfig,
-    ReshapeState, StoreError, StoreMeta, META_FILE,
+    create_file_store, create_file_store_pq, open_file_store, Backend, BlockStore, CachePolicy,
+    FileBackend, MemBackend, OpKind, ParityScheme, Rebuilder, ReshapeDriverConfig, ReshapeState,
+    StoreError, StoreMeta, META_FILE,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 use support::faulty::{FaultConfig, FaultyBackend};
+use support::fill_pattern;
 
 const UNIT: usize = 64;
 
@@ -733,6 +734,40 @@ fn reshape_repairs_a_corrupt_source_unit_before_migrating_it() {
             store.verify_parity().unwrap();
             assert_eq!(store.stats().integrity.checksum_repairs, 2, "{ctx}: one repair per rot");
         }
+    }
+}
+
+/// An aligned full-stripe batch during an active reshape stays one
+/// batch: its source side plans the stripe with no reads, so its only
+/// reads are its dual writes' — the target data unit and its parities,
+/// 2 per block under XOR and 3 under P+Q — and it records one `Write`
+/// op, where one `write_block` per block would add each block's
+/// partial-stripe reads and op.
+#[test]
+fn aligned_batch_during_a_reshape_reads_only_for_its_dual_writes_mem() {
+    for store in [xor_store_mem(9, 4, 1, 1), pq_store_mem(9, 4, 1, 1)] {
+        let ctx = format!("{:?}", store.scheme());
+        let per_block = if store.scheme() == ParityScheme::PQ { 3 } else { 2 };
+        prefill(&store, 0xba7c);
+        let v = store.v();
+        store.begin_add_disks(&[v]).unwrap();
+        let (lo, k_data) = store.stripe_map().stripe_data_range(0);
+        let data: Vec<u8> = (0..k_data * UNIT).map(|i| (i % 251) as u8 ^ 0x3c).collect();
+        let ops_before = store.stats().op(OpKind::Write).unwrap().ops;
+        store.reset_counters();
+        store.write_blocks(lo, &data).unwrap();
+        let b = store.backend();
+        let reads: u64 = (0..b.disks()).map(|p| b.read_count(p)).sum();
+        assert_eq!(reads, (per_block * k_data) as u64, "{ctx}: {k_data} blocks");
+        let ops = store.stats().op(OpKind::Write).unwrap().ops - ops_before;
+        assert_eq!(ops, 1, "{ctx}: one batch, one op");
+
+        while !store.reshape_step(0).unwrap() {}
+        store.complete_reshape().unwrap();
+        let mut got = vec![0u8; data.len()];
+        store.read_blocks(lo, &mut got).unwrap();
+        assert_eq!(got, data, "{ctx}");
+        store.verify_parity().unwrap();
     }
 }
 

@@ -5,6 +5,8 @@
 //! ring-declustered rebuild balances its per-surviving-disk reads
 //! within 1% at the predicted (k−1)/(v−1) fraction.
 
+mod support;
+
 use pdl_core::{raid5_layout, DoubleParityLayout, Layout, RingLayout};
 use pdl_sim::{Trace, Workload};
 use pdl_store::{
@@ -12,6 +14,7 @@ use pdl_store::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use support::replay::replay;
 
 const UNIT: usize = 128;
 const COPIES: usize = 2;
@@ -242,14 +245,14 @@ fn trace_replay_healthy_and_degraded() {
     let workload = Workload { request_units: (1, 4), read_fraction: 0.5, ..Workload::default() };
     let trace = Trace::from_workload(&workload, store.blocks(), 300, 42);
 
-    let stats = store.replay(&trace).unwrap();
+    let stats = replay(&store, &trace).unwrap();
     assert_eq!(stats.reads + stats.writes, 300);
     store.verify_parity().unwrap();
 
     // Degraded replay: same trace with a disk down, then rebuild and
     // confirm parity self-consistency end to end.
     store.fail_disk(3).unwrap();
-    store.replay(&trace).unwrap();
+    replay(&store, &trace).unwrap();
     Rebuilder::default().rebuild(&store, 7).unwrap();
     store.verify_parity().unwrap();
 }

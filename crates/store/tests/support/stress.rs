@@ -23,9 +23,10 @@
 //! seed, `PDL_STRESS_THREADS`/`PDL_STRESS_OPS` override the shape,
 //! and every panic message carries the seed.
 
+use super::fill_pattern;
 use pdl_store::{
-    fill_pattern, Backend, BlockStore, CachePolicy, EngineConfig, RebuildProgress, RebuildReport,
-    Rebuilder, ReshapeDriverConfig, ReshapeReport, ScrubReport, StatsSnapshot, StoreError,
+    Backend, BlockStore, CachePolicy, EngineConfig, RebuildProgress, RebuildReport, Rebuilder,
+    ReshapeDriverConfig, ReshapeReport, ScrubReport, StatsSnapshot, StoreError,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
