@@ -20,9 +20,9 @@
 //! ```
 
 #![warn(missing_docs)]
-// The vector loops in `gf256::kernel` are this crate's only raw-pointer
-// code; each block there must say why it is sound, and CI's clippy
-// step enforces it.
+// The vector loops in `gf256::kernel` and `xxh64::kernel` are this
+// crate's only raw-pointer code; each block there must say why it is
+// sound, and CI's clippy step enforces it.
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -31,6 +31,7 @@ pub mod gf256;
 pub mod nt;
 pub mod poly;
 pub mod ring;
+pub mod xxh64;
 
 pub use gf::FiniteField;
 pub use poly::Poly;

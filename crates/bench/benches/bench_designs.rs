@@ -116,6 +116,32 @@ fn bench_gf256_slice_kernels(c: &mut Criterion) {
     g.finish();
 }
 
+/// The store's unit checksum, one buffer at a time against batches of
+/// eight, at request, block and unit size, on every XXH64 kernel this
+/// host can run: the frozen benchmark times only the one-buffer hash,
+/// so this is where the batch kernel's gain over it shows.
+fn bench_xxh64_batch(c: &mut Criterion) {
+    use pdl_algebra::xxh64::{self, Kernel};
+    let mut g = c.benchmark_group("xxh64_batch");
+    for len in [512usize, 4096, 65_536] {
+        let data: Vec<Vec<u8>> =
+            (0..8).map(|u| (0..len).map(|i| (i * 7 + u * 13 + 3) as u8).collect()).collect();
+        let units: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let mut sums = [0u64; 8];
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(BenchmarkId::new("single", len), |b| {
+            b.iter(|| xxh64::xxh64(black_box(0), black_box(units[0])))
+        });
+        g.throughput(Throughput::Bytes(8 * len as u64));
+        for kernel in Kernel::available() {
+            g.bench_function(BenchmarkId::new(format!("batch8/{}", kernel.name()), len), |b| {
+                b.iter(|| kernel.xxh64_batch(black_box(0), black_box(&units), &mut sums))
+            });
+        }
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -126,6 +152,7 @@ criterion_group! {
     bench_reduced_designs,
     bench_field_construction,
     bench_field_mul_ablation,
-    bench_gf256_slice_kernels
+    bench_gf256_slice_kernels,
+    bench_xxh64_batch
 }
 criterion_main!(benches);

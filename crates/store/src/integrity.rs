@@ -9,14 +9,25 @@
 //! second failure makes them unrecoverable, so this module gives the
 //! store the substrate the scrubber and the read paths build on:
 //!
-//! * [`xxh64`] — a local XXH64 implementation (like `gf256`, written
-//!   here rather than pulled in as a dependency), hashing a 512-byte
-//!   unit in tens of nanoseconds;
+//! * [`xxh64`] — XXH64 (written in `pdl-algebra`, like `gf256`, rather
+//!   than pulled in as a dependency), hashing a 512-byte unit in tens
+//!   of nanoseconds;
 //! * a checksum table — one 64-bit checksum per *physical* unit,
 //!   updated on every backend write the store issues and verified on
 //!   the consume-as-is read paths. Unwritten units carry an "unset"
 //!   sentinel and are skipped, so a freshly created (zero-filled)
-//!   store pays nothing until first write;
+//!   store pays nothing until first write. The table has one batched
+//!   pair, `ChecksumTable::verify` and `ChecksumTable::record`:
+//!   each takes `(disk, offset, bytes)` units across disks under one
+//!   table lock and hashes them eight at a time through
+//!   `pdl_algebra::xxh64::xxh64_batch` — on an AVX-512 host eight (or
+//!   four) equal-length units step together, each to the sum scalar
+//!   [`xxh64`] gives it. A one-unit call is a batch of one and takes the
+//!   scalar hash. Every multi-unit transfer hands its units over as one
+//!   batch: a client batch read verifies each group of eight as its
+//!   runs land, a write round records its landed runs together, and a
+//!   decode checks a stripe's survivors (a rebuild, two stripes') before
+//!   folding them;
 //! * [`RetryPolicy`] — bounded retry with linear backoff for
 //!   transient backend errors (`ErrorKind::Interrupted`);
 //! * a health monitor — per-disk error/repair/retry counters feeding
@@ -36,92 +47,62 @@
 //! on disk and corrects the stale sum, so stale-sum windows self-heal.
 
 use crate::error::StoreError;
+use pdl_algebra::xxh64::xxh64_batch;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
-/// XXH64 prime constants.
-const P1: u64 = 0x9E3779B185EBCA87;
-const P2: u64 = 0xC2B2AE3D27D4EB4F;
-const P3: u64 = 0x165667B19E3779F9;
-const P4: u64 = 0x85EBCA77C2B2AE63;
-const P5: u64 = 0x27D4EB2F165667C5;
+/// The unit checksum: XXH64, implemented (with its batch kernels) in
+/// `pdl-algebra`.
+pub use pdl_algebra::xxh64::xxh64;
 
-#[inline]
-fn round(acc: u64, input: u64) -> u64 {
-    acc.wrapping_add(input.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
-}
-
-#[inline]
-fn merge_round(acc: u64, val: u64) -> u64 {
-    (acc ^ round(0, val)).wrapping_mul(P1).wrapping_add(P4)
-}
-
-#[inline]
-fn read_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b[..8].try_into().unwrap())
-}
-
-#[inline]
-fn read_u32(b: &[u8]) -> u64 {
-    u32::from_le_bytes(b[..4].try_into().unwrap()) as u64
-}
-
-/// XXH64 of `data` with `seed` — bit-compatible with the reference
-/// implementation (property-tested against published vectors below).
-/// Four independent 64-bit lanes over 32-byte blocks keep the hot
-/// loop superscalar; a 512-byte unit hashes in ~16 block iterations.
-pub fn xxh64(seed: u64, data: &[u8]) -> u64 {
-    let len = data.len();
-    let mut rest = data;
-    let mut h: u64 = if len >= 32 {
-        let mut v1 = seed.wrapping_add(P1).wrapping_add(P2);
-        let mut v2 = seed.wrapping_add(P2);
-        let mut v3 = seed;
-        let mut v4 = seed.wrapping_sub(P1);
-        while rest.len() >= 32 {
-            v1 = round(v1, read_u64(&rest[0..]));
-            v2 = round(v2, read_u64(&rest[8..]));
-            v3 = round(v3, read_u64(&rest[16..]));
-            v4 = round(v4, read_u64(&rest[24..]));
-            rest = &rest[32..];
+/// Hashes `units`, each tagged, in groups of [`ChecksumTable::GROUP`]
+/// through the batch kernel, and hands every tag its unit's encoded
+/// sum, in order. A fixed group on the stack: no allocation however
+/// many units pass.
+fn hash_grouped<'a, T: Copy + Default>(
+    units: impl IntoIterator<Item = (T, &'a [u8])>,
+    mut each: impl FnMut(T, u64),
+) {
+    let units = units.into_iter();
+    if units.size_hint().1.is_some_and(|n| n < 4) {
+        // Too few for the smallest vector group (a one-unit check):
+        // the scalar hash, without filling a group first.
+        for (tag, unit) in units {
+            each(tag, ChecksumTable::encode(xxh64(ChecksumTable::SEED, unit)));
         }
-        let mut h = v1
-            .rotate_left(1)
-            .wrapping_add(v2.rotate_left(7))
-            .wrapping_add(v3.rotate_left(12))
-            .wrapping_add(v4.rotate_left(18));
-        h = merge_round(h, v1);
-        h = merge_round(h, v2);
-        h = merge_round(h, v3);
-        merge_round(h, v4)
-    } else {
-        seed.wrapping_add(P5)
+        return;
+    }
+    const N: usize = ChecksumTable::GROUP;
+    let mut tags = [T::default(); N];
+    let mut bytes: [&[u8]; N] = [&[]; N];
+    let mut sums = [0u64; N];
+    let mut flush = |n: usize, tags: &[T], bytes: &[&[u8]]| {
+        xxh64_batch(ChecksumTable::SEED, &bytes[..n], &mut sums[..n]);
+        for (&tag, &sum) in tags[..n].iter().zip(&sums[..n]) {
+            each(tag, ChecksumTable::encode(sum));
+        }
     };
-    h = h.wrapping_add(len as u64);
-    while rest.len() >= 8 {
-        h = (h ^ round(0, read_u64(rest))).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
-        rest = &rest[8..];
+    let mut n = 0;
+    for (tag, unit) in units {
+        (tags[n], bytes[n]) = (tag, unit);
+        n += 1;
+        if n == N {
+            flush(n, &tags, &bytes);
+            n = 0;
+        }
     }
-    if rest.len() >= 4 {
-        h = (h ^ read_u32(rest).wrapping_mul(P1)).rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
-        rest = &rest[4..];
+    if n > 0 {
+        flush(n, &tags, &bytes);
     }
-    for &b in rest {
-        h = (h ^ (b as u64).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(P3);
-    h ^ (h >> 32)
 }
 
 /// One 64-bit checksum per physical unit, per disk.
 ///
 /// Lookups and updates are relaxed atomics under a table-wide read
-/// lock (an uncontended atomic on the hot path); the write lock is
+/// lock, taken once per batch (an uncontended atomic on the hot
+/// path); the write lock is
 /// taken only by geometry changes (reshape grow/trim, wipe), which
 /// already run under the store's exclusive state guard with no I/O in
 /// flight. Entries hold [`ChecksumTable::UNSET`] until first written;
@@ -167,6 +148,10 @@ impl ChecksumTable {
     /// The "no checksum recorded" sentinel: verification is skipped.
     pub(crate) const UNSET: u64 = 0;
 
+    /// Units one [`ChecksumTable::verify`] or [`ChecksumTable::record`]
+    /// hashes together: the widest group of the batch kernel.
+    pub(crate) const GROUP: usize = 8;
+
     /// Seed for every unit hash (arbitrary, fixed for persistence).
     pub(crate) const SEED: u64 = 0x70646c5f73756d73; // "pdl_sums"
 
@@ -192,59 +177,49 @@ impl ChecksumTable {
         }
     }
 
-    /// Records the checksum of `data` as unit `(disk, offset)`'s
-    /// current content. Offsets past the table (a backend grown
-    /// without a matching [`ChecksumTable::resize_units`]) are
-    /// ignored defensively.
-    #[inline]
-    pub(crate) fn record(&self, disk: usize, offset: usize, data: &[u8]) {
+    /// Records the checksum of each `(disk, offset, bytes)` unit as
+    /// that unit's current content, under one table-lock acquisition,
+    /// hashing up to eight units at once. Offsets past the table (a
+    /// backend grown without a matching
+    /// [`ChecksumTable::resize_units`]) are ignored defensively.
+    pub(crate) fn record<'a>(&self, units: impl IntoIterator<Item = (usize, usize, &'a [u8])>) {
         let t = self.disks.read().unwrap();
-        let Some(d) = t.get(disk) else { return };
-        if let Some(slot) = d.sums.get(offset) {
-            slot.store(Self::encode(xxh64(Self::SEED, data)), Ordering::Relaxed);
-            d.mark_dirty(offset);
-        }
+        let known = units
+            .into_iter()
+            .filter(|&(disk, offset, _)| t.get(disk).is_some_and(|d| offset < d.sums.len()));
+        hash_grouped(
+            known.map(|(disk, offset, unit)| ((disk, offset), unit)),
+            |(disk, offset), sum| {
+                t[disk].sums[offset].store(sum, Ordering::Relaxed);
+                t[disk].mark_dirty(offset);
+            },
+        );
     }
 
-    /// Verifies `data` against unit `(disk, offset)`'s recorded
-    /// checksum. `true` when they match **or** no checksum is
-    /// recorded yet.
-    #[inline]
-    pub(crate) fn check(&self, disk: usize, offset: usize, data: &[u8]) -> bool {
-        let t = self.disks.read().unwrap();
-        match t.get(disk).and_then(|d| d.sums.get(offset)) {
-            Some(slot) => {
-                let stored = slot.load(Ordering::Relaxed);
-                stored == Self::UNSET || stored == Self::encode(xxh64(Self::SEED, data))
-            }
-            None => true,
-        }
-    }
-
-    /// Verifies a batch of (offset, unit-bytes) pairs on `disk` in
-    /// **one** table-lock acquisition instead of a `check` call (and
-    /// its `RwLock` read) per unit. Offsets of mismatching units are
-    /// appended to `bad`; units with no recorded checksum pass, as in
-    /// [`ChecksumTable::check`]. Returns `true` when every unit
-    /// passed.
-    pub(crate) fn check_many<'a>(
+    /// Verifies each `(disk, offset, bytes)` unit against its recorded
+    /// checksum, under one table-lock acquisition, hashing up to eight
+    /// units at once. A unit with no recorded checksum (or past the
+    /// table) passes unhashed; `mismatch(i)` is called, in order, for
+    /// the position `i` in `units` of each one that fails. Returns
+    /// whether every unit passed.
+    pub(crate) fn verify<'a>(
         &self,
-        disk: usize,
-        units: impl IntoIterator<Item = (usize, &'a [u8])>,
-        bad: &mut Vec<usize>,
+        units: impl IntoIterator<Item = (usize, usize, &'a [u8])>,
+        mut mismatch: impl FnMut(usize),
     ) -> bool {
         let t = self.disks.read().unwrap();
-        let Some(d) = t.get(disk) else { return true };
-        let before = bad.len();
-        for (offset, unit) in units {
-            if let Some(slot) = d.sums.get(offset) {
-                let stored = slot.load(Ordering::Relaxed);
-                if stored != Self::UNSET && stored != Self::encode(xxh64(Self::SEED, unit)) {
-                    bad.push(offset);
-                }
+        let recorded = units.into_iter().enumerate().filter_map(|(i, (disk, offset, unit))| {
+            let stored = t.get(disk)?.sums.get(offset)?.load(Ordering::Relaxed);
+            (stored != Self::UNSET).then_some(((i, stored), unit))
+        });
+        let mut clean = true;
+        hash_grouped(recorded, |(i, stored), sum| {
+            if sum != stored {
+                clean = false;
+                mismatch(i);
             }
-        }
-        bad.len() == before
+        });
+        clean
     }
 
     /// Whether unit `(disk, offset)` has a recorded checksum. A unit
@@ -737,6 +712,11 @@ impl Integrity {
 mod tests {
     use super::*;
 
+    /// A one-unit [`ChecksumTable::verify`].
+    fn verify_one(t: &ChecksumTable, disk: usize, offset: usize, unit: &[u8]) -> bool {
+        t.verify([(disk, offset, unit)], |_| {})
+    }
+
     /// A unit past the table, by offset or by disk, has no recorded
     /// sum: `record` drops its sum, and `recorded` says so.
     #[test]
@@ -744,17 +724,17 @@ mod tests {
         let t = ChecksumTable::new(2, 4);
         let unit = [7u8; 16];
         for (disk, offset) in [(0, 4), (1, 100), (2, 0), (5, 3)] {
-            t.record(disk, offset, &unit);
+            t.record([(disk, offset, &unit[..])]);
             assert!(!t.recorded(disk, offset), "({disk}, {offset}) is past a 2 × 4 table");
         }
         assert!(!t.recorded(1, 3), "an in-table unit starts unrecorded");
-        t.record(1, 3, &unit);
+        t.record([(1, 3, &unit[..])]);
         assert!(t.recorded(1, 3), "an in-table unit is recorded once written");
     }
 
-    /// Published XXH64 reference vectors (xxhash's own sanity table:
-    /// the byte sequence is `2654435761^n`-generated, same as the
-    /// upstream `XSUM_sanityCheck`).
+    /// The store's unit hash — re-exported as `pdl_store::xxh64` — is
+    /// the reference XXH64 (the published vectors of xxhash's
+    /// `XSUM_sanityCheck`, over its `2654435761^n`-generated bytes).
     #[test]
     fn xxh64_matches_reference_vectors() {
         const PRIME32: u64 = 2654435761;
@@ -766,17 +746,12 @@ mod tests {
                 b
             })
             .collect();
-        let cases: [(usize, u64, u64); 8] = [
+        for (len, seed, want) in [
             (0, 0, 0xEF46DB3751D8E999),
-            (0, PRIME32, 0xAC75FDA2929B17EF),
-            (1, 0, 0x4FCE394CC88952D8),
             (1, PRIME32, 0x739840CB819FA723),
             (14, 0, 0xCFFA8DB881BC3A3D),
-            (14, PRIME32, 0x5B9611585EFCC9CB),
-            (101, 0, 0x0EAB543384F878AD),
             (101, PRIME32, 0xCAA65939306F1E21),
-        ];
-        for (len, seed, want) in cases {
+        ] {
             assert_eq!(xxh64(seed, &buf[..len]), want, "len {len} seed {seed}");
         }
     }
@@ -786,74 +761,81 @@ mod tests {
         let t = ChecksumTable::new(2, 4);
         let a = [1u8, 2, 3, 4];
         let b = [9u8, 9, 9, 9];
-        assert!(t.check(0, 0, &a), "unset entries verify anything");
+        assert!(verify_one(&t, 0, 0, &a), "unset entries verify anything");
         assert!(!t.recorded(0, 0));
-        t.record(0, 0, &a);
+        t.record([(0, 0, &a[..])]);
         assert!(t.recorded(0, 0));
-        assert!(t.check(0, 0, &a));
-        assert!(!t.check(0, 0, &b), "mismatch detected");
-        t.record(0, 0, &b);
-        assert!(t.check(0, 0, &b));
-        // Units are recorded one by one.
+        assert!(verify_one(&t, 0, 0, &a));
+        assert!(!verify_one(&t, 0, 0, &b), "mismatch detected");
+        t.record([(0, 0, &b[..])]);
+        assert!(verify_one(&t, 0, 0, &b));
+        // Two units recorded as one batch.
         let (five, six) = ([5u8; 4], [6u8; 4]);
-        t.record(1, 1, &five);
-        t.record(1, 2, &six);
-        assert!(t.check(1, 1, &five));
-        assert!(t.check(1, 2, &six));
-        assert!(!t.check(1, 2, &five));
+        t.record([(1, 1, &five[..]), (1, 2, &six)]);
+        assert!(verify_one(&t, 1, 1, &five));
+        assert!(verify_one(&t, 1, 2, &six));
+        assert!(!verify_one(&t, 1, 2, &five));
         // Wipe forgets.
         t.clear_disk(1);
-        assert!(t.check(1, 1, &a));
+        assert!(verify_one(&t, 1, 1, &a));
         // Out-of-range access is a no-op, never a panic.
-        t.record(9, 9, &a);
-        assert!(t.check(9, 9, &a));
+        t.record([(9, 9, &a[..])]);
+        assert!(verify_one(&t, 9, 9, &a));
     }
 
+    /// A batch across disks, longer than one group, mixing recorded,
+    /// unset and out-of-table units: the batch records what one-unit
+    /// calls record, and its verify names exactly the positions the
+    /// one-unit verifies fail, in order.
     #[test]
     fn batch_checks_match_per_unit_checks() {
-        let t = ChecksumTable::new(2, 8);
-        let units: Vec<[u8; 4]> = (0..6u8).map(|i| [i; 4]).collect();
-        let span: Vec<u8> = units.iter().flat_map(|u| u.iter().copied()).collect();
-        for (i, unit) in units.iter().enumerate() {
-            t.record(0, 1 + i, unit);
+        let t = ChecksumTable::new(3, 8);
+        let data: Vec<Vec<u8>> = (0..13u8).map(|i| vec![i; 64]).collect();
+        // Unit `i` sits at (disk i % 3, offset i / 3 + 1); offset 7 of
+        // disk 0 stays unset, disk 9 is past the table.
+        fn at(i: usize) -> (usize, usize) {
+            (i % 3, i / 3 + 1)
         }
-        // The span as a batch: unit `i` sits at offset `1 + i`.
-        fn batch(bytes: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
-            bytes.chunks_exact(4).enumerate().map(|(i, u)| (1 + i, u))
+        fn batch(units: &[Vec<u8>]) -> Vec<(usize, usize, &[u8])> {
+            (units.iter().enumerate().map(|(i, u)| (at(i).0, at(i).1, &u[..])))
+                .chain([(0, 7, &units[0][..]), (9, 0, &units[1][..])])
+                .collect()
         }
+        t.record(batch(&data).into_iter().take(data.len()));
+        let one = ChecksumTable::new(3, 8);
+        for (i, unit) in data.iter().enumerate() {
+            one.record([(at(i).0, at(i).1, &unit[..])]);
+        }
+        assert_eq!(t.to_bytes(), one.to_bytes(), "a batch records what one-unit calls do");
         // A clean batch passes and reports nothing.
         let mut bad = Vec::new();
-        assert!(t.check_many(0, batch(&span), &mut bad));
+        assert!(t.verify(batch(&data), |i| bad.push(i)));
         assert!(bad.is_empty());
-        // Corrupt two units mid-batch: both offsets reported, in
-        // order, matching what per-unit check() says.
-        let mut torn = span.clone();
-        torn[4] ^= 0xff; // unit at offset 2
-        torn[16] ^= 0xff; // unit at offset 5
-        assert!(!t.check_many(0, batch(&torn), &mut bad));
-        assert_eq!(bad, vec![2, 5]);
-        for (off, u) in batch(&torn) {
-            assert_eq!(t.check(0, off, u), !bad.contains(&off));
+        // Rot the units at batch positions 0, 7, 8 and 12: each
+        // position reported, in order, matching one-unit verifies.
+        let mut torn = data.clone();
+        for i in [0, 7, 8, 12] {
+            torn[i][5] ^= 0xff;
         }
-        // Unset entries pass (offset 7 never recorded).
-        bad.clear();
-        assert!(t.check_many(0, [(7, &[0xab; 4][..])], &mut bad));
-        // Out-of-range disk is a pass, never a panic.
-        assert!(t.check_many(9, batch(&torn), &mut bad));
+        assert!(!t.verify(batch(&torn), |i| bad.push(i)));
+        assert_eq!(bad, vec![0, 7, 8, 12]);
+        for (i, (disk, offset, unit)) in batch(&torn).into_iter().enumerate() {
+            assert_eq!(verify_one(&t, disk, offset, unit), !bad.contains(&i), "position {i}");
+        }
     }
 
     #[test]
     fn checksum_table_resize_and_bytes() {
         let t = ChecksumTable::new(1, 6);
         let unit = [7u8; 4];
-        t.record(0, 0, &unit);
+        t.record([(0, 0, &unit[..])]);
         t.resize_units(2);
-        assert!(t.check(0, 0, &unit));
+        assert!(verify_one(&t, 0, 0, &unit));
         let bytes = t.to_bytes();
         let u = ChecksumTable::new(1, 2);
         assert!(u.load_bytes(&bytes));
-        assert!(u.check(0, 0, &unit));
-        assert!(!u.check(0, 0, &[0u8; 4]));
+        assert!(verify_one(&u, 0, 0, &unit));
+        assert!(!verify_one(&u, 0, 0, &[0u8; 4]));
         // Geometry mismatch refuses, table stays unset.
         let w = ChecksumTable::new(2, 2);
         assert!(!w.load_bytes(&bytes));
@@ -897,9 +879,7 @@ mod tests {
     fn dirty_bitmap_drains_once_and_recaptures() {
         let t = ChecksumTable::new(2, 70); // spans two bitmap words
         let unit = [3u8; 4];
-        t.record(0, 0, &unit);
-        t.record(0, 69, &unit);
-        t.record(1, 5, &unit);
+        t.record([(0, 0, &unit[..]), (0, 69, &unit), (1, 5, &unit)]);
         let mut got = Vec::new();
         t.drain_dirty(|d, o, s| got.push((d, o, s)));
         got.sort_unstable();
@@ -912,7 +892,7 @@ mod tests {
         let mut again = Vec::new();
         t.drain_dirty(|d, o, s| again.push((d, o, s)));
         assert!(again.is_empty());
-        t.record(0, 69, &unit);
+        t.record([(0, 69, &unit[..])]);
         t.drain_dirty(|d, o, _| again.push((d, o, 0)));
         assert_eq!(again, vec![(0, 69, 0)]);
         // set_raw applies without dirtying (the replay path).

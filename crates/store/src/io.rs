@@ -222,7 +222,8 @@ impl<B: Backend> Io<'_, B> {
     /// Waits for every queued run of `round`, submitted from `runs` and
     /// `srcs`, and reports the first error once none is in flight. It
     /// records the checksum of every unit of every run that reached the
-    /// backend, in run order, also when another run fails the call.
+    /// backend as one batch, in run order, also when another run fails
+    /// the call.
     pub(crate) fn land(
         &self,
         round: Writes,
@@ -230,23 +231,34 @@ impl<B: Backend> Io<'_, B> {
         srcs: &[&[u8]],
     ) -> Result<(), StoreError> {
         let us = self.backend.unit_size();
-        let record = |i: usize| {
+        let run_units = |i: usize| {
             let run = &runs[i];
             let units = srcs[run.parts.clone()].iter().flat_map(|src| src.chunks_exact(us));
-            for (t, unit) in units.enumerate() {
-                self.integrity.sums.record(run.disk, run.first + t, unit);
+            units.enumerate().map(move |(t, unit)| (run.disk, run.first + t, unit))
+        };
+        // Landed: the first `issued` runs (the engine is off), or each
+        // routed run `drain` reports.
+        let mut routed = Vec::new();
+        let (issued, res) = match round {
+            Writes::Issued { landed, err } => (landed, err.map_or(Ok(()), Err)),
+            Writes::Routed(slots) => {
+                routed.reserve(slots.len());
+                let inline = |run: &Run, _: &mut ()| self.write_inline(run, srcs);
+                (0, self.drain(runs, slots, &mut (), inline, |i, _, _| routed.push(i)))
             }
         };
-        match round {
-            Writes::Issued { landed, err } => {
-                (0..landed).for_each(record);
-                err.map_or(Ok(()), Err)
+        // Their units in run order, flattened by hand: `flat_map` over
+        // this chain cost a 512 B single-block write about 60 ns (9 %)
+        // in a one-thread loop on a 2-vCPU AVX-512 Xeon.
+        let (mut landed, mut run) = ((0..issued).chain(routed), None);
+        let units = std::iter::from_fn(|| loop {
+            if let Some(unit) = run.as_mut().and_then(Iterator::next) {
+                return Some(unit);
             }
-            Writes::Routed(slots) => {
-                let inline = |run: &Run, _: &mut ()| self.write_inline(run, srcs);
-                self.drain(runs, slots, &mut (), inline, |i, _, _| record(i))
-            }
-        }
+            run = Some(run_units(landed.next()?));
+        });
+        self.integrity.sums.record(units);
+        res
     }
 
     fn write_inline(&self, run: &Run, srcs: &[&[u8]]) -> Result<(), StoreError> {
@@ -382,7 +394,10 @@ mod tests {
         for (disk, offset, unit) in units {
             let sums = &io.integrity.sums;
             assert!(sums.recorded(disk, offset), "unit ({disk}, {offset}) has no sum");
-            assert!(sums.check(disk, offset, unit), "unit ({disk}, {offset}) has another's sum");
+            assert!(
+                sums.verify([(disk, offset, unit)], |_| {}),
+                "unit ({disk}, {offset}) has another's sum"
+            );
         }
         let mut landed = Vec::new();
         let mut got = [unit(0), unit(0), unit(0), unit(0), vec![0; 2 * US]];
@@ -465,10 +480,68 @@ mod tests {
                     let offset = run.first + t;
                     let sums = &integrity.sums;
                     assert_eq!(sums.recorded(run.disk, offset), got == src, "engine {engine}");
-                    assert!(sums.check(run.disk, offset, unit), "engine {engine}");
+                    assert!(sums.verify([(run.disk, offset, unit)], |_| {}), "engine {engine}");
                 }
             }
             assert_eq!(landed, if engine { 2 } else { 1 }, "engine {engine}");
+            if let Some(eng) = eng {
+                eng.stop();
+            }
+        }
+    }
+
+    /// A 12-unit write round of 64-byte units — a three-unit span, a
+    /// three-source gather, a two-unit span and a four-unit span, so
+    /// its sums hash as a group of eight and one of four — records every
+    /// unit that landed with exactly the sum per-unit `xxh64` gives it,
+    /// and nothing else: whole, and with its third write call failing
+    /// (engine off: the two runs before it land; engine on, every run
+    /// queued: the three others).
+    #[test]
+    fn a_twelve_unit_round_records_per_unit_sums_of_what_landed() {
+        use crate::integrity::{xxh64, ChecksumTable};
+        const UNIT: usize = 64;
+        for (engine, fail) in [(false, false), (false, true), (true, false), (true, true)] {
+            let stall = FaultConfig { slow_rate: 1.0, slow_us: 1_000, ..FaultConfig::quiet(1) };
+            let backend = Arc::new(FaultyBackend::new(MemBackend::new(4, 8, UNIT), stall));
+            let integrity = Arc::new(Integrity::new(4, 8));
+            let eng = engine.then(|| {
+                Engine::start(backend.clone(), integrity.clone(), EngineConfig::default())
+            });
+            let io = Io { backend: &*backend, integrity: &integrity, engine: eng.clone() };
+            let bytes: Vec<u8> = (0..12 * UNIT).map(|i| (i * 7 + i / UNIT) as u8).collect();
+            let units = |r: Range<usize>| &bytes[r.start * UNIT..r.end * UNIT];
+            let srcs =
+                [units(0..3), units(3..4), units(4..5), units(5..6), units(6..8), units(8..12)];
+            let runs = [
+                Run { disk: 0, first: 1, parts: 0..1 },
+                Run { disk: 1, first: 4, parts: 1..4 },
+                Run { disk: 2, first: 0, parts: 4..5 },
+                Run { disk: 3, first: 3, parts: 5..6 },
+            ];
+            if fail {
+                backend.fail_write_after(2);
+            }
+            assert_eq!(io.write_runs(&runs, &srcs, Priority::Client).is_err(), fail);
+            let (mut want, mut landed) = (Vec::new(), 0);
+            for run in &runs {
+                let src = srcs[run.parts.clone()].concat();
+                let mut got = vec![0; src.len()];
+                backend.inner().read_units(run.disk, run.first, &mut got).unwrap();
+                if got == src {
+                    landed += 1;
+                    for (t, unit) in src.chunks_exact(UNIT).enumerate() {
+                        let sum = ChecksumTable::encode(xxh64(ChecksumTable::SEED, unit));
+                        want.push((run.disk, run.first + t, sum));
+                    }
+                }
+            }
+            let ctx = format!("engine {engine}, failing {fail}");
+            assert_eq!(landed, [4, 2, 4, 3][usize::from(fail) + 2 * usize::from(engine)], "{ctx}");
+            let mut got = Vec::new();
+            integrity.sums.drain_dirty(|disk, offset, sum| got.push((disk, offset, sum)));
+            got.sort_unstable();
+            assert_eq!(got, want, "{ctx}: every landed unit, and only those");
             if let Some(eng) = eng {
                 eng.stop();
             }

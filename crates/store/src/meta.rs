@@ -783,17 +783,17 @@ mod tests {
         let integrity = Integrity::new(3, 8);
         let len = |name: &str| std::fs::metadata(dir.join(name)).map(|m| m.len()).ok();
         let persist = || ad.persist_sums(&mut ad.journal.lock().unwrap(), &integrity).unwrap();
-        integrity.sums.record(0, 1, b"first");
+        integrity.sums.record([(0, 1, &b"first"[..])]);
         persist(); // nothing on disk yet: a base
         assert_eq!((len(SUMS_FILE), len(SUMS_LOG_FILE)), (Some(24 + 3 * 8 * 8), None));
-        integrity.sums.record(2, 7, b"second");
+        integrity.sums.record([(2, 7, &b"second"[..])]);
         persist(); // same geometry: one record
         assert_eq!((len(SUMS_FILE), len(SUMS_LOG_FILE)), (Some(24 + 3 * 8 * 8), Some(16 + 16 + 8)));
         let reloaded = ChecksumTable::new(3, 8);
         ArrayDir::new(&dir).load_sums(&reloaded);
         assert_eq!(reloaded.to_bytes(), integrity.sums.to_bytes());
         integrity.sums.resize_units(4);
-        integrity.sums.record(1, 3, b"third");
+        integrity.sums.record([(1, 3, &b"third"[..])]);
         persist(); // resized: a fresh base
         assert_eq!((len(SUMS_FILE), len(SUMS_LOG_FILE)), (Some(24 + 3 * 4 * 8), None));
         let reloaded = ChecksumTable::new(3, 4);

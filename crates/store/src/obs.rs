@@ -1077,9 +1077,10 @@ impl StatsSnapshot {
 pub fn render_stats(s: &StatsSnapshot) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    // Not a snapshot field: the kernel is a property of the process
+    // Not snapshot fields: the kernels are a property of the process
     // rendering the numbers, and the JSON schema stays as it is.
     let _ = writeln!(out, "gf256 kernel: {}", pdl_algebra::gf256::kernel_name());
+    let _ = writeln!(out, "xxh64 kernel: {}", pdl_algebra::xxh64::kernel_name());
     let _ = writeln!(out, "ops (kind: ops / units / sampled-latency p50..max):");
     for o in &s.ops {
         if o.ops == 0 {
@@ -1411,7 +1412,12 @@ mod tests {
         assert!(back.integrity.disk_health[0].auto_failed);
         // The text renderer covers every section without panicking.
         let text = render_stats(&back);
-        assert!(text.starts_with(&format!("gf256 kernel: {}\n", pdl_algebra::gf256::kernel_name())));
+        let kernels = format!(
+            "gf256 kernel: {}\nxxh64 kernel: {}\n",
+            pdl_algebra::gf256::kernel_name(),
+            pdl_algebra::xxh64::kernel_name()
+        );
+        assert!(text.starts_with(&kernels), "{text}");
         assert!(text.contains("degraded:"));
         assert!(text.contains("rebuild: disk 1"));
         assert!(text.contains("reshape: add -> v=9"));

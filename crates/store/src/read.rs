@@ -14,11 +14,17 @@
 //! `(disk, offset)`, retried, raw), serves a healthy `read_block` and
 //! the parity scan; every other backend read goes through the `io.rs`
 //! dispatcher.
+//!
+//! A batch read verifies its healthy units in groups of eight as their
+//! runs land, one `ChecksumTable::verify` per group, so the batch hash
+//! kernel steps eight units together; a mismatch is charged to its
+//! unit's block by the group position it reports.
 
 use crate::backend::Backend;
 use crate::codec::{self, Decoded, Role, Syndromes};
 use crate::engine::Priority;
 use crate::error::StoreError;
+use crate::integrity::ChecksumTable;
 use crate::io::Run;
 use crate::obs::OpKind;
 use crate::repair::sweep_repairing;
@@ -83,7 +89,7 @@ impl<B: Backend> BlockStore<B> {
                         None => {
                             let at = PhysUnit::live(st, m.unit);
                             self.read_unit(at, buf)?;
-                            if !self.integrity.sums.check(at.disk, at.offset, buf) {
+                            if !self.integrity.sums.verify([(at.disk, at.offset, &*buf)], |_| {}) {
                                 bad.note((m.copy, m.stripe), at.disk, at.offset);
                             }
                         }
@@ -113,10 +119,10 @@ impl<B: Backend> BlockStore<B> {
     /// *bridging* the small parity-unit holes a data scan never wants
     /// (the hole is read into a discard buffer so the run stays one
     /// backend call), and reads them through the dispatcher — each
-    /// run one scatter read straight into the caller's chunks — each
-    /// run verified as it lands; a mismatch is noted against its
-    /// block's stripe, which is repaired before the runs are read
-    /// again, once ([`sweep_repairing`]).
+    /// run one scatter read straight into the caller's chunks — the
+    /// wanted units verified eight at a time as their runs land; a
+    /// mismatch is noted against its block's stripe, which is repaired
+    /// before the runs are read again, once ([`sweep_repairing`]).
     fn read_healthy_runs(
         &self,
         st: &ArrayState,
@@ -173,33 +179,39 @@ impl<B: Backend> BlockStore<B> {
                 at = off + 1;
             }
         }
-        // Each run is verified as it lands, in **one** checksum-table
-        // pass over its wanted units (a hole's discard slice is
-        // skipped, not checked).
+        // The wanted units are verified as their runs land, a group of
+        // eight at a time as it fills (so with the engine on, hashing
+        // overlaps the runs still in flight) and the last, partial group
+        // once the round is in; a hole's discard slice is skipped, not
+        // checked. A group is `(buffer, disk, offset, block)`.
         let io = self.io();
-        let mut offs: Vec<usize> = Vec::new();
+        let mut group: Vec<(usize, usize, u32, u32)> = Vec::with_capacity(ChecksumTable::GROUP);
         sweep_repairing(
             |bad| {
+                let mut verify = |bufs: &[&mut [u8]], group: &mut Vec<(usize, usize, u32, u32)>| {
+                    let units =
+                        group.iter().map(|&(b, disk, off, _)| (disk, off as usize, &*bufs[b]));
+                    self.integrity.sums.verify(units, |i| {
+                        let (_, disk, off, blk) = group[i];
+                        let m = st.world.smap.locate_full(start + blk as usize);
+                        bad.note((m.copy, m.stripe), disk, off as usize);
+                    });
+                    group.clear();
+                };
                 io.read_runs(&runs, &mut bufs, Priority::Client, |i, bufs| {
                     let (run, span) = (&runs[i], &by_disk[runs[i].disk][spans[i].clone()]);
                     let (mut part, mut at) = (run.parts.start, run.first as u32);
-                    let wanted = span.iter().map(|&(off, _)| {
+                    for &(off, blk) in span {
                         part += 1 + usize::from(off > at);
                         at = off + 1;
-                        (off as usize, &*bufs[part - 1])
-                    });
-                    if self.integrity.sums.check_many(run.disk, wanted, &mut offs) {
-                        return;
+                        group.push((part - 1, run.disk, off, blk));
+                        if group.len() == ChecksumTable::GROUP {
+                            verify(bufs, &mut group);
+                        }
                     }
-                    for off in offs.drain(..) {
-                        let &(_, blk) = span
-                            .iter()
-                            .find(|&&(o, _)| o as usize == off)
-                            .expect("bad offset belongs to this run");
-                        let m = st.world.smap.locate_full(start + blk as usize);
-                        bad.note((m.copy, m.stripe), run.disk, off);
-                    }
-                })
+                })?;
+                verify(&bufs, &mut group);
+                Ok(())
             },
             |copy, si| self.repair_stripe(st, copy, si),
         )

@@ -544,27 +544,50 @@ impl<B: Backend> BlockStore<B> {
             // One sweep: each target unit's survivors are checked, then
             // folded while still in cache — a single erasure straight
             // into the output unit, a stripe crossing a second failed
-            // disk through the two-erasure solve.
-            for (i, unit) in out.chunks_exact_mut(us).enumerate() {
+            // disk through the two-erasure solve (alone: it needs the
+            // scratch's accumulators). Two single-erasure targets are
+            // checked as one batch, so two k = 5 stripes' survivors fill
+            // a hash group of eight.
+            let target = |i: usize| -> Result<_, StoreError> {
                 let offset = start + i;
                 let r = wd.layout.unit_ref(disk, offset % size);
                 let (si, slot) = (r.stripe as usize, r.slot as usize);
                 let (lost, nlost) = self.lost_slots(&st, si, &[slot])?;
+                Ok((offset / size, si, slot, lost, nlost))
+            };
+            let mut units = out.chunks_exact_mut(us).enumerate().peekable();
+            while let Some((i, unit)) = units.next() {
+                let (copy, si, slot, lost, nlost) = target(i)?;
                 let (p_slot, q_slot) = wd.smap.parity_slots(si);
-                let mut dec = match nlost {
-                    1 => Decode::into_unit(unit, p_slot, q_slot, slot),
-                    _ => Decode::new(
-                        &mut scratch.acc_p,
-                        &mut scratch.acc_q,
-                        p_slot,
-                        q_slot,
-                        &lost[..nlost],
-                    ),
-                };
-                self.fold_checked(&st, offset / size, si, &mut dec, &scratch.cache, bad)?;
-                let solved = dec.solve();
                 if nlost > 1 {
+                    let (acc_p, acc_q) = (&mut scratch.acc_p, &mut scratch.acc_q);
+                    let dec = Decode::new(acc_p, acc_q, p_slot, q_slot, &lost[..nlost]);
+                    let mut alone = [(copy, si, dec)];
+                    self.fold_checked(&st, &mut alone, &scratch.cache, bad)?;
+                    let [(.., dec)] = alone;
+                    let solved = dec.solve();
                     unit.copy_from_slice(solved.get(scratch, slot)?);
+                    continue;
+                }
+                let first = (copy, si, Decode::into_unit(unit, p_slot, q_slot, slot));
+                let second = match units.peek() {
+                    Some(&(j, _)) => Some(target(j)?).filter(|&(.., nlost)| nlost == 1),
+                    None => None,
+                };
+                if let Some((copy, si, slot, ..)) = second {
+                    let (_, unit) = units.next().expect("peeked");
+                    let (p_slot, q_slot) = wd.smap.parity_slots(si);
+                    let mut pair =
+                        [first, (copy, si, Decode::into_unit(unit, p_slot, q_slot, slot))];
+                    self.fold_checked(&st, &mut pair, &scratch.cache, bad)?;
+                    for (.., dec) in pair {
+                        dec.solve();
+                    }
+                } else {
+                    let mut alone = [first];
+                    self.fold_checked(&st, &mut alone, &scratch.cache, bad)?;
+                    let [(.., dec)] = alone;
+                    dec.solve();
                 }
             }
             if bad.any() {

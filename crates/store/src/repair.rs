@@ -30,6 +30,7 @@ use crate::io::{Io, Run};
 use crate::obs::{Event, OpKind};
 use crate::scheme::ParityScheme;
 use crate::store::{ArrayState, BlockStore};
+use pdl_core::StripeUnit;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
@@ -212,16 +213,18 @@ impl<B: Backend> BlockStore<B> {
         }
         let nfailed = units.len() - live.len();
         self.io().read_into(&runs, &mut bytes, Priority::Maintenance, |_, _| {})?;
-        let mut mismatched: Vec<usize> = Vec::new();
-        let mut unset: Vec<usize> = Vec::new();
-        for &slot in &live {
+        let at = |slot: usize| {
             let (pd, off) = phys(slot);
-            if !self.integrity.sums.recorded(pd, off) {
-                unset.push(slot);
-            } else if !self.integrity.sums.check(pd, off, &bytes[slot * us..(slot + 1) * us]) {
-                mismatched.push(slot);
-            }
-        }
+            (pd, off, &bytes[slot * us..(slot + 1) * us])
+        };
+        let mut mismatched: Vec<usize> = Vec::new();
+        self.integrity.sums.verify(live.iter().map(|&slot| at(slot)), |i| mismatched.push(live[i]));
+        let unset: Vec<usize> = (live.iter().copied())
+            .filter(|&slot| {
+                let (pd, off) = phys(slot);
+                !self.integrity.sums.recorded(pd, off)
+            })
+            .collect();
         if nfailed + mismatched.len() > self.scheme.parity_per_stripe() {
             // Corruption past the redundancy: unrepairable. Name the
             // first corrupt unit (the failed disks are already known
@@ -304,44 +307,69 @@ impl<B: Backend> BlockStore<B> {
             // The stripe is now internally consistent: adopt sums for
             // units that never had one, so the next pass verifies
             // them too.
-            for slot in unset {
+            self.integrity.sums.record(unset.iter().map(|&slot| {
                 let (pd, off) = phys(slot);
-                self.integrity.sums.record(pd, off, &bytes[slot * us..(slot + 1) * us]);
-            }
+                (pd, off, &bytes[slot * us..(slot + 1) * us])
+            }));
         }
         Ok((fixed, fixed_parity))
     }
 
-    /// Folds every survivor of stripe `si` of copy `copy` into `dec`
-    /// from where it lies in `band`, each checked against its sum
-    /// first. A mismatching survivor is left out and noted in `bad`:
-    /// the decode's answer is then not to be used. Returns whether
-    /// every survivor verified.
+    /// Folds every survivor of each target stripe `(copy, si, decode)`
+    /// into its decode from where it lies in `band`, after checking all
+    /// the targets' survivors against their sums as one batch (a k = 5
+    /// rebuild passes two targets, so their eight survivors hash
+    /// together). A mismatching survivor is left out and noted in
+    /// `bad`: its target's answer is then not to be used. Returns
+    /// whether every survivor verified.
     pub(crate) fn fold_checked(
         &self,
         st: &ArrayState,
-        copy: usize,
-        si: usize,
-        dec: &mut Decode<'_>,
+        targets: &mut [(usize, usize, Decode<'_>)],
         band: &UnitCache,
         bad: &mut Mismatches,
     ) -> Result<bool, StoreError> {
-        let shift = (copy * st.world.layout.size()) as u32;
-        let mut clean = true;
-        for (slot, u) in st.world.layout.stripes()[si].units().iter().enumerate() {
-            if dec.lost().contains(&slot) {
-                continue;
-            }
-            let (pd, off) = (st.redirect[u.disk as usize], (u.offset + shift) as usize);
-            let bytes = band.get(pd, off)?;
-            if self.integrity.sums.check(pd, off, bytes) {
-                dec.fold(slot, bytes);
-            } else {
-                bad.note((copy, si), pd, off);
-                clean = false;
+        let stripes = st.world.layout.stripes();
+        let size = st.world.layout.size();
+        let phys = |copy: usize, u: &StripeUnit| {
+            (st.redirect[u.disk as usize], u.offset as usize + copy * size)
+        };
+        // The batch: each target's survivors in slot order, targets in
+        // order. A survivor missing from the band ends it early and is
+        // the error.
+        let mut missing = Ok(());
+        let units = (targets.iter())
+            .flat_map(|(copy, si, dec)| {
+                let units = stripes[*si].units().iter().enumerate();
+                units.filter(|(slot, _)| !dec.lost().contains(slot)).map(|(_, u)| phys(*copy, u))
+            })
+            .map_while(|(pd, off)| match band.get(pd, off) {
+                Ok(bytes) => Some((pd, off, bytes)),
+                Err(e) => {
+                    missing = Err(e);
+                    None
+                }
+            });
+        let mut rotten = Vec::new();
+        self.integrity.sums.verify(units, |i| rotten.push(i));
+        missing?;
+        // The same walk again, folding what verified.
+        let mut at = 0;
+        for (copy, si, dec) in targets.iter_mut() {
+            for (slot, u) in stripes[*si].units().iter().enumerate() {
+                if dec.lost().contains(&slot) {
+                    continue;
+                }
+                let (pd, off) = phys(*copy, u);
+                if rotten.contains(&at) {
+                    bad.note((*copy, *si), pd, off);
+                } else {
+                    dec.fold(slot, band.get(pd, off)?);
+                }
+                at += 1;
             }
         }
-        Ok(clean)
+        Ok(rotten.is_empty())
     }
 
     /// The one checked decode of a client op: erasure-decodes stripe
@@ -362,7 +390,7 @@ impl<B: Backend> BlockStore<B> {
     ) -> Result<Option<Decoded>, StoreError> {
         let shift = (copy * st.world.layout.size()) as u32;
         let Scratch { acc_p, acc_q, cache } = scratch;
-        let mut dec = self.stripe_decode(st, si, &[], acc_p, acc_q)?;
+        let dec = self.stripe_decode(st, si, &[], acc_p, acc_q)?;
         cache.wants.clear();
         for (slot, u) in st.world.layout.stripes()[si].units().iter().enumerate() {
             if !dec.lost().contains(&slot) {
@@ -370,7 +398,9 @@ impl<B: Backend> BlockStore<B> {
             }
         }
         cache.fill(&self.io(), self.unit_size, Priority::Client)?;
-        let clean = self.fold_checked(st, copy, si, &mut dec, cache, bad)?;
+        let mut target = [(copy, si, dec)];
+        let clean = self.fold_checked(st, &mut target, cache, bad)?;
+        let [(.., dec)] = target;
         Ok(clean.then(|| dec.solve()))
     }
 

@@ -765,8 +765,10 @@ impl<B: Backend> BlockStore<B> {
                         });
                     if lost_data {
                         let Scratch { acc_p, acc_q, .. } = &mut *scratch;
-                        let mut dec = self.stripe_decode(st, m.stripe, &[], acc_p, acc_q)?;
-                        self.fold_checked(st, m.copy, m.stripe, &mut dec, band, bad)?;
+                        let dec = self.stripe_decode(st, m.stripe, &[], acc_p, acc_q)?;
+                        let mut target = [(m.copy, m.stripe, dec)];
+                        self.fold_checked(st, &mut target, band, bad)?;
+                        let [(.., dec)] = target;
                         solved = dec.solve();
                     }
                     current = Some((key, lost_data));
@@ -779,7 +781,7 @@ impl<B: Backend> BlockStore<B> {
             }
             let (pd, off) = (st.redirect[m.unit.disk as usize], m.unit.offset as usize);
             let bytes = band.get(pd, off)?;
-            if !decoded && !self.integrity.sums.check(pd, off, bytes) {
+            if !decoded && !self.integrity.sums.verify([(pd, off, bytes)], |_| {}) {
                 bad.note(key, pd, off);
             }
             unit.copy_from_slice(bytes);

@@ -766,7 +766,7 @@ impl<B: Backend> BlockStore<B> {
         let (runs, of, parts) = (&*runs, &*of, &*parts);
         self.io().read_into(runs, units, Priority::Client, |r, unit| {
             let (run, (i, checked)) = (&runs[r], of[r]);
-            if checked && !self.integrity.sums.check(run.disk, run.first, unit) {
+            if checked && !self.integrity.sums.verify([(run.disk, run.first, unit)], |_| {}) {
                 bad.note((parts[i].copy, parts[i].si), run.disk, run.first);
             }
         })

@@ -761,3 +761,102 @@ fn degraded_batch_read_repairs_only_the_stripe_with_a_rotten_survivor() {
         );
     }
 }
+
+/// Checksums are verified in batches: a 12-block `read_blocks` hands
+/// its wanted units to the checksum table in batch order — physical
+/// disk, then offset — as a group of eight and then one of four. With
+/// the unit at position 0, 7, 8 or 11 rotted in turn, each read
+/// repairs exactly that unit's stripe, once: the repair is charged to
+/// the rotted unit's disk, the only extra reads are the stripe's live
+/// units and the second sweep, and every block reads back exact.
+#[test]
+fn a_batched_read_charges_a_mismatch_to_its_unit() {
+    const SALT: u64 = 0xba7c;
+    const START: usize = 5;
+    const N: usize = 12;
+    for engine in [false, true] {
+        for pos in [0, 7, 8, 11] {
+            let ctx = format!("engine {engine}, position {pos}");
+            let store = pq_store(FaultConfig::quiet(SEED));
+            fill(&store, SALT);
+            if engine {
+                store.start_engine(EngineConfig::default());
+            }
+            let (layout, map) = (store.layout(), store.stripe_map());
+            let mut batch: Vec<(usize, usize, usize)> = (START..START + N)
+                .map(|addr| {
+                    let u = map.locate_full(addr).unit;
+                    (store.physical_disk(u.disk as usize), u.offset as usize, addr)
+                })
+                .collect();
+            batch.sort_unstable();
+            let mut got = vec![0u8; N * UNIT];
+            let t0 = store.stats();
+            store.read_blocks(START, &mut got).unwrap();
+            let clean = store.stats().io_totals().since(&t0.io_totals()).read_units;
+
+            let (pd, offset, addr) = batch[pos];
+            store.backend().corrupt_unit(pd, offset).unwrap();
+            let live = layout.stripes()[map.locate_full(addr).stripe].units().len() as u64;
+            let t0 = store.stats();
+            store.read_blocks(START, &mut got).unwrap_or_else(|e| panic!("[{ctx}] {e}"));
+            let now = store.stats();
+            let mut want = vec![0u8; UNIT];
+            for (i, g) in got.chunks(UNIT).enumerate() {
+                fill_pattern(START + i, SALT, &mut want);
+                assert_eq!(g, &want[..], "[{ctx}] block {}", START + i);
+            }
+            let repairs = |s: &pdl_store::StatsSnapshot| s.integrity.checksum_repairs;
+            assert_eq!(repairs(&now) - repairs(&t0), 1, "[{ctx}] one repair");
+            let on_disk = |s: &pdl_store::StatsSnapshot| s.integrity.disk_health[pd].repairs;
+            assert_eq!(on_disk(&now) - on_disk(&t0), 1, "[{ctx}] charged to the rotted disk");
+            assert_eq!(
+                now.io_totals().since(&t0.io_totals()).read_units,
+                clean + live + clean,
+                "[{ctx}] the batch, the rotted stripe's repair, the batch again"
+            );
+        }
+    }
+}
+
+/// The same for a rebuild chunk. On a P+Q ring(7, 5) array a target
+/// unit has four survivors, and the rebuild checks two targets'
+/// survivors as one batch of eight: target order, each target's in slot
+/// order. With the survivor at position 0, 7, 8 or 11 of the first
+/// chunk rotted in turn (targets 0 and 1 fill the first batch, 2 and 3
+/// the second), the rebuild repairs exactly that survivor's stripe,
+/// once, still reads exactly (k−1)/(v−1) of every survivor, and the
+/// array reads back exact.
+#[test]
+fn a_batched_rebuild_charges_a_mismatch_to_its_survivor() {
+    const SALT: u64 = 0x5eed;
+    const FAILED: usize = 0;
+    for pos in [0, 7, 8, 11] {
+        let ctx = format!("position {pos}");
+        let dp = DoubleParityLayout::new(RingLayout::for_v_k(7, 5).layout().clone()).unwrap();
+        let mem = MemBackend::new(7 + 1, COPIES * dp.layout().size(), UNIT);
+        let store =
+            BlockStore::new_pq(dp, FaultyBackend::new(mem, FaultConfig::quiet(SEED))).unwrap();
+        fill(&store, SALT);
+        let lost = store.physical_disk(FAILED);
+        store.fail_disk(FAILED).unwrap();
+        store.backend().wipe_disk(lost).unwrap();
+        let layout = store.layout();
+        let stripe = layout.stripes()[layout.unit_ref(FAILED, pos / 4).stripe as usize].units();
+        let rot = stripe.iter().filter(|u| u.disk as usize != FAILED).nth(pos % 4).unwrap();
+        let pd = store.physical_disk(rot.disk as usize);
+        store.backend().corrupt_unit(pd, rot.offset as usize).unwrap();
+
+        let t0 = store.stats();
+        let report = Rebuilder::new(1).rebuild(&store, 7).unwrap_or_else(|e| panic!("[{ctx}] {e}"));
+        let now = store.stats();
+        assert_eq!(now.integrity.checksum_repairs - t0.integrity.checksum_repairs, 1, "[{ctx}]");
+        let on_disk = now.integrity.disk_health[pd].repairs - t0.integrity.disk_health[pd].repairs;
+        assert_eq!(on_disk, 1, "[{ctx}] charged to the rotted survivor's disk");
+        let (min, max) = report.surviving_read_range();
+        assert_eq!(min, max, "[{ctx}] every survivor reads alike");
+        assert_eq!(max * 6, report.units_rebuilt as u64 * 4, "[{ctx}] exactly (k-1)/(v-1)");
+        sweep(&store, SALT, &ctx);
+        store.verify_parity().unwrap();
+    }
+}
