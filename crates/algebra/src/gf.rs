@@ -10,7 +10,7 @@
 //! constructions (Section 2 of the paper) do `Θ(v²)` field ops per design,
 //! so table setup cost `O(q·m²)` amortizes immediately.
 
-use crate::nt::{divisors, factorize, prime_divisors};
+use crate::nt::prime_divisors;
 use crate::poly::{find_irreducible, Poly};
 
 /// A concrete finite field `GF(p^m)`.
@@ -38,24 +38,9 @@ impl FiniteField {
         field
     }
 
-    /// Characteristic `p`.
-    pub fn characteristic(&self) -> u64 {
-        self.p
-    }
-
-    /// Extension degree `m`.
-    pub fn degree(&self) -> u32 {
-        self.m
-    }
-
     /// Field order `q = p^m`.
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.q
-    }
-
-    /// The irreducible modulus used for the representation.
-    pub fn modulus(&self) -> &Poly {
-        &self.modulus
     }
 
     fn index_to_poly(&self, mut i: usize) -> Poly {
@@ -139,7 +124,7 @@ impl FiniteField {
     }
 
     /// Additive inverse.
-    pub fn neg(&self, a: usize) -> usize {
+    pub(crate) fn neg(&self, a: usize) -> usize {
         debug_assert!(a < self.q);
         if self.p == 2 {
             return a;
@@ -161,13 +146,6 @@ impl FiniteField {
         self.add(a, self.neg(b))
     }
 
-    /// Table-free schoolbook multiplication (polynomial multiply +
-    /// reduction). Exposed as the ablation baseline for the exp/log
-    /// tables; `mul` is the production path.
-    pub fn mul_schoolbook(&self, a: usize, b: usize) -> usize {
-        self.mul_raw(a, b)
-    }
-
     /// Multiplication via log tables (O(1)).
     pub fn mul(&self, a: usize, b: usize) -> usize {
         debug_assert!(a < self.q && b < self.q);
@@ -180,7 +158,7 @@ impl FiniteField {
     }
 
     /// Multiplicative inverse; `None` for 0.
-    pub fn inv(&self, a: usize) -> Option<usize> {
+    pub(crate) fn inv(&self, a: usize) -> Option<usize> {
         debug_assert!(a < self.q);
         if a == 0 {
             return None;
@@ -196,19 +174,6 @@ impl FiniteField {
         }
         let n = (self.q - 1) as u64;
         self.exp[(self.log[a] as u64 * (e % n) % n) as usize]
-    }
-
-    /// A fixed primitive element (generator of the multiplicative group).
-    pub fn primitive_element(&self) -> usize {
-        self.exp.get(1).copied().unwrap_or(1)
-    }
-
-    /// Multiplicative order of a nonzero element.
-    pub fn element_order(&self, a: usize) -> u64 {
-        assert!(a != 0 && a < self.q, "order is defined for nonzero elements");
-        let n = (self.q - 1) as u64;
-        let l = self.log[a] as u64;
-        n / crate::nt::gcd(n, l)
     }
 
     /// An element of multiplicative order exactly `d` (requires `d | q-1`).
@@ -241,26 +206,28 @@ impl FiniteField {
         elems.sort_unstable();
         elems
     }
-
-    /// All subfield orders of this field (`p^d` for `d | m`), ascending.
-    pub fn subfield_orders(&self) -> Vec<usize> {
-        divisors(self.m as u64).into_iter().map(|d| (self.p as usize).pow(d as u32)).collect()
-    }
-
-    /// Embeds a base-field residue `c ∈ Z_p` as a field element index.
-    pub fn from_base(&self, c: u64) -> usize {
-        (c % self.p) as usize
-    }
-
-    /// Checks `q - 1 = Π (p_i^{e_i})` consistency; exposed for tests.
-    pub fn group_order_factorization(&self) -> Vec<(u64, u32)> {
-        factorize(self.q as u64 - 1)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Multiplicative order of a nonzero element, by repeated
+    /// multiplication.
+    fn element_order(f: &FiniteField, a: usize) -> u64 {
+        let mut x = a;
+        let mut d = 1;
+        while x != 1 {
+            x = f.mul(x, a);
+            d += 1;
+        }
+        d
+    }
+
+    /// All divisors of `n`, ascending.
+    fn divisors(n: u64) -> Vec<u64> {
+        (1..=n).filter(|&d| n.is_multiple_of(d)).collect()
+    }
 
     fn fields_under_test() -> Vec<FiniteField> {
         [2u64, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128]
@@ -339,8 +306,8 @@ mod tests {
         for f in fields_under_test() {
             let q = f.order();
             if q > 2 {
-                let g = f.primitive_element();
-                assert_eq!(f.element_order(g), (q - 1) as u64, "q={q}");
+                let g = f.element_of_order(q as u64 - 1);
+                assert_eq!(element_order(&f, g), (q - 1) as u64, "q={q}");
             }
         }
     }
@@ -350,11 +317,11 @@ mod tests {
         for f in fields_under_test() {
             let n = (f.order() - 1) as u64;
             for a in 1..f.order() {
-                let d = f.element_order(a);
+                let d = element_order(&f, a);
                 assert_eq!(n % d, 0);
                 assert_eq!(f.pow(a, d), 1);
                 // order is minimal
-                for dd in crate::nt::divisors(d) {
+                for dd in divisors(d) {
                     if dd < d {
                         assert_ne!(f.pow(a, dd), 1, "a={a} d={d} dd={dd}");
                     }
@@ -367,9 +334,9 @@ mod tests {
     fn element_of_order_exact() {
         for f in fields_under_test() {
             let n = (f.order() - 1) as u64;
-            for d in crate::nt::divisors(n) {
+            for d in divisors(n) {
                 let a = f.element_of_order(d);
-                assert_eq!(f.element_order(a), d, "q={} d={d}", f.order());
+                assert_eq!(element_order(&f, a), d, "q={} d={d}", f.order());
             }
         }
     }
@@ -378,7 +345,7 @@ mod tests {
     fn frobenius_fixed_points_are_prime_subfield() {
         // Elements with a^p = a form GF(p).
         for f in fields_under_test() {
-            let p = f.characteristic();
+            let p = f.p;
             let fixed: Vec<usize> = (0..f.order()).filter(|&a| f.pow(a, p) == a).collect();
             assert_eq!(fixed.len(), p as usize, "q={}", f.order());
         }
@@ -387,7 +354,6 @@ mod tests {
     #[test]
     fn subfield_structure() {
         let f = FiniteField::new(16);
-        assert_eq!(f.subfield_orders(), vec![2, 4, 16]);
         let g4 = f.subfield(4);
         assert_eq!(g4.len(), 4);
         // closure under add and mul
@@ -435,7 +401,7 @@ mod tests {
     fn char_p_addition() {
         // p * a = 0 for all a (Algebra Fact 1 specialized to fields).
         for f in fields_under_test() {
-            let p = f.characteristic();
+            let p = f.p;
             for a in 0..f.order() {
                 let mut acc = 0usize;
                 for _ in 0..p {

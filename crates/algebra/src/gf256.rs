@@ -36,7 +36,7 @@
 //!
 //! ```text
 //! P = D_0 ^ D_1 ^ ... ^ D_{n-1}              (plain XOR)
-//! Q = g^{j_0}·D_0 ^ g^{j_1}·D_1 ^ ...        (g = GENERATOR = 2)
+//! Q = g^{j_0}·D_0 ^ g^{j_1}·D_1 ^ ...        (g = x = 2)
 //! ```
 //!
 //! Any two simultaneous erasures are solvable: with partial sums over
@@ -50,9 +50,6 @@ pub use kernel::Kernel;
 
 /// The RAID-6 field polynomial `x^8 + x^4 + x^3 + x^2 + 1`.
 pub const GF256_POLY: u16 = 0x11d;
-
-/// The fixed generator (primitive element) `g = x = 2`.
-pub const GENERATOR: u8 = 2;
 
 /// `exp` doubled to 510 entries so `exp[log a + log b]` needs no modulo.
 const fn build_exp() -> [u8; 510] {
@@ -109,12 +106,6 @@ pub fn inv(a: u8) -> Option<u8> {
 #[inline]
 pub fn gen_pow(e: usize) -> u8 {
     EXP[e % 255]
-}
-
-/// `a / b`. Panics if `b == 0`.
-#[inline]
-pub fn div(a: u8, b: u8) -> u8 {
-    mul(a, inv(b).expect("division by zero in GF(256)"))
 }
 
 /// The two 16-entry nibble product tables of `c`: `lo[n] = c·n` and
@@ -337,7 +328,6 @@ mod tests {
         assert_eq!(inv(0), None);
         for a in 1..=255u8 {
             assert_eq!(mul(a, inv(a).unwrap()), 1, "a={a}");
-            assert_eq!(div(a, a), 1);
         }
     }
 
@@ -350,7 +340,7 @@ mod tests {
             seen[v as usize] = true;
         }
         assert_eq!(gen_pow(0), 1);
-        assert_eq!(gen_pow(1), GENERATOR);
+        assert_eq!(gen_pow(1), 2, "g = x");
         assert_eq!(gen_pow(255), 1, "order divides 255");
     }
 

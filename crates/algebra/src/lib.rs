@@ -26,13 +26,14 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-pub mod gf;
+mod gf;
 pub mod gf256;
-pub mod nt;
-pub mod poly;
-pub mod ring;
+mod nt;
+mod poly;
+mod ring;
 pub mod xxh64;
 
 pub use gf::FiniteField;
-pub use poly::Poly;
+pub use nt::{factorize, gcd, is_prime_power, lcm, min_prime_power_factor, prime_power};
+pub use poly::{is_irreducible, Poly};
 pub use ring::{FiniteRing, ProductRing, Ring, Zn};

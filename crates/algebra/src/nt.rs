@@ -24,7 +24,7 @@ pub fn lcm(a: u64, b: u64) -> u64 {
 }
 
 /// Extended Euclid: returns `(g, x, y)` with `a*x + b*y = g = gcd(a, b)`.
-pub fn extended_gcd(a: i64, b: i64) -> (i64, i64, i64) {
+fn extended_gcd(a: i64, b: i64) -> (i64, i64, i64) {
     if b == 0 {
         return (a, 1, 0);
     }
@@ -33,7 +33,7 @@ pub fn extended_gcd(a: i64, b: i64) -> (i64, i64, i64) {
 }
 
 /// Modular inverse of `a` modulo `m`, if `gcd(a, m) = 1`.
-pub fn mod_inverse(a: u64, m: u64) -> Option<u64> {
+pub(crate) fn mod_inverse(a: u64, m: u64) -> Option<u64> {
     if m == 0 {
         return None;
     }
@@ -45,46 +45,6 @@ pub fn mod_inverse(a: u64, m: u64) -> Option<u64> {
         return None;
     }
     Some(x.rem_euclid(m as i64) as u64)
-}
-
-/// Modular exponentiation `base^exp mod m` (m > 0, m² must fit in u64 —
-/// true for all moduli used here, which stay below 2^31).
-pub fn mod_pow(mut base: u64, mut exp: u64, m: u64) -> u64 {
-    assert!(m > 0, "modulus must be positive");
-    if m == 1 {
-        return 0;
-    }
-    let mut acc = 1u64;
-    base %= m;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            acc = acc * base % m;
-        }
-        base = base * base % m;
-        exp >>= 1;
-    }
-    acc
-}
-
-/// Deterministic primality test by trial division.
-pub fn is_prime(n: u64) -> bool {
-    if n < 2 {
-        return false;
-    }
-    if n.is_multiple_of(2) {
-        return n == 2;
-    }
-    if n.is_multiple_of(3) {
-        return n == 3;
-    }
-    let mut d = 5u64;
-    while d.saturating_mul(d) <= n {
-        if n.is_multiple_of(d) || n.is_multiple_of(d + 2) {
-            return false;
-        }
-        d += 6;
-    }
-    true
 }
 
 /// Factorization into `(prime, exponent)` pairs, primes ascending.
@@ -118,7 +78,7 @@ pub fn factorize(mut n: u64) -> Vec<(u64, u32)> {
 }
 
 /// Distinct prime divisors, ascending.
-pub fn prime_divisors(n: u64) -> Vec<u64> {
+pub(crate) fn prime_divisors(n: u64) -> Vec<u64> {
     factorize(n).into_iter().map(|(p, _)| p).collect()
 }
 
@@ -142,32 +102,6 @@ pub fn is_prime_power(n: u64) -> bool {
 /// block size `k` exists iff `k ≤ M(v)`.
 pub fn min_prime_power_factor(v: u64) -> u64 {
     factorize(v).into_iter().map(|(p, e)| p.pow(e)).min().unwrap_or(0)
-}
-
-/// All divisors of `n`, ascending.
-pub fn divisors(n: u64) -> Vec<u64> {
-    let mut ds = vec![1u64];
-    for (p, e) in factorize(n) {
-        let prev = ds.clone();
-        let mut pe = 1u64;
-        for _ in 0..e {
-            pe *= p;
-            ds.extend(prev.iter().map(|d| d * pe));
-        }
-    }
-    ds.sort_unstable();
-    ds
-}
-
-/// Largest prime power `q ≤ n` (at least 2 required; panics for `n < 2`).
-pub fn prev_prime_power(n: u64) -> u64 {
-    assert!(n >= 2, "no prime power below 2");
-    (2..=n).rev().find(|&q| is_prime_power(q)).expect("2 is a prime power")
-}
-
-/// All prime powers in `lo..=hi`, ascending.
-pub fn prime_powers_in(lo: u64, hi: u64) -> Vec<u64> {
-    (lo.max(2)..=hi).filter(|&q| is_prime_power(q)).collect()
 }
 
 #[cfg(test)]
@@ -218,21 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn mod_pow_matches_naive() {
-        for m in 2..20u64 {
-            for b in 0..m {
-                let mut acc = 1 % m;
-                for e in 0..12u64 {
-                    assert_eq!(mod_pow(b, e, m), acc, "b={b} e={e} m={m}");
-                    acc = acc * b % m;
-                }
-            }
-        }
-    }
-
-    #[test]
     fn primality_small() {
-        let primes: Vec<u64> = (0..100).filter(|&n| is_prime(n)).collect();
+        // A prime factorizes as itself: `factorize` finds exactly these.
+        let primes: Vec<u64> = (0..100).filter(|&n| factorize(n) == [(n, 1)]).collect();
         assert_eq!(
             primes,
             vec![
@@ -244,10 +166,10 @@ mod tests {
 
     #[test]
     fn primality_larger() {
-        assert!(is_prime(7919));
-        assert!(is_prime(104_729));
-        assert!(!is_prime(104_730));
-        assert!(!is_prime(7919 * 7919));
+        assert_eq!(factorize(7919), [(7919, 1)]);
+        assert_eq!(factorize(104_729), [(104_729, 1)]);
+        assert_eq!(factorize(104_730), [(2, 1), (3, 1), (5, 1), (3491, 1)]);
+        assert_eq!(factorize(7919 * 7919), [(7919, 2)]);
     }
 
     #[test]
@@ -257,7 +179,7 @@ mod tests {
             let prod: u64 = f.iter().map(|&(p, e)| p.pow(e)).product();
             assert_eq!(prod, n);
             for &(p, _) in &f {
-                assert!(is_prime(p), "{p} not prime (n={n})");
+                assert!((2..p).all(|d| p % d != 0), "{p} not prime (n={n})");
             }
             for w in f.windows(2) {
                 assert!(w[0].0 < w[1].0);
@@ -288,30 +210,8 @@ mod tests {
     }
 
     #[test]
-    fn divisors_examples() {
-        assert_eq!(divisors(1), vec![1]);
-        assert_eq!(divisors(12), vec![1, 2, 3, 4, 6, 12]);
-        assert_eq!(divisors(49), vec![1, 7, 49]);
-        for n in 1..200u64 {
-            let ds = divisors(n);
-            for &d in &ds {
-                assert_eq!(n % d, 0);
-            }
-            let count = (1..=n).filter(|d| n % d == 0).count();
-            assert_eq!(ds.len(), count);
-        }
-    }
-
-    #[test]
-    fn prev_prime_power_examples() {
-        assert_eq!(prev_prime_power(10), 9);
-        assert_eq!(prev_prime_power(8), 8);
-        assert_eq!(prev_prime_power(2), 2);
-        assert_eq!(prev_prime_power(100), 97);
-    }
-
-    #[test]
     fn prime_powers_in_range() {
-        assert_eq!(prime_powers_in(2, 16), vec![2, 3, 4, 5, 7, 8, 9, 11, 13, 16]);
+        let found: Vec<u64> = (0..=16).filter(|&q| is_prime_power(q)).collect();
+        assert_eq!(found, vec![2, 3, 4, 5, 7, 8, 9, 11, 13, 16]);
     }
 }

@@ -13,17 +13,17 @@ pub struct Poly(pub Vec<u64>);
 
 impl Poly {
     /// The zero polynomial.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Poly(Vec::new())
     }
 
     /// The constant polynomial `c` (reduced mod p).
-    pub fn constant(c: u64, p: u64) -> Self {
+    pub(crate) fn constant(c: u64, p: u64) -> Self {
         Self::from_coeffs(vec![c % p])
     }
 
     /// `x` (the monomial of degree 1).
-    pub fn x() -> Self {
+    pub(crate) fn x() -> Self {
         Poly(vec![0, 1])
     }
 
@@ -36,7 +36,7 @@ impl Poly {
     }
 
     /// True iff this is the zero polynomial.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.0.is_empty()
     }
 
@@ -46,7 +46,7 @@ impl Poly {
     }
 
     /// Leading coefficient (0 for the zero polynomial).
-    pub fn leading(&self) -> u64 {
+    pub(crate) fn leading(&self) -> u64 {
         *self.0.last().unwrap_or(&0)
     }
 
@@ -119,7 +119,7 @@ impl Poly {
     }
 
     /// Polynomial gcd, made monic.
-    pub fn gcd(&self, other: &Poly, p: u64) -> Poly {
+    pub(crate) fn gcd(&self, other: &Poly, p: u64) -> Poly {
         let mut a = self.clone();
         let mut b = other.clone();
         while !b.is_zero() {
@@ -131,7 +131,7 @@ impl Poly {
     }
 
     /// Scales so the leading coefficient is 1 (zero stays zero).
-    pub fn monic(&self, p: u64) -> Poly {
+    pub(crate) fn monic(&self, p: u64) -> Poly {
         if self.is_zero() {
             return Poly::zero();
         }
@@ -140,7 +140,7 @@ impl Poly {
     }
 
     /// `self^e mod modulus` by square-and-multiply.
-    pub fn pow_mod(&self, mut e: u64, modulus: &Poly, p: u64) -> Poly {
+    pub(crate) fn pow_mod(&self, mut e: u64, modulus: &Poly, p: u64) -> Poly {
         let mut base = self.rem(modulus, p);
         let mut acc = Poly::constant(1, p);
         while e > 0 {
@@ -195,7 +195,7 @@ pub fn is_irreducible(f: &Poly, p: u64) -> bool {
 /// Finds a monic irreducible polynomial of degree `m` over `Z_p` by
 /// enumerating candidates in lexicographic coefficient order. Existence is
 /// guaranteed for every prime `p` and `m ≥ 1`.
-pub fn find_irreducible(p: u64, m: u32) -> Poly {
+pub(crate) fn find_irreducible(p: u64, m: u32) -> Poly {
     assert!(m >= 1, "degree must be at least 1");
     if m == 1 {
         return Poly::x(); // x itself: GF(p) needs no extension

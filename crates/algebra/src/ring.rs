@@ -142,7 +142,7 @@ impl ProductRing {
     }
 
     /// Packs component indices back into a ring index.
-    pub fn from_components(&self, comps: &[usize]) -> usize {
+    pub(crate) fn pack(&self, comps: &[usize]) -> usize {
         assert_eq!(comps.len(), self.factors.len());
         let mut idx = 0usize;
         for (f, &c) in self.factors.iter().zip(comps).rev() {
@@ -153,7 +153,7 @@ impl ProductRing {
     }
 
     /// The component fields.
-    pub fn factors(&self) -> &[FiniteField] {
+    pub(crate) fn factors(&self) -> &[FiniteField] {
         &self.factors
     }
 
@@ -182,7 +182,7 @@ impl Ring for ProductRing {
         self.order
     }
     fn one(&self) -> usize {
-        self.from_components(&vec![1; self.factors.len()])
+        self.pack(&vec![1; self.factors.len()])
     }
     fn add(&self, a: usize, b: usize) -> usize {
         self.zip_op(a, b, |f, x, y| f.add(x, y))
@@ -190,7 +190,7 @@ impl Ring for ProductRing {
     fn neg(&self, a: usize) -> usize {
         let comps: Vec<usize> =
             self.components(a).iter().zip(&self.factors).map(|(&x, f)| f.neg(x)).collect();
-        self.from_components(&comps)
+        self.pack(&comps)
     }
     fn mul(&self, a: usize, b: usize) -> usize {
         self.zip_op(a, b, |f, x, y| f.mul(x, y))
@@ -200,7 +200,7 @@ impl Ring for ProductRing {
         for (&x, f) in self.components(a).iter().zip(&self.factors) {
             comps.push(f.inv(x)?);
         }
-        Some(self.from_components(&comps))
+        Some(self.pack(&comps))
     }
 }
 
@@ -258,7 +258,7 @@ impl FiniteRing {
             FiniteRing::Product(pr) => {
                 let max = pr.factors().iter().map(|f| f.order()).min().unwrap();
                 assert!(k <= max, "k={k} exceeds M(v)={max} for this product ring (Theorem 2)");
-                (0..k).map(|j| pr.from_components(&vec![j; pr.factors().len()])).collect()
+                (0..k).map(|j| pr.pack(&vec![j; pr.factors().len()])).collect()
             }
         }
     }
@@ -373,7 +373,7 @@ mod tests {
         let r =
             ProductRing::new(vec![FiniteField::new(4), FiniteField::new(3), FiniteField::new(25)]);
         for a in 0..Ring::order(&r) {
-            assert_eq!(r.from_components(&r.components(a)), a);
+            assert_eq!(r.pack(&r.components(a)), a);
         }
     }
 

@@ -3,9 +3,10 @@
 //! over randomly chosen structures. Uses seeded random sampling (the
 //! offline environment has no `proptest`) with 128 cases per property.
 
-use pdl_algebra::nt;
-use pdl_algebra::poly::{is_irreducible, Poly};
-use pdl_algebra::{FiniteField, FiniteRing, ProductRing, Ring, Zn};
+use pdl_algebra::{
+    factorize, gcd, is_irreducible, is_prime_power, lcm, min_prime_power_factor, FiniteField,
+    FiniteRing, Poly, ProductRing, Ring, Zn,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -17,7 +18,7 @@ fn gcd_against_naive() {
     for _ in 0..CASES {
         let a = rng.random_range(0u64..5000);
         let b = rng.random_range(0u64..5000);
-        let g = nt::gcd(a, b);
+        let g = gcd(a, b);
         if a != 0 || b != 0 {
             assert!(g >= 1);
             assert_eq!(a % g, 0);
@@ -38,7 +39,7 @@ fn lcm_gcd_identity() {
     for _ in 0..CASES {
         let a = rng.random_range(1u64..3000);
         let b = rng.random_range(1u64..3000);
-        assert_eq!(nt::lcm(a, b) * nt::gcd(a, b), a * b);
+        assert_eq!(lcm(a, b) * gcd(a, b), a * b);
     }
 }
 
@@ -47,11 +48,11 @@ fn factorization_multiplies_back() {
     let mut rng = StdRng::seed_from_u64(0xfac);
     for _ in 0..CASES {
         let n = rng.random_range(2u64..200_000);
-        let f = nt::factorize(n);
+        let f = factorize(n);
         let prod: u64 = f.iter().map(|&(p, e)| p.pow(e)).product();
         assert_eq!(prod, n);
         for &(p, _) in &f {
-            assert!(nt::is_prime(p));
+            assert!((2..p).all(|d| p % d != 0), "{p} is not prime");
         }
     }
 }
@@ -62,34 +63,8 @@ fn is_prime_against_trial() {
     for _ in 0..CASES {
         let n = rng.random_range(0u64..3000);
         let naive = n >= 2 && (2..n).all(|d| n % d != 0);
-        assert_eq!(nt::is_prime(n), naive);
-    }
-}
-
-#[test]
-fn mod_pow_against_naive() {
-    let mut rng = StdRng::seed_from_u64(0x90d);
-    for _ in 0..CASES {
-        let b = rng.random_range(0u64..100);
-        let e = rng.random_range(0u64..24);
-        let m = rng.random_range(1u64..500);
-        let mut acc = 1u64 % m;
-        for _ in 0..e {
-            acc = acc * (b % m) % m;
-        }
-        assert_eq!(nt::mod_pow(b, e, m), acc);
-    }
-}
-
-#[test]
-fn divisors_complete() {
-    let mut rng = StdRng::seed_from_u64(0xd1f);
-    for _ in 0..CASES {
-        let n = rng.random_range(1u64..2000);
-        let ds = nt::divisors(n);
-        for d in 1..=n {
-            assert_eq!(ds.contains(&d), n % d == 0);
-        }
+        // A prime factorizes as itself.
+        assert_eq!(factorize(n) == [(n, 1)], naive, "n={n}");
     }
 }
 
@@ -98,10 +73,10 @@ fn min_prime_power_factor_divides() {
     let mut rng = StdRng::seed_from_u64(0x3b9);
     for _ in 0..CASES {
         let v = rng.random_range(2u64..5000);
-        let m = nt::min_prime_power_factor(v);
+        let m = min_prime_power_factor(v);
         assert!(m >= 2);
         assert_eq!(v % m, 0);
-        assert!(nt::is_prime_power(m));
+        assert!(is_prime_power(m));
     }
 }
 
@@ -162,7 +137,7 @@ fn zn_units_iff_coprime() {
         let n = rng.random_range(2usize..200);
         let a = rng.random_range(0usize..200) % n;
         let z = Zn::new(n);
-        assert_eq!(z.is_unit(a), nt::gcd(a as u64, n as u64) == 1);
+        assert_eq!(z.is_unit(a), gcd(a as u64, n as u64) == 1);
     }
 }
 
@@ -199,8 +174,8 @@ fn lemma3_ring_order() {
 fn field_multiplicative_group_cyclic() {
     for q in [4u64, 5, 7, 8, 9, 16, 25, 27] {
         let f = FiniteField::new(q);
-        let g = f.primitive_element();
-        // powers of g enumerate all nonzero elements
+        let g = f.element_of_order(q - 1);
+        // powers of a primitive element enumerate all nonzero elements
         let mut seen = vec![false; f.order()];
         let mut cur = 1usize;
         for _ in 0..f.order() - 1 {

@@ -50,32 +50,6 @@ fn bench_field_construction(c: &mut Criterion) {
     g.finish();
 }
 
-/// Ablation: exp/log-table multiplication vs schoolbook polynomial
-/// multiplication in GF(256) — the table justification.
-fn bench_field_mul_ablation(c: &mut Criterion) {
-    let f = pdl_algebra::FiniteField::new(256);
-    let mut g = c.benchmark_group("gf256_mul_ablation");
-    g.bench_function("exp_log_tables", |b| {
-        b.iter(|| {
-            let mut acc = 1usize;
-            for x in 1..256usize {
-                acc = f.mul(black_box(acc), black_box(x)) | 1;
-            }
-            acc
-        })
-    });
-    g.bench_function("schoolbook", |b| {
-        b.iter(|| {
-            let mut acc = 1usize;
-            for x in 1..256usize {
-                acc = f.mul_schoolbook(black_box(acc), black_box(x)) | 1;
-            }
-            acc
-        })
-    });
-    g.finish();
-}
-
 /// The store's data-path slice kernels at request, block and unit
 /// size: `xor_slice` (one implementation), and `mul_slice` /
 /// `mul_add_slice` / `solve_two_erasures` on every GF(2^8) multiply
@@ -151,7 +125,6 @@ criterion_group! {
     targets = bench_ring_designs,
     bench_reduced_designs,
     bench_field_construction,
-    bench_field_mul_ablation,
     bench_gf256_slice_kernels,
     bench_xxh64_batch
 }

@@ -4,7 +4,7 @@
 //! is built and BIBD-checked; k = M(v)+1 is confirmed impossible for
 //! the Lemma 3 ring).
 
-use pdl_algebra::nt::min_prime_power_factor;
+use pdl_algebra::min_prime_power_factor;
 use pdl_bench::{header, row};
 use pdl_design::{ring_design_exists, RingDesign};
 
@@ -29,7 +29,7 @@ fn main() {
     let widths = [6, 22, 6];
     println!("{}", header(&["v", "factorization", "M(v)"], &widths));
     for v in [12u64, 30, 60, 100, 210, 1024, 1000, 2310] {
-        let f = pdl_algebra::nt::factorize(v)
+        let f = pdl_algebra::factorize(v)
             .iter()
             .map(|&(p, e)| if e == 1 { p.to_string() } else { format!("{p}^{e}") })
             .collect::<Vec<_>>()

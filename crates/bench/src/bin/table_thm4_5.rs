@@ -2,7 +2,7 @@
 //! Theorem 4 divides (b, r, λ) by gcd(v−1, k−1); Theorem 5 by
 //! gcd(v−1, k). Whichever gcd is larger gives the smaller design.
 
-use pdl_algebra::nt::gcd;
+use pdl_algebra::gcd;
 use pdl_bench::{header, row};
 use pdl_design::{theorem4_design, theorem5_design};
 

@@ -1,14 +1,15 @@
 //! # pdl-bench
 //!
 //! Experiment binaries and criterion benches that regenerate every
-//! figure and table of the paper (see `DESIGN.md` §5 for the index and
-//! `EXPERIMENTS.md` for recorded results). The library portion holds
-//! shared table-formatting helpers used by the binaries and the
+//! figure and table of the paper. Each binary's output is pinned byte
+//! for byte in `crates/bench/expected/<binary>.txt`; the README says
+//! what each experiment shows and how to run it. The library portion
+//! holds shared table-formatting helpers used by the binaries and the
 //! condensed claim checks ([`verify_all`]).
 
 #![warn(missing_docs)]
 
-use pdl_algebra::nt::gcd;
+use pdl_algebra::gcd;
 use pdl_core::{
     copies_for_perfect_parity, parity_counts, raid5_layout, single_copy_layout, stairway_layout,
     DoubleParityLayout, QualityReport, RingLayout, SparedLayout, StairwayParams, StripePartition,

@@ -8,7 +8,7 @@ use crate::layout::Layout;
 use crate::parity_assign::{minimal_balanced_layout, StripePartition};
 use crate::ring_layout::RingLayout;
 use crate::stairway::stairway_layout;
-use pdl_algebra::nt::{is_prime_power, min_prime_power_factor};
+use pdl_algebra::{is_prime_power, min_prime_power_factor};
 use pdl_design::{
     complete_design, steiner_triple_system, sts_exists, theorem4_design, theorem5_design,
     theorem6_design, BlockDesign,
@@ -16,7 +16,7 @@ use pdl_design::{
 
 /// The best BIBD our Section 2 + Steiner constructions produce at
 /// `(v, k)` (smallest `b`), or `None` when none applies.
-pub fn best_bibd(v: usize, k: usize) -> Option<BlockDesign> {
+fn best_bibd(v: usize, k: usize) -> Option<BlockDesign> {
     if k < 2 || k > v {
         return None;
     }

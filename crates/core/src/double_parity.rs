@@ -9,7 +9,7 @@
 //! failures; the generalized flow assignment balances the combined
 //! parity load to within one unit per disk.
 
-use crate::layout::{Layout, StripeUnit, UnitRole};
+use crate::layout::{Layout, StripeUnit};
 use crate::parity_assign::{AssignError, StripePartition};
 
 /// A layout where every stripe carries two distinguished parity units
@@ -86,15 +86,10 @@ impl DoubleParityLayout {
     }
 
     /// The `(P, Q)` units of stripe `s`.
-    pub fn parity_units(&self, s: usize) -> (StripeUnit, StripeUnit) {
+    pub(crate) fn parity_units(&self, s: usize) -> (StripeUnit, StripeUnit) {
         let (p, q) = self.parity_slots[s];
         let units = self.layout.stripes()[s].units();
         (units[p], units[q])
-    }
-
-    /// The `(P, Q)` slot indices of stripe `s` (into its unit list).
-    pub fn parity_slots(&self, s: usize) -> (usize, usize) {
-        self.parity_slots[s]
     }
 
     /// The `(P, Q)` slot pairs of every stripe, in stripe order — the
@@ -102,17 +97,6 @@ impl DoubleParityLayout {
     /// [`DoubleParityLayout::from_parts`]).
     pub fn all_parity_slots(&self) -> &[(usize, usize)] {
         &self.parity_slots
-    }
-
-    /// Role of a unit under double parity.
-    pub fn role(&self, disk: usize, offset: usize) -> UnitRole {
-        let r = self.layout.unit_ref(disk, offset);
-        let (p, q) = self.parity_slots[r.stripe as usize];
-        if r.slot as usize == p || r.slot as usize == q {
-            UnitRole::Parity
-        } else {
-            UnitRole::Data
-        }
     }
 
     /// Combined parity units per disk (P + Q together).
@@ -125,44 +109,12 @@ impl DoubleParityLayout {
         }
         counts
     }
-
-    /// Fraction of each disk holding parity (overhead ≈ 2/k).
-    pub fn parity_overheads(&self) -> Vec<f64> {
-        self.parity_counts().iter().map(|&c| c as f64 / self.layout.size() as f64).collect()
-    }
-
-    /// True if every stripe still has at least one surviving *readable*
-    /// unit combination after the two given disks fail — i.e. at most
-    /// two units lost per stripe (always true by Condition 1).
-    pub fn survives_double_failure(&self, f1: usize, f2: usize) -> bool {
-        assert_ne!(f1, f2);
-        self.layout.stripes().iter().all(|s| {
-            let lost =
-                s.units().iter().filter(|u| u.disk as usize == f1 || u.disk as usize == f2).count();
-            // With 2 parities, any ≤2 lost units are recoverable as
-            // long as the stripe had ≥ lost redundancy.
-            lost <= 2
-        })
-    }
-
-    /// Reconstruction workload for a *double* failure `(f1, f2)`: the
-    /// fraction of disk `d` that must be read to rebuild both, counting
-    /// each stripe crossing `d` and at least one failed disk once.
-    pub fn double_failure_workload(&self, f1: usize, f2: usize, d: usize) -> f64 {
-        assert!(d != f1 && d != f2);
-        let crossing = self
-            .layout
-            .stripes()
-            .iter()
-            .filter(|s| s.crosses(d) && (s.crosses(f1) || s.crosses(f2)))
-            .count();
-        crossing as f64 / self.layout.size() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::UnitRole;
     use crate::ring_layout::RingLayout;
 
     fn dp(v: usize, k: usize) -> DoubleParityLayout {
@@ -193,7 +145,8 @@ mod tests {
     #[test]
     fn overhead_is_two_over_k() {
         let d = dp(13, 4);
-        for o in d.parity_overheads() {
+        for c in d.parity_counts() {
+            let o = c as f64 / d.layout().size() as f64;
             assert!((o - 2.0 / 4.0).abs() < 0.05, "overhead {o}");
         }
     }
@@ -207,25 +160,6 @@ mod tests {
             .filter(|&(disk, off)| d.role(disk, off) == UnitRole::Parity)
             .count();
         assert_eq!(parity, 2 * l.b());
-    }
-
-    #[test]
-    fn survives_any_double_failure() {
-        let d = dp(13, 4);
-        for f1 in 0..13 {
-            for f2 in f1 + 1..13 {
-                assert!(d.survives_double_failure(f1, f2));
-            }
-        }
-    }
-
-    #[test]
-    fn double_failure_workload_below_raid6_full() {
-        // Declustered double parity reads less than the whole survivor.
-        let d = dp(13, 4);
-        let w = d.double_failure_workload(0, 1, 5);
-        assert!(w < 1.0, "workload {w}");
-        assert!(w > 0.0);
     }
 
     #[test]
@@ -257,5 +191,19 @@ mod tests {
     fn stripes_too_small_rejected() {
         let rl = RingLayout::for_v_k(5, 2); // k=2 cannot hold P+Q+data
         assert!(DoubleParityLayout::new(rl.layout().clone()).is_err());
+    }
+
+    impl DoubleParityLayout {
+        /// Role of a unit under double parity: the oracle the tests here
+        /// and the map's tests check against.
+        pub(crate) fn role(&self, disk: usize, offset: usize) -> UnitRole {
+            let r = self.layout.unit_ref(disk, offset);
+            let (p, q) = self.parity_slots[r.stripe as usize];
+            if r.slot as usize == p || r.slot as usize == q {
+                UnitRole::Parity
+            } else {
+                UnitRole::Data
+            }
+        }
     }
 }

@@ -37,8 +37,8 @@ pub struct ExtensionReport {
 }
 
 /// Extends a ring layout for `q` disks to `v` disks via the stairway
-/// transformation and reports the piece-level data movement (see
-/// [`crate::stairway::stairway_movement`]): bottom-staircase pieces keep
+/// transformation and reports the piece-level data movement:
+/// bottom-staircase pieces keep
 /// their exact physical position, so only the shifted top triangle (and
 /// the wide-step deletions) must be copied.
 pub fn extend_via_stairway(

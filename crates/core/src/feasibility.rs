@@ -6,7 +6,7 @@
 //! `(v, k)` planes can be swept cheaply.
 
 use crate::stairway::StairwayParams;
-use pdl_algebra::nt::{gcd, is_prime_power, lcm, min_prime_power_factor};
+use pdl_algebra::{gcd, is_prime_power, lcm, min_prime_power_factor};
 use pdl_design::binomial;
 
 /// The layout-construction families compared throughout the paper.
@@ -53,7 +53,7 @@ impl Method {
 /// The smallest `(b, r)` our constructions achieve at `(v, k)`: the best
 /// of Theorems 4, 5, 6 for prime-power `v`, plus Steiner triple systems
 /// for `k = 3` on any `v ≡ 1, 3 (mod 6)`.
-pub fn best_bibd_params(v: u64, k: u64) -> Option<(u64, u64)> {
+pub(crate) fn best_bibd_params(v: u64, k: u64) -> Option<(u64, u64)> {
     if k < 2 || k > v {
         return None;
     }
@@ -77,7 +77,7 @@ pub fn best_bibd_params(v: u64, k: u64) -> Option<(u64, u64)> {
 }
 
 /// True iff `v = k^m` for some `m ≥ 1`.
-pub fn is_power_of(v: u64, k: u64) -> bool {
+pub(crate) fn is_power_of(v: u64, k: u64) -> bool {
     pdl_design::log_exact(v, k).is_some()
 }
 
@@ -106,7 +106,7 @@ pub fn layout_size(method: Method, v: u64, k: u64) -> Option<u128> {
 /// Finds a source `q < v` for the stairway transformation: the largest
 /// prime power `q` with `k ≤ q` admitting valid `(c, w)` parameters.
 /// Larger `q` means smaller imbalance but a larger layout (more copies);
-/// see [`stairway_smallest_source`] for the size-optimal choice.
+/// the size-optimal choice is the smallest such `q`.
 pub fn stairway_source_for(v: usize, k: usize) -> Option<(usize, StairwayParams)> {
     if v < 3 {
         return None;
@@ -120,7 +120,7 @@ pub fn stairway_source_for(v: usize, k: usize) -> Option<(usize, StairwayParams)
 /// The size-optimal stairway source: the prime power `q ∈ [k, v)` whose
 /// valid parameters minimize the layout size `k(c−1)(q−1)` — this is
 /// the paper's size-vs-imbalance trade-off resolved for feasibility.
-pub fn stairway_smallest_source(v: usize, k: usize) -> Option<(usize, StairwayParams)> {
+pub(crate) fn stairway_smallest_source(v: usize, k: usize) -> Option<(usize, StairwayParams)> {
     if v < 3 {
         return None;
     }

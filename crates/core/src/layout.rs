@@ -30,7 +30,7 @@ impl StripeUnit {
 
 /// Role of a unit within its stripe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum UnitRole {
+pub(crate) enum UnitRole {
     /// Holds client data.
     Data,
     /// Holds the XOR of the stripe's data units.
@@ -228,7 +228,7 @@ impl Layout {
     }
 
     /// Role of the unit at `(disk, offset)`.
-    pub fn role(&self, disk: usize, offset: usize) -> UnitRole {
+    pub(crate) fn role(&self, disk: usize, offset: usize) -> UnitRole {
         let r = self.unit_ref(disk, offset);
         if self.stripes[r.stripe as usize].parity_slot() == r.slot as usize {
             UnitRole::Parity
@@ -250,7 +250,7 @@ impl Layout {
     }
 
     /// Condition 4 feasibility: `size ≤ limit` (default 10,000 tracks).
-    pub fn is_feasible(&self, limit: usize) -> bool {
+    pub(crate) fn is_feasible(&self, limit: usize) -> bool {
         self.size <= limit
     }
 

@@ -20,12 +20,12 @@ pub fn parity_counts(layout: &Layout) -> Vec<usize> {
 }
 
 /// Parity overhead per disk: `parity_count / size`.
-pub fn parity_overheads(layout: &Layout) -> Vec<f64> {
+pub(crate) fn parity_overheads(layout: &Layout) -> Vec<f64> {
     parity_counts(layout).iter().map(|&c| c as f64 / layout.size() as f64).collect()
 }
 
 /// `(min, max)` parity overhead over all disks.
-pub fn parity_overhead_range(layout: &Layout) -> (f64, f64) {
+pub(crate) fn parity_overhead_range(layout: &Layout) -> (f64, f64) {
     let ovs = parity_overheads(layout);
     let min = ovs.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = ovs.iter().cloned().fold(0.0, f64::max);
@@ -67,7 +67,7 @@ pub fn reconstruction_workloads(layout: &Layout) -> Vec<Vec<f64>> {
 }
 
 /// `(min, max)` reconstruction workload over ordered pairs `f ≠ d`.
-pub fn reconstruction_workload_range(layout: &Layout) -> (f64, f64) {
+pub(crate) fn reconstruction_workload_range(layout: &Layout) -> (f64, f64) {
     let w = reconstruction_workloads(layout);
     let mut min = f64::INFINITY;
     let mut max: f64 = 0.0;

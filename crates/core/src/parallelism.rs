@@ -19,7 +19,7 @@ use crate::mapping::StripeMap;
 /// widest stripe's data units (`k−1` under single parity, `k−2` under
 /// P+Q) that lie entirely within a single stripe. 1.0 means every such
 /// write is a full-stripe write.
-pub fn large_write_score(layout: &Layout, mapper: &StripeMap) -> f64 {
+fn large_write_score(layout: &Layout, mapper: &StripeMap) -> f64 {
     let widest = (0..layout.b()).map(|s| mapper.stripe_data_range(s).1).max();
     let group = widest.unwrap_or(0).max(1);
     let n = mapper.data_units_per_copy();
@@ -40,7 +40,7 @@ pub fn large_write_score(layout: &Layout, mapper: &StripeMap) -> f64 {
 /// Condition 6 score: over all aligned windows of `v` consecutive
 /// logical data units, the mean number of distinct disks touched,
 /// divided by `v`. 1.0 means any such read keeps every arm busy.
-pub fn parallelism_score(layout: &Layout, mapper: &StripeMap) -> f64 {
+fn parallelism_score(layout: &Layout, mapper: &StripeMap) -> f64 {
     let v = layout.v();
     let n = mapper.data_units_per_copy();
     if n < v {

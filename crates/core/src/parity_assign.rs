@@ -60,7 +60,7 @@ impl std::error::Error for AssignError {}
 impl StripePartition {
     /// Builds a partition; validity (coverage, one-unit-per-disk) is
     /// checked when a [`Layout`] is produced.
-    pub fn new(v: usize, size: usize, stripes: Vec<Vec<StripeUnit>>) -> Self {
+    pub(crate) fn new(v: usize, size: usize, stripes: Vec<Vec<StripeUnit>>) -> Self {
         StripePartition { v, size, stripes }
     }
 
@@ -71,16 +71,6 @@ impl StripePartition {
             size: layout.size(),
             stripes: layout.stripes().iter().map(|s| s.units().to_vec()).collect(),
         }
-    }
-
-    /// Number of disks.
-    pub fn v(&self) -> usize {
-        self.v
-    }
-
-    /// Units per disk.
-    pub fn size(&self) -> usize {
-        self.size
     }
 
     /// The stripes.
@@ -211,7 +201,7 @@ impl StripePartition {
 /// of a `b`-block design needed for perfectly balanceable parity is
 /// `lcm(b, v)/b`.
 pub fn copies_for_perfect_parity(b: usize, v: usize) -> usize {
-    (pdl_algebra::nt::lcm(b as u64, v as u64) / b as u64) as usize
+    (pdl_algebra::lcm(b as u64, v as u64) / b as u64) as usize
 }
 
 /// The improved Holland–Gibson pipeline: replicate the design the minimal

@@ -10,7 +10,7 @@ use crate::layout::{Layout, StripeUnit};
 use crate::parity_assign::{AssignError, StripePartition};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Builds a random layout on `v` disks with stripe size `k` and
 /// `rows · v / k` stripes (requires `k | rows·v`); parity is balanced
@@ -46,61 +46,6 @@ pub fn random_layout(v: usize, k: usize, rows: usize, seed: u64) -> Result<Layou
         stripes.push(units);
     }
     debug_assert!(remaining.iter().all(|&r| r == 0));
-    StripePartition::new(v, rows, stripes).assign_parity()
-}
-
-/// A fully uniform variant: stripes sample `k` distinct disks uniformly,
-/// retrying when a disk is full. Can fail to terminate for adversarial
-/// parameters, so attempts are bounded; falls back to the balanced
-/// sampler above on exhaustion.
-pub fn random_layout_uniform(
-    v: usize,
-    k: usize,
-    rows: usize,
-    seed: u64,
-) -> Result<Layout, AssignError> {
-    assert!(k >= 2 && k <= v);
-    assert_eq!((rows * v) % k, 0);
-    let b = rows * v / k;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut remaining: Vec<usize> = vec![rows; v];
-    let mut next: Vec<u32> = vec![0; v];
-    let mut stripes: Vec<Vec<StripeUnit>> = Vec::with_capacity(b);
-    'outer: for _ in 0..b {
-        for _attempt in 0..1000 {
-            let mut pick: Vec<usize> = (0..v).filter(|&d| remaining[d] > 0).collect();
-            if pick.len() < k {
-                break;
-            }
-            pick.shuffle(&mut rng);
-            pick.truncate(k);
-            // Accept with probability proportional to residual capacity to
-            // avoid dead-ends near the end; simple heuristic: always accept
-            // unless it would strand capacity (some disk left with more
-            // remaining than stripes left can absorb).
-            let stripes_left = b - stripes.len() - 1;
-            let strands = (0..v).any(|d| {
-                let rem = remaining[d] - pick.contains(&d) as usize;
-                rem > stripes_left
-            });
-            if strands && rng.random_bool(0.9) {
-                continue;
-            }
-            let units: Vec<StripeUnit> = pick
-                .iter()
-                .map(|&d| {
-                    remaining[d] -= 1;
-                    let u = StripeUnit { disk: d as u32, offset: next[d] };
-                    next[d] += 1;
-                    u
-                })
-                .collect();
-            stripes.push(units);
-            continue 'outer;
-        }
-        // Exhausted: restart with the safe sampler.
-        return random_layout(v, k, rows, seed ^ 0x9e3779b97f4a7c15);
-    }
     StripePartition::new(v, rows, stripes).assign_parity()
 }
 
@@ -141,15 +86,6 @@ mod tests {
         let r = QualityReport::measure(&l);
         assert!(r.reconstruction_workload.1 <= 1.0);
         assert!(r.reconstruction_workload.1 > 0.0);
-    }
-
-    #[test]
-    fn uniform_variant_also_valid() {
-        let l = random_layout_uniform(9, 3, 12, 11).unwrap();
-        assert_eq!(l.v(), 9);
-        assert_eq!(l.size(), 12);
-        let r = QualityReport::measure(&l);
-        assert!(r.parity_nearly_balanced());
     }
 
     #[test]

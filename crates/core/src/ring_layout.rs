@@ -88,7 +88,7 @@ impl RingLayout {
     }
 
     /// Stripe size `k`.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.design.k()
     }
 

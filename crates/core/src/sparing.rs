@@ -7,7 +7,7 @@
 //! reconstruct a failed disk is distributed throughout the array in a
 //! way similar to that in which the parity is distributed".
 
-use crate::layout::{Layout, StripeUnit, UnitRole};
+use crate::layout::{Layout, StripeUnit};
 use crate::parity_assign::{AssignError, StripePartition};
 
 /// A layout augmented with one spare unit per stripe, balanced across
@@ -56,21 +56,8 @@ impl SparedLayout {
     }
 
     /// The spare unit of stripe `s`.
-    pub fn spare_unit(&self, s: usize) -> StripeUnit {
+    pub(crate) fn spare_unit(&self, s: usize) -> StripeUnit {
         self.layout.stripes()[s].units()[self.spare_slot[s]]
-    }
-
-    /// Role of a unit, refined with sparing.
-    pub fn role(&self, disk: usize, offset: usize) -> SparedRole {
-        let r = self.layout.unit_ref(disk, offset);
-        if self.spare_slot[r.stripe as usize] == r.slot as usize {
-            SparedRole::Spare
-        } else {
-            match self.layout.role(disk, offset) {
-                UnitRole::Parity => SparedRole::Parity,
-                UnitRole::Data => SparedRole::Data,
-            }
-        }
     }
 
     /// Spare units per disk.
@@ -102,17 +89,6 @@ impl SparedLayout {
         }
         RebuildPlan { failed, targets, stranded }
     }
-}
-
-/// Unit roles in a spared layout.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SparedRole {
-    /// Client data.
-    Data,
-    /// Stripe parity.
-    Parity,
-    /// Reserved spare space.
-    Spare,
 }
 
 /// The per-stripe rebuild targets for a failed disk.
@@ -167,21 +143,20 @@ mod tests {
 
     #[test]
     fn roles_partition_units() {
+        // Every unit is data, its stripe's parity, or its stripe's spare.
         let s = spared(8, 3);
         let l = s.layout();
-        let mut counts = [0usize; 3];
-        for d in 0..l.v() {
-            for o in 0..l.size() {
-                match s.role(d, o) {
-                    SparedRole::Data => counts[0] += 1,
-                    SparedRole::Parity => counts[1] += 1,
-                    SparedRole::Spare => counts[2] += 1,
-                }
-            }
+        let (data, parity, spare) = (0u8, 1u8, 2u8);
+        let mut role = vec![vec![data; l.size()]; l.v()];
+        for (si, stripe) in l.stripes().iter().enumerate() {
+            let (p, sp) = (stripe.parity_unit(), s.spare_unit(si));
+            role[p.disk as usize][p.offset as usize] = parity;
+            role[sp.disk as usize][sp.offset as usize] = spare;
         }
-        assert_eq!(counts[1], l.b(), "one parity per stripe");
-        assert_eq!(counts[2], l.b(), "one spare per stripe");
-        assert_eq!(counts.iter().sum::<usize>(), l.v() * l.size());
+        let count = |r: u8| role.iter().flatten().filter(|&&x| x == r).count();
+        assert_eq!(count(parity), l.b(), "one parity per stripe");
+        assert_eq!(count(spare), l.b(), "one spare per stripe");
+        assert_eq!(count(data) + count(parity) + count(spare), l.v() * l.size());
     }
 
     #[test]

@@ -126,7 +126,7 @@ fn place_piece(step_of: &[usize], d: usize, row: usize, col: usize) -> (usize, u
 /// both their disk and their offset, while top pieces (and the pieces
 /// deleted to resolve wide-step overlap) must move. Returns the moved
 /// fraction of old pieces, or `None` if no stairway exists for `q → v`.
-pub fn stairway_movement(q: usize, v: usize) -> Option<f64> {
+pub(crate) fn stairway_movement(q: usize, v: usize) -> Option<f64> {
     let params = StairwayParams::solve(q, v)?;
     let StairwayParams { d, c, w, .. } = params;
     let widths: Vec<usize> = (0..c - 1).map(|s| d + usize::from(s >= c - 1 - w)).collect();

@@ -21,7 +21,7 @@ pub fn binomial(n: u64, k: u64) -> u128 {
 }
 
 /// Iterator over all k-subsets of `{0..v}` in lexicographic order.
-pub struct Combinations {
+struct Combinations {
     v: usize,
     k: usize,
     cur: Vec<usize>,
@@ -30,7 +30,7 @@ pub struct Combinations {
 
 impl Combinations {
     /// Creates the iterator (requires `1 ≤ k ≤ v`).
-    pub fn new(v: usize, k: usize) -> Self {
+    fn new(v: usize, k: usize) -> Self {
         assert!(k >= 1 && k <= v, "need 1 <= k <= v (got k={k}, v={v})");
         Combinations { v, k, cur: (0..k).collect(), done: false }
     }
@@ -78,12 +78,6 @@ pub fn complete_design(v: usize, k: usize, max_blocks: usize) -> BlockDesign {
     BlockDesign::new(v, Combinations::new(v, k).collect())
 }
 
-/// Parameters of the complete design without materializing it:
-/// `(b, r, λ) = (C(v,k), C(v-1,k-1), C(v-2,k-2))`.
-pub fn complete_design_params(v: u64, k: u64) -> (u128, u128, u128) {
-    (binomial(v, k), binomial(v - 1, k - 1), if k >= 2 { binomial(v - 2, k - 2) } else { 0 })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,10 +108,11 @@ mod tests {
         for (v, k) in [(4usize, 3usize), (5, 2), (6, 3), (7, 4), (8, 2)] {
             let d = complete_design(v, k, 1_000_000);
             let p = d.verify_bibd().unwrap();
-            let (b, r, l) = complete_design_params(v as u64, k as u64);
-            assert_eq!(p.b as u128, b);
-            assert_eq!(p.r as u128, r);
-            assert_eq!(p.lambda as u128, l);
+            // (b, r, λ) = (C(v,k), C(v-1,k-1), C(v-2,k-2))
+            let (v, k) = (v as u64, k as u64);
+            assert_eq!(p.b as u128, binomial(v, k));
+            assert_eq!(p.r as u128, binomial(v - 1, k - 1));
+            assert_eq!(p.lambda as u128, binomial(v - 2, k - 2));
         }
     }
 

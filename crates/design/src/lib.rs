@@ -21,20 +21,19 @@
 
 #![warn(missing_docs)]
 
-pub mod block;
-pub mod complete;
-pub mod difference;
-pub mod reduce;
-pub mod ring_design;
-pub mod steiner;
-pub mod subfield;
-pub mod symmetric;
+mod block;
+mod complete;
+mod difference;
+mod reduce;
+mod ring_design;
+mod steiner;
+mod subfield;
+mod symmetric;
 
 pub use block::{BibdParams, BibdViolation, BlockDesign};
-pub use complete::{binomial, complete_design, complete_design_params, Combinations};
-pub use difference::{develop, is_difference_family, ring_initial_blocks};
-pub use reduce::{reduce_by_factor, reduce_redundancy};
+pub use complete::{binomial, complete_design};
+pub use reduce::reduce_by_factor;
 pub use ring_design::{ring_design_exists, RingDesign};
-pub use steiner::{bose_sts, skolem_sts, steiner_triple_system, sts_exists};
+pub use steiner::{steiner_triple_system, sts_exists};
 pub use subfield::{bibd_min_blocks, log_exact, theorem6_design};
 pub use symmetric::{theorem4_design, theorem5_design, ConstructedBibd};

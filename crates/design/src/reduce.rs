@@ -5,26 +5,12 @@
 //! each yields a BIBD with `b`, `r`, `λ` all divided by `f`.
 
 use crate::block::BlockDesign;
-use pdl_algebra::nt::gcd;
-
-/// Maximal redundancy reduction: divides every block multiplicity by
-/// their collective gcd `f`. Returns the reduced design and `f`.
-pub fn reduce_redundancy(design: &BlockDesign) -> (BlockDesign, usize) {
-    let mult = design.block_multiplicities();
-    let f = mult.values().fold(0u64, |acc, &m| gcd(acc, m as u64)) as usize;
-    if f <= 1 {
-        return (design.clone(), 1);
-    }
-    let blocks =
-        mult.into_iter().flat_map(|(block, m)| std::iter::repeat_n(block, m / f)).collect();
-    (BlockDesign::new(design.v(), blocks), f)
-}
 
 /// Reduces by exactly the factor `f`, if every multiplicity allows it.
 ///
-/// The Theorem 4/5/6 constructions guarantee specific factors; using this
-/// instead of [`reduce_redundancy`] reproduces the paper's exact designs
-/// even when more reduction happens to be possible.
+/// The Theorem 4/5/6 constructions guarantee specific factors; reducing
+/// by exactly that factor reproduces the paper's exact designs even when
+/// more reduction happens to be possible.
 pub fn reduce_by_factor(design: &BlockDesign, f: usize) -> Option<BlockDesign> {
     assert!(f >= 1);
     if f == 1 {
@@ -48,28 +34,19 @@ mod tests {
     fn reduce_triple_copies() {
         let base = BlockDesign::new(4, vec![vec![0, 1], vec![2, 3], vec![0, 2], vec![1, 3]]);
         let tripled = base.replicate(3);
-        let (reduced, f) = reduce_redundancy(&tripled);
-        assert_eq!(f, 3);
+        let reduced = reduce_by_factor(&tripled, 3).unwrap();
         assert_eq!(reduced.b(), 4);
         assert_eq!(reduced.block_multiplicities(), base.block_multiplicities());
     }
 
     #[test]
-    fn reduce_is_idempotent() {
-        let base = BlockDesign::new(4, vec![vec![0, 1], vec![2, 3]]);
-        let (r1, f1) = reduce_redundancy(&base);
-        assert_eq!(f1, 1);
-        assert_eq!(r1.b(), base.b());
-    }
-
-    #[test]
     fn reduce_preserves_bibd() {
-        // Full ring design on GF(5), k=3 has λ=6; reduction keeps balance.
+        // Full ring design on GF(5), k=3 has λ=6; reducing by the
+        // Theorem 4 factor gcd(v-1, k-1) = 2 keeps balance.
         let d = RingDesign::for_v_k(5, 3).to_block_design();
         let before = d.verify_bibd().unwrap();
-        let (red, f) = reduce_redundancy(&d);
-        let after = red.verify_bibd().unwrap();
-        assert!(f >= 1);
+        let f = 2;
+        let after = reduce_by_factor(&d, f).unwrap().verify_bibd().unwrap();
         assert_eq!(before.b, after.b * f);
         assert_eq!(before.r, after.r * f);
         assert_eq!(before.lambda, after.lambda * f);
@@ -89,12 +66,11 @@ mod tests {
 
     #[test]
     fn mixed_multiplicity_gcd() {
-        // multiplicities 2 and 4 → f = 2
+        // multiplicities 2 and 4 → their gcd 2 is the largest factor
         let mut blocks = vec![vec![0usize, 1]; 2];
         blocks.extend(vec![vec![1usize, 2]; 4]);
         let d = BlockDesign::new(3, blocks);
-        let (r, f) = reduce_redundancy(&d);
-        assert_eq!(f, 2);
-        assert_eq!(r.b(), 3);
+        assert_eq!(reduce_by_factor(&d, 2).unwrap().b(), 3);
+        assert!(reduce_by_factor(&d, 4).is_none());
     }
 }

@@ -7,7 +7,7 @@
 //! `λ = k(k−1)`, where `v = |R|`.
 
 use crate::block::BlockDesign;
-use pdl_algebra::nt::min_prime_power_factor;
+use pdl_algebra::min_prime_power_factor;
 use pdl_algebra::{FiniteRing, Ring};
 
 /// A ring-based block design, retaining the `(x, y)` tuple indexing that
@@ -26,7 +26,7 @@ impl RingDesign {
     /// Panics if `generators` is not a valid generator set. The first
     /// generator is `g_0`; the Section 3 layouts additionally want
     /// `g_0 = 0`, which [`FiniteRing::lemma3_generators`] guarantees.
-    pub fn new(ring: FiniteRing, generators: Vec<usize>) -> Self {
+    pub(crate) fn new(ring: FiniteRing, generators: Vec<usize>) -> Self {
         assert!(generators.len() >= 2, "need at least two generators");
         assert!(ring.is_generator_set(&generators), "pairwise generator differences must be units");
         let v = ring.order();
@@ -49,16 +49,6 @@ impl RingDesign {
         RingDesign::new(ring, gens)
     }
 
-    /// The underlying ring.
-    pub fn ring(&self) -> &FiniteRing {
-        &self.ring
-    }
-
-    /// The generator set.
-    pub fn generators(&self) -> &[usize] {
-        &self.generators
-    }
-
     /// Ground-set size `v` (= ring order = number of disks).
     pub fn v(&self) -> usize {
         self.ring.order()
@@ -75,13 +65,14 @@ impl RingDesign {
     }
 
     /// Flat index of the tuple for pair `(x, y)`, `y ∈ 1..v`.
-    pub fn pair_index(&self, x: usize, y: usize) -> usize {
+    fn pair_index(&self, x: usize, y: usize) -> usize {
         let v = self.v();
         debug_assert!(x < v && y >= 1 && y < v);
         x * (v - 1) + (y - 1)
     }
 
-    /// Inverse of [`pair_index`](Self::pair_index).
+    /// The pair `(x, y)` of the tuple at flat index `idx` (tuples are in
+    /// `(x, y)` order, `y ∈ 1..v`).
     pub fn index_pair(&self, idx: usize) -> (usize, usize) {
         let v = self.v();
         (idx / (v - 1), idx % (v - 1) + 1)
@@ -90,11 +81,6 @@ impl RingDesign {
     /// The tuple for pair `(x, y)`; element `i` is the `g_i`-th element.
     pub fn block(&self, x: usize, y: usize) -> &[usize] {
         &self.blocks[self.pair_index(x, y)]
-    }
-
-    /// All tuples in `(x, y)` order.
-    pub fn blocks(&self) -> &[Vec<usize>] {
-        &self.blocks
     }
 
     /// Forgets the ring structure, yielding a plain [`BlockDesign`].
@@ -142,9 +128,8 @@ mod tests {
 
     #[test]
     fn theorem1_parameters_zn() {
-        // Z_7 is a field, {0,1,2} a generator set.
-        use pdl_algebra::Zn;
-        let ring = FiniteRing::Zn(Zn::new(7));
+        // Z_7 is the field GF(7), {0,1,2} a generator set.
+        let ring = FiniteRing::Field(FiniteField::new(7));
         let d = RingDesign::new(ring, vec![0, 1, 2]);
         let p = d.to_block_design().verify_bibd().unwrap();
         assert_eq!((p.b, p.r, p.lambda), (42, 18, 6));
@@ -175,7 +160,7 @@ mod tests {
     fn tuples_have_distinct_elements() {
         // Theorem 1's first claim: each tuple has exactly k elements.
         let d = RingDesign::for_v_k(25, 6);
-        for block in d.blocks() {
+        for block in d.to_block_design().blocks() {
             let mut s = block.clone();
             s.sort_unstable();
             s.dedup();
@@ -207,16 +192,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "units")]
     fn invalid_generator_set_rejected() {
-        use pdl_algebra::Zn;
-        let ring = FiniteRing::Zn(Zn::new(6));
-        RingDesign::new(ring, vec![0, 2]); // 2 is not a unit in Z_6
+        // Z_6 = GF(2) × GF(3): 2 ↦ (0, 2) is not a unit.
+        let ring = FiniteRing::lemma3_ring(6);
+        let two = ring.add(1, 1);
+        RingDesign::new(ring, vec![0, two]);
     }
 
     #[test]
     fn field_ring_matches_direct_field() {
         // for_v_k on a prime power uses GF(q) directly.
         let d = RingDesign::for_v_k(9, 3);
-        match d.ring() {
+        match &d.ring {
             FiniteRing::Field(f) => assert_eq!(FiniteField::order(f), 9),
             other => panic!("expected field, got {other:?}"),
         }

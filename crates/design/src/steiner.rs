@@ -46,7 +46,7 @@ fn half_idempotent_quasigroup(n: usize) -> impl Fn(usize, usize) -> usize {
 /// Points are `Z_{2t+1} × {0,1,2}` (encoded `x + (2t+1)·level`); triples
 /// are the `(x,0),(x,1),(x,2)` columns plus `{(x,j),(y,j),(x∘y,j+1)}`
 /// for `x < y` under the idempotent quasigroup.
-pub fn bose_sts(v: usize) -> BlockDesign {
+fn bose_sts(v: usize) -> BlockDesign {
     assert!(v >= 3 && v % 6 == 3, "Bose construction needs v ≡ 3 (mod 6), got {v}");
     let n = v / 3; // 2t+1, odd
     let op = idempotent_quasigroup(n);
@@ -71,7 +71,7 @@ pub fn bose_sts(v: usize) -> BlockDesign {
 /// the idempotent columns for `i < t`, the ∞-triples
 /// `{∞, (t+i, j), (i, j+1)}`, and `{(x,j),(y,j),(x∘y,j+1)}` for `x < y`
 /// under the half-idempotent quasigroup.
-pub fn skolem_sts(v: usize) -> BlockDesign {
+fn skolem_sts(v: usize) -> BlockDesign {
     assert!(v >= 7 && v % 6 == 1, "Skolem construction needs v ≡ 1 (mod 6), got {v}");
     let t = v / 6;
     let n = 2 * t;

@@ -10,7 +10,7 @@
 use crate::reduce::reduce_by_factor;
 use crate::ring_design::RingDesign;
 use crate::symmetric::ConstructedBibd;
-use pdl_algebra::nt::{gcd, prime_power};
+use pdl_algebra::{gcd, prime_power};
 use pdl_algebra::{FiniteField, FiniteRing};
 
 /// Theorem 7: any BIBD on `v` elements with block size `k` has

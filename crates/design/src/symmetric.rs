@@ -12,7 +12,7 @@
 use crate::block::{BibdParams, BlockDesign};
 use crate::reduce::reduce_by_factor;
 use crate::ring_design::RingDesign;
-use pdl_algebra::nt::gcd;
+use pdl_algebra::gcd;
 use pdl_algebra::{FiniteField, FiniteRing};
 
 /// A BIBD produced by one of the paper's explicit constructions, with its

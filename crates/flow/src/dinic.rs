@@ -37,13 +37,8 @@ impl FlowNetwork {
     }
 
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.graph.len()
-    }
-
-    /// True when the network has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
     }
 
     /// Adds a directed edge `from → to` with the given capacity.
@@ -60,7 +55,7 @@ impl FlowNetwork {
     }
 
     /// Flow currently routed through a public edge.
-    pub fn edge_flow(&self, id: EdgeId) -> i64 {
+    pub(crate) fn edge_flow(&self, id: EdgeId) -> i64 {
         let (node, slot) = self.edges[id.0];
         self.caps[id.0] - self.graph[node][slot].cap
     }
@@ -104,8 +99,7 @@ impl FlowNetwork {
     }
 
     /// Computes the maximum flow from `s` to `t`; residual state persists,
-    /// so flows are cumulative across calls and [`edge_flow`](Self::edge_flow)
-    /// reports the final routing.
+    /// so flows are cumulative across calls.
     pub fn max_flow(&mut self, s: usize, t: usize) -> i64 {
         assert!(s < self.len() && t < self.len());
         assert_ne!(s, t, "source and sink must differ");

@@ -22,12 +22,12 @@
 
 #![warn(missing_docs)]
 
-pub mod dinic;
-pub mod lower;
-pub mod matching;
-pub mod two_phase;
+mod dinic;
+mod lower;
+mod matching;
+mod two_phase;
 
 pub use dinic::{EdgeId, FlowNetwork};
 pub use lower::{max_flow_with_lower_bounds, BoundedEdge, BoundedFlow};
-pub use matching::{hopcroft_karp, max_matching_size};
+pub use matching::hopcroft_karp;
 pub use two_phase::{assign_parity_two_phase, ParityInstance};

@@ -77,14 +77,14 @@ pub fn hopcroft_karp(n_left: usize, n_right: usize, adj: &[Vec<usize>]) -> Vec<O
     match_l.iter().map(|&r| (r != NIL).then_some(r)).collect()
 }
 
-/// Size of a maximum matching.
-pub fn max_matching_size(n_left: usize, n_right: usize, adj: &[Vec<usize>]) -> usize {
-    hopcroft_karp(n_left, n_right, adj).iter().flatten().count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Size of the matching `hopcroft_karp` finds.
+    fn max_matching_size(n_left: usize, n_right: usize, adj: &[Vec<usize>]) -> usize {
+        hopcroft_karp(n_left, n_right, adj).iter().flatten().count()
+    }
 
     fn check_valid(adj: &[Vec<usize>], m: &[Option<usize>]) {
         let mut used = std::collections::HashSet::new();

@@ -2,7 +2,7 @@
 //! closed-form cross-checks for the event simulator, and fast predictors
 //! for the parameter sweeps in the experiment binaries.
 
-use pdl_core::{Layout, UnitRole};
+use pdl_core::Layout;
 
 /// Expected disk-IO share per disk for a uniformly random single-unit
 /// *write* (read-modify-write: 2 IOs on the data disk + 2 on the parity
@@ -11,7 +11,7 @@ use pdl_core::{Layout, UnitRole};
 /// The disk with the largest share is the paper's Condition-2
 /// bottleneck: "the disk with the most parity units will be the worst
 /// IO bottleneck for any single set of writes."
-pub fn expected_write_load(layout: &Layout) -> Vec<f64> {
+fn expected_write_load(layout: &Layout) -> Vec<f64> {
     let n = layout.data_unit_count() as f64;
     let mut load = vec![0f64; layout.v()];
     for stripe in layout.stripes() {
@@ -32,52 +32,11 @@ pub fn write_bottleneck_ratio(layout: &Layout) -> f64 {
     load.iter().cloned().fold(0.0, f64::max) / mean
 }
 
-/// Expected disk-IO share per disk for a uniformly random single-unit
-/// *read* in degraded mode with `failed` down: reads of surviving units
-/// go to their disk, reads of lost units fan out to the stripe's
-/// survivors.
-pub fn expected_degraded_read_load(layout: &Layout, failed: usize) -> Vec<f64> {
-    let n = layout.data_unit_count() as f64;
-    let mut load = vec![0f64; layout.v()];
-    for stripe in layout.stripes() {
-        for u in stripe.data_units() {
-            if u.disk as usize == failed {
-                for w in stripe.units() {
-                    if w.disk as usize != failed {
-                        load[w.disk as usize] += 1.0 / n;
-                    }
-                }
-            } else {
-                load[u.disk as usize] += 1.0 / n;
-            }
-        }
-    }
-    load
-}
-
-/// Total units that must be read to reconstruct `failed` (all stripes
-/// crossing it, `k_s − 1` survivors each).
-pub fn reconstruction_total_reads(layout: &Layout, failed: usize) -> usize {
-    layout.stripes().iter().filter(|s| s.crosses(failed)).map(|s| s.len() - 1).sum()
-}
-
-/// Parity units per disk as fractions of the disk — convenience
-/// re-export of the core metric for sweep binaries.
-pub fn parity_fraction(layout: &Layout) -> Vec<f64> {
-    let mut counts = vec![0usize; layout.v()];
-    for (d, count) in counts.iter_mut().enumerate() {
-        for o in 0..layout.size() {
-            if layout.role(d, o) == UnitRole::Parity {
-                *count += 1;
-            }
-        }
-    }
-    counts.iter().map(|&c| c as f64 / layout.size() as f64).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::simulate_rebuild;
+    use crate::model::RebuildTarget;
     use pdl_core::{raid5_layout, RingLayout};
 
     #[test]
@@ -105,43 +64,16 @@ mod tests {
     }
 
     #[test]
-    fn degraded_read_load_conserves() {
-        let rl = RingLayout::for_v_k(8, 3);
-        let l = rl.layout();
-        let failed = 3;
-        let load = expected_degraded_read_load(l, failed);
-        assert_eq!(load[failed], 0.0);
-        // total load = 1 (each surviving-unit read) + extra fan-out for
-        // lost units: fraction_lost · (k-1) − fraction_lost
-        let n = l.data_unit_count() as f64;
-        let lost: f64 = l
-            .stripes()
-            .iter()
-            .flat_map(|s| s.data_units())
-            .filter(|u| u.disk as usize == failed)
-            .count() as f64
-            / n;
-        let expected_total = (1.0 - lost) + lost * 2.0; // k-1 = 2 reads per lost unit
-        let total: f64 = load.iter().sum();
-        assert!((total - expected_total).abs() < 1e-9);
-    }
-
-    #[test]
     fn reconstruction_reads_formula() {
-        // ring layout: r = k(v-1) crossing stripes, k-1 reads each.
+        // A completed rebuild reads k_s - 1 survivors of every stripe
+        // crossing the failed disk. Ring layout: r = k(v-1) crossing
+        // stripes, k-1 reads each.
+        let total = |l: &Layout, f: usize| -> u64 {
+            simulate_rebuild(l, f, RebuildTarget::ReadOnly, 1).rebuild_reads.iter().sum()
+        };
         let rl = RingLayout::for_v_k(9, 4);
-        assert_eq!(reconstruction_total_reads(rl.layout(), 5), 4 * 8 * 3);
+        assert_eq!(total(rl.layout(), 5), 4 * 8 * 3);
         // RAID5: every stripe crosses, v-1 reads each.
-        let l = raid5_layout(6, 10);
-        assert_eq!(reconstruction_total_reads(&l, 0), 10 * 5);
-    }
-
-    #[test]
-    fn parity_fraction_matches_core_metric() {
-        let rl = RingLayout::for_v_k(7, 3);
-        let f = parity_fraction(rl.layout());
-        for x in f {
-            assert!((x - 1.0 / 3.0).abs() < 1e-12);
-        }
+        assert_eq!(total(&raid5_layout(6, 10), 0), 10 * 5);
     }
 }

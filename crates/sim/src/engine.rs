@@ -115,7 +115,7 @@ pub struct SimResult {
     /// Per-stripe rebuild completion time (indexed by stripe; `None` for
     /// stripes not crossing the failed disk or not yet rebuilt). Empty
     /// when no rebuild ran — feeds the double-failure vulnerability
-    /// analysis in [`crate::vulnerability`].
+    /// analysis of [`crate::worst_second_failure`].
     pub stripe_rebuilt_at: Vec<Option<u64>>,
 }
 
@@ -127,7 +127,7 @@ impl SimResult {
 }
 
 /// The simulator.
-pub struct ArraySim<'a> {
+struct ArraySim<'a> {
     layout: &'a Layout,
     mapper: StripeMap,
     cfg: SimConfig,
@@ -145,7 +145,7 @@ pub struct ArraySim<'a> {
 
 impl<'a> ArraySim<'a> {
     /// Prepares a simulation of `layout` under `cfg`.
-    pub fn new(layout: &'a Layout, cfg: SimConfig) -> Self {
+    fn new(layout: &'a Layout, cfg: SimConfig) -> Self {
         if let Some(f) = cfg.failed_disk {
             assert!(f < layout.v(), "failed disk out of range");
         }
@@ -563,7 +563,7 @@ impl<'a> ArraySim<'a> {
     }
 
     /// Runs to the stop condition and returns aggregated results.
-    pub fn run(mut self) -> SimResult {
+    fn run(mut self) -> SimResult {
         let duration_limit = match self.cfg.stop {
             StopCondition::Duration(d) => Some(d),
             StopCondition::RebuildComplete => None,

@@ -19,20 +19,17 @@
 
 #![warn(missing_docs)]
 
-pub mod analytic;
-pub mod engine;
-pub mod model;
-pub mod trace;
-pub mod vulnerability;
+mod analytic;
+mod engine;
+mod model;
+mod trace;
+mod vulnerability;
 
-pub use analytic::{
-    expected_degraded_read_load, expected_write_load, parity_fraction, reconstruction_total_reads,
-    write_bottleneck_ratio,
-};
-pub use engine::{rebuild_reads_match_layout, simulate, simulate_rebuild, ArraySim, SimResult};
+pub use analytic::write_bottleneck_ratio;
+pub use engine::{rebuild_reads_match_layout, simulate, simulate_rebuild, SimResult};
 pub use model::{
-    AddressDist, DiskModel, IoKind, RebuildPolicy, RebuildTarget, Scheduling, SeekModel, SimConfig,
+    AddressDist, DiskModel, RebuildPolicy, RebuildTarget, Scheduling, SeekModel, SimConfig,
     StopCondition, Workload,
 };
 pub use trace::{Trace, TraceOp};
-pub use vulnerability::{second_failure_loss, worst_second_failure, DataLossReport};
+pub use vulnerability::{worst_second_failure, DataLossReport};

@@ -12,7 +12,7 @@ use rand::Rng;
 
 /// Which side of the request mix an IO belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IoKind {
+pub(crate) enum IoKind {
     /// A read of one unit.
     Read,
     /// A write of one unit.
@@ -75,7 +75,7 @@ impl DiskModel {
     /// Samples one IO's service time given the head position, the target
     /// offset, the disk size (for normalizing travel distance), and the
     /// number of contiguous units transferred.
-    pub fn service_time_at(
+    pub(crate) fn service_time_at(
         &self,
         rng: &mut StdRng,
         head: u64,
@@ -93,11 +93,6 @@ impl DiskModel {
             }
         };
         pos + seek + self.transfer_us * units.max(1)
-    }
-
-    /// Samples a position-independent single-unit service time.
-    pub fn service_time(&self, rng: &mut StdRng) -> u64 {
-        self.service_time_at(rng, 0, 0, 1, 1)
     }
 }
 
@@ -118,7 +113,7 @@ pub enum AddressDist {
 
 impl AddressDist {
     /// Samples a logical address in `0..n`.
-    pub fn sample(&self, n: usize, rng: &mut StdRng) -> usize {
+    pub(crate) fn sample(&self, n: usize, rng: &mut StdRng) -> usize {
         match *self {
             AddressDist::Uniform => rng.random_range(0..n),
             AddressDist::HotCold { hot_access, hot_space } => {
@@ -169,7 +164,7 @@ impl Default for Workload {
 
 impl Workload {
     /// Samples a request size in units.
-    pub fn request_size(&self, rng: &mut StdRng) -> usize {
+    pub(crate) fn request_size(&self, rng: &mut StdRng) -> usize {
         let (lo, hi) = self.request_units;
         let lo = lo.max(1);
         if hi > lo {
@@ -180,7 +175,7 @@ impl Workload {
     }
 
     /// Samples an exponential interarrival gap in microseconds.
-    pub fn interarrival_us(&self, rng: &mut StdRng) -> u64 {
+    pub(crate) fn interarrival_us(&self, rng: &mut StdRng) -> u64 {
         if self.arrivals_per_sec <= 0.0 {
             return u64::MAX / 4; // effectively no foreground traffic
         }
@@ -283,7 +278,7 @@ mod tests {
         let m = DiskModel::default();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..1000 {
-            let t = m.service_time(&mut rng);
+            let t = m.service_time_at(&mut rng, 0, 0, 1, 1);
             assert!((7_000..=17_000).contains(&t), "t={t}");
         }
     }

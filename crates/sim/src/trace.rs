@@ -50,40 +50,6 @@ pub enum TraceOp {
     },
 }
 
-impl TraceOp {
-    /// Starting address of a block op; 0 for fault events.
-    pub fn addr(&self) -> usize {
-        match *self {
-            TraceOp::Read { addr, .. } | TraceOp::Write { addr, .. } => addr,
-            _ => 0,
-        }
-    }
-
-    /// Length in blocks of a block op; 0 for fault events.
-    pub fn len(&self) -> usize {
-        match *self {
-            TraceOp::Read { len, .. } | TraceOp::Write { len, .. } => len,
-            _ => 0,
-        }
-    }
-
-    /// True for zero-length block ops (never produced by the
-    /// generator) and for fault events (which transfer no blocks).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True if this is a write.
-    pub fn is_write(&self) -> bool {
-        matches!(self, TraceOp::Write { .. })
-    }
-
-    /// True for fault events (fail / restore / rebuild).
-    pub fn is_fault_event(&self) -> bool {
-        matches!(self, TraceOp::Fail { .. } | TraceOp::Restore { .. } | TraceOp::Rebuild { .. })
-    }
-}
-
 /// A replayable access pattern over a logical block space.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
@@ -114,49 +80,20 @@ impl Trace {
         }
         Trace { ops }
     }
-
-    /// Number of operations.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True when the trace has no operations.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Total blocks touched by reads and by writes, respectively
-    /// (fault events transfer no blocks).
-    pub fn volume(&self) -> (usize, usize) {
-        let mut r = 0;
-        let mut w = 0;
-        for op in &self.ops {
-            match op {
-                TraceOp::Read { len, .. } => r += len,
-                TraceOp::Write { len, .. } => w += len,
-                _ => {}
-            }
-        }
-        (r, w)
-    }
-
-    /// Appends an operation (chainable; handy for scripting fault
-    /// scenarios onto a generated workload).
-    pub fn then(mut self, op: TraceOp) -> Trace {
-        self.ops.push(op);
-        self
-    }
-
-    /// Number of fault events (fail / restore / rebuild) in the trace.
-    pub fn fault_events(&self) -> usize {
-        self.ops.iter().filter(|o| o.is_fault_event()).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::AddressDist;
+
+    /// `(addr, len)` of a block op.
+    fn span(op: &TraceOp) -> (usize, usize) {
+        match *op {
+            TraceOp::Read { addr, len } | TraceOp::Write { addr, len } => (addr, len),
+            _ => panic!("the generator emits block ops only: {op:?}"),
+        }
+    }
 
     #[test]
     fn deterministic_per_seed() {
@@ -176,10 +113,11 @@ mod tests {
             ..Workload::default()
         };
         let t = Trace::from_workload(&w, 64, 500, 3);
-        assert_eq!(t.len(), 500);
+        assert_eq!(t.ops.len(), 500);
         for op in &t.ops {
-            assert!(!op.is_empty());
-            assert!(op.addr() + op.len() <= 64, "op {op:?} out of bounds");
+            let (addr, len) = span(op);
+            assert!(len > 0);
+            assert!(addr + len <= 64, "op {op:?} out of bounds");
         }
     }
 
@@ -187,7 +125,7 @@ mod tests {
     fn read_fraction_respected() {
         let w = Workload { read_fraction: 0.75, ..Workload::default() };
         let t = Trace::from_workload(&w, 100, 4000, 11);
-        let writes = t.ops.iter().filter(|o| o.is_write()).count();
+        let writes = t.ops.iter().filter(|o| matches!(o, TraceOp::Write { .. })).count();
         assert!((800..1200).contains(&writes), "writes {writes}");
     }
 
@@ -196,32 +134,9 @@ mod tests {
         let w = Workload { request_units: (4, 4), aligned: true, ..Workload::default() };
         let t = Trace::from_workload(&w, 64, 200, 5);
         for op in &t.ops {
-            assert_eq!(op.addr() % 4, 0);
-            assert_eq!(op.len(), 4);
+            let (addr, len) = span(op);
+            assert_eq!(addr % 4, 0);
+            assert_eq!(len, 4);
         }
-    }
-
-    #[test]
-    fn volume_sums() {
-        let t = Trace {
-            ops: vec![TraceOp::Read { addr: 0, len: 3 }, TraceOp::Write { addr: 1, len: 2 }],
-        };
-        assert_eq!(t.volume(), (3, 2));
-    }
-
-    #[test]
-    fn fault_events_script_onto_workloads() {
-        let t = Trace::from_workload(&Workload::default(), 100, 10, 3)
-            .then(TraceOp::Fail { disk: 2 })
-            .then(TraceOp::Read { addr: 0, len: 1 })
-            .then(TraceOp::Rebuild { spare: 9 });
-        assert_eq!(t.len(), 13);
-        assert_eq!(t.fault_events(), 2);
-        let fail = TraceOp::Fail { disk: 2 };
-        assert!(fail.is_fault_event() && !fail.is_write() && fail.is_empty());
-        assert_eq!(fail.addr(), 0);
-        // Volume counts block ops only.
-        let (r, w) = t.volume();
-        assert!(r >= 1 && r + w >= 11);
     }
 }

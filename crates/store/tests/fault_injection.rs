@@ -304,17 +304,16 @@ fn fault_events_replay_from_trace_mem() {
     let store = pq_store_mem();
     let blocks = store.blocks();
     let workload = Workload { request_units: (1, 4), read_fraction: 0.4, ..Workload::default() };
-    let trace = Trace::from_workload(&workload, blocks, 120, 5)
-        .then(TraceOp::Fail { disk: 1 })
-        .then(TraceOp::Fail { disk: 4 });
-    let mut tail = Trace::from_workload(&workload, blocks, 120, 6);
-    let mut ops = trace.ops;
-    ops.append(&mut tail.ops);
-    let trace = Trace { ops }
-        .then(TraceOp::Rebuild { spare: 9 })
-        .then(TraceOp::Rebuild { spare: 10 })
-        .then(TraceOp::Fail { disk: 0 })
-        .then(TraceOp::Restore { disk: 0 });
+    let mut ops = Trace::from_workload(&workload, blocks, 120, 5).ops;
+    ops.extend([TraceOp::Fail { disk: 1 }, TraceOp::Fail { disk: 4 }]);
+    ops.extend(Trace::from_workload(&workload, blocks, 120, 6).ops);
+    ops.extend([
+        TraceOp::Rebuild { spare: 9 },
+        TraceOp::Rebuild { spare: 10 },
+        TraceOp::Fail { disk: 0 },
+        TraceOp::Restore { disk: 0 },
+    ]);
+    let trace = Trace { ops };
     let stats = replay(&store, &trace).unwrap();
     assert_eq!(stats.reads + stats.writes, 240);
     assert_eq!(stats.disks_failed, 3);

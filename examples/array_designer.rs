@@ -35,7 +35,7 @@ fn main() {
     // Build the recommended layout: exact ring layout when possible,
     // otherwise a stairway approximation from a nearby prime power.
     println!();
-    let m_v = parity_decluster::algebra::nt::min_prime_power_factor(v as u64) as usize;
+    let m_v = parity_decluster::algebra::min_prime_power_factor(v as u64) as usize;
     if k <= m_v {
         let rl = RingLayout::for_v_k(v, k);
         println!("recommendation: exact ring-based layout (k ≤ M(v) = {m_v})");

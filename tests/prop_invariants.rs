@@ -158,7 +158,7 @@ fn lemma3_generators_valid() {
     let mut rng = StdRng::seed_from_u64(0x13a3);
     for _ in 0..CASES {
         let v = rng.random_range(6u64..200);
-        let m = parity_decluster::algebra::nt::min_prime_power_factor(v) as usize;
+        let m = parity_decluster::algebra::min_prime_power_factor(v) as usize;
         let k = m.clamp(2, 5);
         let ring = FiniteRing::lemma3_ring(v);
         let gens = ring.lemma3_generators(k);

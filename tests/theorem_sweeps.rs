@@ -1,13 +1,18 @@
 //! Broad parameter sweeps re-verifying every theorem's closed form —
 //! the integration-level counterpart of the per-module unit tests.
 
-use parity_decluster::algebra::nt::{gcd, min_prime_power_factor, prime_powers_in};
+use parity_decluster::algebra::{gcd, is_prime_power, min_prime_power_factor};
 use parity_decluster::core::{
     copies_for_perfect_parity, stairway_layout, QualityReport, RingLayout, StairwayParams,
 };
 use parity_decluster::design::{
     bibd_min_blocks, theorem4_design, theorem5_design, theorem6_design, RingDesign,
 };
+
+/// All prime powers in `lo..=hi`, ascending.
+fn prime_powers_in(lo: u64, hi: u64) -> Vec<u64> {
+    (lo..=hi).filter(|&q| is_prime_power(q)).collect()
+}
 
 #[test]
 fn theorem1_sweep() {
