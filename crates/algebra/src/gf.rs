@@ -167,15 +167,6 @@ impl FiniteField {
         Some(self.exp[(n - self.log[a]) % n])
     }
 
-    /// `a^e` (e ≥ 0; `0^0 = 1`).
-    pub fn pow(&self, a: usize, e: u64) -> usize {
-        if a == 0 {
-            return if e == 0 { 1 } else { 0 };
-        }
-        let n = (self.q - 1) as u64;
-        self.exp[(self.log[a] as u64 * (e % n) % n) as usize]
-    }
-
     /// An element of multiplicative order exactly `d` (requires `d | q-1`).
     ///
     /// Used by the Theorem 4/5 constructions, which need an element of
@@ -222,6 +213,11 @@ mod tests {
             d += 1;
         }
         d
+    }
+
+    /// `a^e`, by repeated multiplication.
+    fn pow(f: &FiniteField, a: usize, e: u64) -> usize {
+        (0..e).fold(1, |acc, _| f.mul(acc, a))
     }
 
     /// All divisors of `n`, ascending.
@@ -319,11 +315,11 @@ mod tests {
             for a in 1..f.order() {
                 let d = element_order(&f, a);
                 assert_eq!(n % d, 0);
-                assert_eq!(f.pow(a, d), 1);
+                assert_eq!(pow(&f, a, d), 1);
                 // order is minimal
                 for dd in divisors(d) {
                     if dd < d {
-                        assert_ne!(f.pow(a, dd), 1, "a={a} d={d} dd={dd}");
+                        assert_ne!(pow(&f, a, dd), 1, "a={a} d={d} dd={dd}");
                     }
                 }
             }
@@ -346,7 +342,7 @@ mod tests {
         // Elements with a^p = a form GF(p).
         for f in fields_under_test() {
             let p = f.p;
-            let fixed: Vec<usize> = (0..f.order()).filter(|&a| f.pow(a, p) == a).collect();
+            let fixed: Vec<usize> = (0..f.order()).filter(|&a| pow(&f, a, p) == a).collect();
             assert_eq!(fixed.len(), p as usize, "q={}", f.order());
         }
     }
@@ -382,19 +378,6 @@ mod tests {
     #[should_panic(expected = "not a subfield")]
     fn subfield_rejects_bad_order() {
         FiniteField::new(16).subfield(8); // GF(8) ⊄ GF(16)
-    }
-
-    #[test]
-    fn pow_matches_repeated_mul() {
-        for f in fields_under_test().into_iter().take(8) {
-            for a in 0..f.order() {
-                let mut acc = 1usize;
-                for e in 0..10u64 {
-                    assert_eq!(f.pow(a, e), acc, "q={} a={a} e={e}", f.order());
-                    acc = f.mul(acc, a);
-                }
-            }
-        }
     }
 
     #[test]

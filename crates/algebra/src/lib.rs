@@ -36,4 +36,4 @@ pub mod xxh64;
 pub use gf::FiniteField;
 pub use nt::{factorize, gcd, is_prime_power, lcm, min_prime_power_factor, prime_power};
 pub use poly::{is_irreducible, Poly};
-pub use ring::{FiniteRing, ProductRing, Ring, Zn};
+pub use ring::{FiniteRing, ProductRing, Ring};

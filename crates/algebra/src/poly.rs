@@ -50,18 +50,6 @@ impl Poly {
         *self.0.last().unwrap_or(&0)
     }
 
-    /// Addition in `Z_p[x]`.
-    pub fn add(&self, other: &Poly, p: u64) -> Poly {
-        let n = self.0.len().max(other.0.len());
-        let mut out = vec![0u64; n];
-        for (i, slot) in out.iter_mut().enumerate() {
-            let a = self.0.get(i).copied().unwrap_or(0);
-            let b = other.0.get(i).copied().unwrap_or(0);
-            *slot = (a + b) % p;
-        }
-        Poly::from_coeffs(out)
-    }
-
     /// Subtraction in `Z_p[x]`.
     pub fn sub(&self, other: &Poly, p: u64) -> Poly {
         let n = self.0.len().max(other.0.len());
@@ -227,22 +215,17 @@ mod tests {
         Poly::from_coeffs(c.to_vec())
     }
 
+    /// `a + b` in `Z_p[x]`, as `a − (0 − b)`.
+    fn add(a: &Poly, b: &Poly, p: u64) -> Poly {
+        a.sub(&Poly::zero().sub(b, p), p)
+    }
+
     #[test]
     fn trim_and_degree() {
         assert!(poly(&[0, 0]).is_zero());
         assert_eq!(poly(&[3]).degree(), Some(0));
         assert_eq!(poly(&[1, 2, 0, 0]).degree(), Some(1));
         assert_eq!(Poly::zero().degree(), None);
-    }
-
-    #[test]
-    fn add_sub_roundtrip() {
-        let p = 7;
-        let a = poly(&[1, 2, 3]);
-        let b = poly(&[6, 5]);
-        let s = a.add(&b, p);
-        assert_eq!(s.sub(&b, p), a);
-        assert_eq!(s.sub(&a, p), b);
     }
 
     #[test]
@@ -265,7 +248,7 @@ mod tests {
         // division identity: a = q*f + r exercised via rem(a + f*b) == rem(a)
         let a = poly(&[3, 1, 4, 1]);
         let b = poly(&[2, 2]);
-        let lhs = a.add(&f.mul(&b, 5), 5).rem(&f, 5);
+        let lhs = add(&a, &f.mul(&b, 5), 5).rem(&f, 5);
         assert_eq!(lhs, a.rem(&f, 5));
     }
 

@@ -2,13 +2,13 @@
 //! ring-based block designs (Section 2 of the paper).
 //!
 //! A [`Ring`] exposes its elements as indices `0..order()`, with index 0
-//! the additive identity. The three concrete rings the paper needs are
-//! the integers mod n ([`Zn`]), finite fields ([`FiniteField`]), and
-//! cross products of fields ([`ProductRing`], Lemma 3). [`FiniteRing`]
-//! is a closed enum over these, convenient for table-driven design code.
+//! the additive identity. The two concrete rings the paper's
+//! constructions need are finite fields ([`FiniteField`]) and cross
+//! products of fields ([`ProductRing`], Lemma 3). [`FiniteRing`] is a
+//! closed enum over these, convenient for table-driven design code.
 
 use crate::gf::FiniteField;
-use crate::nt::{factorize, mod_inverse};
+use crate::nt::factorize;
 
 /// A finite commutative ring with unit, elements indexed `0..order()`.
 ///
@@ -54,41 +54,6 @@ pub trait Ring {
         sorted.sort_unstable();
         sorted.dedup();
         sorted.len() == gens.len()
-    }
-}
-
-/// The ring of integers modulo `n` (index = residue).
-#[derive(Clone, Debug)]
-pub struct Zn {
-    n: usize,
-}
-
-impl Zn {
-    /// Constructs `Z_n`, `n ≥ 2`.
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 2, "Z_n needs n >= 2 to contain 1 != 0");
-        Zn { n }
-    }
-}
-
-impl Ring for Zn {
-    fn order(&self) -> usize {
-        self.n
-    }
-    fn one(&self) -> usize {
-        1 % self.n
-    }
-    fn add(&self, a: usize, b: usize) -> usize {
-        (a + b) % self.n
-    }
-    fn neg(&self, a: usize) -> usize {
-        (self.n - a % self.n) % self.n
-    }
-    fn mul(&self, a: usize, b: usize) -> usize {
-        a * b % self.n
-    }
-    fn inv(&self, a: usize) -> Option<usize> {
-        mod_inverse(a as u64, self.n as u64).map(|x| x as usize)
     }
 }
 
@@ -208,8 +173,6 @@ impl Ring for ProductRing {
 /// store rings by value without trait objects.
 #[derive(Clone, Debug)]
 pub enum FiniteRing {
-    /// Integers modulo n.
-    Zn(Zn),
     /// A finite field GF(p^m).
     Field(FiniteField),
     /// A cross product of finite fields.
@@ -243,18 +206,6 @@ impl FiniteRing {
                 // which the layout constructions of Section 3 rely on.
                 (0..k).collect()
             }
-            FiniteRing::Zn(z) => {
-                // In Z_n the set {0, 1, …, k-1} is a generator set iff all
-                // differences 1..k-1 are units, i.e. k-1 < least prime
-                // factor of n.
-                let gens: Vec<usize> = (0..k).collect();
-                assert!(
-                    self.is_generator_set(&gens),
-                    "Z_{} has no generator set {{0..{k}}}",
-                    z.order()
-                );
-                gens
-            }
             FiniteRing::Product(pr) => {
                 let max = pr.factors().iter().map(|f| f.order()).min().unwrap();
                 assert!(k <= max, "k={k} exceeds M(v)={max} for this product ring (Theorem 2)");
@@ -267,42 +218,36 @@ impl FiniteRing {
 impl Ring for FiniteRing {
     fn order(&self) -> usize {
         match self {
-            FiniteRing::Zn(r) => r.order(),
             FiniteRing::Field(r) => Ring::order(r),
             FiniteRing::Product(r) => r.order(),
         }
     }
     fn one(&self) -> usize {
         match self {
-            FiniteRing::Zn(r) => r.one(),
             FiniteRing::Field(r) => Ring::one(r),
             FiniteRing::Product(r) => r.one(),
         }
     }
     fn add(&self, a: usize, b: usize) -> usize {
         match self {
-            FiniteRing::Zn(r) => r.add(a, b),
             FiniteRing::Field(r) => Ring::add(r, a, b),
             FiniteRing::Product(r) => r.add(a, b),
         }
     }
     fn neg(&self, a: usize) -> usize {
         match self {
-            FiniteRing::Zn(r) => r.neg(a),
             FiniteRing::Field(r) => Ring::neg(r, a),
             FiniteRing::Product(r) => r.neg(a),
         }
     }
     fn mul(&self, a: usize, b: usize) -> usize {
         match self {
-            FiniteRing::Zn(r) => r.mul(a, b),
             FiniteRing::Field(r) => Ring::mul(r, a, b),
             FiniteRing::Product(r) => r.mul(a, b),
         }
     }
     fn inv(&self, a: usize) -> Option<usize> {
         match self {
-            FiniteRing::Zn(r) => r.inv(a),
             FiniteRing::Field(r) => Ring::inv(r, a),
             FiniteRing::Product(r) => r.inv(a),
         }
@@ -333,24 +278,6 @@ mod tests {
                     assert_eq!(r.mul(a, r.add(b, c)), r.add(r.mul(a, b), r.mul(a, c)));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn zn_axioms() {
-        for n in [2usize, 3, 4, 6, 8, 9, 12, 30, 36, 100] {
-            check_ring_axioms(&Zn::new(n));
-        }
-    }
-
-    #[test]
-    fn zn_units() {
-        let z12 = Zn::new(12);
-        let units: Vec<usize> = (0..12).filter(|&a| z12.is_unit(a)).collect();
-        assert_eq!(units, vec![1, 5, 7, 11]);
-        for &u in &units {
-            let inv = z12.inv(u).unwrap();
-            assert_eq!(z12.mul(u, inv), 1);
         }
     }
 
@@ -410,24 +337,17 @@ mod tests {
 
     #[test]
     fn generator_set_check_catches_bad_sets() {
-        let ring = FiniteRing::Zn(Zn::new(6));
-        // 3 - 1 = 2 is not a unit in Z_6.
-        assert!(!ring.is_generator_set(&[1, 3]));
-        assert!(ring.is_generator_set(&[0, 1]));
-        assert!(!ring.is_generator_set(&[1, 1]));
+        // GF(2) × GF(3): 2 packs (0, 1) and 5 packs (1, 2).
+        let ring = FiniteRing::lemma3_ring(6);
+        // 2 - 0 = (0, 1) is not a unit.
+        assert!(!ring.is_generator_set(&[0, 2]));
+        assert!(ring.is_generator_set(&[0, 5]));
+        assert!(!ring.is_generator_set(&[5, 5]));
     }
 
     #[test]
     fn field_every_subset_is_generator_set() {
         let f = FiniteRing::Field(FiniteField::new(9));
         assert!(f.is_generator_set(&[0, 1, 2, 3, 4, 5, 6, 7, 8]));
-    }
-
-    #[test]
-    fn zn_prime_is_field_like() {
-        let z7 = Zn::new(7);
-        for a in 1..7 {
-            assert!(z7.is_unit(a));
-        }
     }
 }

@@ -8,7 +8,7 @@
 //! count. This module turns that boundary into
 //! **submit-and-complete**: the dispatcher enqueues work on per-disk
 //! [`DiskQueue`]s and blocks only on [`Completion`] tokens, while a
-//! small worker pool keeps every disk busy up to a fixed queue depth.
+//! worker pool keeps every disk busy up to a fixed queue depth.
 //! A single caller submitting an 8-run batch gets 8 disks seeking in
 //! parallel.
 //!
@@ -32,12 +32,27 @@
 //!   maintenance), an in-flight depth counter, and an EWMA of
 //!   backend service time. Submission blocks (backpressure) when the
 //!   ring is full.
-//! * **Worker pool** — `workers` OS threads (default: one per disk)
-//!   each servicing *any* queue: a worker scans the queues with
-//!   requests waiting for the eligible one with the lowest expected
-//!   drain time (`(in_flight + 1) × ewma_service_ns`), pops one
-//!   request, executes its backend call, and fulfils its completion.
-//!   Plain condvar/atomic wakeups — no async runtime.
+//! * **Worker pool** — OS threads each servicing *any* queue: a
+//!   worker scans the queues with requests waiting for the eligible
+//!   one with the lowest expected drain time (`(in_flight + 1) ×
+//!   ewma_service_ns`), pops one request, executes its backend call,
+//!   and fulfils its completion. Plain condvar/atomic wakeups — no
+//!   async runtime.
+//! * **Grown by demand** — the pool starts with one worker per CPU
+//!   (what [`Engine::start`]'s calibration needs) and gains one
+//!   whenever a request waits while every worker is inside a backend
+//!   call. The worker that takes a call and leaves requests waiting
+//!   spawns it, so a burst grows the pool off the submitter's thread;
+//!   a submitter spawns one only when its request meets a pool already
+//!   saturated, where it would otherwise wait out a whole call. The
+//!   pool grows to at most `min(disks × 8, 64)` workers: as many calls
+//!   as the depth ceiling lets the array hold in flight, but never a
+//!   thread per disk of a wide array ([`EngineConfig::workers`] lowers
+//!   the ceiling). It never shrinks, and an idle pool costs nothing: a
+//!   worker whose scan comes up empty parks on a condvar with no
+//!   polling timeout, unless a submission or a freed in-flight slot
+//!   came since its scan began (checked under the parking lock, so no
+//!   wake-up is lost).
 //! * **One request, one call** — a pop takes the head of the chosen
 //!   lane and nothing else, so every queued request is exactly one
 //!   backend call (one `read_units` span / one `write_units_gather`)
@@ -47,9 +62,13 @@
 //!   in-flight call count is below a fixed ceiling of 8, so multiple
 //!   workers can overlap calls to the *same* disk (useful for
 //!   seek-free backends and kernel-level queueing) without
-//!   unboundedly piling on. The ceiling is a constant, not a knob:
-//!   the committed sweep over depths 2 / 8 / 32 was flat (0.997 /
-//!   1.011 of depth 2).
+//!   unboundedly piling on. The ceiling is a constant, not a knob. A
+//!   sweep over depths 2 / 4 / 8 on the modelled device of the
+//!   benchmark's `engine_batch_device` (four 4 s runs each, 2 vCPUs)
+//!   gave 127–132 / 172–178 / 172–190 MB/s of rebuild and client
+//!   calls flat (5,270–5,500 calls/s at every depth), so it stays 8.
+//!   An older sweep over 2 / 8 / 32 read flat only because one worker
+//!   per disk capped the calls in flight below any of those depths.
 //! * **Arbitration** — the client lane strictly outranks the
 //!   maintenance lane (rebuild/scrub/reshape prefetch submit at
 //!   [`Priority::Maintenance`]), extending the store's
@@ -94,6 +113,10 @@ use serde::{Deserialize, Serialize};
 /// disk.
 const TARGET_DEPTH: usize = 8;
 
+/// The most worker threads a pool grows to, however wide the array:
+/// without it a v = 1,021 array could grow a thousand threads.
+const MAX_WORKERS: usize = 64;
+
 /// Per-disk pending-request ceiling (both lanes combined); submission
 /// blocks when reached.
 const QUEUE_CAPACITY: usize = 256;
@@ -111,9 +134,12 @@ pub enum Priority {
 /// Engine tuning knobs.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineConfig {
-    /// Worker threads servicing the queues. `0` means one per disk,
-    /// so each disk's positional pread/pwrite can progress on its own
-    /// thread.
+    /// The most worker threads the pool grows to. `0` means the
+    /// default, `min(disks × 8, 64)`: every call the per-disk depth
+    /// ceiling lets the array hold in flight gets a thread, up to a
+    /// fixed cap. A larger value is clamped to that default. The pool
+    /// starts with `min(cpus, ceiling)` workers and grows while
+    /// requests wait on a pool whose every worker is busy.
     pub workers: usize,
 }
 
@@ -248,10 +274,29 @@ struct Inner<B> {
     backend: Arc<B>,
     integrity: Arc<Integrity>,
     queues: Vec<DiskQueue>,
-    cfg: EngineConfig,
-    /// Total requests pending across every queue; the worker parking
-    /// predicate.
+    /// The most workers the pool grows to ([`EngineConfig::workers`],
+    /// resolved).
+    ceiling: usize,
+    /// One handle per worker ever started. A worker that grows the
+    /// pool pushes here, under this lock and only before shutdown, so
+    /// [`Engine::stop`] joins every worker.
+    pool: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Workers started so far: the pool's length, read without its lock.
+    workers: AtomicUsize,
+    /// Workers inside a backend call, from pop to completion.
+    busy: AtomicUsize,
+    /// [`Inner::grow`], kept here so a submitter can grow the pool
+    /// without the `'static` bound a thread spawn needs.
+    grow: fn(&Arc<Inner<B>>) -> std::io::Result<()>,
+    /// Total requests pending across every queue.
     pending: AtomicUsize,
+    /// Bumped whenever a request may have become poppable: at every
+    /// submission, and when a call frees an in-flight slot while
+    /// requests wait. A worker parks only if it is unchanged since its
+    /// scan began.
+    wakeups: AtomicU64,
+    /// Workers parked on `work_cv`; changed under `work_m`.
+    parked: AtomicUsize,
     /// Parking lot for idle workers.
     work_m: Mutex<()>,
     work_cv: Condvar,
@@ -276,7 +321,6 @@ struct Inner<B> {
 /// engine" section describes the scheduling model.
 pub struct Engine<B> {
     inner: Arc<Inner<B>>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// What queueing one run costs over issuing it inline: the median
     /// no-op round trip through the pool, measured once at start.
     handoff_ns: u64,
@@ -286,13 +330,13 @@ impl<B: std::fmt::Debug> std::fmt::Debug for Engine<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("disks", &self.inner.queues.len())
-            .field("cfg", &self.inner.cfg)
+            .field("ceiling", &self.inner.ceiling)
             .finish_non_exhaustive()
     }
 }
 
 impl<B: Backend + Send + Sync + 'static> Engine<B> {
-    /// Spawns the worker pool over `backend` and measures its hand-off
+    /// Starts the worker pool over `backend` and measures its hand-off
     /// cost. `integrity` supplies the retry policy and per-disk health
     /// accounting, identical to the synchronous path.
     pub fn start(backend: Arc<B>, integrity: Arc<Integrity>, cfg: EngineConfig) -> Arc<Self> {
@@ -301,18 +345,14 @@ impl<B: Backend + Send + Sync + 'static> Engine<B> {
         Arc::new(eng)
     }
 
+    /// The queues plus the pool's first `min(cpus, ceiling)` workers —
+    /// as many as [`Engine::calibrate`] has callers.
     fn spawn(backend: Arc<B>, integrity: Arc<Integrity>, cfg: EngineConfig) -> Self {
         let inner = Arc::new(Inner::new(backend, integrity, cfg));
-        let handles = (0..inner.cfg.workers)
-            .map(|wid| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("pdl-engine-{wid}"))
-                    .spawn(move || worker_loop(&inner, wid))
-                    .expect("spawn engine worker")
-            })
-            .collect();
-        Engine { inner, workers: Mutex::new(handles), handoff_ns: 0 }
+        for _ in 0..cpus().min(inner.ceiling) {
+            inner.grow().expect("spawn engine worker");
+        }
+        Engine { inner, handoff_ns: 0 }
     }
 
     /// The median of about 15 no-op round trips through the pool,
@@ -334,8 +374,7 @@ impl<B: Backend + Send + Sync + 'static> Engine<B> {
         if disks == 0 {
             return 0;
         }
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let callers = cpus.min(self.inner.cfg.workers);
+        let callers = cpus().min(self.inner.workers.load(Ordering::Relaxed));
         let each = 15usize.div_ceil(callers);
         let mut ns: Vec<u64> = std::thread::scope(|s| {
             let timed: Vec<_> = (0..callers)
@@ -362,18 +401,33 @@ impl<B: Backend + Send + Sync + 'static> Engine<B> {
     }
 }
 
-impl<B: Backend> Inner<B> {
+/// CPUs this process may run on.
+fn cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+impl<B: Backend + 'static> Inner<B> {
     /// The queues and counters of an engine whose pool is not yet
-    /// spawned (`cfg.workers == 0` resolved to one per disk).
+    /// started (`cfg.workers == 0` resolved to the default ceiling).
     fn new(backend: Arc<B>, integrity: Arc<Integrity>, cfg: EngineConfig) -> Self {
         let disks = backend.disks();
-        let workers = if cfg.workers == 0 { disks.max(1) } else { cfg.workers };
+        let most = (disks * TARGET_DEPTH).clamp(1, MAX_WORKERS);
+        let ceiling = match cfg.workers {
+            0 => most,
+            n => n.min(most),
+        };
         Inner {
             backend,
             integrity,
             queues: (0..disks).map(|_| DiskQueue::new()).collect(),
-            cfg: EngineConfig { workers },
+            ceiling,
+            pool: Mutex::default(),
+            workers: AtomicUsize::new(0),
+            busy: AtomicUsize::new(0),
+            grow: Self::grow,
             pending: AtomicUsize::new(0),
+            wakeups: AtomicU64::new(0),
+            parked: AtomicUsize::new(0),
             work_m: Mutex::new(()),
             work_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -383,6 +437,57 @@ impl<B: Backend> Inner<B> {
             errors: AtomicU64::new(0),
             maintenance_deferred: AtomicU64::new(0),
             queue_wait: LatencyHistogram::default(),
+        }
+    }
+
+    /// Adds one worker to the pool, unless it is at its ceiling or the
+    /// engine is stopping.
+    fn grow(self: &Arc<Self>) -> std::io::Result<()> {
+        let mut pool = self.pool.lock().unwrap();
+        if pool.len() >= self.ceiling || self.shutdown.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        let (inner, wid) = (Arc::clone(self), pool.len());
+        let worker = std::thread::Builder::new()
+            .name(format!("pdl-engine-{wid}"))
+            .spawn(move || worker_loop(&inner, wid))?;
+        pool.push(worker);
+        self.workers.store(pool.len(), Ordering::SeqCst);
+        Ok(())
+    }
+}
+
+impl<B> Inner<B> {
+    /// Tells the pool a request may have become poppable: bumps
+    /// `wakeups` and, if a worker is parked, wakes one. Taking
+    /// `work_m` before the notify means a worker between its check of
+    /// `wakeups` and its wait cannot miss it; a worker that counted
+    /// itself parked after this load re-reads `wakeups` and does not
+    /// wait (both sides are `SeqCst`, so one of them sees the other).
+    fn wake_one(&self) {
+        self.wakeups.fetch_add(1, Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            drop(self.work_m.lock().unwrap());
+            self.work_cv.notify_one();
+        }
+    }
+
+    /// Adds a worker if a request waits while every worker is inside a
+    /// backend call, so none would take it before a call finishes.
+    /// Checked where that can start: when a worker takes a call, and
+    /// when a request is queued. Both sides raise their own counter
+    /// (`busy`, `pending`) before reading the other's, so whichever
+    /// comes second in a race sees the pool saturated. A worker just
+    /// started counts as free until its first call, so a burst grows
+    /// the pool one worker per call taken, not one per request. A pool
+    /// that cannot grow serves with the workers it has.
+    fn grow_if_saturated(self: &Arc<Self>) {
+        let workers = self.workers.load(Ordering::SeqCst);
+        if workers < self.ceiling
+            && self.busy.load(Ordering::SeqCst) >= workers
+            && self.pending.load(Ordering::SeqCst) > 0
+        {
+            let _ = (self.grow)(self);
         }
     }
 }
@@ -453,8 +558,9 @@ impl<B: Backend> Engine<B> {
         }
         q.queued.fetch_add(1, Ordering::Relaxed);
         drop(lanes);
-        inner.pending.fetch_add(1, Ordering::Release);
-        inner.work_cv.notify_one();
+        inner.pending.fetch_add(1, Ordering::SeqCst);
+        inner.wake_one();
+        inner.grow_if_saturated();
         Ok(Completion { state })
     }
 }
@@ -483,7 +589,7 @@ impl<B> Engine<B> {
     pub(crate) fn snapshot(&self) -> EngineStatsSnapshot {
         let inner = &self.inner;
         EngineStatsSnapshot {
-            workers: inner.cfg.workers,
+            workers: inner.workers.load(Ordering::Relaxed),
             handoff_us: self.handoff_ns / 1_000,
             client_submitted: inner.client_submitted.load(Ordering::Relaxed),
             maintenance_submitted: inner.maint_submitted.load(Ordering::Relaxed),
@@ -517,11 +623,13 @@ impl<B> Engine<B> {
     pub fn stop(&self) {
         let inner = &self.inner;
         inner.shutdown.store(true, Ordering::Release);
+        drop(inner.work_m.lock().unwrap());
         inner.work_cv.notify_all();
         for q in &inner.queues {
             q.not_full.notify_all();
         }
-        let handles = std::mem::take(&mut *self.workers.lock().unwrap());
+        // No worker grows the pool once `shutdown` is set.
+        let handles = std::mem::take(&mut *inner.pool.lock().unwrap());
         for h in handles {
             let _ = h.join();
         }
@@ -583,31 +691,39 @@ pub(crate) fn is_engine_down(e: &StoreError) -> bool {
     matches!(e, StoreError::Io(io) if io.get_ref().is_some_and(|r| r.is::<EngineDown>()))
 }
 
-/// Worker thread body: scan → pop → execute → fulfil.
-fn worker_loop<B: Backend>(inner: &Inner<B>, wid: usize) {
+/// Worker thread body: scan → pop → (grow) → execute → fulfil, and
+/// park when a scan comes up empty.
+fn worker_loop<B: Backend + 'static>(inner: &Arc<Inner<B>>, wid: usize) {
     loop {
-        match next_request(inner, wid) {
-            Some((disk, req)) => execute(inner, disk, req),
-            None => {
-                if inner.shutdown.load(Ordering::Acquire)
-                    && inner.pending.load(Ordering::Acquire) == 0
-                {
-                    return;
-                }
-                // Park briefly whenever a scan comes up empty — also
-                // the case where pending work exists but every
-                // non-empty queue is at target depth. The timeout
-                // makes shutdown and racy notify loss benign, and
-                // `execute` notifies when an in-flight slot frees.
-                let guard = inner.work_m.lock().unwrap();
-                if !inner.shutdown.load(Ordering::Acquire) {
-                    let _ = inner
-                        .work_cv
-                        .wait_timeout(guard, std::time::Duration::from_millis(5))
-                        .unwrap();
-                }
-            }
+        let seen = inner.wakeups.load(Ordering::SeqCst);
+        if let Some((disk, req)) = next_request(inner, wid) {
+            inner.grow_if_saturated();
+            execute(inner, disk, req);
+            continue;
         }
+        let guard = inner.work_m.lock().unwrap();
+        if inner.shutdown.load(Ordering::Acquire) {
+            if inner.pending.load(Ordering::Acquire) == 0 {
+                return;
+            }
+            // What still waits is on queues at their depth ceiling;
+            // their workers rescan when their calls finish.
+            drop(guard);
+            std::thread::yield_now();
+            continue;
+        }
+        // The scan came up empty: nothing waits, or every queue with
+        // requests waiting is at its depth ceiling. Sleep until a
+        // submission or a freed slot says otherwise — unless one
+        // already has since the scan began (see `Inner::wake_one`).
+        inner.parked.fetch_add(1, Ordering::SeqCst);
+        let guard = if inner.wakeups.load(Ordering::SeqCst) == seen {
+            inner.work_cv.wait(guard).unwrap()
+        } else {
+            guard
+        };
+        inner.parked.fetch_sub(1, Ordering::SeqCst);
+        drop(guard);
     }
 }
 
@@ -668,7 +784,8 @@ fn next_request<B: Backend>(inner: &Inner<B>, wid: usize) -> Option<(usize, Requ
         q.queued.fetch_sub(1, Ordering::Relaxed);
         drop(lanes);
         q.not_full.notify_all();
-        inner.pending.fetch_sub(1, Ordering::Release);
+        inner.busy.fetch_add(1, Ordering::SeqCst);
+        inner.pending.fetch_sub(1, Ordering::SeqCst);
         inner.queue_wait.record(req.submitted.elapsed().as_nanos() as u64);
         return Some((disk, req));
     }
@@ -696,10 +813,11 @@ fn execute<B: Backend>(inner: &Inner<B>, disk: usize, req: Request) {
     };
     q.note_service(t0.elapsed().as_nanos() as u64);
     q.in_flight.fetch_sub(1, Ordering::Relaxed);
-    if inner.pending.load(Ordering::Acquire) > 0 {
+    inner.busy.fetch_sub(1, Ordering::SeqCst);
+    if inner.pending.load(Ordering::SeqCst) > 0 {
         // The freed in-flight slot may make a depth-capped queue
         // eligible again; wake a parked worker to rescan.
-        inner.work_cv.notify_one();
+        inner.wake_one();
     }
     q.completed.fetch_add(1, Ordering::Relaxed);
     inner.completed.fetch_add(1, Ordering::Relaxed);
@@ -943,13 +1061,11 @@ mod tests {
     fn scan_skips_busy_queues_with_nothing_waiting() {
         let backend = Arc::new(MemBackend::new(2, 32, 64));
         let integrity = Arc::new(Integrity::new(2, 32));
-        let cfg = EngineConfig { workers: 1 };
-        // No pool: this test is the only worker.
-        let eng = Engine {
-            inner: Arc::new(Inner::new(backend, integrity, cfg)),
-            workers: Mutex::default(),
-            handoff_ns: 0,
-        };
+        // No pool, and a ceiling of 0 so none grows: this test is the
+        // only worker.
+        let mut inner = Inner::new(backend, integrity, EngineConfig::default());
+        inner.ceiling = 0;
+        let eng = Engine { inner: Arc::new(inner), handoff_ns: 0 };
         let _tokens: Vec<Completion> = [(0, 0), (1, 0), (1, 5)]
             .into_iter()
             .map(|(disk, offset)| eng.submit_read_units(disk, offset, 1, Priority::Client).unwrap())
@@ -969,7 +1085,7 @@ mod tests {
             .wait()
             .unwrap();
         let snap = eng.snapshot();
-        assert_eq!(snap.workers, 2);
+        assert_eq!(snap.workers, cpus().min(2), "a ceiling of 2 caps the starting pool");
         assert_eq!(snap.disks.len(), 3);
         assert_eq!(snap.maintenance_submitted, 1);
         assert_eq!(snap.disks[1].submitted, 1);

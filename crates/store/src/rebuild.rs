@@ -3,6 +3,14 @@
 //! traffic — the measurement that turns the paper's (k−1)/(v−1)
 //! declustering claim into an observable property of real bytes.
 //!
+//! **The caller is worker 0.** A rebuild with `w` workers spawns
+//! `w − 1` scoped threads and runs the first worker on the calling
+//! thread, so a one-worker rebuild starts no thread at all. Besides
+//! the spawn, this keeps a rebuild's chunk buffers in the caller's
+//! allocator arena: a fresh thread per rebuild may be handed another
+//! arena each time once many threads exist, and each would keep its
+//! freed buffers.
+//!
 //! Workers operate on *chunks* of consecutive spare offsets: each
 //! chunk's surviving stripe members are prefetched per disk in
 //! coalesced runs (one vectored backend call per run) and the
@@ -106,7 +114,7 @@ pub struct RebuildReport {
     /// repairs' reads. The same count as
     /// [`crate::RebuildProgress::per_disk_reads`].
     pub per_disk_reads: Vec<u64>,
-    /// Worker threads used.
+    /// Rebuild workers used, the calling thread included.
     pub workers: usize,
     /// Wall-clock duration of the rebuild.
     pub elapsed: Duration,
@@ -183,6 +191,8 @@ impl Default for Rebuilder {
 
 impl Rebuilder {
     /// A rebuilder with a fixed worker count (`0` is clamped to 1).
+    /// The calling thread is worker 0, so `workers − 1` threads are
+    /// spawned: `Rebuilder::new(1)` rebuilds on the caller's thread.
     pub fn new(workers: usize) -> Self {
         Rebuilder { workers: workers.max(1), chunk: DEFAULT_CHUNK }
     }
@@ -266,39 +276,37 @@ impl Rebuilder {
         let chunk = self.chunk.min(CHUNK_BYTES / store.unit_size()).max(1);
         let next = AtomicUsize::new(0);
         let first_error: Mutex<Option<StoreError>> = Mutex::new(None);
-        let shared: &BlockStore<B> = store;
-        std::thread::scope(|s| {
-            for _ in 0..self.workers {
-                s.spawn(|| {
-                    // Each worker claims chunks of consecutive spare
-                    // offsets (see `rebuild_chunk`).
-                    let mut worker =
-                        RebuildWorker::new(shared.unit_size(), chunk * shared.unit_size());
-                    let res = loop {
-                        let at = next.fetch_add(chunk, Ordering::Relaxed);
-                        // Poison-proof locking throughout: a panicking
-                        // sibling worker poisons the mutex, and dying
-                        // on `PoisonError` here would replace the
-                        // original panic (which names the seed in
-                        // stress runs) with a useless one.
-                        if at >= units
-                            || first_error.lock().unwrap_or_else(|e| e.into_inner()).is_some()
-                        {
-                            break Ok(());
-                        }
-                        let n = chunk.min(units - at);
-                        if let Err(e) = shared.rebuild_chunk(&mut worker, failed, spare, at, n) {
-                            break Err(e);
-                        }
-                    };
-                    // The worker's last spare write lands before it
-                    // ends, also after an error.
-                    let landed = shared.land_pending(&mut worker.pending, &mut worker.free);
-                    if let Err(e) = res.and(landed) {
-                        first_error.lock().unwrap_or_else(|e| e.into_inner()).get_or_insert(e);
-                    }
-                });
+        // Each worker claims chunks of consecutive spare offsets (see
+        // `rebuild_chunk`).
+        let work = || {
+            let mut worker = RebuildWorker::new(store.unit_size(), chunk * store.unit_size());
+            let res = loop {
+                let at = next.fetch_add(chunk, Ordering::Relaxed);
+                // Poison-proof locking throughout: a panicking sibling
+                // worker poisons the mutex, and dying on `PoisonError`
+                // here would replace the original panic (which names
+                // the seed in stress runs) with a useless one.
+                if at >= units || first_error.lock().unwrap_or_else(|e| e.into_inner()).is_some() {
+                    break Ok(());
+                }
+                let n = chunk.min(units - at);
+                if let Err(e) = store.rebuild_chunk(&mut worker, failed, spare, at, n) {
+                    break Err(e);
+                }
+            };
+            // The worker's last spare write lands before it ends, also
+            // after an error.
+            let landed = store.land_pending(&mut worker.pending, &mut worker.free);
+            if let Err(e) = res.and(landed) {
+                first_error.lock().unwrap_or_else(|e| e.into_inner()).get_or_insert(e);
             }
+        };
+        // The calling thread is worker 0.
+        std::thread::scope(|s| {
+            for _ in 1..self.workers {
+                s.spawn(work);
+            }
+            work();
         });
         if let Some(e) = first_error.into_inner().unwrap_or_else(|e| e.into_inner()) {
             store.abort_rebuild();

@@ -11,6 +11,10 @@
 //! success, error, and shutdown alike: `completed` must equal
 //! `submitted` once the traffic quiesces.
 //!
+//! The `engine_pool_` tests pin how the worker pool is sized: it grows
+//! past one worker per disk when the queues hold more calls, never
+//! past its ceiling, and not at all while runs go inline.
+//!
 //! Reproducibility mirrors `chaos.rs`: seeds land in
 //! `target/chaos/engine_<name>.seed` before each leg and
 //! `PDL_CHAOS_SEED=<n>` replays exactly one seed.
@@ -27,6 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use support::faulty::{FaultConfig, FaultyBackend};
+use support::probe::ProbeBackend;
 use support::stress::{self, RebuildMode, StressConfig};
 
 const UNIT: usize = 64;
@@ -554,4 +559,117 @@ fn engine_toggled_under_live_traffic_is_invisible_file() {
         toggle_case(seed, &BlockStore::new(layout, fb).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The pool's ceiling by default: every call the per-disk depth
+/// ceiling (8) lets a `disks`-disk array hold in flight, at most 64.
+fn default_ceiling(disks: usize) -> usize {
+    (disks * 8).min(64)
+}
+
+fn cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// A v = 9 ring (ten backend disks, one a spare) under a
+/// [`ProbeBackend`], written with a known pattern, and one batch that
+/// reads it all back: on untimed disks, every one of its runs queues.
+fn probed_store() -> (BlockStore<ProbeBackend<MemBackend>>, Vec<u8>) {
+    let layout = RingLayout::for_v_k(9, 4).layout().clone();
+    let mem = MemBackend::new(10, COPIES * layout.size(), UNIT);
+    let store = BlockStore::new(layout, ProbeBackend::new(mem)).unwrap();
+    let data: Vec<u8> = (0..store.blocks() * UNIT).map(|i| (i % 251) as u8).collect();
+    store.write_blocks(0, &data).unwrap();
+    (store, data)
+}
+
+/// The engine overlaps more calls than the array has disks: the probe
+/// holds every call until `disks + 1` are inside at once, and a pool of
+/// one worker per disk could never get there. The timeout only ends a
+/// failing run.
+#[test]
+fn engine_pool_runs_more_calls_than_disks() {
+    let (store, data) = probed_store();
+    let disks = store.backend().disks();
+    store.start_engine(EngineConfig::default());
+    store.backend().gate(disks + 1, Duration::from_secs(5));
+    let mut back = vec![0u8; data.len()];
+    store.read_blocks(0, &mut back).unwrap();
+    let eng = store.stop_engine().expect("engine was running");
+    assert!(
+        store.backend().most_inside() > disks,
+        "at most {} calls inside at once on {disks} disks ({} workers)",
+        store.backend().most_inside(),
+        eng.workers
+    );
+    assert!(eng.workers <= default_ceiling(disks), "{} workers", eng.workers);
+    assert!(back == data, "the batch read returns what was written");
+    assert_drained(&eng, "pool past the disk count");
+}
+
+/// The pool grows to its ceiling and no further: with
+/// `EngineConfig { workers: 3 }`, a batch of more runs than that queues
+/// and the probe never sees a fourth call inside (it waits for one
+/// until its timeout).
+#[test]
+fn engine_pool_never_exceeds_its_ceiling() {
+    let (store, data) = probed_store();
+    store.start_engine(EngineConfig { workers: 3 });
+    store.backend().gate(4, Duration::from_millis(300));
+    let mut back = vec![0u8; data.len()];
+    store.read_blocks(0, &mut back).unwrap();
+    let eng = store.stop_engine().expect("engine was running");
+    assert_eq!(store.backend().most_inside(), 3, "the batch's calls fill the pool, no more");
+    assert_eq!(eng.workers, 3);
+    assert!(back == data, "the batch read returns what was written");
+    assert_drained(&eng, "pool at its ceiling");
+}
+
+/// A pool grows only when requests wait: after start it holds one
+/// worker per CPU (capped by its ceiling), and traffic that times every
+/// disk at most two runs at a time, then runs on the caller's thread,
+/// leaves it that size.
+#[test]
+fn engine_pool_stays_small_when_runs_go_inline() {
+    let (store, data) = probed_store();
+    let start = cpus().min(default_ceiling(store.backend().disks()));
+    store.start_engine(EngineConfig::default());
+    assert_eq!(store.stats().engine.expect("engine running").workers, start);
+    // An untimed disk queues its runs. A one-block write reads and then
+    // writes its data and parity units, two runs a round, so two
+    // workers take each round without waiting.
+    for _ in 0..2 {
+        for b in 0..store.blocks() {
+            store.write_blocks(b, &data[b * UNIT..(b + 1) * UNIT]).unwrap();
+        }
+    }
+    let timed = store.stats().engine.expect("engine running");
+    let mut batch = vec![0u8; 16 * UNIT];
+    for i in 0..64 {
+        let at = (i * 16) % (store.blocks() - 16);
+        if i % 3 == 2 {
+            store.write_blocks(at, &data[at * UNIT..(at + 16) * UNIT]).unwrap();
+        } else {
+            store.read_blocks(at, &mut batch).unwrap();
+            assert!(batch == data[at * UNIT..(at + 16) * UNIT], "batch {i} reads back");
+        }
+    }
+    let eng = store.stop_engine().expect("engine was running");
+    // A timing sample stretched by a loaded host can send a disk's next
+    // runs to the queues, so how many stay inline is not pinned here.
+    let inline = |e: &EngineStatsSnapshot| e.disks.iter().map(|d| d.inline).sum::<u64>();
+    let queued = eng.client_submitted - timed.client_submitted;
+    assert!(
+        inline(&eng) - inline(&timed) > 10 * queued,
+        "the batches on the timed memory disks went inline ({queued} runs queued)"
+    );
+    // A one-CPU pool starts with one worker, and a two-run round may
+    // grow it to two.
+    let most = start.max(2);
+    assert!(
+        eng.workers <= most,
+        "{} workers after inline traffic, started with {start}",
+        eng.workers
+    );
+    assert_drained(&eng, "inline traffic");
 }

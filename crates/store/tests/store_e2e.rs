@@ -14,6 +14,7 @@ use pdl_store::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use support::probe::ProbeBackend;
 use support::replay::replay;
 
 const UNIT: usize = 128;
@@ -168,6 +169,29 @@ fn file_raid5_end_to_end() {
     let store = BlockStore::new(layout, backend).unwrap();
     exercise(store, 5, 4);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A one-worker rebuild runs on the calling thread and starts no
+/// thread of its own: with the engine off, every read of the rebuild
+/// is made on the test's thread.
+#[test]
+fn one_worker_rebuild_reads_on_the_calling_thread() {
+    let layout = ring_layout(9, 4);
+    let backend = ProbeBackend::new(MemBackend::new(10, COPIES * layout.size(), UNIT));
+    let mut store = BlockStore::new(layout, backend).unwrap();
+    let image = random_image(store.blocks(), 13);
+    fill_store(&mut store, &image);
+    store.fail_disk(2).unwrap();
+    let before = store.backend().read_threads().len();
+    let report = Rebuilder::new(1).rebuild(&store, 9).unwrap();
+    assert_eq!(report.workers, 1);
+    let reads = store.backend().read_threads().split_off(before);
+    assert!(!reads.is_empty(), "the rebuild read its survivors");
+    let me = std::thread::current().id();
+    let elsewhere = reads.iter().filter(|&&t| t != me).count();
+    assert_eq!(elsewhere, 0, "{elsewhere} of {} rebuild reads on another thread", reads.len());
+    assert_image_matches(&store, &image, "after a one-worker rebuild");
+    store.verify_parity().unwrap();
 }
 
 /// The paper's headline claim measured on real reconstruction traffic:

@@ -1,6 +1,7 @@
 //! Test support for `pdl-store`: the seeded multi-threaded stress
-//! harness, the fault-injecting backend, trace replay and the
-//! deterministic block pattern they all write. Integration tests
+//! harness, the fault-injecting backend, the probe backend that
+//! watches its callers, trace replay and the deterministic block
+//! pattern they all write. Integration tests
 //! include it with `mod support;`; the crate's unit tests include the
 //! same file as `crate::support`.
 
@@ -8,6 +9,7 @@
 #![allow(dead_code)]
 
 pub mod faulty;
+pub mod probe;
 pub mod replay;
 pub mod stress;
 
