@@ -13,17 +13,16 @@
 //! parallel.
 //!
 //! Queueing pays only where there is latency to overlap. A hand-off —
-//! submit, wake a worker, wake the caller — costs about ten µs; a run
-//! on a memory-speed disk or a cached file takes one or two. So the
-//! engine measures its own hand-off cost once, at [`Engine::start`]
-//! (the median of about 15 no-op round trips through the pool,
-//! tallied nowhere), and the dispatcher keeps on the caller's thread
-//! every run whose disk's EWMA service time is below it. Those inline
-//! runs are timed into the same EWMA the workers feed, so a disk that
-//! starts stalling moves to the queues and one that recovers moves
-//! back; a disk not yet timed queues. Each disk's inline runs are
-//! counted in its snapshot (`inline`), beside the hand-off
-//! (`handoff_us`).
+//! submit, wake a worker, wake the caller — costs 13–18 µs on a 2-vCPU
+//! VM (the benchmark's `engine.roundtrip_us`); a run on a memory-speed
+//! disk or a cached file takes one to three, a run on a device a
+//! hundred or more. So the dispatcher keeps on the caller's thread
+//! every run whose disk's EWMA service time is below one constant,
+//! `INLINE_BELOW_NS` (20 µs), far from both. Those inline runs are
+//! timed into the same EWMA the workers feed, so a disk that starts
+//! stalling moves to the queues and one that recovers moves back; a
+//! disk not yet timed queues. Each disk's inline runs are counted in
+//! its snapshot (`inline`).
 //!
 //! ## Architecture
 //!
@@ -38,13 +37,13 @@
 //!   ewma_service_ns`), pops one request, executes its backend call,
 //!   and fulfils its completion. Plain condvar/atomic wakeups — no
 //!   async runtime.
-//! * **Grown by demand** — the pool starts with one worker per CPU
-//!   (what [`Engine::start`]'s calibration needs) and gains one
+//! * **Grown by demand** — the pool starts empty and gains one worker
 //!   whenever a request waits while every worker is inside a backend
 //!   call. The worker that takes a call and leaves requests waiting
 //!   spawns it, so a burst grows the pool off the submitter's thread;
 //!   a submitter spawns one only when its request meets a pool already
-//!   saturated, where it would otherwise wait out a whole call. The
+//!   saturated, where it would otherwise wait out a whole call — as
+//!   the first request queued on the empty pool does. The
 //!   pool grows to at most `min(disks × 8, 64)` workers: as many calls
 //!   as the depth ceiling lets the array hold in flight, but never a
 //!   thread per disk of a wide array ([`EngineConfig::workers`] lowers
@@ -85,7 +84,8 @@
 //! batch before it reports the first error, so none is abandoned. Every
 //! backend call runs under [`Integrity::retrying`], so transient
 //! errors retry with the same backoff and per-disk health accounting
-//! as the synchronous path.
+//! as the synchronous path. A backend call that panics fails its
+//! request with an error; the worker that made it serves on.
 //!
 //! On [`Engine::stop`] (also invoked by `Drop`), workers drain every
 //! queue before exiting and any request that slips in after the
@@ -117,6 +117,14 @@ const TARGET_DEPTH: usize = 8;
 /// without it a v = 1,021 array could grow a thousand threads.
 const MAX_WORKERS: usize = 64;
 
+/// The EWMA service time below which a disk's runs are issued on the
+/// caller's thread instead of queued. A hand-off through the pool costs
+/// 13–18 µs on a 2-vCPU VM; a page-cached file run takes 2–3 µs and a
+/// modelled device at least 100, so both sit far from it. A prototype
+/// at 50 µs lost throughput on the file array, so a larger value needs
+/// measuring first.
+pub(crate) const INLINE_BELOW_NS: u64 = 20_000;
+
 /// Per-disk pending-request ceiling (both lanes combined); submission
 /// blocks when reached.
 const QUEUE_CAPACITY: usize = 256;
@@ -138,8 +146,8 @@ pub struct EngineConfig {
     /// default, `min(disks × 8, 64)`: every call the per-disk depth
     /// ceiling lets the array hold in flight gets a thread, up to a
     /// fixed cap. A larger value is clamped to that default. The pool
-    /// starts with `min(cpus, ceiling)` workers and grows while
-    /// requests wait on a pool whose every worker is busy.
+    /// starts empty and grows while requests wait on a pool whose every
+    /// worker is busy.
     pub workers: usize,
 }
 
@@ -149,10 +157,6 @@ enum ReqOp {
     Read,
     /// Write these bytes (length = `units × unit_size`).
     Write(Vec<u8>),
-    /// Nothing: the worker that pops it fulfils it at once. One
-    /// hand-off round trip, timed by [`Engine::start`] and kept out of
-    /// every tally.
-    Ping,
 }
 
 /// One pending request in a [`DiskQueue`] lane.
@@ -321,9 +325,6 @@ struct Inner<B> {
 /// engine" section describes the scheduling model.
 pub struct Engine<B> {
     inner: Arc<Inner<B>>,
-    /// What queueing one run costs over issuing it inline: the median
-    /// no-op round trip through the pool, measured once at start.
-    handoff_ns: u64,
 }
 
 impl<B: std::fmt::Debug> std::fmt::Debug for Engine<B> {
@@ -336,74 +337,13 @@ impl<B: std::fmt::Debug> std::fmt::Debug for Engine<B> {
 }
 
 impl<B: Backend + Send + Sync + 'static> Engine<B> {
-    /// Starts the worker pool over `backend` and measures its hand-off
-    /// cost. `integrity` supplies the retry policy and per-disk health
-    /// accounting, identical to the synchronous path.
+    /// Starts an engine over `backend` with an empty pool; the first
+    /// queued request brings up its first worker. `integrity` supplies
+    /// the retry policy and per-disk health accounting, identical to
+    /// the synchronous path.
     pub fn start(backend: Arc<B>, integrity: Arc<Integrity>, cfg: EngineConfig) -> Arc<Self> {
-        let mut eng = Self::spawn(backend, integrity, cfg);
-        eng.handoff_ns = eng.calibrate();
-        Arc::new(eng)
+        Arc::new(Engine { inner: Arc::new(Inner::new(backend, integrity, cfg)) })
     }
-
-    /// The queues plus the pool's first `min(cpus, ceiling)` workers —
-    /// as many as [`Engine::calibrate`] has callers.
-    fn spawn(backend: Arc<B>, integrity: Arc<Integrity>, cfg: EngineConfig) -> Self {
-        let inner = Arc::new(Inner::new(backend, integrity, cfg));
-        for _ in 0..cpus().min(inner.ceiling) {
-            inner.grow().expect("spawn engine worker");
-        }
-        Engine { inner, handoff_ns: 0 }
-    }
-
-    /// The median of about 15 no-op round trips through the pool,
-    /// spread over the queues: submit, a parked worker wakes and pops,
-    /// the caller wakes. They are timed from one caller per CPU (at
-    /// most one per worker) at once, so a woken worker shares a CPU
-    /// with a caller, as it does under client load. A lone caller times
-    /// a wake onto an idle CPU instead, which a virtualised host
-    /// sometimes makes several times cheaper than any wake under load:
-    /// timed that way on a 2-vCPU VM, the hand-off swung between 2 and
-    /// 12 µs from one start to the next, and a file array sent most
-    /// runs to the queues whenever it read low.
-    ///
-    /// Never taken from live queue waits: those grow with the device's
-    /// service time, so a slow disk would buy itself the inline route
-    /// and nothing would ever move it back.
-    fn calibrate(&self) -> u64 {
-        let disks = self.inner.queues.len();
-        if disks == 0 {
-            return 0;
-        }
-        let callers = cpus().min(self.inner.workers.load(Ordering::Relaxed));
-        let each = 15usize.div_ceil(callers);
-        let mut ns: Vec<u64> = std::thread::scope(|s| {
-            let timed: Vec<_> = (0..callers)
-                .map(|c| {
-                    s.spawn(move || {
-                        (c * each..(c + 1) * each)
-                            .map(|i| {
-                                let t0 = Instant::now();
-                                // Pings are never refused: the engine
-                                // cannot stop before `start` returns.
-                                let _ = self
-                                    .submit(i % disks, 0, 0, ReqOp::Ping, Priority::Client)
-                                    .and_then(Completion::wait);
-                                t0.elapsed().as_nanos() as u64
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            timed.into_iter().flat_map(|t| t.join().expect("calibration caller")).collect()
-        });
-        ns.sort_unstable();
-        ns[ns.len() / 2]
-    }
-}
-
-/// CPUs this process may run on.
-fn cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 impl<B: Backend + 'static> Inner<B> {
@@ -544,18 +484,14 @@ impl<B: Backend> Engine<B> {
         if inner.shutdown.load(Ordering::Acquire) {
             return Err(engine_down());
         }
-        // Tallied under the lane lock, before a worker can complete it;
-        // a calibration ping is not traffic and is not tallied at all.
-        let tally = !matches!(req.op, ReqOp::Ping);
+        // Tallied under the lane lock, before a worker can complete it.
         let (lane, submitted) = match prio {
             Priority::Client => (&mut lanes.client, &inner.client_submitted),
             Priority::Maintenance => (&mut lanes.maint, &inner.maint_submitted),
         };
         lane.push_back(req);
-        if tally {
-            submitted.fetch_add(1, Ordering::Relaxed);
-            q.submitted.fetch_add(1, Ordering::Relaxed);
-        }
+        submitted.fetch_add(1, Ordering::Relaxed);
+        q.submitted.fetch_add(1, Ordering::Relaxed);
         q.queued.fetch_add(1, Ordering::Relaxed);
         drop(lanes);
         inner.pending.fetch_add(1, Ordering::SeqCst);
@@ -567,12 +503,12 @@ impl<B: Backend> Engine<B> {
 
 impl<B> Engine<B> {
     /// Whether a run on `disk` is cheaper issued on the caller's
-    /// thread: its disk has been timed, and serves faster than the
-    /// engine hands off. An untimed disk queues (as does a disk out of
-    /// range, for `submit` to refuse).
+    /// thread: its disk has been timed, and serves in less than
+    /// [`INLINE_BELOW_NS`]. An untimed disk queues (as does a disk out
+    /// of range, for `submit` to refuse).
     pub(crate) fn serves_inline(&self, disk: usize) -> bool {
         let ewma = self.inner.queues.get(disk).map_or(0, |q| q.ewma_ns.load(Ordering::Relaxed));
-        ewma != 0 && ewma < self.handoff_ns
+        ewma != 0 && ewma < INLINE_BELOW_NS
     }
 
     /// Books a run the dispatcher issued inline on `disk`: its service
@@ -590,7 +526,6 @@ impl<B> Engine<B> {
         let inner = &self.inner;
         EngineStatsSnapshot {
             workers: inner.workers.load(Ordering::Relaxed),
-            handoff_us: self.handoff_ns / 1_000,
             client_submitted: inner.client_submitted.load(Ordering::Relaxed),
             maintenance_submitted: inner.maint_submitted.load(Ordering::Relaxed),
             completed: inner.completed.load(Ordering::Relaxed),
@@ -771,13 +706,6 @@ fn next_request<B: Backend>(inner: &Inner<B>, wid: usize) -> Option<(usize, Requ
             continue; // lost the race for this queue's last request
         };
         let req = lane.pop_front().expect("lane checked non-empty");
-        if matches!(req.op, ReqOp::Ping) {
-            q.queued.fetch_sub(1, Ordering::Relaxed);
-            drop(lanes);
-            inner.pending.fetch_sub(1, Ordering::Release);
-            req.done.fulfil(Ok(Vec::new()));
-            continue;
-        }
         // Reserve the in-flight slot before releasing the lane lock so
         // a concurrent scan sees the updated depth.
         q.in_flight.fetch_add(1, Ordering::Relaxed);
@@ -792,12 +720,15 @@ fn next_request<B: Backend>(inner: &Inner<B>, wid: usize) -> Option<(usize, Requ
 }
 
 /// Executes one request against the backend (under the integrity
-/// retry/health wrapper) and fulfils its token.
+/// retry/health wrapper) and fulfils its token. A backend call that
+/// panics fails its request, not the worker: the token gets an error
+/// and the counters settle as for any failed call, so no caller waits
+/// forever on it.
 fn execute<B: Backend>(inner: &Inner<B>, disk: usize, req: Request) {
     let q = &inner.queues[disk];
     let Request { offset, units, op, done, .. } = req;
     let t0 = Instant::now();
-    let result = match op {
+    let call = std::panic::AssertUnwindSafe(|| match op {
         ReqOp::Read => {
             let mut buf = vec![0u8; units * inner.backend.unit_size()];
             inner
@@ -809,8 +740,9 @@ fn execute<B: Backend>(inner: &Inner<B>, disk: usize, req: Request) {
             .integrity
             .retrying(disk, || inner.backend.write_units_gather(disk, offset, &[&data]))
             .map(|()| Vec::new()),
-        ReqOp::Ping => unreachable!("a ping is fulfilled at its pop"),
-    };
+    });
+    let result = std::panic::catch_unwind(call)
+        .unwrap_or_else(|_| Err(StoreError::Io(std::io::Error::other("backend call panicked"))));
     q.note_service(t0.elapsed().as_nanos() as u64);
     q.in_flight.fetch_sub(1, Ordering::Relaxed);
     inner.busy.fetch_sub(1, Ordering::SeqCst);
@@ -848,11 +780,11 @@ impl<B: Backend> BlockStore<B> {
     }
 
     /// Starts the submit-and-complete async I/O engine (see
-    /// [`Engine`]) and measures its hand-off cost. Multi-run
-    /// transfers then submit at once every per-disk run whose disk is
-    /// slower than that hand-off (or not yet timed), and issue the rest
-    /// on the calling thread meanwhile, so the engine costs little on a
-    /// fast device and overlaps a slow one. Replaces a previously
+    /// [`Engine`]) with an empty worker pool, which grows as requests
+    /// queue. Multi-run transfers then submit at once every per-disk
+    /// run whose disk serves in 20 µs or more (or is not yet timed),
+    /// and issue the rest on the calling thread meanwhile, so the
+    /// engine costs little on a fast device and overlaps a slow one. Replaces a previously
     /// running engine, which is drained first and whose final counters
     /// are returned. Safe under live traffic: a call in flight
     /// finishes each of its runs on whichever path accepted it. The
@@ -910,7 +842,7 @@ pub struct EngineDiskSnapshot {
     /// so readers of the snapshot's serialized form still find it.
     pub coalesced: u64,
     /// Runs the dispatcher issued on its caller's thread because this
-    /// disk served faster than the engine hands off.
+    /// disk's EWMA service time was below 20 µs.
     pub inline: u64,
 }
 
@@ -920,9 +852,6 @@ pub struct EngineDiskSnapshot {
 pub struct EngineStatsSnapshot {
     /// Worker threads in the pool.
     pub workers: usize,
-    /// The hand-off cost measured at start, µs: a disk whose EWMA
-    /// service time is below it is served inline.
-    pub handoff_us: u64,
     /// Client-lane requests submitted.
     pub client_submitted: u64,
     /// Maintenance-lane requests submitted.
@@ -943,20 +872,14 @@ pub struct EngineStatsSnapshot {
 
 #[cfg(test)]
 impl<B: Backend + Send + Sync + 'static> Engine<B> {
-    /// An engine whose hand-off cost and per-disk service EWMAs are set
-    /// instead of measured, so a test knows which route each disk takes.
-    pub(crate) fn seeded(
-        backend: Arc<B>,
-        integrity: Arc<Integrity>,
-        handoff_ns: u64,
-        ewma_ns: &[u64],
-    ) -> Arc<Self> {
-        let mut eng = Self::spawn(backend, integrity, EngineConfig::default());
-        eng.handoff_ns = handoff_ns;
+    /// An engine whose per-disk service EWMAs are set instead of
+    /// measured, so a test knows which route each disk takes.
+    pub(crate) fn seeded(backend: Arc<B>, integrity: Arc<Integrity>, ewma_ns: &[u64]) -> Arc<Self> {
+        let eng = Self::start(backend, integrity, EngineConfig::default());
         for (q, &ns) in eng.inner.queues.iter().zip(ewma_ns) {
             q.ewma_ns.store(ns, Ordering::Relaxed);
         }
-        Arc::new(eng)
+        eng
     }
 }
 
@@ -988,23 +911,6 @@ mod tests {
         assert_eq!(snap.completed, 2);
         assert_eq!(snap.errors, 0);
         eng.stop();
-    }
-
-    /// The calibration pings at start are timed but are not traffic:
-    /// no submission, completion, queue wait or service sample.
-    #[test]
-    fn start_measures_its_handoff_without_tallying_it() {
-        let (eng, b) = engine(3, 8, EngineConfig::default());
-        let snap = eng.snapshot();
-        assert!(eng.handoff_ns > 0, "a round trip through the pool takes time");
-        assert_eq!(snap.handoff_us, eng.handoff_ns / 1_000);
-        assert_eq!((snap.client_submitted, snap.completed), (0, 0));
-        assert_eq!(snap.queue_wait_log2_ns.iter().sum::<u64>(), 0);
-        for d in &snap.disks {
-            assert_eq!((d.submitted, d.completed, d.ewma_service_us), (0, 0, 0));
-        }
-        assert!(!eng.serves_inline(0), "no disk is timed yet, so every run queues");
-        assert_eq!((0..3).map(|d| b.read_calls(d) + b.write_calls(d)).sum::<u64>(), 0);
     }
 
     #[test]
@@ -1065,7 +971,7 @@ mod tests {
         // only worker.
         let mut inner = Inner::new(backend, integrity, EngineConfig::default());
         inner.ceiling = 0;
-        let eng = Engine { inner: Arc::new(inner), handoff_ns: 0 };
+        let eng = Engine { inner: Arc::new(inner) };
         let _tokens: Vec<Completion> = [(0, 0), (1, 0), (1, 5)]
             .into_iter()
             .map(|(disk, offset)| eng.submit_read_units(disk, offset, 1, Priority::Client).unwrap())
@@ -1080,12 +986,13 @@ mod tests {
     #[test]
     fn snapshot_reports_per_disk_queues() {
         let (eng, _b) = engine(3, 32, EngineConfig { workers: 2 });
+        assert_eq!(eng.snapshot().workers, 0, "the pool starts empty");
         eng.submit_write_gather(1, 0, vec![7u8; 64], Priority::Maintenance)
             .unwrap()
             .wait()
             .unwrap();
         let snap = eng.snapshot();
-        assert_eq!(snap.workers, cpus().min(2), "a ceiling of 2 caps the starting pool");
+        assert_eq!(snap.workers, 1, "one request brings up one worker");
         assert_eq!(snap.disks.len(), 3);
         assert_eq!(snap.maintenance_submitted, 1);
         assert_eq!(snap.disks[1].submitted, 1);

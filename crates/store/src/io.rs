@@ -12,18 +12,18 @@
 //!   under [`Integrity::retrying`] straight into (or out of) the
 //!   caller's slices: no staging copy, no allocation;
 //! * **engine on** — each run is routed by its disk. A disk whose
-//!   service EWMA is below the engine's hand-off cost (measured once,
-//!   at start) answers sooner on the caller's thread than through a
-//!   worker, so its runs are issued inline, timed, and folded into the
-//!   same EWMA the workers feed — either route keeps the estimate
-//!   current, so a disk that starts stalling moves to the queues and
-//!   one that recovers moves back. Every other run, including any on
-//!   a disk not yet timed, is submitted before the inline ones are
-//!   issued, so the queued disks work meanwhile. Every token is then
-//!   drained (read payloads copied into the caller's buffers as they
-//!   land) before the first error is reported — none is abandoned in
-//!   flight — and the callers' per-run callbacks fire in run order on
-//!   both routes.
+//!   service EWMA is below 20 µs (the engine's `INLINE_BELOW_NS`,
+//!   about what a hand-off through its pool costs) answers sooner on
+//!   the caller's thread than through a worker, so its runs are issued
+//!   inline, timed, and folded into the same EWMA the workers feed —
+//!   either route keeps the estimate current, so a disk that starts
+//!   stalling moves to the queues and one that recovers moves back.
+//!   Every other run, including any on a disk not yet timed, is
+//!   submitted before the inline ones are issued, so the queued disks
+//!   work meanwhile. Every token is then drained (read payloads copied
+//!   into the caller's buffers as they land) before the first error is
+//!   reported — none is abandoned in flight — and the callers' per-run
+//!   callbacks fire in run order on both routes.
 //!
 //! The mode switch is absorbed here too: a run the engine refuses or
 //! sweeps because it is stopping never reached the backend
@@ -355,7 +355,7 @@ impl<B: Backend> Io<'_, B> {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
-    use crate::engine::{EngineConfig, EngineDiskSnapshot};
+    use crate::engine::{EngineConfig, EngineDiskSnapshot, INLINE_BELOW_NS};
     use crate::support::faulty::{FaultConfig, FaultyBackend};
     use std::time::Duration;
 
@@ -420,7 +420,7 @@ mod tests {
     }
 
     /// Inline, queued (the device stalls 2 ms a call, far above the
-    /// hand-off, so every run queues) and refused by a stopped engine.
+    /// inline threshold, so every run queues) and refused by a stopped engine.
     #[test]
     fn runs_land_in_their_own_buffers_on_every_path() {
         let backend = stalling(3, 2);
@@ -548,19 +548,18 @@ mod tests {
         }
     }
 
-    /// The route tests seed a one-second hand-off: a disk timed at half
-    /// of it is fast, one timed at ten times it is slow, and neither
-    /// changes side from what a few memory calls add to its EWMA.
-    const HANDOFF_NS: u64 = 1_000_000_000;
-    const FAST_NS: u64 = HANDOFF_NS / 2;
-    const SLOW_NS: u64 = 10 * HANDOFF_NS;
+    /// A disk timed at half the inline threshold is fast, one timed at
+    /// ten times it is slow, and neither changes side from what a few
+    /// memory calls add to its EWMA.
+    const FAST_NS: u64 = INLINE_BELOW_NS / 2;
+    const SLOW_NS: u64 = 10 * INLINE_BELOW_NS;
 
     /// Issues `calls` one-unit writes to a one-disk array whose disk
     /// starts at `ewma_ns`, and returns that disk's engine gauges.
     fn route_of(ewma_ns: u64, calls: u64) -> EngineDiskSnapshot {
         let backend = Arc::new(MemBackend::new(1, 8, US));
         let integrity = Arc::new(Integrity::new(1, 8));
-        let eng = Engine::seeded(backend.clone(), integrity.clone(), HANDOFF_NS, &[ewma_ns]);
+        let eng = Engine::seeded(backend.clone(), integrity.clone(), &[ewma_ns]);
         let io = Io { backend: &*backend, integrity: &integrity, engine: Some(eng.clone()) };
         let run = [Run { disk: 0, first: 2, parts: 0..1 }];
         for _ in 0..calls {
@@ -584,8 +583,18 @@ mod tests {
         assert!(d.ewma_service_us < SLOW_NS / 1_000, "queued calls feed the disk's EWMA");
     }
 
+    /// The threshold is strict: a disk timed one nanosecond under it
+    /// goes inline, one timed at it queues.
+    #[test]
+    fn the_inline_threshold_is_exclusive() {
+        let d = route_of(INLINE_BELOW_NS - 1, 1);
+        assert_eq!((d.inline, d.submitted), (1, 0));
+        let d = route_of(INLINE_BELOW_NS, 1);
+        assert_eq!((d.inline, d.submitted), (0, 1));
+    }
+
     /// A disk with no sample yet queues; its first sample (a memory
-    /// call, far below the hand-off) then sends it inline.
+    /// call, far below the threshold) then sends it inline.
     #[test]
     fn an_untimed_disk_queues_until_its_first_sample() {
         let d = route_of(0, 1);
@@ -603,8 +612,7 @@ mod tests {
         const STALL_MS: u64 = 50;
         let backend = stalling(2, STALL_MS);
         let integrity = Arc::new(Integrity::new(2, 8));
-        let eng =
-            Engine::seeded(backend.clone(), integrity.clone(), HANDOFF_NS, &[SLOW_NS, FAST_NS]);
+        let eng = Engine::seeded(backend.clone(), integrity.clone(), &[SLOW_NS, FAST_NS]);
         let io = Io { backend: &*backend, integrity: &integrity, engine: Some(eng.clone()) };
         let runs = [Run { disk: 1, first: 0, parts: 0..1 }, Run { disk: 0, first: 0, parts: 1..2 }];
         let mut got = [vec![1; US], vec![1; US]];

@@ -1202,10 +1202,9 @@ pub fn render_stats(s: &StatsSnapshot) -> String {
     if let Some(e) = &s.engine {
         let _ = writeln!(
             out,
-            "engine: {} worker(s), hand-off {}us; {} client + {} maintenance submitted, \
+            "engine: {} worker(s); {} client + {} maintenance submitted, \
              {} completed ({} error(s)), {} maintenance deferral(s)",
             e.workers,
-            e.handoff_us,
             e.client_submitted,
             e.maintenance_submitted,
             e.completed,
@@ -1381,7 +1380,6 @@ mod tests {
             },
             engine: Some(crate::engine::EngineStatsSnapshot {
                 workers: 9,
-                handoff_us: 12,
                 client_submitted: 40,
                 maintenance_submitted: 6,
                 completed: 46,
@@ -1427,8 +1425,8 @@ mod tests {
         let eng = back.engine.as_ref().unwrap();
         assert_eq!(eng.client_submitted, 40);
         assert_eq!(eng.maintenance_deferred, 2);
-        assert_eq!((eng.handoff_us, eng.disks[0].inline), (12, 30));
-        assert!(text.contains("engine: 9 worker(s), hand-off 12us"));
+        assert_eq!(eng.disks[0].inline, 30);
+        assert!(text.contains("engine: 9 worker(s); 40 client + 6 maintenance submitted"));
         assert!(text.contains("       4 done /       30 inline"));
         assert!(!text.contains("coalesced"));
         // Engine-less snapshots round-trip the section as null.

@@ -11,9 +11,9 @@
 //! success, error, and shutdown alike: `completed` must equal
 //! `submitted` once the traffic quiesces.
 //!
-//! The `engine_pool_` tests pin how the worker pool is sized: it grows
-//! past one worker per disk when the queues hold more calls, never
-//! past its ceiling, and not at all while runs go inline.
+//! The `engine_pool_` tests pin how the worker pool is sized: it starts
+//! empty, grows past one worker per disk when the queues hold more
+//! calls, never past its ceiling, and not at all while runs go inline.
 //!
 //! Reproducibility mirrors `chaos.rs`: seeds land in
 //! `target/chaos/engine_<name>.seed` before each leg and
@@ -567,10 +567,6 @@ fn default_ceiling(disks: usize) -> usize {
     (disks * 8).min(64)
 }
 
-fn cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// A v = 9 ring (ten backend disks, one a spare) under a
 /// [`ProbeBackend`], written with a known pattern, and one batch that
 /// reads it all back: on untimed disks, every one of its runs queues.
@@ -625,16 +621,14 @@ fn engine_pool_never_exceeds_its_ceiling() {
     assert_drained(&eng, "pool at its ceiling");
 }
 
-/// A pool grows only when requests wait: after start it holds one
-/// worker per CPU (capped by its ceiling), and traffic that times every
-/// disk at most two runs at a time, then runs on the caller's thread,
-/// leaves it that size.
+/// A pool grows only when requests wait: it starts empty, and traffic
+/// that times every disk at most two runs at a time, then runs on the
+/// caller's thread, grows it to two workers at most.
 #[test]
 fn engine_pool_stays_small_when_runs_go_inline() {
     let (store, data) = probed_store();
-    let start = cpus().min(default_ceiling(store.backend().disks()));
     store.start_engine(EngineConfig::default());
-    assert_eq!(store.stats().engine.expect("engine running").workers, start);
+    assert_eq!(store.stats().engine.expect("engine running").workers, 0);
     // An untimed disk queues its runs. A one-block write reads and then
     // writes its data and parity units, two runs a round, so two
     // workers take each round without waiting.
@@ -663,13 +657,58 @@ fn engine_pool_stays_small_when_runs_go_inline() {
         inline(&eng) - inline(&timed) > 10 * queued,
         "the batches on the timed memory disks went inline ({queued} runs queued)"
     );
-    // A one-CPU pool starts with one worker, and a two-run round may
-    // grow it to two.
-    let most = start.max(2);
-    assert!(
-        eng.workers <= most,
-        "{} workers after inline traffic, started with {start}",
-        eng.workers
-    );
+    // A two-run round may grow the empty pool to two.
+    assert!(eng.workers <= 2, "{} workers after inline traffic", eng.workers);
     assert_drained(&eng, "inline traffic");
+}
+
+/// A fresh engine has no worker: the first request that queues (a
+/// batch on untimed disks of a stalling device) brings up the workers
+/// that serve it.
+#[test]
+fn engine_pool_starts_empty_and_serves_its_first_queued_request() {
+    let store = xor_faulty_mem(stalling(1));
+    store.backend().set_armed(false);
+    let data: Vec<u8> = (0..2 * UNIT).map(|i| i as u8).collect();
+    store.write_blocks(0, &data).unwrap();
+    store.start_engine(EngineConfig::default());
+    assert_eq!(store.stats().engine.expect("engine running").workers, 0);
+    store.backend().set_armed(true);
+    let mut back = vec![0u8; data.len()];
+    store.read_blocks(0, &mut back).unwrap();
+    assert!(back == data, "the first batch reads back what was written");
+    let eng = store.stop_engine().expect("engine was running");
+    assert!(eng.client_submitted > 0, "untimed disks queue");
+    assert!(eng.workers >= 1, "the first queued request started a worker");
+    assert_drained(&eng, "first request");
+    assert_eq!(eng.errors, 0);
+}
+
+/// A backend call that panics inside a worker fails its request, not
+/// the engine: the batch read returns an error (returns at all, rather
+/// than waiting on a token no one fulfils), the failure is counted,
+/// every token is drained, and the pool serves the next batch. On a
+/// fresh engine every disk is untimed, so the first read call (the one
+/// that panics) is a worker's.
+#[test]
+fn engine_worker_answers_a_backend_panic() {
+    let (store, data) = probed_store();
+    let store = Arc::new(store);
+    store.start_engine(EngineConfig::default());
+    store.backend().panic_next_read();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = Arc::clone(&store);
+    std::thread::spawn(move || {
+        let mut back = vec![0u8; 16 * UNIT];
+        let _ = tx.send(reader.read_blocks(0, &mut back).is_err());
+    });
+    let failed = rx.recv_timeout(Duration::from_secs(10)).expect("the batch read returned");
+    assert!(failed, "the panicked call fails the batch read");
+    let mut back = vec![0u8; data.len()];
+    store.read_blocks(0, &mut back).unwrap();
+    assert!(back == data, "the pool serves on after the panic");
+    let eng = store.stop_engine().expect("engine was running");
+    assert_eq!(eng.errors, 1, "the panicked call is the one failure");
+    assert!(eng.disks.iter().all(|d| d.in_flight == 0), "no call is left in flight");
+    assert_drained(&eng, "backend panic");
 }

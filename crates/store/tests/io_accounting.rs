@@ -57,8 +57,8 @@ fn diff<B: Backend>(store: &BlockStore<B>, t0: &StatsSnapshot) -> (u64, u64, u64
 
 /// The engine's books between two snapshots: the `dispatched_calls`
 /// backend calls the dispatcher made are exactly the engine's
-/// submissions plus the runs it routed inline (its disk served faster
-/// than the hand-off; on memory, every disk once timed), every
+/// submissions plus the runs it routed inline (its disk served in
+/// under 20 µs; on memory, every disk once timed), every
 /// completion token has drained, nothing failed, and no maintenance
 /// request waited behind client work. Vacuous with the engine off.
 fn engine_accounts(now: &StatsSnapshot, before: &StatsSnapshot, dispatched_calls: u64) {

@@ -29,16 +29,16 @@ fn stalling_store() -> BlockStore<FaultyBackend<MemBackend>> {
     BlockStore::new(layout, FaultyBackend::new(mem, stall)).unwrap()
 }
 
-/// The engine's routing at stop: its hand-off threshold and, per disk,
-/// the calls it served inline and its service-time estimate — what a
-/// failed overlap bound needs to tell a disk routed inline from one
-/// that queued and still did not overlap.
+/// The engine's routing at stop: per disk, its service-time estimate
+/// and the calls it served inline — what a failed overlap bound needs
+/// to tell a disk routed inline from one that queued and still did not
+/// overlap.
 fn routing(snap: Option<EngineStatsSnapshot>) -> String {
     let Some(s) = snap else { return "no engine snapshot".into() };
     let disks: Vec<String> = (s.disks.iter())
-        .map(|d| format!("{}: inline {} ewma {} us", d.disk, d.inline, d.ewma_service_us))
+        .map(|d| format!("{}: ewma {} us inline {}", d.disk, d.ewma_service_us, d.inline))
         .collect();
-    format!("handoff {} us; disks [{}]", s.handoff_us, disks.join(", "))
+    format!("disks [{}]", disks.join(", "))
 }
 
 /// Wall time of 100 single-block reads split evenly over `threads`

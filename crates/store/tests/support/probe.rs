@@ -1,8 +1,10 @@
 //! A backend wrapper that watches who calls it: how many calls are
 //! inside it at once — with a gate that holds every call until enough
-//! are — and which thread made each read.
+//! are — and which thread made each read. It can also make the next
+//! read panic, as a faulty backend might.
 
 use pdl_store::{Backend, StoreError};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
@@ -26,6 +28,8 @@ pub struct ProbeBackend<B> {
     inside: Mutex<Inside>,
     opened: Condvar,
     readers: Mutex<Vec<ThreadId>>,
+    /// Whether the next read panics instead of reading.
+    panic_next: AtomicBool,
 }
 
 impl<B: Backend> ProbeBackend<B> {
@@ -35,6 +39,7 @@ impl<B: Backend> ProbeBackend<B> {
             inside: Mutex::default(),
             opened: Condvar::new(),
             readers: Mutex::default(),
+            panic_next: AtomicBool::new(false),
         }
     }
 
@@ -71,7 +76,15 @@ impl<B: Backend> ProbeBackend<B> {
         out
     }
 
+    /// Makes the next read call, and only that one, panic at its start.
+    pub fn panic_next_read(&self) {
+        self.panic_next.store(true, Ordering::SeqCst);
+    }
+
     fn read<T>(&self, f: impl FnOnce() -> T) -> T {
+        if self.panic_next.swap(false, Ordering::SeqCst) {
+            panic!("probe backend: read panics as armed");
+        }
         self.readers.lock().unwrap().push(std::thread::current().id());
         self.call(f)
     }
